@@ -54,7 +54,6 @@ struct RunResult {
   index_t lowrank_blocks = 0;
   double dense_block_fraction = 0;
   std::vector<core::DispatchCount> dispatch;  ///< per-kernel call counters
-  core::BatchExecStats batch;  ///< batched-execution counters (zero when off)
 };
 
 /// Factorize + solve once, collecting the quantities the paper reports.
@@ -85,7 +84,6 @@ inline RunResult run_solver(const sparse::CscMatrix& a, const SolverOptions& opt
   r.lowrank_blocks = s.stats().num_lowrank_blocks;
   r.dense_block_fraction = s.stats().dense_block_fraction;
   r.dispatch = s.stats().dispatch;
-  r.batch = s.stats().batch;
   return r;
 }
 
@@ -114,16 +112,7 @@ inline void json_run(std::FILE* out, const char* label, index_t dofs,
                  static_cast<unsigned long long>(d.calls),
                  static_cast<unsigned long long>(d.bytes), d.seconds);
   }
-  std::fprintf(out,
-               "], \"batch\": {\"batches\": %llu, \"avg_batch\": %.3f, "
-               "\"max_batch\": %llu, \"fill_ratio\": %.4f, "
-               "\"pack_hits\": %llu, \"pack_misses\": %llu}}",
-               static_cast<unsigned long long>(r.batch.batches),
-               r.batch.avg_batch,
-               static_cast<unsigned long long>(r.batch.max_batch),
-               r.batch.fill_ratio,
-               static_cast<unsigned long long>(r.batch.pack_hits),
-               static_cast<unsigned long long>(r.batch.pack_misses));
+  std::fprintf(out, "]}");
 }
 
 inline double gib(std::size_t bytes) { return static_cast<double>(bytes) / (1024.0 * 1024.0 * 1024.0); }

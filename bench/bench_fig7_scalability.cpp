@@ -5,10 +5,9 @@
 // looser tolerances flatten both the factor size and the peak, which is
 // what let the paper run 12M unknowns in 128 GB.
 //
-// Second section (beyond the paper's figure): parallel scheduler A/B on the
-// largest generator problem of the sweep — factorization wall time of the
-// work-stealing priority scheduler vs the legacy shared queue per thread
-// count, with the steal/idle counters the pool collects.
+// Second section (beyond the paper's figure): dataflow A/B on the largest
+// generator problem of the sweep — factorization wall time of the barrier
+// driver vs the task DAG per thread count, with the DAG shape counters.
 
 #include <algorithm>
 #include <cmath>
@@ -19,45 +18,8 @@ using namespace bench;
 
 namespace {
 
-void scheduler_ab(const sparse::CscMatrix& a, index_t n) {
-  print_header("Figure 7b — scheduler A/B (JIT/RRQR), largest problem of the sweep");
-  std::printf("problem: lap %lld^3, %lld dofs\n\n", static_cast<long long>(n),
-              static_cast<long long>(a.rows()));
-  std::printf("%8s | %12s | %12s | %8s | %24s\n", "threads", "shared s",
-              "stealing s", "speedup", "steals/empty/sleeps");
-
-  std::vector<int> counts = {1, 2, 4, 8};
-  const int hw = env_threads();
-  if (std::find(counts.begin(), counts.end(), hw) == counts.end() && hw > 1) {
-    counts.push_back(hw);
-  }
-  std::sort(counts.begin(), counts.end());
-
-  for (const int threads : counts) {
-    SolverOptions o = paper_options(Strategy::JustInTime,
-                                    lr::CompressionKind::Rrqr, 1e-8);
-    o.threads = threads;
-
-    o.scheduler = SchedulerKind::SharedQueue;
-    const RunResult shared = run_solver(a, o);
-
-    o.scheduler = SchedulerKind::WorkStealing;
-    Solver keep(o);
-    const RunResult stealing = run_solver(a, o, &keep);
-    const auto& st = keep.stats();
-
-    std::printf("%8d | %12.3f | %12.3f | %7.2fx | %10llu/%llu/%llu\n", threads,
-                shared.factorization_time, stealing.factorization_time,
-                shared.factorization_time / stealing.factorization_time,
-                static_cast<unsigned long long>(st.scheduler_steals),
-                static_cast<unsigned long long>(st.scheduler_failed_steals),
-                static_cast<unsigned long long>(st.scheduler_idle_sleeps));
-    std::fflush(stdout);
-  }
-}
-
 // Dataflow A/B: barrier vs task-DAG factorization wall time per thread
-// count (same strategy/scheduler), with the DAG shape counters. The DAG's
+// count (same strategy), with the DAG shape counters. The DAG's
 // tile-granular dependencies overlap panels the barrier serializes, which
 // is where the speedup at higher thread counts comes from.
 void dataflow_ab(const sparse::CscMatrix& a, index_t n, std::FILE* json,
@@ -79,7 +41,6 @@ void dataflow_ab(const sparse::CscMatrix& a, index_t n, std::FILE* json,
     SolverOptions o = paper_options(Strategy::JustInTime,
                                     lr::CompressionKind::Rrqr, 1e-8);
     o.threads = threads;
-    o.scheduler = SchedulerKind::WorkStealing;
 
     o.dataflow = core::Dataflow::Barrier;
     const RunResult barrier = run_solver(a, o);
@@ -162,8 +123,6 @@ int main() {
   }
 
   const auto a_last = sparse::laplacian_3d(nlast, nlast, nlast);
-  scheduler_ab(a_last, nlast);
-
   // The dataflow A/B rides in the same JSON file, as its own array.
   if (json) std::fprintf(json, "\n  ],\n  \"dataflow_ab\": [\n");
   bool ab_first = true;

@@ -10,15 +10,17 @@ Usage: scripts/bench_trajectory.py <report.json> [<report2.json> ...]
            [-o <trajectory.json>]
 
 Each report is identified by its keys — bench_kernels.json carries
-`packed_gemm`/`backends`/`batched_dispatch`, bench_refactorize.json carries
+`packed_gemm`/`backends`, bench_refactorize.json carries
 `refactorize`/`solve_throughput` — and all reports given on one invocation
 fold into a single trajectory entry.
 
 The trajectory entry keeps only the headline numbers (packed-gemm speedups
-per size, batched-dispatch mean speedup, steady-state refactorize speedup
-per strategy, blocked-solve throughput per width) plus the commit and
-timestamp, so the file stays small no matter how many runs accumulate. The
-newest `MAX_RUNS` entries are retained.
+per size, per-backend GF/s, steady-state refactorize speedup per strategy,
+blocked-solve throughput per width) plus the commit and timestamp, so the
+file stays small no matter how many runs accumulate. The newest `MAX_RUNS`
+entries are retained. Earlier entries are carried over verbatim, whatever
+keys they hold (entries from before the batched dispatch path was removed
+still carry `batched_*` speedups); no key is required of them.
 """
 
 import json
@@ -60,13 +62,6 @@ def summarize(report: dict) -> dict:
         isas = {row["isa"] for row in backends if row.get("isa")}
         if isas:
             entry["backend_isa"] = sorted(isas)[0]
-    batched = report.get("batched_dispatch", [])
-    speedups = [row["speedup"] for row in batched if "speedup" in row]
-    if speedups:
-        entry["batched_mean_speedup"] = round(
-            sum(speedups) / len(speedups), 4
-        )
-        entry["batched_min_speedup"] = round(min(speedups), 4)
     refac = report.get("refactorize", [])
     if refac:
         # bench_refactorize.json: first-step vs steady-state cost per

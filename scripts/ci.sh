@@ -57,13 +57,15 @@ run_tsan() {
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
         -L 'engine|fault|dag|resource|session|solve'
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
-        -R 'thread_pool|ParallelDeterminism|Trace'
+        -R 'SchedulerSweep|WorkStealing|ParallelDeterminism|Trace'
 }
 
 # Documentation lint: every SolverOptions field must carry a doc comment —
-# either a /// block on the preceding line(s) or a trailing ///< — so the
-# README options table cannot silently drift from the header. Fails listing
-# the undocumented fields.
+# either a /// block on the preceding line(s) or a trailing ///< — and every
+# row of the README options table must name a field that struct
+# SolverOptions declares (dotted rows such as `recovery.enabled` match on
+# their leading field), so the table cannot silently drift from the header.
+# Fails listing the undocumented fields and the stale rows.
 run_docs() {
   awk '
     /^struct SolverOptions/ { in_struct = 1; next }
@@ -86,12 +88,40 @@ run_docs() {
     END { exit bad }
   ' src/core/options.hpp
   echo "ci[docs]: every SolverOptions field is documented"
+
+  awk '
+    FNR == NR {                               # pass 1: options.hpp field names
+      if ($0 ~ /^struct SolverOptions/) { in_struct = 1; next }
+      if (!in_struct) next
+      if ($0 ~ /^};/) { in_struct = 0; next }
+      line = $0
+      sub(/\/\/.*/, "", line)                 # drop comments
+      if (line !~ /;/) next
+      sub(/[ \t]*(=[^;]*)?;.*$/, "", line)     # drop initializer and `;`
+      n = split(line, w, /[ \t]+/)
+      field[w[n]] = 1
+      next
+    }
+    /^\| option \| default \| meaning \|/ { in_table = 1; next }
+    in_table && !/^\|/ { in_table = 0 }
+    in_table && /^\| `/ {                     # pass 2: README table rows
+      name = $0
+      sub(/^\| `/, "", name)
+      sub(/`.*/, "", name)
+      sub(/\..*/, "", name)
+      if (!(name in field)) {
+        printf "ci[docs]: README options row names no SolverOptions field: %s\n", name
+        bad = 1
+      }
+    }
+    END { exit bad }
+  ' src/core/options.hpp README.md
+  echo "ci[docs]: every README options row names a SolverOptions field"
 }
 
 # Performance smoke: Release builds of bench_kernels and bench_refactorize
 # run in --quick mode. Each bench enforces its own floor — packed gemm must
-# not be >10% slower than the old loop nests at n=k=256, the
-# Batching::PerSupernode end-to-end run must actually form batches, and the
+# not be >10% slower than the old loop nests at n=k=256, and the
 # re-factorization trajectory must actually reuse the plan/buffers/rank
 # hints — and exits nonzero otherwise. The JSON reports are copied over the
 # committed BENCH_*.json so the last green perfsmoke numbers travel with the
@@ -107,7 +137,7 @@ run_perfsmoke() {
   cp build-ci-perfsmoke/bench_kernels.json BENCH_kernels.json
   cp build-ci-perfsmoke/bench_refactorize.json BENCH_refactorize.json
   python3 scripts/bench_trajectory.py BENCH_kernels.json BENCH_refactorize.json
-  echo "ci[perfsmoke]: packed gemm, batching and refactorize reuse within bounds"
+  echo "ci[perfsmoke]: packed gemm and refactorize reuse within bounds"
 }
 
 # Backend A/B: the full tier-1 suite twice against ONE Debug build — once

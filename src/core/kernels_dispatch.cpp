@@ -1,11 +1,8 @@
 #include "core/kernels_dispatch.hpp"
 
 #include <chrono>
-#include <exception>
-#include <mutex>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/factorizations.hpp"
 
@@ -28,63 +25,6 @@ const char* kernel_op_name(KernelOp op) {
 }
 
 namespace {
-
-/// Shape signature of one batch entry: entries with equal signatures cost
-/// about the same and often share operands, so consecutive equal-signature
-/// runs form the shape buckets run_batch chunks on.
-struct ShapeSig {
-  index_t c_r = 0, c_c = 0, a_r = 0, a_c = 0, b_r = 0, b_c = 0;
-  index_t v_r = 0, v_c = 0, i_r = 0, i_c = 0;
-  index_t su_r = 0, su_c = 0, sv_r = 0, sv_c = 0;
-
-  bool operator==(const ShapeSig&) const = default;
-};
-
-ShapeSig shape_of(const KernelCtx& ctx) {
-  ShapeSig s;
-  if (ctx.c != nullptr) { s.c_r = ctx.c->rows(); s.c_c = ctx.c->cols(); }
-  if (ctx.a != nullptr) { s.a_r = ctx.a->rows(); s.a_c = ctx.a->cols(); }
-  if (ctx.b != nullptr) { s.b_r = ctx.b->rows(); s.b_c = ctx.b->cols(); }
-  s.v_r = ctx.view.rows;
-  s.v_c = ctx.view.cols;
-  s.i_r = ctx.in.rows;
-  s.i_c = ctx.in.cols;
-  s.su_r = ctx.su.rows;
-  s.su_c = ctx.su.cols;
-  s.sv_r = ctx.sv.rows;
-  s.sv_c = ctx.sv.cols;
-  return s;
-}
-
-/// Collect the operand base pointers of one batch entry that stay alive and
-/// unmutated until run_batch returns — the buffers the pack cache may treat
-/// as stable for the chunk. Only read-only tile operands qualify: in-out
-/// targets (ctx.c, ctx.view) are mutated by the kernels, and fp32 factors
-/// never reach a gemm directly (the promotion wrappers copy them into
-/// per-call scratch first, which is exactly the recycled-temporary memory
-/// the stable registry exists to exclude).
-void note_stable_operands(const KernelCtx& ctx,
-                          std::vector<const void*>& out) {
-  const auto add_tile = [&out](const lr::Tile* t) {
-    if (t == nullptr) return;
-    if (t->is_lowrank()) {
-      if (t->precision() == lr::Precision::Fp64) {
-        out.push_back(t->lr().u.data());
-        out.push_back(t->lr().v.data());
-      }
-    } else {
-      out.push_back(t->dense().data());
-    }
-  };
-  add_tile(ctx.a);
-  add_tile(ctx.b);
-  if (ctx.in.data != nullptr) out.push_back(ctx.in.data);
-  // Solve factor views are stable by construction: they alias either a
-  // factored (immutable) fp64 tile or the per-epoch fp32 widen cache, both
-  // alive and unmutated for the whole batch.
-  if (ctx.su.data != nullptr) out.push_back(ctx.su.data);
-  if (ctx.sv.data != nullptr) out.push_back(ctx.sv.data);
-}
 
 std::uint64_t ctx_bytes(const KernelCtx& ctx) {
   std::uint64_t b = 0;
@@ -262,9 +202,9 @@ void k_solve_gemm_dense(KernelCtx& ctx) {
 
 void k_solve_gemm_lr(KernelCtx& ctx) {
   // Two rank-sized gemvs per RHS column: tmp = svᵗ·xin, xout -= su·tmp.
-  // position_solve_gemm already swapped the u/v roles for the backward
-  // sweep, so both directions run the same pair; the fp32 key differs only
-  // in where su/sv point (the per-epoch widen cache).
+  // solve_gemm already swapped the u/v roles for the backward sweep, so
+  // both directions run the same pair; the fp32 key differs only in where
+  // su/sv point (the per-epoch widen cache).
   la::DMatrix tmp(ctx.su.cols, ctx.in.cols);
   la::gemm(la::Trans::Yes, la::Trans::No, real_t(1), ctx.sv, ctx.in, real_t(0),
            tmp.view());
@@ -429,121 +369,16 @@ void KernelDispatch::run(KernelOp op, Rep a, Prec pa, Rep b, Prec pb,
   KernelStats::instance().add(e.timer, ns);
 }
 
-void KernelDispatch::run_batch(KernelOp op, Rep a, Prec pa, Rep b, Prec pb,
-                               KernelCtx* const* items, std::size_t count,
-                               ThreadPool* pool) {
-  if (count == 0) return;
-  Entry& e = at(la::current_backend(), op, a, pa, b, pb);
-  if (e.fn == nullptr) {
-    throw Error(std::string("no kernel registered for ") + kernel_op_name(op));
-  }
-  std::uint64_t bytes = 0;
-  for (std::size_t i = 0; i < count; ++i) bytes += ctx_bytes(*items[i]);
-  e.batched.fetch_add(count, std::memory_order_relaxed);
-  e.batch_invocations.fetch_add(1, std::memory_order_relaxed);
-  e.bytes.fetch_add(bytes, std::memory_order_relaxed);
-
-  // Shape buckets: consecutive equal-shape runs, each further split to at
-  // most `chunk_max` entries so one oversized bucket still spreads across
-  // the pool. One task per chunk — not per tile.
-  struct Chunk {
-    std::size_t begin, end;
-  };
-  std::vector<Chunk> chunks;
-  const std::size_t chunk_max =
-      pool != nullptr
-          ? std::max<std::size_t>(
-                1, (count + 4 * static_cast<std::size_t>(pool->size()) - 1) /
-                       (4 * static_cast<std::size_t>(pool->size())))
-          : count;
-  std::size_t begin = 0;
-  ShapeSig sig = shape_of(*items[0]);
-  for (std::size_t i = 1; i <= count; ++i) {
-    const bool boundary = i == count || !(shape_of(*items[i]) == sig) ||
-                          i - begin >= chunk_max;
-    if (boundary) {
-      chunks.push_back({begin, i});
-      if (i < count) {
-        begin = i;
-        sig = shape_of(*items[i]);
-      }
-    }
-  }
-
-  // First-exception capture: a failing entry cancels the entries that have
-  // not started yet; completed siblings are simply discarded by the caller.
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::atomic<bool> bad{false};
-  // Per-chunk CPU time summed across the pool's threads, so the kernel's
-  // `seconds` column keeps the eager meaning (total time spent inside the
-  // kernel) instead of the wall time of the parallel region.
-  std::atomic<std::uint64_t> batch_ns{0};
-  const auto chunk_body = [&](const Chunk& ch) {
-    // Content reuse in the per-thread pack cache is sound only for operands
-    // the batch owns for the whole chunk — the entries' tile buffers, alive
-    // and unmutated until run_batch returns. Kernel-internal heap
-    // temporaries are deliberately absent from the stable set: the
-    // allocator may recycle a freed temporary at the same address and shape
-    // for the next entry, so a pointer+shape key alone cannot prove a
-    // packed image is current.
-    std::vector<const void*> stable;
-    stable.reserve(4 * (ch.end - ch.begin));
-    for (std::size_t i = ch.begin; i < ch.end; ++i)
-      note_stable_operands(*items[i], stable);
-    la::PackBatchScope pack_scope(stable.data(), stable.size());
-    for (std::size_t i = ch.begin; i < ch.end; ++i) {
-      if (bad.load(std::memory_order_relaxed)) return;
-      try {
-        e.fn(*items[i]);
-      } catch (...) {
-        std::lock_guard lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        bad.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-  const auto run_chunk = [&](index_t ci) {
-    if (bad.load(std::memory_order_relaxed)) return;
-    const auto t0 = std::chrono::steady_clock::now();
-    chunk_body(chunks[static_cast<std::size_t>(ci)]);
-    batch_ns.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()),
-        std::memory_order_relaxed);
-  };
-
-  if (pool != nullptr && chunks.size() > 1) {
-    pool->parallel_for(static_cast<index_t>(chunks.size()), run_chunk);
-  } else {
-    for (std::size_t ci = 0; ci < chunks.size(); ++ci)
-      run_chunk(static_cast<index_t>(ci));
-  }
-  const std::uint64_t ns = batch_ns.load(std::memory_order_relaxed);
-  e.nanos.fetch_add(ns, std::memory_order_relaxed);
-  KernelStats::instance().add(e.timer, ns);
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 std::vector<DispatchCount> KernelDispatch::snapshot() const {
   std::vector<DispatchCount> out;
   out.reserve(order_.size());
   for (const Entry* e : order_) {
-    const std::uint64_t eager = e->calls.load(std::memory_order_relaxed);
-    const std::uint64_t batched = e->batched.load(std::memory_order_relaxed);
-    if (eager + batched == 0) continue;
+    const std::uint64_t calls = e->calls.load(std::memory_order_relaxed);
+    if (calls == 0) continue;
     DispatchCount d;
     d.kernel = e->name;
     d.backend = la::backend_name(e->backend);
-    // Total logical calls: a batch of N counts N, so the kernel table is
-    // comparable across batching=Off/PerSupernode.
-    d.calls = eager + batched;
-    d.batched_calls = batched;
-    d.batch_invocations =
-        e->batch_invocations.load(std::memory_order_relaxed);
+    d.calls = calls;
     d.bytes = e->bytes.load(std::memory_order_relaxed);
     d.seconds =
         static_cast<double>(e->nanos.load(std::memory_order_relaxed)) * 1e-9;
@@ -562,8 +397,6 @@ void KernelDispatch::reset_counters() {
               e.calls.store(0, std::memory_order_relaxed);
               e.bytes.store(0, std::memory_order_relaxed);
               e.nanos.store(0, std::memory_order_relaxed);
-              e.batched.store(0, std::memory_order_relaxed);
-              e.batch_invocations.store(0, std::memory_order_relaxed);
             }
           }
         }
@@ -667,9 +500,9 @@ void solve_trsm(const lr::Tile& diag, const std::vector<index_t>& piv,
                                  Rep::None, Prec::Fp64, ctx);
 }
 
-void position_solve_gemm(KernelCtx& ctx, const lr::Tile& blk, la::DConstView u,
-                         la::DConstView v, la::DConstView xin, la::DView xout,
-                         bool backward) {
+void solve_gemm(const lr::Tile& blk, la::DConstView u, la::DConstView v,
+                la::DConstView xin, la::DView xout, bool backward) {
+  KernelCtx ctx;
   ctx.a = &blk;
   ctx.in = xin;
   ctx.view = xout;
@@ -680,12 +513,6 @@ void position_solve_gemm(KernelCtx& ctx, const lr::Tile& blk, la::DConstView u,
     ctx.su = backward ? v : u;
     ctx.sv = backward ? u : v;
   }
-}
-
-void solve_gemm(const lr::Tile& blk, la::DConstView u, la::DConstView v,
-                la::DConstView xin, la::DView xout, bool backward) {
-  KernelCtx ctx;
-  position_solve_gemm(ctx, blk, u, v, xin, xout, backward);
   KernelDispatch::instance().run(KernelOp::SolveGemm, rep_of(blk),
                                  prec_of(blk), Rep::None, Prec::Fp64, ctx);
 }

@@ -10,10 +10,6 @@
 #include "linalg/backend.hpp"
 #include "lowrank/kernels.hpp"
 
-namespace blr {
-class ThreadPool;
-}
-
 namespace blr::core {
 
 /// The numeric operations the factorization driver issues. Each combines
@@ -96,7 +92,7 @@ using KernelFn = void (*)(KernelCtx&);
 /// wrappers registered alongside the fp64 kernels, giving per-precision
 /// call/byte counters for free in snapshot().
 ///
-/// The backend axis mirrors la::Backend: run()/run_batch() read
+/// The backend axis mirrors la::Backend: run() reads
 /// la::current_backend() per call, so the same factorization driver reports
 /// separate per-kernel counter rows under Reference and Native (A/B runs
 /// need no code changes, only a backend switch). The built-in kernels are
@@ -130,25 +126,8 @@ public:
   /// when no kernel is registered for the key.
   void run(KernelOp op, Rep a, Prec pa, Rep b, Prec pb, KernelCtx& ctx);
 
-  /// Dispatch `count` same-key calls as ONE batched invocation: the entries
-  /// are split into shape-bucket chunks (consecutive equal operand shapes)
-  /// and run in parallel on `pool` (sequentially when null), each chunk
-  /// under a la::PackBatchScope whose stable set is the chunk's read-only
-  /// tile operands, so the packed-gemm pack cache can reuse an operand
-  /// shared across the chunk (and only those — kernel-internal temporaries
-  /// never hit the cache). Counters record `count` logical calls plus one
-  /// invocation (DispatchCount::batched_calls / batch_invocations), and the
-  /// per-kernel time is the per-chunk CPU time summed across threads — the
-  /// same meaning as the eager per-call accumulation — so kernel tables
-  /// stay comparable with eager mode. The first kernel exception cancels
-  /// the remaining entries and is rethrown. Entries must be independent: no
-  /// entry may read another's output or alias another's in-out target.
-  void run_batch(KernelOp op, Rep a, Prec pa, Rep b, Prec pb,
-                 KernelCtx* const* items, std::size_t count, ThreadPool* pool);
-
   /// Per-kernel counters since the last reset, zero-call entries omitted,
-  /// in registration order. `calls` is the total logical count (eager +
-  /// batched) so Fig. 7 kernel tables compare across batching modes.
+  /// in registration order.
   [[nodiscard]] std::vector<DispatchCount> snapshot() const;
   void reset_counters();
 
@@ -163,11 +142,9 @@ private:
     la::Backend backend = la::Backend::Reference;  ///< table slice this entry lives in
     Kernel timer = Kernel::DenseUpdate;
     KernelFn fn = nullptr;
-    std::atomic<std::uint64_t> calls{0};  ///< eager (non-batched) calls
+    std::atomic<std::uint64_t> calls{0};
     std::atomic<std::uint64_t> bytes{0};
     std::atomic<std::uint64_t> nanos{0};
-    std::atomic<std::uint64_t> batched{0};            ///< calls run in batches
-    std::atomic<std::uint64_t> batch_invocations{0};  ///< run_batch() calls
   };
 
   static constexpr int kBackends = static_cast<int>(la::Backend::kCount);
@@ -232,16 +209,10 @@ std::optional<lr::LrMatrix> compress(lr::CompressionKind kind, la::DConstView a,
 void solve_trsm(const lr::Tile& diag, const std::vector<index_t>& piv,
                 la::DView xk, bool llt, bool backward);
 
-/// Position `ctx` for one SolveGemm dispatch — shared between the eager
-/// wrapper below and the PerSupernode solve batching in numeric.cpp. `u`/`v`
-/// are the panel tile's low-rank factors *already widened to fp64* (empty
-/// views for a dense tile); forward computes xout -= blk·xin, backward
-/// xout -= blkᵗ·xin (factor roles swap for low-rank tiles).
-void position_solve_gemm(KernelCtx& ctx, const lr::Tile& blk, la::DConstView u,
-                         la::DConstView v, la::DConstView xin, la::DView xout,
-                         bool backward);
-
-/// Triangular-solve panel update of one RHS segment (eager dispatch).
+/// Triangular-solve panel update of one RHS segment. `u`/`v` are the panel
+/// tile's low-rank factors *already widened to fp64* (empty views for a
+/// dense tile); forward computes xout -= blk·xin, backward xout -= blkᵗ·xin
+/// (factor roles swap for low-rank tiles).
 void solve_gemm(const lr::Tile& blk, la::DConstView u, la::DConstView v,
                 la::DConstView xin, la::DView xout, bool backward);
 

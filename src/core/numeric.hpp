@@ -46,8 +46,8 @@ struct CblkData {
 /// Where one right-looking block update (k, bi, bj) lands: the target
 /// supernode/blok, the offsets inside it, the contribution's dimensions, and
 /// the triangle bookkeeping. Pure symbolic geometry — computing it touches no
-/// numeric state, so the batched schedule can locate every update of a range
-/// up front, run the products as one batch, and apply them afterwards.
+/// numeric state, so a DAG product task can locate its update without the
+/// target lock.
 struct UpdateLoc {
   index_t tcblk = -1;   ///< target supernode
   index_t tb_idx = -1;  ///< target blok index (-1: diagonal block)
@@ -96,8 +96,7 @@ struct NumericReuse {
 struct SolveEngine {
   ThreadPool pool;
   std::mutex mu;
-  explicit SolveEngine(int threads)
-      : pool(threads, SchedulerKind::WorkStealing) {}
+  explicit SolveEngine(int threads) : pool(threads) {}
 };
 
 /// What one solve call actually did (optional out-param of
@@ -242,20 +241,10 @@ private:
   void eliminate(index_t k);
   /// Apply the right-looking updates of supernode k for column bloks
   /// [jb, je), draining dependency counters and submitting (with their
-  /// critical-path priority) the successors that become ready. Routes to
-  /// update_range_batched under Batching::PerSupernode.
+  /// critical-path priority) the successors that become ready.
   void update_range(index_t k, index_t jb, index_t je);
-  /// Batched variant of update_range (DESIGN.md §11): locate every update of
-  /// the range, enqueue the contribution products into one KernelBatch keyed
-  /// by operand representation/precision, execute the batch (parallel over
-  /// shape-bucket chunks), then apply the results and drain dependency
-  /// counters sequentially in the eager pair order. Dense×dense pairs fuse
-  /// into a target whose representation can change under the lock, so they
-  /// skip the batch and run entirely in the sequential finish phase.
-  void update_range_batched(index_t k, index_t jb, index_t je);
   /// Diagonal factorization + policy elimination hook + panel solves of
-  /// cblk k. Under Batching::PerSupernode the compressions and the panel
-  /// TRSMs each run as one batch across the panel.
+  /// cblk k.
   void factor_panel(index_t k);
   void factorize_left_looking();
   /// Dataflow execution (options.dataflow == Dag): build the TaskGraph over
@@ -318,10 +307,8 @@ private:
   /// resolve through the widen cache (counting a hit).
   void solve_lr_views(index_t k, index_t bi, bool upper, const lr::Tile& blk,
                       la::DConstView& u, la::DConstView& v) const;
-  /// The sequential two-sweep over x. Under Batching::PerSupernode each
-  /// supernode's panel updates run as one batched dispatch (chunks spread
-  /// over `batch_pool` when non-null). Adds the operations run to `ops`.
-  void solve_seq(la::DView x, ThreadPool* batch_pool, std::uint64_t& ops) const;
+  /// The sequential two-sweep over x. Adds the operations run to `ops`.
+  void solve_seq(la::DView x, std::uint64_t& ops) const;
   /// Wide multi-RHS path: split x into column chunks solved as independent
   /// sequential sweeps on the pool (bit-identical per column).
   void solve_split(la::DView x, ThreadPool* pool, SolveRunInfo& ri) const;

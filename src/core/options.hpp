@@ -45,19 +45,6 @@ enum class TilePrecision {
                ///< dense tiles and diagonal (pivotal) blocks always stay fp64
 };
 
-/// Kernel batching (DESIGN.md §11). PerSupernode defers the compressions,
-/// panel solves and contribution products of one supernode into a
-/// KernelBatch and executes each same-(op, rep, prec) group as one batched
-/// dispatch invocation, parallelized over shape-bucket chunks by the thread
-/// pool; everything that mutates shared state still runs sequentially in
-/// enqueue order, so results match eager execution (bit-identical
-/// sequentially). Off dispatches every kernel eagerly, exactly as before
-/// the batching layer existed.
-enum class Batching {
-  Off,
-  PerSupernode,
-};
-
 /// Update scheduling. Right-looking is the paper's setup (static parallel
 /// scheduler). Left-looking is the §4.3 extension: a supernode's panels are
 /// allocated, assembled and updated only when it is eliminated, so the
@@ -290,25 +277,10 @@ struct SolverOptions {
   /// which selects the process-global backend for the whole run.
   la::BackendChoice backend = la::BackendChoice::Auto;
 
-  /// Batched kernel execution (default Off). PerSupernode groups each
-  /// supernode's same-key kernel calls (compressions, panel solves, update
-  /// products) into one batched dispatch invocation per group — amortizing
-  /// per-call overhead and letting the pool parallelize across the batch —
-  /// with sequential results bit-identical to Off. Read by the numeric
-  /// driver and every update policy.
-  Batching batching = Batching::Off;
-
-  /// Task scheduler for the parallel factorization. WorkStealing (default)
-  /// runs supernode eliminations on per-worker deques with critical-path
-  /// priorities and splits large trailing supernodes into panel-update
-  /// subtasks; SharedQueue is the original single-queue pool, kept for A/B
-  /// benchmarking.
-  SchedulerKind scheduler = SchedulerKind::WorkStealing;
-
   /// Supernodes whose total off-diagonal panel height (rows) is at least
   /// this are updated by 1D panel-split subtasks instead of a single task,
   /// so one huge column block cannot occupy a single core while the rest of
-  /// the pool idles (work-stealing scheduler only). 0 disables splitting.
+  /// the pool idles. 0 disables splitting.
   index_t panel_split_rows = 512;
 
   /// Nested-dissection ordering knobs (defaults follow the paper's setup);
@@ -424,7 +396,6 @@ struct SolverOptions {
 const char* strategy_name(Strategy s);
 const char* kind_name(lr::CompressionKind k);
 const char* precision_name(TilePrecision p);
-const char* batching_name(Batching b);
 const char* dataflow_name(Dataflow d);
 
 } // namespace blr::core

@@ -6,10 +6,8 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "core/kernel_batch.hpp"
 #include "core/kernels_dispatch.hpp"
 #include "linalg/backend.hpp"
-#include "linalg/blas.hpp"
 #include "sparse/graph.hpp"
 
 namespace blr::core {
@@ -76,14 +74,6 @@ const char* precision_name(TilePrecision p) {
   return "?";
 }
 
-const char* batching_name(Batching b) {
-  switch (b) {
-    case Batching::Off: return "off";
-    case Batching::PerSupernode: return "per-supernode";
-  }
-  return "?";
-}
-
 const char* dataflow_name(Dataflow d) {
   switch (d) {
     case Dataflow::Barrier: return "barrier";
@@ -126,7 +116,7 @@ std::vector<RecoveryStep> RecoveryPolicy::default_resource_ladder() {
 
 Solver::Solver(SolverOptions opts) : opts_(opts) {
   if (opts_.threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(opts_.threads, opts_.scheduler);
+    pool_ = std::make_unique<ThreadPool>(opts_.threads);
   }
   // The solve phase drains its own pool: the factorization pool's
   // wait_idle-based quiescence cannot be shared with a concurrent
@@ -264,9 +254,6 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
         num_ ? num_->dag_stats() : NumericFactor::DagStats{};
     rec.dag_tasks = ds.tasks;
     rec.dag_executed = ds.executed;
-    const BatchExecStats bs = batch_stats_snapshot();
-    rec.batches = bs.batches;
-    rec.batch_entries = bs.entries;
   };
 
   SolverOptions eff = opts_;
@@ -307,8 +294,6 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
     governor_.apply_budget();  // reset() cleared the tracker-side budget
     buffers_.retrack();        // ...and the pool's Workspace charge
     KernelDispatch::instance().reset_counters();
-    reset_batch_stats();
-    la::reset_pack_cache_stats();
     if (pool_) pool_->reset_stats();
 
     // AllocFail with a byte threshold arms the tracker's one-shot fail
@@ -417,20 +402,6 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
   stats_.pivots_replaced = num_->pivots_replaced();
   capture_dag();
   stats_.dispatch = KernelDispatch::instance().snapshot();
-  stats_.batch = batch_stats_snapshot();
-  const la::PackCacheStats pc = la::pack_cache_stats();
-  stats_.batch.pack_hits = pc.hits;
-  stats_.batch.pack_misses = pc.misses;
-  stats_.batch.pack_bytes = pc.bytes;
-  std::uint64_t total_calls = 0, batched_calls = 0;
-  for (const DispatchCount& d : stats_.dispatch) {
-    total_calls += d.calls;
-    batched_calls += d.batched_calls;
-  }
-  stats_.batch.fill_ratio =
-      total_calls > 0 ? static_cast<double>(batched_calls) /
-                            static_cast<double>(total_calls)
-                      : 0.0;
 
   // Warm-start bookkeeping for the NEXT pass: remember this pass's final
   // per-block ranks, and surface this pass's warm/buffer counters.
@@ -557,15 +528,13 @@ void Solver::print_summary(std::ostream& os) const {
      << "  scheduling    : "
      << (opts_.scheduling == Scheduling::LeftLooking ? "left-looking"
                                                      : "right-looking")
-     << ", threads = " << opts_.threads << " ("
-     << scheduler_name(opts_.scheduler) << ")\n"
+     << ", threads = " << opts_.threads << "\n"
      << "  precision     : " << precision_name(opts_.precision);
   if (opts_.precision == TilePrecision::MixedTiles &&
       opts_.mixed_rank_threshold >= 0) {
     os << " (rank cap " << opts_.mixed_rank_threshold << ")";
   }
   os << "\n"
-     << "  batching      : " << batching_name(opts_.batching) << "\n"
      << "  dataflow      : " << dataflow_name(opts_.dataflow) << "\n"
      << "  backend       : " << la::backend_choice_name(opts_.backend);
   if (!stats_.backend.empty()) {
@@ -664,20 +633,8 @@ void Solver::print_summary(std::ostream& os) const {
       os << "    " << d.kernel << "@" << d.backend << ": " << d.calls
          << " calls, "
          << static_cast<double>(d.bytes) / 1e6 << " MB, " << d.seconds
-         << " s";
-      if (d.batched_calls > 0) {
-        os << " (" << d.batched_calls << " batched in "
-           << d.batch_invocations << " invocations)";
-      }
-      os << "\n";
+         << " s\n";
     }
-  }
-  if (stats_.batch.batches > 0) {
-    os << "  batches       : " << stats_.batch.batches << " executed, avg "
-       << stats_.batch.avg_batch << " / max " << stats_.batch.max_batch
-       << " entries, fill " << stats_.batch.fill_ratio << ", pack cache "
-       << stats_.batch.pack_hits << " hits / " << stats_.batch.pack_misses
-       << " misses\n";
   }
   if (stats_.attempts.size() > 1) {
     os << "  recovery      : " << stats_.attempts.size() << " attempts\n";
@@ -700,10 +657,6 @@ void Solver::print_summary(std::ostream& os) const {
       if (at.dag_tasks > 0) {
         os << ", dag " << at.dag_executed << "/" << at.dag_tasks
            << " executed";
-      }
-      if (at.batches > 0) {
-        os << ", " << at.batches << " batches (" << at.batch_entries
-           << " entries)";
       }
       os << "\n";
     }

@@ -180,7 +180,6 @@ private:
 } // namespace blr::core
 
 namespace blr {
-using core::Batching;
 using core::Dataflow;
 using core::Factorization;
 using core::RefinementOptions;

@@ -15,39 +15,9 @@ namespace blr::core {
 struct DispatchCount {
   std::string kernel;       ///< e.g. "gemm[lr,ge]", "getrf[ge]"
   std::string backend;      ///< la::Backend the calls ran under ("reference"/"native")
-  /// Total logical calls, eager + batched: a batch of N counts N here, so
-  /// the kernel table is comparable across batching=Off/PerSupernode.
   std::uint64_t calls = 0;
-  /// Of `calls`, how many ran inside batched invocations (0 under
-  /// batching=Off).
-  std::uint64_t batched_calls = 0;
-  /// Batched dispatch invocations: one per run_batch() group, so
-  /// batched_calls / batch_invocations is this kernel's mean batch size.
-  std::uint64_t batch_invocations = 0;
   std::uint64_t bytes = 0;  ///< operand + destination storage touched
   double seconds = 0;
-};
-
-/// Aggregate batched-execution counters of one factorization run (surfaced
-/// as SolverStats::batch and in the bench JSON; DESIGN.md §11).
-struct BatchExecStats {
-  std::uint64_t batches = 0;     ///< KernelBatch::execute() calls with ≥ 1 entry
-  std::uint64_t entries = 0;     ///< kernel calls routed through batches
-  std::uint64_t groups = 0;      ///< same-key groups dispatched
-  std::uint64_t max_batch = 0;   ///< largest single batch (entries)
-  double avg_batch = 0;          ///< entries / batches (0 when no batches)
-  /// Batched fraction of all logical kernel calls (batched / (batched +
-  /// eager)) over the dispatch table — how much of the run the batching
-  /// layer actually covered.
-  double fill_ratio = 0;
-  // Packed-gemm pack-cache counters (la::pack_cache_stats at capture time).
-  std::uint64_t pack_hits = 0;   ///< packs skipped: operand image reused
-  std::uint64_t pack_misses = 0; ///< operands actually packed
-  /// Bytes currently held by the per-thread pack buffers. Buffers persist
-  /// across calls but are trimmed back when they exceed a fixed cap at
-  /// batch-scope exit, so this does not grow to the largest operand ever
-  /// packed for the threads' lifetime (see linalg/blas.hpp).
-  std::uint64_t pack_bytes = 0;
 };
 
 /// Record of one factorization attempt made by Solver::factorize — the
@@ -67,7 +37,7 @@ struct FactorizeAttempt {
   std::string error;           ///< failure summary (empty on success)
 
   // Per-attempt run counters. Every counter source (MemoryTracker, kernel
-  // dispatch, batch stats, pool stats) is reset at the start of each
+  // dispatch, pool stats) is reset at the start of each
   // attempt, so these are THIS attempt's numbers, not cumulative — ladder
   // retries report what each rung actually did.
   std::size_t peak_bytes = 0;            ///< tracker total high-water mark
@@ -75,8 +45,6 @@ struct FactorizeAttempt {
   std::uint64_t scheduler_discarded = 0; ///< pool tasks drained by cancellation
   std::uint64_t dag_tasks = 0;           ///< DAG nodes built (Dataflow::Dag)
   std::uint64_t dag_executed = 0;        ///< DAG task bodies actually run
-  std::uint64_t batches = 0;             ///< kernel batches executed
-  std::uint64_t batch_entries = 0;       ///< kernel calls routed through them
 };
 
 /// Warm-start counters of one numeric pass (DESIGN.md §15; all zero for
@@ -208,10 +176,6 @@ struct SolverStats {
   /// Per-kernel dispatch counters of the successful factorization attempt
   /// (zero-call kernels omitted).
   std::vector<DispatchCount> dispatch;
-
-  /// Batched-execution counters of the successful attempt (all zero under
-  /// SolverOptions::batching == Batching::Off).
-  BatchExecStats batch;
 
   /// Numeric passes served by the current symbolic plan beyond the first:
   /// incremented by every successful refactorize() (DESIGN.md §15).

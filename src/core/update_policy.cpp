@@ -1,6 +1,5 @@
 #include "core/update_policy.hpp"
 
-#include "core/kernel_batch.hpp"
 #include "core/kernels_dispatch.hpp"
 
 namespace blr::core {
@@ -76,40 +75,14 @@ lr::Tile UpdatePolicy::assemble(index_t k, BlockSite site, la::DMatrix scratch,
 }
 
 void UpdatePolicy::at_elimination(index_t k, BlockSite site, lr::Tile& t,
-                                  bool compressible, const PolicyContext& ctx,
-                                  KernelBatch* batch) const {
+                                  bool compressible,
+                                  const PolicyContext& ctx) const {
   if (t.is_lowrank() || !compressible) return;
   const index_t hint = warm_hint_for(ctx, k, site);
   if (warm_skip_dense(ctx, hint)) return;
   if (ctx.compression_site) ctx.compression_site(k);
   const index_t limit = lr::beneficial_rank_limit(t.rows(), t.cols());
   const index_t guess = warm_guess(ctx, hint, limit);
-  if (batch) {
-    // Defer the compression to the panel's batch boundary. The completion
-    // (run sequentially, in enqueue order) installs the result exactly as
-    // the eager path below does; ctx is captured by value because the
-    // PolicyContext may not outlive execute().
-    KernelCtx& kc = batch->enqueue(
-        KernelOp::Compress, Rep::Dense, Prec::Fp64, Rep::None, Prec::Fp64,
-        [&t, precision = ctx.precision,
-         mixed_rank_threshold = ctx.mixed_rank_threshold,
-         counters = ctx.warm_counters](KernelCtx& done) {
-          if (done.warm_hint >= 0) warm_outcome(counters, done.warm_grew);
-          if (!done.out_lr) return;
-          t.set_lowrank(std::move(*done.out_lr));
-          t.advance(lr::TileState::Compressed);
-          PolicyContext demote_ctx;
-          demote_ctx.precision = precision;
-          demote_ctx.mixed_rank_threshold = mixed_rank_threshold;
-          maybe_demote(t, demote_ctx);
-        });
-    kc.in = t.dense().cview();
-    kc.kind = ctx.kind;
-    kc.tolerance = ctx.tolerance;
-    kc.max_rank = limit;
-    kc.warm_hint = guess;
-    return;
-  }
   auto lrm = compress_site(ctx, t.dense().cview(), limit, guess);
   if (lrm) {
     t.set_lowrank(std::move(*lrm));
@@ -126,7 +99,7 @@ public:
   [[nodiscard]] Strategy strategy() const override { return Strategy::Dense; }
   [[nodiscard]] const char* name() const override { return "Dense"; }
   void at_elimination(index_t, BlockSite, lr::Tile&, bool,
-                      const PolicyContext&, KernelBatch*) const override {}
+                      const PolicyContext&) const override {}
 };
 
 /// Algorithm 2: assemble dense, compress when the supernode is eliminated.

@@ -9,8 +9,6 @@
 
 namespace blr::core {
 
-class KernelBatch;
-
 /// Identifies the panel block a policy hook is operating on, so warm hints
 /// from a previous numeric pass can be looked up. `blok < 0` means the site
 /// is unknown (no warm hint applies).
@@ -78,13 +76,10 @@ public:
   /// factorization and before the panel solves. Default: attempt to
   /// compress tiles still dense at the storage-beneficial rank limit
   /// (Just-In-Time compression; also Minimal-Memory's re-attempt on blocks
-  /// that fell back to dense during an extend-add). When `batch` is
-  /// non-null the compression is enqueued into it instead of dispatched
-  /// eagerly — the kernel runs at the driver's batch boundary and the
-  /// result is installed by the batch completion (same math, same order).
+  /// that fell back to dense during an extend-add).
   virtual void at_elimination(index_t k, BlockSite site, lr::Tile& t,
-                              bool compressible, const PolicyContext& ctx,
-                              KernelBatch* batch = nullptr) const;
+                              bool compressible,
+                              const PolicyContext& ctx) const;
 };
 
 /// The policy implementing opts.strategy.

@@ -61,12 +61,11 @@ CscMatrix zero_row_col(const CscMatrix& a, index_t j0) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault kinds x {sequential, parallel x both scheduler kinds}
+// Fault kinds x {sequential, parallel} x {barrier, dag}
 // ---------------------------------------------------------------------------
 
 struct Mode {
   int threads;
-  SchedulerKind scheduler;
   core::Dataflow dataflow;
 };
 
@@ -75,7 +74,6 @@ protected:
   SolverOptions opts_for_mode() {
     SolverOptions opts = small_opts();
     opts.threads = GetParam().threads;
-    opts.scheduler = GetParam().scheduler;
     opts.dataflow = GetParam().dataflow;
     return opts;
   }
@@ -169,17 +167,11 @@ TEST_P(FaultModeTest, CompressionFailureIsStructured) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, FaultModeTest,
     ::testing::Values(
-        Mode{1, SchedulerKind::WorkStealing, core::Dataflow::Barrier},
-        Mode{4, SchedulerKind::WorkStealing, core::Dataflow::Barrier},
-        Mode{4, SchedulerKind::SharedQueue, core::Dataflow::Barrier},
-        Mode{1, SchedulerKind::WorkStealing, core::Dataflow::Dag},
-        Mode{4, SchedulerKind::WorkStealing, core::Dataflow::Dag},
-        Mode{4, SchedulerKind::SharedQueue, core::Dataflow::Dag}),
+        Mode{1, core::Dataflow::Barrier}, Mode{4, core::Dataflow::Barrier},
+        Mode{1, core::Dataflow::Dag}, Mode{4, core::Dataflow::Dag}),
     [](const ::testing::TestParamInfo<Mode>& info) {
-      std::string s = info.param.threads == 1 ? "Sequential"
-                      : info.param.scheduler == SchedulerKind::WorkStealing
-                          ? "ParallelWorkStealing"
-                          : "ParallelSharedQueue";
+      std::string s =
+          info.param.threads == 1 ? "Sequential" : "ParallelWorkStealing";
       if (info.param.dataflow == core::Dataflow::Dag) s += "Dag";
       return s;
     });
@@ -296,15 +288,11 @@ TEST(DagBreakdown, RecoveryLadderMatchesBarrier) {
 // Cooperative cancellation
 // ---------------------------------------------------------------------------
 
-class CancellationTest : public ::testing::TestWithParam<SchedulerKind> {};
-
 /// The supernode the scheduler starts first. Initially-ready leaves are
-/// submitted in ascending index order; the work-stealing heap pops the
-/// highest critical-path priority (FIFO tie-break) while the shared queue
-/// is plain FIFO — so the first task is the priority argmax (a leaf: chain
-/// costs strictly decrease toward the root) resp. supernode 0.
+/// submitted in ascending index order and the work-stealing heap pops the
+/// highest critical-path priority (FIFO tie-break), so the first task is the
+/// priority argmax (a leaf: chain costs strictly decrease toward the root).
 index_t first_scheduled_supernode(const CscMatrix& a, SolverOptions opts) {
-  if (opts.scheduler == SchedulerKind::SharedQueue) return 0;
   opts.threads = 1;
   Solver probe(opts);
   probe.analyze(a);
@@ -313,7 +301,7 @@ index_t first_scheduled_supernode(const CscMatrix& a, SolverOptions opts) {
                               prio.begin());
 }
 
-TEST_P(CancellationTest, BreakdownCancelsOutstandingWork) {
+TEST(Cancellation, BreakdownCancelsOutstandingWork) {
   // Plenty of supernodes, one elimination task each (panel splitting off),
   // with the fault at the first leaf the scheduler picks: the breakdown
   // fires immediately and the cancelled pool must drain the queued
@@ -323,7 +311,6 @@ TEST_P(CancellationTest, BreakdownCancelsOutstandingWork) {
   opts.strategy = Strategy::JustInTime;
   opts.factorization = Factorization::Lu;
   opts.threads = 4;
-  opts.scheduler = GetParam();
   opts.panel_split_rows = 0;  // task count == elimination count
   opts.fault.kind = FaultInjection::Kind::TinyPivot;
   opts.fault.supernode = first_scheduled_supernode(a, opts);
@@ -356,15 +343,6 @@ TEST_P(CancellationTest, BreakdownCancelsOutstandingWork) {
   EXPECT_LT(sparse::backward_error(a, x.data(), b.data()), 1e-5);
   EXPECT_EQ(solver.stats().scheduler_discarded, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothKinds, CancellationTest,
-                         ::testing::Values(SchedulerKind::WorkStealing,
-                                           SchedulerKind::SharedQueue),
-                         [](const ::testing::TestParamInfo<SchedulerKind>& info) {
-                           return info.param == SchedulerKind::WorkStealing
-                                      ? std::string("WorkStealing")
-                                      : std::string("SharedQueue");
-                         });
 
 // ---------------------------------------------------------------------------
 // Inherent (non-injected) breakdowns

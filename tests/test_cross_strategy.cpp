@@ -43,7 +43,6 @@ struct CrossConfig {
   Strategy strategy;
   lr::CompressionKind kind;
   int threads;
-  SchedulerKind scheduler;
 };
 
 class CrossStrategy : public ::testing::TestWithParam<CrossConfig> {};
@@ -54,7 +53,6 @@ TEST_P(CrossStrategy, SeededLaplacianSolvesToTolerance) {
   const real_t tol = 1e-8;
   SolverOptions opts = small_problem_options(cfg.strategy, cfg.kind, tol);
   opts.threads = cfg.threads;
-  opts.scheduler = cfg.scheduler;
 
   Solver solver(opts);
   solver.factorize(a);
@@ -87,11 +85,7 @@ std::string cross_name(const ::testing::TestParamInfo<CrossConfig>& info) {
     case Strategy::Dense: s += "Dense"; break;
   }
   s += c.kind == lr::CompressionKind::Svd ? "_SVD" : "_RRQR";
-  if (c.threads <= 1) {
-    s += "_Seq";
-  } else {
-    s += c.scheduler == SchedulerKind::WorkStealing ? "_WS" : "_SQ";
-  }
+  s += c.threads <= 1 ? "_Seq" : "_WS";
   return s;
 }
 
@@ -101,9 +95,8 @@ std::vector<CrossConfig> cross_matrix() {
        {Strategy::MinimalMemory, Strategy::JustInTime, Strategy::Adaptive}) {
     for (const lr::CompressionKind k :
          {lr::CompressionKind::Svd, lr::CompressionKind::Rrqr}) {
-      v.push_back({s, k, 1, SchedulerKind::WorkStealing});
-      v.push_back({s, k, 4, SchedulerKind::SharedQueue});
-      v.push_back({s, k, 4, SchedulerKind::WorkStealing});
+      v.push_back({s, k, 1});
+      v.push_back({s, k, 4});
     }
   }
   return v;

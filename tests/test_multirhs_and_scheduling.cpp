@@ -212,7 +212,6 @@ TEST(Trace, ParallelTraceCoversEveryCblkOnceWithoutWorkerOverlap) {
   SolverOptions o = demo_opts(Strategy::JustInTime);
   o.collect_trace = true;
   o.threads = 4;
-  o.scheduler = SchedulerKind::WorkStealing;
   o.panel_split_rows = 48;  // force the panel-split subtask path
   Solver solver(o);
   solver.factorize(a);
@@ -251,7 +250,6 @@ TEST(Trace, DagParallelTraceCoversEveryCblkOnceWithoutWorkerOverlap) {
   SolverOptions o = demo_opts(Strategy::JustInTime);
   o.collect_trace = true;
   o.threads = 4;
-  o.scheduler = SchedulerKind::WorkStealing;
   o.dataflow = core::Dataflow::Dag;
   Solver solver(o);
   solver.factorize(a);
