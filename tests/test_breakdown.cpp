@@ -61,12 +61,19 @@ CscMatrix zero_row_col(const CscMatrix& a, index_t j0) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault kinds x {sequential, parallel} x {barrier, dag}
+// Fault kinds x {sequential, parallel, parallel with split panels} x
+// {barrier, dag}
 // ---------------------------------------------------------------------------
+
+/// SolverOptions' panel-split threshold, and one low enough that the 8^3
+/// Laplacian's tallest panels are updated by row-split subtasks.
+const int kDefaultSplit = static_cast<int>(SolverOptions{}.panel_split_rows);
+constexpr int kForcedSplit = 48;
 
 struct Mode {
   int threads;
   core::Dataflow dataflow;
+  int panel_split_rows;
 };
 
 class FaultModeTest : public ::testing::TestWithParam<Mode> {
@@ -75,6 +82,7 @@ protected:
     SolverOptions opts = small_opts();
     opts.threads = GetParam().threads;
     opts.dataflow = GetParam().dataflow;
+    opts.panel_split_rows = GetParam().panel_split_rows;
     return opts;
   }
 };
@@ -167,11 +175,16 @@ TEST_P(FaultModeTest, CompressionFailureIsStructured) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, FaultModeTest,
     ::testing::Values(
-        Mode{1, core::Dataflow::Barrier}, Mode{4, core::Dataflow::Barrier},
-        Mode{1, core::Dataflow::Dag}, Mode{4, core::Dataflow::Dag}),
+        Mode{1, core::Dataflow::Barrier, kDefaultSplit},
+        Mode{4, core::Dataflow::Barrier, kDefaultSplit},
+        Mode{4, core::Dataflow::Barrier, kForcedSplit},
+        Mode{1, core::Dataflow::Dag, kDefaultSplit},
+        Mode{4, core::Dataflow::Dag, kDefaultSplit},
+        Mode{4, core::Dataflow::Dag, kForcedSplit}),
     [](const ::testing::TestParamInfo<Mode>& info) {
       std::string s =
           info.param.threads == 1 ? "Sequential" : "ParallelWorkStealing";
+      if (info.param.panel_split_rows == kForcedSplit) s += "Split";
       if (info.param.dataflow == core::Dataflow::Dag) s += "Dag";
       return s;
     });

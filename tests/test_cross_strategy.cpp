@@ -1,6 +1,7 @@
 // Golden cross-strategy regression: every update policy (Minimal-Memory,
-// Just-In-Time, Adaptive) crossed with both compression kernels and both
-// parallel schedulers must solve the same seeded Laplacian to tolerance.
+// Just-In-Time, Adaptive) crossed with both compression kernels and the
+// sequential, parallel-barrier and parallel-DAG drivers must solve the same
+// seeded Laplacian to tolerance.
 // Also pins the memory ordering the policies are designed around (MinMem <=
 // Adaptive <= Dense for tracked factor bytes) and the workspace footprint of
 // the Minimal-Memory scenario (contributions are tracked tiles; their
@@ -43,6 +44,7 @@ struct CrossConfig {
   Strategy strategy;
   lr::CompressionKind kind;
   int threads;
+  core::Dataflow dataflow;
 };
 
 class CrossStrategy : public ::testing::TestWithParam<CrossConfig> {};
@@ -53,6 +55,7 @@ TEST_P(CrossStrategy, SeededLaplacianSolvesToTolerance) {
   const real_t tol = 1e-8;
   SolverOptions opts = small_problem_options(cfg.strategy, cfg.kind, tol);
   opts.threads = cfg.threads;
+  opts.dataflow = cfg.dataflow;
 
   Solver solver(opts);
   solver.factorize(a);
@@ -86,6 +89,7 @@ std::string cross_name(const ::testing::TestParamInfo<CrossConfig>& info) {
   }
   s += c.kind == lr::CompressionKind::Svd ? "_SVD" : "_RRQR";
   s += c.threads <= 1 ? "_Seq" : "_WS";
+  if (c.dataflow == core::Dataflow::Dag) s += "Dag";
   return s;
 }
 
@@ -95,8 +99,9 @@ std::vector<CrossConfig> cross_matrix() {
        {Strategy::MinimalMemory, Strategy::JustInTime, Strategy::Adaptive}) {
     for (const lr::CompressionKind k :
          {lr::CompressionKind::Svd, lr::CompressionKind::Rrqr}) {
-      v.push_back({s, k, 1});
-      v.push_back({s, k, 4});
+      v.push_back({s, k, 1, core::Dataflow::Barrier});
+      v.push_back({s, k, 4, core::Dataflow::Barrier});
+      v.push_back({s, k, 4, core::Dataflow::Dag});
     }
   }
   return v;

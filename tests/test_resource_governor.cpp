@@ -142,12 +142,18 @@ TEST(TrackerBudget, ReportCarriesStructuredBreach) {
 
 // ---------------------------------------------------------------------------
 // Budget grid: tight-but-feasible and infeasible budgets across execution
-// modes (sequential / parallel x Barrier / Dag)
+// modes (sequential / parallel / parallel with split panels x Barrier / Dag)
 // ---------------------------------------------------------------------------
+
+/// SolverOptions' panel-split threshold, and one low enough that the 10^3
+/// Laplacian's tallest panels are updated by row-split subtasks.
+const int kDefaultSplit = static_cast<int>(SolverOptions{}.panel_split_rows);
+constexpr int kForcedSplit = 48;
 
 struct GovMode {
   int threads;
   core::Dataflow dataflow;
+  int panel_split_rows;
 };
 
 class BudgetModeTest : public ::testing::TestWithParam<GovMode> {
@@ -156,6 +162,7 @@ protected:
     SolverOptions opts = small_opts();
     opts.threads = GetParam().threads;
     opts.dataflow = GetParam().dataflow;
+    opts.panel_split_rows = GetParam().panel_split_rows;
     return opts;
   }
 };
@@ -210,13 +217,16 @@ TEST_P(BudgetModeTest, InfeasibleBudgetFailsSoftlyAndSurvives) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, BudgetModeTest,
-    ::testing::Values(GovMode{1, core::Dataflow::Barrier},
-                      GovMode{1, core::Dataflow::Dag},
-                      GovMode{4, core::Dataflow::Barrier},
-                      GovMode{4, core::Dataflow::Dag}),
+    ::testing::Values(GovMode{1, core::Dataflow::Barrier, kDefaultSplit},
+                      GovMode{1, core::Dataflow::Dag, kDefaultSplit},
+                      GovMode{4, core::Dataflow::Barrier, kDefaultSplit},
+                      GovMode{4, core::Dataflow::Dag, kDefaultSplit},
+                      GovMode{4, core::Dataflow::Barrier, kForcedSplit},
+                      GovMode{4, core::Dataflow::Dag, kForcedSplit}),
     [](const auto& info) {
       std::ostringstream os;
       os << (info.param.threads > 1 ? "ParWS" : "Seq")
+         << (info.param.panel_split_rows == kForcedSplit ? "Split" : "")
          << (info.param.dataflow == core::Dataflow::Dag ? "Dag" : "Barrier");
       return os.str();
     });
