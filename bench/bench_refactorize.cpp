@@ -11,7 +11,8 @@
 // Results land in bench_refactorize.json, which the ci.sh perfsmoke stage
 // feeds into scripts/bench_trajectory.py next to bench_kernels.json.
 // `--quick` shrinks the problem and repetitions and enforces structural
-// floors only (plan reused, buffers recycled, warm hints replayed — the
+// floors only (plan reused and one forward + one backward solve task per
+// supernode, buffers recycled, warm hints replayed — the
 // mechanisms behind "steady-state is cheaper", not wall-clock, which would
 // flake on loaded CI machines), exiting nonzero on violation.
 
@@ -22,6 +23,8 @@
 #include <vector>
 
 #include "blr.hpp"
+#include "core/solve_plan.hpp"
+#include "core/symbolic_plan.hpp"
 
 namespace {
 
@@ -62,7 +65,7 @@ struct TrajectoryRow {
 
 struct SolveRow {
   index_t nrhs = 0;
-  int threads = 1;        ///< solve_threads (1 = sequential two-sweep)
+  int threads = 1;        ///< solve_threads (1 = sequential drain)
   double seconds = 0;     ///< one blocked solve of nrhs columns
   double rhs_per_s = 0;
 };
@@ -167,14 +170,17 @@ int run(bool quick) {
       sr.rhs_per_s = static_cast<double>(nrhs) / best;
       solves.push_back(sr);
     }
-    // Structural floors: the cached solve schedule served every pass, and
-    // the parallel configuration actually left the sequential sweep.
+    // Structural floors: the cached solve schedule served every pass, has
+    // one forward and one backward task per supernode, and the parallel
+    // configuration actually drained it over the solve pool.
     const core::SolvePhaseStats& sp = solver.stats().solve_phase;
     require(sp.plan_builds == 1 && sp.plan_reuses >= 1,
             "solve plan was rebuilt instead of reused across refactorize");
+    require(solver.plan()->solve_plan()->num_tasks() ==
+                2 * static_cast<std::uint32_t>(solver.symbolic().num_cblks()),
+            "solve plan is not one forward + one backward task per supernode");
     if (threads > 1) {
-      require(sp.parallel_solves + sp.split_solves > 0,
-              "parallel solve path never engaged");
+      require(sp.parallel_solves > 0, "parallel solve path never engaged");
     }
   }
 

@@ -39,6 +39,12 @@ std::uint64_t ctx_bytes(const KernelCtx& ctx) {
     b += static_cast<std::uint64_t>(ctx.in.rows) *
          static_cast<std::uint64_t>(ctx.in.cols) * sizeof(real_t);
   }
+  for (const SolveApply& ap : ctx.applies) {
+    b += ap.blk->storage_bytes() +
+         (static_cast<std::uint64_t>(ap.in.rows) +
+          static_cast<std::uint64_t>(ap.out.rows)) *
+             static_cast<std::uint64_t>(ap.in.cols) * sizeof(real_t);
+  }
   return b;
 }
 
@@ -157,10 +163,11 @@ void k_compress(KernelCtx& ctx) {
 
 // ---- triangular-solve kernels (DESIGN.md §16) ----------------------------
 //
-// The solve phase routes its per-segment operations through the registry so
-// they run on the packed backend engine and show up in the kernel table.
-// `ctx.transpose` carries the sweep direction (false = forward, true =
-// backward); `ctx.view` is the in-out RHS segment.
+// The solve phase routes its operations through the registry so they run on
+// the packed backend engine and show up in the kernel table. Dense tile
+// applies arrive as one run per task (`ctx.applies`), low-rank ones one tile
+// per call. `ctx.transpose` carries the sweep direction (false = forward,
+// true = backward); `ctx.view` is the in-out RHS segment.
 
 void k_solve_trsm(KernelCtx& ctx) {
   const la::DConstView diag = ctx.diag->cview();
@@ -195,20 +202,28 @@ void k_solve_trsm(KernelCtx& ctx) {
 }
 
 void k_solve_gemm_dense(KernelCtx& ctx) {
-  // Forward: xout -= blk·xin; backward: xout -= blkᵗ·xin.
-  la::gemm(ctx.transpose ? la::Trans::Yes : la::Trans::No, la::Trans::No,
-           real_t(-1), ctx.a->dense().cview(), ctx.in, real_t(1), ctx.view);
+  // Forward: out -= blk·in; backward: out -= blkᵗ·in. In order: applies of
+  // one task may accumulate into the same rows.
+  const la::Trans ta = ctx.transpose ? la::Trans::Yes : la::Trans::No;
+  for (const SolveApply& ap : ctx.applies)
+    la::gemm(ta, la::Trans::No, real_t(-1), ap.blk->dense().cview(), ap.in,
+             real_t(1), ap.out);
 }
 
 void k_solve_gemm_lr(KernelCtx& ctx) {
   // Two rank-sized gemvs per RHS column: tmp = svᵗ·xin, xout -= su·tmp.
   // solve_gemm already swapped the u/v roles for the backward sweep, so
   // both directions run the same pair; the fp32 key differs only in where
-  // su/sv point (the per-epoch widen cache).
-  la::DMatrix tmp(ctx.su.cols, ctx.in.cols);
+  // su/sv point (the per-epoch widen cache). tmp is per-thread scratch that
+  // grows to the largest rank × nrhs seen; beta = 0 never reads it.
+  thread_local std::vector<real_t> scratch;
+  const std::size_t need = static_cast<std::size_t>(ctx.su.cols) *
+                           static_cast<std::size_t>(ctx.in.cols);
+  if (scratch.size() < need) scratch.resize(need);
+  const la::DView tmp(scratch.data(), ctx.su.cols, ctx.in.cols, ctx.su.cols);
   la::gemm(la::Trans::Yes, la::Trans::No, real_t(1), ctx.sv, ctx.in, real_t(0),
-           tmp.view());
-  la::gemm(la::Trans::No, la::Trans::No, real_t(-1), ctx.su, tmp.cview(),
+           tmp);
+  la::gemm(la::Trans::No, la::Trans::No, real_t(-1), ctx.su, la::DConstView(tmp),
            real_t(1), ctx.view);
 }
 
@@ -507,14 +522,20 @@ void solve_gemm(const lr::Tile& blk, la::DConstView u, la::DConstView v,
   ctx.in = xin;
   ctx.view = xout;
   ctx.transpose = backward;
-  if (blk.is_lowrank()) {
-    // Forward applies u·(vᵗ·xin), backward v·(uᵗ·xin): swap the factor
-    // roles here so the kernel body is direction-agnostic.
-    ctx.su = backward ? v : u;
-    ctx.sv = backward ? u : v;
-  }
-  KernelDispatch::instance().run(KernelOp::SolveGemm, rep_of(blk),
+  // Forward applies u·(vᵗ·xin), backward v·(uᵗ·xin): swap the factor roles
+  // here so the kernel body is direction-agnostic.
+  ctx.su = backward ? v : u;
+  ctx.sv = backward ? u : v;
+  KernelDispatch::instance().run(KernelOp::SolveGemm, Rep::LowRank,
                                  prec_of(blk), Rep::None, Prec::Fp64, ctx);
+}
+
+void solve_gemm(std::span<const SolveApply> applies, bool backward) {
+  KernelCtx ctx;
+  ctx.applies = applies;
+  ctx.transpose = backward;
+  KernelDispatch::instance().run(KernelOp::SolveGemm, Rep::Dense, Prec::Fp64,
+                                 Rep::None, Prec::Fp64, ctx);
 }
 
 std::optional<lr::LrMatrix> compress(lr::CompressionKind kind, la::DConstView a,

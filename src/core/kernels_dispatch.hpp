@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/kernel_stats.hpp"
@@ -23,7 +24,7 @@ enum class KernelOp : int {
   Lr2Ge,     ///< extend-add of a contribution into dense storage
   Compress,  ///< rank-revealing compression of a dense tile
   SolveTrsm, ///< triangular-solve diagonal apply on one RHS segment (§16)
-  SolveGemm, ///< triangular-solve panel update of one RHS segment (§16)
+  SolveGemm, ///< triangular-solve panel updates of one solve task (§16)
   kCount
 };
 
@@ -49,6 +50,14 @@ inline Prec prec_of(const lr::Tile& t) {
 
 const char* kernel_op_name(KernelOp op);
 
+/// One dense panel-tile apply of a solve task: out -= blk·in (forward) or
+/// out -= blkᵗ·in (backward).
+struct SolveApply {
+  const lr::Tile* blk = nullptr;
+  la::DConstView in;
+  la::DView out;
+};
+
 /// Argument bundle passed to every dispatched kernel. Only the fields the
 /// selected operation reads need to be set; the rest keep their defaults.
 struct KernelCtx {
@@ -60,6 +69,8 @@ struct KernelCtx {
   la::DConstView su, sv;        ///< positioned low-rank factors (SolveGemm):
                                 ///< view -= su·(svᵗ·in), always fp64 (fp32
                                 ///< tiles pass their widen-cache copies)
+  std::span<const SolveApply> applies;  ///< dense tile applies (SolveGemm[ge]),
+                                        ///< run in order
   const la::DMatrix* diag = nullptr;       ///< factored diagonal (Trsm)
   std::vector<index_t>* piv = nullptr;     ///< pivots: out (Getrf), in (Trsm)
   index_t roff = 0, coff = 0;   ///< target offsets (extend-add)
@@ -209,12 +220,15 @@ std::optional<lr::LrMatrix> compress(lr::CompressionKind kind, la::DConstView a,
 void solve_trsm(const lr::Tile& diag, const std::vector<index_t>& piv,
                 la::DView xk, bool llt, bool backward);
 
-/// Triangular-solve panel update of one RHS segment. `u`/`v` are the panel
-/// tile's low-rank factors *already widened to fp64* (empty views for a
-/// dense tile); forward computes xout -= blk·xin, backward xout -= blkᵗ·xin
-/// (factor roles swap for low-rank tiles).
+/// Triangular-solve panel update of one RHS segment by a low-rank tile.
+/// `u`/`v` are its factors *already widened to fp64*; forward computes
+/// xout -= u·(vᵗ·xin), backward xout -= v·(uᵗ·xin).
 void solve_gemm(const lr::Tile& blk, la::DConstView u, la::DConstView v,
                 la::DConstView xin, la::DView xout, bool backward);
+
+/// Triangular-solve panel updates by a run of dense tiles, applied in order
+/// inside one dispatched call (one `solve_gemm[ge]` row entry).
+void solve_gemm(std::span<const SolveApply> applies, bool backward);
 
 /// Warm-started variant: seeds the kernel with `rank_guess` (the rank this
 /// block reached in the previous numeric pass, plus slack). Verify-and-grow

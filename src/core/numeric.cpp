@@ -49,6 +49,13 @@ index_t find_blok_row(const symbolic::Cblk& c, index_t row) {
   throw Error("assembly: row outside symbolic structure");
 }
 
+/// Dispatch a solve task's pending run of dense tile applies as one call.
+void flush_dense(std::vector<SolveApply>& run, bool backward) {
+  if (run.empty()) return;
+  dispatch::solve_gemm(run, backward);
+  run.clear();
+}
+
 } // namespace
 
 NumericFactor::NumericFactor(const sparse::CscMatrix& a,
@@ -1124,171 +1131,98 @@ void NumericFactor::solve_lr_views(index_t k, index_t bi, bool upper,
   }
 }
 
-void NumericFactor::solve_fwd_diag(index_t k, la::DView x) const {
-  const symbolic::Cblk& c = sf_.cblk(k);
+void NumericFactor::solve_apply(index_t k, index_t bi, la::DConstView in,
+                                la::DView out, std::vector<SolveApply>& run,
+                                bool backward) const {
+  // The backward sweep of an LU factor applies the U panel.
+  const bool upper = backward && !llt_;
   const CblkData& cd = data_[static_cast<std::size_t>(k)];
+  const lr::Tile& blk =
+      (upper ? cd.upanel : cd.lpanel)[static_cast<std::size_t>(bi)];
+  if (blk.rank() == 0) return;
+  if (!blk.is_lowrank()) {
+    run.push_back({&blk, in, out});
+    return;
+  }
+  flush_dense(run, backward);
+  la::DConstView u, v;
+  solve_lr_views(k, bi, upper, blk, u, v);
+  dispatch::solve_gemm(blk, u, v, in, out, backward);
+}
+
+void NumericFactor::solve_fwd(index_t t, la::DView x) const {
+  // L·Y = (locally pivoted) B, pull form: seg(t) receives the updates of
+  // every facing block in ascending source order, then its diagonal solve.
+  thread_local std::vector<SolveApply> run;
+  run.clear();
+  for (const FacingBlok& f : splan_->facing(t)) {
+    const symbolic::Cblk& s = sf_.cblk(f.source);
+    const symbolic::Blok& b = s.bloks[static_cast<std::size_t>(f.bi)];
+    solve_apply(f.source, f.bi, x.sub(s.fcol, 0, s.width(), x.cols),
+                x.sub(b.frow, 0, b.height(), x.cols), run, /*backward=*/false);
+  }
+  flush_dense(run, /*backward=*/false);
+  const symbolic::Cblk& c = sf_.cblk(t);
+  const CblkData& cd = data_[static_cast<std::size_t>(t)];
   dispatch::solve_trsm(cd.diag, cd.ipiv, x.sub(c.fcol, 0, c.width(), x.cols),
                        llt_, /*backward=*/false);
 }
 
-void NumericFactor::solve_fwd_upd(index_t k, index_t bi, la::DView x) const {
+void NumericFactor::solve_bwd(index_t k, la::DView x) const {
+  // U·X = Y (or Lᵗ·X = Y for Cholesky): seg(k) receives its own blocks'
+  // updates in block order, then its diagonal solve.
+  thread_local std::vector<SolveApply> run;
+  run.clear();
   const symbolic::Cblk& c = sf_.cblk(k);
-  const CblkData& cd = data_[static_cast<std::size_t>(k)];
-  const lr::Tile& blk = cd.lpanel[static_cast<std::size_t>(bi)];
-  if (blk.rank() == 0) return;
-  const symbolic::Blok& b = c.bloks[static_cast<std::size_t>(bi)];
-  const la::DConstView xk(x.sub(c.fcol, 0, c.width(), x.cols));
-  la::DView xi = x.sub(b.frow, 0, b.height(), x.cols);
-  la::DConstView u, v;
-  if (blk.is_lowrank()) solve_lr_views(k, bi, /*upper=*/false, blk, u, v);
-  dispatch::solve_gemm(blk, u, v, xk, xi, /*backward=*/false);
-}
-
-void NumericFactor::solve_bwd_upd(index_t k, index_t bi, la::DView x) const {
-  const symbolic::Cblk& c = sf_.cblk(k);
-  const CblkData& cd = data_[static_cast<std::size_t>(k)];
-  const lr::Tile& blk = llt_ ? cd.lpanel[static_cast<std::size_t>(bi)]
-                             : cd.upanel[static_cast<std::size_t>(bi)];
-  if (blk.rank() == 0) return;
-  const symbolic::Blok& b = c.bloks[static_cast<std::size_t>(bi)];
-  const la::DConstView xi(x.sub(b.frow, 0, b.height(), x.cols));
   la::DView xk = x.sub(c.fcol, 0, c.width(), x.cols);
-  la::DConstView u, v;
-  if (blk.is_lowrank()) solve_lr_views(k, bi, /*upper=*/!llt_, blk, u, v);
-  dispatch::solve_gemm(blk, u, v, xi, xk, /*backward=*/true);
-}
-
-void NumericFactor::solve_bwd_diag(index_t k, la::DView x) const {
-  const symbolic::Cblk& c = sf_.cblk(k);
+  for (std::size_t bi = 0; bi < c.bloks.size(); ++bi) {
+    const symbolic::Blok& b = c.bloks[bi];
+    solve_apply(k, static_cast<index_t>(bi),
+                x.sub(b.frow, 0, b.height(), x.cols), xk, run,
+                /*backward=*/true);
+  }
+  flush_dense(run, /*backward=*/true);
   const CblkData& cd = data_[static_cast<std::size_t>(k)];
-  dispatch::solve_trsm(cd.diag, cd.ipiv, x.sub(c.fcol, 0, c.width(), x.cols),
-                       llt_, /*backward=*/true);
-}
-
-bool NumericFactor::run_solve_task(const SolveTask& t, la::DView x) const {
-  switch (t.kind) {
-    case SolveTaskKind::FwdDiag: solve_fwd_diag(t.k, x); break;
-    case SolveTaskKind::FwdUpd: solve_fwd_upd(t.k, t.bi, x); break;
-    case SolveTaskKind::BwdUpd: solve_bwd_upd(t.k, t.bi, x); break;
-    case SolveTaskKind::BwdDiag: solve_bwd_diag(t.k, x); break;
-  }
-  return true;
-}
-
-void NumericFactor::solve_seq(la::DView x, std::uint64_t& ops) const {
-  const index_t ncblk = sf_.num_cblks();
-  const index_t nrhs = x.cols;
-
-  // Forward substitution: L·Y = (locally pivoted) B.
-  for (index_t k = 0; k < ncblk; ++k) {
-    const symbolic::Cblk& c = sf_.cblk(k);
-    const CblkData& cd = data_[static_cast<std::size_t>(k)];
-    la::DView xk = x.sub(c.fcol, 0, c.width(), nrhs);
-    dispatch::solve_trsm(cd.diag, cd.ipiv, xk, llt_, /*backward=*/false);
-    ++ops;
-    for (std::size_t idx = 0; idx < c.bloks.size(); ++idx) {
-      const lr::Tile& blk = cd.lpanel[idx];
-      if (blk.rank() == 0) continue;
-      la::DView xi = x.sub(c.bloks[idx].frow, 0, c.bloks[idx].height(), nrhs);
-      la::DConstView u, v;
-      if (blk.is_lowrank())
-        solve_lr_views(k, static_cast<index_t>(idx), /*upper=*/false, blk, u, v);
-      dispatch::solve_gemm(blk, u, v, la::DConstView(xk), xi,
-                           /*backward=*/false);
-      ++ops;
-    }
-  }
-
-  // Backward substitution: U·X = Y (or Lᵗ·X = Y for Cholesky).
-  for (index_t k = ncblk - 1; k >= 0; --k) {
-    const symbolic::Cblk& c = sf_.cblk(k);
-    const CblkData& cd = data_[static_cast<std::size_t>(k)];
-    la::DView xk = x.sub(c.fcol, 0, c.width(), nrhs);
-    for (std::size_t idx = 0; idx < c.bloks.size(); ++idx) {
-      const lr::Tile& blk = llt_ ? cd.lpanel[idx] : cd.upanel[idx];
-      if (blk.rank() == 0) continue;
-      const la::DConstView xi =
-          x.sub(c.bloks[idx].frow, 0, c.bloks[idx].height(), nrhs);
-      la::DConstView u, v;
-      if (blk.is_lowrank())
-        solve_lr_views(k, static_cast<index_t>(idx), /*upper=*/!llt_, blk, u, v);
-      dispatch::solve_gemm(blk, u, v, xi, xk, /*backward=*/true);
-      ++ops;
-    }
-    dispatch::solve_trsm(cd.diag, cd.ipiv, xk, llt_, /*backward=*/true);
-    ++ops;
-  }
-}
-
-void NumericFactor::solve_split(la::DView x, ThreadPool* pool,
-                                SolveRunInfo& ri) const {
-  // Wide multi-RHS batch: chunk the columns and run each chunk as an
-  // independent sequential sweep. Bit-identity with the unsplit sweep rests
-  // on the multi-RHS gemm contract: every output column is computed exactly
-  // as it would be in any other column grouping (DESIGN.md §14).
-  const index_t nchunks =
-      std::min<index_t>(x.cols, 2 * static_cast<index_t>(pool->size()));
-  const index_t base = x.cols / nchunks;
-  const index_t rem = x.cols % nchunks;
-  std::atomic<std::uint64_t> ops{0};
-  pool->parallel_for(nchunks, [&](index_t i) {
-    const index_t c0 = i * base + std::min(i, rem);
-    const index_t w = base + (i < rem ? 1 : 0);
-    std::uint64_t local = 0;
-    solve_seq(x.sub(0, c0, x.rows, w), local);
-    ops.fetch_add(local, std::memory_order_relaxed);
-  });
-  ri.tasks += ops.load(std::memory_order_relaxed);
-  ri.column_split = true;
+  dispatch::solve_trsm(cd.diag, cd.ipiv, xk, llt_, /*backward=*/true);
 }
 
 void NumericFactor::solve_permuted(la::DView x, SolveRunInfo* info) const {
+  BLR_CHECK(splan_ != nullptr, "solve: no solve plan attached");
   // Per-factor caches are built lazily on the first solve; a refactorize
   // creates a fresh NumericFactor, which invalidates them wholesale.
   std::call_once(widen_once_, [this] { build_widen_cache(); });
   const std::uint64_t hits0 = widen_hits_.load(std::memory_order_relaxed);
-  SolveRunInfo ri;
-  bool done = false;
-  if (sengine_ != nullptr) {
-    // The solve pool's wait_idle-based drain cannot be shared by two
-    // concurrent solves; a loser of this try_lock (e.g. a second session
-    // snapshot solving the same factors) takes the sequential sweep instead
-    // of blocking.
-    std::unique_lock<std::mutex> lk(sengine_->mu, std::try_to_lock);
-    if (lk.owns_lock()) {
-      ThreadPool* pool = &sengine_->pool;
-      if (x.cols >= 2 * static_cast<index_t>(pool->size()) && x.cols > 1) {
-        solve_split(x, pool, ri);
-        done = true;
-      } else if (splan_ != nullptr) {
-        std::mutex err_mu;
-        std::exception_ptr err;
-        const DepDrainStats ds =
-            splan_->execute(pool, [&](std::uint32_t id) {
-              try {
-                return run_solve_task(splan_->task(id), x);
-              } catch (...) {
-                std::lock_guard guard(err_mu);
-                if (!err) err = std::current_exception();
-                return false;  // stop releasing successors
-              }
-            });
-        if (err) std::rethrow_exception(err);
-        ri.tasks += ds.executed;
-        ri.parallel = true;
-        ri.plan_reused = true;
-        done = true;
+  // The solve pool's wait_idle-based drain cannot be shared by two
+  // concurrent solves; a loser of this try_lock (e.g. a second session
+  // snapshot solving the same factors) drains on its own thread instead of
+  // blocking.
+  std::unique_lock<std::mutex> lk;
+  if (sengine_ != nullptr)
+    lk = std::unique_lock<std::mutex>(sengine_->mu, std::try_to_lock);
+  ThreadPool* pool = lk.owns_lock() ? &sengine_->pool : nullptr;
+  std::mutex err_mu;
+  std::exception_ptr err;
+  const DepDrainStats ds = splan_->execute(pool, [&](std::uint32_t id) {
+    try {
+      const SolveTask& t = splan_->task(id);
+      if (t.kind == SolveTaskKind::Fwd) {
+        solve_fwd(t.k, x);
+      } else {
+        solve_bwd(t.k, x);
       }
+      return true;
+    } catch (...) {
+      std::lock_guard guard(err_mu);
+      if (!err) err = std::current_exception();
+      return false;  // stop releasing successors
     }
+  });
+  if (err) std::rethrow_exception(err);
+  if (info != nullptr) {
+    info->tasks = ds.executed;
+    info->parallel = pool != nullptr;
+    info->widen_hits = widen_hits_.load(std::memory_order_relaxed) - hits0;
   }
-  if (!done) {
-    std::uint64_t ops = 0;
-    solve_seq(x, ops);
-    ri.tasks += ops;
-    ri.plan_reused = false;
-  }
-  ri.widen_hits = widen_hits_.load(std::memory_order_relaxed) - hits0;
-  if (info != nullptr) *info = ri;
 }
 
 std::unique_ptr<NumericFactor::SolveScratch> NumericFactor::acquire_scratch(

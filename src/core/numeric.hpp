@@ -23,6 +23,8 @@
 
 namespace blr::core {
 
+struct SolveApply;
+
 /// Numeric storage for one column block: every block — diagonal, L panel,
 /// (for LU) transposed-U panel, LUAR accumulators — is a lr::Tile charged to
 /// one of the supernode's arenas. The arenas are declared before the tiles
@@ -91,7 +93,7 @@ struct NumericReuse {
 /// refactorize(). Separate from the factorization pool because the solve
 /// drain blocks on wait_idle(), which must never observe another user's
 /// tasks. `mu` admits one pooled drain at a time: a concurrent solve()
-/// falls back to the sequential sweep instead of queueing — same bits,
+/// drains the same plan on its own thread instead of queueing — same bits,
 /// and const solve() calls stay safe under concurrency.
 struct SolveEngine {
   ThreadPool pool;
@@ -105,8 +107,6 @@ struct SolveEngine {
 struct SolveRunInfo {
   std::uint64_t tasks = 0;       ///< solve-plan task bodies run
   bool parallel = false;         ///< drained the solve DAG over the pool
-  bool column_split = false;     ///< wide batch ran as parallel column chunks
-  bool plan_reused = false;      ///< a cached SolvePlan drove the execution
   std::uint64_t widen_hits = 0;  ///< fp32 widen-cache hits during this call
 };
 
@@ -140,11 +140,11 @@ public:
   void factorize(ThreadPool* pool);
 
   /// Triangular solves in the permuted index space on a block of right-hand
-  /// sides (n x nrhs, in/out). With a solve context attached (see
-  /// set_solve_context) the call drains the cached SolvePlan over the solve
-  /// pool — or splits wide multi-RHS batches into parallel column chunks —
-  /// and is memcmp-identical to the sequential two-sweep either way.
-  /// `info` (optional) reports what the call actually did.
+  /// sides (n x nrhs, in/out), by draining the attached SolvePlan (see
+  /// set_solve_context): over the solve pool when there is an engine and
+  /// its lock is free, else in task-id order on the calling thread. Both
+  /// run the same task bodies and are memcmp-identical. `info` (optional)
+  /// reports what the call actually did.
   void solve_permuted(la::DView x, SolveRunInfo* info) const;
   void solve_permuted(la::DView x) const { solve_permuted(x, nullptr); }
   void solve_permuted(real_t* x) const {
@@ -159,8 +159,9 @@ public:
 
   /// Attach the solve-phase execution context (DESIGN.md §16): the cached
   /// SolvePlan for this factor's symbolic structure plus the Solver's
-  /// shared solve engine. Without a context, solves run the sequential
-  /// two-sweep. Called by the Solver after each successful factorization.
+  /// shared solve engine (null: every solve drains on the calling thread).
+  /// Called by the Solver after each successful factorization; a solve
+  /// without a plan attached throws.
   void set_solve_context(std::shared_ptr<const SolvePlan> plan,
                          std::shared_ptr<SolveEngine> engine);
 
@@ -297,21 +298,20 @@ private:
   void maybe_fail_compression(index_t k);
 
   // ---- solve phase (DESIGN.md §16) -----------------------------------
-  /// One task body of the two-sweep solve on RHS block x.
-  void solve_fwd_diag(index_t k, la::DView x) const;
-  void solve_fwd_upd(index_t k, index_t bi, la::DView x) const;
-  void solve_bwd_upd(index_t k, index_t bi, la::DView x) const;
-  void solve_bwd_diag(index_t k, la::DView x) const;
-  bool run_solve_task(const SolveTask& t, la::DView x) const;
+  /// The two task bodies of the solve on RHS block x: Fwd(t) pulls every
+  /// panel block facing t, then solves t's diagonal; Bwd(k) applies k's own
+  /// panel blocks, then solves k's diagonal.
+  void solve_fwd(index_t t, la::DView x) const;
+  void solve_bwd(index_t k, la::DView x) const;
+  /// Apply one panel tile of a task: dense tiles queue onto `run` (flushed
+  /// as one dispatch), low-rank tiles flush `run` and dispatch at once, so
+  /// every RHS element sees its updates in block order.
+  void solve_apply(index_t k, index_t bi, la::DConstView in, la::DView out,
+                   std::vector<SolveApply>& run, bool backward) const;
   /// Resolve a panel tile's low-rank factors as fp64 views; fp32 tiles
   /// resolve through the widen cache (counting a hit).
   void solve_lr_views(index_t k, index_t bi, bool upper, const lr::Tile& blk,
                       la::DConstView& u, la::DConstView& v) const;
-  /// The sequential two-sweep over x. Adds the operations run to `ops`.
-  void solve_seq(la::DView x, std::uint64_t& ops) const;
-  /// Wide multi-RHS path: split x into column chunks solved as independent
-  /// sequential sweeps on the pool (bit-identical per column).
-  void solve_split(la::DView x, ThreadPool* pool, SolveRunInfo& ri) const;
   /// Build the per-epoch fp64 copies of every fp32-at-rest factor
   /// (Workspace-charged; no-op when the factor holds no fp32 tiles).
   void build_widen_cache() const;

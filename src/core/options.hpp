@@ -226,12 +226,11 @@ struct SolverOptions {
   int threads = 1;          ///< worker threads for the numeric factorization (default 1 = sequential); read by every strategy
 
   /// Parallel triangular-solve phase (default on; DESIGN.md §16). Solves
-  /// drain the cached SolvePlan DAG over a dedicated solve pool — with
-  /// column splitting for wide multi-RHS batches — and are memcmp-identical
-  /// to the sequential two-sweep at every thread count. Only takes effect
-  /// when the effective solve thread count (below) is > 1; concurrent
-  /// solve() calls beyond the first fall back to the sequential sweep
-  /// rather than queueing.
+  /// drain the cached SolvePlan DAG over a dedicated solve pool and are
+  /// memcmp-identical to the sequential drain at every thread count and
+  /// RHS width. Only takes effect when the effective solve thread count
+  /// (below) is > 1; concurrent solve() calls beyond the first drain the
+  /// same plan on their own thread rather than queueing.
   bool solve_parallel = true;
 
   /// Worker threads for the solve phase; 0 (default) inherits `threads`.

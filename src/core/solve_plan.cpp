@@ -8,65 +8,59 @@
 
 namespace blr::core {
 
-const char* solve_task_kind_name(SolveTaskKind k) {
-  switch (k) {
-    case SolveTaskKind::FwdDiag: return "fwd_diag";
-    case SolveTaskKind::FwdUpd: return "fwd_upd";
-    case SolveTaskKind::BwdUpd: return "bwd_upd";
-    case SolveTaskKind::BwdDiag: return "bwd_diag";
-  }
-  return "?";
-}
-
 SolvePlan SolvePlan::build(const symbolic::SymbolicFactor& sf) {
   SolvePlan p;
   const index_t ncblk = sf.num_cblks();
+  const std::size_t nc = static_cast<std::size_t>(ncblk);
 
-  // Exact task/access counts so the builder's vectors allocate once.
-  std::uint64_t ntasks = 0, naccess = 0;
+  // Facing lists (CSR by target supernode), filled by a counting sort over
+  // the panel blocks in ascending (source, block) order.
+  p.facing_ptr_.assign(nc + 1, 0);
+  for (index_t k = 0; k < ncblk; ++k)
+    for (const symbolic::Blok& bl : sf.cblk(k).bloks)
+      ++p.facing_ptr_[static_cast<std::size_t>(bl.fcblk) + 1];
+  for (std::size_t t = 0; t < nc; ++t) p.facing_ptr_[t + 1] += p.facing_ptr_[t];
+  p.facing_.resize(p.facing_ptr_[nc]);
+  std::vector<std::size_t> next(p.facing_ptr_.begin(), p.facing_ptr_.end() - 1);
   for (index_t k = 0; k < ncblk; ++k) {
-    const std::uint64_t nb = sf.cblk(k).bloks.size();
-    ntasks += 2 + 2 * nb;
-    naccess += 2 + 4 * nb;
+    const auto& bloks = sf.cblk(k).bloks;
+    for (std::size_t bi = 0; bi < bloks.size(); ++bi)
+      p.facing_[next[static_cast<std::size_t>(bloks[bi].fcblk)]++] = {
+          k, static_cast<index_t>(bi)};
   }
 
   DepBuilder b;
-  b.reserve(ntasks, naccess);
-  p.tasks_.reserve(ntasks);
-  const auto declare = [&](SolveTask t) {
-    const std::uint32_t id = b.add_task();
-    p.tasks_.push_back(t);
-    return id;
-  };
+  b.reserve(2 * nc, 2 * nc + 2 * p.facing_.size());
+  p.tasks_.reserve(2 * nc);
   // RHS row-segment address space: one address per supernode, covering the
-  // segment x[fcol, lcol). Updates land in row *sub-ranges* of the target
-  // segment, so segment granularity is conservative — which is exactly what
-  // serializes overlapping-row accumulations from different descendants into
-  // the sequential order (the write chain that pins bitwise determinism).
+  // segment x[fcol, lcol). A task reads each distinct segment once; equal
+  // segments are adjacent in both lists (facing lists ascend by source,
+  // bloks by row and hence by target).
   const auto seg = [](index_t k) { return static_cast<std::uint64_t>(k); };
+  const auto read_once = [&](std::uint32_t id, index_t s, index_t& last) {
+    if (s != last) b.read(id, seg(s));
+    last = s;
+  };
 
-  // Canonical order = the sequential two-sweep execution order of
-  // solve_permuted, so task ids are its sequence numbers and every inferred
-  // edge points forward.
-  for (index_t k = 0; k < ncblk; ++k) {
-    const auto& bloks = sf.cblk(k).bloks;
-    const std::uint32_t did = declare({SolveTaskKind::FwdDiag, k, -1});
-    b.write(did, seg(k));
-    for (index_t bi = 0; bi < static_cast<index_t>(bloks.size()); ++bi) {
-      const std::uint32_t uid = declare({SolveTaskKind::FwdUpd, k, bi});
-      b.read(uid, seg(k));
-      b.write(uid, seg(bloks[static_cast<std::size_t>(bi)].fcblk));
-    }
+  // Canonical order = the sequential execution order: the forward tasks
+  // ascending, then the backward tasks descending. Task ids are its
+  // sequence numbers, so every inferred edge points forward. Each segment
+  // has exactly one writer per sweep, so the only chains are the true
+  // data dependencies of the elimination tree.
+  for (index_t t = 0; t < ncblk; ++t) {
+    const std::uint32_t id = b.add_task();
+    p.tasks_.push_back({SolveTaskKind::Fwd, t});
+    index_t last = -1;
+    for (const FacingBlok& f : p.facing(t)) read_once(id, f.source, last);
+    b.write(id, seg(t));
   }
   for (index_t k = ncblk; k-- > 0;) {
-    const auto& bloks = sf.cblk(k).bloks;
-    for (index_t bi = 0; bi < static_cast<index_t>(bloks.size()); ++bi) {
-      const std::uint32_t uid = declare({SolveTaskKind::BwdUpd, k, bi});
-      b.read(uid, seg(bloks[static_cast<std::size_t>(bi)].fcblk));
-      b.write(uid, seg(k));
-    }
-    const std::uint32_t did = declare({SolveTaskKind::BwdDiag, k, -1});
-    b.write(did, seg(k));
+    const std::uint32_t id = b.add_task();
+    p.tasks_.push_back({SolveTaskKind::Bwd, k});
+    index_t last = -1;
+    for (const symbolic::Blok& bl : sf.cblk(k).bloks)
+      read_once(id, bl.fcblk, last);
+    b.write(id, seg(k));
   }
 
   p.deps_ = b.infer();
@@ -89,6 +83,15 @@ SolvePlan SolvePlan::build(const symbolic::SymbolicFactor& sf) {
 
 DepDrainStats SolvePlan::execute(
     ThreadPool* pool, const std::function<bool(std::uint32_t)>& body) const {
+  if (pool == nullptr) {
+    // Every edge points forward, so task-id order is a topological order.
+    DepDrainStats rs;
+    for (std::uint32_t id = 0; id < num_tasks(); ++id) {
+      ++rs.executed;
+      if (!body(id)) break;
+    }
+    return rs;
+  }
   return drain_deps(deps_, pool, body,
                     [this](std::uint32_t id) { return prio_[id]; });
 }

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/task_graph.hpp"
@@ -14,37 +15,36 @@ class ThreadPool;
 
 namespace blr::core {
 
-/// The per-supernode operations of the two-sweep triangular solve
-/// (DESIGN.md §16). `FwdDiag`/`BwdDiag` are the diagonal-block TRSMs (the
-/// forward one applies the local pivots first); `FwdUpd`/`BwdUpd` are the
-/// per-panel-block RHS updates against one off-diagonal tile.
+/// The per-supernode tasks of the two-sweep triangular solve (DESIGN.md
+/// §16): one forward and one backward task per supernode.
 enum class SolveTaskKind : std::uint8_t {
-  FwdDiag,  ///< pivot + L (or L of LLᵗ) diagonal solve of supernode k's segment
-  FwdUpd,   ///< forward update: seg(target) -= L_blok · seg(k)
-  BwdUpd,   ///< backward update: seg(k) -= U_blokᵗ · seg(target)
-  BwdDiag,  ///< U (or Lᵗ) diagonal solve of supernode k's segment
+  Fwd,  ///< pull every panel block facing supernode k, then its diagonal solve
+  Bwd,  ///< apply supernode k's own panel blocks, then its diagonal solve
 };
 
-const char* solve_task_kind_name(SolveTaskKind k);
-
-/// One node of the solve DAG. `k` is the owning supernode; `bi` is the
-/// panel-block index for the update kinds (-1 for the diagonal kinds).
+/// One node of the solve DAG; `k` is the supernode whose RHS segment the
+/// task owns.
 struct SolveTask {
-  SolveTaskKind kind = SolveTaskKind::FwdDiag;
+  SolveTaskKind kind = SolveTaskKind::Fwd;
   index_t k = -1;
+};
+
+/// Panel block `bi` of supernode `source`, seen from the supernode it faces.
+struct FacingBlok {
+  index_t source = -1;
   index_t bi = -1;
 };
 
 /// The reusable triangular-solve schedule derived from one frozen symbolic
-/// structure (DESIGN.md §16): every operation of the forward and backward
-/// sweep as a task with read/write sets over the RHS row segments (one
-/// address per supernode), dependencies inferred by the PR 6 canonical-order
-/// machinery. Task ids are declared in the exact order the sequential sweep
-/// executes them, so the write chains make any topological execution — in
-/// particular the parallel pool drain — produce bits identical to the
-/// sequential sweep. Purely symbolic: built once per SymbolicPlan and shared
-/// by every numeric pass and session snapshot over that pattern, so repeated
-/// solves pay zero graph-build cost.
+/// structure (DESIGN.md §16): 2·ncblk tasks with read/write sets over the
+/// RHS row segments (one address per supernode), dependencies inferred by
+/// the DepBuilder canonical-order machinery. `Fwd(t)` is pull-form: it
+/// applies the blocks of facing(t) in ascending source order — the order in
+/// which a push-form sweep lands them — so each segment has a single forward
+/// writer and any topological execution produces the bits of the sequential
+/// order. Purely symbolic: built once per SymbolicPlan and shared by every
+/// numeric pass and session snapshot over that pattern, so repeated solves
+/// pay zero graph-build cost.
 class SolvePlan {
 public:
   static SolvePlan build(const symbolic::SymbolicFactor& sf);
@@ -54,6 +54,12 @@ public:
   }
   [[nodiscard]] const SolveTask& task(std::uint32_t id) const {
     return tasks_[id];
+  }
+  /// Panel blocks facing supernode t, ascending by (source, block).
+  [[nodiscard]] std::span<const FacingBlok> facing(index_t t) const {
+    const std::size_t i = static_cast<std::size_t>(t);
+    return {facing_.data() + facing_ptr_[i],
+            facing_ptr_[i + 1] - facing_ptr_[i]};
   }
   [[nodiscard]] std::uint64_t num_edges() const { return deps_.num_edges; }
   /// Longest dependency chain, in tasks (the depth bound on parallelism —
@@ -65,15 +71,16 @@ public:
   }
   [[nodiscard]] const DepBuilder::Deps& deps() const { return deps_; }
 
-  /// Drain the solve DAG: sequentially in task-id order (== the legacy
-  /// two-sweep order) when `pool` is null, or released to the pool as
-  /// in-degrees reach zero. `body(id)` runs one task and returns false to
-  /// stop the drain cooperatively.
+  /// Drain the solve DAG: in task-id order on the calling thread when `pool`
+  /// is null, or released to the pool as in-degrees reach zero. `body(id)`
+  /// runs one task and returns false to stop the drain cooperatively.
   [[nodiscard]] DepDrainStats execute(
       ThreadPool* pool, const std::function<bool(std::uint32_t)>& body) const;
 
 private:
   std::vector<SolveTask> tasks_;
+  std::vector<std::size_t> facing_ptr_;  ///< CSR offsets, size ncblk + 1
+  std::vector<FacingBlok> facing_;
   DepBuilder::Deps deps_;
   std::vector<std::int64_t> prio_;  ///< critical-path depth per task
   std::uint64_t critical_path_ = 0;

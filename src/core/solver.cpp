@@ -439,9 +439,7 @@ void Solver::note_solve(const SolveRunInfo& ri, double seconds) const {
   SolvePhaseStats& sp = st.solve_phase;
   ++sp.solves;
   sp.tasks_executed += ri.tasks;
-  if (ri.column_split) {
-    ++sp.split_solves;
-  } else if (ri.parallel) {
+  if (ri.parallel) {
     ++sp.parallel_solves;
   } else {
     ++sp.sequential_solves;
@@ -608,8 +606,8 @@ void Solver::print_summary(std::ostream& os) const {
   if (stats_.solve_phase.solves > 0) {
     const SolvePhaseStats& sp = stats_.solve_phase;
     os << "  solve         : " << sp.solves << " solves ("
-       << sp.parallel_solves << " dag, " << sp.split_solves << " split, "
-       << sp.sequential_solves << " sequential), " << sp.tasks_executed
+       << sp.parallel_solves << " dag, " << sp.sequential_solves
+       << " sequential), " << sp.tasks_executed
        << " tasks, plan " << sp.plan_builds << " built / " << sp.plan_reuses
        << " reused, trsm " << sp.trsm_seconds << " s, gemm "
        << sp.gemm_seconds << " s";

@@ -2,10 +2,11 @@
 // DESIGN.md §16).
 //
 // Pins the solve-phase contracts:
-//  - the parallel solve — DAG drain over the solve pool, or column-split
-//    for wide multi-RHS batches — is memcmp-identical to the sequential
-//    two-sweep, across strategies, dataflow engines, precisions, solve
-//    thread counts and RHS widths;
+//  - the parallel solve (DAG drain over the solve pool) is memcmp-identical
+//    to the sequential drain, across strategies, dataflow engines,
+//    precisions, solve thread counts and RHS widths;
+//  - both are memcmp-identical to an independent test-local per-block
+//    push-form two-sweep written directly against the stored factors;
 //  - the SolvePlan is built once per symbolic plan and replayed by every
 //    refactorize (plan_builds/plan_reuses counters);
 //  - the fp32 widen cache is built lazily on the first solve, hit by every
@@ -26,6 +27,7 @@
 
 #include "blr.hpp"
 #include "core/solve_plan.hpp"
+#include "linalg/blas.hpp"
 
 namespace {
 
@@ -94,8 +96,8 @@ std::string config_name(const ::testing::TestParamInfo<SolveConfig>& info) {
 class ParallelSolveDeterminism : public ::testing::TestWithParam<SolveConfig> {
 };
 
-// Every execution mode of the parallel solve — small-RHS DAG drain, wide
-// column split — reproduces the sequential sweep bit for bit.
+// The parallel DAG drain reproduces the sequential drain bit for bit, from
+// a single RHS up to batches wider than the pool.
 TEST_P(ParallelSolveDeterminism, MatchesSequentialBitwise) {
   const SolveConfig cfg = GetParam();
   const CscMatrix a = sparse::laplacian_3d(10, 10, 10);
@@ -113,8 +115,7 @@ TEST_P(ParallelSolveDeterminism, MatchesSequentialBitwise) {
   seq.factorize(a);
   par.factorize(a);
 
-  // nrhs 1 and 3 stay under the 2×threads split threshold (DAG drain);
-  // 4×threads forces the column-split path.
+  // Narrow and wide blocks alike go through the DAG drain.
   const index_t widths[] = {1, 3,
                             static_cast<index_t>(4 * cfg.solve_threads)};
   for (const index_t nrhs : widths) {
@@ -128,14 +129,12 @@ TEST_P(ParallelSolveDeterminism, MatchesSequentialBitwise) {
         << "nrhs = " << nrhs;
   }
 
-  // The parallel paths actually engaged (and the sequential solver never
+  // The parallel path actually engaged (and the sequential solver never
   // touched its — nonexistent — pool).
   const core::SolvePhaseStats& sp = par.stats().solve_phase;
   EXPECT_GT(sp.parallel_solves, 0u);
-  EXPECT_GT(sp.split_solves, 0u);
   EXPECT_GT(sp.tasks_executed, 0u);
   EXPECT_EQ(seq.stats().solve_phase.parallel_solves, 0u);
-  EXPECT_EQ(seq.stats().solve_phase.split_solves, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -173,15 +172,10 @@ TEST(SolvePlanCache, BuiltOnceReusedAcrossRefactorize) {
   const auto p2 = solver.plan()->solve_plan();
   EXPECT_EQ(p1.get(), p2.get());
 
-  // Structure: two sweeps of one diagonal task per supernode plus one task
-  // per panel block each, all reachable, with a forward+backward critical
-  // path of at least 2×(deepest chain).
+  // Structure: one forward and one backward task per supernode.
   const core::SymbolicPlan& plan = *solver.plan();
-  std::uint64_t expect = 0;
-  for (index_t k = 0; k < plan.sf.num_cblks(); ++k) {
-    expect += 2 + 2 * plan.sf.cblk(k).bloks.size();
-  }
-  EXPECT_EQ(p1->num_tasks(), expect);
+  EXPECT_EQ(p1->num_tasks(),
+            2 * static_cast<std::uint64_t>(plan.sf.num_cblks()));
   EXPECT_GT(p1->critical_path(), 0u);
 
   solver.refactorize(a2);
@@ -247,22 +241,174 @@ TEST(SolveDispatch, SolveKernelsCountedInKernelTable) {
   std::vector<real_t> x(b.size());
   solver.solve(b.data(), x.data());
 
-  std::uint64_t trsm_calls = 0, gemm_calls = 0, lr32_calls = 0;
+  std::uint64_t trsm_calls = 0, gemm_calls = 0, ge_calls = 0, lr32_calls = 0;
   for (const core::DispatchCount& d : solver.stats().dispatch) {
     if (d.kernel.rfind("solve_trsm", 0) == 0) trsm_calls += d.calls;
     if (d.kernel.rfind("solve_gemm", 0) == 0) gemm_calls += d.calls;
+    if (d.kernel == "solve_gemm[ge]") ge_calls += d.calls;
     if (d.kernel == "solve_gemm[lr32]") lr32_calls += d.calls;
   }
   // Two trsm per supernode (forward + backward).
   EXPECT_EQ(trsm_calls,
             2 * static_cast<std::uint64_t>(solver.stats().num_cblks));
   EXPECT_GT(gemm_calls, 0u);
+  // Dense tile applies are dispatched per task, not per tile.
+  EXPECT_GT(ge_calls, 0u);
+  EXPECT_LE(ge_calls,
+            2 * static_cast<std::uint64_t>(solver.stats().num_cblks));
   // fp32-at-rest tiles route through the widened-operand lr32 kernel row.
   EXPECT_GT(lr32_calls, 0u);
   EXPECT_GT(solver.stats().solve_phase.tasks_executed, 0u);
 }
 
-// ---- (e) session: concurrent clients over the parallel solve --------------
+// ---- (e) independent reference: per-block push-form two-sweep -------------
+
+// Low-rank factor as an fp64 matrix (fp32-at-rest factors widened here).
+la::DMatrix fp64_factor(const la::DMatrix& f64, const la::SMatrix& f32,
+                        lr::Precision prec) {
+  if (prec != lr::Precision::Fp32) return f64;
+  la::DMatrix out(f32.rows(), f32.cols());
+  la::convert(f32.cview(), out.view());
+  return out;
+}
+
+// out -= blk·in (forward) or out -= blkᵗ·in (backward).
+void reference_apply(const lr::Tile& blk, la::DConstView in, la::DView out,
+                     bool backward) {
+  if (blk.rank() == 0) return;
+  if (!blk.is_lowrank()) {
+    la::gemm(backward ? la::Trans::Yes : la::Trans::No, la::Trans::No,
+             real_t(-1), blk.dense().cview(), in, real_t(1), out);
+    return;
+  }
+  const lr::LrMatrix& f = blk.lr();
+  const la::DMatrix u = fp64_factor(f.u, f.u32, f.prec);
+  const la::DMatrix v = fp64_factor(f.v, f.v32, f.prec);
+  // blk = u·vᵗ: forward u·(vᵗ·in), backward v·(uᵗ·in).
+  const la::DMatrix& left = backward ? v : u;
+  const la::DMatrix& right = backward ? u : v;
+  la::DMatrix tmp(right.cols(), in.cols);
+  la::gemm(la::Trans::Yes, la::Trans::No, real_t(1), right.cview(), in,
+           real_t(0), tmp.view());
+  la::gemm(la::Trans::No, la::Trans::No, real_t(-1), left.cview(), tmp.cview(),
+           real_t(1), out);
+}
+
+// The textbook supernodal two-sweep, one panel block at a time, pushing each
+// forward update into its target as soon as the source is solved. Written
+// against the stored factors with la:: calls only — no SolvePlan, no kernel
+// dispatch — so it checks the solve's arithmetic, not just its determinism.
+std::vector<real_t> reference_solve(const Solver& s, const std::vector<real_t>& b,
+                                    index_t nrhs) {
+  const core::NumericFactor& nf = s.numeric();
+  const symbolic::SymbolicFactor& sf = s.symbolic();
+  const ordering::Ordering& ord = s.ordering();
+  const bool llt = s.is_llt();
+  const index_t n = sf.n();
+  la::DMatrix xp(n, nrhs);
+  for (index_t r = 0; r < nrhs; ++r)
+    for (index_t i = 0; i < n; ++i)
+      xp(i, r) = b[static_cast<std::size_t>(
+          ord.perm[static_cast<std::size_t>(i)] + r * n)];
+  const la::DView x = xp.view();
+  const auto seg = [&](index_t row, index_t rows) {
+    return x.sub(row, 0, rows, nrhs);
+  };
+
+  for (index_t k = 0; k < sf.num_cblks(); ++k) {
+    const symbolic::Cblk& c = sf.cblk(k);
+    const core::CblkData& cd = nf.cblk_data(k);
+    const la::DView xk = seg(c.fcol, c.width());
+    if (llt) {
+      la::trsm(la::Side::Left, la::Uplo::Lower, la::Trans::No,
+               la::Diag::NonUnit, real_t(1), cd.diag.dense().cview(), xk);
+    } else {
+      for (std::size_t j = 0; j < cd.ipiv.size(); ++j) {
+        const index_t p = cd.ipiv[j];
+        for (index_t r = 0; r < nrhs; ++r)
+          std::swap(xk(static_cast<index_t>(j), r), xk(p, r));
+      }
+      la::trsm(la::Side::Left, la::Uplo::Lower, la::Trans::No, la::Diag::Unit,
+               real_t(1), cd.diag.dense().cview(), xk);
+    }
+    for (std::size_t bi = 0; bi < c.bloks.size(); ++bi) {
+      const symbolic::Blok& bl = c.bloks[bi];
+      reference_apply(cd.lpanel[bi], xk, seg(bl.frow, bl.height()),
+                      /*backward=*/false);
+    }
+  }
+  for (index_t k = sf.num_cblks(); k-- > 0;) {
+    const symbolic::Cblk& c = sf.cblk(k);
+    const core::CblkData& cd = nf.cblk_data(k);
+    const la::DView xk = seg(c.fcol, c.width());
+    for (std::size_t bi = 0; bi < c.bloks.size(); ++bi) {
+      const symbolic::Blok& bl = c.bloks[bi];
+      reference_apply(llt ? cd.lpanel[bi] : cd.upanel[bi],
+                      seg(bl.frow, bl.height()), xk, /*backward=*/true);
+    }
+    la::trsm(la::Side::Left, llt ? la::Uplo::Lower : la::Uplo::Upper,
+             llt ? la::Trans::Yes : la::Trans::No, la::Diag::NonUnit, real_t(1),
+             cd.diag.dense().cview(), xk);
+  }
+
+  std::vector<real_t> out(b.size());
+  for (index_t r = 0; r < nrhs; ++r)
+    for (index_t j = 0; j < n; ++j)
+      out[static_cast<std::size_t>(j + r * n)] =
+          xp(ord.iperm[static_cast<std::size_t>(j)], r);
+  return out;
+}
+
+TEST(SolveReference, PerBlockSweepBitwise) {
+  struct Case {
+    const char* name;
+    Strategy strategy;
+    Factorization factorization;
+    TilePrecision precision;
+  };
+  const Case cases[] = {
+      {"JIT LLt", Strategy::JustInTime, Factorization::Llt, TilePrecision::Fp64},
+      {"MinMem LU", Strategy::MinimalMemory, Factorization::Lu,
+       TilePrecision::Fp64},
+      {"Adaptive MixedTiles", Strategy::Adaptive, Factorization::Auto,
+       TilePrecision::MixedTiles},
+  };
+  for (const Case& cs : cases) {
+    const CscMatrix a = cs.factorization == Factorization::Lu
+                            ? sparse::convection_diffusion_3d(12, 12, 12, 0.5)
+                            : sparse::laplacian_3d(12, 12, 12);
+    const index_t n = a.rows();
+    for (const int solve_threads : {1, 4}) {
+      SCOPED_TRACE(std::string(cs.name) + ", solve_threads " +
+                   std::to_string(solve_threads));
+      SolverOptions opts = base_options(cs.strategy, Dataflow::Barrier,
+                                        cs.precision, 1);
+      opts.factorization = cs.factorization;
+      opts.solve_threads = solve_threads;
+      Solver solver(opts);
+      solver.factorize(a);
+      ASSERT_EQ(solver.is_llt(), cs.factorization != Factorization::Lu);
+      // The reference exercises every tile kind it claims to cover.
+      ASSERT_GT(solver.stats().num_lowrank_blocks, 0);
+      if (cs.precision == TilePrecision::MixedTiles) {
+        ASSERT_GT(solver.stats().num_fp32_blocks, 0);
+      }
+      for (const index_t nrhs : {1, 3, 16}) {
+        const auto b = seeded_block(n, nrhs, 77 + static_cast<std::uint64_t>(nrhs));
+        std::vector<real_t> x(b.size());
+        solver.solve(la::DConstView(b.data(), n, nrhs, n),
+                     la::DView(x.data(), n, nrhs, n));
+        const std::vector<real_t> want = reference_solve(solver, b, nrhs);
+        ASSERT_EQ(0, std::memcmp(x.data(), want.data(), x.size() * sizeof(real_t)))
+            << "nrhs = " << nrhs;
+      }
+      EXPECT_EQ(solver.stats().solve_phase.parallel_solves > 0,
+                solve_threads > 1);
+    }
+  }
+}
+
+// ---- (f) session: concurrent clients over the parallel solve --------------
 
 TEST(SessionParallelSolve, ConcurrentClientsBitIdenticalToSequential) {
   const CscMatrix a = sparse::laplacian_3d(10, 10, 10);
@@ -308,8 +454,8 @@ TEST(SessionParallelSolve, ConcurrentClientsBitIdenticalToSequential) {
                              static_cast<std::size_t>(n) * sizeof(real_t)))
         << "client " << i;
     // Per-request solve-phase detail: the blocked solve that served each
-    // request ran on the solve engine (DAG drain or column split) with the
-    // cached plan attached, and reported its task count.
+    // request ran on the solve engine (DAG drain) with the cached plan
+    // attached, and reported its task count.
     const SolveStats& s = st[static_cast<std::size_t>(i)];
     EXPECT_TRUE(s.parallel || s.column_split) << "client " << i;
     EXPECT_GT(s.solve_tasks, 0u) << "client " << i;
