@@ -15,6 +15,11 @@ namespace blr::core {
 
 namespace {
 
+/// Narrowest RHS column chunk a parallel solve drains as its own DAG copy:
+/// the narrowest width that never lost to a single copy on the lap 10³–36³
+/// measurements (DESIGN.md §16).
+constexpr index_t kSolveChunkCols = 16;
+
 template <typename T>
 bool all_finite(const la::Matrix<T>& m) {
   const T* p = m.data();
@@ -1200,15 +1205,30 @@ void NumericFactor::solve_permuted(la::DView x, SolveRunInfo* info) const {
   if (sengine_ != nullptr)
     lk = std::unique_lock<std::mutex>(sengine_->mu, std::try_to_lock);
   ThreadPool* pool = lk.owns_lock() ? &sengine_->pool : nullptr;
+  // A wide block drains as one DAG copy per column chunk of at least
+  // kSolveChunkCols columns, at most one chunk per worker. The copies share
+  // no data, so they keep every worker busy where a single copy's
+  // elimination-tree top runs serially. Blocked solves compute each column
+  // independently (the Session coalescing contract, DESIGN.md §15), so the
+  // bits do not depend on the chunking.
+  const index_t ncols = x.cols;
+  const std::uint32_t chunks =
+      pool == nullptr ? 1
+                      : static_cast<std::uint32_t>(std::clamp<index_t>(
+                            ncols / kSolveChunkCols, 1, pool->size()));
   std::mutex err_mu;
   std::exception_ptr err;
-  const DepDrainStats ds = splan_->execute(pool, [&](std::uint32_t id) {
+  const DepDrainStats ds = splan_->execute(
+      pool, chunks, [&](std::uint32_t id, std::uint32_t chunk) {
     try {
+      const index_t c0 = ncols * chunk / chunks;
+      const index_t c1 = ncols * (chunk + 1) / chunks;
+      const la::DView xc = x.sub(0, c0, x.rows, c1 - c0);
       const SolveTask& t = splan_->task(id);
       if (t.kind == SolveTaskKind::Fwd) {
-        solve_fwd(t.k, x);
+        solve_fwd(t.k, xc);
       } else {
-        solve_bwd(t.k, x);
+        solve_bwd(t.k, xc);
       }
       return true;
     } catch (...) {
@@ -1221,6 +1241,7 @@ void NumericFactor::solve_permuted(la::DView x, SolveRunInfo* info) const {
   if (info != nullptr) {
     info->tasks = ds.executed;
     info->parallel = pool != nullptr;
+    info->chunks = chunks;
     info->widen_hits = widen_hits_.load(std::memory_order_relaxed) - hits0;
   }
 }

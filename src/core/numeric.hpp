@@ -107,6 +107,7 @@ struct SolveEngine {
 struct SolveRunInfo {
   std::uint64_t tasks = 0;       ///< solve-plan task bodies run
   bool parallel = false;         ///< drained the solve DAG over the pool
+  std::uint32_t chunks = 1;      ///< RHS column chunks, one DAG copy each
   std::uint64_t widen_hits = 0;  ///< fp32 widen-cache hits during this call
 };
 

@@ -149,7 +149,7 @@ void Session::flush_batch(std::unique_lock<std::mutex>& lk) {
     r->st.solve_seconds = solve_s;
     r->st.solve_tasks = ri.tasks;
     r->st.parallel = ri.parallel;
-    r->st.plan_reused = true;  // every solve drains the cached SolvePlan
+    r->st.column_split = ri.chunks > 1;
     r->st.widen_hits = ri.widen_hits;
     r->failed = !error.empty();
     r->error = error;

@@ -1,8 +1,10 @@
 #include "core/solve_plan.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <mutex>
 
+#include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "core/symbolic_plan.hpp"
 
@@ -82,18 +84,35 @@ SolvePlan SolvePlan::build(const symbolic::SymbolicFactor& sf) {
 }
 
 DepDrainStats SolvePlan::execute(
-    ThreadPool* pool, const std::function<bool(std::uint32_t)>& body) const {
-  if (pool == nullptr) {
-    // Every edge points forward, so task-id order is a topological order.
-    DepDrainStats rs;
-    for (std::uint32_t id = 0; id < num_tasks(); ++id) {
-      ++rs.executed;
-      if (!body(id)) break;
+    ThreadPool* pool, std::uint32_t chunks,
+    const std::function<bool(std::uint32_t, std::uint32_t)>& body) const {
+  const std::uint32_t nt = num_tasks();
+  // Copy c of task t has id c·nt + t; the copies share no edges.
+  BLR_CHECK(std::uint64_t{chunks} * nt <= UINT32_MAX,
+            "solve: too many column chunks for 32-bit task ids");
+  DepBuilder::Deps copies;
+  if (chunks > 1) {
+    copies.succ_offset.reserve(std::size_t{chunks} * nt + 1);
+    copies.succ.reserve(std::size_t{chunks} * deps_.succ.size());
+    copies.indeg.reserve(std::size_t{chunks} * nt);
+    copies.succ_offset.push_back(0);
+    for (std::uint32_t c = 0; c < chunks; ++c) {
+      for (std::uint32_t t = 0; t < nt; ++t) {
+        for (std::uint32_t q = deps_.succ_offset[t];
+             q < deps_.succ_offset[t + 1]; ++q)
+          copies.succ.push_back(c * nt + deps_.succ[q]);
+        copies.succ_offset.push_back(
+            static_cast<std::uint32_t>(copies.succ.size()));
+      }
+      copies.indeg.insert(copies.indeg.end(), deps_.indeg.begin(),
+                          deps_.indeg.end());
     }
-    return rs;
+    copies.num_edges = chunks * deps_.num_edges;
   }
-  return drain_deps(deps_, pool, body,
-                    [this](std::uint32_t id) { return prio_[id]; });
+  return drain_deps(
+      chunks > 1 ? copies : deps_, pool,
+      [&](std::uint32_t id) { return body(id % nt, id / nt); },
+      [this, nt](std::uint32_t id) { return prio_[id % nt]; });
 }
 
 std::shared_ptr<const SolvePlan> SymbolicPlan::solve_plan(bool* built) const {

@@ -71,11 +71,15 @@ public:
   }
   [[nodiscard]] const DepBuilder::Deps& deps() const { return deps_; }
 
-  /// Drain the solve DAG: in task-id order on the calling thread when `pool`
-  /// is null, or released to the pool as in-degrees reach zero. `body(id)`
-  /// runs one task and returns false to stop the drain cooperatively.
+  /// Drain the solve DAG through drain_deps(), once per RHS column chunk:
+  /// `chunks` disjoint copies of the graph go through one drain, and
+  /// `body(id, chunk)` runs task `id` on column chunk `chunk`. Without a
+  /// pool the lowest ready id runs first (task-id order, since every edge
+  /// points forward); with one, tasks are released as in-degrees reach
+  /// zero. `body` returns false to stop the drain cooperatively.
   [[nodiscard]] DepDrainStats execute(
-      ThreadPool* pool, const std::function<bool(std::uint32_t)>& body) const;
+      ThreadPool* pool, std::uint32_t chunks,
+      const std::function<bool(std::uint32_t, std::uint32_t)>& body) const;
 
 private:
   std::vector<SolveTask> tasks_;

@@ -441,6 +441,7 @@ void Solver::note_solve(const SolveRunInfo& ri, double seconds) const {
   sp.tasks_executed += ri.tasks;
   if (ri.parallel) {
     ++sp.parallel_solves;
+    if (ri.chunks > 1) ++sp.split_solves;
   } else {
     ++sp.sequential_solves;
   }
@@ -606,7 +607,8 @@ void Solver::print_summary(std::ostream& os) const {
   if (stats_.solve_phase.solves > 0) {
     const SolvePhaseStats& sp = stats_.solve_phase;
     os << "  solve         : " << sp.solves << " solves ("
-       << sp.parallel_solves << " dag, " << sp.sequential_solves
+       << sp.parallel_solves << " dag (" << sp.split_solves
+       << " column-chunked), " << sp.sequential_solves
        << " sequential), " << sp.tasks_executed
        << " tasks, plan " << sp.plan_builds << " built / " << sp.plan_reuses
        << " reused, trsm " << sp.trsm_seconds << " s, gemm "

@@ -67,11 +67,7 @@ struct SolveStats {
   // request (DESIGN.md §16).
   std::uint64_t solve_tasks = 0;   ///< solve-plan task bodies the blocked solve ran
   bool parallel = false;           ///< drained the solve DAG over the solve pool
-  /// Always false: wide batches no longer split into column chunks (the
-  /// DAG drain reads the factor once for the whole block). Kept so callers
-  /// that read it keep compiling.
-  bool column_split = false;
-  bool plan_reused = false;        ///< the cached SolvePlan served this solve
+  bool column_split = false;       ///< drained as several column chunks, one DAG copy each
   std::uint64_t widen_hits = 0;    ///< fp32 widen-cache hits during the solve
 };
 
@@ -84,9 +80,7 @@ struct SolvePhaseStats {
   std::uint64_t plan_reuses = 0;       ///< factorizations served by the cache
   std::uint64_t tasks_executed = 0;    ///< solve-plan task bodies run
   std::uint64_t parallel_solves = 0;   ///< solves drained as a DAG on the pool
-  /// Always 0: the column-split path is gone (see SolveStats::column_split).
-  /// Kept so callers that read it keep compiling.
-  std::uint64_t split_solves = 0;
+  std::uint64_t split_solves = 0;      ///< parallel solves drained as several column chunks
   std::uint64_t sequential_solves = 0; ///< solves drained on the calling thread
   std::uint64_t widen_hits = 0;        ///< fp32 widen-cache factor reuses
   std::uint64_t widen_tiles = 0;       ///< tiles held by the current widen cache
