@@ -23,7 +23,8 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-/// Failed acquisition rounds (with yields) before a worker blocks.
+/// Failed acquisition rounds (with yields) before a worker of an idle pool
+/// blocks.
 constexpr int kSpinRounds = 32;
 
 } // namespace
@@ -247,11 +248,19 @@ void ThreadPool::worker_loop(int id) {
       continue;
     }
 
-    // Backoff: spin a few rounds (counted as scheduler idle time) before
-    // committing to a blocking sleep.
+    // Backoff (counted as scheduler idle time): keep polling while any task
+    // of this pool is queued or running, since a running task can release
+    // successors at any moment; once the pool is idle, poll a few more
+    // rounds and then block. A worker that slept through a narrow stretch
+    // of a task graph would have to be woken when the graph fans out again,
+    // and on a virtual machine that wake waits for the host to reschedule a
+    // halted vCPU, which can take milliseconds (DESIGN.md §7).
     {
       KernelTimer idle(Kernel::SchedulerIdle);
-      for (int spin = 0; spin < kSpinRounds && !t; ++spin) {
+      for (int spin = 0;
+           !t && (spin < kSpinRounds ||
+                  pending_.load(std::memory_order_acquire) > 0);
+           ++spin) {
         std::this_thread::yield();
         t = pop_injected();
         if (!t) t = try_steal(id, me);

@@ -22,7 +22,8 @@ namespace blr {
 /// eliminations with their critical-path priority and let idle workers
 /// steal. submit() never blocks, tasks may submit further tasks, and
 /// wait_idle() returns only once every transitively submitted task has
-/// finished.
+/// finished. Idle workers keep polling while any task is queued or running
+/// and sleep only once the pool is idle.
 class ThreadPool {
 public:
   /// Per-worker scheduler counters (monotonic until reset_stats()).

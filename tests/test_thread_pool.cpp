@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/prng.hpp"
@@ -245,6 +247,38 @@ TEST(WorkStealingStats, StealsHappenAndResetWorks) {
   pool.reset_stats();
   EXPECT_EQ(pool.total_stats().executed, 0u);
   EXPECT_EQ(pool.total_stats().steals, 0u);
+}
+
+TEST(WorkStealingStats, IdleWorkerPollsWhileATaskIsInFlight) {
+  // While any task of the pool is queued or running, an idle worker keeps
+  // polling instead of sleeping, so the successors a running task releases
+  // are picked up without a sleep/wake round trip. The long task below
+  // releases three children, one at a time, and waits until the other
+  // worker has run each; between releases that worker has nothing to do
+  // for 10 ms, which used to send it to sleep every time.
+  ThreadPool pool(2);
+  std::atomic<int> phase{0};
+  std::atomic<int> children{0};
+  pool.submit([&] {
+    for (int c = 1; c <= 3; ++c) {
+      while (phase.load() < c) std::this_thread::yield();
+      pool.submit([&] { children.fetch_add(1); });
+      while (children.load() < c) std::this_thread::yield();
+    }
+    while (phase.load() < 4) std::this_thread::yield();
+  });
+  std::uint64_t first = 0;
+  for (int c = 1; c <= 3; ++c) {
+    phase.store(c);
+    while (children.load() < c) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    if (c == 1) first = pool.total_stats().idle_sleeps;
+  }
+  const std::uint64_t last = pool.total_stats().idle_sleeps;
+  phase.store(4);
+  pool.wait_idle();
+  EXPECT_EQ(children.load(), 3);
+  EXPECT_EQ(last, first);
 }
 
 } // namespace
