@@ -5,9 +5,9 @@
 // looser tolerances flatten both the factor size and the peak, which is
 // what let the paper run 12M unknowns in 128 GB.
 //
-// Second section (beyond the paper's figure): dataflow A/B on the largest
-// generator problem of the sweep — factorization wall time of the barrier
-// driver vs the task DAG per thread count, with the DAG shape counters.
+// Second section (beyond the paper's figure): thread scaling on the largest
+// generator problem of the sweep — factorization wall time of the task
+// graph per thread count, with the graph shape counters.
 
 #include <algorithm>
 #include <cmath>
@@ -18,17 +18,16 @@ using namespace bench;
 
 namespace {
 
-// Dataflow A/B: barrier vs task-DAG factorization wall time per thread
-// count (same strategy), with the DAG shape counters. The DAG's
-// tile-granular dependencies overlap panels the barrier serializes, which
-// is where the speedup at higher thread counts comes from.
-void dataflow_ab(const sparse::CscMatrix& a, index_t n, std::FILE* json,
-                 bool* json_first) {
-  print_header("Figure 7c — dataflow A/B (JIT/RRQR): barrier vs task DAG");
+// Thread scaling: factorization wall time per thread count (JIT/RRQR),
+// with the task-graph shape counters. Every thread count produces the same
+// factors, so the rows differ in time only.
+void thread_scaling(const sparse::CscMatrix& a, index_t n, std::FILE* json,
+                    bool* json_first) {
+  print_header("Figure 7c — thread scaling (JIT/RRQR), factorization graph");
   std::printf("problem: lap %lld^3, %lld dofs\n\n", static_cast<long long>(n),
               static_cast<long long>(a.rows()));
-  std::printf("%8s | %12s | %12s | %8s | %30s\n", "threads", "barrier s",
-              "dag s", "speedup", "tasks/edges/critpath/peak");
+  std::printf("%8s | %12s | %8s | %30s\n", "threads", "factorize s",
+              "speedup", "tasks/edges/critpath/peak");
 
   std::vector<int> counts = {1, 2, 4, 8};
   const int hw = env_threads();
@@ -37,22 +36,18 @@ void dataflow_ab(const sparse::CscMatrix& a, index_t n, std::FILE* json,
   }
   std::sort(counts.begin(), counts.end());
 
+  double t1 = 0;
   for (const int threads : counts) {
     SolverOptions o = paper_options(Strategy::JustInTime,
                                     lr::CompressionKind::Rrqr, 1e-8);
     o.threads = threads;
-
-    o.dataflow = core::Dataflow::Barrier;
-    const RunResult barrier = run_solver(a, o);
-
-    o.dataflow = core::Dataflow::Dag;
     Solver keep(o);
-    const RunResult dag = run_solver(a, o, &keep);
+    const RunResult r = run_solver(a, o, &keep);
     const auto& st = keep.stats();
+    if (threads == counts.front()) t1 = r.factorization_time;
 
-    std::printf("%8d | %12.3f | %12.3f | %7.2fx | %12llu/%llu/%llu/%llu\n",
-                threads, barrier.factorization_time, dag.factorization_time,
-                barrier.factorization_time / dag.factorization_time,
+    std::printf("%8d | %12.3f | %7.2fx | %12llu/%llu/%llu/%llu\n", threads,
+                r.factorization_time, t1 / r.factorization_time,
                 static_cast<unsigned long long>(st.dag_tasks),
                 static_cast<unsigned long long>(st.dag_edges),
                 static_cast<unsigned long long>(st.dag_critical_path),
@@ -61,13 +56,10 @@ void dataflow_ab(const sparse::CscMatrix& a, index_t n, std::FILE* json,
 
     if (json) {
       char label[32];
-      std::snprintf(label, sizeof label, "barrier_t%d", threads);
+      std::snprintf(label, sizeof label, "graph_t%d", threads);
       if (!*json_first) std::fprintf(json, ",\n");
       *json_first = false;
-      json_run(json, label, a.rows(), barrier);
-      std::snprintf(label, sizeof label, "dag_t%d", threads);
-      std::fprintf(json, ",\n");
-      json_run(json, label, a.rows(), dag);
+      json_run(json, label, a.rows(), r);
     }
   }
 }
@@ -123,10 +115,10 @@ int main() {
   }
 
   const auto a_last = sparse::laplacian_3d(nlast, nlast, nlast);
-  // The dataflow A/B rides in the same JSON file, as its own array.
-  if (json) std::fprintf(json, "\n  ],\n  \"dataflow_ab\": [\n");
-  bool ab_first = true;
-  dataflow_ab(a_last, nlast, json, &ab_first);
+  // The thread scaling rides in the same JSON file, as its own array.
+  if (json) std::fprintf(json, "\n  ],\n  \"thread_scaling\": [\n");
+  bool ts_first = true;
+  thread_scaling(a_last, nlast, json, &ts_first);
 
   if (json) {
     std::fprintf(json, "\n  ]\n}\n");

@@ -71,7 +71,7 @@ NumericFactor::NumericFactor(const sparse::CscMatrix& a,
     : ord_(ord), sf_(sf), opts_(opts), llt_(llt), reuse_(reuse),
       data_(static_cast<std::size_t>(sf.num_cblks())),
       locks_(static_cast<std::size_t>(sf.num_cblks())),
-      deps_(static_cast<std::size_t>(sf.num_cblks())), gov_(governor) {
+      epochs_(static_cast<std::uint64_t>(sf.num_cblks())), gov_(governor) {
   if (opts_.check_finite) {
     // Guard the assembly input: a single NaN/Inf would otherwise propagate
     // silently through the factorization into a garbage answer.
@@ -99,15 +99,11 @@ NumericFactor::NumericFactor(const sparse::CscMatrix& a,
   pctx_.precision = opts_.precision;
   pctx_.mixed_rank_threshold = opts_.mixed_rank_threshold;
   pctx_.compression_site = [this](index_t k) { maybe_fail_compression(k); };
-  // Warm-start wiring (re-factorization only; reuse_ is empty on cold runs).
-  // A prebuilt DAG skeleton for the other factorization flavor is dropped
-  // here rather than trusted — the recovery ladder can flip LLᵗ → LU
-  // mid-call, and the address spaces differ.
+  // Warm-start wiring (re-factorization only; empty on cold runs).
   pctx_.warm = opts_.warm_start ? reuse_.ranks : nullptr;
   pctx_.warm_slack = opts_.warm_rank_slack;
   pctx_.warm_dense_skip = opts_.warm_dense_skip;
   pctx_.warm_counters = &warm_counters_;
-  if (reuse_.dag != nullptr && reuse_.dag->llt() != llt_) reuse_.dag = nullptr;
   if (!opts_.reuse_buffers) reuse_.buffers = nullptr;
   iperm_.resize(ord_.perm.size());
   for (std::size_t i = 0; i < ord_.perm.size(); ++i)
@@ -118,11 +114,9 @@ NumericFactor::NumericFactor(const sparse::CscMatrix& a,
       MemCategory::Workspace,
       (static_cast<std::size_t>(ap_.nnz()) + static_cast<std::size_t>(apt_.nnz())) *
           (sizeof(real_t) + sizeof(index_t)));
-  if (opts_.scheduling == Scheduling::RightLooking &&
-      opts_.dataflow == Dataflow::Barrier) {
-    // The dataflow schedule assembles lazily (one Assemble task per
-    // supernode inside the DAG), so it keeps the permuted input alive until
-    // factorize() finishes instead of assembling everything here.
+  if (opts_.scheduling == Scheduling::RightLooking) {
+    // Right-looking assembles everything up front; left-looking keeps the
+    // permuted input to assemble each supernode when it is reached.
     assemble_all();
     ap_ = sparse::CscMatrix();
     apt_ = sparse::CscMatrix();
@@ -345,6 +339,8 @@ void NumericFactor::assemble_cblk(index_t k) {
   }
   if (opts_.check_finite) check_cblk_finite(k, FailureKind::NonFiniteBlock);
   cd.diag.advance(lr::TileState::Assembled);
+  epochs_.advance(static_cast<std::uint64_t>(k), EpochGate::kUnassembled,
+                  EpochGate::kAssembled);
   if (opts_.accumulate_updates) {
     // Rank-0 low-rank tiles in the Workspace arena; appended contributions
     // grow them until a flush folds them into the panel tile.
@@ -401,7 +397,6 @@ void NumericFactor::assemble_all() {
 }
 
 void NumericFactor::factorize(ThreadPool* pool) {
-  const index_t ncblk = sf_.num_cblks();
   failed_.store(false);
   {
     std::lock_guard lock(error_mutex_);
@@ -413,176 +408,64 @@ void NumericFactor::factorize(ThreadPool* pool) {
   trace_.clear();
   trace_clock_.reset();
 
-  if (opts_.scheduling == Scheduling::LeftLooking) {
-    // The left-looking schedule is inherently sequential here: each
-    // supernode pulls all its updates when it is eliminated.
-    factorize_left_looking();
-    return;
-  }
-
-  if (opts_.dataflow == Dataflow::Dag) {
-    factorize_dag(pool);
-    return;
-  }
-
-  // Dependency counters: one per incoming block update.
-  for (auto& d : deps_) d.store(0, std::memory_order_relaxed);
-  for (index_t k = 0; k < ncblk; ++k) {
-    const auto& bloks = sf_.cblk(k).bloks;
-    const index_t nb = static_cast<index_t>(bloks.size());
-    for (index_t j = 0; j < nb; ++j) {
-      for (index_t i = llt_ ? j : 0; i < nb; ++i) {
-        const index_t t = std::min(bloks[static_cast<std::size_t>(i)].fcblk,
-                                   bloks[static_cast<std::size_t>(j)].fcblk);
-        deps_[static_cast<std::size_t>(t)].fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  if (pool == nullptr) {
-    // Sequential right-looking pass: elimination order guarantees every
-    // update lands before its target is processed.
-    for (index_t k = 0; k < ncblk && !failed_.load(std::memory_order_relaxed);
-         ++k) {
-      eliminate(k);
-    }
-    if (failed_.load()) throw_recorded();
-    return;
-  }
-
-  pool_ = pool;
-  // Snapshot the initially-ready set before submitting anything: a running
-  // task may drain another cblk's counter to zero and submit it itself, and
-  // submitting it here too would eliminate the same supernode twice.
-  std::vector<index_t> ready;
-  for (index_t k = 0; k < ncblk; ++k) {
-    if (deps_[static_cast<std::size_t>(k)].load(std::memory_order_relaxed) == 0) {
-      ready.push_back(k);
-    }
-  }
-  // Submit with critical-path priorities: among the (many) initially-ready
-  // leaves the scheduler picks the one heading the most expensive chain to
-  // the root first, which keeps the elimination tree's critical path moving.
-  const auto& prio = sf_.critical_priorities();
-  for (const index_t k : ready) {
-    pool->submit([this, k] { eliminate(k); }, prio[static_cast<std::size_t>(k)]);
-  }
-  pool->wait_idle();
-  // A failure cancelled the pool to drain queued eliminations; clear the
-  // flag so the pool is immediately reusable (recovery retries, benches).
-  pool->reset_cancel();
-  pool_ = nullptr;
-  if (failed_.load()) throw_recorded();
-}
-
-void NumericFactor::factorize_left_looking() {
-  // For each target, the list of (source supernode, row blok, col blok)
-  // updates it receives; built once from the same pair enumeration the
-  // right-looking schedule uses.
-  struct Update {
-    index_t k, bi, bj;
-  };
-  const index_t ncblk = sf_.num_cblks();
-  std::vector<std::vector<Update>> incoming(static_cast<std::size_t>(ncblk));
-  for (index_t k = 0; k < ncblk; ++k) {
-    const auto& bloks = sf_.cblk(k).bloks;
-    const index_t nb = static_cast<index_t>(bloks.size());
-    for (index_t j = 0; j < nb; ++j) {
-      for (index_t i = llt_ ? j : 0; i < nb; ++i) {
-        const index_t t = std::min(bloks[static_cast<std::size_t>(i)].fcblk,
-                                   bloks[static_cast<std::size_t>(j)].fcblk);
-        incoming[static_cast<std::size_t>(t)].push_back({k, i, j});
-      }
-    }
-  }
-
-  for (index_t k = 0; k < ncblk; ++k) {
-    const double t0 = opts_.collect_trace ? trace_clock_.elapsed() : 0.0;
-    try {
-      // Allocate and assemble this supernode only now — the memory gain of
-      // the left-looking schedule (paper §4.3).
-      assemble_cblk(k);
-      for (const Update& u : incoming[static_cast<std::size_t>(k)]) {
-        apply_update(u.k, u.bi, u.bj);
-      }
-      incoming[static_cast<std::size_t>(k)].clear();
-      incoming[static_cast<std::size_t>(k)].shrink_to_fit();
-      factor_panel(k);
-    } catch (ResourceError& e) {
-      // Sequential schedule: stamp and propagate straight to the ladder.
-      stamp_resource(e.report(), k);
-      throw;
-    }
-    if (opts_.collect_trace) {
-      trace_.push_back({k, 0, t0, trace_clock_.elapsed()});
-    }
-  }
-}
-
-// ---- dataflow execution (options.dataflow == Dag, DESIGN.md §12) --------
-//
-// The factorization becomes a task DAG over per-tile operations. Task ids
-// are the canonical sequence numbers — the exact order the barrier driver
-// runs the same operations — and applies into one target tile are chained
-// (write-after-write edges) in that order, so every tile sees the same value
-// history under any topological execution order. Consequence: dataflow runs
-// are bit-identical to the sequential barrier run at every thread count.
-
-void NumericFactor::factorize_dag(ThreadPool* pool) {
-  pool_ = pool;
-  // A Solver-cached skeleton (same plan, same llt flavor) skips the rebuild;
-  // the graph is symbolic-only and execute() is const, so sharing one across
-  // numeric passes is free of aliasing.
-  if (reuse_.dag != nullptr) {
-    dagp_ = reuse_.dag;
-  } else {
-    dag_ = std::make_unique<TaskGraph>(TaskGraph::build(sf_, llt_));
-    dagp_ = dag_.get();
-  }
-  epochs_ = std::make_unique<EpochGate>(dagp_->num_addrs());
-  dag_slots_.clear();
-  dag_slots_.resize(dagp_->num_updates());
+  BLR_CHECK(reuse_.dag != nullptr, "factorize() needs the task graph");
+  const TaskGraph& g = *reuse_.dag;
   dag_stats_ = DagStats{};
-  dag_stats_.tasks = dagp_->num_tasks();
-  dag_stats_.edges = dagp_->num_edges();
-  dag_stats_.critical_path = dagp_->critical_path();
+  dag_stats_.tasks = g.num_tasks();
+  dag_stats_.edges = g.num_edges();
+  dag_stats_.critical_path = g.critical_path();
 
+  if (opts_.scheduling == Scheduling::LeftLooking) {
+    factorize_left_looking(g);
+    return;
+  }
+
+  // Ready tasks run in critical-path order of their source supernode, so a
+  // supernode's updates run right after its elimination, ahead of
+  // shallower work.
+  pool_ = pool;
   const auto& prio = sf_.critical_priorities();
-  const TaskGraph::RunStats rs = dagp_->execute(
-      pool, [this](std::uint32_t id) { return run_dag_task(id); },
-      [this, &prio](std::uint32_t id) {
-        return prio[static_cast<std::size_t>(dagp_->task(id).k)];
+  const DepDrainStats rs = drain_deps(
+      g.deps(), pool, [this, &g](std::uint32_t id) { return run_task(g, id); },
+      [&g, &prio](std::uint32_t id) {
+        return prio[static_cast<std::size_t>(g.task(id).k)];
       });
   dag_stats_.executed = rs.executed;
   dag_stats_.ready_peak = rs.ready_peak;
-
-  // A failure cancelled the pool (record_failure); make it reusable.
+  // A failure cancelled the pool to drain queued tasks; clear the flag so
+  // the pool is immediately reusable (recovery retries, benches).
   if (pool != nullptr) pool->reset_cancel();
   pool_ = nullptr;
-  dag_slots_.clear();
-  dag_slots_.shrink_to_fit();
-  dag_.reset();
-  dagp_ = nullptr;
-  epochs_.reset();
-  // The DAG assembles lazily; the permuted input can go only now.
-  ap_ = sparse::CscMatrix();
-  apt_ = sparse::CscMatrix();
-  input_track_ = TrackedAlloc();
   if (failed_.load()) throw_recorded();
 }
 
-bool NumericFactor::run_dag_task(std::uint32_t id) {
+void NumericFactor::factorize_left_looking(const TaskGraph& g) {
+  // Target by target: assemble the supernode only now — the memory gain of
+  // the left-looking schedule (paper §4.3) — then pull its update groups in
+  // ascending source order and eliminate it.
+  for (index_t t = 0; t < sf_.num_cblks(); ++t) {
+    try {
+      assemble_cblk(t);
+      const auto [b, e] = g.updates_into(t);
+      for (const std::uint32_t* p = b; p != e; ++p) run_update(g.task(*p));
+      run_elim(t);
+      dag_stats_.executed += static_cast<std::uint64_t>(e - b) + 1;
+    } catch (ResourceError& e) {
+      // Sequential schedule: stamp and propagate straight to the ladder.
+      stamp_resource(e.report(), t);
+      throw;
+    }
+  }
+}
+
+bool NumericFactor::run_task(const TaskGraph& g, std::uint32_t id) {
   if (failed_.load(std::memory_order_relaxed)) return false;
-  const DagTask& t = dagp_->task(id);
+  const DagTask& t = g.task(id);
   try {
-    poll_deadline(t.k);
-    switch (t.kind) {
-      case DagTaskKind::Assemble: dag_assemble(t); break;
-      case DagTaskKind::Factor: dag_factor(t); break;
-      case DagTaskKind::Compress: dag_compress(t); break;
-      case DagTaskKind::Trsm: dag_trsm(t); break;
-      case DagTaskKind::Product: dag_product(t); break;
-      case DagTaskKind::Apply: dag_apply(t); break;
+    if (t.kind == DagTaskKind::Elim) {
+      run_elim(t.k);
+    } else {
+      run_update(t);
     }
   } catch (ResourceError& e) {
     stamp_resource(e.report(), t.k);
@@ -596,211 +479,16 @@ bool NumericFactor::run_dag_task(std::uint32_t id) {
                                e.what()));
     return false;
   }
-  return true;
+  return !failed_.load(std::memory_order_relaxed);
 }
 
-void NumericFactor::dag_assemble(const DagTask& t) {
-  assemble_cblk(t.k);
-  const index_t nb = static_cast<index_t>(sf_.cblk(t.k).bloks.size());
-  epochs_->advance(dagp_->diag_addr(t.k), EpochGate::kUnassembled,
-                   EpochGate::kAssembled);
-  for (index_t i = 0; i < nb; ++i) {
-    epochs_->advance(dagp_->panel_addr(t.k, false, i), EpochGate::kUnassembled,
-                     EpochGate::kAssembled);
-  }
-  if (!llt_) {
-    for (index_t i = 0; i < nb; ++i) {
-      epochs_->advance(dagp_->panel_addr(t.k, true, i), EpochGate::kUnassembled,
-                       EpochGate::kAssembled);
-    }
-  }
-}
-
-void NumericFactor::dag_factor(const DagTask& t) {
-  const index_t k = t.k;
-  CblkData& cd = data_[static_cast<std::size_t>(k)];
+void NumericFactor::run_elim(index_t k) {
   const double t0 = opts_.collect_trace ? trace_clock_.elapsed() : 0.0;
-  epochs_->expect(dagp_->diag_addr(k), EpochGate::kAssembled);
-  maybe_skew_clock(k);
-  poll_deadline(k);
-
-  if (opts_.fault.kind == FaultInjection::Kind::TinyPivot &&
-      opts_.fault.supernode == k && opts_.fault.try_fire()) {
-    la::DMatrix& dg = cd.diag.dense();
-    for (index_t i = 0; i < dg.rows(); ++i) dg(i, 0) = 0;
-    dg(0, 0) = 0;
-  }
-
-  index_t replaced = 0;
-  const index_t info =
-      dispatch::factor_diag(cd.diag, cd.ipiv, llt_, pivot_cutoff_, replaced);
-  if (replaced > 0)
-    pivots_replaced_.fetch_add(replaced, std::memory_order_relaxed);
-  if (info != 0) {
-    const index_t piv = info - 1;
-    const double mag = std::abs(static_cast<double>(cd.diag.dense()(piv, piv)));
-    std::ostringstream os;
-    os << (llt_ ? "potrf" : "getrf") << " cannot eliminate the pivot";
-    fail(make_report(llt_ ? FailureKind::NonPositivePivot
-                          : FailureKind::ZeroPivot,
-                     k, piv, mag, os.str()));
-  }
-  if (opts_.check_finite && !all_finite(cd.diag)) {
-    std::ostringstream os;
-    os << "non-finite value in diagonal block of supernode " << k
-       << " after panel factorization";
-    fail(make_report(FailureKind::NonFinitePanel, k, -1, std::nan(""),
-                     os.str()));
-  }
-  cd.diag.advance(lr::TileState::Factored);
-  cd.eliminated = true;
-  epochs_->advance(dagp_->diag_addr(k), EpochGate::kAssembled,
-                   EpochGate::kFactored);
-  if (opts_.collect_trace) {
-    // One event per supernode, anchored at its diagonal factorization (the
-    // panel's serialization point in the DAG schedule).
-    const double t1 = trace_clock_.elapsed();
-    const int wid = ThreadPool::current_worker();
-    const std::size_t worker = wid >= 0 ? static_cast<std::size_t>(wid) : 0;
-    std::lock_guard lock(trace_mutex_);
-    trace_.push_back({k, worker, t0, t1});
-  }
-}
-
-void NumericFactor::dag_compress(const DagTask& t) {
-  const std::uint64_t addr = dagp_->panel_addr(t.k, t.upper, t.bi);
-  epochs_->expect(addr, EpochGate::kAssembled);
-  if (opts_.accumulate_updates) flush_accumulator(t.k, t.upper, t.bi);
-  CblkData& cd = data_[static_cast<std::size_t>(t.k)];
-  lr::Tile& blk =
-      (t.upper ? cd.upanel : cd.lpanel)[static_cast<std::size_t>(t.bi)];
-  const symbolic::Blok& sb = sf_.cblk(t.k).bloks[static_cast<std::size_t>(t.bi)];
-  policy_->at_elimination(t.k, BlockSite{t.bi, t.upper}, blk,
-                          compressible(t.k, sb), pctx_);
-  epochs_->advance(addr, EpochGate::kAssembled, EpochGate::kEliminating);
-}
-
-void NumericFactor::dag_trsm(const DagTask& t) {
-  const std::uint64_t addr = dagp_->panel_addr(t.k, t.upper, t.bi);
-  epochs_->expect(dagp_->diag_addr(t.k), EpochGate::kFactored);
-  epochs_->expect(addr, EpochGate::kEliminating);
-  CblkData& cd = data_[static_cast<std::size_t>(t.k)];
-  lr::Tile& blk =
-      (t.upper ? cd.upanel : cd.lpanel)[static_cast<std::size_t>(t.bi)];
-  if (blk.rank() == 0) {
-    blk.advance(lr::TileState::Factored);
-  } else {
-    dispatch::panel_solve(cd.diag, cd.ipiv, blk, llt_, t.upper);
-    blk.advance(lr::TileState::Factored);
-  }
-  if (opts_.check_finite && !all_finite(blk)) {
-    std::ostringstream os;
-    os << "non-finite value in " << (t.upper ? "U panel" : "L panel")
-       << " of supernode " << t.k << " after panel factorization";
-    fail(make_report(FailureKind::NonFinitePanel, t.k, -1, std::nan(""),
-                     os.str()));
-  }
-  epochs_->advance(addr, EpochGate::kEliminating, EpochGate::kFactored);
-}
-
-void NumericFactor::dag_product(const DagTask& t) {
-  CblkData& cd = data_[static_cast<std::size_t>(t.k)];
-  const lr::Tile* a = &cd.lpanel[static_cast<std::size_t>(t.bi)];
-  const lr::Tile* b = llt_ ? &cd.lpanel[static_cast<std::size_t>(t.bj)]
-                           : &cd.upanel[static_cast<std::size_t>(t.bj)];
-  epochs_->expect(dagp_->panel_addr(t.k, false, t.bi), EpochGate::kFactored);
-  epochs_->expect(llt_ ? dagp_->panel_addr(t.k, false, t.bj)
-                       : dagp_->panel_addr(t.k, true, t.bj),
-                  EpochGate::kFactored);
-
-  auto slot = std::make_unique<DagUpdateSlot>();
-  slot->loc = locate_update(t.k, t.bi, t.bj);
-  slot->a = a;
-  slot->b = b;
-  if (a->rank() == 0 || b->rank() == 0) {
-    slot->zero = true;
-  } else if (!a->is_lowrank() && !b->is_lowrank()) {
-    // Dense×dense fuses the GEMM into the target under the lock, so the
-    // whole update defers to the (chained) apply task.
-    slot->dense_pair = true;
-  } else {
-    slot->prod = dispatch::product(*a, *b, opts_.kind, opts_.tolerance,
-                                   update_need_ortho(slot->loc));
-  }
-  dag_slots_[t.slot] = std::move(slot);
-}
-
-void NumericFactor::dag_apply(const DagTask& t) {
-  std::unique_ptr<DagUpdateSlot> slot =
-      std::move(dag_slots_[t.slot]);
-  if (!slot) throw Error("dag: apply task ran without its product");
-  const UpdateLoc& loc = slot->loc;
-  const std::uint64_t taddr =
-      loc.target_diag ? dagp_->diag_addr(loc.tcblk)
-                      : dagp_->panel_addr(loc.tcblk, loc.target_upper,
-                                         loc.tb_idx);
-  // Updates may only land on assembled, not-yet-eliminating tiles — the
-  // runtime-checked half of the Tile state contract at DAG granularity.
-  epochs_->expect(taddr, EpochGate::kAssembled);
-  if (slot->zero) return;
-  if (slot->dense_pair) {
-    dense_dense_update(loc, *slot->a, *slot->b);
-  } else {
-    finish_update(loc, std::move(slot->prod));
-  }
-}
-
-void NumericFactor::eliminate(index_t k) {
-  if (failed_.load(std::memory_order_relaxed)) return;
-  const double t0 = opts_.collect_trace ? trace_clock_.elapsed() : 0.0;
-  try {
-    factor_panel(k);
-
-    // Right-looking updates on the trailing supernodes. Large panels are
-    // split into 1D column-blok segments submitted as subtasks, so the
-    // updates of one huge supernode spread across the pool instead of
-    // pinning a single worker.
-    const symbolic::Cblk& c = sf_.cblk(k);
-    const index_t nb = static_cast<index_t>(c.bloks.size());
-    const bool split = pool_ != nullptr && opts_.panel_split_rows > 0 &&
-                       nb >= 2 &&
-                       c.height() >= opts_.panel_split_rows;
-    if (!split) {
-      update_range(k, 0, nb);
-    } else {
-      const index_t height = c.height();
-      index_t nseg = std::min<index_t>(
-          nb, (height + opts_.panel_split_rows - 1) / opts_.panel_split_rows);
-      nseg = std::min<index_t>(nseg, 4 * pool_->size());
-      // Greedy row-balanced segmentation of the column bloks.
-      const index_t per = (height + nseg - 1) / nseg;
-      const std::int64_t pr =
-          sf_.critical_priorities()[static_cast<std::size_t>(k)];
-      index_t jb = 0;
-      index_t acc = 0;
-      for (index_t j = 0; j < nb; ++j) {
-        acc += c.bloks[static_cast<std::size_t>(j)].height();
-        if (acc >= per || j == nb - 1) {
-          const index_t je = j + 1;
-          if (jb == 0 && je == nb) {
-            update_range(k, 0, nb);  // degenerate single segment
-          } else {
-            pool_->submit([this, k, jb, je] { update_range(k, jb, je); }, pr);
-          }
-          jb = je;
-          acc = 0;
-        }
-      }
-    }
-  } catch (ResourceError& e) {
-    stamp_resource(e.report(), k);
-    record_resource_failure(std::move(e.report()));
-  } catch (const NumericalError& e) {
-    record_failure(e.report());
-  } catch (const std::exception& e) {
-    record_failure(make_report(FailureKind::Unknown, k, -1, std::nan(""),
-                               e.what()));
-  }
+  const auto addr = static_cast<std::uint64_t>(k);
+  epochs_.expect(addr, EpochGate::kAssembled);
+  factor_panel(k);
+  if (!data_[static_cast<std::size_t>(k)].eliminated) return;  // sibling failed
+  epochs_.advance(addr, EpochGate::kAssembled, EpochGate::kFactored);
   if (opts_.collect_trace) {
     const double t1 = trace_clock_.elapsed();
     const int wid = ThreadPool::current_worker();
@@ -810,36 +498,25 @@ void NumericFactor::eliminate(index_t k) {
   }
 }
 
-void NumericFactor::update_range(index_t k, index_t jb, index_t je) {
-  if (failed_.load(std::memory_order_relaxed)) return;
-  try {
-    const symbolic::Cblk& c = sf_.cblk(k);
-    const index_t nb = static_cast<index_t>(c.bloks.size());
-    const auto& prio = sf_.critical_priorities();
-    for (index_t j = jb; j < je; ++j) {
-      for (index_t i = llt_ ? j : 0; i < nb; ++i) {
-        // Early exit at block-update granularity: once a sibling failed the
-        // remaining updates are dead work on a doomed factorization.
-        if (failed_.load(std::memory_order_relaxed)) return;
-        poll_deadline(k);
-        const index_t target = apply_update(k, i, j);
-        const index_t left =
-            deps_[static_cast<std::size_t>(target)].fetch_sub(1,
-                                                              std::memory_order_acq_rel) - 1;
-        if (left == 0 && pool_ != nullptr) {
-          pool_->submit([this, target] { eliminate(target); },
-                        prio[static_cast<std::size_t>(target)]);
-        }
-      }
+void NumericFactor::run_update(const DagTask& u) {
+  // Updates may only leave a factored source and land on an assembled,
+  // not yet eliminated target.
+  epochs_.expect(static_cast<std::uint64_t>(u.k), EpochGate::kFactored);
+  epochs_.expect(static_cast<std::uint64_t>(u.t), EpochGate::kAssembled);
+  // The (bi, bj) pairs of k landing in t, in the (j outer, i inner) order:
+  // a column blok facing t pairs with every row blok from b0 on (LLᵗ: from
+  // itself on); a later column blok pairs with the row bloks facing t
+  // (LU only — under LLᵗ its pairs land further up the tree).
+  const index_t nb = static_cast<index_t>(sf_.cblk(u.k).bloks.size());
+  for (index_t j = u.b0; j < (llt_ ? u.b1 : nb); ++j) {
+    const index_t ie = j < u.b1 ? nb : u.b1;
+    for (index_t i = llt_ ? j : u.b0; i < ie; ++i) {
+      // Early exit at block-update granularity: once a sibling failed the
+      // remaining updates are dead work on a doomed factorization.
+      if (failed_.load(std::memory_order_relaxed)) return;
+      poll_deadline(u.k);
+      apply_update(u.k, i, j);
     }
-  } catch (ResourceError& e) {
-    stamp_resource(e.report(), k);
-    record_resource_failure(std::move(e.report()));
-  } catch (const NumericalError& e) {
-    record_failure(e.report());
-  } catch (const std::exception& e) {
-    record_failure(make_report(FailureKind::Unknown, k, -1, std::nan(""),
-                               e.what()));
   }
 }
 
@@ -853,7 +530,7 @@ void NumericFactor::factor_panel(index_t k) {
 
     // Merge any pending LUAR accumulators: every incoming update must be in
     // the panels before elimination. All updates into k are already applied
-    // (dependency counters), so no lock is needed.
+    // (the write chain of k), so no lock is needed.
     if (opts_.accumulate_updates) flush_all_accumulators(k);
 
     if (opts_.fault.kind == FaultInjection::Kind::TinyPivot &&
@@ -1052,25 +729,24 @@ void NumericFactor::finish_update(const UpdateLoc& loc, lr::Tile p) {
   }
 }
 
-index_t NumericFactor::apply_update(index_t k, index_t bi, index_t bj) {
+void NumericFactor::apply_update(index_t k, index_t bi, index_t bj) {
   const UpdateLoc loc = locate_update(k, bi, bj);
   CblkData& cd = data_[static_cast<std::size_t>(k)];
   const lr::Tile& a = cd.lpanel[static_cast<std::size_t>(bi)];
   const lr::Tile& b = llt_ ? cd.lpanel[static_cast<std::size_t>(bj)]
                            : cd.upanel[static_cast<std::size_t>(bj)];
 
-  if (a.rank() == 0 || b.rank() == 0) return loc.tcblk;  // zero contribution
+  if (a.rank() == 0 || b.rank() == 0) return;  // zero contribution
 
   if (!a.is_lowrank() && !b.is_lowrank()) {
     dense_dense_update(loc, a, b);
-    return loc.tcblk;
+    return;
   }
 
   // At least one low-rank operand: form the contribution outside the lock.
   const bool need_ortho = update_need_ortho(loc);
   lr::Tile p = dispatch::product(a, b, opts_.kind, opts_.tolerance, need_ortho);
   finish_update(loc, std::move(p));
-  return loc.tcblk;
 }
 
 // ---------------------------------------------------------------------------

@@ -48,8 +48,7 @@ struct CblkData {
 /// Where one right-looking block update (k, bi, bj) lands: the target
 /// supernode/blok, the offsets inside it, the contribution's dimensions, and
 /// the triangle bookkeeping. Pure symbolic geometry — computing it touches no
-/// numeric state, so a DAG product task can locate its update without the
-/// target lock.
+/// numeric state, so an update can be located without the target lock.
 struct UpdateLoc {
   index_t tcblk = -1;   ///< target supernode
   index_t tb_idx = -1;  ///< target blok index (-1: diagonal block)
@@ -62,10 +61,9 @@ struct UpdateLoc {
   bool target_upper = false; ///< lands in the U panel (LU only)
 };
 
-/// One elimination-task execution record (Gantt row) of the factorization.
-/// Covers the supernode's panel factorization plus the updates applied from
-/// the eliminating task itself (panel-split subtasks are not traced: the
-/// trace keeps exactly one event per supernode).
+/// One Elim task execution record (Gantt row) of the factorization: the
+/// supernode's panel factorization, compression and TRSM. The trace keeps
+/// exactly one event per supernode (Upd tasks are not traced).
 struct TraceEvent {
   index_t cblk;
   std::size_t worker;  ///< dense pool worker index (0 for sequential runs)
@@ -73,18 +71,15 @@ struct TraceEvent {
   double end;
 };
 
-/// State a re-factorization replays from the previous numeric pass over
-/// the same SymbolicPlan (DESIGN.md §15). All three are optional and
-/// cost-only: ranks warm-start compressions (verified, grow-on-mismatch),
-/// buffers recycle retired factor storage, and `dag` is a prebuilt task
-/// graph skeleton (must match the effective factorization's llt flavor —
-/// ignored otherwise). Pointed-to state must outlive the NumericFactor.
-/// (Namespace-scope rather than nested so it can default-initialize in the
-/// constructor's default argument.)
+/// State a numeric pass replays over the same SymbolicPlan (DESIGN.md §15).
+/// `dag` is the factorization task graph (required; the Solver builds it
+/// once per plan). The other two are optional and cost-only: ranks
+/// warm-start compressions (verified, grow-on-mismatch), buffers recycle
+/// retired factor storage. Pointed-to state must outlive the NumericFactor.
 struct NumericReuse {
   const RankMemory* ranks = nullptr;   ///< learned per-block ranks
   lr::BufferPool* buffers = nullptr;   ///< retired dense-buffer pool
-  const TaskGraph* dag = nullptr;      ///< prebuilt Dag skeleton
+  const TaskGraph* dag = nullptr;      ///< factorization task graph
 };
 
 /// Dedicated thread pool for the parallel solve phase (DESIGN.md §16),
@@ -111,11 +106,11 @@ struct SolveRunInfo {
   std::uint64_t widen_hits = 0;  ///< fp32 widen-cache hits during this call
 };
 
-/// The supernodal numeric factorization: one right-looking driver over
-/// tiles, parameterized by an UpdatePolicy (Dense baseline, Just-In-Time,
-/// Minimal Memory, Adaptive), for both LU (general, symmetric pattern) and
-/// LLᵗ (SPD). All numeric operations route through the KernelDispatch
-/// registry.
+/// The supernodal numeric factorization: one task graph of supernode
+/// eliminations and (source, target) update groups (DESIGN.md §12),
+/// parameterized by an UpdatePolicy (Dense baseline, Just-In-Time, Minimal
+/// Memory, Adaptive), for both LU (general, symmetric pattern) and LLᵗ
+/// (SPD). All numeric operations route through the KernelDispatch registry.
 class NumericFactor {
 public:
   using Reuse = NumericReuse;
@@ -126,18 +121,19 @@ public:
   /// `governor` (may be null: ungoverned) supplies the deadline watchdog the
   /// driver polls and receives injected clock skew; budget breaches arrive
   /// through the MemoryTracker as ResourceError regardless.
-  /// `reuse` (defaulted empty) carries warm-start state for re-factorization.
+  /// `reuse` carries the task graph factorize() drains, plus warm-start
+  /// state for re-factorization.
   NumericFactor(const sparse::CscMatrix& a, const ordering::Ordering& ord,
                 const symbolic::SymbolicFactor& sf, const SolverOptions& opts,
-                bool llt, ResourceGovernor* governor = nullptr,
-                Reuse reuse = {});
+                bool llt, ResourceGovernor* governor, Reuse reuse);
 
   NumericFactor(const NumericFactor&) = delete;
   NumericFactor& operator=(const NumericFactor&) = delete;
 
-  /// Runs the numeric factorization. `pool` may be null for sequential
-  /// execution; otherwise supernode eliminations are scheduled as tasks
-  /// whose dependencies are the incoming block updates.
+  /// Runs the numeric factorization by draining the task graph: over `pool`
+  /// when given, else in task-id order on the calling thread. Both produce
+  /// the same bits. Left-looking walks the same update groups target by
+  /// target on the calling thread.
   void factorize(ThreadPool* pool);
 
   /// Triangular solves in the permuted index space on a block of right-hand
@@ -203,11 +199,10 @@ public:
   /// Elimination schedule trace (empty unless options.collect_trace).
   [[nodiscard]] const std::vector<TraceEvent>& trace() const { return trace_; }
 
-  /// Counters of the dataflow run (all zero unless options.dataflow == Dag
-  /// took the right-looking path).
+  /// Counters of the task-graph run (filled by every factorize()).
   struct DagStats {
-    std::uint64_t tasks = 0;          ///< DAG nodes built
-    std::uint64_t edges = 0;          ///< inferred + explicit dependencies
+    std::uint64_t tasks = 0;          ///< graph nodes (Elim + Upd)
+    std::uint64_t edges = 0;          ///< inferred dependencies
     std::uint64_t executed = 0;       ///< task bodies actually run
     std::uint64_t ready_peak = 0;     ///< max released-but-not-started tasks
     std::uint64_t critical_path = 0;  ///< longest dependency chain (tasks)
@@ -240,27 +235,16 @@ private:
   void assemble_cblk(index_t k);
   void gather_panel(index_t k, const sparse::CscMatrix& src,
                     std::vector<lr::Tile>& panel, bool fill_diag);
-  void eliminate(index_t k);
-  /// Apply the right-looking updates of supernode k for column bloks
-  /// [jb, je), draining dependency counters and submitting (with their
-  /// critical-path priority) the successors that become ready.
-  void update_range(index_t k, index_t jb, index_t je);
   /// Diagonal factorization + policy elimination hook + panel solves of
   /// cblk k.
   void factor_panel(index_t k);
-  void factorize_left_looking();
-  /// Dataflow execution (options.dataflow == Dag): build the TaskGraph over
-  /// per-tile operations, then run it — sequentially in the canonical
-  /// (barrier) order, or released to the pool as in-degrees reach zero.
-  void factorize_dag(ThreadPool* pool);
-  /// Body of one DAG task; returns false on failure (stops the run).
-  bool run_dag_task(std::uint32_t id);
-  void dag_assemble(const DagTask& t);
-  void dag_factor(const DagTask& t);
-  void dag_compress(const DagTask& t);
-  void dag_trsm(const DagTask& t);
-  void dag_product(const DagTask& t);
-  void dag_apply(const DagTask& t);
+  void factorize_left_looking(const TaskGraph& g);
+  /// Drain body of one graph task; returns false on failure (stops the run).
+  bool run_task(const TaskGraph& g, std::uint32_t id);
+  /// Elim(k): factor_panel plus the epoch hand-off and the trace event.
+  void run_elim(index_t k);
+  /// Upd(k, t): every update of source k that lands in target t.
+  void run_update(const DagTask& u);
   /// Symbolic geometry of the (bi, bj) update produced by supernode k.
   [[nodiscard]] UpdateLoc locate_update(index_t k, index_t bi, index_t bj) const;
   /// Whether the update's contribution product must carry an orthonormal U
@@ -274,8 +258,8 @@ private:
   /// Apply a formed contribution product under the target lock: LR2GE onto
   /// the diagonal, LUAR accumulation, or extend-add.
   void finish_update(const UpdateLoc& loc, lr::Tile p);
-  /// Apply the (i,j) update produced by supernode k; returns the target cblk.
-  index_t apply_update(index_t k, index_t bi, index_t bj);
+  /// Apply the (i,j) update produced by supernode k.
+  void apply_update(index_t k, index_t bi, index_t bj);
   /// Merge a pending LUAR accumulator into its block (caller holds the
   /// target lock or the target is quiescent).
   void flush_accumulator(index_t cblk, bool upper, index_t blok_idx);
@@ -369,7 +353,7 @@ private:
 
   std::vector<CblkData> data_;
   std::vector<std::mutex> locks_;              // per-cblk update locks
-  std::vector<std::atomic<index_t>> deps_;     // remaining incoming updates
+  EpochGate epochs_;                           // per-cblk task hand-off
   ThreadPool* pool_ = nullptr;                 // active during factorize()
   real_t pivot_cutoff_ = 0;                    // absolute static-pivot threshold
   std::atomic<index_t> pivots_replaced_{0};
@@ -385,22 +369,6 @@ private:
   std::mutex error_mutex_;
   std::atomic<index_t> compressions_{0};  // compression-site counter (injection)
 
-  // ---- dataflow (options.dataflow == Dag) state ----------------------
-  /// Product → Apply hand-off: the product task forms the contribution and
-  /// parks it here; the (chained) apply task consumes it. Allocated lazily so
-  /// only in-flight updates hold slot storage.
-  struct DagUpdateSlot {
-    UpdateLoc loc;
-    lr::Tile prod;             ///< formed contribution (non-fused path)
-    const lr::Tile* a = nullptr;
-    const lr::Tile* b = nullptr;
-    bool dense_pair = false;   ///< defer the fused GEMM to the apply task
-    bool zero = false;         ///< rank-0 operand: the apply is a no-op
-  };
-  std::unique_ptr<TaskGraph> dag_;     ///< owned graph (cold Dag runs)
-  const TaskGraph* dagp_ = nullptr;    ///< active graph: reuse_.dag or dag_
-  std::unique_ptr<EpochGate> epochs_;
-  std::vector<std::unique_ptr<DagUpdateSlot>> dag_slots_;
   DagStats dag_stats_;
 
   // ---- solve phase (DESIGN.md §16) state ------------------------------

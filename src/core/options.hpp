@@ -45,30 +45,16 @@ enum class TilePrecision {
                ///< dense tiles and diagonal (pivotal) blocks always stay fp64
 };
 
-/// Update scheduling. Right-looking is the paper's setup (static parallel
-/// scheduler). Left-looking is the §4.3 extension: a supernode's panels are
-/// allocated, assembled and updated only when it is eliminated, so the
-/// Just-In-Time strategy's memory peak drops below the dense footprint
-/// (sequential execution only).
+/// Update scheduling. Right-looking is the paper's setup: the factorization
+/// task graph (DESIGN.md §12) drained over the pool, bit-identical at every
+/// thread count. Left-looking is the §4.3 extension: it walks the same
+/// update groups target by target, and a supernode's panels are allocated,
+/// assembled and updated only when it is eliminated, so the Just-In-Time
+/// strategy's memory peak drops below the dense footprint (sequential
+/// execution only).
 enum class Scheduling {
   RightLooking,
   LeftLooking,
-};
-
-/// Execution model of the right-looking factorization (DESIGN.md §12).
-/// Barrier is the classic driver: supernode eliminations synchronize at
-/// panel boundaries (factor + compress + TRSM + all updates of one supernode
-/// run as one task). Dag decomposes the factorization into per-tile tasks
-/// (assemble, factor, compress, TRSM, update product, update apply) with
-/// dependencies inferred from read/write sets over (supernode, block) tile
-/// addresses and released to the pool as their in-degree reaches zero — so
-/// the compression of one supernode overlaps the updates of another.
-/// Update-applies into one tile are chained in the barrier's order, which
-/// makes Dag results bit-identical to the sequential Barrier run at every
-/// thread count. Ignored (Barrier behavior) under Scheduling::LeftLooking.
-enum class Dataflow {
-  Barrier,
-  Dag,
 };
 
 /// Deterministic fault-injection hook: forces a specific breakdown so every
@@ -223,7 +209,10 @@ struct SolverOptions {
   /// or SVD. Read by every compressing strategy.
   lr::CompressionKind kind = lr::CompressionKind::Rrqr;
   real_t tolerance = 1e-8;  ///< block compression tolerance τ (default 1e-8); read by every compressing strategy
-  int threads = 1;          ///< worker threads for the numeric factorization (default 1 = sequential); read by every strategy
+  /// Worker threads for the numeric factorization (default 1: the task graph
+  /// drains in task-id order on the calling thread; every count gives the
+  /// same bits). Read by every strategy.
+  int threads = 1;
 
   /// Parallel triangular-solve phase (default on; DESIGN.md §16). Solves
   /// drain the cached SolvePlan DAG over a dedicated solve pool and are
@@ -242,14 +231,6 @@ struct SolverOptions {
   /// Left-looking is sequential-only and mainly benefits JustInTime's
   /// memory peak (§4.3).
   Scheduling scheduling = Scheduling::RightLooking;
-
-  /// Execution model of the right-looking driver (default Barrier, the
-  /// panel-synchronous loop — bit-identical to the pre-DAG engine). Dag runs
-  /// the factorization as a dependency-driven task graph over per-tile
-  /// operations (DESIGN.md §12): deterministic (bit-identical to the
-  /// sequential Barrier run at any thread count) and overlapping across
-  /// supernodes. Read by the numeric driver; ignored under LeftLooking.
-  Dataflow dataflow = Dataflow::Barrier;
 
   /// Per-tile storage precision (default Fp64). MixedTiles stores the U/V
   /// factors of eligible low-rank tiles in fp32 at rest — roughly halving
@@ -275,12 +256,6 @@ struct SolverOptions {
   /// this field without recompiling or changing code. Read by factorize(),
   /// which selects the process-global backend for the whole run.
   la::BackendChoice backend = la::BackendChoice::Auto;
-
-  /// Supernodes whose total off-diagonal panel height (rows) is at least
-  /// this are updated by 1D panel-split subtasks instead of a single task,
-  /// so one huge column block cannot occupy a single core while the rest of
-  /// the pool idles. 0 disables splitting.
-  index_t panel_split_rows = 512;
 
   /// Nested-dissection ordering knobs (defaults follow the paper's setup);
   /// read by analyze() before any strategy runs.
@@ -395,6 +370,5 @@ struct SolverOptions {
 const char* strategy_name(Strategy s);
 const char* kind_name(lr::CompressionKind k);
 const char* precision_name(TilePrecision p);
-const char* dataflow_name(Dataflow d);
 
 } // namespace blr::core

@@ -74,14 +74,6 @@ const char* precision_name(TilePrecision p) {
   return "?";
 }
 
-const char* dataflow_name(Dataflow d) {
-  switch (d) {
-    case Dataflow::Barrier: return "barrier";
-    case Dataflow::Dag: return "dag";
-  }
-  return "?";
-}
-
 const char* recovery_action_name(RecoveryStep::Action a) {
   switch (a) {
     case RecoveryStep::Action::TightenTolerance: return "tighten-tolerance";
@@ -308,21 +300,18 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
 
     // Warm passes replay everything the previous pass learned that is safe
     // to replay under THIS attempt's effective options: learned ranks
-    // (verify-and-grow, so always safe), pooled buffers, and — for the DAG
-    // engine — the immutable task skeleton, rebuilt only when the effective
-    // llt flavor changed (the recovery ladder can flip LLᵗ -> LU mid-call).
+    // (verify-and-grow, so always safe) and pooled buffers. Every attempt
+    // drains the cached task graph, which depends on the symbolic plan only
+    // (one graph serves LLᵗ and LU, so a ladder flip reuses it too).
     NumericFactor::Reuse reuse;
     if (warm) {
       if (opts_.warm_start && ranks_.valid) reuse.ranks = &ranks_;
       if (opts_.reuse_buffers) reuse.buffers = &buffers_;
-      if (eff.dataflow == Dataflow::Dag) {
-        if (!dag_cache_ || dag_cache_->llt() != llt_) {
-          dag_cache_ = std::make_unique<TaskGraph>(
-              TaskGraph::build(plan_->sf, llt_));
-        }
-        reuse.dag = dag_cache_.get();
-      }
     }
+    if (!dag_cache_) {
+      dag_cache_ = std::make_unique<TaskGraph>(TaskGraph::build(plan_->sf));
+    }
+    reuse.dag = dag_cache_.get();
 
     Timer timer;
     try {
@@ -534,7 +523,6 @@ void Solver::print_summary(std::ostream& os) const {
     os << " (rank cap " << opts_.mixed_rank_threshold << ")";
   }
   os << "\n"
-     << "  dataflow      : " << dataflow_name(opts_.dataflow) << "\n"
      << "  backend       : " << la::backend_choice_name(opts_.backend);
   if (!stats_.backend.empty()) {
     os << " -> " << stats_.backend;
@@ -621,7 +609,7 @@ void Solver::print_summary(std::ostream& os) const {
     os << "\n";
   }
   if (stats_.dag_tasks > 0) {
-    os << "  task dag      : " << stats_.dag_tasks << " tasks, "
+    os << "  task graph    : " << stats_.dag_tasks << " tasks, "
        << stats_.dag_edges << " edges, critical path "
        << stats_.dag_critical_path << ", ready peak "
        << stats_.dag_ready_peak << ", " << stats_.dag_executed
@@ -655,7 +643,7 @@ void Solver::print_summary(std::ostream& os) const {
            << at.scheduler_discarded << " cancelled)";
       }
       if (at.dag_tasks > 0) {
-        os << ", dag " << at.dag_executed << "/" << at.dag_tasks
+        os << ", graph " << at.dag_executed << "/" << at.dag_tasks
            << " executed";
       }
       os << "\n";

@@ -65,7 +65,7 @@ public:
   /// Cheap numeric pass over a matrix with the SAME pattern analyze() saw
   /// but (typically) different values. Reuses the symbolic plan verbatim,
   /// recycles the previous factors' storage through a buffer pool, replays
-  /// the cached task graph (Dataflow::Dag), and seeds each block's
+  /// the cached task graph, and seeds each block's
   /// compression with the previously learned rank — verified at the τ bound
   /// and grown on mismatch, so accuracy is identical to a cold factorize()
   /// (DESIGN.md §15). Falls back to factorize() when analyze() has not run;
@@ -170,7 +170,7 @@ private:
   // Warm state carried between numeric passes over one plan (DESIGN.md §15).
   RankMemory ranks_;            ///< per-block ranks learned by the last pass
   lr::BufferPool buffers_;      ///< retired factor storage for reuse
-  std::unique_ptr<TaskGraph> dag_cache_;  ///< immutable task skeleton (Dag)
+  std::unique_ptr<TaskGraph> dag_cache_;  ///< factorization task graph
   std::uint64_t refactorizations_ = 0;
   /// Summary of the last terminal factorization failure (empty: none);
   /// embedded in the structured not-factorized error require_factors throws.
@@ -180,7 +180,6 @@ private:
 } // namespace blr::core
 
 namespace blr {
-using core::Dataflow;
 using core::Factorization;
 using core::RefinementOptions;
 using core::RefinementResult;

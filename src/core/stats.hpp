@@ -43,8 +43,8 @@ struct FactorizeAttempt {
   std::size_t peak_bytes = 0;            ///< tracker total high-water mark
   std::uint64_t scheduler_tasks = 0;     ///< pool tasks executed
   std::uint64_t scheduler_discarded = 0; ///< pool tasks drained by cancellation
-  std::uint64_t dag_tasks = 0;           ///< DAG nodes built (Dataflow::Dag)
-  std::uint64_t dag_executed = 0;        ///< DAG task bodies actually run
+  std::uint64_t dag_tasks = 0;           ///< task-graph nodes (Elim + Upd)
+  std::uint64_t dag_executed = 0;        ///< task bodies actually run
 };
 
 /// Warm-start counters of one numeric pass (DESIGN.md §15; all zero for
@@ -143,17 +143,16 @@ struct SolverStats {
   // runs; aggregated over workers — per-worker detail via
   // Solver::worker_stats()).
   int scheduler_workers = 0;              ///< pool size used
-  std::uint64_t scheduler_tasks = 0;      ///< tasks executed (incl. subtasks)
+  std::uint64_t scheduler_tasks = 0;      ///< tasks executed (Elim + Upd)
   std::uint64_t scheduler_steals = 0;     ///< successful deque steals
   std::uint64_t scheduler_failed_steals = 0;  ///< empty-handed victim sweeps
   std::uint64_t scheduler_idle_sleeps = 0;    ///< worker blocking waits
   /// Tasks drained unrun by cooperative cancellation after a breakdown.
   std::uint64_t scheduler_discarded = 0;
 
-  // Task-DAG counters of the last factorize() (all zero under
-  // SolverOptions::dataflow == Dataflow::Barrier; DESIGN.md §12).
-  std::uint64_t dag_tasks = 0;          ///< tasks in the built graph
-  std::uint64_t dag_edges = 0;          ///< inferred + explicit edges (deduped)
+  // Task-graph counters of the last factorize() (DESIGN.md §12).
+  std::uint64_t dag_tasks = 0;          ///< Elim + Upd tasks in the graph
+  std::uint64_t dag_edges = 0;          ///< inferred edges (deduped)
   std::uint64_t dag_executed = 0;       ///< task bodies actually run
   std::uint64_t dag_ready_peak = 0;     ///< max ready-but-unstarted tasks
   std::uint64_t dag_critical_path = 0;  ///< longest dependency chain (tasks)

@@ -1,23 +1,12 @@
 #include "core/task_graph.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
 
 #include "common/error.hpp"
 
 namespace blr::core {
-
-const char* dag_task_kind_name(DagTaskKind k) {
-  switch (k) {
-    case DagTaskKind::Assemble: return "assemble";
-    case DagTaskKind::Factor: return "factor";
-    case DagTaskKind::Compress: return "compress";
-    case DagTaskKind::Trsm: return "trsm";
-    case DagTaskKind::Product: return "product";
-    case DagTaskKind::Apply: return "apply";
-  }
-  return "?";
-}
 
 // ---------------------------------------------------------------- DepBuilder
 
@@ -29,14 +18,6 @@ void DepBuilder::read(std::uint32_t task, std::uint64_t addr) {
 
 void DepBuilder::write(std::uint32_t task, std::uint64_t addr) {
   accesses_.push_back({addr, task, true});
-}
-
-void DepBuilder::edge(std::uint32_t from, std::uint32_t to) {
-  if (from >= to) {
-    throw Error("task graph: explicit edge must point forward in the "
-                "canonical order");
-  }
-  extra_.push_back({from, to});
 }
 
 DepBuilder::Deps DepBuilder::infer() const {
@@ -76,7 +57,7 @@ DepBuilder::Deps DepBuilder::infer() const {
   // and WAW edges. Edges are packed (from << 32 | to) so the per-task
   // bucketing below stays branch-light.
   std::vector<std::uint64_t> edges;
-  edges.reserve(extra_.size() + accesses_.size());
+  edges.reserve(accesses_.size());
   const auto emit = [&edges](std::uint32_t from, std::uint32_t to) {
     if (from >= to) {
       throw Error("task graph: inferred edge points backwards — accesses "
@@ -109,13 +90,12 @@ DepBuilder::Deps DepBuilder::infer() const {
       }
     }
   }
-  for (const auto& e : extra_) emit(e.first, e.second);
 
   // Bucket edges by source task (counting sort — tasks are dense), then
   // deduplicate each task's successor list in place. The same pair can
   // arise through several addresses; the canonical declaration order is a
   // topological order (enforced by emit()), which is what makes the
-  // sequential min-id executor reproduce the barrier schedule exactly.
+  // sequential min-id executor reproduce the declaration order exactly.
   Deps d;
   d.succ_offset.assign(static_cast<std::size_t>(ntasks_) + 1, 0);
   d.indeg.assign(ntasks_, 0);
@@ -159,7 +139,7 @@ EpochGate::EpochGate(std::uint64_t num_addrs)
 void EpochGate::expect(std::uint64_t addr, std::uint8_t want) const {
   const std::uint8_t got = ep_[addr].load(std::memory_order_acquire);
   if (got != want) {
-    throw Error("dag epoch violation: tile address " + std::to_string(addr) +
+    throw Error("dag epoch violation: supernode " + std::to_string(addr) +
                 " is at epoch " + std::to_string(int(got)) + ", task expects " +
                 std::to_string(int(want)));
   }
@@ -170,7 +150,7 @@ void EpochGate::advance(std::uint64_t addr, std::uint8_t from, std::uint8_t to) 
   if (!ep_[addr].compare_exchange_strong(expected, to,
                                          std::memory_order_release,
                                          std::memory_order_acquire)) {
-    throw Error("dag epoch violation: tile address " + std::to_string(addr) +
+    throw Error("dag epoch violation: supernode " + std::to_string(addr) +
                 " cannot advance " + std::to_string(int(from)) + " -> " +
                 std::to_string(int(to)) + ", found epoch " +
                 std::to_string(int(expected)));
@@ -179,127 +159,62 @@ void EpochGate::advance(std::uint64_t addr, std::uint8_t from, std::uint8_t to) 
 
 // ----------------------------------------------------------------- TaskGraph
 
-TaskGraph TaskGraph::build(const symbolic::SymbolicFactor& sf, bool llt) {
+TaskGraph TaskGraph::build(const symbolic::SymbolicFactor& sf) {
   TaskGraph g;
-  g.llt_ = llt;
   const index_t ncblk = sf.num_cblks();
+  const auto addr = [](index_t k) { return static_cast<std::uint64_t>(k); };
 
-  // Dense tile-address space: per supernode one diagonal address, nb L-panel
-  // addresses and (LU) nb U-panel addresses.
-  g.addr_base_.assign(static_cast<std::size_t>(ncblk) + 1, 0);
-  for (index_t k = 0; k < ncblk; ++k) {
-    const std::uint64_t nb = sf.cblk(k).bloks.size();
-    g.addr_base_[static_cast<std::size_t>(k) + 1] =
-        g.addr_base_[static_cast<std::size_t>(k)] + 1 + (llt ? nb : 2 * nb);
-  }
-  g.naddrs_ = g.addr_base_[static_cast<std::size_t>(ncblk)];
-
-  // Exact task/access counts, so the builder's vectors allocate once.
-  std::uint64_t ntasks = 0, naccess = g.naddrs_;
-  for (index_t k = 0; k < ncblk; ++k) {
-    const std::uint64_t nb = sf.cblk(k).bloks.size();
-    const std::uint64_t panels = (llt ? 1 : 2) * nb;
-    const std::uint64_t nupd = llt ? nb * (nb + 1) / 2 : nb * nb;
-    ntasks += 1 /*assemble*/ + 1 /*factor*/ + 2 * panels + 2 * nupd;
-    naccess += 1 /*factor*/ + panels /*compress*/ + 2 * panels /*trsm*/ +
-               3 * nupd /*product+apply*/;
-  }
-
+  // Sources in decreasing critical-path priority — the order the pool's
+  // scheduler prefers, and a topological order of the elimination tree
+  // (a child always outranks its parent). Each source declares Elim(k),
+  // then one Upd(k, t) per run of k's bloks facing the same target t.
+  // Bloks ascend by row, hence by target, so each run is contiguous.
+  const std::size_t nc = static_cast<std::size_t>(ncblk);
+  const auto& prio = sf.critical_priorities();
+  std::vector<index_t> order(nc);
+  std::iota(order.begin(), order.end(), index_t{0});
+  std::stable_sort(order.begin(), order.end(), [&prio](index_t x, index_t y) {
+    return prio[static_cast<std::size_t>(x)] > prio[static_cast<std::size_t>(y)];
+  });
+  std::vector<std::uint32_t> elim_id(nc);
   DepBuilder b;
-  b.reserve(ntasks, naccess);
-  g.tasks_.reserve(ntasks);
-  const auto declare = [&](DagTask t) {
-    const std::uint32_t id = b.add_task();
-    g.tasks_.push_back(t);
-    return id;
-  };
-
-  // Canonical order = the barrier driver's sequential execution order.
-  // Assembly first (the barrier right-looking driver assembles everything
-  // up front), so Assemble(k) has task id k.
-  for (index_t k = 0; k < ncblk; ++k) {
-    const index_t nb = static_cast<index_t>(sf.cblk(k).bloks.size());
-    const std::uint32_t id = declare({DagTaskKind::Assemble, k, -1, -1, false, 0});
-    b.write(id, g.diag_addr(k));
-    for (index_t i = 0; i < nb; ++i) b.write(id, g.panel_addr(k, false, i));
-    if (!llt)
-      for (index_t i = 0; i < nb; ++i) b.write(id, g.panel_addr(k, true, i));
-  }
-
-  std::uint32_t upd = 0;
-  for (index_t k = 0; k < ncblk; ++k) {
+  for (const index_t k : order) {
+    const std::uint32_t e = b.add_task();
+    elim_id[static_cast<std::size_t>(k)] = e;
+    g.tasks_.push_back({DagTaskKind::Elim, k, k, -1, -1});
+    b.write(e, addr(k));
     const auto& bloks = sf.cblk(k).bloks;
     const index_t nb = static_cast<index_t>(bloks.size());
-
-    // Diagonal factorization: chained behind the last update into the diag.
-    const std::uint32_t fid = declare({DagTaskKind::Factor, k, -1, -1, false, 0});
-    b.write(fid, g.diag_addr(k));
-
-    // Elimination-time per-tile hook (LUAR flush + policy compression), in
-    // the barrier's panel order: L tiles by index, then U tiles.
-    for (int up = 0; up < (llt ? 1 : 2); ++up) {
-      for (index_t i = 0; i < nb; ++i) {
-        const std::uint32_t cid =
-            declare({DagTaskKind::Compress, k, i, -1, up == 1, 0});
-        b.write(cid, g.panel_addr(k, up == 1, i));
-      }
-    }
-
-    // Panel solves: each reads the factored diagonal, writes its own tile.
-    for (int up = 0; up < (llt ? 1 : 2); ++up) {
-      for (index_t i = 0; i < nb; ++i) {
-        const std::uint32_t tid =
-            declare({DagTaskKind::Trsm, k, i, -1, up == 1, 0});
-        b.read(tid, g.diag_addr(k));
-        b.write(tid, g.panel_addr(k, up == 1, i));
-      }
-    }
-
-    // Right-looking updates in the barrier's (col outer, row inner) pair
-    // order. Each splits into the lock-free Product (reads two factored
-    // source tiles, writes a private slot) and the chained Apply (writes the
-    // target tile address — the write chain that pins bitwise determinism).
-    for (index_t j = 0; j < nb; ++j) {
-      for (index_t i = llt ? j : 0; i < nb; ++i) {
-        const symbolic::Blok& rb = bloks[static_cast<std::size_t>(i)];
-        const symbolic::Blok& cb = bloks[static_cast<std::size_t>(j)];
-        const std::uint32_t pid =
-            declare({DagTaskKind::Product, k, i, j, false, upd});
-        b.read(pid, g.panel_addr(k, false, i));
-        b.read(pid, llt ? g.panel_addr(k, false, j) : g.panel_addr(k, true, j));
-
-        std::uint64_t target_addr;
-        if (rb.fcblk == cb.fcblk) {
-          target_addr = g.diag_addr(rb.fcblk);
-        } else if (rb.fcblk > cb.fcblk) {
-          const index_t tb = sf.find_blok(cb.fcblk, rb.frow, rb.lrow);
-          target_addr = g.panel_addr(cb.fcblk, false, tb);
-          // The product's orthonormality requirement reads the target tile's
-          // assembly-time representation, so it must wait for the target's
-          // assembly (Assemble(t) has task id t).
-          b.edge(static_cast<std::uint32_t>(cb.fcblk), pid);
-        } else {
-          const index_t tb = sf.find_blok(rb.fcblk, cb.frow, cb.lrow);
-          target_addr = g.panel_addr(rb.fcblk, true, tb);
-          b.edge(static_cast<std::uint32_t>(rb.fcblk), pid);
-        }
-
-        const std::uint32_t aid =
-            declare({DagTaskKind::Apply, k, i, j, false, upd});
-        b.edge(pid, aid);  // the product result travels through the slot
-        b.write(aid, target_addr);
-        ++upd;
-      }
+    for (index_t b0 = 0, b1 = 0; b0 < nb; b0 = b1) {
+      const index_t t = bloks[static_cast<std::size_t>(b0)].fcblk;
+      while (b1 < nb && bloks[static_cast<std::size_t>(b1)].fcblk == t) ++b1;
+      const std::uint32_t u = b.add_task();
+      g.tasks_.push_back({DagTaskKind::Upd, k, t, b0, b1});
+      b.read(u, addr(k));
+      b.write(u, addr(t));
     }
   }
-
-  g.nupdates_ = upd;
   g.deps_ = b.infer();
+
+  // Upd ids by target in ascending source (counting sort over the sources;
+  // a source's Upd tasks directly follow its Elim).
+  auto& off = g.into_offset_;
+  off.assign(nc + 1, 0);
+  for (const DagTask& t : g.tasks_)
+    if (t.kind == DagTaskKind::Upd) ++off[static_cast<std::size_t>(t.t) + 1];
+  for (std::size_t t = 0; t < nc; ++t) off[t + 1] += off[t];
+  g.into_.resize(off[nc]);
+  std::vector<std::uint32_t> next(off.begin(), off.end() - 1);
+  for (std::size_t k = 0; k < nc; ++k) {
+    for (std::uint32_t id = elim_id[k] + 1;
+         id < g.num_tasks() && g.tasks_[id].kind == DagTaskKind::Upd; ++id)
+      g.into_[next[static_cast<std::size_t>(g.tasks_[id].t)]++] = id;
+  }
 
   // Critical path: longest chain in tasks, by one reverse sweep (edges all
   // point forward, so ids in reverse are a topological order).
   std::vector<std::uint32_t> depth(g.tasks_.size(), 1);
-  for (std::uint32_t t = static_cast<std::uint32_t>(g.tasks_.size()); t-- > 0;) {
+  for (std::uint32_t t = g.num_tasks(); t-- > 0;) {
     const auto [s, e] = g.successors(t);
     for (const std::uint32_t* p = s; p != e; ++p)
       depth[t] = std::max(depth[t], depth[*p] + 1);
@@ -370,7 +285,7 @@ DepDrainStats drain_deps(
   if (pool == nullptr) {
     // Sequential: always run the lowest-id ready task. Task ids are the
     // canonical sequence numbers, so this reproduces the declaration
-    // (barrier / two-sweep) execution order exactly (DESIGN.md §12).
+    // order exactly (DESIGN.md §12, §16).
     std::vector<std::int32_t> indeg(deps.indeg);
     std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
                         std::greater<>> heap;
@@ -405,13 +320,6 @@ DepDrainStats drain_deps(
   rs.executed = run.executed.load(std::memory_order_relaxed);
   rs.ready_peak = run.ready_peak.load(std::memory_order_relaxed);
   return rs;
-}
-
-TaskGraph::RunStats TaskGraph::execute(
-    ThreadPool* pool, const std::function<bool(std::uint32_t)>& body,
-    const std::function<std::int64_t(std::uint32_t)>& priority) const {
-  const DepDrainStats ds = drain_deps(deps_, pool, body, priority);
-  return {ds.executed, ds.ready_peak};
 }
 
 } // namespace blr::core

@@ -61,19 +61,19 @@ CscMatrix zero_row_col(const CscMatrix& a, index_t j0) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault kinds x {sequential, parallel, parallel with split panels} x
-// {barrier, dag}
+// Fault kinds x {sequential, parallel, parallel with finer supernodes} x
+// {fp64, mixed-precision tiles}
 // ---------------------------------------------------------------------------
 
-/// SolverOptions' panel-split threshold, and one low enough that the 8^3
-/// Laplacian's tallest panels are updated by row-split subtasks.
-const int kDefaultSplit = static_cast<int>(SolverOptions{}.panel_split_rows);
-constexpr int kForcedSplit = 48;
+/// small_opts()' supernode split size, and a finer one that doubles the
+/// supernode count (and so the update groups) on the 8^3 Laplacian.
+constexpr int kDefaultSplit = 32;
+constexpr int kFineSplit = 16;
 
 struct Mode {
   int threads;
-  core::Dataflow dataflow;
-  int panel_split_rows;
+  TilePrecision precision;
+  int split_size;
 };
 
 class FaultModeTest : public ::testing::TestWithParam<Mode> {
@@ -81,8 +81,9 @@ protected:
   SolverOptions opts_for_mode() {
     SolverOptions opts = small_opts();
     opts.threads = GetParam().threads;
-    opts.dataflow = GetParam().dataflow;
-    opts.panel_split_rows = GetParam().panel_split_rows;
+    opts.precision = GetParam().precision;
+    opts.split.split_size = GetParam().split_size;
+    opts.split.split_threshold = 2 * GetParam().split_size;
     return opts;
   }
 };
@@ -175,64 +176,71 @@ TEST_P(FaultModeTest, CompressionFailureIsStructured) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, FaultModeTest,
     ::testing::Values(
-        Mode{1, core::Dataflow::Barrier, kDefaultSplit},
-        Mode{4, core::Dataflow::Barrier, kDefaultSplit},
-        Mode{4, core::Dataflow::Barrier, kForcedSplit},
-        Mode{1, core::Dataflow::Dag, kDefaultSplit},
-        Mode{4, core::Dataflow::Dag, kDefaultSplit},
-        Mode{4, core::Dataflow::Dag, kForcedSplit}),
+        Mode{1, TilePrecision::Fp64, kDefaultSplit},
+        Mode{4, TilePrecision::Fp64, kDefaultSplit},
+        Mode{4, TilePrecision::Fp64, kFineSplit},
+        Mode{1, TilePrecision::MixedTiles, kDefaultSplit},
+        Mode{4, TilePrecision::MixedTiles, kDefaultSplit},
+        Mode{4, TilePrecision::MixedTiles, kFineSplit}),
+    // The suffixes keep the test IDs of the former engine axes: "Split" now
+    // marks the finer supernodes, "Dag" the mixed-precision tiles.
     [](const ::testing::TestParamInfo<Mode>& info) {
       std::string s =
           info.param.threads == 1 ? "Sequential" : "ParallelWorkStealing";
-      if (info.param.panel_split_rows == kForcedSplit) s += "Split";
-      if (info.param.dataflow == core::Dataflow::Dag) s += "Dag";
+      if (info.param.split_size == kFineSplit) s += "Split";
+      if (info.param.precision == TilePrecision::MixedTiles) s += "Dag";
       return s;
     });
 
-// The structured report of a deterministic (sequential) breakdown must not
-// depend on the execution engine: the dataflow run replays the canonical
-// order, so every field matches the barrier run's report exactly.
+// The structured report of a supernode-addressed breakdown must not depend
+// on the schedule: the sequential drain, a pool drain and the left-looking
+// walk meet the fault at the same supernode and pivot, so every field
+// matches exactly. (Compression-site faults count sites in execution order,
+// which differs between schedules; FaultModeTest covers them. The name
+// predates the single driver.)
 TEST(DagBreakdown, SequentialFaultReportsMatchBarrier) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
-  const FaultInjection::Kind kinds[] = {FaultInjection::Kind::TinyPivot,
-                                        FaultInjection::Kind::PoisonBlock,
-                                        FaultInjection::Kind::CompressionFail};
-  for (const auto kind : kinds) {
-    FailureReport reports[2];
-    for (const core::Dataflow df :
-         {core::Dataflow::Barrier, core::Dataflow::Dag}) {
+  struct Schedule {
+    int threads;
+    core::Scheduling scheduling;
+  };
+  constexpr Schedule kSchedules[] = {{1, core::Scheduling::RightLooking},
+                                     {4, core::Scheduling::RightLooking},
+                                     {1, core::Scheduling::LeftLooking}};
+  for (const auto kind :
+       {FaultInjection::Kind::TinyPivot, FaultInjection::Kind::PoisonBlock}) {
+    std::vector<FailureReport> reports;
+    for (const Schedule& sch : kSchedules) {
       SolverOptions opts = small_opts();
       opts.strategy = Strategy::JustInTime;
       opts.factorization = Factorization::Lu;
-      opts.dataflow = df;
+      opts.threads = sch.threads;
+      opts.scheduling = sch.scheduling;
       opts.fault.kind = kind;
-      if (kind == FaultInjection::Kind::CompressionFail) {
-        opts.fault.index = 2;  // third compression site
-      } else {
-        opts.fault.supernode = 2;
-      }
+      opts.fault.supernode = 2;
       Solver solver(opts);
       try {
         solver.factorize(a);
-        FAIL() << "expected NumericalError";
+        ADD_FAILURE() << "expected NumericalError";
       } catch (const NumericalError& e) {
-        reports[df == core::Dataflow::Dag] = e.report();
+        reports.push_back(e.report());
       }
       EXPECT_FALSE(solver.factorized());
     }
-    EXPECT_EQ(reports[0].kind, reports[1].kind);
-    EXPECT_EQ(reports[0].supernode, reports[1].supernode);
-    EXPECT_EQ(reports[0].local_pivot, reports[1].local_pivot);
-    EXPECT_EQ(reports[0].strategy, reports[1].strategy);
-    EXPECT_EQ(reports[0].factorization, reports[1].factorization);
-    EXPECT_EQ(reports[0].detail, reports[1].detail);
-    // Every rendered field but the wall time matches.
-    reports[1].elapsed_seconds = reports[0].elapsed_seconds;
-    EXPECT_EQ(reports[0].to_string(), reports[1].to_string());
+    ASSERT_EQ(reports.size(), 3u);
+    for (FailureReport& r : reports) {
+      EXPECT_EQ(r.kind, reports[0].kind);
+      EXPECT_EQ(r.supernode, 2);
+      EXPECT_EQ(r.local_pivot, reports[0].local_pivot);
+      EXPECT_EQ(r.detail, reports[0].detail);
+      // Every rendered field but the wall time matches.
+      r.elapsed_seconds = reports[0].elapsed_seconds;
+      EXPECT_EQ(r.to_string(), reports[0].to_string());
+    }
   }
 }
 
-// A mid-DAG breakdown must cancel everything still queued: no task body
+// A mid-graph breakdown must cancel everything still queued: no task body
 // leaks past ThreadPool::cancel, the pool drains idle, and the very same
 // solver (same pool) factorizes cleanly afterwards.
 TEST(DagBreakdown, BreakdownCancelsOutstandingDagTasks) {
@@ -241,7 +249,6 @@ TEST(DagBreakdown, BreakdownCancelsOutstandingDagTasks) {
   opts.strategy = Strategy::JustInTime;
   opts.factorization = Factorization::Lu;
   opts.threads = 4;
-  opts.dataflow = core::Dataflow::Dag;
   opts.fault.kind = FaultInjection::Kind::TinyPivot;
   opts.fault.supernode = 0;
   Solver solver(opts);
@@ -249,7 +256,7 @@ TEST(DagBreakdown, BreakdownCancelsOutstandingDagTasks) {
   EXPECT_THROW(solver.factorize(a), NumericalError);
   const SolverStats& st = solver.stats();
   ASSERT_GT(st.dag_tasks, 0u);
-  // The failing Factor task stops the run: its subtree is never released
+  // The failing Elim task stops the run: its subtree is never released
   // (and anything already queued drains discarded), so far fewer bodies ran
   // than exist. Whether the pool's queue held tasks at cancel time is a
   // race, so the suppression is asserted on the release layer — some tasks
@@ -258,7 +265,7 @@ TEST(DagBreakdown, BreakdownCancelsOutstandingDagTasks) {
   EXPECT_LT(st.dag_executed + st.scheduler_discarded, st.dag_tasks);
 
   // The pool survives: the consumed fault budget lets the same solver
-  // factorize and solve cleanly, with every DAG task running this time.
+  // factorize and solve cleanly, with every graph task running this time.
   solver.factorize(a);
   EXPECT_TRUE(solver.factorized());
   EXPECT_EQ(solver.stats().dag_executed, solver.stats().dag_tasks);
@@ -269,17 +276,18 @@ TEST(DagBreakdown, BreakdownCancelsOutstandingDagTasks) {
   EXPECT_LT(sparse::backward_error(a, x.data(), b.data()), 1e-5);
 }
 
-// The recovery ladder must behave identically when the failing attempt runs
-// as a DAG: same rung sequence, same effective configuration, same result.
+// The recovery ladder must behave identically whether the failing attempt
+// drains in task-id order or over the pool: same rung sequence, same
+// effective configuration, same result. (The name predates the single
+// driver.)
 TEST(DagBreakdown, RecoveryLadderMatchesBarrier) {
   const CscMatrix a = negated(sparse::laplacian_3d(6, 6, 6));
   std::vector<SolverStats> stats;
-  for (const core::Dataflow df :
-       {core::Dataflow::Barrier, core::Dataflow::Dag}) {
+  for (const int threads : {1, 4}) {
     SolverOptions opts = small_opts();
     opts.strategy = Strategy::JustInTime;
     opts.factorization = Factorization::Llt;
-    opts.dataflow = df;
+    opts.threads = threads;
     opts.recovery.enabled = true;  // default ladder
     Solver solver(opts);
     solver.factorize(a);
@@ -315,16 +323,14 @@ index_t first_scheduled_supernode(const CscMatrix& a, SolverOptions opts) {
 }
 
 TEST(Cancellation, BreakdownCancelsOutstandingWork) {
-  // Plenty of supernodes, one elimination task each (panel splitting off),
-  // with the fault at the first leaf the scheduler picks: the breakdown
-  // fires immediately and the cancelled pool must drain the queued
-  // eliminations instead of running them.
+  // Plenty of supernodes, with the fault at the first leaf the scheduler
+  // picks: the breakdown fires immediately and the cancelled pool must
+  // drain the queued eliminations instead of running them.
   const CscMatrix a = sparse::laplacian_3d(12, 12, 12);
   SolverOptions opts = small_opts();
   opts.strategy = Strategy::JustInTime;
   opts.factorization = Factorization::Lu;
   opts.threads = 4;
-  opts.panel_split_rows = 0;  // task count == elimination count
   opts.fault.kind = FaultInjection::Kind::TinyPivot;
   opts.fault.supernode = first_scheduled_supernode(a, opts);
   Solver solver(opts);
@@ -337,8 +343,9 @@ TEST(Cancellation, BreakdownCancelsOutstandingWork) {
   // (b) queued work was discarded unrun.
   EXPECT_LT(st.scheduler_tasks, static_cast<std::uint64_t>(st.num_cblks) / 2);
   EXPECT_GT(st.scheduler_discarded, 0u);
-  // Nothing ran twice: executed + discarded never exceeds the submissions
-  // possible (every supernode is submitted at most once).
+  // Nothing ran twice, and the breakdown stopped the release of most of the
+  // graph: everything submitted — run or discarded — stays below even the
+  // supernode count (the graph has more tasks than that).
   EXPECT_LE(st.scheduler_tasks + st.scheduler_discarded,
             static_cast<std::uint64_t>(st.num_cblks));
 

@@ -1,7 +1,7 @@
 // Golden cross-strategy regression: every update policy (Minimal-Memory,
 // Just-In-Time, Adaptive) crossed with both compression kernels and the
-// sequential, parallel-barrier and parallel-DAG drivers must solve the same
-// seeded Laplacian to tolerance.
+// sequential, parallel LLᵗ and parallel LU runs must solve the same seeded
+// Laplacian to tolerance.
 // Also pins the memory ordering the policies are designed around (MinMem <=
 // Adaptive <= Dense for tracked factor bytes) and the workspace footprint of
 // the Minimal-Memory scenario (contributions are tracked tiles; their
@@ -44,7 +44,7 @@ struct CrossConfig {
   Strategy strategy;
   lr::CompressionKind kind;
   int threads;
-  core::Dataflow dataflow;
+  Factorization facto;
 };
 
 class CrossStrategy : public ::testing::TestWithParam<CrossConfig> {};
@@ -55,7 +55,7 @@ TEST_P(CrossStrategy, SeededLaplacianSolvesToTolerance) {
   const real_t tol = 1e-8;
   SolverOptions opts = small_problem_options(cfg.strategy, cfg.kind, tol);
   opts.threads = cfg.threads;
-  opts.dataflow = cfg.dataflow;
+  opts.factorization = cfg.facto;
 
   Solver solver(opts);
   solver.factorize(a);
@@ -74,7 +74,7 @@ TEST_P(CrossStrategy, SeededLaplacianSolvesToTolerance) {
                          return d.kernel == name && d.calls > 0;
                        });
   };
-  EXPECT_TRUE(has("potrf[ge]"));
+  EXPECT_TRUE(has(solver.is_llt() ? "potrf[ge]" : "getrf[ge]"));
   EXPECT_TRUE(has("compress[ge]"));
 }
 
@@ -89,7 +89,8 @@ std::string cross_name(const ::testing::TestParamInfo<CrossConfig>& info) {
   }
   s += c.kind == lr::CompressionKind::Svd ? "_SVD" : "_RRQR";
   s += c.threads <= 1 ? "_Seq" : "_WS";
-  if (c.dataflow == core::Dataflow::Dag) s += "Dag";
+  // "Dag" keeps the test ID of the former engine axis; it marks LU runs.
+  if (c.facto == Factorization::Lu) s += "Dag";
   return s;
 }
 
@@ -99,9 +100,9 @@ std::vector<CrossConfig> cross_matrix() {
        {Strategy::MinimalMemory, Strategy::JustInTime, Strategy::Adaptive}) {
     for (const lr::CompressionKind k :
          {lr::CompressionKind::Svd, lr::CompressionKind::Rrqr}) {
-      v.push_back({s, k, 1, core::Dataflow::Barrier});
-      v.push_back({s, k, 4, core::Dataflow::Barrier});
-      v.push_back({s, k, 4, core::Dataflow::Dag});
+      v.push_back({s, k, 1, Factorization::Auto});
+      v.push_back({s, k, 4, Factorization::Auto});
+      v.push_back({s, k, 4, Factorization::Lu});
     }
   }
   return v;

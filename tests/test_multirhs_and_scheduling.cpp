@@ -212,13 +212,12 @@ TEST(Trace, ParallelTraceCoversEveryCblkOnceWithoutWorkerOverlap) {
   SolverOptions o = demo_opts(Strategy::JustInTime);
   o.collect_trace = true;
   o.threads = 4;
-  o.panel_split_rows = 48;  // force the panel-split subtask path
   Solver solver(o);
   solver.factorize(a);
   const auto& tr = solver.trace();
 
-  // Every supernode appears exactly once, even though its updates may have
-  // been spread over several panel-split subtasks.
+  // Every supernode appears exactly once, even though its updates ran as
+  // separate Upd tasks.
   ASSERT_EQ(static_cast<index_t>(tr.size()), solver.stats().num_cblks);
   std::vector<char> seen(static_cast<std::size_t>(solver.stats().num_cblks), 0);
   std::map<std::size_t, std::vector<const core::TraceEvent*>> by_worker;
@@ -242,15 +241,15 @@ TEST(Trace, ParallelTraceCoversEveryCblkOnceWithoutWorkerOverlap) {
   }
 }
 
-// The dataflow engine records its one-event-per-supernode trace from the
-// Factor task; the same coverage and per-worker serialization invariants
-// must hold as under the barrier scheduler.
+// The same coverage and per-worker serialization invariants hold for the LU
+// graph drain, whose Upd tasks also fill the U panels. (The name predates
+// the single driver.)
 TEST(Trace, DagParallelTraceCoversEveryCblkOnceWithoutWorkerOverlap) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   SolverOptions o = demo_opts(Strategy::JustInTime);
   o.collect_trace = true;
   o.threads = 4;
-  o.dataflow = core::Dataflow::Dag;
+  o.factorization = Factorization::Lu;
   Solver solver(o);
   solver.factorize(a);
   const auto& tr = solver.trace();

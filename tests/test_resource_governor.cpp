@@ -142,18 +142,19 @@ TEST(TrackerBudget, ReportCarriesStructuredBreach) {
 
 // ---------------------------------------------------------------------------
 // Budget grid: tight-but-feasible and infeasible budgets across execution
-// modes (sequential / parallel / parallel with split panels x Barrier / Dag)
+// modes (sequential / parallel / parallel with finer supernodes x fp64 /
+// mixed-precision tiles)
 // ---------------------------------------------------------------------------
 
-/// SolverOptions' panel-split threshold, and one low enough that the 10^3
-/// Laplacian's tallest panels are updated by row-split subtasks.
-const int kDefaultSplit = static_cast<int>(SolverOptions{}.panel_split_rows);
-constexpr int kForcedSplit = 48;
+/// small_opts()' supernode split size, and a finer one that doubles the
+/// supernode count (and so the update groups) on the 10^3 Laplacian.
+constexpr int kDefaultSplit = 32;
+constexpr int kFineSplit = 16;
 
 struct GovMode {
   int threads;
-  core::Dataflow dataflow;
-  int panel_split_rows;
+  TilePrecision precision;
+  int split_size;
 };
 
 class BudgetModeTest : public ::testing::TestWithParam<GovMode> {
@@ -161,8 +162,9 @@ protected:
   SolverOptions opts_for_mode() {
     SolverOptions opts = small_opts();
     opts.threads = GetParam().threads;
-    opts.dataflow = GetParam().dataflow;
-    opts.panel_split_rows = GetParam().panel_split_rows;
+    opts.precision = GetParam().precision;
+    opts.split.split_size = GetParam().split_size;
+    opts.split.split_threshold = 2 * GetParam().split_size;
     return opts;
   }
 };
@@ -217,17 +219,20 @@ TEST_P(BudgetModeTest, InfeasibleBudgetFailsSoftlyAndSurvives) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, BudgetModeTest,
-    ::testing::Values(GovMode{1, core::Dataflow::Barrier, kDefaultSplit},
-                      GovMode{1, core::Dataflow::Dag, kDefaultSplit},
-                      GovMode{4, core::Dataflow::Barrier, kDefaultSplit},
-                      GovMode{4, core::Dataflow::Dag, kDefaultSplit},
-                      GovMode{4, core::Dataflow::Barrier, kForcedSplit},
-                      GovMode{4, core::Dataflow::Dag, kForcedSplit}),
+    ::testing::Values(GovMode{1, TilePrecision::Fp64, kDefaultSplit},
+                      GovMode{1, TilePrecision::MixedTiles, kDefaultSplit},
+                      GovMode{4, TilePrecision::Fp64, kDefaultSplit},
+                      GovMode{4, TilePrecision::MixedTiles, kDefaultSplit},
+                      GovMode{4, TilePrecision::Fp64, kFineSplit},
+                      GovMode{4, TilePrecision::MixedTiles, kFineSplit}),
+    // The suffixes keep the test IDs of the former engine axes: "Split" now
+    // marks the finer supernodes, "Dag"/"Barrier" mixed/fp64 tiles.
     [](const auto& info) {
       std::ostringstream os;
       os << (info.param.threads > 1 ? "ParWS" : "Seq")
-         << (info.param.panel_split_rows == kForcedSplit ? "Split" : "")
-         << (info.param.dataflow == core::Dataflow::Dag ? "Dag" : "Barrier");
+         << (info.param.split_size == kFineSplit ? "Split" : "")
+         << (info.param.precision == TilePrecision::MixedTiles ? "Dag"
+                                                                : "Barrier");
       return os.str();
     });
 
@@ -387,7 +392,6 @@ TEST(Deadline, ClockSkewDuringDagDrainsWithoutTaskLeak) {
   const CscMatrix a = sparse::laplacian_3d(10, 10, 10);
   SolverOptions opts = small_opts();
   opts.threads = 4;
-  opts.dataflow = core::Dataflow::Dag;
   opts.deadline_ms = 60'000;
   opts.fault.kind = FaultInjection::Kind::ClockSkew;
   opts.fault.supernode = 5;
@@ -395,7 +399,7 @@ TEST(Deadline, ClockSkewDuringDagDrainsWithoutTaskLeak) {
   Solver solver(opts);
   EXPECT_THROW(solver.factorize(a), ResourceError);
   EXPECT_FALSE(solver.factorized());
-  // Cooperative cancellation drained the DAG: nothing still queued, and the
+  // Cooperative cancellation drained the graph: nothing still queued, and the
   // attempt record shows tasks discarded rather than leaked.
   EXPECT_EQ(solver.pool_pending(), 0u);
   ASSERT_EQ(solver.stats().attempts.size(), 1u);
@@ -406,7 +410,6 @@ TEST(Deadline, ClockSkewDuringDagDrainsWithoutTaskLeak) {
   // The pool is reusable after the drain.
   SolverOptions clean = small_opts();
   clean.threads = 4;
-  clean.dataflow = core::Dataflow::Dag;
   Solver retry(clean);
   retry.factorize(a);
   EXPECT_TRUE(retry.factorized());
@@ -530,9 +533,8 @@ TEST(ResourceLadder, ExhaustedLadderSurfacesStructuredFailure) {
 TEST(AttemptCounters, DagCountersArePerAttemptNotCumulative) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   SolverOptions opts = small_opts();
-  opts.dataflow = core::Dataflow::Dag;
   opts.fault.kind = FaultInjection::Kind::TinyPivot;
-  opts.fault.supernode = 1;  // early breakdown: most DAG tasks never run
+  opts.fault.supernode = 1;  // early breakdown: most graph tasks never run
   opts.recovery.enabled = true;
 
   Solver solver(opts);
@@ -540,7 +542,7 @@ TEST(AttemptCounters, DagCountersArePerAttemptNotCumulative) {
   ASSERT_TRUE(solver.factorized());
   const auto& attempts = solver.stats().attempts;
   ASSERT_EQ(attempts.size(), 2u);
-  // Attempt 0 was cancelled mid-DAG; attempt 1 ran the whole graph. Were the
+  // Attempt 0 stopped mid-graph; attempt 1 ran the whole graph. Were the
   // counters cumulative, attempt 1 would report ~2x the graph size.
   EXPECT_GT(attempts[0].dag_tasks, 0u);
   EXPECT_LT(attempts[0].dag_executed, attempts[0].dag_tasks);

@@ -4,7 +4,7 @@
 //  - refactorize() produces the same answers as a cold factorize() of the
 //    same values — bitwise for the deterministic compression paths (Dense,
 //    RRQR), within the τ-based backward-error bound for the sketched ones —
-//    across strategies and both dataflow engines;
+//    across strategies, sequential and parallel;
 //  - rank warm-starting is verify-and-grow: value changes that inflate
 //    ranks take the grow fallback instead of degrading accuracy;
 //  - a Session coalesces concurrent single-RHS solves into blocked
@@ -30,11 +30,11 @@ using namespace blr;
 using sparse::CscMatrix;
 
 SolverOptions small_problem_options(Strategy strategy, lr::CompressionKind kind,
-                                    Dataflow dataflow) {
+                                    int threads = 1) {
   SolverOptions o;
   o.strategy = strategy;
   o.kind = kind;
-  o.dataflow = dataflow;
+  o.threads = threads;
   o.tolerance = 1e-8;
   // Small problem: lower the compressibility thresholds so the BLR machinery
   // actually engages.
@@ -70,7 +70,7 @@ CscMatrix step_values(const CscMatrix& a, real_t scale, real_t shift) {
 
 struct SessionConfig {
   Strategy strategy;
-  Dataflow dataflow;
+  int threads;
 };
 
 std::string config_name(const ::testing::TestParamInfo<SessionConfig>& info) {
@@ -78,7 +78,9 @@ std::string config_name(const ::testing::TestParamInfo<SessionConfig>& info) {
   s.erase(std::remove_if(s.begin(), s.end(),
                          [](char c) { return c == ' ' || c == '-'; }),
           s.end());
-  return s + (info.param.dataflow == Dataflow::Dag ? "Dag" : "Barrier");
+  // The suffixes keep the test IDs of the former engine axis: "Dag" marks
+  // the parallel runs.
+  return s + (info.param.threads > 1 ? "Dag" : "Barrier");
 }
 
 class RefactorizeParity : public ::testing::TestWithParam<SessionConfig> {};
@@ -92,7 +94,7 @@ TEST_P(RefactorizeParity, WarmMatchesColdBitwise) {
   const CscMatrix a2 = step_values(a1, 1.5, 0.3);
   SolverOptions opts =
       small_problem_options(cfg.strategy, lr::CompressionKind::Rrqr,
-                            cfg.dataflow);
+                            cfg.threads);
   // Dense-skip replays the previous pass's *final* tile states, and a block
   // that densified during extend-adds is then never re-attempted at assembly
   // — τ-accurate (dense is exact) but not bit-identical to a cold pass.
@@ -135,14 +137,14 @@ TEST_P(RefactorizeParity, WarmMatchesColdBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(
     StrategyDataflowGrid, RefactorizeParity,
-    ::testing::Values(SessionConfig{Strategy::Dense, Dataflow::Barrier},
-                      SessionConfig{Strategy::Dense, Dataflow::Dag},
-                      SessionConfig{Strategy::JustInTime, Dataflow::Barrier},
-                      SessionConfig{Strategy::JustInTime, Dataflow::Dag},
-                      SessionConfig{Strategy::MinimalMemory, Dataflow::Barrier},
-                      SessionConfig{Strategy::MinimalMemory, Dataflow::Dag},
-                      SessionConfig{Strategy::Adaptive, Dataflow::Barrier},
-                      SessionConfig{Strategy::Adaptive, Dataflow::Dag}),
+    ::testing::Values(SessionConfig{Strategy::Dense, 1},
+                      SessionConfig{Strategy::Dense, 4},
+                      SessionConfig{Strategy::JustInTime, 1},
+                      SessionConfig{Strategy::JustInTime, 4},
+                      SessionConfig{Strategy::MinimalMemory, 1},
+                      SessionConfig{Strategy::MinimalMemory, 4},
+                      SessionConfig{Strategy::Adaptive, 1},
+                      SessionConfig{Strategy::Adaptive, 4}),
     config_name);
 
 // The sketched compression paths (SVD warm-starts via a randomized sketch,
@@ -153,8 +155,7 @@ TEST(RefactorizeAccuracy, SketchedKindsMeetToleranceWarm) {
   const CscMatrix a2 = step_values(a1, 1.5, 0.3);
   for (const auto kind :
        {lr::CompressionKind::Svd, lr::CompressionKind::Randomized}) {
-    SolverOptions opts = small_problem_options(Strategy::JustInTime, kind,
-                                               Dataflow::Barrier);
+    SolverOptions opts = small_problem_options(Strategy::JustInTime, kind);
     Solver warm(opts);
     warm.factorize(a1);
     warm.refactorize(a2);
@@ -174,7 +175,7 @@ TEST(RefactorizeAccuracy, DenseSkipStaysAccurate) {
   const CscMatrix a2 = step_values(a1, 1.5, 0.3);
   for (const auto strategy : {Strategy::MinimalMemory, Strategy::Adaptive}) {
     SolverOptions opts = small_problem_options(
-        strategy, lr::CompressionKind::Rrqr, Dataflow::Barrier);
+        strategy, lr::CompressionKind::Rrqr);
     ASSERT_TRUE(opts.warm_dense_skip);  // the default under test
     Solver warm(opts);
     warm.factorize(a1);
@@ -199,7 +200,7 @@ TEST(RefactorizeAccuracy, ValueChangeGrowsRanksNotError) {
   ASSERT_EQ(a1.nnz(), a2.nnz());  // same stencil, different values
 
   SolverOptions opts = small_problem_options(
-      Strategy::JustInTime, lr::CompressionKind::Rrqr, Dataflow::Barrier);
+      Strategy::JustInTime, lr::CompressionKind::Rrqr);
   opts.warm_rank_slack = 0;
   opts.warm_dense_skip = false;  // rough blocks must re-attempt compression
   Solver solver(opts);
@@ -221,8 +222,7 @@ TEST(Refactorize, PatternMismatchThrows) {
   const CscMatrix b1 = sparse::laplacian_2d(40, 25);  // same n, other pattern
   ASSERT_EQ(a1.rows(), b1.rows());
   Solver solver(small_problem_options(Strategy::JustInTime,
-                                      lr::CompressionKind::Rrqr,
-                                      Dataflow::Barrier));
+                                      lr::CompressionKind::Rrqr));
   solver.factorize(a1);
   EXPECT_THROW(solver.refactorize(b1), blr::Error);
   // The pattern guard fired before any factor was touched.
@@ -232,8 +232,7 @@ TEST(Refactorize, PatternMismatchThrows) {
 TEST(Refactorize, BeforeAnalyzeActsAsColdFactorize) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   Solver solver(small_problem_options(Strategy::MinimalMemory,
-                                      lr::CompressionKind::Rrqr,
-                                      Dataflow::Barrier));
+                                      lr::CompressionKind::Rrqr));
   solver.refactorize(a);
   EXPECT_TRUE(solver.factorized());
   EXPECT_EQ(solver.stats().refactorizations, 0u);  // it was a cold pass
@@ -262,7 +261,7 @@ TEST(NotFactorized, SolveBeforeFactorizeIsStructured) {
 TEST(NotFactorized, FailedFactorizeIsReportedBySolve) {
   const CscMatrix a = sparse::laplacian_3d(6, 6, 6);
   SolverOptions opts = small_problem_options(
-      Strategy::JustInTime, lr::CompressionKind::Rrqr, Dataflow::Barrier);
+      Strategy::JustInTime, lr::CompressionKind::Rrqr);
   opts.fault.kind = core::FaultInjection::Kind::TinyPivot;
   opts.fault.supernode = 0;
   Solver solver(opts);
@@ -299,8 +298,7 @@ TEST(SessionTest, ServesAcrossSteps) {
   const CscMatrix a1 = sparse::laplacian_3d(8, 8, 8);
   const CscMatrix a2 = step_values(a1, 2.0, 0.1);
   Session session(small_problem_options(Strategy::MinimalMemory,
-                                        lr::CompressionKind::Rrqr,
-                                        Dataflow::Barrier));
+                                        lr::CompressionKind::Rrqr));
   session.refactorize(a1);
   EXPECT_EQ(session.epoch(), 1u);
   EXPECT_TRUE(session.serving());
@@ -327,7 +325,7 @@ TEST(SessionTest, ServesAcrossSteps) {
 TEST(SessionTest, ConcurrentSolvesMatchSerialBitwise) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   const SolverOptions opts = small_problem_options(
-      Strategy::JustInTime, lr::CompressionKind::Rrqr, Dataflow::Barrier);
+      Strategy::JustInTime, lr::CompressionKind::Rrqr);
   const int kRequests = 16;
 
   // Serial reference.
@@ -371,7 +369,7 @@ TEST(SessionTest, SolvesDuringRefactorizeServeAConsistentEpoch) {
   const CscMatrix a2 = step_values(a1, 1.5, 0.2);
   const CscMatrix a3 = step_values(a1, 0.5, 0.7);
   SolverOptions opts = small_problem_options(
-      Strategy::MinimalMemory, lr::CompressionKind::Rrqr, Dataflow::Dag);
+      Strategy::MinimalMemory, lr::CompressionKind::Rrqr);
   // Bitwise comparison against cold references: see WarmMatchesColdBitwise.
   opts.warm_dense_skip = false;
   const std::vector<const CscMatrix*> steps = {&a1, &a2, &a3};
@@ -419,7 +417,7 @@ TEST(SessionTest, BudgetBreachMidRefactorizeKeepsServing) {
   const CscMatrix a1 = sparse::laplacian_3d(8, 8, 8);
   const CscMatrix a2 = step_values(a1, 2.0, 0.1);
   SolverOptions opts = small_problem_options(
-      Strategy::JustInTime, lr::CompressionKind::Rrqr, Dataflow::Barrier);
+      Strategy::JustInTime, lr::CompressionKind::Rrqr);
   // Injected budget breach aimed at the SECOND numeric pass: the first
   // arming opportunity is swallowed, the next pass arms and breaches.
   opts.fault.kind = core::FaultInjection::Kind::AllocFail;

@@ -3,7 +3,7 @@
 //
 // Pins the solve-phase contracts:
 //  - the parallel solve (DAG drain over the solve pool) is memcmp-identical
-//    to the sequential drain, across strategies, dataflow engines,
+//    to the sequential drain, across strategies, factorization kinds,
 //    precisions, solve thread counts and RHS widths;
 //  - both are memcmp-identical to an independent test-local per-block
 //    push-form two-sweep written directly against the stored factors;
@@ -34,11 +34,10 @@ namespace {
 using namespace blr;
 using sparse::CscMatrix;
 
-SolverOptions base_options(Strategy strategy, Dataflow dataflow,
-                           TilePrecision precision, int threads) {
+SolverOptions base_options(Strategy strategy, TilePrecision precision,
+                           int threads) {
   SolverOptions o;
   o.strategy = strategy;
-  o.dataflow = dataflow;
   o.precision = precision;
   o.threads = threads;
   o.tolerance = 1e-8;
@@ -76,7 +75,7 @@ CscMatrix step_values(const CscMatrix& a, real_t scale, real_t shift) {
 
 struct SolveConfig {
   Strategy strategy;
-  Dataflow dataflow;
+  Factorization facto;
   TilePrecision precision;
   int factor_threads;
   int solve_threads;
@@ -87,7 +86,9 @@ std::string config_name(const ::testing::TestParamInfo<SolveConfig>& info) {
   s.erase(std::remove_if(s.begin(), s.end(),
                          [](char c) { return c == ' ' || c == '-'; }),
           s.end());
-  s += info.param.dataflow == Dataflow::Dag ? "Dag" : "Barrier";
+  // "Dag"/"Barrier" keep the test IDs of the former engine axis; they mark
+  // LU and the matrix's own (LLᵗ) factorization.
+  s += info.param.facto == Factorization::Lu ? "Dag" : "Barrier";
   s += info.param.precision == TilePrecision::MixedTiles ? "Mixed" : "Fp64";
   s += "S" + std::to_string(info.param.solve_threads);
   return s;
@@ -103,8 +104,9 @@ TEST_P(ParallelSolveDeterminism, MatchesSequentialBitwise) {
   const CscMatrix a = sparse::laplacian_3d(10, 10, 10);
   const index_t n = a.rows();
 
-  SolverOptions seq_opts = base_options(cfg.strategy, cfg.dataflow,
-                                        cfg.precision, cfg.factor_threads);
+  SolverOptions seq_opts =
+      base_options(cfg.strategy, cfg.precision, cfg.factor_threads);
+  seq_opts.factorization = cfg.facto;
   seq_opts.solve_parallel = false;
   SolverOptions par_opts = seq_opts;
   par_opts.solve_parallel = true;
@@ -140,17 +142,17 @@ TEST_P(ParallelSolveDeterminism, MatchesSequentialBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, ParallelSolveDeterminism,
     ::testing::Values(
-        SolveConfig{Strategy::JustInTime, Dataflow::Barrier,
+        SolveConfig{Strategy::JustInTime, Factorization::Auto,
                     TilePrecision::Fp64, 1, 2},
-        SolveConfig{Strategy::JustInTime, Dataflow::Dag,
+        SolveConfig{Strategy::JustInTime, Factorization::Lu,
                     TilePrecision::Fp64, 2, 8},
-        SolveConfig{Strategy::JustInTime, Dataflow::Dag,
+        SolveConfig{Strategy::JustInTime, Factorization::Lu,
                     TilePrecision::MixedTiles, 2, 2},
-        SolveConfig{Strategy::MinimalMemory, Dataflow::Barrier,
+        SolveConfig{Strategy::MinimalMemory, Factorization::Auto,
                     TilePrecision::Fp64, 1, 8},
-        SolveConfig{Strategy::MinimalMemory, Dataflow::Dag,
+        SolveConfig{Strategy::MinimalMemory, Factorization::Lu,
                     TilePrecision::MixedTiles, 2, 8},
-        SolveConfig{Strategy::Adaptive, Dataflow::Barrier,
+        SolveConfig{Strategy::Adaptive, Factorization::Auto,
                     TilePrecision::MixedTiles, 1, 2}),
     config_name);
 
@@ -159,8 +161,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SolvePlanCache, BuiltOnceReusedAcrossRefactorize) {
   const CscMatrix a1 = sparse::laplacian_3d(8, 8, 8);
   const CscMatrix a2 = step_values(a1, 1.5, 0.3);
-  SolverOptions opts = base_options(Strategy::JustInTime, Dataflow::Barrier,
-                                    TilePrecision::Fp64, 1);
+  SolverOptions opts =
+      base_options(Strategy::JustInTime, TilePrecision::Fp64, 1);
   opts.solve_threads = 2;
   Solver solver(opts);
   solver.factorize(a1);
@@ -194,7 +196,7 @@ TEST(SolvePlanCache, BuiltOnceReusedAcrossRefactorize) {
 TEST(WidenCache, BuiltOnFirstSolveInvalidatedByRefactorize) {
   const CscMatrix a1 = sparse::laplacian_3d(12, 12, 12);
   const CscMatrix a2 = step_values(a1, 1.5, 0.3);
-  SolverOptions opts = base_options(Strategy::MinimalMemory, Dataflow::Barrier,
+  SolverOptions opts = base_options(Strategy::MinimalMemory,
                                     TilePrecision::MixedTiles, 1);
   opts.solve_threads = 2;
   Solver solver(opts);
@@ -232,7 +234,7 @@ TEST(WidenCache, BuiltOnFirstSolveInvalidatedByRefactorize) {
 
 TEST(SolveDispatch, SolveKernelsCountedInKernelTable) {
   const CscMatrix a = sparse::laplacian_3d(12, 12, 12);
-  SolverOptions opts = base_options(Strategy::MinimalMemory, Dataflow::Barrier,
+  SolverOptions opts = base_options(Strategy::MinimalMemory,
                                     TilePrecision::MixedTiles, 1);
   opts.solve_threads = 2;
   Solver solver(opts);
@@ -381,8 +383,7 @@ TEST(SolveReference, PerBlockSweepBitwise) {
     for (const int solve_threads : {1, 4}) {
       SCOPED_TRACE(std::string(cs.name) + ", solve_threads " +
                    std::to_string(solve_threads));
-      SolverOptions opts = base_options(cs.strategy, Dataflow::Barrier,
-                                        cs.precision, 1);
+      SolverOptions opts = base_options(cs.strategy, cs.precision, 1);
       opts.factorization = cs.factorization;
       opts.solve_threads = solve_threads;
       Solver solver(opts);
@@ -416,14 +417,13 @@ TEST(SolveReference, PerBlockSweepBitwise) {
 TEST(SessionParallelSolve, ConcurrentClientsBitIdenticalToSequential) {
   const CscMatrix a = sparse::laplacian_3d(10, 10, 10);
   const index_t n = a.rows();
-  SolverOptions opts = base_options(Strategy::JustInTime, Dataflow::Dag,
-                                    TilePrecision::Fp64, 2);
+  SolverOptions opts =
+      base_options(Strategy::JustInTime, TilePrecision::Fp64, 2);
   opts.solve_threads = 4;
 
   SolverOptions ref_opts = opts;
   ref_opts.solve_parallel = false;
   ref_opts.threads = 1;
-  ref_opts.dataflow = Dataflow::Barrier;
 
   Session session(opts);
   session.refactorize(a);
@@ -471,8 +471,8 @@ TEST(SessionParallelSolve, ConcurrentClientsBitIdenticalToSequential) {
 TEST(SessionParallelSolve, EngineContentionFallsBackSequentially) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
   const index_t n = a.rows();
-  SolverOptions opts = base_options(Strategy::JustInTime, Dataflow::Barrier,
-                                    TilePrecision::Fp64, 1);
+  SolverOptions opts =
+      base_options(Strategy::JustInTime, TilePrecision::Fp64, 1);
   opts.solve_threads = 2;
   Solver solver(opts);
   solver.factorize(a);

@@ -1,8 +1,8 @@
-// The dataflow factorization's pinning harness (DESIGN.md §12): unit tests
-// for read/write-set dependency inference, release order, and the epoch
-// hand-off contract, plus the randomized stress grid that memcmp's every
-// dataflow run — sequential and parallel, every strategy and factorization
-// kind — against the sequential barrier factors bit for bit.
+// The factorization task graph's pinning harness (DESIGN.md §12): unit
+// tests for read/write-set dependency inference, release order, and the
+// epoch hand-off contract, plus the randomized stress grid that memcmp's
+// every parallel run — every strategy and factorization kind — against the
+// sequential (task-id order) factors bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@ using namespace blr;
 using core::DagTask;
 using core::DagTaskKind;
 using core::DepBuilder;
+using core::drain_deps;
 using core::EpochGate;
 using core::TaskGraph;
 using sparse::CscMatrix;
@@ -80,9 +81,10 @@ TEST(DepBuilder, DuplicateEdgesAcrossAddressesCollapse) {
   const auto c = b.add_task();
   b.write(a, 1);
   b.write(a, 2);
+  b.write(a, 3);
   b.read(c, 1);
   b.read(c, 2);
-  b.edge(a, c);  // explicit duplicate of the inferred pair
+  b.write(c, 3);  // write-after-write: the same pair a third time
   const auto d = b.infer();
   EXPECT_EQ(d.num_edges, 1u);
   EXPECT_EQ(d.indeg[c], 1);
@@ -95,15 +97,6 @@ TEST(DepBuilder, OutOfOrderAccessDeclarationThrows) {
   b.write(t1, 5);
   b.write(t0, 5);  // accesses must be declared in task order
   EXPECT_THROW((void)b.infer(), Error);
-}
-
-TEST(DepBuilder, BackwardExplicitEdgeThrows) {
-  DepBuilder b;
-  const auto t0 = b.add_task();
-  const auto t1 = b.add_task();
-  (void)t0;
-  EXPECT_THROW(b.edge(t1, t0), Error);
-  EXPECT_THROW(b.edge(t1, t1), Error);
 }
 
 // ----------------------------------------------------------------- EpochGate
@@ -119,8 +112,7 @@ TEST(EpochGateTest, ExpectAndAdvanceFollowTheProtocol) {
   // the CAS, not absorbed.
   EXPECT_THROW(g.advance(0, EpochGate::kUnassembled, EpochGate::kAssembled),
                Error);
-  g.advance(0, EpochGate::kAssembled, EpochGate::kEliminating);
-  g.advance(0, EpochGate::kEliminating, EpochGate::kFactored);
+  g.advance(0, EpochGate::kAssembled, EpochGate::kFactored);
   EXPECT_EQ(g.load(0), EpochGate::kFactored);
   EXPECT_EQ(g.load(1), EpochGate::kUnassembled);  // addresses are independent
 }
@@ -135,53 +127,96 @@ symbolic::SymbolicFactor small_symbolic(const CscMatrix& a) {
   return symbolic::SymbolicFactor::build(a, ord, ranges);
 }
 
+/// (source, target) pairs of the symbolic structure: one per distinct
+/// target among each supernode's bloks.
+std::uint32_t count_pairs(const symbolic::SymbolicFactor& sf) {
+  std::uint32_t pairs = 0;
+  for (index_t k = 0; k < sf.num_cblks(); ++k) {
+    index_t last = -1;
+    for (const symbolic::Blok& b : sf.cblk(k).bloks) {
+      if (b.fcblk != last) ++pairs;
+      last = b.fcblk;
+    }
+  }
+  return pairs;
+}
+
 TEST(TaskGraphStructure, CanonicalIdsAndCounts) {
   const CscMatrix a = sparse::laplacian_3d(5, 5, 5);
   const symbolic::SymbolicFactor sf = small_symbolic(a);
-  for (const bool llt : {true, false}) {
-    const TaskGraph g = TaskGraph::build(sf, llt);
-    ASSERT_GT(g.num_tasks(), 0u);
-    ASSERT_GT(g.num_edges(), 0u);
+  const TaskGraph g = TaskGraph::build(sf);
+  ASSERT_GT(g.num_edges(), 0u);
+  // One Elim per supernode plus one Upd per (source, target) pair.
+  EXPECT_EQ(g.num_tasks(),
+            static_cast<std::uint32_t>(sf.num_cblks()) + count_pairs(sf));
 
-    // Assemble(k) has task id k; every supernode has exactly one Factor.
-    std::uint32_t factors = 0, products = 0, applies = 0;
-    for (std::uint32_t t = 0; t < g.num_tasks(); ++t) {
-      const DagTask& task = g.task(t);
-      if (t < static_cast<std::uint32_t>(sf.num_cblks())) {
-        EXPECT_EQ(task.kind, DagTaskKind::Assemble);
-        EXPECT_EQ(task.k, static_cast<index_t>(t));
-        EXPECT_EQ(g.indegree(t), 0);  // assembly depends on nothing
-      }
-      if (task.kind == DagTaskKind::Factor) ++factors;
-      if (task.kind == DagTaskKind::Product) ++products;
-      if (task.kind == DagTaskKind::Apply) ++applies;
+  // Sources in decreasing critical-path priority, each Elim(k) followed by
+  // k's update groups by ascending target, each covering a nonempty run of
+  // bloks that all face that target.
+  const auto& prio = sf.critical_priorities();
+  std::vector<char> seen(static_cast<std::size_t>(sf.num_cblks()), 0);
+  index_t elims = 0;
+  std::int64_t last_prio = INT64_MAX;
+  for (std::uint32_t t = 0; t < g.num_tasks(); ++t) {
+    const DagTask& task = g.task(t);
+    if (task.kind == DagTaskKind::Elim) {
+      ++elims;
+      EXPECT_EQ(task.t, task.k);
+      EXPECT_FALSE(seen[static_cast<std::size_t>(task.k)]);
+      seen[static_cast<std::size_t>(task.k)] = 1;
+      EXPECT_LE(prio[static_cast<std::size_t>(task.k)], last_prio);
+      last_prio = prio[static_cast<std::size_t>(task.k)];
+      continue;
     }
-    EXPECT_EQ(factors, static_cast<std::uint32_t>(sf.num_cblks()));
-    EXPECT_EQ(products, applies);
-    EXPECT_EQ(products, g.num_updates());
-
-    // The critical path is a chain, so it can't exceed the task count and
-    // must cover at least Assemble→Factor per supernode on the longest
-    // elimination-tree path (≥ 2).
-    EXPECT_GE(g.critical_path(), 2u);
-    EXPECT_LE(g.critical_path(), g.num_tasks());
-
-    // Tile addresses are dense and distinct.
-    EXPECT_EQ(g.num_addrs(),
-              static_cast<std::uint64_t>(sf.num_cblks() + (llt ? 1 : 2) * sf.num_bloks()));
+    ASSERT_GT(t, 0u);
+    const DagTask& prev = g.task(t - 1);
+    EXPECT_EQ(task.k, prev.k);
+    EXPECT_GT(task.t, prev.kind == DagTaskKind::Elim ? task.k : prev.t);
+    EXPECT_FALSE(seen[static_cast<std::size_t>(task.t)]);  // target not yet eliminated
+    ASSERT_LT(task.b0, task.b1);
+    for (index_t b = task.b0; b < task.b1; ++b)
+      EXPECT_EQ(sf.cblk(task.k).bloks[static_cast<std::size_t>(b)].fcblk,
+                task.t);
   }
+  EXPECT_EQ(elims, sf.num_cblks());
+
+  // Every edge points forward; the first Elim (a leaf) has no input.
+  for (std::uint32_t t = 0; t < g.num_tasks(); ++t) {
+    const auto [s, e] = g.successors(t);
+    for (const std::uint32_t* p = s; p != e; ++p) EXPECT_GT(*p, t);
+  }
+  EXPECT_EQ(g.indegree(0), 0);
+
+  // updates_into(t) lists exactly the Upd tasks into t, by ascending source.
+  std::uint32_t listed = 0;
+  for (index_t t = 0; t < sf.num_cblks(); ++t) {
+    const auto [b, e] = g.updates_into(t);
+    for (const std::uint32_t* p = b; p != e; ++p, ++listed) {
+      EXPECT_EQ(g.task(*p).kind, DagTaskKind::Upd);
+      EXPECT_EQ(g.task(*p).t, t);
+      if (p != b) {
+        EXPECT_GT(g.task(*p).k, g.task(*(p - 1)).k);
+      }
+    }
+  }
+  EXPECT_EQ(listed, count_pairs(sf));
+
+  // The critical path is a chain: at least Elim → Upd → Elim on the
+  // longest elimination-tree path, at most every task.
+  EXPECT_GE(g.critical_path(), 3u);
+  EXPECT_LE(g.critical_path(), g.num_tasks());
 }
 
 TEST(TaskGraphStructure, SequentialReleaseOrderIsCanonical) {
   const CscMatrix a = sparse::laplacian_3d(5, 5, 5);
   const symbolic::SymbolicFactor sf = small_symbolic(a);
-  const TaskGraph g = TaskGraph::build(sf, /*llt=*/false);
+  const TaskGraph g = TaskGraph::build(sf);
 
   // The min-id sequential executor must release tasks exactly in id order —
-  // ids are the canonical barrier sequence, and every edge points forward.
+  // ids are the declaration sequence, and every edge points forward.
   std::vector<std::uint32_t> order;
-  const auto rs = g.execute(
-      nullptr,
+  const auto rs = drain_deps(
+      g.deps(), nullptr,
       [&](std::uint32_t id) {
         order.push_back(id);
         return true;
@@ -195,7 +230,7 @@ TEST(TaskGraphStructure, SequentialReleaseOrderIsCanonical) {
 TEST(TaskGraphStructure, ParallelExecutionRespectsEveryEdge) {
   const CscMatrix a = sparse::laplacian_3d(6, 6, 6);
   const symbolic::SymbolicFactor sf = small_symbolic(a);
-  const TaskGraph g = TaskGraph::build(sf, /*llt=*/true);
+  const TaskGraph g = TaskGraph::build(sf);
 
   ThreadPool pool(4);
   std::vector<std::atomic<bool>> done(g.num_tasks());
@@ -209,8 +244,8 @@ TEST(TaskGraphStructure, ParallelExecutionRespectsEveryEdge) {
     for (const std::uint32_t* p = s; p != e; ++p) preds[*p].push_back(t);
   }
 
-  const auto rs = g.execute(
-      &pool,
+  const auto rs = drain_deps(
+      g.deps(), &pool,
       [&](std::uint32_t id) {
         for (const std::uint32_t p : preds[id])
           if (!done[p].load(std::memory_order_acquire)) violated.store(true);
@@ -226,15 +261,15 @@ TEST(TaskGraphStructure, ParallelExecutionRespectsEveryEdge) {
 TEST(TaskGraphStructure, CooperativeCancellationMidDag) {
   const CscMatrix a = sparse::laplacian_3d(6, 6, 6);
   const symbolic::SymbolicFactor sf = small_symbolic(a);
-  const TaskGraph g = TaskGraph::build(sf, /*llt=*/false);
+  const TaskGraph g = TaskGraph::build(sf);
   const std::uint32_t stop_at = g.num_tasks() / 3;
 
   for (const int threads : {0, 4}) {
     ThreadPool pool(threads == 0 ? 1 : threads);
     ThreadPool* pp = threads == 0 ? nullptr : &pool;
     std::atomic<std::uint64_t> ran{0};
-    const auto rs = g.execute(
-        pp,
+    const auto rs = drain_deps(
+        g.deps(), pp,
         [&](std::uint32_t id) {
           ran.fetch_add(1);
           if (id >= stop_at) {
@@ -256,6 +291,68 @@ TEST(TaskGraphStructure, CooperativeCancellationMidDag) {
       EXPECT_EQ(again.load(), 1);
     }
   }
+}
+
+// The epoch contract the numeric driver checks (Elim(k) needs k Assembled
+// and leaves it Factored; Upd(k, t) needs k Factored and t Assembled) holds
+// on the graph's own order, and a run that eliminates a target before one
+// of its update groups trips it.
+void run_checked(const TaskGraph& g, EpochGate& gate, std::uint32_t id) {
+  const DagTask& t = g.task(id);
+  if (t.kind == DagTaskKind::Elim) {
+    gate.expect(static_cast<std::uint64_t>(t.k), EpochGate::kAssembled);
+    gate.advance(static_cast<std::uint64_t>(t.k), EpochGate::kAssembled,
+                 EpochGate::kFactored);
+  } else {
+    gate.expect(static_cast<std::uint64_t>(t.k), EpochGate::kFactored);
+    gate.expect(static_cast<std::uint64_t>(t.t), EpochGate::kAssembled);
+  }
+}
+
+TEST(TaskGraphStructure, MisorderedRunTripsEpochCheck) {
+  const CscMatrix a = sparse::laplacian_3d(5, 5, 5);
+  const symbolic::SymbolicFactor sf = small_symbolic(a);
+  const TaskGraph g = TaskGraph::build(sf);
+  const auto assembled = [&] {
+    EpochGate gate(static_cast<std::uint64_t>(sf.num_cblks()));
+    for (index_t k = 0; k < sf.num_cblks(); ++k)
+      gate.advance(static_cast<std::uint64_t>(k), EpochGate::kUnassembled,
+                   EpochGate::kAssembled);
+    return gate;
+  };
+
+  EpochGate ok = assembled();
+  for (std::uint32_t id = 0; id < g.num_tasks(); ++id)
+    EXPECT_NO_THROW(run_checked(g, ok, id));
+
+  // Move the Elim of the root supernode (the last task declared for it)
+  // ahead of the last update group into it.
+  const index_t root = sf.num_cblks() - 1;
+  const auto [b, e] = g.updates_into(root);
+  ASSERT_NE(b, e);
+  const std::uint32_t last_upd = *(e - 1);
+  std::uint32_t root_elim = 0;
+  while (g.task(root_elim).kind != DagTaskKind::Elim ||
+         g.task(root_elim).k != root)
+    ++root_elim;
+  ASSERT_GT(root_elim, last_upd);
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t id = 0; id < g.num_tasks(); ++id) {
+    if (id == last_upd) order.push_back(root_elim);
+    if (id != root_elim) order.push_back(id);
+  }
+  EpochGate bad = assembled();
+  bool tripped = false;
+  for (const std::uint32_t id : order) {
+    try {
+      run_checked(g, bad, id);
+    } catch (const Error&) {
+      tripped = true;
+      EXPECT_EQ(id, last_upd);
+      break;
+    }
+  }
+  EXPECT_TRUE(tripped);
 }
 
 // ----------------------------------------------- factor-bits serialization
@@ -302,15 +399,13 @@ std::vector<unsigned char> serialize_factors(const Solver& s) {
   return out;
 }
 
-SolverOptions stress_opts(Strategy s, Factorization f, core::Dataflow d,
-                          int threads) {
+SolverOptions stress_opts(Strategy s, Factorization f, int threads) {
   SolverOptions o;
   o.strategy = s;
   o.factorization = f;
-  o.dataflow = d;
   o.threads = threads;
   // Small thresholds so the small stress matrices still exercise low-rank
-  // tiles, multi-blok panels, and real update DAGs.
+  // tiles, multi-blok panels, and real update graphs.
   o.compress_min_width = 16;
   o.compress_min_height = 8;
   o.split.split_threshold = 64;
@@ -322,86 +417,72 @@ constexpr Strategy kStrategies[] = {Strategy::Dense, Strategy::JustInTime,
                                     Strategy::MinimalMemory, Strategy::Adaptive};
 constexpr Factorization kKinds[] = {Factorization::Llt, Factorization::Lu};
 
-// The determinism contract, sequential half: with one thread the dataflow
-// executor replays the canonical order, so its factors must equal the
-// barrier's bit for bit — every strategy, both kinds, both tile precisions.
-TEST(DagDeterminism, SequentialDagIsBitIdenticalToBarrier) {
-  const CscMatrix a = sparse::heterogeneous_poisson_3d(6, 6, 6, 4.0, 42);
-  for (const Strategy s : kStrategies) {
-    for (const Factorization f : kKinds) {
-      for (const TilePrecision p : {TilePrecision::Fp64,
-                                    TilePrecision::MixedTiles}) {
-        SolverOptions ob = stress_opts(s, f, core::Dataflow::Barrier, 1);
-        SolverOptions od = stress_opts(s, f, core::Dataflow::Dag, 1);
-        ob.precision = od.precision = p;
-        Solver barrier(ob), dag(od);
-        barrier.factorize(a);
-        dag.factorize(a);
-        const auto bb = serialize_factors(barrier);
-        const auto db = serialize_factors(dag);
-        ASSERT_EQ(bb.size(), db.size())
-            << strategy_name(s) << (f == Factorization::Lu ? " LU" : " LLt");
-        EXPECT_EQ(0, std::memcmp(bb.data(), db.data(), bb.size()))
-            << strategy_name(s) << (f == Factorization::Lu ? " LU" : " LLt")
-            << " " << core::precision_name(p);
-        EXPECT_GT(dag.stats().dag_tasks, 0u);
-        EXPECT_EQ(dag.stats().dag_executed, dag.stats().dag_tasks);
-      }
-    }
-  }
-}
-
-// The determinism contract, parallel half: the per-tile write chains pin the
-// value history, so Dag runs are bit-identical to the sequential barrier at
-// ANY thread count — the property the barrier scheduler does not have.
+// The determinism contract: the per-target write chains pin the value
+// history, so pool drains are bit-identical to the sequential run at ANY
+// thread count — factors and solutions, every strategy × kind ×
+// compression kernel × tile precision.
 TEST(DagDeterminism, StressGridMatchesSequentialBarrierBitwise) {
   constexpr std::uint64_t kSeeds[] = {1, 7, 2026};
   for (const std::uint64_t seed : kSeeds) {
     const CscMatrix a = sparse::heterogeneous_poisson_3d(5, 5, 6, 3.0, seed);
+    const std::vector<real_t> b(static_cast<std::size_t>(a.rows()), 1.0);
     for (const Strategy s : kStrategies) {
       for (const Factorization f : kKinds) {
-        Solver barrier(stress_opts(s, f, core::Dataflow::Barrier, 1));
-        barrier.factorize(a);
-        const auto ref = serialize_factors(barrier);
-        for (const int threads : {1, 2, 8}) {
-          Solver dag(stress_opts(s, f, core::Dataflow::Dag, threads));
-          dag.factorize(a);
-          const auto got = serialize_factors(dag);
-          ASSERT_EQ(ref.size(), got.size());
-          EXPECT_EQ(0, std::memcmp(ref.data(), got.data(), ref.size()))
-              << "seed=" << seed << " " << strategy_name(s)
-              << (f == Factorization::Lu ? " LU" : " LLt")
-              << " threads=" << threads;
-          EXPECT_EQ(dag.stats().dag_executed, dag.stats().dag_tasks);
-          // And the factors actually solve the system.
-          std::vector<real_t> b(static_cast<std::size_t>(a.rows()), 1.0);
-          const auto x = dag.solve(b);
-          EXPECT_LT(sparse::backward_error(a, x.data(), b.data()), 1e-6);
+        for (const auto kind :
+             {lr::CompressionKind::Rrqr, lr::CompressionKind::Svd}) {
+          for (const TilePrecision p :
+               {TilePrecision::Fp64, TilePrecision::MixedTiles}) {
+            SolverOptions o = stress_opts(s, f, 1);
+            o.kind = kind;
+            o.precision = p;
+            Solver seq(o);
+            seq.factorize(a);
+            const auto ref = serialize_factors(seq);
+            const auto xref = seq.solve(b);
+            // fp32-at-rest factors answer to fp32 accuracy (DESIGN.md §10).
+            EXPECT_LT(sparse::backward_error(a, xref.data(), b.data()),
+                      p == TilePrecision::Fp64 ? 1e-6 : 1e-4);
+            for (const int threads : {2, 4, 8}) {
+              o.threads = threads;
+              Solver par(o);
+              par.factorize(a);
+              const auto got = serialize_factors(par);
+              const auto x = par.solve(b);
+              const std::string where =
+                  "seed=" + std::to_string(seed) + " " + strategy_name(s) +
+                  (f == Factorization::Lu ? " LU " : " LLt ") +
+                  core::kind_name(kind) + " " + core::precision_name(p) +
+                  " threads=" + std::to_string(threads);
+              ASSERT_EQ(ref.size(), got.size()) << where;
+              EXPECT_EQ(0, std::memcmp(ref.data(), got.data(), ref.size()))
+                  << where;
+              EXPECT_EQ(0, std::memcmp(xref.data(), x.data(),
+                                       x.size() * sizeof(real_t)))
+                  << where;
+              EXPECT_EQ(par.stats().dag_executed, par.stats().dag_tasks);
+            }
+          }
         }
       }
     }
   }
 }
 
-// LUAR accumulation folds its flush into the Compress task; the tile-local
-// value histories are unchanged, so accumulation must stay bit-identical too.
+// LUAR accumulation flushes in Elim and appends in Upd; the per-target
+// value histories are unchanged, so accumulation stays bit-identical too.
 TEST(DagDeterminism, AccumulatedUpdatesStayBitIdentical) {
   const CscMatrix a = sparse::heterogeneous_poisson_3d(6, 6, 5, 3.0, 3);
   for (const Factorization f : kKinds) {
-    SolverOptions ob = stress_opts(Strategy::MinimalMemory, f,
-                                   core::Dataflow::Barrier, 1);
-    ob.accumulate_updates = true;
-    SolverOptions od = ob;
-    od.dataflow = core::Dataflow::Dag;
-    Solver barrier(ob);
-    barrier.factorize(a);
-    const auto ref = serialize_factors(barrier);
-    for (const int threads : {1, 8}) {
-      SolverOptions o = od;
+    SolverOptions o = stress_opts(Strategy::MinimalMemory, f, 1);
+    o.accumulate_updates = true;
+    Solver seq(o);
+    seq.factorize(a);
+    const auto ref = serialize_factors(seq);
+    for (const int threads : {2, 8}) {
       o.threads = threads;
-      Solver dag(o);
-      dag.factorize(a);
-      const auto got = serialize_factors(dag);
+      Solver par(o);
+      par.factorize(a);
+      const auto got = serialize_factors(par);
       ASSERT_EQ(ref.size(), got.size());
       EXPECT_EQ(0, std::memcmp(ref.data(), got.data(), ref.size()))
           << (f == Factorization::Lu ? "LU" : "LLt") << " threads=" << threads;
@@ -409,24 +490,32 @@ TEST(DagDeterminism, AccumulatedUpdatesStayBitIdentical) {
   }
 }
 
-// The DAG stats surfaced through SolverStats are internally consistent.
+// The graph stats surfaced through SolverStats are internally consistent
+// and filled by every factorization, whatever the thread count or walk.
 TEST(DagStats, CountersAreCoherent) {
   const CscMatrix a = sparse::laplacian_3d(7, 7, 7);
-  Solver s(stress_opts(Strategy::JustInTime, Factorization::Llt,
-                       core::Dataflow::Dag, 4));
+  Solver s(stress_opts(Strategy::JustInTime, Factorization::Llt, 4));
   s.factorize(a);
   const SolverStats& st = s.stats();
-  EXPECT_GT(st.dag_tasks, 0u);
+  EXPECT_GT(st.dag_tasks, static_cast<std::uint64_t>(st.num_cblks));
   EXPECT_GT(st.dag_edges, 0u);
   EXPECT_EQ(st.dag_executed, st.dag_tasks);
   EXPECT_GE(st.dag_ready_peak, 1u);
-  EXPECT_GE(st.dag_critical_path, 2u);
+  EXPECT_GE(st.dag_critical_path, 3u);
   EXPECT_LE(st.dag_critical_path, st.dag_tasks);
-  // Barrier runs must keep the counters at zero.
-  Solver b(stress_opts(Strategy::JustInTime, Factorization::Llt,
-                       core::Dataflow::Barrier, 4));
-  b.factorize(a);
-  EXPECT_EQ(b.stats().dag_tasks, 0u);
+  EXPECT_EQ(st.scheduler_tasks, st.dag_tasks);  // one pool task per graph task
+
+  SolverOptions lo = stress_opts(Strategy::JustInTime, Factorization::Llt, 1);
+  for (const auto sched :
+       {core::Scheduling::RightLooking, core::Scheduling::LeftLooking}) {
+    lo.scheduling = sched;
+    Solver seq(lo);
+    seq.factorize(a);
+    EXPECT_EQ(seq.stats().dag_tasks, st.dag_tasks);
+    EXPECT_EQ(seq.stats().dag_edges, st.dag_edges);
+    EXPECT_EQ(seq.stats().dag_critical_path, st.dag_critical_path);
+    EXPECT_EQ(seq.stats().dag_executed, st.dag_tasks);
+  }
 }
 
 } // namespace
