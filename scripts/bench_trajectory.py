@@ -10,12 +10,12 @@ Usage: scripts/bench_trajectory.py <report.json> [<report2.json> ...]
            [-o <trajectory.json>]
 
 Each report is identified by its keys — bench_kernels.json carries
-`packed_gemm`/`backends`, bench_refactorize.json carries
+`packed_gemm`/`dense_update`/`backends`, bench_refactorize.json carries
 `refactorize`/`solve_throughput` — and all reports given on one invocation
 fold into a single trajectory entry.
 
 The trajectory entry keeps only the headline numbers (packed-gemm speedups
-per size, per-backend GF/s, steady-state refactorize speedup per strategy,
+per size, the dense update's ratio to the packed gemm, per-backend GF/s, steady-state refactorize speedup per strategy,
 blocked-solve throughput per width) plus the commit and timestamp, so the
 file stays small no matter how many runs accumulate. The newest `MAX_RUNS`
 entries are retained. Earlier entries are carried over verbatim, whatever
@@ -62,6 +62,11 @@ def summarize(report: dict) -> dict:
         isas = {row["isa"] for row in backends if row.get("isa")}
         if isas:
             entry["backend_isa"] = sorted(isas)[0]
+    update = report.get("dense_update")
+    if update:
+        # The factorization's dense update GF/s relative to the packed gemm
+        # of the same run (the perf-smoke floor's quantity).
+        entry["dense_update_ratio"] = update["ratio_to_packed_256"]
     refac = report.get("refactorize", [])
     if refac:
         # bench_refactorize.json: first-step vs steady-state cost per

@@ -39,6 +39,14 @@ std::uint64_t ctx_bytes(const KernelCtx& ctx) {
     b += static_cast<std::uint64_t>(ctx.in.rows) *
          static_cast<std::uint64_t>(ctx.in.cols) * sizeof(real_t);
   }
+  for (const la::DConstView& r : ctx.rows) {
+    b += static_cast<std::uint64_t>(r.rows) *
+         static_cast<std::uint64_t>(r.cols) * sizeof(real_t);
+  }
+  for (const la::DView& o : ctx.outs) {
+    b += static_cast<std::uint64_t>(o.rows) *
+         static_cast<std::uint64_t>(o.cols) * sizeof(real_t);
+  }
   for (const SolveApply& ap : ctx.applies) {
     b += ap.blk->storage_bytes() +
          (static_cast<std::uint64_t>(ap.in.rows) +
@@ -114,21 +122,10 @@ void k_trsm_lowrank(KernelCtx& ctx) {
 }
 
 void k_gemm_dense(KernelCtx& ctx) {
-  if (ctx.view.data != nullptr) {
-    // Fused: subtract A·Bᵗ (or its transpose, B·Aᵗ) straight into the view.
-    if (ctx.transpose) {
-      la::gemm(la::Trans::No, la::Trans::Yes, real_t(-1),
-               ctx.b->dense().cview(), ctx.a->dense().cview(), real_t(1),
-               ctx.view);
-    } else {
-      la::gemm(la::Trans::No, la::Trans::Yes, real_t(-1),
-               ctx.a->dense().cview(), ctx.b->dense().cview(), real_t(1),
-               ctx.view);
-    }
-    return;
-  }
-  ctx.out = lr::ab_t_product(*ctx.a, *ctx.b, ctx.kind, ctx.tolerance,
-                             ctx.need_ortho, ctx.out_cat);
+  // One column blok's dense update (DESIGN.md §12): out_p -= row_p·Bᵗ (or
+  // B·row_pᵗ), B packed once for the whole batch.
+  la::gemm_batch(ctx.transpose ? la::Trans::Yes : la::Trans::No, real_t(-1),
+                 ctx.rows, ctx.b->dense().cview(), ctx.outs);
 }
 
 void k_gemm_lr(KernelCtx& ctx) {
@@ -449,6 +446,8 @@ void panel_solve(const lr::Tile& diag, const std::vector<index_t>& piv,
 
 lr::Tile product(const lr::Tile& a, const lr::Tile& b, lr::CompressionKind kind,
                  real_t tol, bool need_ortho) {
+  BLR_CHECK(a.is_lowrank() || b.is_lowrank(),
+            "dense x dense products go through gemm_update");
   KernelCtx ctx;
   ctx.a = &a;
   ctx.b = &b;
@@ -461,12 +460,12 @@ lr::Tile product(const lr::Tile& a, const lr::Tile& b, lr::CompressionKind kind,
   return std::move(ctx.out);
 }
 
-void gemm_into(la::DView target, const lr::Tile& a, const lr::Tile& b,
-               bool transpose) {
+void gemm_update(std::span<const la::DConstView> rows, const lr::Tile& b,
+                 std::span<const la::DView> outs, bool transpose) {
   KernelCtx ctx;
-  ctx.a = &a;
+  ctx.rows = rows;
   ctx.b = &b;
-  ctx.view = target;
+  ctx.outs = outs;
   ctx.transpose = transpose;
   KernelDispatch::instance().run(KernelOp::Gemm, Rep::Dense, Prec::Fp64,
                                  Rep::Dense, Prec::Fp64, ctx);

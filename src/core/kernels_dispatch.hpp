@@ -19,7 +19,7 @@ enum class KernelOp : int {
   Getrf,     ///< diagonal-block LU (partial or static pivoting)
   Potrf,     ///< diagonal-block Cholesky
   Trsm,      ///< panel solve of one off-diagonal tile against the diagonal
-  Gemm,      ///< contribution product P = A·Bᵗ (fused in-place when dense)
+  Gemm,      ///< contribution product P = A·Bᵗ (dense: batched, in place)
   Lr2Lr,     ///< extend-add of a contribution into a low-rank tile (§3.3.2)
   Lr2Ge,     ///< extend-add of a contribution into dense storage
   Compress,  ///< rank-revealing compression of a dense tile
@@ -64,8 +64,10 @@ struct KernelCtx {
   lr::Tile* c = nullptr;        ///< in-out tile (diag, panel blok, EA target)
   const lr::Tile* a = nullptr;  ///< left operand / contribution
   const lr::Tile* b = nullptr;  ///< right operand
-  la::DView view;               ///< positioned dense destination (fused paths)
+  la::DView view;               ///< positioned dense destination
   la::DConstView in;            ///< dense input (Compress, SolveGemm)
+  std::span<const la::DConstView> rows;  ///< row bloks of Gemm[ge,ge], and
+  std::span<const la::DView> outs;       ///< the destination of each
   la::DConstView su, sv;        ///< positioned low-rank factors (SolveGemm):
                                 ///< view -= su·(svᵗ·in), always fp64 (fp32
                                 ///< tiles pass their widen-cache copies)
@@ -85,7 +87,7 @@ struct KernelCtx {
   real_t pivot_cutoff = 0;      ///< >0 selects static pivoting (Getrf)
   MemCategory out_cat = MemCategory::Workspace;  ///< category of `out`
   // Outputs.
-  lr::Tile out;                 ///< product result (Gemm, non-fused)
+  lr::Tile out;                 ///< product result (Gemm with a low-rank operand)
   std::optional<lr::LrMatrix> out_lr;  ///< compression result (Compress)
   index_t info = 0;             ///< LAPACK-style status (Getrf/Potrf)
   index_t replaced = 0;         ///< static-pivot replacements (Getrf)
@@ -193,13 +195,16 @@ index_t factor_diag(lr::Tile& diag, std::vector<index_t>& piv, bool llt,
 void panel_solve(const lr::Tile& diag, const std::vector<index_t>& piv,
                  lr::Tile& blk, bool llt, bool upper);
 
-/// Contribution product P = A·Bᵗ as a Workspace tile.
+/// Contribution product P = A·Bᵗ as a Workspace tile, for a pair with at
+/// least one low-rank operand.
 lr::Tile product(const lr::Tile& a, const lr::Tile& b, lr::CompressionKind kind,
                  real_t tol, bool need_ortho);
 
-/// Fused dense×dense update: target -= A·Bᵗ (or B·Aᵗ when `transpose`).
-void gemm_into(la::DView target, const lr::Tile& a, const lr::Tile& b,
-               bool transpose);
+/// Dense update of one column blok (DESIGN.md §12): outs[p] -= rows[p]·Bᵗ
+/// (or B·rows[p]ᵗ when `transpose`) for every p, as one batched GEMM that
+/// packs the dense tile B once. Counted under gemm[ge,ge].
+void gemm_update(std::span<const la::DConstView> rows, const lr::Tile& b,
+                 std::span<const la::DView> outs, bool transpose);
 
 /// LR2GE onto a positioned dense view: target -= P (or Pᵗ).
 void apply_contribution(la::DView target, const lr::Tile& p, bool transpose);

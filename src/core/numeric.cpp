@@ -503,19 +503,79 @@ void NumericFactor::run_update(const DagTask& u) {
   // not yet eliminated target.
   epochs_.expect(static_cast<std::uint64_t>(u.k), EpochGate::kFactored);
   epochs_.expect(static_cast<std::uint64_t>(u.t), EpochGate::kAssembled);
-  // The (bi, bj) pairs of k landing in t, in the (j outer, i inner) order:
-  // a column blok facing t pairs with every row blok from b0 on (LLᵗ: from
-  // itself on); a later column blok pairs with the row bloks facing t
-  // (LU only — under LLᵗ its pairs land further up the tree).
-  const index_t nb = static_cast<index_t>(sf_.cblk(u.k).bloks.size());
+  const CblkData& cd = data_[static_cast<std::size_t>(u.k)];
+  const index_t nb = static_cast<index_t>(cd.lpanel.size());
+  // The (bi, bj) pairs of k landing in t, column blok by column blok: a
+  // column blok facing t pairs with every row blok from b0 on (LLᵗ: from
+  // itself on); a later column blok pairs with the row bloks facing t (LU
+  // only — under LLᵗ its pairs land further up the tree), and those land
+  // transposed, in t's U panel.
+  struct Pair {
+    const lr::Tile* a;  ///< row blok
+    UpdateLoc loc;
+    bool dense;         ///< dense × dense: part of the column blok's GEMM
+    bool staged;        ///< its product is staged for a low-rank target
+  };
+  std::vector<Pair> pairs;
+  std::vector<lr::Tile> staged;
+  std::vector<la::DConstView> rows;
+  std::vector<la::DView> outs;
   for (index_t j = u.b0; j < (llt_ ? u.b1 : nb); ++j) {
-    const index_t ie = j < u.b1 ? nb : u.b1;
-    for (index_t i = llt_ ? j : u.b0; i < ie; ++i) {
-      // Early exit at block-update granularity: once a sibling failed the
-      // remaining updates are dead work on a doomed factorization.
-      if (failed_.load(std::memory_order_relaxed)) return;
-      poll_deadline(u.k);
-      apply_update(u.k, i, j);
+    // Early exit at column-blok granularity: once a sibling failed the
+    // remaining updates are dead work on a doomed factorization.
+    if (failed_.load(std::memory_order_relaxed)) return;
+    poll_deadline(u.k);
+    const lr::Tile& b =
+        (llt_ ? cd.lpanel : cd.upanel)[static_cast<std::size_t>(j)];
+    if (b.rank() == 0) continue;  // zero contributions
+    pairs.clear();
+    for (index_t i = llt_ ? j : u.b0; i < (j < u.b1 ? nb : u.b1); ++i) {
+      const lr::Tile& a = cd.lpanel[static_cast<std::size_t>(i)];
+      if (a.rank() == 0) continue;  // zero contribution
+      pairs.push_back({&a, locate_update(u.k, i, j),
+                       !a.is_lowrank() && !b.is_lowrank(), false});
+    }
+    // The write chains keep t's lock uncontended; it is taken once per
+    // column blok.
+    std::lock_guard guard(locks_[static_cast<std::size_t>(u.t)]);
+    // The dense pairs: one GEMM of blok j against all their row bloks, each
+    // product subtracted straight from its dense target. A low-rank target
+    // gets its product staged in a Workspace tile instead.
+    rows.clear();
+    outs.clear();
+    staged.clear();
+    staged.reserve(pairs.size());
+    std::uint64_t flops = 0;
+    for (Pair& pr : pairs) {
+      if (!pr.dense) continue;
+      la::DView dst = dense_target(pr.loc);
+      if (dst.data == nullptr) {
+        staged.push_back(
+            lr::Tile::make_dense(dst.rows, dst.cols, MemCategory::Workspace));
+        dst = staged.back().dense().view();
+        pr.staged = true;
+      }
+      rows.push_back(pr.a->dense().cview());
+      outs.push_back(dst);
+      flops += 2 * static_cast<std::uint64_t>(pr.loc.rh) *
+               static_cast<std::uint64_t>(pr.loc.ch) *
+               static_cast<std::uint64_t>(pr.a->cols());
+    }
+    if (!rows.empty()) {
+      dispatch::gemm_update(rows, b, outs, /*transpose=*/!llt_ && j >= u.b1);
+      update_flops_.fetch_add(flops, std::memory_order_relaxed);
+    }
+    // Then, in row order, the staged products and the pairs with a
+    // low-rank operand, each product formed right before it is applied.
+    std::size_t next = 0;
+    for (const Pair& pr : pairs) {
+      if (pr.staged) {
+        finish_update(pr.loc, unstage(staged[next++].dense(), pr.loc.transpose));
+      } else if (!pr.dense) {
+        finish_update(pr.loc,
+                      dispatch::product(*pr.a, b, opts_.kind, opts_.tolerance,
+                                        update_need_ortho(pr.loc)));
+      }
     }
   }
 }
@@ -653,41 +713,39 @@ bool NumericFactor::update_need_ortho(const UpdateLoc& loc) const {
   return policy_->need_ortho(target_assembled_lowrank);
 }
 
-void NumericFactor::dense_dense_update(const UpdateLoc& loc, const lr::Tile& a,
-                                       const lr::Tile& b) {
-  // Dense x dense: fuse the GEMM straight into a dense target; only a
-  // low-rank target needs an explicit contribution.
+la::DView NumericFactor::dense_target(const UpdateLoc& loc) {
   CblkData& td = data_[static_cast<std::size_t>(loc.tcblk)];
-  std::lock_guard guard(locks_[static_cast<std::size_t>(loc.tcblk)]);
-  if (loc.target_diag) {
-    dispatch::gemm_into(td.diag.dense().sub(loc.roff, loc.coff, loc.rh, loc.ch),
-                        a, b, /*transpose=*/false);
-    return;
-  }
+  // roff/coff are already expressed in the target block's coordinates;
+  // only the contribution's dimensions swap under transposition.
+  const index_t r = loc.transpose ? loc.ch : loc.rh;
+  const index_t c = loc.transpose ? loc.rh : loc.ch;
+  if (loc.target_diag) return td.diag.dense().sub(loc.roff, loc.coff, r, c);
   lr::Tile& tb = loc.target_upper
                      ? td.upanel[static_cast<std::size_t>(loc.tb_idx)]
                      : td.lpanel[static_cast<std::size_t>(loc.tb_idx)];
-  if (tb.is_lowrank()) {
-    lr::Tile p = dispatch::product(a, b, opts_.kind, opts_.tolerance,
-                                   /*need_ortho=*/false);
-    dispatch::extend_add(tb, p, loc.roff, loc.coff, opts_.kind, opts_.tolerance,
-                         loc.transpose);
-    return;
-  }
-  // roff/coff are already expressed in the target block's coordinates;
-  // only the contribution's dimensions swap under transposition. The
-  // fused kernel subtracts (A·Bᵗ)ᵗ = B·Aᵗ for the transposed mirror.
-  la::DView tview = tb.dense().sub(loc.roff, loc.coff,
-                                   loc.transpose ? loc.ch : loc.rh,
-                                   loc.transpose ? loc.rh : loc.ch);
-  dispatch::gemm_into(tview, a, b, loc.transpose);
+  if (tb.is_lowrank()) return la::DView(nullptr, r, c, std::max<index_t>(r, 1));
+  return tb.dense().sub(loc.roff, loc.coff, r, c);
 }
 
-void NumericFactor::finish_update(const UpdateLoc& loc, lr::Tile p) {
+lr::Tile NumericFactor::unstage(const la::DMatrix& neg, bool transpose) {
+  // 0 − x rather than −x: the product never holds −0.0, so the staged
+  // contribution carries exactly the bits of the product formed alone.
+  const index_t m = transpose ? neg.cols() : neg.rows();
+  const index_t n = transpose ? neg.rows() : neg.cols();
+  lr::Tile p = lr::Tile::make_dense(m, n, MemCategory::Workspace);
+  la::DMatrix& d = p.dense();
+  for (index_t col = 0; col < n; ++col) {
+    for (index_t row = 0; row < m; ++row) {
+      d(row, col) = real_t(0) - (transpose ? neg(col, row) : neg(row, col));
+    }
+  }
+  return p;
+}
+
+void NumericFactor::finish_update(const UpdateLoc& loc, const lr::Tile& p) {
   if (p.is_lowrank() && p.rank() == 0) return;
 
   CblkData& td = data_[static_cast<std::size_t>(loc.tcblk)];
-  std::lock_guard guard(locks_[static_cast<std::size_t>(loc.tcblk)]);
   if (loc.target_diag) {
     dispatch::apply_contribution(
         td.diag.dense().sub(loc.roff, loc.coff, loc.rh, loc.ch), p,
@@ -727,26 +785,6 @@ void NumericFactor::finish_update(const UpdateLoc& loc, lr::Tile p) {
     dispatch::extend_add(tb, p, loc.roff, loc.coff, opts_.kind, opts_.tolerance,
                          loc.transpose);
   }
-}
-
-void NumericFactor::apply_update(index_t k, index_t bi, index_t bj) {
-  const UpdateLoc loc = locate_update(k, bi, bj);
-  CblkData& cd = data_[static_cast<std::size_t>(k)];
-  const lr::Tile& a = cd.lpanel[static_cast<std::size_t>(bi)];
-  const lr::Tile& b = llt_ ? cd.lpanel[static_cast<std::size_t>(bj)]
-                           : cd.upanel[static_cast<std::size_t>(bj)];
-
-  if (a.rank() == 0 || b.rank() == 0) return;  // zero contribution
-
-  if (!a.is_lowrank() && !b.is_lowrank()) {
-    dense_dense_update(loc, a, b);
-    return;
-  }
-
-  // At least one low-rank operand: form the contribution outside the lock.
-  const bool need_ortho = update_need_ortho(loc);
-  lr::Tile p = dispatch::product(a, b, opts_.kind, opts_.tolerance, need_ortho);
-  finish_update(loc, std::move(p));
 }
 
 // ---------------------------------------------------------------------------

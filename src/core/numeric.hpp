@@ -195,6 +195,11 @@ public:
   [[nodiscard]] index_t pivots_replaced() const {
     return pivots_replaced_.load(std::memory_order_relaxed);
   }
+  /// Flops of this factorization's dense update GEMMs
+  /// (2·rows·cols·width each).
+  [[nodiscard]] std::uint64_t dense_update_flops() const {
+    return update_flops_.load(std::memory_order_relaxed);
+  }
 
   /// Elimination schedule trace (empty unless options.collect_trace).
   [[nodiscard]] const std::vector<TraceEvent>& trace() const { return trace_; }
@@ -243,7 +248,8 @@ private:
   bool run_task(const TaskGraph& g, std::uint32_t id);
   /// Elim(k): factor_panel plus the epoch hand-off and the trace event.
   void run_elim(index_t k);
-  /// Upd(k, t): every update of source k that lands in target t.
+  /// Upd(k, t): every update of source k that lands in target t, one
+  /// batched GEMM per column blok of k (DESIGN.md §12).
   void run_update(const DagTask& u);
   /// Symbolic geometry of the (bi, bj) update produced by supernode k.
   [[nodiscard]] UpdateLoc locate_update(index_t k, index_t bi, index_t bj) const;
@@ -251,15 +257,16 @@ private:
   /// (keys off the target's assembly-time representation — immutable, so
   /// safe without the target lock).
   [[nodiscard]] bool update_need_ortho(const UpdateLoc& loc) const;
-  /// Fused dense×dense update: GEMM straight into the (locked) dense target,
-  /// or product + extend-add when the target is low-rank.
-  void dense_dense_update(const UpdateLoc& loc, const lr::Tile& a,
-                          const lr::Tile& b);
-  /// Apply a formed contribution product under the target lock: LR2GE onto
-  /// the diagonal, LUAR accumulation, or extend-add.
-  void finish_update(const UpdateLoc& loc, lr::Tile p);
-  /// Apply the (i,j) update produced by supernode k.
-  void apply_update(index_t k, index_t bi, index_t bj);
+  /// The dense view an update subtracts from (transposed shape for the U
+  /// mirror), or a null view of that shape when the target tile is
+  /// low-rank. Caller holds the target lock.
+  [[nodiscard]] la::DView dense_target(const UpdateLoc& loc);
+  /// The contribution P = A·Bᵗ from a batched GEMM's staged output
+  /// −P (−Pᵗ when `transpose`).
+  [[nodiscard]] static lr::Tile unstage(const la::DMatrix& neg, bool transpose);
+  /// Apply a formed contribution product: LR2GE onto the diagonal, LUAR
+  /// accumulation, or extend-add. Caller holds the target lock.
+  void finish_update(const UpdateLoc& loc, const lr::Tile& p);
   /// Merge a pending LUAR accumulator into its block (caller holds the
   /// target lock or the target is quiescent).
   void flush_accumulator(index_t cblk, bool upper, index_t blok_idx);
@@ -357,6 +364,7 @@ private:
   ThreadPool* pool_ = nullptr;                 // active during factorize()
   real_t pivot_cutoff_ = 0;                    // absolute static-pivot threshold
   std::atomic<index_t> pivots_replaced_{0};
+  std::atomic<std::uint64_t> update_flops_{0};  // dense update GEMM flops
   std::vector<TraceEvent> trace_;
   std::mutex trace_mutex_;
   Timer trace_clock_;

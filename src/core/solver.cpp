@@ -389,6 +389,7 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
   stats_.average_rank = num_->average_rank();
   stats_.dense_block_fraction = num_->dense_block_fraction();
   stats_.pivots_replaced = num_->pivots_replaced();
+  stats_.dense_update_flops = num_->dense_update_flops();
   capture_dag();
   stats_.dispatch = KernelDispatch::instance().snapshot();
 
@@ -614,6 +615,21 @@ void Solver::print_summary(std::ostream& os) const {
        << stats_.dag_critical_path << ", ready peak "
        << stats_.dag_ready_peak << ", " << stats_.dag_executed
        << " executed\n";
+  }
+  std::uint64_t update_gemms = 0;
+  double update_seconds = 0;
+  for (const DispatchCount& d : stats_.dispatch) {
+    if (d.kernel != "gemm[ge,ge]") continue;
+    update_gemms += d.calls;
+    update_seconds += d.seconds;
+  }
+  if (update_gemms > 0) {
+    os << "  dense update  : " << update_gemms << " GEMMs, "
+       << (update_seconds > 0
+               ? static_cast<double>(stats_.dense_update_flops) /
+                     update_seconds / 1e9
+               : 0.0)
+       << " GF/s\n";
   }
   if (!stats_.dispatch.empty()) {
     os << "  kernels       :\n";

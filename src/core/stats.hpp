@@ -139,6 +139,10 @@ struct SolverStats {
   /// Pivots replaced by static pivoting (LU with pivot_threshold > 0).
   index_t pivots_replaced = 0;
 
+  /// Flops of the dense update GEMMs (the `gemm[ge,ge]` dispatch row) of
+  /// the successful attempt, 2·rows·cols·width per dense block pair.
+  std::uint64_t dense_update_flops = 0;
+
   // Scheduler counters of the last factorize() (all zero for sequential
   // runs; aggregated over workers — per-worker detail via
   // Solver::worker_stats()).

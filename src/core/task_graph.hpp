@@ -20,7 +20,7 @@ enum class DagTaskKind : std::uint8_t {
 
 /// One node of the factorization graph. Elim has k == t. Upd covers the
 /// bloks [b0, b1) of source k, the ones facing target t; it applies every
-/// (bi, bj) update of k that lands in t, in the (j outer, i inner) order.
+/// (bi, bj) update of k that lands in t, column blok by column blok.
 struct DagTask {
   DagTaskKind kind = DagTaskKind::Elim;
   index_t k = -1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <new>
+#include <vector>
 
 #include "linalg/backend.hpp"
 #include "linalg/kernels_isa.hpp"
@@ -145,6 +146,9 @@ template <typename T>
 struct ThreadPackBuffers {
   PackBuffer<T> a;
   PackBuffer<T> b;
+  PackBuffer<T> c;  ///< gemm_batch: a group's C blocks, gathered
+  std::vector<const T*> rows;  ///< gemm_batch: a group's stacked rows
+  std::vector<index_t> lds;    ///< ... and the leading dimension of each
 };
 
 template <typename T>
@@ -242,6 +246,87 @@ const T* pack_b(PackBuffer<T>& buf, ConstView<T> b, Trans trans, T alpha,
   return buf.data;
 }
 
+/// Whether stacked rows [i0, i0 + count) are consecutive rows of one block.
+template <typename T>
+bool one_block(const std::vector<const T*>& rows, const std::vector<index_t>& lds,
+               std::size_t i0, index_t count) {
+  for (index_t r = 1; r < count; ++r) {
+    const std::size_t i = i0 + static_cast<std::size_t>(r);
+    if (rows[i] != rows[i0] + r || lds[i] != lds[i0]) return false;
+  }
+  return true;
+}
+
+/// pack_a for a vertical stack of row blocks: `rows[i]` is row i of the
+/// stack and `lds[i]` its stride between columns (Trans::No only).
+template <typename T>
+const T* pack_a_rows(PackBuffer<T>& buf, const std::vector<const T*>& rows,
+                     const std::vector<index_t>& lds, index_t m, index_t kk) {
+  constexpr index_t MR = MicroTile<T>::MR;
+  std::size_t rows_rounded = 0;
+  for (index_t ic = 0; ic < m; ic += kMC)
+    rows_rounded += round_up(std::min(kMC, m - ic), MR);
+  T* dst = buf.ensure(rows_rounded * static_cast<std::size_t>(kk));
+  for (index_t pc = 0; pc < kk; pc += kKC) {
+    const index_t kc = std::min(kKC, kk - pc);
+    for (index_t ic = 0; ic < m; ic += kMC) {
+      const index_t mc = std::min(kMC, m - ic);
+      for (index_t p = 0; p < mc; p += MR) {
+        const auto i0 = static_cast<std::size_t>(ic + p);
+        const index_t mr = std::min(MR, mc - p);
+        if (one_block(rows, lds, i0, mr)) {
+          // The common case: the panel's rows are contiguous in one block.
+          pack_block_a<T, MR>(ConstView<T>(rows[i0], mr, kk, lds[i0]), Trans::No,
+                              0, mr, pc, kc, dst);
+        } else {
+          for (index_t k = 0; k < kc; ++k) {
+            index_t r = 0;
+            for (; r < mr; ++r) {
+              const std::size_t i = i0 + static_cast<std::size_t>(r);
+              dst[k * MR + r] = rows[i][(pc + k) * lds[i]];
+            }
+            for (; r < MR; ++r) dst[k * MR + r] = T(0);
+          }
+        }
+        dst += kc * MR;
+      }
+    }
+  }
+  return buf.data;
+}
+
+/// pack_b of alpha·Sᵗ for a vertical stack S of row blocks (see
+/// pack_a_rows): op(B)(k, c) = S(c, k), the Trans::Yes layout.
+template <typename T>
+const T* pack_bt_rows(PackBuffer<T>& buf, const std::vector<const T*>& rows,
+                      const std::vector<index_t>& lds, T alpha, index_t kk,
+                      index_t n) {
+  constexpr index_t NR = MicroTile<T>::NR;
+  T* dst = buf.ensure(static_cast<std::size_t>(round_up(n, NR)) * kk);
+  for (index_t pc = 0; pc < kk; pc += kKC) {
+    const index_t kc = std::min(kKC, kk - pc);
+    for (index_t q = 0; q < n; q += NR) {
+      const auto i0 = static_cast<std::size_t>(q);
+      const index_t nr = std::min(NR, n - q);
+      if (one_block(rows, lds, i0, nr)) {
+        pack_slab_b<T, NR>(ConstView<T>(rows[i0], nr, kk, lds[i0]), Trans::Yes,
+                           alpha, pc, kc, nr, dst);
+      } else {
+        for (index_t k = 0; k < kc; ++k) {
+          index_t c = 0;
+          for (; c < nr; ++c) {
+            const std::size_t i = i0 + static_cast<std::size_t>(c);
+            dst[k * NR + c] = alpha * rows[i][(pc + k) * lds[i]];
+          }
+          for (; c < NR; ++c) dst[k * NR + c] = T(0);
+        }
+      }
+      dst += kc * NR;
+    }
+  }
+  return buf.data;
+}
+
 /// Packing pays for itself once there is enough arithmetic per packed
 /// element; tiny products (thin ranks, small tiles) stay on the loop nests.
 template <typename T>
@@ -262,6 +347,9 @@ template <typename T>
 struct BackendVtable {
   /// C += alpha * op(A) * op(B) (beta already applied).
   void (*gemm)(Trans, Trans, T, ConstView<T>, ConstView<T>, MatView<T>);
+  /// The gemm_batch products (alpha != 0, B nonempty).
+  void (*gemm_batch)(Trans, T, std::span<const ConstView<T>>, ConstView<T>,
+                     std::span<const MatView<T>>);
   /// Substitution only (alpha already applied to B).
   void (*trsm)(Side, Uplo, Trans, Diag, ConstView<T>, MatView<T>);
   /// C(triangle) += alpha * A·Aᵗ or Aᵗ·A (beta already applied).
@@ -296,6 +384,20 @@ void ref_gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
   gemm_unpacked(trans_a, trans_b, alpha, a, b, T(1), c);
 }
 
+/// One batched product C_p += alpha·A_p·Bᵗ (or alpha·B·A_pᵗ) on the nests.
+template <typename T>
+void nests_nt(Trans trans, T alpha, ConstView<T> a, ConstView<T> b,
+              MatView<T> c) {
+  if (trans == Trans::No) gemm_nests(Trans::No, Trans::Yes, alpha, a, b, c);
+  else gemm_nests(Trans::No, Trans::Yes, alpha, b, a, c);
+}
+
+template <typename T>
+void ref_gemm_batch(Trans trans, T alpha, std::span<const ConstView<T>> a,
+                    ConstView<T> b, std::span<const MatView<T>> c) {
+  for (std::size_t p = 0; p < a.size(); ++p) nests_nt(trans, alpha, a[p], b, c[p]);
+}
+
 template <typename T>
 void ref_trsm(Side side, Uplo uplo, Trans trans, Diag diag, ConstView<T> a,
               MatView<T> b) {
@@ -325,6 +427,68 @@ void native_gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
                                                      bp, c.data, c.ld);
 }
 
+/// Stacked rows of one gemm_batch group: enough for full MR×NR micro-tiles
+/// over two kMC row blocks.
+constexpr index_t kBatchRows = 2 * kMC;
+
+template <typename T>
+void native_gemm_batch(Trans trans, T alpha, std::span<const ConstView<T>> a,
+                       ConstView<T> b, std::span<const MatView<T>> c) {
+  const index_t kk = b.cols;
+  const index_t n = b.rows;
+  if (kk < 4) {  // too shallow to pay for packing (see use_packed)
+    ref_gemm_batch(trans, alpha, a, b, c);
+    return;
+  }
+  ThreadPackBuffers<T>& bufs = pack_buffers<T>();
+  const auto kernel = detail::native_kernels().template gemm_packed<T>();
+  const T* shared = nullptr;  // B, packed once for the whole batch
+  // Consecutive blocks form groups of up to kBatchRows stacked rows. A
+  // group's rows are packed straight from the blocks, and the micro-kernel
+  // accumulates onto a gathered copy of the group's C entries (C rows, or
+  // C columns for the transposed products) that is scattered back; a lone
+  // block accumulates in place. Accumulating onto C's own values keeps each
+  // element's order that of the single call.
+  for (std::size_t p0 = 0; p0 < a.size();) {
+    index_t m = a[p0].rows;
+    std::size_t p1 = p0 + 1;
+    while (p1 < a.size() && m + a[p1].rows <= kBatchRows) m += a[p1++].rows;
+    bufs.rows.clear();
+    bufs.lds.clear();
+    for (std::size_t p = p0; p < p1; ++p) {
+      for (index_t r = 0; r < a[p].rows; ++r) {
+        bufs.rows.push_back(a[p].data + r);
+        bufs.lds.push_back(a[p].ld);
+      }
+    }
+    MatView<T> gc = p1 == p0 + 1 ? c[p0]
+                    : trans == Trans::No
+                        ? MatView<T>(bufs.c.ensure(static_cast<std::size_t>(m) * n), m, n)
+                        : MatView<T>(bufs.c.ensure(static_cast<std::size_t>(m) * n), n, m);
+    const auto slot = [&](index_t r, index_t rows) {
+      return trans == Trans::No ? gc.sub(r, 0, rows, n) : gc.sub(0, r, n, rows);
+    };
+    if (p1 > p0 + 1) {
+      for (std::size_t p = p0, r = 0; p < p1; r += static_cast<std::size_t>(a[p++].rows))
+        copy<T>(c[p], slot(static_cast<index_t>(r), a[p].rows));
+    }
+    if (trans == Trans::No) {
+      if (shared == nullptr) shared = pack_b<T>(bufs.b, b, Trans::Yes, alpha, kk, n);
+      const T* ap = pack_a_rows<T>(bufs.a, bufs.rows, bufs.lds, m, kk);
+      kernel(m, n, kk, ap, shared, gc.data, gc.ld);
+    } else {
+      if (shared == nullptr) shared = pack_a<T>(bufs.a, b, Trans::No, n, kk);
+      const T* bp = pack_bt_rows<T>(bufs.b, bufs.rows, bufs.lds, alpha, kk, m);
+      kernel(n, m, kk, shared, bp, gc.data, gc.ld);
+    }
+    if (p1 > p0 + 1) {
+      for (std::size_t p = p0, r = 0; p < p1; r += static_cast<std::size_t>(a[p++].rows))
+        copy<T>(ConstView<T>(slot(static_cast<index_t>(r), a[p].rows)), c[p]);
+    }
+    p0 = p1;
+  }
+}
+
 template <typename T>
 void native_trsm(Side side, Uplo uplo, Trans trans, Diag diag, ConstView<T> a,
                  MatView<T> b) {
@@ -340,8 +504,9 @@ void native_syrk(Uplo uplo, Trans trans, T alpha, ConstView<T> a,
 template <typename T>
 const BackendVtable<T>& backend_vtable(Backend be) {
   static const BackendVtable<T> table[static_cast<int>(Backend::kCount)] = {
-      {&ref_gemm<T>, &ref_trsm<T>, &ref_syrk<T>},           // Reference
-      {&native_gemm<T>, &native_trsm<T>, &native_syrk<T>},  // Native
+      {&ref_gemm<T>, &ref_gemm_batch<T>, &ref_trsm<T>, &ref_syrk<T>},  // Reference
+      {&native_gemm<T>, &native_gemm_batch<T>, &native_trsm<T>,
+       &native_syrk<T>},                                               // Native
   };
   return table[static_cast<int>(be)];
 }
@@ -380,6 +545,20 @@ void gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a, ConstView<T> b,
   scale_matrix(beta, c);
   if (alpha == T(0) || opa_cols == 0 || c.empty()) return;
   backend_vtable<T>(current_backend()).gemm(trans_a, trans_b, alpha, a, b, c);
+}
+
+template <typename T>
+void gemm_batch(Trans trans, T alpha, std::span<const ConstView<T>> a,
+                ConstView<T> b, std::span<const MatView<T>> c) {
+  assert(a.size() == c.size());
+  for (std::size_t p = 0; p < a.size(); ++p) {
+    assert(a[p].cols == b.cols);
+    assert(trans == Trans::No ? (c[p].rows == a[p].rows && c[p].cols == b.rows)
+                              : (c[p].rows == b.rows && c[p].cols == a[p].rows));
+    (void)p;
+  }
+  if (alpha == T(0) || b.cols == 0 || b.rows == 0) return;
+  backend_vtable<T>(current_backend()).gemm_batch(trans, alpha, a, b, c);
 }
 
 template <typename T>
@@ -442,6 +621,8 @@ void trsv(Uplo uplo, Trans trans, Diag diag, ConstView<T> a, T* b) {
   template void gemm<T>(Trans, Trans, T, ConstView<T>, ConstView<T>, T, MatView<T>);   \
   template void gemm_unpacked<T>(Trans, Trans, T, ConstView<T>, ConstView<T>, T,       \
                                  MatView<T>);                                          \
+  template void gemm_batch<T>(Trans, T, std::span<const ConstView<T>>, ConstView<T>,   \
+                              std::span<const MatView<T>>);                            \
   template void trsm<T>(Side, Uplo, Trans, Diag, T, ConstView<T>, MatView<T>);         \
   template void syrk<T>(Uplo, Trans, T, ConstView<T>, T, MatView<T>);                  \
   template void gemv<T>(Trans, T, ConstView<T>, const T*, T, T*);                      \

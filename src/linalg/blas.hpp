@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "linalg/matrix.hpp"
 
@@ -23,6 +24,19 @@ enum class Diag { NonUnit, Unit };
 template <typename T>
 void gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a, ConstView<T> b,
           T beta, MatView<T> c);
+
+/// One GEMM of a shared operand B against a batch of row blocks A_p, each
+/// product accumulated straight into its own destination:
+///   C_p += alpha · A_p · Bᵗ   (trans == Trans::No)
+///   C_p += alpha · B · A_pᵗ   (trans == Trans::Yes)
+/// for every p. B is packed once for the whole batch. Each product keeps
+/// the per-element accumulation order of the matching single call,
+/// gemm(No, Yes, alpha, A_p, B, 1, C_p) resp. gemm(No, Yes, alpha, B, A_p,
+/// 1, C_p), so the results are bit-identical to issuing those calls one by
+/// one, under every backend.
+template <typename T>
+void gemm_batch(Trans trans, T alpha, std::span<const ConstView<T>> a,
+                ConstView<T> b, std::span<const MatView<T>> c);
 
 /// The plain gemm loop nests — the Reference backend's implementation
 /// (la::gemm with backend Reference lands here), also used directly as the

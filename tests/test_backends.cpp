@@ -230,6 +230,65 @@ void gemm_bit_identity_for_type() {
 TEST(BackendBitwiseKernels, GemmDouble) { gemm_bit_identity_for_type<double>(); }
 TEST(BackendBitwiseKernels, GemmFloat) { gemm_bit_identity_for_type<float>(); }
 
+// gemm_batch must leave every block's C bit-identical to the single gemm
+// call on that block, under both backends: blocks of ragged heights that
+// group past the packed threshold, a block too tall to share a group, a
+// depth past kKC, strided operands, and both product orientations.
+template <typename T>
+void gemm_batch_bit_identity_for_type() {
+  BackendStateGuard state;
+  Prng rng(211);
+  const index_t heights[] = {1, 3, 8, 17, 40, 130, 5, 2, 64, 250, 9};
+  index_t total = 0;
+  for (const index_t h : heights) total += h;
+  for (const index_t kk : {index_t(3), index_t(20), index_t(300)}) {
+    for (const index_t n : {index_t(4), index_t(13)}) {
+      for (const la::Trans trans : {la::Trans::No, la::Trans::Yes}) {
+        la::Matrix<T> a(total + 7, kk);  // blocks are strided row ranges
+        la::Matrix<T> b(n, kk);
+        la::Matrix<T> c0 = trans == la::Trans::No ? la::Matrix<T>(total + 5, n + 2)
+                                                   : la::Matrix<T>(n + 3, total + 4);
+        random_normal(a.view(), rng);
+        random_normal(b.view(), rng);
+        random_normal(c0.view(), rng);
+        const auto run = [&](la::Backend be, bool batched) {
+          la::set_backend(be);
+          la::Matrix<T> c = c0;
+          std::vector<la::ConstView<T>> as;
+          std::vector<la::MatView<T>> cs;
+          index_t r = 0;
+          for (const index_t h : heights) {
+            as.push_back(a.cview().sub(r + 7, 0, h, kk));
+            cs.push_back(trans == la::Trans::No ? c.view().sub(r + 5, 1, h, n)
+                                                : c.view().sub(2, r + 4, n, h));
+            r += h;
+          }
+          if (batched) {
+            la::gemm_batch<T>(trans, T(-1), as, b.cview(), cs);
+          } else {
+            for (std::size_t p = 0; p < as.size(); ++p) {
+              if (trans == la::Trans::No)
+                la::gemm(la::Trans::No, la::Trans::Yes, T(-1), as[p], b.cview(), T(1), cs[p]);
+              else
+                la::gemm(la::Trans::No, la::Trans::Yes, T(-1), b.cview(), as[p], T(1), cs[p]);
+            }
+          }
+          return c;
+        };
+        const la::Matrix<T> ref = run(la::Backend::Reference, false);
+        const std::string what = "gemm_batch kk=" + std::to_string(kk) +
+                                 " n=" + std::to_string(n) +
+                                 (trans == la::Trans::Yes ? " transposed" : "");
+        expect_same_bits(ref, run(la::Backend::Reference, true), what + " reference");
+        expect_same_bits(ref, run(la::Backend::Native, true), what + " native");
+      }
+    }
+  }
+}
+
+TEST(BackendBitwiseKernels, GemmBatchDouble) { gemm_batch_bit_identity_for_type<double>(); }
+TEST(BackendBitwiseKernels, GemmBatchFloat) { gemm_batch_bit_identity_for_type<float>(); }
+
 template <typename T>
 void trsm_syrk_bit_identity_for_type() {
   BackendStateGuard state;
