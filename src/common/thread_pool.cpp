@@ -292,8 +292,8 @@ void ThreadPool::wait_idle() {
   });
 }
 
-void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& f) {
-  if (n <= 0) return;
+index_t ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& f) {
+  if (n <= 0) return 0;
   const index_t nthreads = size();
   const index_t chunk =
       std::max<index_t>(1, (n + 4 * nthreads - 1) / (4 * nthreads));
@@ -338,6 +338,7 @@ void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& f) 
   while (st->done.load(std::memory_order_acquire) < n) {
     std::this_thread::yield();
   }
+  return helpers;
 }
 
 std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {

@@ -77,7 +77,9 @@ public:
   /// Run f(i) for i in [0, n) across the pool and wait for completion.
   /// Work is chunked to limit queue traffic. Safe to call from inside a
   /// running task (the caller participates instead of blocking the pool).
-  void parallel_for(index_t n, const std::function<void(index_t)>& f);
+  /// `f` must not throw. Returns the helper tasks submitted (at most
+  /// size() - 1); each counts as a pool task in the worker stats.
+  index_t parallel_for(index_t n, const std::function<void(index_t)>& f);
 
   /// Dense worker index of the calling thread in its pool, or -1 when the
   /// caller is not a pool worker.

@@ -20,6 +20,13 @@ namespace {
 /// measurements (DESIGN.md §16).
 constexpr index_t kSolveChunkCols = 16;
 
+/// Estimated panel work (see NumericFactor::fans_out) from which Elim(k)
+/// spreads its per-blok compressions and TRSMs over the pool, in units of
+/// h·w² (one TRSM of an h-row blok against a w-wide diagonal). Below it the
+/// fork-join costs more than it saves. Calibrated on lap 36³ JIT and
+/// conv-diff 36³ MinMem LU at 4 threads (DESIGN.md §12).
+constexpr double kFanOutWork = 1 << 22;
+
 template <typename T>
 bool all_finite(const la::Matrix<T>& m) {
   const T* p = m.data();
@@ -114,14 +121,6 @@ NumericFactor::NumericFactor(const sparse::CscMatrix& a,
       MemCategory::Workspace,
       (static_cast<std::size_t>(ap_.nnz()) + static_cast<std::size_t>(apt_.nnz())) *
           (sizeof(real_t) + sizeof(index_t)));
-  if (opts_.scheduling == Scheduling::RightLooking) {
-    // Right-looking assembles everything up front; left-looking keeps the
-    // permuted input to assemble each supernode when it is reached.
-    assemble_all();
-    ap_ = sparse::CscMatrix();
-    apt_ = sparse::CscMatrix();
-    input_track_ = TrackedAlloc();
-  }
 }
 
 bool NumericFactor::compressible(index_t k, const symbolic::Blok& b) const {
@@ -383,17 +382,59 @@ void NumericFactor::flush_all_accumulators(index_t cblk) {
     flush_accumulator(cblk, true, static_cast<index_t>(i));
 }
 
-void NumericFactor::assemble_all() {
-  for (index_t k = 0; k < sf_.num_cblks(); ++k) {
+void NumericFactor::assemble_all(ThreadPool* pool) {
+  // Each supernode's assembly writes only its own blocks and reads the
+  // permuted input, so the split over the pool changes no bits. A breach is
+  // stamped with the requesting supernode and propagates to
+  // Solver::factorize's resource ladder.
+  run_items(pool, sf_.num_cblks(), [this](index_t k) {
     try {
       assemble_cblk(k);
     } catch (ResourceError& e) {
-      // Sequential context (constructor): stamp the requesting supernode and
-      // let the breach propagate to Solver::factorize's resource ladder.
       stamp_resource(e.report(), k);
       throw;
     }
+  });
+}
+
+void NumericFactor::run_items(ThreadPool* pool, index_t n,
+                              const std::function<void(index_t)>& item) {
+  if (pool == nullptr) {
+    for (index_t i = 0; i < n; ++i) item(i);
+    return;
   }
+  // parallel_for bodies must not throw: keep the first exception, let the
+  // items that start after it skip, and rethrow it on this thread.
+  std::mutex mu;
+  std::exception_ptr err;
+  std::atomic<bool> stop{false};
+  const index_t helpers = pool->parallel_for(n, [&](index_t i) {
+    if (stop.load(std::memory_order_relaxed)) return;
+    try {
+      item(i);
+    } catch (...) {
+      std::lock_guard lock(mu);
+      if (!err) err = std::current_exception();
+      stop.store(true, std::memory_order_relaxed);
+    }
+  });
+  pool_helpers_.fetch_add(static_cast<std::uint64_t>(helpers),
+                          std::memory_order_relaxed);
+  if (err) std::rethrow_exception(err);
+}
+
+bool NumericFactor::fans_out(index_t k) const {
+  // Each blok costs about h·w²: its TRSM, plus as much again for the RRQR of
+  // a compressible blok under a compressing strategy. LU has two panels.
+  const symbolic::Cblk& c = sf_.cblk(k);
+  if ((llt_ ? 1 : 2) * c.bloks.size() < 2) return false;
+  const bool compresses = opts_.strategy != Strategy::Dense;
+  double rows = 0;
+  for (const symbolic::Blok& b : c.bloks)
+    rows += static_cast<double>(b.height()) *
+            (compresses && compressible(k, b) ? 2.0 : 1.0);
+  const double w = static_cast<double>(c.width());
+  return (llt_ ? 1.0 : 2.0) * rows * w * w >= kFanOutWork;
 }
 
 void NumericFactor::factorize(ThreadPool* pool) {
@@ -420,6 +461,13 @@ void NumericFactor::factorize(ThreadPool* pool) {
     return;
   }
 
+  // Right-looking assembles everything before the drain, then drops the
+  // permuted input.
+  assemble_all(pool);
+  ap_ = sparse::CscMatrix();
+  apt_ = sparse::CscMatrix();
+  input_track_ = TrackedAlloc();
+
   // Ready tasks run in critical-path order of their source supernode, so a
   // supernode's updates run right after its elimination, ahead of
   // shallower work.
@@ -432,6 +480,8 @@ void NumericFactor::factorize(ThreadPool* pool) {
       });
   dag_stats_.executed = rs.executed;
   dag_stats_.ready_peak = rs.ready_peak;
+  dag_stats_.fanout_panels = fanout_panels_.load(std::memory_order_relaxed);
+  dag_stats_.pool_helpers = pool_helpers_.load(std::memory_order_relaxed);
   // A failure cancelled the pool to drain queued tasks; clear the flag so
   // the pool is immediately reusable (recovery retries, benches).
   if (pool != nullptr) pool->reset_cancel();
@@ -623,36 +673,34 @@ void NumericFactor::factor_panel(index_t k) {
     }
     if (failed_.load(std::memory_order_relaxed)) return;
 
-    // Elimination-time policy hook: Just-In-Time compresses the accumulated
-    // panels now (Algorithm 2 l.3-4); Minimal-Memory and Adaptive re-attempt
-    // the blocks that are (still) dense — e.g. after an extend-add
-    // transiently exceeded the storage-beneficial rank — which keeps the
-    // final factor size of the scenarios similar, as the paper reports.
-    const auto hook_panel = [&](std::vector<lr::Tile>& panel, bool upper) {
-      for (std::size_t idx = 0; idx < panel.size(); ++idx) {
-        // Early exit at panel granularity once a sibling has failed.
-        if (failed_.load(std::memory_order_relaxed)) return;
-        policy_->at_elimination(k, BlockSite{static_cast<index_t>(idx), upper},
-                                panel[idx], compressible(k, c.bloks[idx]),
-                                pctx_);
-      }
+    // Per blok, the elimination-time policy hook, then the panel solve.
+    // Just-In-Time compresses the accumulated panels now (Algorithm 2
+    // l.3-4); Minimal-Memory and Adaptive re-attempt the blocks that are
+    // (still) dense — e.g. after an extend-add transiently exceeded the
+    // storage-beneficial rank — which keeps the final factor size of the
+    // scenarios similar, as the paper reports. Item i < nb is L blok i, item
+    // nb + i is U blok i. An item reads the factored diagonal, immutable from
+    // here on, and mutates only its own tile, so the items may run in any
+    // order or in parallel with the same bits.
+    const index_t nb = static_cast<index_t>(c.bloks.size());
+    const auto blok_item = [&](index_t i) {
+      // Early exit at blok granularity once a sibling has failed.
+      if (failed_.load(std::memory_order_relaxed)) return;
+      const bool upper = i >= nb;
+      const index_t idx = upper ? i - nb : i;
+      lr::Tile& blk =
+          (upper ? cd.upanel : cd.lpanel)[static_cast<std::size_t>(idx)];
+      policy_->at_elimination(k, BlockSite{idx, upper}, blk,
+                              compressible(k, c.bloks[static_cast<std::size_t>(idx)]),
+                              pctx_);
+      if (failed_.load(std::memory_order_relaxed)) return;
+      if (blk.rank() != 0)
+        dispatch::panel_solve(cd.diag, cd.ipiv, blk, llt_, upper);
+      blk.advance(lr::TileState::Factored);
     };
-    hook_panel(cd.lpanel, /*upper=*/false);
-    if (!llt_) hook_panel(cd.upanel, /*upper=*/true);
-    if (failed_.load(std::memory_order_relaxed)) return;
-
-    // Panel solves: each TRSM reads the (now immutable) factored diagonal
-    // and mutates only its own tile.
-    const auto solve_panel = [&](std::vector<lr::Tile>& panel, bool upper) {
-      for (auto& blk : panel) {
-        if (failed_.load(std::memory_order_relaxed)) return;
-        if (blk.rank() != 0)
-          dispatch::panel_solve(cd.diag, cd.ipiv, blk, llt_, upper);
-        blk.advance(lr::TileState::Factored);
-      }
-    };
-    solve_panel(cd.lpanel, /*upper=*/false);
-    if (!llt_) solve_panel(cd.upanel, /*upper=*/true);
+    const bool fan = pool_ != nullptr && fans_out(k);
+    if (fan) fanout_panels_.fetch_add(1, std::memory_order_relaxed);
+    run_items(fan ? pool_ : nullptr, llt_ ? nb : 2 * nb, blok_item);
     if (failed_.load(std::memory_order_relaxed)) return;
     // Guard the factored panel: overflow/NaN escaping the diagonal
     // factorization or the triangular solves is caught here instead of

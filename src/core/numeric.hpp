@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -115,12 +116,11 @@ class NumericFactor {
 public:
   using Reuse = NumericReuse;
 
-  /// Assembles the (permuted) initial matrix into the block structure.
-  /// For Minimal-Memory this is where the initial compression (lines 1-4 of
-  /// Algorithm 1) happens; the dense factor structure is never allocated.
-  /// `governor` (may be null: ungoverned) supplies the deadline watchdog the
-  /// driver polls and receives injected clock skew; budget breaches arrive
-  /// through the MemoryTracker as ResourceError regardless.
+  /// Permutes the initial matrix into the solver's ordering; factorize()
+  /// assembles it into the block structure. `governor` (may be null:
+  /// ungoverned) supplies the deadline watchdog the factorization polls and
+  /// receives injected clock skew; budget breaches arrive through the
+  /// MemoryTracker as ResourceError regardless.
   /// `reuse` carries the task graph factorize() drains, plus warm-start
   /// state for re-factorization.
   NumericFactor(const sparse::CscMatrix& a, const ordering::Ordering& ord,
@@ -130,10 +130,13 @@ public:
   NumericFactor(const NumericFactor&) = delete;
   NumericFactor& operator=(const NumericFactor&) = delete;
 
-  /// Runs the numeric factorization by draining the task graph: over `pool`
-  /// when given, else in task-id order on the calling thread. Both produce
-  /// the same bits. Left-looking walks the same update groups target by
-  /// target on the calling thread.
+  /// Runs the numeric factorization: right-looking assembles every
+  /// supernode (for Minimal-Memory this is where the initial compression of
+  /// Algorithm 1 l.1-4 happens), then drains the task graph. Both run over
+  /// `pool` when given, else on the calling thread in task-id order; both
+  /// produce the same bits. Left-looking assembles each target when it
+  /// reaches it and walks the same update groups on the calling thread.
+  /// Call once per NumericFactor.
   void factorize(ThreadPool* pool);
 
   /// Triangular solves in the permuted index space on a block of right-hand
@@ -211,8 +214,18 @@ public:
     std::uint64_t executed = 0;       ///< task bodies actually run
     std::uint64_t ready_peak = 0;     ///< max released-but-not-started tasks
     std::uint64_t critical_path = 0;  ///< longest dependency chain (tasks)
+    std::uint64_t fanout_panels = 0;  ///< Elim tasks that fanned out their bloks
+    /// Pool helper tasks submitted by the assembly and panel fan-outs
+    /// (ThreadPool::parallel_for); each is a pool task beside the graph's.
+    std::uint64_t pool_helpers = 0;
   };
   [[nodiscard]] const DagStats& dag_stats() const { return dag_stats_; }
+
+  /// Whether Elim(k) spreads its per-blok work (compression, TRSM) over a
+  /// pool: its panel has more than one blok item and its estimated work
+  /// clears kFanOutWork (numeric.cpp, DESIGN.md §12). Symbolic: the same
+  /// answer at every thread count.
+  [[nodiscard]] bool fans_out(index_t k) const;
 
   /// Direct block access (tests / benches).
   [[nodiscard]] const CblkData& cblk_data(index_t k) const {
@@ -236,8 +249,15 @@ public:
   }
 
 private:
-  void assemble_all();
+  /// Assemble every supernode, over `pool` when given.
+  void assemble_all(ThreadPool* pool);
   void assemble_cblk(index_t k);
+  /// Run item(i) for i in [0, n): in order on the calling thread without a
+  /// pool, else over the pool, where the first exception an item throws is
+  /// rethrown here after the join, items that start after it skip, and the
+  /// helper tasks are counted.
+  void run_items(ThreadPool* pool, index_t n,
+                 const std::function<void(index_t)>& item);
   void gather_panel(index_t k, const sparse::CscMatrix& src,
                     std::vector<lr::Tile>& panel, bool fill_diag);
   /// Diagonal factorization + policy elimination hook + panel solves of
@@ -365,6 +385,8 @@ private:
   real_t pivot_cutoff_ = 0;                    // absolute static-pivot threshold
   std::atomic<index_t> pivots_replaced_{0};
   std::atomic<std::uint64_t> update_flops_{0};  // dense update GEMM flops
+  std::atomic<std::uint64_t> fanout_panels_{0};  // Elim tasks that fanned out
+  std::atomic<std::uint64_t> pool_helpers_{0};   // parallel_for helper tasks
   std::vector<TraceEvent> trace_;
   std::mutex trace_mutex_;
   Timer trace_clock_;

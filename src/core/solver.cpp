@@ -211,6 +211,8 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
     stats_.dag_executed = ds.executed;
     stats_.dag_ready_peak = ds.ready_peak;
     stats_.dag_critical_path = ds.critical_path;
+    stats_.fanout_panels = ds.fanout_panels;
+    stats_.pool_helpers = ds.pool_helpers;
   };
 
   const auto capture_scheduler = [this] {
@@ -614,7 +616,8 @@ void Solver::print_summary(std::ostream& os) const {
        << stats_.dag_edges << " edges, critical path "
        << stats_.dag_critical_path << ", ready peak "
        << stats_.dag_ready_peak << ", " << stats_.dag_executed
-       << " executed\n";
+       << " executed, " << stats_.fanout_panels << " panels fanned out ("
+       << stats_.pool_helpers << " pool helpers)\n";
   }
   std::uint64_t update_gemms = 0;
   double update_seconds = 0;

@@ -147,7 +147,9 @@ struct SolverStats {
   // runs; aggregated over workers — per-worker detail via
   // Solver::worker_stats()).
   int scheduler_workers = 0;              ///< pool size used
-  std::uint64_t scheduler_tasks = 0;      ///< tasks executed (Elim + Upd)
+  /// Pool tasks executed: the graph's Elim + Upd tasks plus the
+  /// pool_helpers below.
+  std::uint64_t scheduler_tasks = 0;
   std::uint64_t scheduler_steals = 0;     ///< successful deque steals
   std::uint64_t scheduler_failed_steals = 0;  ///< empty-handed victim sweeps
   std::uint64_t scheduler_idle_sleeps = 0;    ///< worker blocking waits
@@ -160,6 +162,10 @@ struct SolverStats {
   std::uint64_t dag_executed = 0;       ///< task bodies actually run
   std::uint64_t dag_ready_peak = 0;     ///< max ready-but-unstarted tasks
   std::uint64_t dag_critical_path = 0;  ///< longest dependency chain (tasks)
+  /// Elim tasks that spread their per-blok work over the pool (DESIGN.md §12).
+  std::uint64_t fanout_panels = 0;
+  /// Helper tasks the assembly and panel fan-outs submitted to the pool.
+  std::uint64_t pool_helpers = 0;
 
   // Resource governance of the last factorize() (DESIGN.md §13; zero when
   // ungoverned).

@@ -412,10 +412,57 @@ void ref_syrk(Uplo uplo, Trans trans, T alpha, ConstView<T> a, MatView<T> c) {
 // Native backend: the packed engine on the CPUID-selected ISA tier; tiny
 // products stay on the (shared, hence bit-identical) loop nests.
 
+/// C += alpha·Aᵗ·op(B) for C narrower than a micro-tile: eight interleaved
+/// dot chains over eight columns of A. Each chain is gemm_tn's (ascending k,
+/// alpha folded into the B term), so the bits match the loop nests; the
+/// interleaving only hides the latency of the single chain.
+template <typename T>
+void gemm_t_thin(Trans trans_b, T alpha, ConstView<T> a, ConstView<T> b,
+                 MatView<T> c) {
+  constexpr index_t kChains = 8;
+  const index_t kk = a.rows;
+  for (index_t j = 0; j < c.cols; ++j) {
+    // Column j of op(B), with stride bs between consecutive k.
+    const T* bj = trans_b == Trans::No ? b.col(j) : b.data + j;
+    const index_t bs = trans_b == Trans::No ? 1 : b.ld;
+    T* cj = c.col(j);
+    index_t i = 0;
+    for (; i + kChains <= c.rows; i += kChains) {
+      T s[kChains];
+      const T* ai[kChains];
+      for (index_t r = 0; r < kChains; ++r) {
+        s[r] = cj[i + r];
+        ai[r] = a.col(i + r);
+      }
+      for (index_t k = 0; k < kk; ++k) {
+        const T bk = alpha * bj[k * bs];
+        for (index_t r = 0; r < kChains; ++r) s[r] += ai[r][k] * bk;
+      }
+      for (index_t r = 0; r < kChains; ++r) cj[i + r] = s[r];
+    }
+    for (; i < c.rows; ++i) {
+      const T* ac = a.col(i);
+      T s = cj[i];
+      for (index_t k = 0; k < kk; ++k) s += ac[k] * (alpha * bj[k * bs]);
+      cj[i] = s;
+    }
+  }
+}
+
 template <typename T>
 void native_gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
                  ConstView<T> b, MatView<T> c) {
   const index_t kk = (trans_a == Trans::No) ? a.cols : a.rows;
+  if (c.cols < MicroTile<T>::NR) {
+    // Thinner than a micro-tile (a single-RHS solve): packing would fill
+    // mostly zero padding, so run direct kernels in the canonical order.
+    if (trans_a == Trans::No) {
+      gemm_nests(trans_a, trans_b, alpha, a, b, c);  // the axpy order
+    } else {
+      gemm_t_thin(trans_b, alpha, a, b, c);
+    }
+    return;
+  }
   if (!use_packed<T>(c.rows, c.cols, kk)) {
     gemm_nests(trans_a, trans_b, alpha, a, b, c);
     return;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -108,20 +109,38 @@ CscMatrix CscMatrix::permuted(const std::vector<index_t>& perm) const {
   BLR_CHECK(static_cast<index_t>(perm.size()) == rows_, "permutation size mismatch");
   // iperm[old] = new.
   std::vector<index_t> iperm(perm.size());
-  for (std::size_t k = 0; k < perm.size(); ++k)
+  for (std::size_t k = 0; k < perm.size(); ++k) {
+    BLR_CHECK(perm[k] >= 0 && perm[k] < rows_, "permutation entry out of range");
     iperm[static_cast<std::size_t>(perm[k])] = static_cast<index_t>(k);
-
-  std::vector<Triplet> trip;
-  trip.reserve(static_cast<std::size_t>(nnz()));
-  for (index_t j = 0; j < cols_; ++j) {
-    const index_t nj = iperm[static_cast<std::size_t>(j)];
-    for (index_t p = colptr_[static_cast<std::size_t>(j)];
-         p < colptr_[static_cast<std::size_t>(j) + 1]; ++p) {
-      trip.push_back({iperm[static_cast<std::size_t>(rowind_[static_cast<std::size_t>(p)])],
-                      nj, values_[static_cast<std::size_t>(p)]});
-    }
   }
-  return from_triplets(rows_, cols_, std::move(trip), sym_);
+
+  // Column k of the result is column perm[k] with its rows renumbered and
+  // re-sorted. Every CscMatrix holds sorted, duplicate-free columns (they
+  // come from from_triplets), so this is the triplet construction's result
+  // in O(nnz) plus one short sort per column.
+  CscMatrix m(rows_, cols_);
+  m.sym_ = sym_;
+  m.rowind_.resize(rowind_.size());
+  m.values_.resize(values_.size());
+  std::vector<std::pair<index_t, real_t>> col;
+  index_t q = 0;
+  for (index_t k = 0; k < cols_; ++k) {
+    const auto j = static_cast<std::size_t>(perm[static_cast<std::size_t>(k)]);
+    col.clear();
+    for (index_t p = colptr_[j]; p < colptr_[j + 1]; ++p) {
+      col.emplace_back(iperm[static_cast<std::size_t>(rowind_[static_cast<std::size_t>(p)])],
+                       values_[static_cast<std::size_t>(p)]);
+    }
+    std::sort(col.begin(), col.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (const auto& [r, v] : col) {
+      m.rowind_[static_cast<std::size_t>(q)] = r;
+      m.values_[static_cast<std::size_t>(q)] = v;
+      ++q;
+    }
+    m.colptr_[static_cast<std::size_t>(k) + 1] = q;
+  }
+  return m;
 }
 
 la::DMatrix CscMatrix::to_dense() const {

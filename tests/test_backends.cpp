@@ -230,6 +230,53 @@ void gemm_bit_identity_for_type() {
 TEST(BackendBitwiseKernels, GemmDouble) { gemm_bit_identity_for_type<double>(); }
 TEST(BackendBitwiseKernels, GemmFloat) { gemm_bit_identity_for_type<float>(); }
 
+// Products narrower than a micro-tile (n < NR, e.g. a single-RHS solve)
+// skip the packed engine for direct kernels in the same canonical order:
+// still bit-identical to the Reference nests, on either side of the packing
+// threshold (m·k·n ≥ 16,384) and with row counts off the 8-chain stride.
+template <typename T>
+void thin_gemm_bit_identity_for_type() {
+  BackendStateGuard state;
+  Prng rng(131);
+  const struct {
+    index_t m, k;
+  } sizes[] = {{40, 24}, {517, 64}, {2048, 128}};
+  for (const auto& sz : sizes) {
+    for (const index_t n : {1, 2, 3}) {
+      for (const la::Trans ta : {la::Trans::No, la::Trans::Yes}) {
+        for (const la::Trans tb : {la::Trans::No, la::Trans::Yes}) {
+          la::Matrix<T> a(ta == la::Trans::No ? sz.m : sz.k,
+                          ta == la::Trans::No ? sz.k : sz.m);
+          la::Matrix<T> b(tb == la::Trans::No ? sz.k : n,
+                          tb == la::Trans::No ? n : sz.k);
+          la::Matrix<T> c0(sz.m, n);
+          random_normal(a.view(), rng);
+          random_normal(b.view(), rng);
+          random_normal(c0.view(), rng);
+
+          la::Matrix<T> cr = c0;
+          la::set_backend(la::Backend::Reference);
+          la::gemm(ta, tb, T(-0.75), a.cview(), b.cview(), T(1), cr.view());
+
+          la::Matrix<T> cn = c0;
+          la::set_backend(la::Backend::Native);
+          la::gemm(ta, tb, T(-0.75), a.cview(), b.cview(), T(1), cn.view());
+
+          expect_same_bits(cr, cn,
+                           "thin gemm m=" + std::to_string(sz.m) +
+                               " n=" + std::to_string(n) +
+                               " k=" + std::to_string(sz.k) + " ta=" +
+                               (ta == la::Trans::Yes ? "T" : "N") + " tb=" +
+                               (tb == la::Trans::Yes ? "T" : "N"));
+        }
+      }
+    }
+  }
+}
+
+TEST(BackendBitwiseKernels, ThinGemmDouble) { thin_gemm_bit_identity_for_type<double>(); }
+TEST(BackendBitwiseKernels, ThinGemmFloat) { thin_gemm_bit_identity_for_type<float>(); }
+
 // gemm_batch must leave every block's C bit-identical to the single gemm
 // call on that block, under both backends: blocks of ragged heights that
 // group past the packed threshold, a block too tall to share a group, a

@@ -95,6 +95,62 @@ TEST(Csc, PermutedIsPApt) {
                             perm[static_cast<std::size_t>(j)]));
 }
 
+/// P·A·Pᵗ built the way permuted() used to: renumbered triplets through
+/// from_triplets' sort.
+CscMatrix permuted_by_triplets(const CscMatrix& m, const std::vector<index_t>& perm) {
+  std::vector<index_t> iperm(perm.size());
+  for (std::size_t k = 0; k < perm.size(); ++k)
+    iperm[static_cast<std::size_t>(perm[k])] = static_cast<index_t>(k);
+  std::vector<Triplet> trip;
+  for (index_t j = 0; j < m.cols(); ++j) {
+    for (index_t p = m.colptr()[static_cast<std::size_t>(j)];
+         p < m.colptr()[static_cast<std::size_t>(j) + 1]; ++p) {
+      trip.push_back({iperm[static_cast<std::size_t>(m.rowind()[static_cast<std::size_t>(p)])],
+                      iperm[static_cast<std::size_t>(j)],
+                      m.values()[static_cast<std::size_t>(p)]});
+    }
+  }
+  return CscMatrix::from_triplets(m.rows(), m.cols(), std::move(trip), m.symmetry());
+}
+
+// permuted() copies and re-sorts columns instead of sorting triplets; the
+// result is the same matrix, array for array: identity and reversed
+// permutations, random ones, empty columns, and nonsymmetric patterns.
+TEST(Csc, PermutedMatchesTripletConstruction) {
+  Prng rng(2024);
+  for (int trial = 0; trial < 12; ++trial) {
+    const index_t n = 1 + static_cast<index_t>(rng.next_u64() % 60);
+    std::vector<Triplet> trip;
+    for (index_t j = 0; j < n; ++j) {
+      if (j % 5 == 3) continue;  // an empty column (and row, if symmetric)
+      const bool symmetric = trial % 2 == 0;
+      trip.push_back({j, j, 4.0 + rng.uniform()});
+      const int extra = static_cast<int>(rng.next_u64() % 6);
+      for (int e = 0; e < extra; ++e) {
+        const index_t i = static_cast<index_t>(rng.next_u64() % static_cast<std::uint64_t>(n));
+        if (i % 5 == 3) continue;
+        trip.push_back({i, j, rng.normal()});
+        if (symmetric) trip.push_back({j, i, rng.normal()});
+      }
+    }
+    const CscMatrix m = CscMatrix::from_triplets(n, n, trip);
+    std::vector<index_t> identity(static_cast<std::size_t>(n));
+    for (index_t i = 0; i < n; ++i) identity[static_cast<std::size_t>(i)] = i;
+    std::vector<index_t> reversed(identity.rbegin(), identity.rend());
+    std::vector<index_t> shuffled = identity;
+    for (std::size_t i = shuffled.size(); i > 1; --i)
+      std::swap(shuffled[i - 1], shuffled[rng.next_u64() % i]);
+    for (const auto* perm : {&identity, &reversed, &shuffled}) {
+      const CscMatrix got = m.permuted(*perm);
+      const CscMatrix want = permuted_by_triplets(m, *perm);
+      EXPECT_EQ(got.colptr(), want.colptr()) << "trial " << trial;
+      EXPECT_EQ(got.rowind(), want.rowind()) << "trial " << trial;
+      EXPECT_EQ(got.values(), want.values()) << "trial " << trial;
+      EXPECT_EQ(got.symmetry(), want.symmetry());
+    }
+  }
+}
+
 TEST(Csc, ToDenseAndNorm) {
   const CscMatrix m = small_matrix();
   const la::DMatrix d = m.to_dense();

@@ -504,7 +504,10 @@ TEST(DagStats, CountersAreCoherent) {
   EXPECT_GE(st.dag_ready_peak, 1u);
   EXPECT_GE(st.dag_critical_path, 3u);
   EXPECT_LE(st.dag_critical_path, st.dag_tasks);
-  EXPECT_EQ(st.scheduler_tasks, st.dag_tasks);  // one pool task per graph task
+  // One pool task per graph task, plus the helpers the assembly and panel
+  // fan-outs submitted (parallel_for runs its items on the pool as well).
+  EXPECT_GT(st.pool_helpers, 0u);  // the assembly is spread over the pool
+  EXPECT_EQ(st.scheduler_tasks, st.dag_tasks + st.pool_helpers);
 
   SolverOptions lo = stress_opts(Strategy::JustInTime, Factorization::Llt, 1);
   for (const auto sched :
@@ -516,7 +519,128 @@ TEST(DagStats, CountersAreCoherent) {
     EXPECT_EQ(seq.stats().dag_edges, st.dag_edges);
     EXPECT_EQ(seq.stats().dag_critical_path, st.dag_critical_path);
     EXPECT_EQ(seq.stats().dag_executed, st.dag_tasks);
+    EXPECT_EQ(seq.stats().fanout_panels, 0u);
+    EXPECT_EQ(seq.stats().pool_helpers, 0u);
   }
+}
+
+// ------------------------------------ fan-out: assembly and wide panels over the pool
+
+struct FanOutCase {
+  std::string name;
+  CscMatrix a;
+  SolverOptions o;
+};
+
+/// Problems whose top panels clear the fan-out floor: lap 20³ under JIT and
+/// Dense LLᵗ, and conv-diff 16³ under the bench's MinMem LU options (split
+/// 128/64, so its top panels are 64 wide).
+std::vector<FanOutCase> fan_out_cases() {
+  std::vector<FanOutCase> cases;
+  SolverOptions jit;
+  jit.factorization = Factorization::Llt;
+  cases.push_back({"lap20 JIT LLt", sparse::laplacian_3d(20, 20, 20), jit});
+  SolverOptions dense = jit;
+  dense.strategy = Strategy::Dense;
+  cases.push_back({"lap20 Dense LLt", sparse::laplacian_3d(20, 20, 20), dense});
+  SolverOptions mm;
+  mm.strategy = Strategy::MinimalMemory;
+  mm.factorization = Factorization::Lu;
+  mm.tolerance = 1e-4;
+  mm.compress_min_width = 32;
+  mm.compress_min_height = 16;
+  mm.split.split_threshold = 128;
+  mm.split.split_size = 64;
+  cases.push_back(
+      {"cd16 MinMem LU", sparse::convection_diffusion_3d(16, 16, 16, 0.5), mm});
+  return cases;
+}
+
+// Every panel item and every supernode's assembly touches only its own
+// tiles, so spreading them over the pool keeps the factors and the solution
+// bit-identical to the 1-thread run, and the fan-out happens only with a pool.
+TEST(FanOutDeterminism, MatchesOneThreadBitwise) {
+  for (FanOutCase& c : fan_out_cases()) {
+    const std::vector<real_t> b(static_cast<std::size_t>(c.a.rows()), 1.0);
+    c.o.threads = 1;
+    Solver seq(c.o);
+    seq.factorize(c.a);
+    const auto ref = serialize_factors(seq);
+    const auto xref = seq.solve(b);
+    EXPECT_EQ(seq.stats().fanout_panels, 0u) << c.name;
+    EXPECT_EQ(seq.stats().pool_helpers, 0u) << c.name;
+    for (const int threads : {2, 4, 8}) {
+      c.o.threads = threads;
+      Solver par(c.o);
+      par.factorize(c.a);
+      const auto got = serialize_factors(par);
+      const auto x = par.solve(b);
+      const std::string where = c.name + " threads=" + std::to_string(threads);
+      ASSERT_EQ(ref.size(), got.size()) << where;
+      EXPECT_EQ(0, std::memcmp(ref.data(), got.data(), ref.size())) << where;
+      EXPECT_EQ(0, std::memcmp(xref.data(), x.data(), x.size() * sizeof(real_t)))
+          << where;
+      const SolverStats& st = par.stats();
+      EXPECT_GT(st.fanout_panels, 0u) << where;
+      EXPECT_EQ(st.scheduler_tasks, st.dag_tasks + st.pool_helpers) << where;
+    }
+  }
+}
+
+// A compression that fails inside a fanned-out panel reaches the caller as
+// the same structured report as a sequential one, and the pool it was
+// drained from stays usable.
+TEST(FanOutFault, CompressionFailureInsideAFannedOutPanel) {
+  const CscMatrix a = sparse::laplacian_3d(20, 20, 20);
+  SolverOptions o;
+  o.factorization = Factorization::Lu;
+  o.threads = 4;
+  // Under JIT every compression runs in the elimination hook. On this
+  // problem every panel with a compressible blok fans out, so the injected
+  // failure of the first compression lands in a fanned-out panel whatever
+  // the schedule.
+  {
+    Solver probe(o);
+    probe.factorize(a);
+    const symbolic::SymbolicFactor& sf = probe.symbolic();
+    index_t compressing = 0;
+    for (index_t k = 0; k < sf.num_cblks(); ++k) {
+      const symbolic::Cblk& c = sf.cblk(k);
+      bool any = false;
+      for (const symbolic::Blok& bl : c.bloks)
+        any |= c.width() >= o.compress_min_width &&
+               bl.height() >= o.compress_min_height;
+      if (!any) continue;
+      ++compressing;
+      ASSERT_TRUE(probe.numeric().fans_out(k)) << "cblk " << k;
+    }
+    ASSERT_GT(compressing, 0);
+  }
+  o.fault.kind = core::FaultInjection::Kind::CompressionFail;
+  o.fault.index = 0;
+  Solver solver(o);
+  index_t failed_at = -1;
+  try {
+    solver.factorize(a);
+    FAIL() << "expected NumericalError";
+  } catch (const NumericalError& e) {
+    EXPECT_EQ(e.report().kind, FailureKind::CompressionFailure);
+    EXPECT_EQ(e.report().factorization, "LU");
+    failed_at = e.report().supernode;
+  }
+  EXPECT_FALSE(solver.factorized());
+  EXPECT_GT(solver.stats().fanout_panels, 0u);
+  ASSERT_GE(failed_at, 0);
+
+  // The fault budget is spent: the same solver and pool factorize cleanly,
+  // with nothing left cancelled.
+  solver.factorize(a);
+  ASSERT_TRUE(solver.factorized());
+  EXPECT_TRUE(solver.numeric().fans_out(failed_at));
+  EXPECT_EQ(solver.stats().scheduler_discarded, 0u);
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows()), 1.0);
+  const auto x = solver.solve(b);
+  EXPECT_LT(sparse::backward_error(a, x.data(), b.data()), 1e-6);
 }
 
 // ------------------------------------------- dense updates: one GEMM per column blok
