@@ -23,7 +23,8 @@ JOBS="$(nproc)"
 # dag + resource + session + solve labels (sessions coalesce solves across
 # threads and race refactorize against them; the solve label drains the
 # parallel solve DAG and races direct solves on the engine lock) and the
-# scheduler/determinism tests written for it.
+# scheduler/determinism tests written for it, the analysis tests among them
+# (nested dissection forks its halves over the factorization pool).
 configure_and_build() { # <dir> <sanitize> [extra cmake args...]
   local dir="$1" sanitize="$2"
   shift 2
@@ -57,7 +58,7 @@ run_tsan() {
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
         -L 'engine|fault|dag|resource|session|solve'
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
-        -R 'SchedulerSweep|WorkStealing|ParallelDeterminism|Trace'
+        -R 'SchedulerSweep|WorkStealing|ParallelDeterminism|Trace|AnalysisDeterminism|TreeModelMatchesRebuild'
 }
 
 # Documentation lint: every SolverOptions field must carry a doc comment —

@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
 
 #include "common/kernel_stats.hpp"
@@ -304,6 +305,9 @@ index_t ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& 
   struct State {
     std::atomic<index_t> next{0};
     std::atomic<index_t> done{0};
+    std::atomic<bool> stop{false};  ///< an item threw: skip the rest
+    std::mutex mu;
+    std::exception_ptr err;         ///< first exception, guarded by mu
     const std::function<void(index_t)>* f = nullptr;
     index_t n = 0;
     index_t chunk = 1;
@@ -318,7 +322,16 @@ index_t ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& 
       const index_t begin = s->next.fetch_add(s->chunk, std::memory_order_relaxed);
       if (begin >= s->n) return;
       const index_t end = std::min(begin + s->chunk, s->n);
-      for (index_t i = begin; i < end; ++i) (*s->f)(i);
+      for (index_t i = begin; i < end; ++i) {
+        if (s->stop.load(std::memory_order_relaxed)) break;
+        try {
+          (*s->f)(i);
+        } catch (...) {
+          std::lock_guard lock(s->mu);
+          if (!s->err) s->err = std::current_exception();
+          s->stop.store(true, std::memory_order_relaxed);
+        }
+      }
       s->done.fetch_add(end - begin, std::memory_order_acq_rel);
     }
   };
@@ -338,6 +351,11 @@ index_t ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& 
   while (st->done.load(std::memory_order_acquire) < n) {
     std::this_thread::yield();
   }
+  // Every item has finished or been skipped: the acquire above orders the
+  // recording thread's write of err before this read. Move the exception
+  // out, so its last reference is not dropped on the worker whose late
+  // helper task releases `st`.
+  if (std::exception_ptr err = std::move(st->err)) std::rethrow_exception(err);
   return helpers;
 }
 

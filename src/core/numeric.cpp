@@ -403,24 +403,10 @@ void NumericFactor::run_items(ThreadPool* pool, index_t n,
     for (index_t i = 0; i < n; ++i) item(i);
     return;
   }
-  // parallel_for bodies must not throw: keep the first exception, let the
-  // items that start after it skip, and rethrow it on this thread.
-  std::mutex mu;
-  std::exception_ptr err;
-  std::atomic<bool> stop{false};
-  const index_t helpers = pool->parallel_for(n, [&](index_t i) {
-    if (stop.load(std::memory_order_relaxed)) return;
-    try {
-      item(i);
-    } catch (...) {
-      std::lock_guard lock(mu);
-      if (!err) err = std::current_exception();
-      stop.store(true, std::memory_order_relaxed);
-    }
-  });
+  // parallel_for skips the items after a throw and rethrows it here.
+  const index_t helpers = pool->parallel_for(n, item);
   pool_helpers_.fetch_add(static_cast<std::uint64_t>(helpers),
                           std::memory_order_relaxed);
-  if (err) std::rethrow_exception(err);
 }
 
 bool NumericFactor::fans_out(index_t k) const {

@@ -253,9 +253,8 @@ private:
   void assemble_all(ThreadPool* pool);
   void assemble_cblk(index_t k);
   /// Run item(i) for i in [0, n): in order on the calling thread without a
-  /// pool, else over the pool, where the first exception an item throws is
-  /// rethrown here after the join, items that start after it skip, and the
-  /// helper tasks are counted.
+  /// pool, else through parallel_for (which rethrows the first exception
+  /// after the join), counting its helper tasks.
   void run_items(ThreadPool* pool, index_t n,
                  const std::function<void(index_t)>& item);
   void gather_panel(index_t k, const sparse::CscMatrix& src,

@@ -211,7 +211,8 @@ struct SolverOptions {
   real_t tolerance = 1e-8;  ///< block compression tolerance τ (default 1e-8); read by every compressing strategy
   /// Worker threads for the numeric factorization (default 1: the task graph
   /// drains in task-id order on the calling thread; every count gives the
-  /// same bits). Read by every strategy.
+  /// same bits). Read by every strategy. The same pool also runs analyze()'s
+  /// nested dissection, whose plan is identical at every count.
   int threads = 1;
 
   /// Parallel triangular-solve phase (default on; DESIGN.md §16). Solves

@@ -122,7 +122,7 @@ Solver::Solver(SolverOptions opts) : opts_(opts) {
 Solver::~Solver() = default;
 
 void Solver::analyze(const sparse::CscMatrix& a) {
-  plan_ = SymbolicPlan::build(a, opts_);
+  plan_ = SymbolicPlan::build(a, opts_, pool_.get());
   num_.reset();
   // A new pattern invalidates every piece of warm state.
   ranks_ = RankMemory{};
@@ -133,6 +133,9 @@ void Solver::analyze(const sparse::CscMatrix& a) {
 
   stats_ = SolverStats{};
   stats_.time_analyze = plan_->build_seconds;
+  stats_.time_ordering = plan_->ordering_seconds;
+  stats_.time_amalgamation = plan_->amalgamation_seconds;
+  stats_.time_symbolic = plan_->symbolic_seconds;
   stats_.n = a.rows();
   stats_.num_cblks = plan_->sf.num_cblks();
   stats_.num_bloks = plan_->sf.num_bloks();
@@ -538,7 +541,9 @@ void Solver::print_summary(std::ostream& os) const {
   }
   os << "  matrix        : n = " << stats_.n << ", " << stats_.num_cblks
      << " column blocks, " << stats_.num_bloks << " blocks\n"
-     << "  analyze       : " << stats_.time_analyze << " s\n";
+     << "  analyze       : " << stats_.time_analyze << " s (ordering "
+     << stats_.time_ordering << ", amalgamation " << stats_.time_amalgamation
+     << ", symbolic " << stats_.time_symbolic << ")\n";
   if (!factorized()) {
     os << "  (not factorized yet)\n";
     return;

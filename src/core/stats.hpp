@@ -94,6 +94,9 @@ struct SolvePhaseStats {
 struct SolverStats {
   // Phase wall times (seconds).
   double time_analyze = 0;
+  double time_ordering = 0;      ///< ...of time_analyze: graph + nested dissection
+  double time_amalgamation = 0;  ///< ...of time_analyze: supernode amalgamation
+  double time_symbolic = 0;      ///< ...of time_analyze: splitting + block symbolic build
   double time_factorize = 0;
   double time_solve = 0;
 

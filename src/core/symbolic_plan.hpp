@@ -9,6 +9,10 @@
 #include "sparse/csc.hpp"
 #include "symbolic/symbolic.hpp"
 
+namespace blr {
+class ThreadPool;
+}
+
 namespace blr::core {
 
 class SolvePlan;
@@ -31,16 +35,23 @@ struct SymbolicPlan {
   index_t nnz = 0;               ///< pattern nonzero count
   std::uint64_t pattern_hash = 0;  ///< FNV-1a over colptr + rowind
   double build_seconds = 0;      ///< wall time of the analysis
+  double ordering_seconds = 0;   ///< ...of it: adjacency graph + nested dissection
+  double amalgamation_seconds = 0;  ///< ...of it: supernode amalgamation
+  double symbolic_seconds = 0;   ///< ...of it: splitting + block symbolic build
 
   /// FNV-1a fingerprint of a sparse pattern (values ignored).
   static std::uint64_t hash_pattern(const sparse::CscMatrix& a);
 
   /// Run the analysis phase — nested dissection, amalgamation, supernode
   /// splitting, block symbolic factorization — under `opts` and freeze the
-  /// result. Throws blr::Error for non-square or (with opts.check_pattern)
+  /// result. With a `pool` (called from outside it), nested dissection
+  /// spreads over it and the pool is idle again on return; the plan is a
+  /// pure function of the pattern and `opts` either way (DESIGN.md §17).
+  /// Throws blr::Error for non-square or (with opts.check_pattern)
   /// pattern-asymmetric input.
   static std::shared_ptr<const SymbolicPlan> build(const sparse::CscMatrix& a,
-                                                   const SolverOptions& opts);
+                                                   const SolverOptions& opts,
+                                                   ThreadPool* pool = nullptr);
 
   /// Whether `a` has exactly the pattern this plan was built from.
   [[nodiscard]] bool matches(const sparse::CscMatrix& a) const {
@@ -57,8 +68,8 @@ struct SymbolicPlan {
   [[nodiscard]] std::shared_ptr<const SolvePlan> solve_plan(
       bool* built = nullptr) const;
 
-  // Lazy solve-plan cache (public only to keep the struct an aggregate for
-  // build()'s braced init — use solve_plan() above, never these directly).
+private:
+  // Lazy solve-plan cache behind solve_plan().
   mutable std::shared_ptr<const SolvePlan> solve_plan_cache_;
   mutable std::unique_ptr<std::mutex> solve_plan_mu_ =
       std::make_unique<std::mutex>();

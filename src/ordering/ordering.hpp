@@ -5,6 +5,10 @@
 #include "common/types.hpp"
 #include "sparse/graph.hpp"
 
+namespace blr {
+class ThreadPool;
+}
+
 namespace blr::ordering {
 
 /// Options controlling the nested-dissection ordering. Defaults mirror the
@@ -37,8 +41,12 @@ struct Ordering {
   }
 };
 
-/// Nested dissection of the adjacency graph.
-Ordering nested_dissection(const sparse::Graph& g, const NdOptions& opts = {});
+/// Nested dissection of the adjacency graph. With a `pool`, the two halves
+/// of every part of at least kForkFloor vertices (ordering.cpp) are ordered
+/// as parallel pool items; each writes its own slice of the output, so the
+/// result is identical with and without a pool and at every pool size.
+Ordering nested_dissection(const sparse::Graph& g, const NdOptions& opts = {},
+                           ThreadPool* pool = nullptr);
 
 /// Identity ordering with a single-supernode-per-chunk partition — baseline
 /// and debugging aid (terrible fill; tests only).

@@ -38,7 +38,9 @@ public:
   [[nodiscard]] const std::vector<index_t>& adj() const { return adj_; }
 
   /// Induced subgraph on `vertices` (local indices 0..k-1 follow the order
-  /// of `vertices`; the caller keeps the local->global map).
+  /// of `vertices`; the caller keeps the local->global map). Costs this
+  /// graph's vertex count plus the edges of `vertices`, so a recursion
+  /// induces each part from its parent's subgraph, not from the whole graph.
   [[nodiscard]] Graph induced(const std::vector<index_t>& vertices) const;
 
   /// Connected components; returns component id per vertex and the count.

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <set>
 
+#include "graph_fixtures.hpp"
 #include "ordering/ordering.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/graph.hpp"
@@ -47,22 +48,9 @@ TEST(NestedDissection, ValidPermutationOn3dGrid) {
 }
 
 TEST(NestedDissection, ValidOnDisconnectedGraph) {
-  // Two disjoint 2D grids.
-  const CscMatrix g1 = sparse::laplacian_2d(6, 6);
-  std::vector<sparse::Triplet> t;
-  const index_t n1 = g1.rows();
-  for (index_t j = 0; j < n1; ++j) {
-    for (index_t p = g1.colptr()[static_cast<std::size_t>(j)];
-         p < g1.colptr()[static_cast<std::size_t>(j) + 1]; ++p) {
-      const index_t i = g1.rowind()[static_cast<std::size_t>(p)];
-      const real_t v = g1.values()[static_cast<std::size_t>(p)];
-      t.push_back({i, j, v});
-      t.push_back({i + n1, j + n1, v});
-    }
-  }
-  const CscMatrix a = CscMatrix::from_triplets(2 * n1, 2 * n1, std::move(t));
+  const CscMatrix a = blr::fixtures::two_disjoint_grids(6, 6);
   const Ordering ord = nested_dissection(Graph::from_matrix(a));
-  expect_valid_ordering(ord, 2 * n1);
+  expect_valid_ordering(ord, a.rows());
 }
 
 TEST(NestedDissection, TinyGraphsBecomeSingleSupernode) {

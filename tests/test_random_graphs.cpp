@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "blr.hpp"
+#include "graph_fixtures.hpp"
 
 namespace {
 
@@ -13,33 +14,7 @@ using namespace blr;
 using sparse::CscMatrix;
 using sparse::Triplet;
 
-/// Random diagonally dominant matrix on a random symmetric pattern with
-/// about `avg_degree` off-diagonals per row (plus a guaranteed Hamiltonian
-/// path so the graph is connected unless `disconnect`).
-CscMatrix random_pattern_matrix(index_t n, index_t avg_degree, std::uint64_t seed,
-                                bool connect = true) {
-  Prng rng(seed);
-  std::vector<Triplet> t;
-  const index_t edges = n * avg_degree / 2;
-  for (index_t e = 0; e < edges; ++e) {
-    const auto i = static_cast<index_t>(rng.below(static_cast<std::uint64_t>(n)));
-    const auto j = static_cast<index_t>(rng.below(static_cast<std::uint64_t>(n)));
-    if (i == j) continue;
-    const real_t v = rng.normal();
-    t.push_back({i, j, v});
-    t.push_back({j, i, v});
-  }
-  if (connect) {
-    for (index_t i = 0; i + 1 < n; ++i) {
-      t.push_back({i, i + 1, -1.0});
-      t.push_back({i + 1, i, -1.0});
-    }
-  }
-  // Strong diagonal keeps LU robust without global pivoting.
-  for (index_t i = 0; i < n; ++i)
-    t.push_back({i, i, static_cast<real_t>(4 * avg_degree) + 10.0});
-  return CscMatrix::from_triplets(n, n, std::move(t), sparse::Symmetry::General);
-}
+using blr::fixtures::random_pattern_matrix;
 
 class RandomGraphSweep : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -142,6 +143,43 @@ TEST(SchedulerSweep, NestedParallelForInsideTaskCompletes) {
   pool.wait_idle();
   EXPECT_TRUE(inner_done.load(std::memory_order_acquire));
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(SchedulerSweep, NestedThrowReachesOutermostCaller) {
+  // A throw two parallel_for levels deep skips the items that have not
+  // started, surfaces on the outermost caller after the join, and leaves the
+  // pool fully usable.
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.parallel_for(8,
+                                 [&](index_t i) {
+                                   pool.parallel_for(8, [&](index_t j) {
+                                     ran.fetch_add(1, std::memory_order_relaxed);
+                                     if (i == 3 && j == 5) throw std::runtime_error("boom");
+                                   });
+                                 }),
+               std::runtime_error);
+  EXPECT_GE(ran.load(), 1);
+  pool.wait_idle();
+  EXPECT_EQ(pool.pending(), 0);
+
+  std::vector<std::atomic<int>> hits(1000);
+  pool.parallel_for(1000, [&](index_t i) {
+    hits[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+
+  // One worker runs the items in order on the caller: everything after the
+  // throwing item is skipped.
+  ThreadPool one(1);
+  int started = 0;
+  EXPECT_THROW(one.parallel_for(8,
+                                [&](index_t i) {
+                                  ++started;
+                                  if (i == 3) throw std::runtime_error("boom");
+                                }),
+               std::runtime_error);
+  EXPECT_EQ(started, 4);
 }
 
 // Priority semantics of the work-stealing scheduler: with a single gated
