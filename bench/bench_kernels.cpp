@@ -6,13 +6,14 @@
 // packed gemm microkernel against the unpacked loop nests, la::gemm under
 // each kernel backend (Reference vs Native at its detected ISA tier,
 // DESIGN.md §14).
-// It also measures the factorization's dense update kernel in situ (lap 20³,
-// Dense, one thread) against the packed gemm of the same run.
+// It also measures the factorization's dense panel kernels in situ (lap
+// 20³, Dense, one thread), the grid GEMM of the updates and the stacked
+// panel TRSM, against the packed gemm of the same run.
 // Results land in bench_kernels.json. `--quick` runs only this driver with
 // reduced repetitions and enforces the perf-smoke assertions (packed gemm
-// not slower than the loop nests at n=k=256; dense update GF/s above a floor
-// relative to the packed gemm), exiting nonzero on violation — the ci.sh
-// perfsmoke stage runs exactly that.
+// not slower than the loop nests at n=k=256; dense update and panel TRSM
+// GF/s above floors relative to the packed gemm), exiting nonzero on
+// violation — the ci.sh perfsmoke stage runs exactly that.
 
 #include <benchmark/benchmark.h>
 
@@ -203,40 +204,49 @@ std::vector<BackendRow> measure_backends(int trials) {
   return rows;
 }
 
-/// The factorization's dense update kernel in situ: lap 20³, Dense, one
-/// thread. Best-of-`trials` GF/s of the gemm[ge,ge] dispatch row, which
-/// runs one batched GEMM per column blok of each Upd task (DESIGN.md §12).
-struct UpdateRow {
-  std::uint64_t gemms = 0;
+/// One of the factorization's dense panel kernels measured in situ: lap
+/// 20³, Dense, one thread. Best-of-`trials` GF/s of its dispatch row.
+struct PanelKernelRow {
+  std::uint64_t calls = 0;
   double gflops = 0;
   double ratio = 0;  ///< gflops / packed gemm GF/s at n=k=256
 };
 
-UpdateRow measure_dense_update(int trials, double packed256_gflops) {
+struct PanelKernels {
+  PanelKernelRow update;  ///< gemm[ge,ge]: one grid GEMM per Upd task
+  PanelKernelRow trsm;    ///< trsm[ge]: one stacked TRSM per row group
+};
+
+PanelKernels measure_panel_kernels(int trials, double packed256_gflops) {
   const sparse::CscMatrix a = sparse::laplacian_3d(20, 20, 20);
   SolverOptions o;
   o.strategy = Strategy::Dense;
   o.threads = 1;
-  UpdateRow row;
-  for (int t = 0; t < trials; ++t) {
-    Solver s(o);
-    s.factorize(a);
+  PanelKernels out;
+  const auto record = [](PanelKernelRow& row, const SolverStats& st,
+                         const char* kernel, std::uint64_t flops) {
     std::uint64_t calls = 0;
     double seconds = 0;
-    for (const core::DispatchCount& d : s.stats().dispatch) {
-      if (d.kernel != "gemm[ge,ge]") continue;
+    for (const core::DispatchCount& d : st.dispatch) {
+      if (d.kernel != kernel) continue;
       calls += d.calls;
       seconds += d.seconds;
     }
-    row.gemms = calls;
+    row.calls = calls;
     if (seconds > 0) {
-      row.gflops = std::max(
-          row.gflops,
-          static_cast<double>(s.stats().dense_update_flops) / seconds / 1e9);
+      row.gflops =
+          std::max(row.gflops, static_cast<double>(flops) / seconds / 1e9);
     }
+  };
+  for (int t = 0; t < trials; ++t) {
+    Solver s(o);
+    s.factorize(a);
+    record(out.update, s.stats(), "gemm[ge,ge]", s.stats().dense_update_flops);
+    record(out.trsm, s.stats(), "trsm[ge]", s.stats().panel_solve_flops);
   }
-  row.ratio = row.gflops / packed256_gflops;
-  return row;
+  out.update.ratio = out.update.gflops / packed256_gflops;
+  out.trsm.ratio = out.trsm.gflops / packed256_gflops;
+  return out;
 }
 
 /// Perf-smoke floor of the dense update GF/s relative to the packed gemm at
@@ -244,6 +254,13 @@ UpdateRow measure_dense_update(int trials, double packed256_gflops) {
 /// measured 0.29-0.40, and the former one-GEMM-per-block-pair update
 /// 0.19-0.20; the floor sits between the two.
 constexpr double kDenseUpdateFloor = 0.25;
+
+/// Perf-smoke floor of the stacked panel TRSM GF/s relative to the packed
+/// gemm at n=k=256 of the same run (DESIGN.md §12). Quick runs on the
+/// 4-vCPU AVX-512 host are recorded in EXPERIMENTS.md (*Level-3 Elim and
+/// Upd*); the floor sits below the stacked TRSM's lowest ratio and above
+/// the per-blok TRSM it replaced.
+constexpr double kPanelTrsmFloor = 0.20;
 
 int run_custom_driver(bool quick) {
   const int trials = quick ? 3 : 5;
@@ -267,14 +284,24 @@ int run_custom_driver(bool quick) {
     ++failures;
   }
 
-  std::printf("== dense update: lap 20^3, Dense, 1 thread ==\n");
-  const UpdateRow upd = measure_dense_update(5, p256.packed_gflops);
+  std::printf("== dense panel kernels: lap 20^3, Dense, 1 thread ==\n");
+  const PanelKernels pk = measure_panel_kernels(5, p256.packed_gflops);
+  const PanelKernelRow& upd = pk.update;
+  const PanelKernelRow& trsm = pk.trsm;
   std::printf("  gemm[ge,ge] %llu calls  %7.2f GF/s  %.2fx packed n=256\n",
-              static_cast<unsigned long long>(upd.gemms), upd.gflops,
+              static_cast<unsigned long long>(upd.calls), upd.gflops,
               upd.ratio);
+  std::printf("  trsm[ge]    %llu calls  %7.2f GF/s  %.2fx packed n=256\n",
+              static_cast<unsigned long long>(trsm.calls), trsm.gflops,
+              trsm.ratio);
   if (upd.ratio < kDenseUpdateFloor) {
     std::printf("FAIL: dense update runs at %.2fx the packed gemm (floor "
                 "%.2fx)\n", upd.ratio, kDenseUpdateFloor);
+    ++failures;
+  }
+  if (trsm.ratio < kPanelTrsmFloor) {
+    std::printf("FAIL: panel TRSM runs at %.2fx the packed gemm (floor "
+                "%.2fx)\n", trsm.ratio, kPanelTrsmFloor);
     ++failures;
   }
 
@@ -302,8 +329,14 @@ int run_custom_driver(bool quick) {
                  "  ],\n  \"dense_update\": {\"problem\": \"laplacian_3d(20,20,20) "
                  "Dense 1 thread\", \"gemm_ge_calls\": %llu, \"gflops\": %.3f, "
                  "\"ratio_to_packed_256\": %.3f, \"floor\": %.2f},\n",
-                 static_cast<unsigned long long>(upd.gemms), upd.gflops,
+                 static_cast<unsigned long long>(upd.calls), upd.gflops,
                  upd.ratio, kDenseUpdateFloor);
+    std::fprintf(out,
+                 "  \"panel_trsm\": {\"problem\": \"laplacian_3d(20,20,20) "
+                 "Dense 1 thread\", \"trsm_ge_calls\": %llu, \"gflops\": %.3f, "
+                 "\"ratio_to_packed_256\": %.3f, \"floor\": %.2f},\n",
+                 static_cast<unsigned long long>(trsm.calls), trsm.gflops,
+                 trsm.ratio, kPanelTrsmFloor);
     std::fprintf(out, "  \"backends\": [\n");
     for (std::size_t i = 0; i < backends.size(); ++i) {
       const BackendRow& r = backends[i];

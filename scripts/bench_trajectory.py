@@ -10,12 +10,13 @@ Usage: scripts/bench_trajectory.py <report.json> [<report2.json> ...]
            [-o <trajectory.json>]
 
 Each report is identified by its keys — bench_kernels.json carries
-`packed_gemm`/`dense_update`/`backends`, bench_refactorize.json carries
+`packed_gemm`/`dense_update`/`panel_trsm`/`backends`, bench_refactorize.json carries
 `refactorize`/`solve_throughput` — and all reports given on one invocation
 fold into a single trajectory entry.
 
 The trajectory entry keeps only the headline numbers (packed-gemm speedups
-per size, the dense update's ratio to the packed gemm, per-backend GF/s, steady-state refactorize speedup per strategy,
+per size, the dense update's and the panel TRSM's ratios to the packed gemm,
+per-backend GF/s, steady-state refactorize speedup per strategy,
 blocked-solve throughput per width) plus the commit and timestamp, so the
 file stays small no matter how many runs accumulate. The newest `MAX_RUNS`
 entries are retained. Earlier entries are carried over verbatim, whatever
@@ -67,6 +68,10 @@ def summarize(report: dict) -> dict:
         # The factorization's dense update GF/s relative to the packed gemm
         # of the same run (the perf-smoke floor's quantity).
         entry["dense_update_ratio"] = update["ratio_to_packed_256"]
+    trsm = report.get("panel_trsm")
+    if trsm:
+        # The factorization's stacked panel TRSM GF/s, likewise.
+        entry["panel_trsm_ratio"] = trsm["ratio_to_packed_256"]
     refac = report.get("refactorize", [])
     if refac:
         # bench_refactorize.json: first-step vs steady-state cost per

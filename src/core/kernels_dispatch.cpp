@@ -43,6 +43,14 @@ std::uint64_t ctx_bytes(const KernelCtx& ctx) {
     b += static_cast<std::uint64_t>(r.rows) *
          static_cast<std::uint64_t>(r.cols) * sizeof(real_t);
   }
+  for (const la::DConstView& c : ctx.cols) {
+    b += static_cast<std::uint64_t>(c.rows) *
+         static_cast<std::uint64_t>(c.cols) * sizeof(real_t);
+  }
+  for (const la::GemmTarget<real_t>& t : ctx.targets) {
+    b += static_cast<std::uint64_t>(t.c.rows) *
+         static_cast<std::uint64_t>(t.c.cols) * sizeof(real_t);
+  }
   for (const la::DView& o : ctx.outs) {
     b += static_cast<std::uint64_t>(o.rows) *
          static_cast<std::uint64_t>(o.cols) * sizeof(real_t);
@@ -71,29 +79,31 @@ void k_getrf(KernelCtx& ctx) {
 void k_potrf(KernelCtx& ctx) { ctx.info = la::potrf(ctx.c->dense().view()); }
 
 void k_trsm_dense(KernelCtx& ctx) {
+  // One stacked group of dense panel rows (DESIGN.md §12).
   const la::DConstView diag = ctx.diag->cview();
-  la::DMatrix& d = ctx.c->dense();
   if (!ctx.upper) {
     if (ctx.llt) {
-      la::trsm(la::Side::Right, la::Uplo::Lower, la::Trans::Yes,
-               la::Diag::NonUnit, real_t(1), diag, d.view());
+      la::trsm_stacked(la::Uplo::Lower, la::Trans::Yes, la::Diag::NonUnit, diag,
+                       ctx.outs);
     } else {
-      la::trsm(la::Side::Right, la::Uplo::Upper, la::Trans::No,
-               la::Diag::NonUnit, real_t(1), diag, d.view());
+      la::trsm_stacked(la::Uplo::Upper, la::Trans::No, la::Diag::NonUnit, diag,
+                       ctx.outs);
     }
     return;
   }
   // U-side (LU mirror): local pivoting permutes the supernode's rows = the
   // width axis of the stored transpose, i.e. column swaps here.
-  for (std::size_t j = 0; j < ctx.piv->size(); ++j) {
-    const index_t p = (*ctx.piv)[j];
-    if (p != static_cast<index_t>(j)) {
-      for (index_t r = 0; r < d.rows(); ++r)
-        std::swap(d(r, static_cast<index_t>(j)), d(r, p));
+  for (const la::DView& d : ctx.outs) {
+    for (std::size_t j = 0; j < ctx.piv->size(); ++j) {
+      const index_t p = (*ctx.piv)[j];
+      if (p != static_cast<index_t>(j)) {
+        for (index_t r = 0; r < d.rows; ++r)
+          std::swap(d(r, static_cast<index_t>(j)), d(r, p));
+      }
     }
   }
-  la::trsm(la::Side::Right, la::Uplo::Lower, la::Trans::Yes, la::Diag::Unit,
-           real_t(1), diag, d.view());
+  la::trsm_stacked(la::Uplo::Lower, la::Trans::Yes, la::Diag::Unit, diag,
+                   ctx.outs);
 }
 
 void k_trsm_lowrank(KernelCtx& ctx) {
@@ -122,10 +132,9 @@ void k_trsm_lowrank(KernelCtx& ctx) {
 }
 
 void k_gemm_dense(KernelCtx& ctx) {
-  // One column blok's dense update (DESIGN.md §12): out_p -= row_p·Bᵗ (or
-  // B·row_pᵗ), B packed once for the whole batch.
-  la::gemm_batch(ctx.transpose ? la::Trans::Yes : la::Trans::No, real_t(-1),
-                 ctx.rows, ctx.b->dense().cview(), ctx.outs);
+  // A dense update (DESIGN.md §12): C -= row_p·col_qᵗ (or its transpose)
+  // per target, the column bloks packed once.
+  la::gemm_batch(real_t(-1), ctx.rows, ctx.cols, ctx.targets);
 }
 
 void k_gemm_lr(KernelCtx& ctx) {
@@ -434,6 +443,7 @@ index_t factor_diag(lr::Tile& diag, std::vector<index_t>& piv, bool llt,
 
 void panel_solve(const lr::Tile& diag, const std::vector<index_t>& piv,
                  lr::Tile& blk, bool llt, bool upper) {
+  BLR_CHECK(blk.is_lowrank(), "dense panel rows go through the stacked solve");
   KernelCtx ctx;
   ctx.c = &blk;
   ctx.diag = &diag.dense();
@@ -460,13 +470,25 @@ lr::Tile product(const lr::Tile& a, const lr::Tile& b, lr::CompressionKind kind,
   return std::move(ctx.out);
 }
 
-void gemm_update(std::span<const la::DConstView> rows, const lr::Tile& b,
-                 std::span<const la::DView> outs, bool transpose) {
+void panel_solve(const lr::Tile& diag, const std::vector<index_t>& piv,
+                 std::span<const la::DView> rows, bool llt, bool upper) {
+  KernelCtx ctx;
+  ctx.outs = rows;
+  ctx.diag = &diag.dense();
+  ctx.piv = const_cast<std::vector<index_t>*>(&piv);
+  ctx.llt = llt;
+  ctx.upper = upper;
+  KernelDispatch::instance().run(KernelOp::Trsm, Rep::Dense, Prec::Fp64,
+                                 Rep::None, Prec::Fp64, ctx);
+}
+
+void gemm_update(std::span<const la::DConstView> rows,
+                 std::span<const la::DConstView> cols,
+                 std::span<const la::GemmTarget<real_t>> targets) {
   KernelCtx ctx;
   ctx.rows = rows;
-  ctx.b = &b;
-  ctx.outs = outs;
-  ctx.transpose = transpose;
+  ctx.cols = cols;
+  ctx.targets = targets;
   KernelDispatch::instance().run(KernelOp::Gemm, Rep::Dense, Prec::Fp64,
                                  Rep::Dense, Prec::Fp64, ctx);
 }

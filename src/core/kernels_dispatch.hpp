@@ -9,6 +9,7 @@
 #include "common/kernel_stats.hpp"
 #include "core/stats.hpp"
 #include "linalg/backend.hpp"
+#include "linalg/blas.hpp"
 #include "lowrank/kernels.hpp"
 
 namespace blr::core {
@@ -18,8 +19,8 @@ namespace blr::core {
 enum class KernelOp : int {
   Getrf,     ///< diagonal-block LU (partial or static pivoting)
   Potrf,     ///< diagonal-block Cholesky
-  Trsm,      ///< panel solve of one off-diagonal tile against the diagonal
-  Gemm,      ///< contribution product P = A·Bᵗ (dense: batched, in place)
+  Trsm,      ///< panel solve against the diagonal (dense: a stacked group)
+  Gemm,      ///< contribution product P = A·Bᵗ (dense: one grid, in place)
   Lr2Lr,     ///< extend-add of a contribution into a low-rank tile (§3.3.2)
   Lr2Ge,     ///< extend-add of a contribution into dense storage
   Compress,  ///< rank-revealing compression of a dense tile
@@ -66,8 +67,10 @@ struct KernelCtx {
   const lr::Tile* b = nullptr;  ///< right operand
   la::DView view;               ///< positioned dense destination
   la::DConstView in;            ///< dense input (Compress, SolveGemm)
-  std::span<const la::DConstView> rows;  ///< row bloks of Gemm[ge,ge], and
-  std::span<const la::DView> outs;       ///< the destination of each
+  std::span<const la::DConstView> rows;  ///< row bloks of Gemm[ge,ge]
+  std::span<const la::DConstView> cols;  ///< column bloks of Gemm[ge,ge]
+  std::span<const la::GemmTarget<real_t>> targets;  ///< its destinations
+  std::span<const la::DView> outs;       ///< the dense bloks of Trsm[ge]
   la::DConstView su, sv;        ///< positioned low-rank factors (SolveGemm):
                                 ///< view -= su·(svᵗ·in), always fp64 (fp32
                                 ///< tiles pass their widen-cache copies)
@@ -190,21 +193,28 @@ namespace dispatch {
 index_t factor_diag(lr::Tile& diag, std::vector<index_t>& piv, bool llt,
                     real_t pivot_cutoff, index_t& replaced);
 
-/// TRSM one panel tile against the factored diagonal (U-side tiles apply
-/// the local pivots first).
+/// TRSM one low-rank panel tile against the factored diagonal (U-side
+/// tiles apply the local pivots first).
 void panel_solve(const lr::Tile& diag, const std::vector<index_t>& piv,
                  lr::Tile& blk, bool llt, bool upper);
+
+/// TRSM a stacked group of dense panel rows against the factored diagonal
+/// as one la::trsm_stacked (DESIGN.md §12); U-side rows apply the local
+/// pivots first. Counted under trsm[ge].
+void panel_solve(const lr::Tile& diag, const std::vector<index_t>& piv,
+                 std::span<const la::DView> rows, bool llt, bool upper);
 
 /// Contribution product P = A·Bᵗ as a Workspace tile, for a pair with at
 /// least one low-rank operand.
 lr::Tile product(const lr::Tile& a, const lr::Tile& b, lr::CompressionKind kind,
                  real_t tol, bool need_ortho);
 
-/// Dense update of one column blok (DESIGN.md §12): outs[p] -= rows[p]·Bᵗ
-/// (or B·rows[p]ᵗ when `transpose`) for every p, as one batched GEMM that
-/// packs the dense tile B once. Counted under gemm[ge,ge].
-void gemm_update(std::span<const la::DConstView> rows, const lr::Tile& b,
-                 std::span<const la::DView> outs, bool transpose);
+/// Dense update (DESIGN.md §12): every target gets C -= rows[p]·cols[q]ᵗ
+/// (or its transpose) as one la::gemm_batch grid, which packs the column
+/// bloks once. Counted under gemm[ge,ge].
+void gemm_update(std::span<const la::DConstView> rows,
+                 std::span<const la::DConstView> cols,
+                 std::span<const la::GemmTarget<real_t>> targets);
 
 /// LR2GE onto a positioned dense view: target -= P (or Pᵗ).
 void apply_contribution(la::DView target, const lr::Tile& p, bool transpose);

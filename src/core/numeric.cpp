@@ -547,15 +547,16 @@ void NumericFactor::run_update(const DagTask& u) {
   // only — under LLᵗ its pairs land further up the tree), and those land
   // transposed, in t's U panel.
   struct Pair {
+    index_t i, j;       ///< row blok, column blok
     const lr::Tile* a;  ///< row blok
+    const lr::Tile* b;  ///< column blok
     UpdateLoc loc;
-    bool dense;         ///< dense × dense: part of the column blok's GEMM
+    bool dense;         ///< dense × dense
+    bool grid;          ///< part of the task's grid GEMM: dense, dense target
     bool staged;        ///< its product is staged for a low-rank target
+    la::DView dst;      ///< its dense target (grid pairs)
   };
   std::vector<Pair> pairs;
-  std::vector<lr::Tile> staged;
-  std::vector<la::DConstView> rows;
-  std::vector<la::DView> outs;
   for (index_t j = u.b0; j < (llt_ ? u.b1 : nb); ++j) {
     // Early exit at column-blok granularity: once a sibling failed the
     // remaining updates are dead work on a doomed factorization.
@@ -564,26 +565,85 @@ void NumericFactor::run_update(const DagTask& u) {
     const lr::Tile& b =
         (llt_ ? cd.lpanel : cd.upanel)[static_cast<std::size_t>(j)];
     if (b.rank() == 0) continue;  // zero contributions
-    pairs.clear();
     for (index_t i = llt_ ? j : u.b0; i < (j < u.b1 ? nb : u.b1); ++i) {
       const lr::Tile& a = cd.lpanel[static_cast<std::size_t>(i)];
       if (a.rank() == 0) continue;  // zero contribution
-      pairs.push_back({&a, locate_update(u.k, i, j),
-                       !a.is_lowrank() && !b.is_lowrank(), false});
+      pairs.push_back({i, j, &a, &b, locate_update(u.k, i, j),
+                       !a.is_lowrank() && !b.is_lowrank(), false, false, {}});
     }
-    // The write chains keep t's lock uncontended; it is taken once per
-    // column blok.
-    std::lock_guard guard(locks_[static_cast<std::size_t>(u.t)]);
-    // The dense pairs: one GEMM of blok j against all their row bloks, each
-    // product subtracted straight from its dense target. A low-rank target
-    // gets its product staged in a Workspace tile instead.
+  }
+  // The write chains keep t's lock uncontended; it is taken once per task.
+  std::lock_guard guard(locks_[static_cast<std::size_t>(u.t)]);
+
+  // The dense pairs with a dense target (every pair of a Dense or JIT
+  // factorization) as one grid GEMM: each product subtracted straight from
+  // its target, the row bloks packed once per group, the column bloks once
+  // (DESIGN.md §12). A dense target stays dense, and no two pairs share
+  // target entries, so running them ahead of the rest keeps the bits of the
+  // column-by-column order.
+  std::vector<la::DConstView> rows;
+  std::vector<la::DConstView> cols;
+  std::vector<la::GemmTarget<real_t>> targets;
+  std::vector<index_t> row_of(static_cast<std::size_t>(nb), -1);
+  std::vector<index_t> col_of(static_cast<std::size_t>(nb), -1);
+  const auto pair_flops = [](const Pair& pr) {
+    return 2 * static_cast<std::uint64_t>(pr.loc.rh) *
+           static_cast<std::uint64_t>(pr.loc.ch) *
+           static_cast<std::uint64_t>(pr.a->cols());
+  };
+  std::uint64_t flops = 0;
+  for (Pair& pr : pairs) {
+    if (!pr.dense) continue;
+    pr.dst = dense_target(pr.loc);
+    pr.grid = pr.dst.data != nullptr;
+    if (!pr.grid) continue;
+    row_of[static_cast<std::size_t>(pr.i)] = 0;  // used; numbered below
+    col_of[static_cast<std::size_t>(pr.j)] = 0;
+  }
+  for (index_t i = 0; i < nb; ++i) {
+    index_t& r = row_of[static_cast<std::size_t>(i)];
+    if (r < 0) continue;
+    r = static_cast<index_t>(rows.size());
+    rows.push_back(cd.lpanel[static_cast<std::size_t>(i)].dense().cview());
+  }
+  for (index_t j = 0; j < nb; ++j) {
+    index_t& q = col_of[static_cast<std::size_t>(j)];
+    if (q < 0) continue;
+    q = static_cast<index_t>(cols.size());
+    cols.push_back(
+        (llt_ ? cd.lpanel : cd.upanel)[static_cast<std::size_t>(j)].dense().cview());
+  }
+  for (const Pair& pr : pairs) {
+    if (!pr.grid) continue;
+    targets.push_back({row_of[static_cast<std::size_t>(pr.i)],
+                       col_of[static_cast<std::size_t>(pr.j)], pr.dst,
+                       pr.loc.transpose});
+    flops += pair_flops(pr);
+  }
+  if (!targets.empty()) {
+    dispatch::gemm_update(rows, cols, targets);
+    update_flops_.fetch_add(flops, std::memory_order_relaxed);
+  }
+
+  // Then, column blok by column blok, the pairs onto low-rank targets and
+  // the pairs with a low-rank operand, in row order, each product formed
+  // right before it is applied. A dense pair's product is staged in a
+  // Workspace tile, unless an earlier extend-add of this task turned its
+  // target dense; the column's dense pairs run as one GEMM.
+  std::vector<lr::Tile> staged;
+  for (std::size_t c0 = 0, c1 = 0; c0 < pairs.size(); c0 = c1) {
+    c1 = c0;
+    while (c1 < pairs.size() && pairs[c1].j == pairs[c0].j) ++c1;
+    if (failed_.load(std::memory_order_relaxed)) return;
+    poll_deadline(u.k);
     rows.clear();
-    outs.clear();
+    targets.clear();
     staged.clear();
-    staged.reserve(pairs.size());
-    std::uint64_t flops = 0;
-    for (Pair& pr : pairs) {
-      if (!pr.dense) continue;
+    staged.reserve(c1 - c0);
+    flops = 0;
+    for (std::size_t x = c0; x < c1; ++x) {
+      Pair& pr = pairs[x];
+      if (!pr.dense || pr.grid) continue;
       la::DView dst = dense_target(pr.loc);
       if (dst.data == nullptr) {
         staged.push_back(
@@ -591,25 +651,25 @@ void NumericFactor::run_update(const DagTask& u) {
         dst = staged.back().dense().view();
         pr.staged = true;
       }
+      targets.push_back({static_cast<index_t>(rows.size()), 0, dst,
+                         pr.loc.transpose});
       rows.push_back(pr.a->dense().cview());
-      outs.push_back(dst);
-      flops += 2 * static_cast<std::uint64_t>(pr.loc.rh) *
-               static_cast<std::uint64_t>(pr.loc.ch) *
-               static_cast<std::uint64_t>(pr.a->cols());
+      flops += pair_flops(pr);
     }
-    if (!rows.empty()) {
-      dispatch::gemm_update(rows, b, outs, /*transpose=*/!llt_ && j >= u.b1);
+    if (!targets.empty()) {
+      const la::DConstView col = pairs[c0].b->dense().cview();
+      dispatch::gemm_update(rows, std::span(&col, 1), targets);
       update_flops_.fetch_add(flops, std::memory_order_relaxed);
     }
-    // Then, in row order, the staged products and the pairs with a
-    // low-rank operand, each product formed right before it is applied.
     std::size_t next = 0;
-    for (const Pair& pr : pairs) {
+    for (std::size_t x = c0; x < c1; ++x) {
+      const Pair& pr = pairs[x];
       if (pr.staged) {
         finish_update(pr.loc, unstage(staged[next++].dense(), pr.loc.transpose));
       } else if (!pr.dense) {
         finish_update(pr.loc,
-                      dispatch::product(*pr.a, b, opts_.kind, opts_.tolerance,
+                      dispatch::product(*pr.a, *pr.b, opts_.kind,
+                                        opts_.tolerance,
                                         update_need_ortho(pr.loc)));
       }
     }
@@ -659,35 +719,93 @@ void NumericFactor::factor_panel(index_t k) {
     }
     if (failed_.load(std::memory_order_relaxed)) return;
 
-    // Per blok, the elimination-time policy hook, then the panel solve.
-    // Just-In-Time compresses the accumulated panels now (Algorithm 2
-    // l.3-4); Minimal-Memory and Adaptive re-attempt the blocks that are
-    // (still) dense — e.g. after an extend-add transiently exceeded the
-    // storage-beneficial rank — which keeps the final factor size of the
-    // scenarios similar, as the paper reports. Item i < nb is L blok i, item
-    // nb + i is U blok i. An item reads the factored diagonal, immutable from
-    // here on, and mutates only its own tile, so the items may run in any
-    // order or in parallel with the same bits.
+    // Per blok, the elimination-time policy hook: Just-In-Time compresses
+    // the accumulated panels now (Algorithm 2 l.3-4); Minimal-Memory and
+    // Adaptive re-attempt the blocks that are (still) dense — e.g. after an
+    // extend-add transiently exceeded the storage-beneficial rank — which
+    // keeps the final factor size of the scenarios similar, as the paper
+    // reports. Item i < nb is L blok i, item nb + i is U blok i; each
+    // mutates only its own tile.
     const index_t nb = static_cast<index_t>(c.bloks.size());
-    const auto blok_item = [&](index_t i) {
-      // Early exit at blok granularity once a sibling has failed.
-      if (failed_.load(std::memory_order_relaxed)) return;
-      const bool upper = i >= nb;
-      const index_t idx = upper ? i - nb : i;
-      lr::Tile& blk =
-          (upper ? cd.upanel : cd.lpanel)[static_cast<std::size_t>(idx)];
-      policy_->at_elimination(k, BlockSite{idx, upper}, blk,
-                              compressible(k, c.bloks[static_cast<std::size_t>(idx)]),
-                              pctx_);
-      if (failed_.load(std::memory_order_relaxed)) return;
-      if (blk.rank() != 0)
-        dispatch::panel_solve(cd.diag, cd.ipiv, blk, llt_, upper);
-      blk.advance(lr::TileState::Factored);
+    const index_t items = llt_ ? nb : 2 * nb;
+    const auto tile = [&](index_t i) -> lr::Tile& {
+      return i >= nb ? cd.upanel[static_cast<std::size_t>(i - nb)]
+                     : cd.lpanel[static_cast<std::size_t>(i)];
     };
     const bool fan = pool_ != nullptr && fans_out(k);
     if (fan) fanout_panels_.fetch_add(1, std::memory_order_relaxed);
-    run_items(fan ? pool_ : nullptr, llt_ ? nb : 2 * nb, blok_item);
+    if (opts_.strategy != Strategy::Dense) {
+      run_items(fan ? pool_ : nullptr, items, [&](index_t i) {
+        // Early exit at blok granularity once a sibling has failed.
+        if (failed_.load(std::memory_order_relaxed)) return;
+        const index_t idx = i >= nb ? i - nb : i;
+        policy_->at_elimination(
+            k, BlockSite{idx, i >= nb}, tile(i),
+            compressible(k, c.bloks[static_cast<std::size_t>(idx)]), pctx_);
+      });
+      if (failed_.load(std::memory_order_relaxed)) return;
+    }
+
+    // Then the panel solves. A low-rank blok is solved alone (trsm[lr]); the
+    // dense bloks of each panel side are stacked, in blok order, into groups
+    // of at most la::kStackRows rows (a tall blok split), one stacked,
+    // blocked TRSM each (trsm[ge]). Every item reads the factored diagonal,
+    // immutable from here on, and writes only its own rows, and each row's
+    // solve does not depend on the grouping, so the items may run in any
+    // order or in parallel with the same bits.
+    struct SolveItem {
+      index_t tile;       ///< low-rank blok item, or -1 for a dense group
+      bool upper;
+      std::size_t r0, r1;  ///< the group's rows: views [r0, r1)
+    };
+    std::vector<la::DView> views;
+    std::vector<SolveItem> solves;
+    std::uint64_t flops = 0;
+    for (const bool upper : {false, true}) {
+      if (upper && llt_) break;
+      std::size_t start = views.size();
+      index_t m = 0;
+      for (index_t idx = 0; idx < nb; ++idx) {
+        const index_t i = upper ? nb + idx : idx;
+        lr::Tile& blk = tile(i);
+        if (blk.is_lowrank()) {
+          if (blk.rank() != 0) solves.push_back({i, upper, 0, 0});
+          continue;
+        }
+        const la::DView v = blk.dense().view();
+        flops += static_cast<std::uint64_t>(v.rows) *
+                 static_cast<std::uint64_t>(v.cols) *
+                 static_cast<std::uint64_t>(v.cols);
+        for (index_t r = 0; r < v.rows;) {
+          const index_t take = std::min(v.rows - r, la::kStackRows - m);
+          views.push_back(v.sub(r, 0, take, v.cols));
+          r += take;
+          m += take;
+          if (m == la::kStackRows) {
+            solves.push_back({-1, upper, start, views.size()});
+            start = views.size();
+            m = 0;
+          }
+        }
+      }
+      if (m > 0) solves.push_back({-1, upper, start, views.size()});
+    }
+    run_items(fan ? pool_ : nullptr, static_cast<index_t>(solves.size()),
+              [&](index_t x) {
+      if (failed_.load(std::memory_order_relaxed)) return;
+      const SolveItem& it = solves[static_cast<std::size_t>(x)];
+      if (it.tile >= 0) {
+        dispatch::panel_solve(cd.diag, cd.ipiv, tile(it.tile), llt_, it.upper);
+      } else {
+        dispatch::panel_solve(
+            cd.diag, cd.ipiv,
+            std::span<const la::DView>(views).subspan(it.r0, it.r1 - it.r0),
+            llt_, it.upper);
+      }
+    });
     if (failed_.load(std::memory_order_relaxed)) return;
+    panel_flops_.fetch_add(flops, std::memory_order_relaxed);
+    for (index_t i = 0; i < items; ++i) tile(i).advance(lr::TileState::Factored);
     // Guard the factored panel: overflow/NaN escaping the diagonal
     // factorization or the triangular solves is caught here instead of
     // surfacing as an inexplicably wrong solution.

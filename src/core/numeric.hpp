@@ -203,6 +203,11 @@ public:
   [[nodiscard]] std::uint64_t dense_update_flops() const {
     return update_flops_.load(std::memory_order_relaxed);
   }
+  /// Flops of this factorization's dense panel TRSMs (rows·width² per
+  /// dense blok).
+  [[nodiscard]] std::uint64_t panel_solve_flops() const {
+    return panel_flops_.load(std::memory_order_relaxed);
+  }
 
   /// Elimination schedule trace (empty unless options.collect_trace).
   [[nodiscard]] const std::vector<TraceEvent>& trace() const { return trace_; }
@@ -384,6 +389,7 @@ private:
   real_t pivot_cutoff_ = 0;                    // absolute static-pivot threshold
   std::atomic<index_t> pivots_replaced_{0};
   std::atomic<std::uint64_t> update_flops_{0};  // dense update GEMM flops
+  std::atomic<std::uint64_t> panel_flops_{0};   // dense panel TRSM flops
   std::atomic<std::uint64_t> fanout_panels_{0};  // Elim tasks that fanned out
   std::atomic<std::uint64_t> pool_helpers_{0};   // parallel_for helper tasks
   std::vector<TraceEvent> trace_;

@@ -395,6 +395,7 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
   stats_.dense_block_fraction = num_->dense_block_fraction();
   stats_.pivots_replaced = num_->pivots_replaced();
   stats_.dense_update_flops = num_->dense_update_flops();
+  stats_.panel_solve_flops = num_->panel_solve_flops();
   capture_dag();
   stats_.dispatch = KernelDispatch::instance().snapshot();
 
@@ -624,21 +625,23 @@ void Solver::print_summary(std::ostream& os) const {
        << " executed, " << stats_.fanout_panels << " panels fanned out ("
        << stats_.pool_helpers << " pool helpers)\n";
   }
-  std::uint64_t update_gemms = 0;
-  double update_seconds = 0;
-  for (const DispatchCount& d : stats_.dispatch) {
-    if (d.kernel != "gemm[ge,ge]") continue;
-    update_gemms += d.calls;
-    update_seconds += d.seconds;
-  }
-  if (update_gemms > 0) {
-    os << "  dense update  : " << update_gemms << " GEMMs, "
-       << (update_seconds > 0
-               ? static_cast<double>(stats_.dense_update_flops) /
-                     update_seconds / 1e9
-               : 0.0)
+  // The dense panel kernels: calls and GF/s of their dispatch rows.
+  const auto kernel_line = [&](const char* label, const char* kernel,
+                               const char* unit, std::uint64_t flops) {
+    std::uint64_t calls = 0;
+    double seconds = 0;
+    for (const DispatchCount& d : stats_.dispatch) {
+      if (d.kernel != kernel) continue;
+      calls += d.calls;
+      seconds += d.seconds;
+    }
+    if (calls == 0) return;
+    os << label << calls << " " << unit << ", "
+       << (seconds > 0 ? static_cast<double>(flops) / seconds / 1e9 : 0.0)
        << " GF/s\n";
-  }
+  };
+  kernel_line("  panel solve   : ", "trsm[ge]", "TRSMs", stats_.panel_solve_flops);
+  kernel_line("  dense update  : ", "gemm[ge,ge]", "GEMMs", stats_.dense_update_flops);
   if (!stats_.dispatch.empty()) {
     os << "  kernels       :\n";
     for (const DispatchCount& d : stats_.dispatch) {

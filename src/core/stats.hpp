@@ -143,8 +143,12 @@ struct SolverStats {
   index_t pivots_replaced = 0;
 
   /// Flops of the dense update GEMMs (the `gemm[ge,ge]` dispatch row) of
-  /// the successful attempt, 2·rows·cols·width per dense block pair.
+  /// the successful attempt, 2·rows·cols·width per dense block pair. Only
+  /// the pairs written count, not the products a grid GEMM discards.
   std::uint64_t dense_update_flops = 0;
+  /// Flops of the dense panel TRSMs (the `trsm[ge]` dispatch row) of the
+  /// successful attempt, rows·width² per dense panel blok.
+  std::uint64_t panel_solve_flops = 0;
 
   // Scheduler counters of the last factorize() (all zero for sequential
   // runs; aggregated over workers — per-worker detail via

@@ -142,13 +142,32 @@ struct PackBuffer {
   }
 };
 
+/// Consecutive rows of one column-major block: `rows` rows from `data`,
+/// columns `ld` apart.
+template <typename T>
+struct RowRun {
+  const T* data;
+  index_t ld;
+  index_t rows;
+};
+
+/// Rows [r0, r1) of stacked block p.
+struct RowSegment {
+  std::size_t p;
+  index_t r0, r1;
+};
+
 template <typename T>
 struct ThreadPackBuffers {
   PackBuffer<T> a;
   PackBuffer<T> b;
-  PackBuffer<T> c;  ///< gemm_batch: a group's C blocks, gathered
-  std::vector<const T*> rows;  ///< gemm_batch: a group's stacked rows
-  std::vector<index_t> lds;    ///< ... and the leading dimension of each
+  PackBuffer<T> c;  ///< a gemm_batch / trsm_stacked group's rows, gathered
+  std::vector<RowRun<T>> runs;  ///< the stacked rows being packed
+  std::vector<index_t> col0;   ///< gemm_batch: first packed column of each B_q
+  std::vector<index_t> reach;  ///< gemm_batch: columns each A_p's targets reach
+  std::vector<std::size_t> by_row;  ///< gemm_batch: targets ordered by p ...
+  std::vector<std::size_t> first;   ///< ... starting at first[p]
+  std::vector<RowSegment> segs;     ///< the rows of one group
 };
 
 template <typename T>
@@ -246,82 +265,50 @@ const T* pack_b(PackBuffer<T>& buf, ConstView<T> b, Trans trans, T alpha,
   return buf.data;
 }
 
-/// Whether stacked rows [i0, i0 + count) are consecutive rows of one block.
+/// Pack rows [0, n) of a vertical stack of row runs, times alpha, in
+/// w-row panels per k-slab: element (k, r) of panel q of the slab at depth
+/// pc lives at pc*round_up(n, w) + q*kc*w + k*w + r, rows past n
+/// zero-padded. With w = MR this is pack_a's layout of the stack (MR divides
+/// kMC, so the kMC blocks add no padding of their own); with w = NR and
+/// alpha folded in, pack_b's layout of its transpose (Trans::Yes).
 template <typename T>
-bool one_block(const std::vector<const T*>& rows, const std::vector<index_t>& lds,
-               std::size_t i0, index_t count) {
-  for (index_t r = 1; r < count; ++r) {
-    const std::size_t i = i0 + static_cast<std::size_t>(r);
-    if (rows[i] != rows[i0] + r || lds[i] != lds[i0]) return false;
-  }
-  return true;
-}
-
-/// pack_a for a vertical stack of row blocks: `rows[i]` is row i of the
-/// stack and `lds[i]` its stride between columns (Trans::No only).
-template <typename T>
-const T* pack_a_rows(PackBuffer<T>& buf, const std::vector<const T*>& rows,
-                     const std::vector<index_t>& lds, index_t m, index_t kk) {
-  constexpr index_t MR = MicroTile<T>::MR;
-  std::size_t rows_rounded = 0;
-  for (index_t ic = 0; ic < m; ic += kMC)
-    rows_rounded += round_up(std::min(kMC, m - ic), MR);
-  T* dst = buf.ensure(rows_rounded * static_cast<std::size_t>(kk));
+const T* pack_runs(PackBuffer<T>& buf, const std::vector<RowRun<T>>& runs,
+                   T alpha, index_t n, index_t kk, index_t w) {
+  static_assert(kMC % MicroTile<T>::MR == 0);
+  const std::size_t n_rounded = static_cast<std::size_t>(round_up(n, w));
+  T* dst = buf.ensure(n_rounded * static_cast<std::size_t>(kk));
   for (index_t pc = 0; pc < kk; pc += kKC) {
     const index_t kc = std::min(kKC, kk - pc);
-    for (index_t ic = 0; ic < m; ic += kMC) {
-      const index_t mc = std::min(kMC, m - ic);
-      for (index_t p = 0; p < mc; p += MR) {
-        const auto i0 = static_cast<std::size_t>(ic + p);
-        const index_t mr = std::min(MR, mc - p);
-        if (one_block(rows, lds, i0, mr)) {
-          // The common case: the panel's rows are contiguous in one block.
-          pack_block_a<T, MR>(ConstView<T>(rows[i0], mr, kk, lds[i0]), Trans::No,
-                              0, mr, pc, kc, dst);
+    std::size_t run = 0;  // the run holding the panel's first row ...
+    index_t off = 0;      // ... and its offset there
+    for (index_t q = 0; q < n; q += w) {
+      const index_t rows = std::min(w, n - q);
+      if (rows < w) std::fill(dst, dst + kc * w, T(0));
+      for (index_t r = 0; r < rows;) {
+        const RowRun<T>& rr = runs[run];
+        const index_t take = std::min(rr.rows - off, rows - r);
+        const T* src = rr.data + off + static_cast<std::size_t>(pc) * rr.ld;
+        if (take < 8) {
+          // A short piece: the long loop runs along k.
+          for (index_t i = 0; i < take; ++i) {
+            for (index_t k = 0; k < kc; ++k)
+              dst[k * w + r + i] = alpha * src[static_cast<std::size_t>(k) * rr.ld + i];
+          }
         } else {
           for (index_t k = 0; k < kc; ++k) {
-            index_t r = 0;
-            for (; r < mr; ++r) {
-              const std::size_t i = i0 + static_cast<std::size_t>(r);
-              dst[k * MR + r] = rows[i][(pc + k) * lds[i]];
-            }
-            for (; r < MR; ++r) dst[k * MR + r] = T(0);
+            const T* col = src + static_cast<std::size_t>(k) * rr.ld;
+            T* d = dst + k * w + r;
+            for (index_t i = 0; i < take; ++i) d[i] = alpha * col[i];
           }
         }
-        dst += kc * MR;
-      }
-    }
-  }
-  return buf.data;
-}
-
-/// pack_b of alpha·Sᵗ for a vertical stack S of row blocks (see
-/// pack_a_rows): op(B)(k, c) = S(c, k), the Trans::Yes layout.
-template <typename T>
-const T* pack_bt_rows(PackBuffer<T>& buf, const std::vector<const T*>& rows,
-                      const std::vector<index_t>& lds, T alpha, index_t kk,
-                      index_t n) {
-  constexpr index_t NR = MicroTile<T>::NR;
-  T* dst = buf.ensure(static_cast<std::size_t>(round_up(n, NR)) * kk);
-  for (index_t pc = 0; pc < kk; pc += kKC) {
-    const index_t kc = std::min(kKC, kk - pc);
-    for (index_t q = 0; q < n; q += NR) {
-      const auto i0 = static_cast<std::size_t>(q);
-      const index_t nr = std::min(NR, n - q);
-      if (one_block(rows, lds, i0, nr)) {
-        pack_slab_b<T, NR>(ConstView<T>(rows[i0], nr, kk, lds[i0]), Trans::Yes,
-                           alpha, pc, kc, nr, dst);
-      } else {
-        for (index_t k = 0; k < kc; ++k) {
-          index_t c = 0;
-          for (; c < nr; ++c) {
-            const std::size_t i = i0 + static_cast<std::size_t>(c);
-            dst[k * NR + c] = alpha * rows[i][(pc + k) * lds[i]];
-          }
-          for (; c < NR; ++c) dst[k * NR + c] = T(0);
+        r += take;
+        off += take;
+        if (off == rr.rows) {
+          ++run;
+          off = 0;
         }
       }
-      dst += kc * NR;
+      dst += kc * w;
     }
   }
   return buf.data;
@@ -347,9 +334,10 @@ template <typename T>
 struct BackendVtable {
   /// C += alpha * op(A) * op(B) (beta already applied).
   void (*gemm)(Trans, Trans, T, ConstView<T>, ConstView<T>, MatView<T>);
-  /// The gemm_batch products (alpha != 0, B nonempty).
-  void (*gemm_batch)(Trans, T, std::span<const ConstView<T>>, ConstView<T>,
-                     std::span<const MatView<T>>);
+  /// The gemm_batch products (alpha = ±1, depth > 0).
+  void (*gemm_batch)(T, std::span<const ConstView<T>>,
+                     std::span<const ConstView<T>>,
+                     std::span<const GemmTarget<T>>);
   /// Substitution only (alpha already applied to B).
   void (*trsm)(Side, Uplo, Trans, Diag, ConstView<T>, MatView<T>);
   /// C(triangle) += alpha * A·Aᵗ or Aᵗ·A (beta already applied).
@@ -384,18 +372,16 @@ void ref_gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
   gemm_unpacked(trans_a, trans_b, alpha, a, b, T(1), c);
 }
 
-/// One batched product C_p += alpha·A_p·Bᵗ (or alpha·B·A_pᵗ) on the nests.
 template <typename T>
-void nests_nt(Trans trans, T alpha, ConstView<T> a, ConstView<T> b,
-              MatView<T> c) {
-  if (trans == Trans::No) gemm_nests(Trans::No, Trans::Yes, alpha, a, b, c);
-  else gemm_nests(Trans::No, Trans::Yes, alpha, b, a, c);
-}
-
-template <typename T>
-void ref_gemm_batch(Trans trans, T alpha, std::span<const ConstView<T>> a,
-                    ConstView<T> b, std::span<const MatView<T>> c) {
-  for (std::size_t p = 0; p < a.size(); ++p) nests_nt(trans, alpha, a[p], b, c[p]);
+void ref_gemm_batch(T alpha, std::span<const ConstView<T>> a,
+                    std::span<const ConstView<T>> b,
+                    std::span<const GemmTarget<T>> targets) {
+  for (const GemmTarget<T>& t : targets) {
+    const auto p = static_cast<std::size_t>(t.p);
+    const auto q = static_cast<std::size_t>(t.q);
+    if (t.transposed) gemm_nests(Trans::No, Trans::Yes, alpha, b[q], a[p], t.c);
+    else gemm_nests(Trans::No, Trans::Yes, alpha, a[p], b[q], t.c);
+  }
 }
 
 template <typename T>
@@ -474,65 +460,174 @@ void native_gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
                                                      bp, c.data, c.ld);
 }
 
-/// Stacked rows of one gemm_batch group: enough for full MR×NR micro-tiles
-/// over two kMC row blocks.
-constexpr index_t kBatchRows = 2 * kMC;
-
-template <typename T>
-void native_gemm_batch(Trans trans, T alpha, std::span<const ConstView<T>> a,
-                       ConstView<T> b, std::span<const MatView<T>> c) {
-  const index_t kk = b.cols;
-  const index_t n = b.rows;
-  if (kk < 4) {  // too shallow to pay for packing (see use_packed)
-    ref_gemm_batch(trans, alpha, a, b, c);
-    return;
+/// Collect in `segs` the next group of stacked rows, resuming at row `off`
+/// of block p: at most kStackRows rows, a tall block split across groups.
+/// Blocks with skip(p) are passed over; the group ends before a block p
+/// with cut(prev, p), prev being the group's last block. Returns the
+/// group's row count (0 once the blocks run out).
+template <typename Height, typename Skip, typename Cut>
+index_t next_group(std::size_t np, const Height& height, const Skip& skip,
+                   const Cut& cut, std::size_t& p, index_t& off,
+                   std::vector<RowSegment>& segs) {
+  segs.clear();
+  index_t m = 0;
+  while (p < np && m < kStackRows) {
+    if (off == 0 && (height(p) == 0 || skip(p))) {
+      ++p;
+      continue;
+    }
+    if (m > 0 && off == 0 && cut(segs.back().p, p)) break;
+    const index_t take = std::min(height(p) - off, kStackRows - m);
+    segs.push_back({p, off, off + take});
+    m += take;
+    off += take;
+    if (off == height(p)) {
+      ++p;
+      off = 0;
+    }
   }
-  ThreadPackBuffers<T>& bufs = pack_buffers<T>();
-  const auto kernel = detail::native_kernels().template gemm_packed<T>();
-  const T* shared = nullptr;  // B, packed once for the whole batch
-  // Consecutive blocks form groups of up to kBatchRows stacked rows. A
-  // group's rows are packed straight from the blocks, and the micro-kernel
-  // accumulates onto a gathered copy of the group's C entries (C rows, or
-  // C columns for the transposed products) that is scattered back; a lone
-  // block accumulates in place. Accumulating onto C's own values keeps each
-  // element's order that of the single call.
-  for (std::size_t p0 = 0; p0 < a.size();) {
-    index_t m = a[p0].rows;
-    std::size_t p1 = p0 + 1;
-    while (p1 < a.size() && m + a[p1].rows <= kBatchRows) m += a[p1++].rows;
-    bufs.rows.clear();
-    bufs.lds.clear();
-    for (std::size_t p = p0; p < p1; ++p) {
-      for (index_t r = 0; r < a[p].rows; ++r) {
-        bufs.rows.push_back(a[p].data + r);
-        bufs.lds.push_back(a[p].ld);
+  return m;
+}
+
+/// Copy between a gemm_batch target and its slot in a group's gathered
+/// block G (ld m): rows [r0, r1) of row block p, i.e. G rows from g0, and
+/// the target's columns (its rows, when transposed) from column c0 of G.
+/// Short row ranges copy row by row, so no tiny per-column copy is issued.
+template <typename T>
+void move_target(const GemmTarget<T>& t, index_t r0, index_t r1, T* g,
+                 index_t m, index_t g0, index_t c0, bool gather) {
+  const index_t h = r1 - r0;
+  T* gs = g + static_cast<std::size_t>(c0) * m + g0;
+  // Element (r, j) of the slot: G at gs[j*m + r], the target at
+  // tc[r*rs + j*cs].
+  const bool tr = t.transposed;
+  T* tc = tr ? t.c.col(r0) : t.c.data + r0;
+  const std::size_t rs = tr ? static_cast<std::size_t>(t.c.ld) : 1;
+  const std::size_t cs = tr ? 1 : static_cast<std::size_t>(t.c.ld);
+  const index_t n = tr ? t.c.rows : t.c.cols;
+  const auto um = static_cast<std::size_t>(m);
+  if (!tr && h >= 8) {
+    for (index_t j = 0; j < n; ++j) {
+      T* gj = gs + static_cast<std::size_t>(j) * um;
+      T* cj = tc + static_cast<std::size_t>(j) * cs;
+      for (index_t r = 0; r < h; ++r) {
+        if (gather) gj[r] = cj[r];
+        else cj[r] = gj[r];
       }
     }
-    MatView<T> gc = p1 == p0 + 1 ? c[p0]
-                    : trans == Trans::No
-                        ? MatView<T>(bufs.c.ensure(static_cast<std::size_t>(m) * n), m, n)
-                        : MatView<T>(bufs.c.ensure(static_cast<std::size_t>(m) * n), n, m);
-    const auto slot = [&](index_t r, index_t rows) {
-      return trans == Trans::No ? gc.sub(r, 0, rows, n) : gc.sub(0, r, n, rows);
+    return;
+  }
+  for (index_t r = 0; r < h; ++r) {
+    T* gr = gs + r;
+    T* cr = tc + static_cast<std::size_t>(r) * rs;
+    for (index_t j = 0; j < n; ++j) {
+      if (gather) gr[static_cast<std::size_t>(j) * um] = cr[static_cast<std::size_t>(j) * cs];
+      else cr[static_cast<std::size_t>(j) * cs] = gr[static_cast<std::size_t>(j) * um];
+    }
+  }
+}
+
+template <typename T>
+void native_gemm_batch(T alpha, std::span<const ConstView<T>> a,
+                       std::span<const ConstView<T>> b,
+                       std::span<const GemmTarget<T>> targets) {
+  const index_t kk = b[0].cols;
+  if (kk < 4) {  // too shallow to pay for packing (see use_packed)
+    ref_gemm_batch(alpha, a, b, targets);
+    return;
+  }
+  constexpr index_t MR = MicroTile<T>::MR;
+  constexpr index_t NR = MicroTile<T>::NR;
+  const auto kernel = detail::native_kernels().template gemm_packed<T>();
+  ThreadPackBuffers<T>& bufs = pack_buffers<T>();
+  const std::size_t np = a.size();
+
+  // The column blocks, stacked in order and packed once: B_q occupies the
+  // packed columns [col0[q], col0[q] + rows of B_q).
+  bufs.runs.clear();
+  bufs.col0.assign(b.size(), 0);
+  index_t n = 0;
+  for (std::size_t q = 0; q < b.size(); ++q) {
+    bufs.col0[q] = n;
+    n += b[q].rows;
+    if (b[q].rows > 0) bufs.runs.push_back({b[q].data, b[q].ld, b[q].rows});
+  }
+  const T* bp = pack_runs<T>(bufs.b, bufs.runs, alpha, n, kk, NR);
+  const std::size_t b_slab = static_cast<std::size_t>(round_up(n, NR));
+
+  // The targets of each row block (a counting sort on p), and the columns
+  // they reach.
+  bufs.first.assign(np + 1, 0);
+  bufs.reach.assign(np, 0);
+  for (const GemmTarget<T>& t : targets) {
+    const auto p = static_cast<std::size_t>(t.p);
+    const auto q = static_cast<std::size_t>(t.q);
+    ++bufs.first[p + 1];
+    bufs.reach[p] = std::max(bufs.reach[p], bufs.col0[q] + b[q].rows);
+  }
+  for (std::size_t p = 0; p < np; ++p) bufs.first[p + 1] += bufs.first[p];
+  bufs.by_row.resize(targets.size());
+  for (std::size_t i = 0; i < targets.size(); ++i)
+    bufs.by_row[bufs.first[static_cast<std::size_t>(targets[i].p)]++] = i;
+  for (std::size_t p = np; p > 0; --p) bufs.first[p] = bufs.first[p - 1];
+  bufs.first[0] = 0;
+
+  // Row groups: consecutive rows of the row blocks in order (see
+  // next_group). A group computes the columns its rows' targets reach; it
+  // ends before a block that reaches fewer columns, so rows needing few
+  // columns do not pay for a wide group (the LU update's later row bloks
+  // after its facing ones).
+  std::vector<RowSegment>& segs = bufs.segs;
+  const auto height = [&](std::size_t p) { return a[p].rows; };
+  const auto no_target = [&](std::size_t p) {
+    return bufs.first[p] == bufs.first[p + 1];
+  };
+  const auto narrower = [&](std::size_t prev, std::size_t p) {
+    return bufs.reach[p] < bufs.reach[prev];
+  };
+  std::size_t p = 0;
+  index_t off = 0;
+  for (;;) {
+    const index_t m = next_group(np, height, no_target, narrower, p, off, segs);
+    if (m == 0) break;
+    const index_t reach = bufs.reach[segs.back().p];  // non-decreasing in a group
+    bufs.runs.clear();
+    for (const RowSegment& sg : segs)
+      bufs.runs.push_back({a[sg.p].data + sg.r0, a[sg.p].ld, sg.r1 - sg.r0});
+    const T* ap = pack_runs<T>(bufs.a, bufs.runs, T(1), m, kk, MR);
+    const auto a_slab = static_cast<std::size_t>(round_up(m, MR));
+    const std::size_t g_size = static_cast<std::size_t>(m) * static_cast<std::size_t>(reach);
+    T* g = bufs.c.ensure(g_size);
+    // Entries without a target (the discarded products) start from zero.
+    for (const RowSegment& sg : segs) {
+      index_t covered = 0;
+      for (std::size_t i = bufs.first[sg.p]; i < bufs.first[sg.p + 1]; ++i)
+        covered += b[static_cast<std::size_t>(targets[bufs.by_row[i]].q)].rows;
+      if (covered < reach) {
+        std::fill(g, g + g_size, T(0));
+        break;
+      }
+    }
+    const auto each_slot = [&](bool gather) {
+      index_t g0 = 0;
+      for (const RowSegment& sg : segs) {
+        for (std::size_t i = bufs.first[sg.p]; i < bufs.first[sg.p + 1]; ++i) {
+          const GemmTarget<T>& t = targets[bufs.by_row[i]];
+          move_target(t, sg.r0, sg.r1, g, m, g0,
+                      bufs.col0[static_cast<std::size_t>(t.q)], gather);
+        }
+        g0 += sg.r1 - sg.r0;
+      }
     };
-    if (p1 > p0 + 1) {
-      for (std::size_t p = p0, r = 0; p < p1; r += static_cast<std::size_t>(a[p++].rows))
-        copy<T>(c[p], slot(static_cast<index_t>(r), a[p].rows));
+    // Accumulating onto the targets' own values keeps each element's order
+    // that of the single call; the k-slabs run in order, as in one walk.
+    each_slot(true);
+    for (index_t pc = 0; pc < kk; pc += kKC) {
+      kernel(m, reach, std::min(kKC, kk - pc),
+             ap + a_slab * static_cast<std::size_t>(pc),
+             bp + b_slab * static_cast<std::size_t>(pc), g, m);
     }
-    if (trans == Trans::No) {
-      if (shared == nullptr) shared = pack_b<T>(bufs.b, b, Trans::Yes, alpha, kk, n);
-      const T* ap = pack_a_rows<T>(bufs.a, bufs.rows, bufs.lds, m, kk);
-      kernel(m, n, kk, ap, shared, gc.data, gc.ld);
-    } else {
-      if (shared == nullptr) shared = pack_a<T>(bufs.a, b, Trans::No, n, kk);
-      const T* bp = pack_bt_rows<T>(bufs.b, bufs.rows, bufs.lds, alpha, kk, m);
-      kernel(n, m, kk, shared, bp, gc.data, gc.ld);
-    }
-    if (p1 > p0 + 1) {
-      for (std::size_t p = p0, r = 0; p < p1; r += static_cast<std::size_t>(a[p++].rows))
-        copy<T>(ConstView<T>(slot(static_cast<index_t>(r), a[p].rows)), c[p]);
-    }
-    p0 = p1;
+    each_slot(false);
   }
 }
 
@@ -595,17 +690,21 @@ void gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a, ConstView<T> b,
 }
 
 template <typename T>
-void gemm_batch(Trans trans, T alpha, std::span<const ConstView<T>> a,
-                ConstView<T> b, std::span<const MatView<T>> c) {
-  assert(a.size() == c.size());
-  for (std::size_t p = 0; p < a.size(); ++p) {
-    assert(a[p].cols == b.cols);
-    assert(trans == Trans::No ? (c[p].rows == a[p].rows && c[p].cols == b.rows)
-                              : (c[p].rows == b.rows && c[p].cols == a[p].rows));
-    (void)p;
+void gemm_batch(T alpha, std::span<const ConstView<T>> a,
+                std::span<const ConstView<T>> b,
+                std::span<const GemmTarget<T>> targets) {
+  assert(alpha == T(1) || alpha == T(-1));
+  for (const GemmTarget<T>& t : targets) {
+    const ConstView<T>& ap = a[static_cast<std::size_t>(t.p)];
+    const ConstView<T>& bq = b[static_cast<std::size_t>(t.q)];
+    assert(ap.cols == bq.cols);
+    assert(t.transposed ? (t.c.rows == bq.rows && t.c.cols == ap.rows)
+                        : (t.c.rows == ap.rows && t.c.cols == bq.rows));
+    (void)ap;
+    (void)bq;
   }
-  if (alpha == T(0) || b.cols == 0 || b.rows == 0) return;
-  backend_vtable<T>(current_backend()).gemm_batch(trans, alpha, a, b, c);
+  if (targets.empty() || b.empty() || b[0].cols == 0) return;
+  backend_vtable<T>(current_backend()).gemm_batch(alpha, a, b, targets);
 }
 
 template <typename T>
@@ -621,6 +720,87 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, ConstView<T> a,
   scale_matrix(alpha, b);
   if (b.empty()) return;
   backend_vtable<T>(current_backend()).trsm(side, uplo, trans, diag, a, b);
+}
+
+namespace {
+
+/// Columns per substitution strip of trsm_stacked: the rest of each strip's
+/// columns is one GEMM.
+constexpr index_t kTrsmStrip = 32;
+
+/// X·op(A) = X in place, blocked (trsm_stacked's forward variants): per
+/// strip J of columns, substitution against A(J, J), then
+/// X(:, right of J) -= X(:, J)·op(A)(J, right of J). Column j receives its
+/// terms in ascending k, the order of the unblocked substitution.
+template <typename T>
+void trsm_right_blocked(const BackendVtable<T>& vt, Uplo uplo, Trans trans,
+                        Diag diag, ConstView<T> a, MatView<T> x) {
+  const index_t w = a.rows;
+  for (index_t j0 = 0; j0 < w; j0 += kTrsmStrip) {
+    const index_t nb = std::min(kTrsmStrip, w - j0);
+    const index_t j1 = j0 + nb;
+    vt.trsm(Side::Right, uplo, trans, diag, a.sub(j0, j0, nb, nb),
+            x.sub(0, j0, x.rows, nb));
+    if (j1 == w) break;
+    if (uplo == Uplo::Lower) {  // op(A) = Aᵗ: the strip below A(J, J)
+      vt.gemm(Trans::No, Trans::Yes, T(-1), x.sub(0, j0, x.rows, nb),
+              a.sub(j1, j0, w - j1, nb), x.sub(0, j1, x.rows, w - j1));
+    } else {  // op(A) = A: the strip right of A(J, J)
+      vt.gemm(Trans::No, Trans::No, T(-1), x.sub(0, j0, x.rows, nb),
+              a.sub(j0, j1, nb, w - j1), x.sub(0, j1, x.rows, w - j1));
+    }
+  }
+}
+
+} // namespace
+
+template <typename T>
+void trsm_stacked(Uplo uplo, Trans trans, Diag diag, ConstView<T> a,
+                  std::span<const MatView<T>> b) {
+  const BackendVtable<T>& vt = backend_vtable<T>(current_backend());
+  const index_t w = a.rows;
+  assert((uplo == Uplo::Lower) == (trans == Trans::Yes));
+  for (const MatView<T>& bp : b) {
+    assert(a.cols == w && bp.cols == w);
+    (void)bp;
+  }
+  if (w == 0) return;
+  // Rows are independent, so any grouping keeps every row's bits. A group
+  // of one segment is solved in place; a wider group is gathered into
+  // per-thread scratch of at most kStackRows × w, solved, and scattered
+  // back.
+  ThreadPackBuffers<T>& bufs = pack_buffers<T>();
+  std::vector<RowSegment>& segs = bufs.segs;
+  const auto height = [&](std::size_t p) { return b[p].rows; };
+  const auto never = [](auto...) { return false; };
+  std::size_t p = 0;
+  index_t off = 0;
+  for (;;) {
+    const index_t m = next_group(b.size(), height, never, never, p, off, segs);
+    if (m == 0) break;
+    if (segs.size() == 1) {
+      const RowSegment& sg = segs.front();
+      trsm_right_blocked(vt, uplo, trans, diag, a,
+                         b[sg.p].sub(sg.r0, 0, sg.r1 - sg.r0, w));
+      continue;
+    }
+    const MatView<T> g(bufs.c.ensure(static_cast<std::size_t>(m) *
+                                     static_cast<std::size_t>(w)),
+                       m, w, m);
+    const auto move = [&](bool gather) {
+      index_t g0 = 0;
+      for (const RowSegment& sg : segs) {
+        const index_t h = sg.r1 - sg.r0;
+        const MatView<T> src = b[sg.p].sub(sg.r0, 0, h, w);
+        if (gather) copy<T>(src, g.sub(g0, 0, h, w));
+        else copy<T>(g.sub(g0, 0, h, w), src);
+        g0 += h;
+      }
+    };
+    move(true);
+    trsm_right_blocked(vt, uplo, trans, diag, a, g);
+    move(false);
+  }
 }
 
 template <typename T>
@@ -668,9 +848,12 @@ void trsv(Uplo uplo, Trans trans, Diag diag, ConstView<T> a, T* b) {
   template void gemm<T>(Trans, Trans, T, ConstView<T>, ConstView<T>, T, MatView<T>);   \
   template void gemm_unpacked<T>(Trans, Trans, T, ConstView<T>, ConstView<T>, T,       \
                                  MatView<T>);                                          \
-  template void gemm_batch<T>(Trans, T, std::span<const ConstView<T>>, ConstView<T>,   \
-                              std::span<const MatView<T>>);                            \
+  template void gemm_batch<T>(T, std::span<const ConstView<T>>,                         \
+                              std::span<const ConstView<T>>,                           \
+                              std::span<const GemmTarget<T>>);                         \
   template void trsm<T>(Side, Uplo, Trans, Diag, T, ConstView<T>, MatView<T>);         \
+  template void trsm_stacked<T>(Uplo, Trans, Diag, ConstView<T>,                       \
+                                std::span<const MatView<T>>);                          \
   template void syrk<T>(Uplo, Trans, T, ConstView<T>, T, MatView<T>);                  \
   template void gemv<T>(Trans, T, ConstView<T>, const T*, T, T*);                      \
   template void trsv<T>(Uplo, Trans, Diag, ConstView<T>, T*);

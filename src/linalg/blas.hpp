@@ -25,18 +25,40 @@ template <typename T>
 void gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a, ConstView<T> b,
           T beta, MatView<T> c);
 
-/// One GEMM of a shared operand B against a batch of row blocks A_p, each
-/// product accumulated straight into its own destination:
-///   C_p += alpha · A_p · Bᵗ   (trans == Trans::No)
-///   C_p += alpha · B · A_pᵗ   (trans == Trans::Yes)
-/// for every p. B is packed once for the whole batch. Each product keeps
-/// the per-element accumulation order of the matching single call,
-/// gemm(No, Yes, alpha, A_p, B, 1, C_p) resp. gemm(No, Yes, alpha, B, A_p,
-/// 1, C_p), so the results are bit-identical to issuing those calls one by
-/// one, under every backend.
+/// Rows of one stacked group of gemm_batch and trsm_stacked: row blocks are
+/// stacked, and tall ones split, into groups of at most this many rows, so
+/// their per-thread scratch stays bounded at kStackRows rows.
+inline constexpr index_t kStackRows = 256;
+
+/// One destination of gemm_batch: row block p against column block q.
 template <typename T>
-void gemm_batch(Trans trans, T alpha, std::span<const ConstView<T>> a,
-                ConstView<T> b, std::span<const MatView<T>> c);
+struct GemmTarget {
+  index_t p = 0;
+  index_t q = 0;
+  MatView<T> c;
+  bool transposed = false;  ///< c is the transposed product
+};
+
+/// A grid of GEMMs over shared operands: row blocks A_p and column blocks
+/// B_q, all with the same number of columns, and for every target
+///   C += alpha · A_p · B_qᵗ   (transposed == false)
+///   C += alpha · B_q · A_pᵗ   (transposed == true)
+/// Each product keeps the per-element accumulation order of the matching
+/// single call, gemm(No, Yes, alpha, A_p, B_q, 1, C) resp. gemm(No, Yes,
+/// alpha, B_q, A_p, 1, C), so the results are bit-identical to issuing those
+/// calls one by one, under every backend. alpha must be 1 or -1: the Native
+/// backend computes a transposed target as (A_p·B_qᵗ)ᵗ with alpha folded into
+/// B_q, which matches the single call only when alpha·x is exact.
+///
+/// Native packs every column block once as one stacked operand and the row
+/// blocks once per group of at most kStackRows rows; each group accumulates
+/// onto a gathered copy of its targets that is scattered back. A group
+/// computes the full rectangle of the columns its targets reach; products
+/// without a target are discarded.
+template <typename T>
+void gemm_batch(T alpha, std::span<const ConstView<T>> a,
+                std::span<const ConstView<T>> b,
+                std::span<const GemmTarget<T>> targets);
 
 /// The plain gemm loop nests — the Reference backend's implementation
 /// (la::gemm with backend Reference lands here), also used directly as the
@@ -52,6 +74,17 @@ void gemm_unpacked(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
 template <typename T>
 void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, ConstView<T> a,
           MatView<T> b);
+
+/// trsm(Side::Right, uplo, trans, diag, 1, a, b_p) for every block b_p of a
+/// vertical stack, bit-identical to those calls under every backend, for
+/// the forward variants only: (Lower, Yes) and (Upper, No), the panel
+/// solves. The blocks are stacked into groups of at most kStackRows rows
+/// (gathered into per-thread scratch, tall blocks split); each group is
+/// solved blocked: a strip of columns by substitution, the columns right of
+/// it updated by one GEMM.
+template <typename T>
+void trsm_stacked(Uplo uplo, Trans trans, Diag diag, ConstView<T> a,
+                  std::span<const MatView<T>> b);
 
 /// Symmetric rank-k update on one triangle:
 ///   C = beta * C + alpha * A * Aᵗ (trans == No)

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -277,57 +280,93 @@ void thin_gemm_bit_identity_for_type() {
 TEST(BackendBitwiseKernels, ThinGemmDouble) { thin_gemm_bit_identity_for_type<double>(); }
 TEST(BackendBitwiseKernels, ThinGemmFloat) { thin_gemm_bit_identity_for_type<float>(); }
 
-// gemm_batch must leave every block's C bit-identical to the single gemm
-// call on that block, under both backends: blocks of ragged heights that
-// group past the packed threshold, a block too tall to share a group, a
-// depth past kKC, strided operands, and both product orientations.
+// gemm_batch must leave every target bit-identical to the single gemm call
+// on it, under both backends: row blocks of ragged heights that group past
+// the packed threshold, a block too tall for one group, a row block without
+// targets, several column blocks with targets missing (groups reaching
+// fewer columns than the one before), both target orientations, a depth
+// past kKC, strided operands, and alpha = ±1.
 template <typename T>
 void gemm_batch_bit_identity_for_type() {
   BackendStateGuard state;
   Prng rng(211);
-  const index_t heights[] = {1, 3, 8, 17, 40, 130, 5, 2, 64, 250, 9};
+  const index_t heights[] = {1, 3, 8, 17, 40, 300, 5, 2, 64, 250, 9};
+  const index_t widths[] = {4, 13, 1, 7, 30};
+  const std::size_t np = std::size(heights);
+  const std::size_t nq = std::size(widths);
   index_t total = 0;
   for (const index_t h : heights) total += h;
+  index_t total_b = 0;
+  for (const index_t w : widths) total_b += w;
+  // Which (p, q) get a target, and whether it is transposed.
+  const auto has = [](std::size_t p, std::size_t q) {
+    return p != 3 && (p + 2 * q) % 3 != 0 && !(p > 6 && q > 2);
+  };
+  const auto flipped = [](std::size_t p, std::size_t q) { return (p * q) % 2 == 1; };
   for (const index_t kk : {index_t(3), index_t(20), index_t(300)}) {
-    for (const index_t n : {index_t(4), index_t(13)}) {
-      for (const la::Trans trans : {la::Trans::No, la::Trans::Yes}) {
-        la::Matrix<T> a(total + 7, kk);  // blocks are strided row ranges
-        la::Matrix<T> b(n, kk);
-        la::Matrix<T> c0 = trans == la::Trans::No ? la::Matrix<T>(total + 5, n + 2)
-                                                   : la::Matrix<T>(n + 3, total + 4);
-        random_normal(a.view(), rng);
-        random_normal(b.view(), rng);
-        random_normal(c0.view(), rng);
-        const auto run = [&](la::Backend be, bool batched) {
-          la::set_backend(be);
-          la::Matrix<T> c = c0;
-          std::vector<la::ConstView<T>> as;
-          std::vector<la::MatView<T>> cs;
-          index_t r = 0;
-          for (const index_t h : heights) {
-            as.push_back(a.cview().sub(r + 7, 0, h, kk));
-            cs.push_back(trans == la::Trans::No ? c.view().sub(r + 5, 1, h, n)
-                                                : c.view().sub(2, r + 4, n, h));
-            r += h;
+    for (const T alpha : {T(-1), T(1)}) {
+      la::Matrix<T> a(total + 7, kk);  // blocks are strided row ranges
+      la::Matrix<T> b(total_b + 2, kk);
+      random_normal(a.view(), rng);
+      random_normal(b.view(), rng);
+      std::vector<la::Matrix<T>> c0;
+      for (std::size_t p = 0; p < np; ++p) {
+        for (std::size_t q = 0; q < nq; ++q) {
+          if (!has(p, q)) continue;
+          const bool f = flipped(p, q);
+          c0.emplace_back((f ? widths[q] : heights[p]) + 3,
+                          (f ? heights[p] : widths[q]) + 2);
+          random_normal(c0.back().view(), rng);
+        }
+      }
+      const auto run = [&](la::Backend be, bool batched) {
+        la::set_backend(be);
+        std::vector<la::Matrix<T>> c = c0;
+        std::vector<la::ConstView<T>> as, bs;
+        std::vector<la::GemmTarget<T>> ts;
+        index_t r = 0;
+        for (const index_t h : heights) {
+          as.push_back(a.cview().sub(r + 7, 0, h, kk));
+          r += h;
+        }
+        r = 0;
+        for (const index_t w : widths) {
+          bs.push_back(b.cview().sub(r + 2, 0, w, kk));
+          r += w;
+        }
+        std::size_t x = 0;
+        for (std::size_t p = 0; p < np; ++p) {
+          for (std::size_t q = 0; q < nq; ++q) {
+            if (!has(p, q)) continue;
+            const bool f = flipped(p, q);
+            ts.push_back({static_cast<index_t>(p), static_cast<index_t>(q),
+                          c[x++].view().sub(1, 1, f ? widths[q] : heights[p],
+                                            f ? heights[p] : widths[q]),
+                          f});
           }
-          if (batched) {
-            la::gemm_batch<T>(trans, T(-1), as, b.cview(), cs);
-          } else {
-            for (std::size_t p = 0; p < as.size(); ++p) {
-              if (trans == la::Trans::No)
-                la::gemm(la::Trans::No, la::Trans::Yes, T(-1), as[p], b.cview(), T(1), cs[p]);
-              else
-                la::gemm(la::Trans::No, la::Trans::Yes, T(-1), b.cview(), as[p], T(1), cs[p]);
-            }
+        }
+        if (batched) {
+          la::gemm_batch<T>(alpha, as, bs, ts);
+        } else {
+          for (const la::GemmTarget<T>& t : ts) {
+            const auto& ap = as[static_cast<std::size_t>(t.p)];
+            const auto& bq = bs[static_cast<std::size_t>(t.q)];
+            if (t.transposed)
+              la::gemm(la::Trans::No, la::Trans::Yes, alpha, bq, ap, T(1), t.c);
+            else
+              la::gemm(la::Trans::No, la::Trans::Yes, alpha, ap, bq, T(1), t.c);
           }
-          return c;
-        };
-        const la::Matrix<T> ref = run(la::Backend::Reference, false);
-        const std::string what = "gemm_batch kk=" + std::to_string(kk) +
-                                 " n=" + std::to_string(n) +
-                                 (trans == la::Trans::Yes ? " transposed" : "");
-        expect_same_bits(ref, run(la::Backend::Reference, true), what + " reference");
-        expect_same_bits(ref, run(la::Backend::Native, true), what + " native");
+        }
+        return c;
+      };
+      const std::vector<la::Matrix<T>> ref = run(la::Backend::Reference, false);
+      const std::vector<la::Matrix<T>> refb = run(la::Backend::Reference, true);
+      const std::vector<la::Matrix<T>> nat = run(la::Backend::Native, true);
+      const std::string what = "gemm_batch kk=" + std::to_string(kk) +
+                               " alpha=" + std::to_string(static_cast<int>(alpha));
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        expect_same_bits(ref[i], refb[i], what + " reference, target " + std::to_string(i));
+        expect_same_bits(ref[i], nat[i], what + " native, target " + std::to_string(i));
       }
     }
   }
@@ -335,6 +374,161 @@ void gemm_batch_bit_identity_for_type() {
 
 TEST(BackendBitwiseKernels, GemmBatchDouble) { gemm_batch_bit_identity_for_type<double>(); }
 TEST(BackendBitwiseKernels, GemmBatchFloat) { gemm_batch_bit_identity_for_type<float>(); }
+
+// trsm_stacked must leave every block bit-identical to the per-block
+// la::trsm, under both backends, for the three dense panel variants (LLᵗ L,
+// LU L, LU U): block heights that stack into shared groups and one that
+// splits across groups, widths around the substitution strip, exact zeros
+// in the triangle and -0.0 in the right-hand side.
+template <typename T>
+void stacked_trsm_bit_identity_for_type() {
+  BackendStateGuard state;
+  Prng rng(307);
+  const index_t heights[] = {1, 3, 7, 300, 1, 3, 7};
+  index_t total = 0;
+  for (const index_t h : heights) total += h;
+  const struct {
+    la::Uplo uplo;
+    la::Trans trans;
+    la::Diag diag;
+    const char* name;
+  } variants[] = {{la::Uplo::Lower, la::Trans::Yes, la::Diag::NonUnit, "LLt L"},
+                  {la::Uplo::Upper, la::Trans::No, la::Diag::NonUnit, "LU L"},
+                  {la::Uplo::Lower, la::Trans::Yes, la::Diag::Unit, "LU U"}};
+  for (const index_t w : {index_t(1), index_t(31), index_t(32), index_t(33), index_t(200)}) {
+    // A diagonally dominant triangle (both halves filled; each variant
+    // reads its own) with negative off-diagonal entries, exact zeros
+    // sprinkled over it and filling the first row and column off the
+    // diagonal.
+    la::Matrix<T> a(w + 2, w + 1);
+    random_normal(a.view(), rng);
+    for (index_t j = 0; j < w; ++j) {
+      for (index_t i = 0; i < w; ++i) {
+        T& v = a(i + 2, j + 1);
+        v = (i == j) ? T(2) + std::abs(v) : -std::abs(v) / static_cast<T>(w);
+        if ((i * 7 + j * 3) % 5 == 0 && i != j) v = T(0);
+        if ((i == 0 || j == 0) && i != j) v = T(0);
+      }
+    }
+    // B with zeros of both signs; every fifth row is -0.0 but for a
+    // negative first entry, so its solution is zero past the first column,
+    // and a skipped zero term (a·0 added to -0.0) would leave a -0.0 where
+    // the full sum gives +0.0.
+    la::Matrix<T> b0(total + 4, w + 3);
+    random_normal(b0.view(), rng);
+    for (index_t j = 0; j < b0.cols(); ++j) {
+      for (index_t i = 0; i < b0.rows(); ++i) {
+        if (i % 5 == 0) b0(i, j) = j == 2 ? -T(1) - std::abs(b0(i, j)) : T(-0.0);
+        else if ((i + j) % 6 == 0) b0(i, j) = T(-0.0);
+        else if ((i + 2 * j) % 11 == 0) b0(i, j) = T(0);
+      }
+    }
+    const la::ConstView<T> av = a.cview().sub(2, 1, w, w);
+    for (const auto& v : variants) {
+      const auto run = [&](la::Backend be, bool stacked) {
+        la::set_backend(be);
+        la::Matrix<T> b = b0;
+        std::vector<la::MatView<T>> bs;
+        index_t r = 0;
+        for (const index_t h : heights) {
+          bs.push_back(b.view().sub(r + 4, 2, h, w));
+          r += h;
+        }
+        if (stacked) {
+          la::trsm_stacked<T>(v.uplo, v.trans, v.diag, av, bs);
+        } else {
+          for (const la::MatView<T>& bp : bs)
+            la::trsm(la::Side::Right, v.uplo, v.trans, v.diag, T(1), av, bp);
+        }
+        return b;
+      };
+      const la::Matrix<T> ref = run(la::Backend::Reference, false);
+      const std::string what =
+          std::string("trsm_stacked ") + v.name + " w=" + std::to_string(w);
+      expect_same_bits(ref, run(la::Backend::Native, false), what + " native per block");
+      expect_same_bits(ref, run(la::Backend::Reference, true), what + " reference");
+      expect_same_bits(ref, run(la::Backend::Native, true), what + " native");
+    }
+  }
+}
+
+TEST(BackendBitwiseKernels, StackedTrsmDouble) { stacked_trsm_bit_identity_for_type<double>(); }
+TEST(BackendBitwiseKernels, StackedTrsmFloat) { stacked_trsm_bit_identity_for_type<float>(); }
+
+// ---- whole-factor bits pinned across kernel changes ----------------------
+
+std::uint64_t fnv(const void* p, std::size_t n, std::uint64_t h) {
+  const auto* c = static_cast<const unsigned char*>(p);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= c[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+template <typename M>
+std::uint64_t fnv_matrix(const M& m, std::uint64_t h) {
+  return fnv(m.data(), static_cast<std::size_t>(m.size()) * sizeof(*m.data()), h);
+}
+
+/// FNV-1a over every factor tile as stored: the diagonal, then the L and U
+/// panel tiles (dense entries, or the U and V factors) of each supernode.
+std::uint64_t factor_fingerprint(const Solver& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto tile = [&h](const lr::Tile& t) {
+    if (!t.is_lowrank()) {
+      h = fnv_matrix(t.dense(), h);
+    } else if (t.precision() == lr::Precision::Fp32) {
+      h = fnv_matrix(t.lr().v32, fnv_matrix(t.lr().u32, h));
+    } else {
+      h = fnv_matrix(t.lr().v, fnv_matrix(t.lr().u, h));
+    }
+  };
+  for (index_t k = 0; k < s.symbolic().num_cblks(); ++k) {
+    const core::CblkData& cd = s.numeric().cblk_data(k);
+    tile(cd.diag);
+    for (const lr::Tile& t : cd.lpanel) tile(t);
+    for (const lr::Tile& t : cd.upanel) tile(t);
+  }
+  return h;
+}
+
+// The dense panel kernels (stacked TRSM, grid GEMM) and the micro-tile
+// geometry may change how the work is cut, never the bits: these factor
+// fingerprints were computed with the per-blok TRSM and the one-GEMM-per-
+// column-blok update they replaced. A change here needs a justification of
+// the new bits, not a new constant.
+TEST(KernelBits, FactorsMatchParent) {
+  for (const int threads : {1, 4}) {
+    {
+      SolverOptions o;
+      o.strategy = Strategy::JustInTime;
+      o.factorization = Factorization::Llt;
+      o.compress_min_width = 8;
+      o.compress_min_height = 4;
+      o.threads = threads;
+      Solver s(o);
+      s.factorize(sparse::laplacian_3d(16, 16, 16));
+      ASSERT_GT(s.stats().num_lowrank_blocks, 0);
+      EXPECT_EQ(factor_fingerprint(s), 0x28dd11b8c43be132ull)
+          << "lap 16^3 JIT LLt, threads " << threads;
+    }
+    {
+      SolverOptions o;
+      o.strategy = Strategy::MinimalMemory;
+      o.factorization = Factorization::Lu;
+      o.tolerance = 1e-4;
+      o.compress_min_width = 16;
+      o.compress_min_height = 8;
+      o.threads = threads;
+      Solver s(o);
+      s.factorize(sparse::convection_diffusion_3d(16, 16, 16, 0.5));
+      ASSERT_GT(s.stats().num_lowrank_blocks, 0);
+      EXPECT_EQ(factor_fingerprint(s), 0x009d81d7a46686d4ull)
+          << "conv-diff 16^3 MinMem LU, threads " << threads;
+    }
+  }
+}
 
 template <typename T>
 void trsm_syrk_bit_identity_for_type() {

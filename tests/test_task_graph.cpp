@@ -643,7 +643,7 @@ TEST(FanOutFault, CompressionFailureInsideAFannedOutPanel) {
   EXPECT_LT(sparse::backward_error(a, x.data(), b.data()), 1e-6);
 }
 
-// ------------------------------------------- dense updates: one GEMM per column blok
+// ------------------------------------------------- dense updates: one GEMM per Upd
 
 std::uint64_t dispatch_calls(const SolverStats& st, const std::string& kernel) {
   std::uint64_t calls = 0;
@@ -657,7 +657,8 @@ std::uint64_t dispatch_calls(const SolverStats& st, const std::string& kernel) {
 /// symbolic structure and the final tile representations (a source's tiles
 /// are final once it is eliminated, before any of its updates run).
 struct UpdateCensus {
-  std::uint64_t column_gemms = 0;  ///< (Upd, column blok) with a dense GEMM
+  std::uint64_t dense_tasks = 0;   ///< Upd with a dense × dense pair
+  std::uint64_t column_gemms = 0;  ///< (Upd, column blok) with a dense pair
   std::uint64_t dense_pairs = 0;   ///< dense × dense block pairs
   std::uint64_t mirror_pairs = 0;  ///< pairs landing transposed in a U panel
   std::uint64_t mixed_tasks = 0;   ///< Upd with dense and low-rank row bloks
@@ -678,6 +679,7 @@ UpdateCensus census(const Solver& s, bool llt) {
       (dense(cd.lpanel[static_cast<std::size_t>(i)]) ? any_dense : any_lowrank) = true;
     }
     if (any_dense && any_lowrank) ++c.mixed_tasks;
+    const std::uint64_t columns_before = c.column_gemms;
     for (index_t j = u.b0; j < (llt ? u.b1 : nb); ++j) {
       const lr::Tile& b = (llt ? cd.lpanel : cd.upanel)[static_cast<std::size_t>(j)];
       std::uint64_t pairs = 0;
@@ -688,6 +690,7 @@ UpdateCensus census(const Solver& s, bool llt) {
       c.dense_pairs += pairs;
       if (pairs > 0) ++c.column_gemms;
     }
+    if (c.column_gemms > columns_before) ++c.dense_tasks;
   }
   return c;
 }
@@ -700,9 +703,10 @@ SolverOptions dense_update_opts(Factorization f) {
   return o;
 }
 
-// Upd(k,t) issues one gemm[ge,ge] per column blok of k with a dense block
-// pair, not one per pair.
-TEST(DenseUpdate, OneGemmPerColumnBlok) {
+// Upd(k,t) issues one gemm[ge,ge] for all its dense block pairs (every
+// target is dense under the Dense strategy), not one per column blok or
+// per pair.
+TEST(DenseUpdate, OneGemmPerUpdate) {
   const struct {
     CscMatrix a;
     Factorization f;
@@ -712,9 +716,10 @@ TEST(DenseUpdate, OneGemmPerColumnBlok) {
     Solver s(dense_update_opts(cs.f));
     s.factorize(cs.a);
     const UpdateCensus c = census(s, cs.f == Factorization::Llt);
-    ASSERT_GT(c.column_gemms, 0u);
-    ASSERT_GT(c.dense_pairs, c.column_gemms);  // per-pair calls would differ
-    EXPECT_EQ(dispatch_calls(s.stats(), "gemm[ge,ge]"), c.column_gemms);
+    ASSERT_GT(c.dense_tasks, 0u);
+    ASSERT_GT(c.column_gemms, c.dense_tasks);  // per-column calls would differ
+    ASSERT_GT(c.dense_pairs, c.column_gemms);  // so would per-pair calls
+    EXPECT_EQ(dispatch_calls(s.stats(), "gemm[ge,ge]"), c.dense_tasks);
     EXPECT_GT(s.stats().dense_update_flops, 0u);
   }
 }
