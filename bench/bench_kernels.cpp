@@ -25,6 +25,7 @@
 
 #include "blr.hpp"
 #include "linalg/backend.hpp"
+#include "linalg/blas.hpp"
 #include "linalg/random.hpp"
 
 namespace {
@@ -215,6 +216,9 @@ struct PanelKernelRow {
 struct PanelKernels {
   PanelKernelRow update;  ///< gemm[ge,ge]: one grid GEMM per Upd task
   PanelKernelRow trsm;    ///< trsm[ge]: one stacked TRSM per row group
+  /// The grid GEMM's target entries over those factorizations (per k-slab):
+  /// all, in place, through per-row addresses; copied = the rest.
+  la::GridGemmCounts grid;
 };
 
 PanelKernels measure_panel_kernels(int trials, double packed256_gflops) {
@@ -238,12 +242,16 @@ PanelKernels measure_panel_kernels(int trials, double packed256_gflops) {
           std::max(row.gflops, static_cast<double>(flops) / seconds / 1e9);
     }
   };
+  const la::GridGemmCounts before = la::grid_gemm_counts();
   for (int t = 0; t < trials; ++t) {
     Solver s(o);
     s.factorize(a);
     record(out.update, s.stats(), "gemm[ge,ge]", s.stats().dense_update_flops);
     record(out.trsm, s.stats(), "trsm[ge]", s.stats().panel_solve_flops);
   }
+  const la::GridGemmCounts after = la::grid_gemm_counts();
+  out.grid = {after.entries - before.entries, after.in_place - before.in_place,
+              after.per_row - before.per_row};
   out.update.ratio = out.update.gflops / packed256_gflops;
   out.trsm.ratio = out.trsm.gflops / packed256_gflops;
   return out;
@@ -294,6 +302,16 @@ int run_custom_driver(bool quick) {
   std::printf("  trsm[ge]    %llu calls  %7.2f GF/s  %.2fx packed n=256\n",
               static_cast<unsigned long long>(trsm.calls), trsm.gflops,
               trsm.ratio);
+  const la::NativeTile tile = la::native_tile<double>();
+  const la::GridGemmCounts& grid = pk.grid;
+  const std::uint64_t copied = grid.entries - grid.in_place - grid.per_row;
+  std::printf("  grid GEMM   %lldx%lld fp64 tile, %llu target entries: %llu in place, "
+              "%llu per-row, %llu copied\n",
+              static_cast<long long>(tile.mr), static_cast<long long>(tile.nr),
+              static_cast<unsigned long long>(grid.entries),
+              static_cast<unsigned long long>(grid.in_place),
+              static_cast<unsigned long long>(grid.per_row),
+              static_cast<unsigned long long>(copied));
   if (upd.ratio < kDenseUpdateFloor) {
     std::printf("FAIL: dense update runs at %.2fx the packed gemm (floor "
                 "%.2fx)\n", upd.ratio, kDenseUpdateFloor);
@@ -337,6 +355,15 @@ int run_custom_driver(bool quick) {
                  "\"ratio_to_packed_256\": %.3f, \"floor\": %.2f},\n",
                  static_cast<unsigned long long>(trsm.calls), trsm.gflops,
                  trsm.ratio, kPanelTrsmFloor);
+    std::fprintf(out,
+                 "  \"grid_gemm\": {\"tile_mr\": %lld, \"tile_nr\": %lld, "
+                 "\"target_entries\": %llu, \"in_place_entries\": %llu, "
+                 "\"per_row_entries\": %llu, \"copied_target_entries\": %llu},\n",
+                 static_cast<long long>(tile.mr), static_cast<long long>(tile.nr),
+                 static_cast<unsigned long long>(grid.entries),
+                 static_cast<unsigned long long>(grid.in_place),
+                 static_cast<unsigned long long>(grid.per_row),
+                 static_cast<unsigned long long>(copied));
     std::fprintf(out, "  \"backends\": [\n");
     for (std::size_t i = 0; i < backends.size(); ++i) {
       const BackendRow& r = backends[i];

@@ -10,14 +10,15 @@ Usage: scripts/bench_trajectory.py <report.json> [<report2.json> ...]
            [-o <trajectory.json>]
 
 Each report is identified by its keys — bench_kernels.json carries
-`packed_gemm`/`dense_update`/`panel_trsm`/`backends`, bench_refactorize.json carries
-`refactorize`/`solve_throughput` — and all reports given on one invocation
-fold into a single trajectory entry.
+`packed_gemm`/`dense_update`/`panel_trsm`/`grid_gemm`/`backends`,
+bench_refactorize.json carries `refactorize`/`solve_throughput` — and all
+reports given on one invocation fold into a single trajectory entry.
 
 The trajectory entry keeps only the headline numbers (packed-gemm speedups
 per size, the dense update's and the panel TRSM's ratios to the packed gemm,
-per-backend GF/s, steady-state refactorize speedup per strategy,
-blocked-solve throughput per width) plus the commit and timestamp, so the
+the grid GEMM's micro-tile and copied target entries, per-backend GF/s,
+steady-state refactorize speedup per strategy, blocked-solve throughput per
+width) plus the commit and timestamp, so the
 file stays small no matter how many runs accumulate. The newest `MAX_RUNS`
 entries are retained. Earlier entries are carried over verbatim, whatever
 keys they hold (entries from before the batched dispatch path was removed
@@ -72,6 +73,12 @@ def summarize(report: dict) -> dict:
     if trsm:
         # The factorization's stacked panel TRSM GF/s, likewise.
         entry["panel_trsm_ratio"] = trsm["ratio_to_packed_256"]
+    grid = report.get("grid_gemm")
+    if grid:
+        # The active tier's fp64 micro-tile, and the update's target entries
+        # that reached their targets through a gathered copy (0: all in place).
+        entry["grid_tile"] = f'{grid["tile_mr"]}x{grid["tile_nr"]}'
+        entry["grid_copied_entries"] = grid["copied_target_entries"]
     refac = report.get("refactorize", [])
     if refac:
         # bench_refactorize.json: first-step vs steady-state cost per

@@ -947,6 +947,13 @@ void NumericFactor::set_solve_context(std::shared_ptr<const SolvePlan> plan,
                                       std::shared_ptr<SolveEngine> engine) {
   splan_ = std::move(plan);
   sengine_ = std::move(engine);
+  std::size_t entries = 0;
+  for (const CblkData& cd : data_) {
+    entries += cd.diag.storage_entries();
+    for (const lr::Tile& t : cd.lpanel) entries += t.storage_entries();
+    for (const lr::Tile& t : cd.upanel) entries += t.storage_entries();
+  }
+  solve_flops_ = 2.0 * static_cast<double>(entries) * (llt_ ? 2.0 : 1.0);
 }
 
 void NumericFactor::build_widen_cache() const {
@@ -1066,9 +1073,11 @@ void NumericFactor::solve_permuted(la::DView x, SolveRunInfo* info) const {
   // The solve pool's wait_idle-based drain cannot be shared by two
   // concurrent solves; a loser of this try_lock (e.g. a second session
   // snapshot solving the same factors) drains on its own thread instead of
-  // blocking.
+  // blocking. So does a solve too small to pay for the pool's hand-offs
+  // (kSolvePoolFlops).
   std::unique_lock<std::mutex> lk;
-  if (sengine_ != nullptr)
+  if (sengine_ != nullptr &&
+      solve_flops_ * static_cast<double>(x.cols) >= kSolvePoolFlops)
     lk = std::unique_lock<std::mutex>(sengine_->mu, std::try_to_lock);
   ThreadPool* pool = lk.owns_lock() ? &sengine_->pool : nullptr;
   // A wide block drains as one DAG copy per column chunk of at least

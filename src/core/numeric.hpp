@@ -97,6 +97,12 @@ struct SolveEngine {
   explicit SolveEngine(int threads) : pool(threads) {}
 };
 
+/// Flops of one solve call (both sweeps, every right-hand side; see
+/// NumericFactor::solve_flops_per_rhs) below which it drains on the calling
+/// thread even when a solve pool is attached: the pool's hand-offs cost more
+/// than the parallel drain saves (DESIGN.md §16).
+inline constexpr double kSolvePoolFlops = 2e5;
+
 /// What one solve call actually did (optional out-param of
 /// NumericFactor::solve / solve_permuted; feeds SolvePhaseStats and the
 /// per-request Session::SolveStats).
@@ -141,8 +147,9 @@ public:
 
   /// Triangular solves in the permuted index space on a block of right-hand
   /// sides (n x nrhs, in/out), by draining the attached SolvePlan (see
-  /// set_solve_context): over the solve pool when there is an engine and
-  /// its lock is free, else in task-id order on the calling thread. Both
+  /// set_solve_context): over the solve pool when there is an engine, the
+  /// solve's flops reach kSolvePoolFlops and the engine's lock is free,
+  /// else in task-id order on the calling thread. Both
   /// run the same task bodies and are memcmp-identical. `info` (optional)
   /// reports what the call actually did.
   void solve_permuted(la::DView x, SolveRunInfo* info) const;
@@ -164,6 +171,11 @@ public:
   /// without a plan attached throws.
   void set_solve_context(std::shared_ptr<const SolvePlan> plan,
                          std::shared_ptr<SolveEngine> engine);
+
+  /// Flops of the forward and backward sweeps for one right-hand side: two
+  /// per stored factor entry each sweep reads (LLᵗ reads its L twice).
+  /// Counted by set_solve_context.
+  [[nodiscard]] double solve_flops_per_rhs() const { return solve_flops_; }
 
   /// fp32 widen-cache introspection (DESIGN.md §16): bytes/tiles currently
   /// held, and cumulative factor reuses served. All zero until the first
@@ -421,6 +433,7 @@ private:
   mutable std::vector<WidenedPanel> widen_;
   mutable TrackedAlloc widen_track_{MemCategory::Workspace, 0};
   mutable std::once_flag widen_once_;
+  double solve_flops_ = 0;  ///< see solve_flops_per_rhs()
   mutable std::uint64_t widen_tiles_ = 0;
   mutable std::size_t widen_bytes_ = 0;
   mutable std::atomic<std::uint64_t> widen_hits_{0};

@@ -219,8 +219,10 @@ struct SolverOptions {
   /// drain the cached SolvePlan DAG over a dedicated solve pool and are
   /// memcmp-identical to the sequential drain at every thread count and
   /// RHS width. Only takes effect when the effective solve thread count
-  /// (below) is > 1; concurrent solve() calls beyond the first drain the
-  /// same plan on their own thread rather than queueing.
+  /// (below) is > 1 and the solve has enough work (core::kSolvePoolFlops;
+  /// smaller ones drain on the calling thread); concurrent solve() calls
+  /// beyond the first drain the same plan on their own thread rather than
+  /// queueing.
   bool solve_parallel = true;
 
   /// Worker threads for the solve phase; 0 (default) inherits `threads`.

@@ -1,6 +1,7 @@
 #include "linalg/blas.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <new>
 #include <vector>
 
@@ -14,6 +15,7 @@ namespace {
 using detail::kKC;
 using detail::kMC;
 using detail::MicroTile;
+using detail::panel_rows;
 using detail::round_up;
 
 /// Scale C by beta (handles beta == 0 without reading C).
@@ -161,13 +163,17 @@ template <typename T>
 struct ThreadPackBuffers {
   PackBuffer<T> a;
   PackBuffer<T> b;
-  PackBuffer<T> c;  ///< a gemm_batch / trsm_stacked group's rows, gathered
+  PackBuffer<T> c;  ///< a trsm_stacked group's rows, gathered
   std::vector<RowRun<T>> runs;  ///< the stacked rows being packed
   std::vector<index_t> col0;   ///< gemm_batch: first packed column of each B_q
   std::vector<index_t> reach;  ///< gemm_batch: columns each A_p's targets reach
   std::vector<std::size_t> by_row;  ///< gemm_batch: targets ordered by p ...
   std::vector<std::size_t> first;   ///< ... starting at first[p]
   std::vector<RowSegment> segs;     ///< the rows of one group
+  // gemm_batch: where a group's entries live (detail::GridC).
+  std::vector<index_t> col_blk, col_off, run;
+  std::vector<std::intptr_t> addr, step;
+  std::vector<GemmTarget<T>> plain, swapped;  ///< gemm_batch: the two grids
 };
 
 template <typename T>
@@ -176,30 +182,35 @@ ThreadPackBuffers<T>& pack_buffers() {
   return bufs;
 }
 
-/// Pack one mc×kc block of op(A) into MR-row panels: element (r, k) of
-/// panel p lives at p*kc*MR + k*MR + r. Rows past mc are zero-padded so the
-/// microkernel never branches on the row edge.
-template <typename T, index_t MR>
+/// Pack one mc×kc block of op(A) into row panels, mr rows each while at
+/// least mr remain, then MicroTile MR-row tails (detail::panel_rows):
+/// element (r, k) of a panel of h rows starting at packed offset o lives at
+/// o + k*h + r. Rows past mc are zero-padded so the microkernel never
+/// branches on the row edge.
+template <typename T>
 void pack_block_a(ConstView<T> a, Trans trans, index_t i0, index_t mc,
-                  index_t k0, index_t kc, T* dst) {
-  for (index_t p = 0; p < mc; p += MR) {
-    const index_t mr = std::min(MR, mc - p);
+                  index_t k0, index_t kc, index_t mr, T* dst) {
+  constexpr index_t MRT = MicroTile<T>::MR;
+  for (index_t p = 0; p < mc;) {
+    const index_t h = mc - p >= mr ? mr : MRT;
+    const index_t rows = std::min(h, mc - p);
     if (trans == Trans::No) {
       for (index_t k = 0; k < kc; ++k) {
         const T* col = a.col(k0 + k) + i0 + p;
         index_t r = 0;
-        for (; r < mr; ++r) dst[k * MR + r] = col[r];
-        for (; r < MR; ++r) dst[k * MR + r] = T(0);
+        for (; r < rows; ++r) dst[k * h + r] = col[r];
+        for (; r < h; ++r) dst[k * h + r] = T(0);
       }
     } else {
       // op(A)(i, k) = A(k, i): source column i0+p+r is contiguous over k.
-      if (mr < MR) std::fill(dst, dst + kc * MR, T(0));
-      for (index_t r = 0; r < mr; ++r) {
+      if (rows < h) std::fill(dst, dst + kc * h, T(0));
+      for (index_t r = 0; r < rows; ++r) {
         const T* col = a.col(i0 + p + r) + k0;
-        for (index_t k = 0; k < kc; ++k) dst[k * MR + r] = col[k];
+        for (index_t k = 0; k < kc; ++k) dst[k * h + r] = col[k];
       }
     }
-    dst += kc * MR;
+    dst += kc * h;
+    p += h;
   }
 }
 
@@ -230,21 +241,21 @@ void pack_slab_b(ConstView<T> b, Trans trans, T alpha, index_t k0, index_t kc,
 }
 
 /// Pack all of op(A) (m×kk), blocked kKC×kMC in the microkernel walk's loop
-/// order.
+/// order, in panels of mr rows (the tier's) with MicroTile MR-row tails.
 template <typename T>
 const T* pack_a(PackBuffer<T>& buf, ConstView<T> a, Trans trans, index_t m,
-                index_t kk) {
-  constexpr index_t MR = MicroTile<T>::MR;
+                index_t kk, index_t mr) {
+  constexpr index_t MRT = MicroTile<T>::MR;
   std::size_t rows_rounded = 0;
   for (index_t ic = 0; ic < m; ic += kMC)
-    rows_rounded += round_up(std::min(kMC, m - ic), MR);
+    rows_rounded += panel_rows(std::min(kMC, m - ic), mr, MRT);
   T* dst = buf.ensure(rows_rounded * static_cast<std::size_t>(kk));
   for (index_t pc = 0; pc < kk; pc += kKC) {
     const index_t kc = std::min(kKC, kk - pc);
     for (index_t ic = 0; ic < m; ic += kMC) {
       const index_t mc = std::min(kMC, m - ic);
-      pack_block_a<T, MR>(a, trans, ic, mc, pc, kc, dst);
-      dst += static_cast<std::size_t>(round_up(mc, MR)) * kc;
+      pack_block_a<T>(a, trans, ic, mc, pc, kc, mr, dst);
+      dst += static_cast<std::size_t>(panel_rows(mc, mr, MRT)) * kc;
     }
   }
   return buf.data;
@@ -265,25 +276,29 @@ const T* pack_b(PackBuffer<T>& buf, ConstView<T> b, Trans trans, T alpha,
   return buf.data;
 }
 
-/// Pack rows [0, n) of a vertical stack of row runs, times alpha, in
-/// w-row panels per k-slab: element (k, r) of panel q of the slab at depth
-/// pc lives at pc*round_up(n, w) + q*kc*w + k*w + r, rows past n
-/// zero-padded. With w = MR this is pack_a's layout of the stack (MR divides
-/// kMC, so the kMC blocks add no padding of their own); with w = NR and
-/// alpha folded in, pack_b's layout of its transpose (Trans::Yes).
+/// Pack rows [0, n) of a vertical stack of row runs, times alpha, per
+/// k-slab in panels of w rows while at least w remain, then panels of tail
+/// rows (detail::panel_rows): element (k, r) of the panel starting at
+/// packed row q of the slab at depth pc lives at
+/// pc*panel_rows(n, w, tail) + q*kc + k*h + r, h the panel's height, rows
+/// past n zero-padded. With (w, tail) the tier's (mr, MR) this is pack_a's
+/// layout of the stack (both divide kMC, so the kMC blocks add no padding
+/// of their own); with w = tail = NR and alpha folded in, pack_b's layout
+/// of its transpose (Trans::Yes).
 template <typename T>
 const T* pack_runs(PackBuffer<T>& buf, const std::vector<RowRun<T>>& runs,
-                   T alpha, index_t n, index_t kk, index_t w) {
-  static_assert(kMC % MicroTile<T>::MR == 0);
-  const std::size_t n_rounded = static_cast<std::size_t>(round_up(n, w));
+                   T alpha, index_t n, index_t kk, index_t w, index_t tail) {
+  static_assert(kMC % detail::kWideMR == 0 && kMC % MicroTile<T>::MR == 0);
+  const std::size_t n_rounded = static_cast<std::size_t>(panel_rows(n, w, tail));
   T* dst = buf.ensure(n_rounded * static_cast<std::size_t>(kk));
   for (index_t pc = 0; pc < kk; pc += kKC) {
     const index_t kc = std::min(kKC, kk - pc);
     std::size_t run = 0;  // the run holding the panel's first row ...
     index_t off = 0;      // ... and its offset there
-    for (index_t q = 0; q < n; q += w) {
-      const index_t rows = std::min(w, n - q);
-      if (rows < w) std::fill(dst, dst + kc * w, T(0));
+    for (index_t q = 0; q < n;) {
+      const index_t h = n - q >= w ? w : tail;
+      const index_t rows = std::min(h, n - q);
+      if (rows < h) std::fill(dst, dst + kc * h, T(0));
       for (index_t r = 0; r < rows;) {
         const RowRun<T>& rr = runs[run];
         const index_t take = std::min(rr.rows - off, rows - r);
@@ -292,12 +307,12 @@ const T* pack_runs(PackBuffer<T>& buf, const std::vector<RowRun<T>>& runs,
           // A short piece: the long loop runs along k.
           for (index_t i = 0; i < take; ++i) {
             for (index_t k = 0; k < kc; ++k)
-              dst[k * w + r + i] = alpha * src[static_cast<std::size_t>(k) * rr.ld + i];
+              dst[k * h + r + i] = alpha * src[static_cast<std::size_t>(k) * rr.ld + i];
           }
         } else {
           for (index_t k = 0; k < kc; ++k) {
             const T* col = src + static_cast<std::size_t>(k) * rr.ld;
-            T* d = dst + k * w + r;
+            T* d = dst + k * h + r;
             for (index_t i = 0; i < take; ++i) d[i] = alpha * col[i];
           }
         }
@@ -308,7 +323,8 @@ const T* pack_runs(PackBuffer<T>& buf, const std::vector<RowRun<T>>& runs,
           off = 0;
         }
       }
-      dst += kc * w;
+      dst += kc * h;
+      q += h;
     }
   }
   return buf.data;
@@ -334,7 +350,7 @@ template <typename T>
 struct BackendVtable {
   /// C += alpha * op(A) * op(B) (beta already applied).
   void (*gemm)(Trans, Trans, T, ConstView<T>, ConstView<T>, MatView<T>);
-  /// The gemm_batch products (alpha = ±1, depth > 0).
+  /// The gemm_batch products (depth > 0).
   void (*gemm_batch)(T, std::span<const ConstView<T>>,
                      std::span<const ConstView<T>>,
                      std::span<const GemmTarget<T>>);
@@ -453,11 +469,11 @@ void native_gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
     gemm_nests(trans_a, trans_b, alpha, a, b, c);
     return;
   }
+  const detail::IsaKernels& isa = detail::native_kernels();
   auto& bufs = pack_buffers<T>();
-  const T* ap = pack_a<T>(bufs.a, a, trans_a, c.rows, kk);
+  const T* ap = pack_a<T>(bufs.a, a, trans_a, c.rows, kk, isa.template mr<T>());
   const T* bp = pack_b<T>(bufs.b, b, trans_b, alpha, kk, c.cols);
-  detail::native_kernels().template gemm_packed<T>()(c.rows, c.cols, kk, ap,
-                                                     bp, c.data, c.ld);
+  isa.template gemm_packed<T>()(c.rows, c.cols, kk, ap, bp, c.data, c.ld);
 }
 
 /// Collect in `segs` the next group of stacked rows, resuming at row `off`
@@ -489,81 +505,35 @@ index_t next_group(std::size_t np, const Height& height, const Skip& skip,
   return m;
 }
 
-/// Copy between a gemm_batch target and its slot in a group's gathered
-/// block G (ld m): rows [r0, r1) of row block p, i.e. G rows from g0, and
-/// the target's columns (its rows, when transposed) from column c0 of G.
-/// Short row ranges copy row by row, so no tiny per-column copy is issued.
+/// The packed grid walk of native_gemm_batch over plain targets; adds the
+/// walk's entry counts (detail::GridC::counts) to counts.
 template <typename T>
-void move_target(const GemmTarget<T>& t, index_t r0, index_t r1, T* g,
-                 index_t m, index_t g0, index_t c0, bool gather) {
-  const index_t h = r1 - r0;
-  T* gs = g + static_cast<std::size_t>(c0) * m + g0;
-  // Element (r, j) of the slot: G at gs[j*m + r], the target at
-  // tc[r*rs + j*cs].
-  const bool tr = t.transposed;
-  T* tc = tr ? t.c.col(r0) : t.c.data + r0;
-  const std::size_t rs = tr ? static_cast<std::size_t>(t.c.ld) : 1;
-  const std::size_t cs = tr ? 1 : static_cast<std::size_t>(t.c.ld);
-  const index_t n = tr ? t.c.rows : t.c.cols;
-  const auto um = static_cast<std::size_t>(m);
-  if (!tr && h >= 8) {
-    for (index_t j = 0; j < n; ++j) {
-      T* gj = gs + static_cast<std::size_t>(j) * um;
-      T* cj = tc + static_cast<std::size_t>(j) * cs;
-      for (index_t r = 0; r < h; ++r) {
-        if (gather) gj[r] = cj[r];
-        else cj[r] = gj[r];
-      }
-    }
-    return;
-  }
-  for (index_t r = 0; r < h; ++r) {
-    T* gr = gs + r;
-    T* cr = tc + static_cast<std::size_t>(r) * rs;
-    for (index_t j = 0; j < n; ++j) {
-      if (gather) gr[static_cast<std::size_t>(j) * um] = cr[static_cast<std::size_t>(j) * cs];
-      else cr[static_cast<std::size_t>(j) * cs] = gr[static_cast<std::size_t>(j) * um];
-    }
-  }
-}
-
-template <typename T>
-void native_gemm_batch(T alpha, std::span<const ConstView<T>> a,
-                       std::span<const ConstView<T>> b,
-                       std::span<const GemmTarget<T>> targets) {
+void native_grid(T alpha, std::span<const ConstView<T>> a,
+                 std::span<const ConstView<T>> b,
+                 std::span<const GemmTarget<T>> targets, std::uint64_t* counts) {
   const index_t kk = b[0].cols;
-  if (kk < 4) {  // too shallow to pay for packing (see use_packed)
-    ref_gemm_batch(alpha, a, b, targets);
-    return;
-  }
-  constexpr index_t MR = MicroTile<T>::MR;
+  constexpr index_t MRT = MicroTile<T>::MR;
   constexpr index_t NR = MicroTile<T>::NR;
-  const auto kernel = detail::native_kernels().template gemm_packed<T>();
+  const detail::IsaKernels& isa = detail::native_kernels();
+  const index_t mr = isa.template mr<T>();
   ThreadPackBuffers<T>& bufs = pack_buffers<T>();
   const std::size_t np = a.size();
-
-  // The column blocks, stacked in order and packed once: B_q occupies the
-  // packed columns [col0[q], col0[q] + rows of B_q).
-  bufs.runs.clear();
-  bufs.col0.assign(b.size(), 0);
-  index_t n = 0;
-  for (std::size_t q = 0; q < b.size(); ++q) {
-    bufs.col0[q] = n;
-    n += b[q].rows;
-    if (b[q].rows > 0) bufs.runs.push_back({b[q].data, b[q].ld, b[q].rows});
-  }
-  const T* bp = pack_runs<T>(bufs.b, bufs.runs, alpha, n, kk, NR);
-  const std::size_t b_slab = static_cast<std::size_t>(round_up(n, NR));
+  const std::size_t nq = b.size();
 
   // The targets of each row block (a counting sort on p), and the columns
-  // they reach.
+  // they reach in the column blocks stacked in order: B_q occupies the
+  // stacked columns [col0[q], col0[q] + rows of B_q).
+  bufs.col0.assign(nq, 0);
+  for (std::size_t q = 1; q < nq; ++q) bufs.col0[q] = bufs.col0[q - 1] + b[q - 1].rows;
   bufs.first.assign(np + 1, 0);
   bufs.reach.assign(np, 0);
+  index_t n = 0;  // columns any target reaches: the ones packed
   for (const GemmTarget<T>& t : targets) {
     const auto p = static_cast<std::size_t>(t.p);
     const auto q = static_cast<std::size_t>(t.q);
     ++bufs.first[p + 1];
     bufs.reach[p] = std::max(bufs.reach[p], bufs.col0[q] + b[q].rows);
+    n = std::max(n, bufs.reach[p]);
   }
   for (std::size_t p = 0; p < np; ++p) bufs.first[p + 1] += bufs.first[p];
   bufs.by_row.resize(targets.size());
@@ -571,6 +541,19 @@ void native_gemm_batch(T alpha, std::span<const ConstView<T>> a,
     bufs.by_row[bufs.first[static_cast<std::size_t>(targets[i].p)]++] = i;
   for (std::size_t p = np; p > 0; --p) bufs.first[p] = bufs.first[p - 1];
   bufs.first[0] = 0;
+
+  // The column blocks up to the last column reached, packed once.
+  bufs.runs.clear();
+  bufs.col_blk.clear();
+  bufs.col_off.clear();
+  for (std::size_t q = 0; q < nq && bufs.col0[q] < n; ++q) {
+    for (index_t c = 0; c < b[q].rows; ++c) {
+      bufs.col_blk.push_back(static_cast<index_t>(q));
+      bufs.col_off.push_back(c);
+    }
+    if (b[q].rows > 0) bufs.runs.push_back({b[q].data, b[q].ld, b[q].rows});
+  }
+  const T* bp = pack_runs<T>(bufs.b, bufs.runs, alpha, n, kk, NR, NR);
 
   // Row groups: consecutive rows of the row blocks in order (see
   // next_group). A group computes the columns its rows' targets reach; it
@@ -591,44 +574,102 @@ void native_gemm_batch(T alpha, std::span<const ConstView<T>> a,
     const index_t m = next_group(np, height, no_target, narrower, p, off, segs);
     if (m == 0) break;
     const index_t reach = bufs.reach[segs.back().p];  // non-decreasing in a group
+    if (reach == 0) continue;  // only empty column blocks
+    // Where each row's entries live in each reached column block's target
+    // (detail::GridC): its address and column step, 0 where the row has no
+    // target there (and for the padded rows), which is never stored.
+    const auto mp = static_cast<std::size_t>(panel_rows(m, mr, MRT));
+    const auto nq_reached =
+        static_cast<std::size_t>(bufs.col_blk[static_cast<std::size_t>(reach - 1)]) + 1;
+    bufs.addr.assign(nq_reached * mp, 0);
+    bufs.step.assign(nq_reached * mp, 0);
+    bufs.run.resize(nq_reached * mp);
     bufs.runs.clear();
-    for (const RowSegment& sg : segs)
-      bufs.runs.push_back({a[sg.p].data + sg.r0, a[sg.p].ld, sg.r1 - sg.r0});
-    const T* ap = pack_runs<T>(bufs.a, bufs.runs, T(1), m, kk, MR);
-    const auto a_slab = static_cast<std::size_t>(round_up(m, MR));
-    const std::size_t g_size = static_cast<std::size_t>(m) * static_cast<std::size_t>(reach);
-    T* g = bufs.c.ensure(g_size);
-    // Entries without a target (the discarded products) start from zero.
+    std::size_t g0 = 0;
     for (const RowSegment& sg : segs) {
-      index_t covered = 0;
-      for (std::size_t i = bufs.first[sg.p]; i < bufs.first[sg.p + 1]; ++i)
-        covered += b[static_cast<std::size_t>(targets[bufs.by_row[i]].q)].rows;
-      if (covered < reach) {
-        std::fill(g, g + g_size, T(0));
-        break;
+      const index_t h = sg.r1 - sg.r0;
+      bufs.runs.push_back({a[sg.p].data + sg.r0, a[sg.p].ld, h});
+      for (std::size_t i = bufs.first[sg.p]; i < bufs.first[sg.p + 1]; ++i) {
+        const GemmTarget<T>& t = targets[bufs.by_row[i]];
+        assert(!t.transposed);
+        const auto cs = static_cast<std::intptr_t>(t.c.ld * index_t(sizeof(T)));
+        const std::size_t x = static_cast<std::size_t>(t.q) * mp + g0;
+        for (index_t r = 0; r < h; ++r) {
+          const auto xr = x + static_cast<std::size_t>(r);
+          bufs.addr[xr] = reinterpret_cast<std::intptr_t>(t.c.data + sg.r0 + r);
+          bufs.step[xr] = cs;
+        }
+      }
+      g0 += static_cast<std::size_t>(h);
+    }
+    // The runs: rows from x on whose entries are consecutive in memory (one
+    // ld, addresses sizeof(T) apart), or that have no target (negated).
+    for (std::size_t x0 = 0; x0 < nq_reached * mp; x0 += mp) {
+      for (std::size_t x = x0 + mp; x-- > x0;) {
+        const index_t below = x + 1 < x0 + mp ? bufs.run[x + 1] : 0;
+        if (bufs.addr[x] == 0) {
+          bufs.run[x] = below < 0 ? below - 1 : -1;
+        } else {
+          const bool joins = below > 0 && bufs.step[x + 1] == bufs.step[x] &&
+                             bufs.addr[x + 1] == bufs.addr[x] + std::intptr_t(sizeof(T));
+          bufs.run[x] = joins ? below + 1 : 1;
+        }
       }
     }
-    const auto each_slot = [&](bool gather) {
-      index_t g0 = 0;
-      for (const RowSegment& sg : segs) {
-        for (std::size_t i = bufs.first[sg.p]; i < bufs.first[sg.p + 1]; ++i) {
-          const GemmTarget<T>& t = targets[bufs.by_row[i]];
-          move_target(t, sg.r0, sg.r1, g, m, g0,
-                      bufs.col0[static_cast<std::size_t>(t.q)], gather);
-        }
-        g0 += sg.r1 - sg.r0;
-      }
-    };
+    const T* ap = pack_runs<T>(bufs.a, bufs.runs, T(1), m, kk, mr, MRT);
     // Accumulating onto the targets' own values keeps each element's order
     // that of the single call; the k-slabs run in order, as in one walk.
-    each_slot(true);
-    for (index_t pc = 0; pc < kk; pc += kKC) {
-      kernel(m, reach, std::min(kKC, kk - pc),
-             ap + a_slab * static_cast<std::size_t>(pc),
-             bp + b_slab * static_cast<std::size_t>(pc), g, m);
-    }
-    each_slot(false);
+    const detail::GridC<T> grid{m,
+                                static_cast<index_t>(mp),
+                                reach,
+                                n,
+                                bufs.col_blk.data(),
+                                bufs.col_off.data(),
+                                bufs.addr.data(),
+                                bufs.step.data(),
+                                bufs.run.data(),
+                                counts};
+    isa.template gemm_grid<T>()(kk, ap, bp, grid);
   }
+}
+
+/// GridGemmCounts of the Native grid GEMM: entries, in place, per row.
+std::atomic<std::uint64_t> g_grid_counts[3];
+
+template <typename T>
+void native_gemm_batch(T alpha, std::span<const ConstView<T>> a,
+                       std::span<const ConstView<T>> b,
+                       std::span<const GemmTarget<T>> targets) {
+  const index_t kk = b[0].cols;
+  std::uint64_t entries = 0;
+  for (const GemmTarget<T>& t : targets)
+    entries += static_cast<std::uint64_t>(t.c.rows * t.c.cols);
+  std::uint64_t counts[2] = {0, 0};
+  if (kk < 4) {  // too shallow to pay for packing (see use_packed)
+    ref_gemm_batch(alpha, a, b, targets);  // the nests update in place
+    counts[0] = entries;
+  } else {
+    // A transposed target, C += alpha·B_q·A_pᵗ, is a plain target of the
+    // grid with the roles swapped (rows B_q, columns A_p, alpha folded into
+    // A_p): the single call's own operand order, and C's columns run along
+    // the packed columns. The two grids share no target entry, so running
+    // one after the other keeps every bit.
+    ThreadPackBuffers<T>& bufs = pack_buffers<T>();
+    bufs.plain.clear();
+    bufs.swapped.clear();
+    for (const GemmTarget<T>& t : targets) {
+      if (t.transposed) bufs.swapped.push_back({t.q, t.p, t.c, false});
+      else bufs.plain.push_back(t);
+    }
+    if (!bufs.plain.empty())
+      native_grid<T>(alpha, a, b, std::span<const GemmTarget<T>>(bufs.plain), counts);
+    if (!bufs.swapped.empty())
+      native_grid<T>(alpha, b, a, std::span<const GemmTarget<T>>(bufs.swapped), counts);
+    entries *= static_cast<std::uint64_t>((kk + kKC - 1) / kKC);  // per k-slab
+  }
+  g_grid_counts[0].fetch_add(entries, std::memory_order_relaxed);
+  g_grid_counts[1].fetch_add(counts[0], std::memory_order_relaxed);
+  g_grid_counts[2].fetch_add(counts[1], std::memory_order_relaxed);
 }
 
 template <typename T>
@@ -693,7 +734,6 @@ template <typename T>
 void gemm_batch(T alpha, std::span<const ConstView<T>> a,
                 std::span<const ConstView<T>> b,
                 std::span<const GemmTarget<T>> targets) {
-  assert(alpha == T(1) || alpha == T(-1));
   for (const GemmTarget<T>& t : targets) {
     const ConstView<T>& ap = a[static_cast<std::size_t>(t.p)];
     const ConstView<T>& bq = b[static_cast<std::size_t>(t.q)];
@@ -705,6 +745,17 @@ void gemm_batch(T alpha, std::span<const ConstView<T>> a,
   }
   if (targets.empty() || b.empty() || b[0].cols == 0) return;
   backend_vtable<T>(current_backend()).gemm_batch(alpha, a, b, targets);
+}
+
+GridGemmCounts grid_gemm_counts() {
+  return {g_grid_counts[0].load(std::memory_order_relaxed),
+          g_grid_counts[1].load(std::memory_order_relaxed),
+          g_grid_counts[2].load(std::memory_order_relaxed)};
+}
+
+template <typename T>
+NativeTile native_tile() {
+  return {detail::native_kernels().template mr<T>(), MicroTile<T>::NR};
 }
 
 template <typename T>
@@ -851,6 +902,7 @@ void trsv(Uplo uplo, Trans trans, Diag diag, ConstView<T> a, T* b) {
   template void gemm_batch<T>(T, std::span<const ConstView<T>>,                         \
                               std::span<const ConstView<T>>,                           \
                               std::span<const GemmTarget<T>>);                         \
+  template NativeTile native_tile<T>();                                                \
   template void trsm<T>(Side, Uplo, Trans, Diag, T, ConstView<T>, MatView<T>);         \
   template void trsm_stacked<T>(Uplo, Trans, Diag, ConstView<T>,                       \
                                 std::span<const MatView<T>>);                          \

@@ -46,19 +46,43 @@ struct GemmTarget {
 /// Each product keeps the per-element accumulation order of the matching
 /// single call, gemm(No, Yes, alpha, A_p, B_q, 1, C) resp. gemm(No, Yes,
 /// alpha, B_q, A_p, 1, C), so the results are bit-identical to issuing those
-/// calls one by one, under every backend. alpha must be 1 or -1: the Native
-/// backend computes a transposed target as (A_p·B_qᵗ)ᵗ with alpha folded into
-/// B_q, which matches the single call only when alpha·x is exact.
+/// calls one by one, under every backend.
 ///
-/// Native packs every column block once as one stacked operand and the row
-/// blocks once per group of at most kStackRows rows; each group accumulates
-/// onto a gathered copy of its targets that is scattered back. A group
-/// computes the full rectangle of the columns its targets reach; products
-/// without a target are discarded.
+/// Native runs the transposed targets as a second grid with the roles of
+/// A_p and B_q swapped, so every target is plain. Each grid packs its column
+/// blocks once as one stacked operand and its row blocks once per group of
+/// at most kStackRows rows; the microkernel walk loads and stores every
+/// target entry at its own address, in place. A group computes the columns
+/// its targets reach; products without a target are discarded, and a
+/// micro-tile without any target is skipped.
 template <typename T>
 void gemm_batch(T alpha, std::span<const ConstView<T>> a,
                 std::span<const ConstView<T>> b,
                 std::span<const GemmTarget<T>> targets);
+
+/// Target entries the Native backend's gemm_batch has updated in this
+/// process, counted once per kKC-deep k-slab: all of them, those loaded and
+/// stored in place as whole micro-tile columns (or by the loop nests of a
+/// shallow grid), and those loaded and stored through per-row addresses.
+/// The last two add up to the first; entries - in_place - per_row counts
+/// entries that reached their target through a gathered copy, of which the
+/// grid GEMM makes none.
+struct GridGemmCounts {
+  std::uint64_t entries = 0;
+  std::uint64_t in_place = 0;
+  std::uint64_t per_row = 0;
+};
+GridGemmCounts grid_gemm_counts();
+
+/// The Native backend's micro-tile for element type T on the active ISA
+/// tier: mr rows (of its full row panels; shorter tails have 8 rows for
+/// fp64, 16 for fp32) by nr columns.
+struct NativeTile {
+  index_t mr = 0;
+  index_t nr = 0;
+};
+template <typename T>
+NativeTile native_tile();
 
 /// The plain gemm loop nests — the Reference backend's implementation
 /// (la::gemm with backend Reference lands here), also used directly as the

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <type_traits>
 
 #include "common/types.hpp"
@@ -31,9 +32,48 @@ struct MicroTile<float> {
   static constexpr index_t NR = 4;
 };
 
+/// Full-panel height of the AVX-512 tier's fp64 micro-tile: 32×4 holds 128
+/// accumulators in 16 of the 32 zmm registers. Every other tier and type
+/// packs MicroTile<T>::MR rows per panel.
+constexpr index_t kWideMR = 32;
+
 constexpr index_t round_up(index_t x, index_t step) {
   return ((x + step - 1) / step) * step;
 }
+
+/// Packed rows of an m-row block cut into panels of `mr` rows while at
+/// least mr remain, then tail panels of `tail` rows (the last zero-padded).
+/// With mr == tail this is round_up(m, mr). Both sizes divide kMC, so the
+/// kMC blocks of a longer stack add no padding of their own.
+constexpr index_t panel_rows(index_t m, index_t mr, index_t tail) {
+  return (m / mr) * mr + round_up(m % mr, tail);
+}
+
+/// Where the entries of one grid GEMM row group live, for the microkernel
+/// walk to load and store each at its own address. The group has m rows,
+/// mp = panel_rows(m) packed, and n columns; column j is column col_off[j]
+/// of column block col_blk[j]. Row i in block q's target: entry x = q*mp + i
+/// of the tables, the entry for column c at byte address addr[x] +
+/// c*step[x] (addr[x] is 0 where row i has no target in block q, and for
+/// the padded rows). run[x] > 0 counts the rows from i on whose entries are
+/// consecutive in memory (a run of one target's rows); run[x] < 0 counts
+/// the rows from i on without a target, negated. The packed B holds
+/// b_cols ≥ n columns. The walk adds to counts[0] the entries it loaded and
+/// stored in place as whole columns, to counts[1] those it loaded and
+/// stored through per-row addresses.
+template <typename T>
+struct GridC {
+  index_t m = 0;
+  index_t mp = 0;
+  index_t n = 0;
+  index_t b_cols = 0;
+  const index_t* col_blk = nullptr;
+  const index_t* col_off = nullptr;
+  const std::intptr_t* addr = nullptr;
+  const std::intptr_t* step = nullptr;
+  const index_t* run = nullptr;
+  std::uint64_t* counts = nullptr;
+};
 
 // ---- Per-ISA kernel tables -----------------------------------------------
 //
@@ -53,13 +93,25 @@ struct IsaKernels {
   const char* name = nullptr;
   NativeIsa isa = NativeIsa::Portable;
 
+  /// Full-panel rows of this tier's packed A (the tails have MicroTile MR).
+  index_t mr_d = MicroTile<double>::MR;
+  index_t mr_f = MicroTile<float>::MR;
+
   /// C += packedA · packedB over images laid out by pack_a/pack_b in
-  /// blas.cpp (kKC×kMC blocked, MR-row / NR-column zero-padded panels,
-  /// alpha folded into packedB).
+  /// blas.cpp (kKC×kMC blocked, panel_rows-shaped row panels, NR-column
+  /// zero-padded panels, alpha folded into packedB).
   void (*gemm_packed_d)(index_t m, index_t n, index_t kk, const double* ap,
                         const double* bp, double* c, index_t ldc) = nullptr;
   void (*gemm_packed_f)(index_t m, index_t n, index_t kk, const float* ap,
                         const float* bp, float* c, index_t ldc) = nullptr;
+
+  /// The same walk over a grid GEMM row group: packed A of grid.m rows,
+  /// packed B of grid.n columns, both over all kk, and each entry loaded
+  /// from and stored to its target in place (GridC).
+  void (*gemm_grid_d)(index_t kk, const double* ap, const double* bp,
+                      const GridC<double>& grid) = nullptr;
+  void (*gemm_grid_f)(index_t kk, const float* ap, const float* bp,
+                      const GridC<float>& grid) = nullptr;
 
   /// Triangular substitution, alpha already applied to B by the caller.
   /// Flags are 0/1 ints: side_right, upper, trans, unit. A is m×m (left) or
@@ -84,6 +136,16 @@ struct IsaKernels {
   [[nodiscard]] auto gemm_packed() const {
     if constexpr (std::is_same_v<T, double>) return gemm_packed_d;
     else return gemm_packed_f;
+  }
+  template <typename T>
+  [[nodiscard]] auto gemm_grid() const {
+    if constexpr (std::is_same_v<T, double>) return gemm_grid_d;
+    else return gemm_grid_f;
+  }
+  template <typename T>
+  [[nodiscard]] index_t mr() const {
+    if constexpr (std::is_same_v<T, double>) return mr_d;
+    else return mr_f;
   }
   template <typename T>
   [[nodiscard]] auto trsm() const {

@@ -5,10 +5,14 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+
+#include <immintrin.h>
 
 #include "linalg/kernels_isa.hpp"
 
 #define BLR_ISA_ACCESSOR isa_avx512
 #define BLR_ISA_NAME "avx512"
 #define BLR_ISA_ENUM NativeIsa::Avx512
+#define BLR_ISA_MR_D blr::la::detail::kWideMR
 #include "linalg/kernels_isa_body.inc"

@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 
 #include "linalg/kernels_isa.hpp"
 
 #define BLR_ISA_ACCESSOR isa_portable
 #define BLR_ISA_NAME "portable"
 #define BLR_ISA_ENUM NativeIsa::Portable
+#define BLR_ISA_MR_D blr::la::detail::MicroTile<double>::MR
 #include "linalg/kernels_isa_body.inc"

@@ -23,10 +23,34 @@ T larfg(T alpha, index_t n, T* x, T& tau) {
 namespace {
 
 /// Apply reflector (implicit v0 = 1, tail v, factor tau) to columns of c.
+/// Columns run eight at a time with their dot chains interleaved, which
+/// hides the latency of a single chain; each column keeps dot's order
+/// (s from 0, ascending i, then w = c[0] + s), so the bits are those of the
+/// column-at-a-time loop that handles the remainder.
 template <typename T>
 void apply_reflector(index_t m, const T* v, T tau, MatView<T> c) {
   if (tau == T(0)) return;
-  for (index_t j = 0; j < c.cols; ++j) {
+  constexpr index_t kChains = 8;
+  index_t j = 0;
+  for (; j + kChains <= c.cols; j += kChains) {
+    T* cj[kChains];
+    T s[kChains];
+    for (index_t r = 0; r < kChains; ++r) {
+      cj[r] = c.col(j + r);
+      s[r] = T(0);
+    }
+    for (index_t i = 0; i + 1 < m; ++i) {
+      const T vi = v[i];
+      for (index_t r = 0; r < kChains; ++r) s[r] += vi * cj[r][i + 1];
+    }
+    for (index_t r = 0; r < kChains; ++r) {
+      T w = cj[r][0] + s[r];
+      w *= tau;
+      cj[r][0] -= w;
+      axpy(m - 1, -w, v, cj[r] + 1);
+    }
+  }
+  for (; j < c.cols; ++j) {
     T* cj = c.col(j);
     T w = cj[0] + dot(m - 1, v, cj + 1);
     w *= tau;

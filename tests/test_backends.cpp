@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -372,8 +373,199 @@ void gemm_batch_bit_identity_for_type() {
   }
 }
 
-TEST(BackendBitwiseKernels, GemmBatchDouble) { gemm_batch_bit_identity_for_type<double>(); }
-TEST(BackendBitwiseKernels, GemmBatchFloat) { gemm_batch_bit_identity_for_type<float>(); }
+/// Every ISA tier of the Native backend this binary and CPU can run.
+std::vector<la::NativeIsa> runnable_tiers() {
+  std::vector<la::NativeIsa> tiers;
+  for (const la::NativeIsa isa :
+       {la::NativeIsa::Portable, la::NativeIsa::Avx2, la::NativeIsa::Avx512}) {
+    if (la::native_isa_supported(isa)) tiers.push_back(isa);
+  }
+  return tiers;
+}
+
+/// One grid of gemm_batch, run as the single gemm calls under Reference and
+/// as one grid under Native: every target (and the matrices holding them,
+/// cells without a target included) must come out with the same bits.
+template <typename T>
+struct GridCase {
+  std::vector<index_t> heights;  ///< row blocks
+  std::vector<index_t> widths;   ///< column blocks
+  index_t kk = 0;
+  T alpha = T(-1);
+  /// For row block p, column block q: no target (0), a plain target (1) or
+  /// a transposed one (2).
+  std::function<int(std::size_t, std::size_t)> kind;
+  /// Whether all plain targets share one matrix (block (p, q) at the row
+  /// offset of p and the column offset of q, the LLᵗ update's layout);
+  /// otherwise each target has a matrix of its own, of its own ld.
+  bool shared = false;
+};
+
+template <typename T>
+void check_grid_case(const GridCase<T>& gc, Prng& rng, const std::string& what) {
+  const std::size_t np = gc.heights.size();
+  const std::size_t nq = gc.widths.size();
+  std::vector<index_t> r0(np + 1, 0), c0(nq + 1, 0);
+  for (std::size_t p = 0; p < np; ++p) r0[p + 1] = r0[p] + gc.heights[p];
+  for (std::size_t q = 0; q < nq; ++q) c0[q + 1] = c0[q] + gc.widths[q];
+  la::Matrix<T> a(r0[np] + 3, gc.kk);
+  la::Matrix<T> b(c0[nq] + 1, gc.kk);
+  random_normal(a.view(), rng);
+  random_normal(b.view(), rng);
+  // The matrices holding the targets: one shared matrix for the plain
+  // targets plus one for the transposed ones, or one per target.
+  std::vector<la::Matrix<T>> mats;
+  if (gc.shared) {
+    mats.emplace_back(r0[np] + 2, c0[nq] + 1);
+    mats.emplace_back(c0[nq] + 3, r0[np] + 1);
+  } else {
+    for (std::size_t p = 0; p < np; ++p) {
+      for (std::size_t q = 0; q < nq; ++q) {
+        const int k = gc.kind(p, q);
+        if (k == 0) continue;
+        const index_t pad = static_cast<index_t>((p + 2 * q) % 5);  // own ld
+        if (k == 1) mats.emplace_back(gc.heights[p] + pad, gc.widths[q] + 1);
+        else mats.emplace_back(gc.widths[q] + pad, gc.heights[p] + 1);
+      }
+    }
+  }
+  for (la::Matrix<T>& m : mats) random_normal(m.view(), rng);
+  const std::vector<la::Matrix<T>> initial = mats;
+
+  const auto run = [&](la::Backend be, bool batched) {
+    la::set_backend(be);
+    std::vector<la::Matrix<T>> c = initial;
+    std::vector<la::ConstView<T>> as, bs;
+    for (std::size_t p = 0; p < np; ++p)
+      as.push_back(a.cview().sub(r0[p] + 3, 0, gc.heights[p], gc.kk));
+    for (std::size_t q = 0; q < nq; ++q)
+      bs.push_back(b.cview().sub(c0[q] + 1, 0, gc.widths[q], gc.kk));
+    std::vector<la::GemmTarget<T>> ts;
+    std::size_t x = 0;
+    for (std::size_t p = 0; p < np; ++p) {
+      for (std::size_t q = 0; q < nq; ++q) {
+        const int k = gc.kind(p, q);
+        if (k == 0) continue;
+        const bool tr = k == 2;
+        const index_t h = tr ? gc.widths[q] : gc.heights[p];
+        const index_t w = tr ? gc.heights[p] : gc.widths[q];
+        la::MatView<T> v =
+            gc.shared ? (tr ? c[1].view().sub(c0[q] + 2, r0[p], h, w)
+                            : c[0].view().sub(r0[p] + 1, c0[q], h, w))
+                      : c[x++].view().sub(0, 1, h, w);
+        ts.push_back({static_cast<index_t>(p), static_cast<index_t>(q), v, tr});
+      }
+    }
+    if (batched) {
+      // Every target entry is loaded and stored at its own address, once
+      // per k-slab: none passes through a gathered copy.
+      const la::GridGemmCounts before = la::grid_gemm_counts();
+      la::gemm_batch<T>(gc.alpha, as, bs, ts);
+      const la::GridGemmCounts after = la::grid_gemm_counts();
+      std::uint64_t entries = 0;
+      for (const la::GemmTarget<T>& t : ts)
+        entries += static_cast<std::uint64_t>(t.c.rows * t.c.cols);
+      if (gc.kk >= 4) entries *= static_cast<std::uint64_t>((gc.kk + 255) / 256);
+      EXPECT_EQ(after.entries - before.entries, entries) << what;
+      EXPECT_EQ((after.in_place - before.in_place) + (after.per_row - before.per_row),
+                entries)
+          << what;
+    } else {
+      for (const la::GemmTarget<T>& t : ts) {
+        const auto& ap = as[static_cast<std::size_t>(t.p)];
+        const auto& bq = bs[static_cast<std::size_t>(t.q)];
+        if (t.transposed)
+          la::gemm(la::Trans::No, la::Trans::Yes, gc.alpha, bq, ap, T(1), t.c);
+        else
+          la::gemm(la::Trans::No, la::Trans::Yes, gc.alpha, ap, bq, T(1), t.c);
+      }
+    }
+    return c;
+  };
+  const std::vector<la::Matrix<T>> ref = run(la::Backend::Reference, false);
+  const std::vector<la::Matrix<T>> nat = run(la::Backend::Native, true);
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    expect_same_bits(ref[i], nat[i], what + ", matrix " + std::to_string(i));
+  if (gc.shared) {
+    // The cells of the shared matrix without a target are never written.
+    for (std::size_t p = 0; p < np; ++p) {
+      for (std::size_t q = 0; q < nq; ++q) {
+        if (gc.kind(p, q) != 0) continue;
+        for (index_t j = c0[q]; j < c0[q + 1]; ++j)
+          for (index_t i = r0[p] + 1; i < r0[p + 1] + 1; ++i)
+            EXPECT_EQ(std::memcmp(&nat[0](i, j), &initial[0](i, j), sizeof(T)), 0)
+                << what << ": cell without a target written at (" << i << ", " << j
+                << ")";
+      }
+    }
+  }
+}
+
+/// gemm_batch grids on every runnable ISA tier: row counts around the
+/// micro-tile heights (1, 7, 8, 31, 32, 33, 257; alpha ±1, and 0.75 at 33,
+/// which rounds), as one row block or cut
+/// into short ones so that micro-tiles straddle targets of different ld,
+/// plain and transposed targets, an LLᵗ-shaped lower block triangle in one
+/// shared matrix (the cells above it checked untouched), and depths past
+/// kKC = 256.
+template <typename T>
+void gemm_batch_grid_cases_for_type() {
+  BackendStateGuard state;
+  EnvVarGuard guard("BLR_NATIVE_ISA");
+  Prng rng(307);
+  for (const la::NativeIsa isa : runnable_tiers()) {
+    ::setenv("BLR_NATIVE_ISA", la::native_isa_name(isa), 1);
+    la::redetect_backend();
+    ASSERT_EQ(la::native_isa(), isa);
+    const std::string tier = la::native_isa_name(isa);
+    for (const index_t kk : {index_t(6), index_t(300)}) {
+      for (const index_t m : {index_t(1), index_t(7), index_t(8), index_t(31),
+                              index_t(32), index_t(33), index_t(257)}) {
+        // One row block of m rows, then m rows in short blocks.
+        std::vector<index_t> cut;
+        const index_t pieces[] = {3, 1, 5, 2, 7, 4};
+        for (index_t r = 0, x = 0; r < m; ++x) {
+          cut.push_back(std::min(pieces[x % 6], m - r));
+          r += cut.back();
+        }
+        for (const bool split : {false, true}) {
+          GridCase<T> gc;
+          gc.heights = split ? cut : std::vector<index_t>{m};
+          gc.widths = {3, 6, 2};
+          gc.kk = kk;
+          gc.alpha = m % 2 == 0 ? T(1) : m == 33 ? T(0.75) : T(-1);
+          gc.kind = [](std::size_t p, std::size_t q) {
+            return (p + q) % 4 == 3 ? 0 : (p + 2 * q) % 3 == 2 ? 2 : 1;
+          };
+          check_grid_case(gc, rng,
+                          tier + " m=" + std::to_string(m) + " kk=" + std::to_string(kk) +
+                              (split ? " split" : " one block"));
+        }
+      }
+      // LLᵗ: targets only on and below the block diagonal, in one matrix.
+      GridCase<T> llt;
+      llt.heights = {4, 9, 1, 12, 6, 30, 40};
+      llt.widths = {4, 9, 1, 12};
+      llt.kk = kk;
+      llt.kind = [](std::size_t p, std::size_t q) { return p >= q ? 1 : 0; };
+      llt.shared = true;
+      check_grid_case(llt, rng, tier + " llt kk=" + std::to_string(kk));
+      // The LU update's transposed (U) targets beside plain ones, shared.
+      GridCase<T> lu = llt;
+      lu.kind = [](std::size_t p, std::size_t q) { return p >= q ? 1 : 2; };
+      check_grid_case(lu, rng, tier + " lu kk=" + std::to_string(kk));
+    }
+  }
+}
+
+TEST(BackendBitwiseKernels, GemmBatchDouble) {
+  gemm_batch_bit_identity_for_type<double>();
+  gemm_batch_grid_cases_for_type<double>();
+}
+TEST(BackendBitwiseKernels, GemmBatchFloat) {
+  gemm_batch_bit_identity_for_type<float>();
+  gemm_batch_grid_cases_for_type<float>();
+}
 
 // trsm_stacked must leave every block bit-identical to the per-block
 // la::trsm, under both backends, for the three dense panel variants (LLᵗ L,

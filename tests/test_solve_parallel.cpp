@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -409,6 +410,47 @@ TEST(SolveReference, PerBlockSweepBitwise) {
       EXPECT_EQ(solver.stats().solve_phase.split_solves > 0,
                 solve_threads > 1);
     }
+  }
+}
+
+// ---- (e2) small solves drain on the calling thread -------------------------
+
+// A solve below kSolvePoolFlops drains on the calling thread even with a
+// solve pool; from the threshold on it drains over the pool. Both sides of
+// the threshold are pinned on one factor by the width of the RHS block, and
+// both give the sequential bits.
+TEST(ParallelSolveThreshold, SmallSolvesDrainOnCallingThread) {
+  const CscMatrix a = sparse::laplacian_3d(6, 6, 6);
+  const index_t n = a.rows();
+  SolverOptions opts = base_options(Strategy::JustInTime, TilePrecision::Fp64, 1);
+  opts.solve_threads = 4;
+  Solver solver(opts);
+  solver.factorize(a);
+  SolverOptions seq_opts = opts;
+  seq_opts.solve_parallel = false;
+  Solver seq(seq_opts);
+  seq.factorize(a);
+
+  const double per_rhs = solver.numeric().solve_flops_per_rhs();
+  ASSERT_GT(per_rhs, 0.0);
+  // The widest block below the threshold, and one column more.
+  const auto below = static_cast<index_t>(std::ceil(core::kSolvePoolFlops / per_rhs)) - 1;
+  ASSERT_GE(below, 1) << "lap 6^3 is too large for a 1-RHS solve below the threshold";
+  for (const index_t nrhs : {index_t(1), below, below + 1}) {
+    const auto b = seeded_block(n, nrhs, 500 + static_cast<std::uint64_t>(nrhs));
+    std::vector<real_t> x(b.size()), want(b.size());
+    const core::SolvePhaseStats before = solver.stats().solve_phase;
+    solver.solve(la::DConstView(b.data(), n, nrhs, n), la::DView(x.data(), n, nrhs, n));
+    seq.solve(la::DConstView(b.data(), n, nrhs, n), la::DView(want.data(), n, nrhs, n));
+    const core::SolvePhaseStats& after = solver.stats().solve_phase;
+    const bool pooled = per_rhs * static_cast<double>(nrhs) >= core::kSolvePoolFlops;
+    EXPECT_EQ(pooled, nrhs == below + 1) << "nrhs = " << nrhs;
+    EXPECT_EQ(after.parallel_solves - before.parallel_solves, pooled ? 1u : 0u)
+        << "nrhs = " << nrhs;
+    EXPECT_EQ(after.sequential_solves - before.sequential_solves, pooled ? 0u : 1u)
+        << "nrhs = " << nrhs;
+    ASSERT_EQ(0, std::memcmp(x.data(), want.data(), x.size() * sizeof(real_t)))
+        << "nrhs = " << nrhs;
   }
 }
 
