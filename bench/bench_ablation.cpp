@@ -89,14 +89,7 @@ int main() {
                                                 : "JIT right-looking", a, o);
   }
 
-  // 7. LUAR-style update accumulation (conclusion's aggregation proposal).
-  for (const bool acc : {false, true}) {
-    SolverOptions o = paper_options(Strategy::MinimalMemory, lr::CompressionKind::Rrqr, 1e-8);
-    o.accumulate_updates = acc;
-    run_config(acc ? "MinMem accumulate updates" : "MinMem immediate updates", a, o);
-  }
-
-  // 8. Compression kernel family (incl. the randomized future-work kernel).
+  // 7. Compression kernel family (incl. the randomized future-work kernel).
   for (const auto kind : {lr::CompressionKind::Rrqr, lr::CompressionKind::Svd,
                           lr::CompressionKind::Randomized}) {
     SolverOptions o = paper_options(Strategy::JustInTime, kind, 1e-8);

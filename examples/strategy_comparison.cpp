@@ -1,7 +1,6 @@
 // Example: side-by-side comparison of the update strategies on one problem —
 // a compact, runnable version of the paper's central comparison (time vs
-// memory vs accuracy for Dense, Just-In-Time, Minimal-Memory and the
-// per-block Adaptive policy).
+// memory vs accuracy for Dense, Just-In-Time and Minimal-Memory).
 
 #include <cstdio>
 
@@ -19,8 +18,7 @@ int main(int argc, char** argv) {
               "factors(MB)", "peak(MB)", "bwd err", "#LR");
 
   for (const Strategy strat :
-       {Strategy::Dense, Strategy::JustInTime, Strategy::MinimalMemory,
-        Strategy::Adaptive}) {
+       {Strategy::Dense, Strategy::JustInTime, Strategy::MinimalMemory}) {
     SolverOptions opts;
     opts.strategy = strat;
     opts.kind = lr::CompressionKind::Rrqr;
@@ -47,7 +45,6 @@ int main(int argc, char** argv) {
                 static_cast<long long>(solver.stats().num_lowrank_blocks));
   }
   std::printf("\nDense is exact; Just-In-Time trades accuracy for speed; Minimal-\n"
-              "Memory additionally keeps the peak below the dense footprint;\n"
-              "Adaptive keeps marginal blocks dense and lands in between.\n");
+              "Memory additionally keeps the peak below the dense footprint.\n");
   return 0;
 }

@@ -23,6 +23,14 @@ file stays small no matter how many runs accumulate. The newest `MAX_RUNS`
 entries are retained. Earlier entries are carried over verbatim, whatever
 keys they hold (entries from before the batched dispatch path was removed
 still carry `batched_*` speedups); no key is required of them.
+
+Each entry's `commit` is `git describe --always` of the checkout, with
+`-dirty` appended when a tracked file differs from that commit, as
+`git describe --always --dirty` does, except that the BENCH_*.json reports
+perfsmoke rewrites just before calling this script do not count. So an
+entry stamped `<id>-dirty` measured commit <id> plus uncommitted changes
+(for instance a change under review, before it is committed), and only an
+entry stamped `<id>` measured commit <id> itself.
 """
 
 import json
@@ -34,15 +42,21 @@ from pathlib import Path
 MAX_RUNS = 200
 
 
-def git_head(repo: Path) -> str:
+def git_commit(repo: Path) -> str:
+    """The checkout's `git describe --always`, plus `-dirty` (see above)."""
     try:
         out = subprocess.run(
-            ["git", "-C", str(repo), "rev-parse", "--short", "HEAD"],
+            ["git", "-C", str(repo), "describe", "--always"],
             capture_output=True, text=True, check=True,
         )
-        return out.stdout.strip()
+        changed = subprocess.run(
+            ["git", "-C", str(repo), "diff", "--quiet", "HEAD", "--",
+             ".", ":(exclude)BENCH_*.json"],
+            capture_output=True,
+        )
     except (subprocess.CalledProcessError, OSError):
         return "unknown"
+    return out.stdout.strip() + ("-dirty" if changed.returncode == 1 else "")
 
 
 def summarize(report: dict) -> dict:
@@ -135,7 +149,7 @@ def main(argv: list) -> int:
     entry = {}
     for report_path in report_paths:
         entry.update(summarize(json.loads(report_path.read_text())))
-    entry["commit"] = git_head(repo)
+    entry["commit"] = git_commit(repo)
     entry["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     runs.append(entry)
     runs = runs[-MAX_RUNS:]

@@ -66,7 +66,9 @@ run_tsan() {
 # row of the README options table must name a field that struct
 # SolverOptions declares (dotted rows such as `recovery.enabled` match on
 # their leading field), so the table cannot silently drift from the header.
-# Fails listing the undocumented fields and the stale rows.
+# Likewise every row of the README strategy table must name an enumerator of
+# enum class Strategy. Fails listing the undocumented fields and the stale
+# rows.
 run_docs() {
   awk '
     /^struct SolverOptions/ { in_struct = 1; next }
@@ -118,6 +120,33 @@ run_docs() {
     END { exit bad }
   ' src/core/options.hpp README.md
   echo "ci[docs]: every README options row names a SolverOptions field"
+
+  awk '
+    FNR == NR {                               # pass 1: Strategy enumerators
+      if ($0 ~ /^enum class Strategy/) { in_enum = 1; next }
+      if (!in_enum) next
+      if ($0 ~ /^};/) { in_enum = 0; next }
+      line = $0
+      sub(/\/\/.*/, "", line)                 # drop comments
+      gsub(/[ \t,]/, "", line)
+      sub(/=.*/, "", line)
+      if (line != "") enumerator[line] = 1
+      next
+    }
+    /^\| strategy \| / { in_table = 1; next }
+    in_table && !/^\|/ { in_table = 0 }
+    in_table && /^\| `/ {                     # pass 2: README table rows
+      name = $0
+      sub(/^\| `/, "", name)
+      sub(/`.*/, "", name)
+      if (!(name in enumerator)) {
+        printf "ci[docs]: README strategy row names no Strategy enumerator: %s\n", name
+        bad = 1
+      }
+    }
+    END { exit bad }
+  ' src/core/options.hpp README.md
+  echo "ci[docs]: every README strategy row names a Strategy enumerator"
 }
 
 # Performance smoke: Release builds of bench_kernels and bench_refactorize

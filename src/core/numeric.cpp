@@ -27,6 +27,14 @@ constexpr index_t kSolveChunkCols = 16;
 /// conv-diff 36³ MinMem LU at 4 threads (DESIGN.md §12).
 constexpr double kFanOutWork = 1 << 22;
 
+/// Summed rank at which a LUAR accumulator merges its pending low-rank
+/// contributions into the block in one LR2LR extend-add (Minimal-Memory's
+/// extend-add; the rest merge when the block's supernode is eliminated). A
+/// larger value saves recompressions and holds more pending factors: the
+/// fastest of 8/16/32 whose peak stays within 2% of immediate extend-adds
+/// on conv-diff 36³ LU and lap 64³ at τ = 1e-4 (DESIGN.md §9).
+constexpr index_t kAccumulateMaxRank = 32;
+
 template <typename T>
 bool all_finite(const la::Matrix<T>& m) {
   const T* p = m.data();
@@ -102,7 +110,6 @@ NumericFactor::NumericFactor(const sparse::CscMatrix& a,
   policy_ = make_update_policy(opts_);
   pctx_.kind = opts_.kind;
   pctx_.tolerance = opts_.tolerance;
-  pctx_.adaptive_rank_fraction = opts_.adaptive_rank_fraction;
   pctx_.precision = opts_.precision;
   pctx_.mixed_rank_threshold = opts_.mixed_rank_threshold;
   pctx_.compression_site = [this](index_t k) { maybe_fail_compression(k); };
@@ -303,8 +310,8 @@ void NumericFactor::gather_panel(index_t k, const sparse::CscMatrix& src,
     }
   }
 
-  // The policy decides each tile's representation (Minimal-Memory and
-  // Adaptive compress here; Dense and Just-In-Time keep the gathered dense).
+  // The policy decides each tile's representation (Minimal-Memory compresses
+  // here; Dense and Just-In-Time keep the gathered dense).
   panel.reserve(c.bloks.size());
   const bool upper = !fill_diag;  // U-panel gathers come from the transpose
   for (std::size_t idx = 0; idx < c.bloks.size(); ++idx) {
@@ -340,29 +347,28 @@ void NumericFactor::assemble_cblk(index_t k) {
   cd.diag.advance(lr::TileState::Assembled);
   epochs_.advance(static_cast<std::uint64_t>(k), EpochGate::kUnassembled,
                   EpochGate::kAssembled);
-  if (opts_.accumulate_updates) {
-    // Rank-0 low-rank tiles in the Workspace arena; appended contributions
-    // grow them until a flush folds them into the panel tile.
-    cd.lacc.reserve(c.bloks.size());
-    for (const auto& b : c.bloks) {
-      cd.lacc.push_back(lr::Tile::make_lowrank(b.height(), c.width(),
-                                               lr::LrMatrix(), cd.acc_arena));
+  // One rank-0 accumulator in the Workspace arena per blok assembled
+  // low-rank (only Minimal-Memory assembles low-rank, and only such a blok
+  // can still be low-rank when an update reaches it); appended contributions
+  // grow it until a flush folds it into the panel tile.
+  const auto add_accumulators = [&](const std::vector<lr::Tile>& panel,
+                                    std::vector<lr::Tile>& accs) {
+    for (std::size_t i = 0; i < panel.size(); ++i) {
+      if (!panel[i].is_lowrank()) continue;
+      if (accs.empty()) accs.resize(panel.size());
+      accs[i] = lr::Tile::make_lowrank(panel[i].rows(), panel[i].cols(),
+                                       lr::LrMatrix(), cd.acc_arena);
     }
-    if (!llt_) {
-      cd.uacc.reserve(c.bloks.size());
-      for (const auto& b : c.bloks) {
-        cd.uacc.push_back(lr::Tile::make_lowrank(b.height(), c.width(),
-                                                 lr::LrMatrix(), cd.acc_arena));
-      }
-    }
-  }
+  };
+  add_accumulators(cd.lpanel, cd.lacc);
+  add_accumulators(cd.upanel, cd.uacc);
 }
 
 void NumericFactor::flush_accumulator(index_t cblk, bool upper, index_t blok_idx) {
   CblkData& cd = data_[static_cast<std::size_t>(cblk)];
   auto& accs = upper ? cd.uacc : cd.lacc;
   lr::Tile& acc = accs[static_cast<std::size_t>(blok_idx)];
-  if (acc.rank() <= 0) return;
+  if (acc.rank() <= 0) return;  // nothing pending, or no accumulator
 
   const index_t rows = acc.rows();
   const index_t cols = acc.cols();
@@ -670,7 +676,7 @@ void NumericFactor::run_update(const DagTask& u) {
         finish_update(pr.loc,
                       dispatch::product(*pr.a, *pr.b, opts_.kind,
                                         opts_.tolerance,
-                                        update_need_ortho(pr.loc)));
+                                        policy_->need_ortho()));
       }
     }
   }
@@ -687,7 +693,7 @@ void NumericFactor::factor_panel(index_t k) {
     // Merge any pending LUAR accumulators: every incoming update must be in
     // the panels before elimination. All updates into k are already applied
     // (the write chain of k), so no lock is needed.
-    if (opts_.accumulate_updates) flush_all_accumulators(k);
+    flush_all_accumulators(k);
 
     if (opts_.fault.kind == FaultInjection::Kind::TinyPivot &&
         opts_.fault.supernode == k && opts_.fault.try_fire()) {
@@ -720,8 +726,8 @@ void NumericFactor::factor_panel(index_t k) {
     if (failed_.load(std::memory_order_relaxed)) return;
 
     // Per blok, the elimination-time policy hook: Just-In-Time compresses
-    // the accumulated panels now (Algorithm 2 l.3-4); Minimal-Memory and
-    // Adaptive re-attempt the blocks that are (still) dense — e.g. after an
+    // the accumulated panels now (Algorithm 2 l.3-4); Minimal-Memory
+    // re-attempts the blocks that are (still) dense — e.g. after an
     // extend-add transiently exceeded the storage-beneficial rank — which
     // keeps the final factor size of the scenarios similar, as the paper
     // reports. Item i < nb is L blok i, item nb + i is U blok i; each
@@ -850,21 +856,6 @@ UpdateLoc NumericFactor::locate_update(index_t k, index_t bi, index_t bj) const 
   return loc;
 }
 
-bool NumericFactor::update_need_ortho(const UpdateLoc& loc) const {
-  // The orthonormality requirement keys off the target's representation as
-  // decided at assembly (immutable, unlike the live tag, so safe to read
-  // without the target lock).
-  bool target_assembled_lowrank = false;
-  if (!loc.target_diag) {
-    const CblkData& td = data_[static_cast<std::size_t>(loc.tcblk)];
-    const lr::Tile& tbc =
-        loc.target_upper ? td.upanel[static_cast<std::size_t>(loc.tb_idx)]
-                         : td.lpanel[static_cast<std::size_t>(loc.tb_idx)];
-    target_assembled_lowrank = tbc.assembled_lowrank();
-  }
-  return policy_->need_ortho(target_assembled_lowrank);
-}
-
 la::DView NumericFactor::dense_target(const UpdateLoc& loc) {
   CblkData& td = data_[static_cast<std::size_t>(loc.tcblk)];
   // roff/coff are already expressed in the target block's coordinates;
@@ -907,9 +898,13 @@ void NumericFactor::finish_update(const UpdateLoc& loc, const lr::Tile& p) {
   lr::Tile& tb = loc.target_upper
                      ? td.upanel[static_cast<std::size_t>(loc.tb_idx)]
                      : td.lpanel[static_cast<std::size_t>(loc.tb_idx)];
-  if (tb.is_lowrank() && opts_.accumulate_updates && p.is_lowrank()) {
+  if (tb.is_lowrank() && tb.rank() > 0 && p.is_lowrank()) {
     // LUAR accumulation: append the padded contribution factors and defer
-    // the (expensive, target-sized) recompression.
+    // the (expensive, target-sized) recompression. A low-rank target was
+    // assembled low-rank, so it has an accumulator. An empty target takes
+    // the contribution at once instead: LR2LR adopts the factors of a
+    // contribution to an empty block as they are, and an accumulated
+    // U = [U_1, ..., U_k] is not orthonormal.
     KernelTimer t(Kernel::LrAddition);
     la::DConstView pu = loc.transpose ? p.lr().v.cview() : p.lr().u.cview();
     la::DConstView pv = loc.transpose ? p.lr().u.cview() : p.lr().v.cview();
@@ -930,7 +925,7 @@ void NumericFactor::finish_update(const UpdateLoc& loc, const lr::Tile& p) {
                   nv.data() + (old_rank + j) * tb.cols() + loc.coff);
     }
     acc.set_lowrank(lr::LrMatrix(std::move(nu), std::move(nv)));
-    if (acc.rank() >= opts_.accumulate_max_rank) {
+    if (acc.rank() >= kAccumulateMaxRank) {
       flush_accumulator(loc.tcblk, loc.target_upper, loc.tb_idx);
     }
   } else {

@@ -37,10 +37,11 @@ struct CblkData {
   std::vector<lr::Tile> lpanel;
   std::vector<lr::Tile> upanel;         ///< empty for LLᵗ
   std::vector<index_t> ipiv;            ///< local pivots (LU diagonal block)
-  /// LUAR accumulators (one per panel block, rank 0 = inactive): low-rank
-  /// tiles holding the padded [U_acc, V_acc] factors of pending
-  /// contributions awaiting one combined extend-add. Only used with
-  /// options.accumulate_updates.
+  /// LUAR accumulators, Minimal-Memory's extend-add: low-rank tiles holding
+  /// the padded [U_acc, V_acc] factors of pending contributions awaiting one
+  /// combined extend-add (rank 0 = nothing pending). Allocated only for the
+  /// bloks the policy assembled low-rank (empty tiles elsewhere; empty
+  /// vectors when no blok of the panel is low-rank).
   std::vector<lr::Tile> lacc;
   std::vector<lr::Tile> uacc;
   bool eliminated = false;
@@ -116,7 +117,7 @@ struct SolveRunInfo {
 /// The supernodal numeric factorization: one task graph of supernode
 /// eliminations and (source, target) update groups (DESIGN.md §12),
 /// parameterized by an UpdatePolicy (Dense baseline, Just-In-Time, Minimal
-/// Memory, Adaptive), for both LU (general, symmetric pattern) and LLᵗ
+/// Memory), for both LU (general, symmetric pattern) and LLᵗ
 /// (SPD). All numeric operations route through the KernelDispatch registry.
 class NumericFactor {
 public:
@@ -289,10 +290,6 @@ private:
   void run_update(const DagTask& u);
   /// Symbolic geometry of the (bi, bj) update produced by supernode k.
   [[nodiscard]] UpdateLoc locate_update(index_t k, index_t bi, index_t bj) const;
-  /// Whether the update's contribution product must carry an orthonormal U
-  /// (keys off the target's assembly-time representation — immutable, so
-  /// safe without the target lock).
-  [[nodiscard]] bool update_need_ortho(const UpdateLoc& loc) const;
   /// The dense view an update subtracts from (transposed shape for the U
   /// mirror), or a null view of that shape when the target tile is
   /// low-rank. Caller holds the target lock.

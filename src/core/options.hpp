@@ -15,18 +15,11 @@
 
 namespace blr::core {
 
-/// The factorization scenarios: the three compared in the paper plus a
-/// per-block Adaptive policy this library adds on top.
+/// The factorization scenarios compared in the paper.
 enum class Strategy {
   Dense,          ///< original PaStiX: every block dense (the baseline)
   JustInTime,     ///< Algorithm 2: compress a panel when its supernode is eliminated (LR2GE updates)
-  MinimalMemory,  ///< Algorithm 1: compress A up front, maintain LR through the factorization (LR2LR updates)
-  Adaptive,       ///< per-block decision: compress up front only where the
-                  ///< measured rank of the assembled tile is comfortably
-                  ///< below the storage-beneficial limit (LR2LR updates on
-                  ///< those blocks), keep the rest dense (LR2GE updates);
-                  ///< remaining dense compressible blocks are re-tried at
-                  ///< elimination like Just-In-Time
+  MinimalMemory,  ///< Algorithm 1: compress A up front, maintain LR through the factorization (LR2LR updates, accumulated per block)
 };
 
 /// Numeric factorization kind.
@@ -239,8 +232,8 @@ struct SolverOptions {
   /// factors of eligible low-rank tiles in fp32 at rest — roughly halving
   /// Factors bytes on the compressed part — while all arithmetic, dense
   /// tiles and diagonal/pivotal blocks stay fp64 (DESIGN.md §10). Read by
-  /// every compressing strategy (JustInTime, MinimalMemory, Adaptive);
-  /// ignored by Dense.
+  /// both compressing strategies (JustInTime, MinimalMemory); ignored by
+  /// Dense.
   TilePrecision precision = TilePrecision::Fp64;
 
   /// Demotion rank cap under MixedTiles: a low-rank tile demotes to fp32
@@ -320,24 +313,6 @@ struct SolverOptions {
   /// Automatic retry ladders on numerical breakdown and resource pressure
   /// (disabled by default).
   RecoveryPolicy recovery;
-
-  /// LUAR-style update accumulation for the Minimal-Memory scenario (the
-  /// aggregation of small contributions the paper's conclusion proposes):
-  /// low-rank contributions to a low-rank target are appended to a
-  /// per-block accumulator and recompressed in one extend-add when the
-  /// accumulated rank reaches `accumulate_max_rank` (or at the target's
-  /// elimination), instead of paying one Θ(m_C·…) recompression per update.
-  bool accumulate_updates = false;
-  /// Accumulated-rank flush threshold for `accumulate_updates` (default 32);
-  /// read by MinimalMemory/Adaptive when accumulation is on.
-  index_t accumulate_max_rank = 32;
-
-  /// Strategy::Adaptive keeps an assembled tile low-rank only when its rank
-  /// at tolerance τ is at most this fraction of the storage-beneficial
-  /// limit (r·(m+n) < m·n). Blocks whose measured compression ratio is
-  /// marginal stay dense — avoiding the LR2LR densify-fallback churn — and
-  /// get one more chance at elimination time.
-  real_t adaptive_rank_fraction = 0.5;
 
   /// Seed each re-factorization compression with the rank the previous
   /// numeric pass learned for the same block (DESIGN.md §15). Warm guesses

@@ -52,7 +52,6 @@ const char* strategy_name(Strategy s) {
     case Strategy::Dense: return "Dense";
     case Strategy::JustInTime: return "Just-In-Time";
     case Strategy::MinimalMemory: return "Minimal Memory";
-    case Strategy::Adaptive: return "Adaptive";
   }
   return "?";
 }

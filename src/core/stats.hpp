@@ -135,8 +135,9 @@ struct SolverStats {
   index_t num_lowrank_blocks = 0;
   index_t num_dense_blocks = 0;
   double average_rank = 0;  ///< mean rank over the final low-rank blocks only
-  /// Fraction of compressible panel blocks that ended dense (fallbacks plus
-  /// Adaptive keep-dense decisions); 1.0 for the Dense strategy.
+  /// Fraction of compressible panel blocks that ended dense (compressions
+  /// over the storage-beneficial rank and extend-add fallbacks); 1.0 for the
+  /// Dense strategy.
   double dense_block_fraction = 0;
 
   /// Pivots replaced by static pivoting (LU with pivot_threshold > 0).

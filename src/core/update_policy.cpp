@@ -113,10 +113,11 @@ public:
 };
 
 /// Algorithm 1: compress compressible blocks at assembly and keep them
-/// low-rank through the factorization (LR2LR extend-adds, which require
-/// orthonormal U on every contribution). The elimination hook re-attempts
-/// blocks that fell back to dense when an extend-add transiently exceeded
-/// the storage-beneficial rank.
+/// low-rank through the factorization: contribution products carry an
+/// orthonormal U, and those landing on a low-rank block accumulate and merge
+/// in one LR2LR extend-add (the driver's LUAR accumulators). The elimination
+/// hook re-attempts blocks that fell back to dense when an extend-add
+/// transiently exceeded the storage-beneficial rank.
 class MinimalMemoryPolicy final : public UpdatePolicy {
 public:
   [[nodiscard]] Strategy strategy() const override {
@@ -145,50 +146,7 @@ public:
     return lr::Tile::from_dense(std::move(scratch), arena);
   }
 
-  [[nodiscard]] bool need_ortho(bool) const override { return true; }
-};
-
-/// Per-block decision: compress at assembly only when the measured rank is
-/// comfortably below the storage-beneficial limit (within
-/// adaptive_rank_fraction of it); marginal blocks stay dense, skipping the
-/// LR2LR densify-fallback churn, and get the Just-In-Time treatment at
-/// elimination instead. Contributions need an orthonormal U only when their
-/// target was assembled low-rank (an LR2LR destination).
-class AdaptivePolicy final : public UpdatePolicy {
-public:
-  [[nodiscard]] Strategy strategy() const override {
-    return Strategy::Adaptive;
-  }
-  [[nodiscard]] const char* name() const override { return "Adaptive"; }
-
-  [[nodiscard]] lr::Tile assemble(index_t k, BlockSite site, la::DMatrix scratch,
-                                  bool compressible, const PolicyContext& ctx,
-                                  lr::TileArena& arena) const override {
-    const index_t limit =
-        lr::beneficial_rank_limit(scratch.rows(), scratch.cols());
-    const index_t cap = static_cast<index_t>(
-        static_cast<real_t>(limit) * ctx.adaptive_rank_fraction);
-    if (!compressible || cap < 1) {
-      return lr::Tile::from_dense(std::move(scratch), arena);
-    }
-    const index_t hint = warm_hint_for(ctx, k, site);
-    if (warm_skip_dense(ctx, hint))
-      return lr::Tile::from_dense(std::move(scratch), arena);
-    if (ctx.compression_site) ctx.compression_site(k);
-    auto lrm = compress_site(ctx, scratch.cview(), cap,
-                             warm_guess(ctx, hint, cap));
-    if (lrm) {
-      lr::Tile t = lr::Tile::make_lowrank(scratch.rows(), scratch.cols(),
-                                          std::move(*lrm), arena);
-      maybe_demote(t, ctx);
-      return t;
-    }
-    return lr::Tile::from_dense(std::move(scratch), arena);
-  }
-
-  [[nodiscard]] bool need_ortho(bool target_assembled_lowrank) const override {
-    return target_assembled_lowrank;
-  }
+  [[nodiscard]] bool need_ortho() const override { return true; }
 };
 
 } // namespace
@@ -199,7 +157,6 @@ std::unique_ptr<UpdatePolicy> make_update_policy(const SolverOptions& opts) {
     case Strategy::JustInTime: return std::make_unique<JustInTimePolicy>();
     case Strategy::MinimalMemory:
       return std::make_unique<MinimalMemoryPolicy>();
-    case Strategy::Adaptive: return std::make_unique<AdaptivePolicy>();
   }
   return std::make_unique<JustInTimePolicy>();
 }

@@ -23,7 +23,6 @@ struct BlockSite {
 struct PolicyContext {
   lr::CompressionKind kind = lr::CompressionKind::Rrqr;
   real_t tolerance = 0;
-  real_t adaptive_rank_fraction = 0.5;
   /// Mixed-precision storage mode: when MixedTiles, every policy demotes
   /// freshly compressed low-rank factors under the rank cap to fp32
   /// (DESIGN.md §10). Dense tiles are never demoted.
@@ -44,7 +43,7 @@ struct PolicyContext {
 /// Strategy object the right-looking driver is parameterized by: when to
 /// compress a tile (at assembly, at elimination, or never) and what the
 /// contribution products must guarantee. The driver itself contains no
-/// strategy branches — Dense / Just-In-Time / Minimal-Memory / Adaptive are
+/// strategy branches — Dense / Just-In-Time / Minimal-Memory are
 /// interchangeable instances of this interface over one code path.
 class UpdatePolicy {
 public:
@@ -63,14 +62,9 @@ public:
                                           const PolicyContext& ctx,
                                           lr::TileArena& arena) const;
 
-  /// Whether A·Bᵗ products must carry an orthonormal U.
-  /// `target_assembled_lowrank` is the target tile's representation as
-  /// decided at assembly (immutable, so safe to read without the target
-  /// lock). Default: no (LR2GE targets tolerate any basis).
-  [[nodiscard]] virtual bool need_ortho(bool target_assembled_lowrank) const {
-    (void)target_assembled_lowrank;
-    return false;
-  }
+  /// Whether A·Bᵗ products must carry an orthonormal U. Default: no
+  /// (LR2GE targets tolerate any basis).
+  [[nodiscard]] virtual bool need_ortho() const { return false; }
 
   /// Elimination-time hook on each panel tile, after the diagonal
   /// factorization and before the panel solves. Default: attempt to

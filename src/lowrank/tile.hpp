@@ -298,18 +298,8 @@ public:
       throw Error(std::string("tile state machine regression: ") +
                   tile_state_name(state_) + " -> " + tile_state_name(next));
     }
-    if (next >= TileState::Assembled && state_ < TileState::Assembled) {
-      // Record the representation decided at assembly: update policies key
-      // per-block choices (e.g. orthonormality requirements) off this
-      // immutable flag instead of racing on the live tag.
-      assembled_lowrank_ = lowrank_;
-    }
     state_ = next;
   }
-
-  /// Representation this tile had when its supernode finished assembly
-  /// (stable for the rest of the factorization, unlike is_lowrank()).
-  [[nodiscard]] bool assembled_lowrank() const { return assembled_lowrank_; }
 
   // ---- representation ------------------------------------------------
 
@@ -428,7 +418,6 @@ private:
     tracked_ = o.tracked_;
     lowrank_ = o.lowrank_;
     state_ = o.state_;
-    assembled_lowrank_ = o.assembled_lowrank_;
     dense_ = std::move(o.dense_);
     lr_ = std::move(o.lr_);
     o.tracked_ = 0;
@@ -436,7 +425,6 @@ private:
     o.rows_ = o.cols_ = 0;
     o.lowrank_ = false;
     o.state_ = TileState::Unassembled;
-    o.assembled_lowrank_ = false;
   }
 
   void untrack() {
@@ -467,7 +455,6 @@ private:
   TileArena* arena_ = nullptr;
   std::size_t tracked_ = 0;
   bool lowrank_ = false;
-  bool assembled_lowrank_ = false;
   TileState state_ = TileState::Unassembled;
   la::DMatrix dense_;
   LrMatrix lr_;

@@ -1,5 +1,5 @@
-// Tests of LUAR-style update accumulation (the aggregation of small
-// contributions the paper's conclusion proposes for Minimal-Memory).
+// Tests of LUAR-style update accumulation, Minimal-Memory's extend-add (the
+// aggregation of small contributions the paper's conclusion proposes).
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,7 @@ namespace {
 using namespace blr;
 using sparse::CscMatrix;
 
-SolverOptions mm_opts(bool accumulate) {
+SolverOptions mm_opts() {
   SolverOptions o;
   o.strategy = Strategy::MinimalMemory;
   o.tolerance = 1e-8;
@@ -18,7 +18,6 @@ SolverOptions mm_opts(bool accumulate) {
   o.compress_min_height = 8;
   o.split.split_threshold = 64;
   o.split.split_size = 32;
-  o.accumulate_updates = accumulate;
   return o;
 }
 
@@ -31,16 +30,15 @@ TEST(Accumulation, SameSolutionAsImmediateUpdates) {
     std::vector<real_t> b(static_cast<std::size_t>(a.rows()));
     for (auto& v : b) v = rng.normal();
 
-    Solver s0(mm_opts(false)), s1(mm_opts(true));
-    s0.factorize(a);
-    s1.factorize(a);
-    std::vector<real_t> x0(b.size()), x1(b.size());
-    s0.solve(b.data(), x0.data());
-    s1.solve(b.data(), x1.data());
-    // Both are tau-accurate; they need not match bit-for-bit (different
-    // recompression points), but both must meet the tolerance contract.
-    EXPECT_LT(sparse::backward_error(a, x0.data(), b.data()), 1e-4);
-    EXPECT_LT(sparse::backward_error(a, x1.data(), b.data()), 1e-4);
+    const SolverOptions o = mm_opts();
+    Solver s(o);
+    s.factorize(a);
+    std::vector<real_t> x(b.size());
+    s.solve(b.data(), x.data());
+    // Accumulated extend-adds recompress at other points than immediate
+    // ones, so the bits differ, but the τ contract is the same.
+    EXPECT_LT(sparse::backward_error(a, x.data(), b.data()),
+              o.tolerance * 500);
   }
 }
 
@@ -49,7 +47,7 @@ TEST(Accumulation, ParallelCorrectness) {
   Prng rng(22);
   std::vector<real_t> b(static_cast<std::size_t>(a.rows()));
   for (auto& v : b) v = rng.normal();
-  SolverOptions o = mm_opts(true);
+  SolverOptions o = mm_opts();
   o.threads = 4;
   for (int rep = 0; rep < 4; ++rep) {
     Solver s(o);
@@ -60,20 +58,25 @@ TEST(Accumulation, ParallelCorrectness) {
   }
 }
 
+// Lap 20³ at τ = 1e-4 is a small input on which accumulators reach the
+// flush rank inside Upd tasks (not only at the target's elimination).
 TEST(Accumulation, SmallMaxRankFlushesOften) {
-  const CscMatrix a = sparse::laplacian_3d(9, 9, 9);
-  SolverOptions o = mm_opts(true);
-  o.accumulate_max_rank = 2;  // flush on nearly every append
+  const CscMatrix a = sparse::laplacian_3d(20, 20, 20);
+  SolverOptions o = mm_opts();
+  o.tolerance = 1e-4;
   Solver s(o);
   s.factorize(a);
+  ASSERT_GT(s.stats().num_lowrank_blocks, 0);
   std::vector<real_t> b(static_cast<std::size_t>(a.rows()), 1.0);
   const auto x = s.solve(b);
-  EXPECT_LT(sparse::backward_error(a, x.data(), b.data()), 1e-4);
+  EXPECT_LT(sparse::backward_error(a, x.data(), b.data()), o.tolerance * 500);
 }
 
+// Lap 14³ is the smallest Laplacian here whose accumulators hold pending
+// contributions when their target is eliminated.
 TEST(Accumulation, LeftLookingCombination) {
-  const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
-  SolverOptions o = mm_opts(true);
+  const CscMatrix a = sparse::laplacian_3d(14, 14, 14);
+  SolverOptions o = mm_opts();
   o.scheduling = core::Scheduling::LeftLooking;
   Solver s(o);
   s.factorize(a);
@@ -83,8 +86,8 @@ TEST(Accumulation, LeftLookingCombination) {
 }
 
 TEST(Accumulation, WorkspaceReturnsToZero) {
-  const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
-  Solver s(mm_opts(true));
+  const CscMatrix a = sparse::laplacian_3d(14, 14, 14);
+  Solver s(mm_opts());
   s.factorize(a);
   // All accumulators were flushed at elimination; their workspace bytes are
   // gone once the factorization ends (only the permuted-input copy remains

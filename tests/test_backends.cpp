@@ -839,7 +839,11 @@ struct BackendCase {
   Strategy strategy;
   lr::CompressionKind kind;
   TilePrecision precision;
-  int threads;
+  // threads and facto share one int, so the struct keeps the width and
+  // bytes that are part of its test IDs. Llt runs factor an SPD Laplacian,
+  // the others a convection-diffusion matrix (LU).
+  int threads : 16;
+  Factorization facto : 16 = Factorization::Auto;
 };
 
 SolverOptions backend_opts(const BackendCase& c, la::BackendChoice backend) {
@@ -849,6 +853,7 @@ SolverOptions backend_opts(const BackendCase& c, la::BackendChoice backend) {
   o.precision = c.precision;
   o.backend = backend;
   o.threads = c.threads;
+  o.factorization = c.facto;
   // Small thresholds so the tiny test grids still produce low-rank blocks.
   o.compress_min_width = 16;
   o.compress_min_height = 8;
@@ -867,7 +872,9 @@ TEST_P(BackendBitIdentity, ReferenceVsNative) {
   ::unsetenv("BLR_BACKEND");
 
   const BackendCase c = GetParam();
-  const CscMatrix a = sparse::convection_diffusion_3d(7, 7, 7, 0.5);
+  const CscMatrix a = c.facto == Factorization::Llt
+                           ? sparse::laplacian_3d(7, 7, 7)
+                           : sparse::convection_diffusion_3d(7, 7, 7, 0.5);
 
   Solver ref(backend_opts(c, la::BackendChoice::Reference));
   ref.factorize(a);
@@ -931,20 +938,21 @@ INSTANTIATE_TEST_SUITE_P(
                     TilePrecision::Fp64, 4},
         BackendCase{Strategy::MinimalMemory, lr::CompressionKind::Rrqr,
                     TilePrecision::MixedTiles, 4},
-        BackendCase{Strategy::Adaptive, lr::CompressionKind::Rrqr,
-                    TilePrecision::Fp64, 1},
-        BackendCase{Strategy::Adaptive, lr::CompressionKind::Svd,
-                    TilePrecision::Fp64, 4},
-        BackendCase{Strategy::Adaptive, lr::CompressionKind::Rrqr,
-                    TilePrecision::MixedTiles, 4},
-        BackendCase{Strategy::Adaptive, lr::CompressionKind::Svd,
-                    TilePrecision::MixedTiles, 1}),
+        BackendCase{Strategy::MinimalMemory, lr::CompressionKind::Rrqr,
+                    TilePrecision::Fp64, 1, Factorization::Llt},
+        BackendCase{Strategy::MinimalMemory, lr::CompressionKind::Svd,
+                    TilePrecision::Fp64, 4, Factorization::Llt},
+        BackendCase{Strategy::MinimalMemory, lr::CompressionKind::Rrqr,
+                    TilePrecision::MixedTiles, 4, Factorization::Llt},
+        BackendCase{Strategy::MinimalMemory, lr::CompressionKind::Svd,
+                    TilePrecision::MixedTiles, 1, Factorization::Llt}),
     [](const auto& info) {
-      std::string s = info.param.strategy == Strategy::Dense ? "Dense"
+      // "Adaptive" keeps the test IDs of a deleted strategy; it marks the
+      // Minimal-Memory LLᵗ runs.
+      std::string s = info.param.facto == Factorization::Llt ? "Adaptive"
+                      : info.param.strategy == Strategy::Dense ? "Dense"
                       : info.param.strategy == Strategy::JustInTime ? "JIT"
-                      : info.param.strategy == Strategy::MinimalMemory
-                          ? "MinMem"
-                          : "Adaptive";
+                                                                   : "MinMem";
       s += info.param.kind == lr::CompressionKind::Svd ? "Svd" : "Rrqr";
       s += info.param.precision == TilePrecision::MixedTiles ? "Mixed" : "Fp64";
       // "Dag"/"Barrier" keep the test IDs of the former engine axis; they

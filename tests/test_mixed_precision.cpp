@@ -62,7 +62,10 @@ bool any_fp32_kernel(const std::vector<core::DispatchCount>& dispatch) {
 struct MixedConfig {
   Strategy strategy;
   lr::CompressionKind kind;
-  int threads;
+  // threads and facto share one int, so the struct keeps the width and
+  // bytes that are part of its test IDs.
+  int threads : 16;
+  Factorization facto : 16;
 };
 
 class MixedPrecisionCross : public ::testing::TestWithParam<MixedConfig> {};
@@ -73,6 +76,7 @@ TEST_P(MixedPrecisionCross, BackwardErrorWithinPrecisionModelBound) {
   const real_t tol = 1e-8;
   SolverOptions opts = small_problem_options(cfg.strategy, cfg.kind, tol);
   opts.threads = cfg.threads;
+  opts.factorization = cfg.facto;
   opts.precision = TilePrecision::MixedTiles;
 
   Solver solver(opts);
@@ -100,9 +104,11 @@ std::string mixed_name(const ::testing::TestParamInfo<MixedConfig>& info) {
   switch (c.strategy) {
     case Strategy::MinimalMemory: s += "MinMem"; break;
     case Strategy::JustInTime: s += "JIT"; break;
-    case Strategy::Adaptive: s += "Adaptive"; break;
     case Strategy::Dense: s += "Dense"; break;
   }
+  // "Adaptive" keeps the test IDs of a deleted strategy; it marks the
+  // Minimal-Memory LU runs.
+  if (c.facto == Factorization::Lu) s = "Adaptive";
   s += c.kind == lr::CompressionKind::Svd ? "_SVD" : "_RRQR";
   s += c.threads <= 1 ? "_Seq" : "_WS";
   return s;
@@ -110,12 +116,17 @@ std::string mixed_name(const ::testing::TestParamInfo<MixedConfig>& info) {
 
 std::vector<MixedConfig> mixed_matrix() {
   std::vector<MixedConfig> v;
-  for (const Strategy s :
-       {Strategy::MinimalMemory, Strategy::JustInTime, Strategy::Adaptive}) {
+  for (const auto& [s, f] :
+       {std::pair{Strategy::MinimalMemory, Factorization::Auto},
+        std::pair{Strategy::JustInTime, Factorization::Auto},
+        std::pair{Strategy::MinimalMemory, Factorization::Lu}}) {
     for (const lr::CompressionKind k :
          {lr::CompressionKind::Svd, lr::CompressionKind::Rrqr}) {
-      v.push_back({s, k, 1});
-      v.push_back({s, k, 4});
+      MixedConfig c{s, k, 1, Factorization::Auto};
+      c.facto = f;  // a bit-field: brace-initialized only by constants
+      v.push_back(c);
+      c.threads = 4;
+      v.push_back(c);
     }
   }
   return v;
@@ -168,11 +179,13 @@ struct PrecisionRun {
 };
 
 PrecisionRun precision_run(const CscMatrix& a, Strategy strategy,
-                           TilePrecision precision) {
+                           TilePrecision precision,
+                           Factorization facto = Factorization::Auto) {
   SolverOptions opts =
       small_problem_options(strategy, lr::CompressionKind::Rrqr, 1e-8);
   opts.threads = 1;
   opts.precision = precision;
+  opts.factorization = facto;
   Solver s(opts);
   s.factorize(a);
   PrecisionRun r;
@@ -190,15 +203,21 @@ PrecisionRun precision_run(const CscMatrix& a, Strategy strategy,
 
 TEST(MixedPrecisionMemory, MixedTilesStoresStrictlyFewerFactorsBytes) {
   const CscMatrix a = sparse::laplacian_3d(14, 14, 14);
-  for (const Strategy strategy :
-       {Strategy::MinimalMemory, Strategy::JustInTime, Strategy::Adaptive}) {
-    const PrecisionRun fp64 = precision_run(a, strategy, TilePrecision::Fp64);
+  for (const auto& [strategy, facto] :
+       {std::pair{Strategy::MinimalMemory, Factorization::Auto},
+        std::pair{Strategy::JustInTime, Factorization::Auto},
+        std::pair{Strategy::MinimalMemory, Factorization::Lu}}) {
+    const std::string where =
+        std::string(strategy_name(strategy)) +
+        (facto == Factorization::Lu ? " LU" : "");
+    const PrecisionRun fp64 =
+        precision_run(a, strategy, TilePrecision::Fp64, facto);
     const PrecisionRun mixed =
-        precision_run(a, strategy, TilePrecision::MixedTiles);
-    EXPECT_GT(mixed.fp32_blocks, 0) << strategy_name(strategy);
-    EXPECT_LT(mixed.factor_bytes, fp64.factor_bytes) << strategy_name(strategy);
+        precision_run(a, strategy, TilePrecision::MixedTiles, facto);
+    EXPECT_GT(mixed.fp32_blocks, 0) << where;
+    EXPECT_LT(mixed.factor_bytes, fp64.factor_bytes) << where;
     // Both runs solve the same problem to comparable accuracy.
-    EXPECT_LT(mixed.backward_error, 1e-5) << strategy_name(strategy);
+    EXPECT_LT(mixed.backward_error, 1e-5) << where;
   }
 }
 

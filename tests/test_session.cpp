@@ -70,7 +70,10 @@ CscMatrix step_values(const CscMatrix& a, real_t scale, real_t shift) {
 
 struct SessionConfig {
   Strategy strategy;
-  int threads;
+  // threads and facto share one int, so the struct keeps the width and
+  // bytes that are part of its test IDs.
+  int threads : 16;
+  Factorization facto : 16 = Factorization::Auto;
 };
 
 std::string config_name(const ::testing::TestParamInfo<SessionConfig>& info) {
@@ -78,6 +81,9 @@ std::string config_name(const ::testing::TestParamInfo<SessionConfig>& info) {
   s.erase(std::remove_if(s.begin(), s.end(),
                          [](char c) { return c == ' ' || c == '-'; }),
           s.end());
+  // "Adaptive" keeps the test IDs of a deleted strategy; it marks the
+  // Minimal-Memory LU runs.
+  if (info.param.facto == Factorization::Lu) s = "Adaptive";
   // The suffixes keep the test IDs of the former engine axis: "Dag" marks
   // the parallel runs.
   return s + (info.param.threads > 1 ? "Dag" : "Barrier");
@@ -101,6 +107,7 @@ TEST_P(RefactorizeParity, WarmMatchesColdBitwise) {
   // Bitwise parity is pinned with it off; DenseSkipStaysAccurate covers the
   // default-on behavior.
   opts.warm_dense_skip = false;
+  opts.factorization = cfg.facto;
   const auto b = seeded_rhs(a1.rows(), 1234);
 
   Solver cold(opts);
@@ -143,8 +150,10 @@ INSTANTIATE_TEST_SUITE_P(
                       SessionConfig{Strategy::JustInTime, 4},
                       SessionConfig{Strategy::MinimalMemory, 1},
                       SessionConfig{Strategy::MinimalMemory, 4},
-                      SessionConfig{Strategy::Adaptive, 1},
-                      SessionConfig{Strategy::Adaptive, 4}),
+                      SessionConfig{Strategy::MinimalMemory, 1,
+                                    Factorization::Lu},
+                      SessionConfig{Strategy::MinimalMemory, 4,
+                                    Factorization::Lu}),
     config_name);
 
 // The sketched compression paths (SVD warm-starts via a randomized sketch,
@@ -173,20 +182,21 @@ TEST(RefactorizeAccuracy, SketchedKindsMeetToleranceWarm) {
 TEST(RefactorizeAccuracy, DenseSkipStaysAccurate) {
   const CscMatrix a1 = sparse::laplacian_3d(10, 10, 10);
   const CscMatrix a2 = step_values(a1, 1.5, 0.3);
-  for (const auto strategy : {Strategy::MinimalMemory, Strategy::Adaptive}) {
+  for (const auto facto : {Factorization::Auto, Factorization::Lu}) {
     SolverOptions opts = small_problem_options(
-        strategy, lr::CompressionKind::Rrqr);
+        Strategy::MinimalMemory, lr::CompressionKind::Rrqr);
+    opts.factorization = facto;
     ASSERT_TRUE(opts.warm_dense_skip);  // the default under test
+    const char* where = facto == Factorization::Lu ? "LU" : "LLt";
     Solver warm(opts);
     warm.factorize(a1);
     warm.refactorize(a2);
-    EXPECT_GT(warm.stats().warm.dense_skips, 0u)
-        << core::strategy_name(strategy);
+    EXPECT_GT(warm.stats().warm.dense_skips, 0u) << where;
     const auto b = seeded_rhs(a2.rows(), 7);
     const std::vector<real_t> x = warm.solve(b);
     EXPECT_LT(sparse::backward_error(a2, x.data(), b.data()),
               opts.tolerance * 500)
-        << core::strategy_name(strategy);
+        << where;
   }
 }
 

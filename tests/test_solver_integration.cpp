@@ -169,6 +169,9 @@ TEST(SolverIntegration, MinimalMemoryUsesLessFactorMemoryThanDense) {
   EXPECT_LT(sm.stats().factors_peak_bytes, sd.stats().factors_peak_bytes);
   EXPECT_LT(sm.stats().factor_entries_final, sd.stats().factor_entries_final);
   EXPECT_GT(sm.stats().num_lowrank_blocks, 0);
+  // Dense never compresses: every compressible block ends dense.
+  EXPECT_EQ(sd.stats().dense_block_fraction, 1.0);
+  EXPECT_LT(sm.stats().dense_block_fraction, 1.0);
 }
 
 TEST(SolverIntegration, MultiRhsSolveMatchesSingleRhs) {

@@ -53,25 +53,6 @@ TEST(TileState, RegressionThrows) {
   EXPECT_THROW(c.advance(TileState::Assembled), Error);
 }
 
-TEST(TileState, AssembledRepresentationIsRecorded) {
-  // The flag captures the representation at the first advance to Assembled
-  // and stays stable through later representation changes — policies key
-  // orthonormality requirements off it concurrently with updates.
-  Prng rng(3);
-  const la::DMatrix a = la::random_rank_k<real_t>(20, 20, 2, rng);
-  Tile lr_tile = compress_to_tile(CompressionKind::Rrqr, a.cview(), 1e-10);
-  ASSERT_TRUE(lr_tile.is_lowrank());
-  lr_tile.advance(TileState::Assembled);
-  EXPECT_TRUE(lr_tile.assembled_lowrank());
-  lr_tile.densify();
-  EXPECT_FALSE(lr_tile.is_lowrank());
-  EXPECT_TRUE(lr_tile.assembled_lowrank());
-
-  Tile ge_tile = Tile::make_dense(20, 20);
-  ge_tile.advance(TileState::Assembled);
-  EXPECT_FALSE(ge_tile.assembled_lowrank());
-}
-
 TEST(TileArena, ChargesAndDischargesThroughTracker) {
   auto& tracker = MemoryTracker::instance();
   tracker.reset();
