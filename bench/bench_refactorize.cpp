@@ -145,7 +145,6 @@ int run(bool quick) {
   for (const int threads : {1, 4}) {
     SolverOptions opts = base;
     opts.strategy = Strategy::JustInTime;
-    opts.solve_parallel = threads > 1;
     opts.solve_threads = threads;
     core::Solver solver(opts);
     solver.factorize(a0);

@@ -5,7 +5,6 @@
 /// Reproduction of "Sparse Supernodal Solver Using Block Low-Rank
 /// Compression" (Pichon, Darve, Faverge, Ramet, Roman — PDSEC 2017).
 
-#include "common/kernel_stats.hpp"
 #include "common/memory_tracker.hpp"
 #include "common/prng.hpp"
 #include "common/thread_pool.hpp"

@@ -4,8 +4,6 @@
 #include <exception>
 #include <limits>
 
-#include "common/kernel_stats.hpp"
-
 namespace blr {
 
 namespace {
@@ -141,8 +139,6 @@ ThreadPool::~ThreadPool() {
   // Workers drain every queued task before exiting, so nothing leaks here.
 }
 
-int ThreadPool::current_worker() { return tl_worker; }
-
 void ThreadPool::submit(std::function<void()> task, std::int64_t priority) {
   Task* t = new Task{std::move(task), priority,
                      seq_.fetch_add(1, std::memory_order_relaxed)};
@@ -249,23 +245,20 @@ void ThreadPool::worker_loop(int id) {
       continue;
     }
 
-    // Backoff (counted as scheduler idle time): keep polling while any task
-    // of this pool is queued or running, since a running task can release
-    // successors at any moment; once the pool is idle, poll a few more
-    // rounds and then block. A worker that slept through a narrow stretch
-    // of a task graph would have to be woken when the graph fans out again,
-    // and on a virtual machine that wake waits for the host to reschedule a
-    // halted vCPU, which can take milliseconds (DESIGN.md §7).
-    {
-      KernelTimer idle(Kernel::SchedulerIdle);
-      for (int spin = 0;
-           !t && (spin < kSpinRounds ||
-                  pending_.load(std::memory_order_acquire) > 0);
-           ++spin) {
-        std::this_thread::yield();
-        t = pop_injected();
-        if (!t) t = try_steal(id, me);
-      }
+    // Backoff: keep polling while any task of this pool is queued or
+    // running, since a running task can release successors at any moment;
+    // once the pool is idle, poll a few more rounds and then block. A worker
+    // that slept through a narrow stretch of a task graph would have to be
+    // woken when the graph fans out again, and on a virtual machine that
+    // wake waits for the host to reschedule a halted vCPU, which can take
+    // milliseconds (DESIGN.md §7).
+    for (int spin = 0;
+         !t && (spin < kSpinRounds ||
+                pending_.load(std::memory_order_acquire) > 0);
+         ++spin) {
+      std::this_thread::yield();
+      t = pop_injected();
+      if (!t) t = try_steal(id, me);
     }
     if (t) {
       run_task(t, me);

@@ -84,10 +84,6 @@ public:
   /// in the worker stats.
   index_t parallel_for(index_t n, const std::function<void(index_t)>& f);
 
-  /// Dense worker index of the calling thread in its pool, or -1 when the
-  /// caller is not a pool worker.
-  static int current_worker();
-
   [[nodiscard]] std::vector<WorkerStats> worker_stats() const;
   /// Sum of worker_stats() over all workers.
   [[nodiscard]] WorkerStats total_stats() const;

@@ -284,86 +284,83 @@ KernelDispatch::KernelDispatch() {
   const Prec f32 = Prec::Fp32;
   // Working-precision (fp64) kernels — the original 13.
   register_kernel(KernelOp::Getrf, Rep::Dense, f64, Rep::None, f64,
-                  "getrf[ge]", Kernel::BlockFactorization, k_getrf);
+                  "getrf[ge]", k_getrf);
   register_kernel(KernelOp::Potrf, Rep::Dense, f64, Rep::None, f64,
-                  "potrf[ge]", Kernel::BlockFactorization, k_potrf);
-  register_kernel(KernelOp::Trsm, Rep::Dense, f64, Rep::None, f64, "trsm[ge]",
-                  Kernel::PanelSolve, k_trsm_dense);
+                  "potrf[ge]", k_potrf);
+  register_kernel(KernelOp::Trsm, Rep::Dense, f64, Rep::None, f64,
+                  "trsm[ge]", k_trsm_dense);
   register_kernel(KernelOp::Trsm, Rep::LowRank, f64, Rep::None, f64,
-                  "trsm[lr]", Kernel::PanelSolve, k_trsm_lowrank);
+                  "trsm[lr]", k_trsm_lowrank);
   register_kernel(KernelOp::Gemm, Rep::Dense, f64, Rep::Dense, f64,
-                  "gemm[ge,ge]", Kernel::DenseUpdate, k_gemm_dense);
+                  "gemm[ge,ge]", k_gemm_dense);
   register_kernel(KernelOp::Gemm, Rep::LowRank, f64, Rep::Dense, f64,
-                  "gemm[lr,ge]", Kernel::LrProduct, k_gemm_lr);
+                  "gemm[lr,ge]", k_gemm_lr);
   register_kernel(KernelOp::Gemm, Rep::Dense, f64, Rep::LowRank, f64,
-                  "gemm[ge,lr]", Kernel::LrProduct, k_gemm_lr);
+                  "gemm[ge,lr]", k_gemm_lr);
   register_kernel(KernelOp::Gemm, Rep::LowRank, f64, Rep::LowRank, f64,
-                  "gemm[lr,lr]", Kernel::LrProduct, k_gemm_lr);
+                  "gemm[lr,lr]", k_gemm_lr);
   register_kernel(KernelOp::Lr2Lr, Rep::Dense, f64, Rep::None, f64,
-                  "lr2lr[ge]", Kernel::LrAddition, k_lr2lr);
+                  "lr2lr[ge]", k_lr2lr);
   register_kernel(KernelOp::Lr2Lr, Rep::LowRank, f64, Rep::None, f64,
-                  "lr2lr[lr]", Kernel::LrAddition, k_lr2lr);
+                  "lr2lr[lr]", k_lr2lr);
   register_kernel(KernelOp::Lr2Ge, Rep::Dense, f64, Rep::None, f64,
-                  "lr2ge[ge]", Kernel::DenseUpdate, k_lr2ge);
+                  "lr2ge[ge]", k_lr2ge);
   register_kernel(KernelOp::Lr2Ge, Rep::LowRank, f64, Rep::None, f64,
-                  "lr2ge[lr]", Kernel::DenseUpdate, k_lr2ge);
+                  "lr2ge[lr]", k_lr2ge);
   register_kernel(KernelOp::Compress, Rep::Dense, f64, Rep::None, f64,
-                  "compress[ge]", Kernel::Compression, k_compress);
-  // Triangular-solve kernels (DESIGN.md §16). All charge the Kernel::Solve
-  // stats row — the row the monolithic sweep used to time as one block — so
-  // Table 2 totals keep their meaning. The lr32 key runs the same fp64 math
-  // as lr: its operands are the widen-cache copies, the key only separates
-  // the counter rows per at-rest precision.
+                  "compress[ge]", k_compress);
+  // Triangular-solve kernels (DESIGN.md §16). Their rows all start with
+  // `solve_`, which is how readers of the counters keep solve time out of
+  // factorization totals. The lr32 key runs the same fp64 math as lr: its
+  // operands are the widen-cache copies, the key only separates the counter
+  // rows per at-rest precision.
   register_kernel(KernelOp::SolveTrsm, Rep::Dense, f64, Rep::None, f64,
-                  "solve_trsm[ge]", Kernel::Solve, k_solve_trsm);
+                  "solve_trsm[ge]", k_solve_trsm);
   register_kernel(KernelOp::SolveGemm, Rep::Dense, f64, Rep::None, f64,
-                  "solve_gemm[ge]", Kernel::Solve, k_solve_gemm_dense);
+                  "solve_gemm[ge]", k_solve_gemm_dense);
   register_kernel(KernelOp::SolveGemm, Rep::LowRank, f64, Rep::None, f64,
-                  "solve_gemm[lr]", Kernel::Solve, k_solve_gemm_lr);
+                  "solve_gemm[lr]", k_solve_gemm_lr);
   register_kernel(KernelOp::SolveGemm, Rep::LowRank, f32, Rep::None, f64,
-                  "solve_gemm[lr32]", Kernel::Solve, k_solve_gemm_lr);
+                  "solve_gemm[lr32]", k_solve_gemm_lr);
   // Mixed-precision promotion wrappers. Dense tiles are never fp32, so only
   // low-rank operand slots get Fp32 keys; the None slot of trsm/lr2lr
   // carries the target tile's precision instead.
   register_kernel(KernelOp::Trsm, Rep::LowRank, f32, Rep::None, f64,
-                  "trsm[lr32]", Kernel::PanelSolve, k_trsm_lr32);
+                  "trsm[lr32]", k_trsm_lr32);
   register_kernel(KernelOp::Gemm, Rep::LowRank, f32, Rep::Dense, f64,
-                  "gemm[lr32,ge]", Kernel::LrProduct, k_gemm_promote);
+                  "gemm[lr32,ge]", k_gemm_promote);
   register_kernel(KernelOp::Gemm, Rep::Dense, f64, Rep::LowRank, f32,
-                  "gemm[ge,lr32]", Kernel::LrProduct, k_gemm_promote);
+                  "gemm[ge,lr32]", k_gemm_promote);
   register_kernel(KernelOp::Gemm, Rep::LowRank, f32, Rep::LowRank, f64,
-                  "gemm[lr32,lr]", Kernel::LrProduct, k_gemm_promote);
+                  "gemm[lr32,lr]", k_gemm_promote);
   register_kernel(KernelOp::Gemm, Rep::LowRank, f64, Rep::LowRank, f32,
-                  "gemm[lr,lr32]", Kernel::LrProduct, k_gemm_promote);
+                  "gemm[lr,lr32]", k_gemm_promote);
   register_kernel(KernelOp::Gemm, Rep::LowRank, f32, Rep::LowRank, f32,
-                  "gemm[lr32,lr32]", Kernel::LrProduct, k_gemm_promote);
+                  "gemm[lr32,lr32]", k_gemm_promote);
   register_kernel(KernelOp::Lr2Lr, Rep::Dense, f64, Rep::None, f32,
-                  "lr2lr[ge,c32]", Kernel::LrAddition, k_lr2lr_c32);
+                  "lr2lr[ge,c32]", k_lr2lr_c32);
   register_kernel(KernelOp::Lr2Lr, Rep::LowRank, f64, Rep::None, f32,
-                  "lr2lr[lr,c32]", Kernel::LrAddition, k_lr2lr_c32);
+                  "lr2lr[lr,c32]", k_lr2lr_c32);
 }
 
 void KernelDispatch::register_kernel(KernelOp op, Rep a, Prec pa, Rep b,
-                                     Prec pb, const char* name, Kernel timer,
-                                     KernelFn fn) {
+                                     Prec pb, const char* name, KernelFn fn) {
   // Backend-agnostic kernel: the same function serves every backend (its
   // la:: calls dispatch per-backend one layer down), but each backend keeps
   // its own counter row so A/B runs report separately.
   for (int be = 0; be < kBackends; ++be) {
     register_kernel_for(static_cast<la::Backend>(be), op, a, pa, b, pb, name,
-                        timer, fn);
+                        fn);
   }
 }
 
 void KernelDispatch::register_kernel_for(la::Backend backend, KernelOp op,
                                          Rep a, Prec pa, Rep b, Prec pb,
-                                         const char* name, Kernel timer,
-                                         KernelFn fn) {
+                                         const char* name, KernelFn fn) {
   Entry& e = at(backend, op, a, pa, b, pb);
   if (e.fn == nullptr) order_.push_back(&e);
   e.name = name;
   e.backend = backend;
-  e.timer = timer;
   e.fn = fn;
 }
 
@@ -387,7 +384,6 @@ void KernelDispatch::run(KernelOp op, Rep a, Prec pa, Rep b, Prec pb,
           std::chrono::steady_clock::now() - t0)
           .count());
   e.nanos.fetch_add(ns, std::memory_order_relaxed);
-  KernelStats::instance().add(e.timer, ns);
 }
 
 std::vector<DispatchCount> KernelDispatch::snapshot() const {

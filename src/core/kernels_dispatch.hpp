@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "common/kernel_stats.hpp"
 #include "core/stats.hpp"
 #include "linalg/backend.hpp"
 #include "linalg/blas.hpp"
@@ -101,12 +100,14 @@ using KernelFn = void (*)(KernelCtx&);
 
 /// Registry of numeric kernels keyed on (backend, operation, repA, precA,
 /// repB, precB). Every call is counted (invocations, operand bytes touched,
-/// wall time), timed into the existing KernelStats rows, and routed to the
-/// registered function — so a new kernel (another precision, another
-/// compression family) plugs in with register_kernel() and the driver loop
-/// never changes. The fp32 keys are exactly such a plug-in: promotion
-/// wrappers registered alongside the fp64 kernels, giving per-precision
-/// call/byte counters for free in snapshot().
+/// wall time) in its own entry and routed to the registered function — so a
+/// new kernel (another precision, another compression family) plugs in with
+/// register_kernel() and the driver loop never changes. The fp32 keys are
+/// exactly such a plug-in: promotion wrappers registered alongside the fp64
+/// kernels, giving per-precision call/byte counters for free in snapshot().
+/// These counters are the library's only kernel clock: SolverStats::dispatch
+/// exports them, and the benches group their rows by kernel-name prefix
+/// (Table 2's classes, bench/e2e's layers).
 ///
 /// The backend axis mirrors la::Backend: run() reads
 /// la::current_backend() per call, so the same factorization driver reports
@@ -120,15 +121,13 @@ class KernelDispatch {
 public:
   static KernelDispatch& instance();
 
-  /// Install (or replace) the kernel for a key under EVERY backend. `timer`
-  /// selects the KernelStats row the call time is charged to.
+  /// Install (or replace) the kernel for a key under EVERY backend.
   void register_kernel(KernelOp op, Rep a, Prec pa, Rep b, Prec pb,
-                       const char* name, Kernel timer, KernelFn fn);
+                       const char* name, KernelFn fn);
 
   /// Install (or replace) the kernel for a key under one backend only.
   void register_kernel_for(la::Backend backend, KernelOp op, Rep a, Prec pa,
-                           Rep b, Prec pb, const char* name, Kernel timer,
-                           KernelFn fn);
+                           Rep b, Prec pb, const char* name, KernelFn fn);
 
   /// True when a kernel is registered for the key under `backend` (the
   /// dispatch-table completeness check in tests/test_backends.cpp).
@@ -156,7 +155,6 @@ private:
   struct Entry {
     const char* name = nullptr;
     la::Backend backend = la::Backend::Reference;  ///< table slice this entry lives in
-    Kernel timer = Kernel::DenseUpdate;
     KernelFn fn = nullptr;
     std::atomic<std::uint64_t> calls{0};
     std::atomic<std::uint64_t> bytes{0};

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "common/kernel_stats.hpp"
 #include "core/kernels_dispatch.hpp"
 
 namespace blr::core {
@@ -111,14 +110,12 @@ NumericFactor::NumericFactor(const sparse::CscMatrix& a,
   pctx_.kind = opts_.kind;
   pctx_.tolerance = opts_.tolerance;
   pctx_.precision = opts_.precision;
-  pctx_.mixed_rank_threshold = opts_.mixed_rank_threshold;
   pctx_.compression_site = [this](index_t k) { maybe_fail_compression(k); };
   // Warm-start wiring (re-factorization only; empty on cold runs).
-  pctx_.warm = opts_.warm_start ? reuse_.ranks : nullptr;
+  pctx_.warm = reuse_.ranks;
   pctx_.warm_slack = opts_.warm_rank_slack;
   pctx_.warm_dense_skip = opts_.warm_dense_skip;
   pctx_.warm_counters = &warm_counters_;
-  if (!opts_.reuse_buffers) reuse_.buffers = nullptr;
   iperm_.resize(ord_.perm.size());
   for (std::size_t i = 0; i < ord_.perm.size(); ++i)
     iperm_[static_cast<std::size_t>(ord_.perm[i])] = static_cast<index_t>(i);
@@ -147,7 +144,7 @@ FailureReport NumericFactor::make_report(FailureKind kind, index_t supernode,
   r.compression = kind_name(opts_.kind);
   r.factorization = llt_ ? "LLt" : "LU";
   r.tolerance = static_cast<double>(opts_.tolerance);
-  r.elapsed_seconds = trace_clock_.elapsed();
+  r.elapsed_seconds = run_clock_.elapsed();
   r.detail = std::move(detail);
   return r;
 }
@@ -176,7 +173,7 @@ void NumericFactor::stamp_resource(ResourceReport& r, index_t k) const {
   if (r.supernode < 0) r.supernode = k;
   if (r.elapsed_seconds == 0) {
     r.elapsed_seconds =
-        gov_ != nullptr ? gov_->elapsed_seconds() : trace_clock_.elapsed();
+        gov_ != nullptr ? gov_->elapsed_seconds() : run_clock_.elapsed();
   }
 }
 
@@ -228,7 +225,7 @@ void NumericFactor::maybe_inject_alloc_fail(index_t k) const {
   r.supernode = k;
   r.injected = true;
   r.elapsed_seconds =
-      gov_ != nullptr ? gov_->elapsed_seconds() : trace_clock_.elapsed();
+      gov_ != nullptr ? gov_->elapsed_seconds() : run_clock_.elapsed();
   r.detail = "injected allocation failure at supernode assembly";
   throw ResourceError(r.to_string(), std::move(r));
 }
@@ -438,8 +435,7 @@ void NumericFactor::factorize(ThreadPool* pool) {
     resource_failed_ = false;
     resource_report_ = ResourceReport{};
   }
-  trace_.clear();
-  trace_clock_.reset();
+  run_clock_.reset();
 
   BLR_CHECK(reuse_.dag != nullptr, "factorize() needs the task graph");
   const TaskGraph& g = *reuse_.dag;
@@ -525,19 +521,11 @@ bool NumericFactor::run_task(const TaskGraph& g, std::uint32_t id) {
 }
 
 void NumericFactor::run_elim(index_t k) {
-  const double t0 = opts_.collect_trace ? trace_clock_.elapsed() : 0.0;
   const auto addr = static_cast<std::uint64_t>(k);
   epochs_.expect(addr, EpochGate::kAssembled);
   factor_panel(k);
   if (!data_[static_cast<std::size_t>(k)].eliminated) return;  // sibling failed
   epochs_.advance(addr, EpochGate::kAssembled, EpochGate::kFactored);
-  if (opts_.collect_trace) {
-    const double t1 = trace_clock_.elapsed();
-    const int wid = ThreadPool::current_worker();
-    const std::size_t worker = wid >= 0 ? static_cast<std::size_t>(wid) : 0;
-    std::lock_guard lock(trace_mutex_);
-    trace_.push_back({k, worker, t0, t1});
-  }
 }
 
 void NumericFactor::run_update(const DagTask& u) {
@@ -905,7 +893,6 @@ void NumericFactor::finish_update(const UpdateLoc& loc, const lr::Tile& p) {
     // the contribution at once instead: LR2LR adopts the factors of a
     // contribution to an empty block as they are, and an accumulated
     // U = [U_1, ..., U_k] is not orthonormal.
-    KernelTimer t(Kernel::LrAddition);
     la::DConstView pu = loc.transpose ? p.lr().v.cview() : p.lr().u.cview();
     la::DConstView pv = loc.transpose ? p.lr().u.cview() : p.lr().v.cview();
     lr::Tile& acc = (loc.target_upper

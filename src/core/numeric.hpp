@@ -63,16 +63,6 @@ struct UpdateLoc {
   bool target_upper = false; ///< lands in the U panel (LU only)
 };
 
-/// One Elim task execution record (Gantt row) of the factorization: the
-/// supernode's panel factorization, compression and TRSM. The trace keeps
-/// exactly one event per supernode (Upd tasks are not traced).
-struct TraceEvent {
-  index_t cblk;
-  std::size_t worker;  ///< dense pool worker index (0 for sequential runs)
-  double start;        ///< seconds since factorize() began
-  double end;
-};
-
 /// State a numeric pass replays over the same SymbolicPlan (DESIGN.md §15).
 /// `dag` is the factorization task graph (required; the Solver builds it
 /// once per plan). The other two are optional and cost-only: ranks
@@ -103,6 +93,12 @@ struct SolveEngine {
 /// thread even when a solve pool is attached: the pool's hand-offs cost more
 /// than the parallel drain saves (DESIGN.md §16).
 inline constexpr double kSolvePoolFlops = 2e5;
+
+/// Largest number of queued single-RHS solve requests a Session coalesces
+/// into one blocked multi-RHS solve (DESIGN.md §15). Each column of the
+/// blocked solve is bit-identical to the corresponding single-RHS solve,
+/// so coalescing never changes results.
+inline constexpr index_t kSessionMaxBatch = 128;
 
 /// What one solve call actually did (optional out-param of
 /// NumericFactor::solve / solve_permuted; feeds SolvePhaseStats and the
@@ -221,9 +217,6 @@ public:
   [[nodiscard]] std::uint64_t panel_solve_flops() const {
     return panel_flops_.load(std::memory_order_relaxed);
   }
-
-  /// Elimination schedule trace (empty unless options.collect_trace).
-  [[nodiscard]] const std::vector<TraceEvent>& trace() const { return trace_; }
 
   /// Counters of the task-graph run (filled by every factorize()).
   struct DagStats {
@@ -401,9 +394,7 @@ private:
   std::atomic<std::uint64_t> panel_flops_{0};   // dense panel TRSM flops
   std::atomic<std::uint64_t> fanout_panels_{0};  // Elim tasks that fanned out
   std::atomic<std::uint64_t> pool_helpers_{0};   // parallel_for helper tasks
-  std::vector<TraceEvent> trace_;
-  std::mutex trace_mutex_;
-  Timer trace_clock_;
+  Timer run_clock_;  // since factorize() began; failure reports read it
   ResourceGovernor* gov_ = nullptr;   // null: ungoverned run
   std::atomic<bool> failed_{false};
   std::string error_;

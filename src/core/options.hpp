@@ -208,17 +208,13 @@ struct SolverOptions {
   /// nested dissection, whose plan is identical at every count.
   int threads = 1;
 
-  /// Parallel triangular-solve phase (default on; DESIGN.md §16). Solves
-  /// drain the cached SolvePlan DAG over a dedicated solve pool and are
-  /// memcmp-identical to the sequential drain at every thread count and
-  /// RHS width. Only takes effect when the effective solve thread count
-  /// (below) is > 1 and the solve has enough work (core::kSolvePoolFlops;
-  /// smaller ones drain on the calling thread); concurrent solve() calls
-  /// beyond the first drain the same plan on their own thread rather than
-  /// queueing.
-  bool solve_parallel = true;
-
   /// Worker threads for the solve phase; 0 (default) inherits `threads`.
+  /// When the effective count is > 1, solves drain the cached SolvePlan DAG
+  /// over a dedicated solve pool (DESIGN.md §16), memcmp-identical to the
+  /// sequential drain at every thread count and RHS width; 1 solves on the
+  /// calling thread. Solves with little work (core::kSolvePoolFlops) drain
+  /// on the calling thread anyway, and concurrent solve() calls beyond the
+  /// first drain the same plan on their own thread rather than queueing.
   /// The solve pool is separate from the factorization pool, so a Session
   /// can serve parallel solves while a refactorize() runs on the other
   /// pool. Read at Solver construction.
@@ -235,13 +231,6 @@ struct SolverOptions {
   /// both compressing strategies (JustInTime, MinimalMemory); ignored by
   /// Dense.
   TilePrecision precision = TilePrecision::Fp64;
-
-  /// Demotion rank cap under MixedTiles: a low-rank tile demotes to fp32
-  /// only when its rank is at most this; < 0 (default) demotes every
-  /// low-rank tile. Lets callers keep the heaviest (highest-rank) factors
-  /// in fp64 while the long tail of small tiles takes the memory win.
-  /// Ignored when precision == Fp64.
-  index_t mixed_rank_threshold = -1;
 
   /// Kernel backend for the la:: BLAS layer (default Auto; DESIGN.md §14).
   /// Auto resolves through CPUID to the Native backend's best compiled-in
@@ -273,10 +262,6 @@ struct SolverOptions {
   /// of aborting, and the replacement count lands in the stats. 0 disables
   /// (a tiny pivot then throws NumericalError).
   real_t pivot_threshold = 0.0;
-
-  /// Record one (supernode, worker, start, end) event per elimination;
-  /// retrieve with Solver::trace() / write_trace_csv(). Cheap but not free.
-  bool collect_trace = false;
 
   /// Verify in analyze() that the nonzero pattern is symmetric (the
   /// solver's structural requirement, paper §1). One O(nnz) pass; disable
@@ -314,35 +299,19 @@ struct SolverOptions {
   /// (disabled by default).
   RecoveryPolicy recovery;
 
-  /// Seed each re-factorization compression with the rank the previous
-  /// numeric pass learned for the same block (DESIGN.md §15). Warm guesses
-  /// are verify-and-grow: every warm path still checks the τ bound and
-  /// falls back to the full-cap search when the guess is too small, so the
-  /// accuracy contract is identical to a cold factorize(). Read by
-  /// refactorize(); cold factorize() calls never use hints.
-  bool warm_start = true;
-
-  /// Headroom added to each replayed rank guess before capping, absorbing
-  /// small rank growth between passes without triggering the grow fallback.
+  /// Headroom added to each rank guess refactorize() replays (DESIGN.md
+  /// §15), absorbing small rank growth between passes without triggering
+  /// the grow fallback. refactorize() always seeds each compression with
+  /// the rank the previous pass learned for the same block; the guesses are
+  /// verify-and-grow (the τ bound is still checked, and a too-small guess
+  /// falls back to the full-cap search), so the accuracy contract is that
+  /// of a cold factorize(). Cold factorize() calls never use guesses.
   index_t warm_rank_slack = 8;
 
   /// Skip the compression attempt on blocks the previous pass proved dense
   /// (dense storage is exact, so skipping cannot change the answer). Read
-  /// by refactorize() when `warm_start` is set.
+  /// by refactorize().
   bool warm_dense_skip = true;
-
-  /// Recycle retired factor buffers through a per-solver pool across
-  /// refactorize() calls instead of freeing and re-allocating them. Fixed
-  /// patterns request the same block sizes every pass, so steady-state
-  /// passes allocate almost nothing. Pooled bytes stay visible to the
-  /// MemoryTracker (and any governor budget) as workspace.
-  bool reuse_buffers = true;
-
-  /// Largest number of queued single-RHS solve requests a Session coalesces
-  /// into one blocked multi-RHS solve (DESIGN.md §15). Each column of the
-  /// blocked solve is bit-identical to the corresponding single-RHS solve,
-  /// so coalescing never changes results.
-  index_t session_max_batch = 128;
 };
 
 const char* strategy_name(Strategy s);

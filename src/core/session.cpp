@@ -40,7 +40,7 @@ void Session::refactorize(const sparse::CscMatrix& a) {
   // when nothing else (an in-flight blocked solve, the worker itself)
   // still holds them; donation destroys the factors in place. When a solve
   // still holds the snapshot, the storage is simply freed once it drops it.
-  if (old && old.use_count() == 1 && opts_.reuse_buffers) {
+  if (old && old.use_count() == 1) {
     old->donate_buffers(worker_.buffer_pool());
   }
 }
@@ -96,8 +96,7 @@ SolveStats Session::solve(const std::vector<real_t>& b, std::vector<real_t>& x) 
 
 void Session::flush_batch(std::unique_lock<std::mutex>& lk) {
   flushing_ = true;
-  const std::size_t cap = static_cast<std::size_t>(
-      std::max<index_t>(1, opts_.session_max_batch));
+  const auto cap = static_cast<std::size_t>(kSessionMaxBatch);
   std::vector<Request*> batch;
   while (!queue_.empty() && batch.size() < cap) {
     batch.push_back(queue_.front());

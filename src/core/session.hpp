@@ -28,7 +28,7 @@ namespace blr::core {
 ///
 /// Concurrency contract:
 ///  - solve() may be called from any number of threads. Requests queue up
-///    and are coalesced — up to SolverOptions::session_max_batch at a time —
+///    and are coalesced — up to core::kSessionMaxBatch at a time —
 ///    into one blocked multi-RHS solve. Each coalesced column is
 ///    bit-identical to the single-RHS solve of that request alone, so
 ///    batching never changes results.

@@ -1,7 +1,6 @@
 #include "core/solver.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
 
 #include "common/error.hpp"
@@ -113,7 +112,7 @@ Solver::Solver(SolverOptions opts) : opts_(opts) {
   // wait_idle-based quiescence cannot be shared with a concurrent
   // refactorize, and sessions overlap exactly those two phases.
   const int st = opts_.solve_threads > 0 ? opts_.solve_threads : opts_.threads;
-  if (opts_.solve_parallel && st > 1) {
+  if (st > 1) {
     solve_engine_ = std::make_shared<SolveEngine>(st);
   }
 }
@@ -163,7 +162,7 @@ void Solver::refactorize(const sparse::CscMatrix& a) {
   // Retire the previous factors' storage into the pool — but only when this
   // solver holds the last reference (a Session may still be serving them;
   // donation destroys the factors in place).
-  if (num_ && num_.use_count() == 1 && opts_.reuse_buffers) {
+  if (num_ && num_.use_count() == 1) {
     num_->donate_buffers(buffers_);
   }
   factorize_impl(a, /*warm=*/true);
@@ -309,8 +308,8 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
     // (one graph serves LLᵗ and LU, so a ladder flip reuses it too).
     NumericFactor::Reuse reuse;
     if (warm) {
-      if (opts_.warm_start && ranks_.valid) reuse.ranks = &ranks_;
-      if (opts_.reuse_buffers) reuse.buffers = &buffers_;
+      if (ranks_.valid) reuse.ranks = &ranks_;
+      reuse.buffers = &buffers_;
     }
     if (!dag_cache_) {
       dag_cache_ = std::make_unique<TaskGraph>(TaskGraph::build(plan_->sf));
@@ -499,22 +498,6 @@ Preconditioner Solver::preconditioner() const {
   return [num](const real_t* in, real_t* out) { num->solve(in, out); };
 }
 
-const std::vector<TraceEvent>& Solver::trace() const {
-  BLR_CHECK(factorized(), "factorize() must be called before trace()");
-  return num_->trace();
-}
-
-void Solver::write_trace_csv(const std::string& path) const {
-  const auto& events = trace();
-  std::ofstream out(path);
-  BLR_CHECK(out.good(), "cannot open trace file: " + path);
-  out << "cblk,worker,start_s,end_s\n";
-  out.precision(9);
-  for (const auto& e : events) {
-    out << e.cblk << ',' << e.worker << ',' << e.start << ',' << e.end << '\n';
-  }
-}
-
 void Solver::print_summary(std::ostream& os) const {
   os << "BLR solver summary\n"
      << "  strategy      : " << strategy_name(opts_.strategy) << " / "
@@ -523,12 +506,7 @@ void Solver::print_summary(std::ostream& os) const {
      << (opts_.scheduling == Scheduling::LeftLooking ? "left-looking"
                                                      : "right-looking")
      << ", threads = " << opts_.threads << "\n"
-     << "  precision     : " << precision_name(opts_.precision);
-  if (opts_.precision == TilePrecision::MixedTiles &&
-      opts_.mixed_rank_threshold >= 0) {
-    os << " (rank cap " << opts_.mixed_rank_threshold << ")";
-  }
-  os << "\n"
+     << "  precision     : " << precision_name(opts_.precision) << "\n"
      << "  backend       : " << la::backend_choice_name(opts_.backend);
   if (!stats_.backend.empty()) {
     os << " -> " << stats_.backend;

@@ -56,8 +56,8 @@ public:
 
   /// Numeric phase: assembly (+ initial compression for Minimal-Memory) and
   /// the block factorization under the configured strategy. Under
-  /// TilePrecision::MixedTiles, low-rank factors below the demotion rank cap
-  /// are stored in fp32 between kernels (DESIGN.md §10). A cold pass: any
+  /// TilePrecision::MixedTiles, low-rank factors are stored in fp32 between
+  /// kernels (DESIGN.md §10). A cold pass: any
   /// warm state (learned ranks, pooled buffers, cached task graph) from
   /// previous passes is discarded first.
   void factorize(const sparse::CscMatrix& a);
@@ -93,14 +93,8 @@ public:
   /// structure, per-phase times, memory, compression).
   void print_summary(std::ostream& os) const;
 
-  /// Elimination schedule of the last factorize() (needs
-  /// options.collect_trace). One row per supernode: cblk, worker, start, end.
-  [[nodiscard]] const std::vector<TraceEvent>& trace() const;
-  void write_trace_csv(const std::string& path) const;
-
   /// Per-worker scheduler counters accumulated by the last factorize()
-  /// (empty for sequential solvers). Index = the worker id TraceEvent rows
-  /// report.
+  /// (empty for sequential solvers), indexed by pool worker id.
   [[nodiscard]] std::vector<ThreadPool::WorkerStats> worker_stats() const {
     return pool_ ? pool_->worker_stats() : std::vector<ThreadPool::WorkerStats>{};
   }
@@ -156,7 +150,7 @@ private:
   std::unique_ptr<ThreadPool> pool_;
   /// Dedicated solve-phase pool + its one-drain-at-a-time lock, shared with
   /// every NumericFactor this solver produces (DESIGN.md §16). Null when
-  /// solve_parallel is off or the effective solve thread count is 1.
+  /// the effective solve thread count is 1.
   std::shared_ptr<SolveEngine> solve_engine_;
   std::shared_ptr<const SymbolicPlan> plan_;
   std::shared_ptr<NumericFactor> num_;

@@ -198,7 +198,7 @@ struct SolverStats {
   std::uint64_t refactorizations = 0;
 
   /// Warm-start counters of the last successful numeric pass (all zero for
-  /// cold factorizations or when SolverOptions::warm_start is off).
+  /// cold factorizations).
   WarmStartStats warm;
 
   /// Solve-phase breakdown accumulated across every solve since analyze()
@@ -208,7 +208,7 @@ struct SolverStats {
 
   /// Buffer-pool counters accumulated since the last cold factorize():
   /// acquisitions served from recycled factor storage vs. fresh allocations
-  /// (both zero when SolverOptions::reuse_buffers is off or on cold passes).
+  /// (both zero on cold passes).
   std::uint64_t buffer_hits = 0;
   std::uint64_t buffer_misses = 0;
 

@@ -7,13 +7,10 @@ namespace blr::core {
 namespace {
 
 /// DESIGN.md §10: round a freshly compressed tile's U/V factors to fp32
-/// at-rest storage when mixed precision is on and the rank is under the
-/// cap. Every compression site (assembly or elimination, all strategies)
+/// at-rest storage when mixed precision is on. Every compression site (assembly or elimination, all strategies)
 /// funnels through this, so the demotion decision lives in one place.
 void maybe_demote(lr::Tile& t, const PolicyContext& ctx) {
   if (ctx.precision != TilePrecision::MixedTiles || !t.is_lowrank()) return;
-  if (ctx.mixed_rank_threshold >= 0 && t.rank() > ctx.mixed_rank_threshold)
-    return;
   t.demote_lowrank();
 }
 

@@ -24,10 +24,9 @@ struct PolicyContext {
   lr::CompressionKind kind = lr::CompressionKind::Rrqr;
   real_t tolerance = 0;
   /// Mixed-precision storage mode: when MixedTiles, every policy demotes
-  /// freshly compressed low-rank factors under the rank cap to fp32
-  /// (DESIGN.md §10). Dense tiles are never demoted.
+  /// freshly compressed low-rank factors to fp32 (DESIGN.md §10). Dense
+  /// tiles are never demoted.
   TilePrecision precision = TilePrecision::Fp64;
-  index_t mixed_rank_threshold = -1;  ///< demotion rank cap (< 0: no cap)
   /// Called once per compression site with the supernode index; may throw
   /// (deterministic CompressionFail injection).
   std::function<void(index_t)> compression_site;

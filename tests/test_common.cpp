@@ -1,5 +1,5 @@
 // Tests of the runtime substrate: PRNG, memory tracker, thread pool,
-// kernel-time statistics.
+// timer.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <cmath>
 #include <set>
 
-#include "common/kernel_stats.hpp"
 #include "common/memory_tracker.hpp"
 #include "common/prng.hpp"
 #include "common/thread_pool.hpp"
@@ -131,28 +130,6 @@ TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
   ThreadPool pool(2);
   pool.wait_idle();  // must not deadlock
   SUCCEED();
-}
-
-TEST(KernelStats, AccumulatesAndResets) {
-  auto& s = KernelStats::instance();
-  s.reset();
-  s.add(Kernel::Compression, 2'000'000'000ull);
-  s.add(Kernel::DenseUpdate, 500'000'000ull);
-  EXPECT_NEAR(s.seconds(Kernel::Compression), 2.0, 1e-9);
-  EXPECT_NEAR(s.total_seconds(), 2.5, 1e-9);
-  s.add(Kernel::Solve, 1'000'000'000ull);
-  EXPECT_NEAR(s.total_seconds(), 2.5, 1e-9);  // Solve excluded from facto total
-  s.reset();
-  EXPECT_EQ(s.total_seconds(), 0.0);
-}
-
-TEST(KernelStats, TimerScopesAdd) {
-  auto& s = KernelStats::instance();
-  s.reset();
-  {
-    KernelTimer t(Kernel::PanelSolve);
-  }
-  EXPECT_GE(s.seconds(Kernel::PanelSolve), 0.0);
 }
 
 TEST(Timer, MeasuresElapsed) {

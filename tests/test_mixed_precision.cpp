@@ -265,25 +265,4 @@ TEST(MixedPrecisionRefinement, MixedTilesPreconditionerReachesTarget) {
   EXPECT_LT(res.final_error(), 1e-10);
 }
 
-TEST(MixedPrecisionRankThreshold, CapLimitsDemotionToSmallRanks) {
-  const CscMatrix a = sparse::laplacian_3d(12, 12, 12);
-  SolverOptions opts = small_problem_options(Strategy::MinimalMemory,
-                                             lr::CompressionKind::Rrqr, 1e-8);
-  opts.threads = 1;
-  opts.precision = TilePrecision::MixedTiles;
-
-  Solver unlimited(opts);
-  unlimited.factorize(a);
-
-  opts.mixed_rank_threshold = 4;  // only near-trivial ranks may demote
-  Solver capped(opts);
-  capped.factorize(a);
-
-  // A tight cap demotes no more blocks than the unlimited default, and the
-  // capped run keeps more bytes in fp64.
-  EXPECT_LE(capped.stats().num_fp32_blocks, unlimited.stats().num_fp32_blocks);
-  EXPECT_GE(capped.stats().factor_bytes_final,
-            unlimited.stats().factor_bytes_final);
-}
-
 } // namespace

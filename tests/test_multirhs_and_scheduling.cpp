@@ -5,8 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <map>
 
 #include "blr.hpp"
 
@@ -177,119 +175,50 @@ TEST(Stats, PhaseTimesArePopulated) {
   EXPECT_GT(solver.stats().compression_ratio(), 0.5);
 }
 
-TEST(Trace, RecordsOneEventPerSupernode) {
+// Every task of the factorization graph runs exactly once: each supernode
+// is eliminated once even though its updates run as separate Upd tasks, and
+// the pool runs nothing beyond the graph's tasks and the fan-out helpers.
+void expect_every_task_once(const SolverOptions& o) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
-  SolverOptions o = demo_opts(Strategy::JustInTime);
-  o.collect_trace = true;
-  o.threads = 4;
   Solver solver(o);
   solver.factorize(a);
-  const auto& tr = solver.trace();
-  EXPECT_EQ(static_cast<index_t>(tr.size()), solver.stats().num_cblks);
-  std::vector<char> seen(static_cast<std::size_t>(solver.stats().num_cblks), 0);
-  for (const auto& e : tr) {
-    EXPECT_GE(e.end, e.start);
-    EXPECT_GE(e.start, 0.0);
-    EXPECT_FALSE(seen[static_cast<std::size_t>(e.cblk)]) << "duplicate " << e.cblk;
-    seen[static_cast<std::size_t>(e.cblk)] = 1;
-  }
-  // CSV round trip.
-  const std::string path = ::testing::TempDir() + "blr_trace.csv";
-  solver.write_trace_csv(path);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "cblk,worker,start_s,end_s");
-  index_t rows = 0;
-  std::string line;
-  while (std::getline(in, line)) ++rows;
-  EXPECT_EQ(rows, solver.stats().num_cblks);
+  const core::SolverStats& st = solver.stats();
+  EXPECT_GT(st.dag_tasks, static_cast<std::uint64_t>(st.num_cblks));
+  EXPECT_EQ(st.dag_executed, st.dag_tasks);
+  EXPECT_EQ(st.scheduler_workers, o.threads);
+  EXPECT_EQ(st.scheduler_tasks, st.dag_tasks + st.pool_helpers);
+  std::vector<real_t> b(static_cast<std::size_t>(a.rows()), 1.0);
+  const std::vector<real_t> x = solver.solve(b);
+  EXPECT_LT(sparse::backward_error(a, x.data(), b.data()), 1e-10);
 }
 
-TEST(Trace, ParallelTraceCoversEveryCblkOnceWithoutWorkerOverlap) {
-  const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
+TEST(ExactlyOnce, ParallelLltRunsEveryTaskOnce) {
   SolverOptions o = demo_opts(Strategy::JustInTime);
-  o.collect_trace = true;
   o.threads = 4;
-  Solver solver(o);
-  solver.factorize(a);
-  const auto& tr = solver.trace();
-
-  // Every supernode appears exactly once, even though its updates ran as
-  // separate Upd tasks.
-  ASSERT_EQ(static_cast<index_t>(tr.size()), solver.stats().num_cblks);
-  std::vector<char> seen(static_cast<std::size_t>(solver.stats().num_cblks), 0);
-  std::map<std::size_t, std::vector<const core::TraceEvent*>> by_worker;
-  for (const auto& e : tr) {
-    EXPECT_GE(e.start, 0.0);
-    EXPECT_GE(e.end, e.start);
-    EXPECT_LT(e.worker, static_cast<std::size_t>(o.threads));
-    ASSERT_FALSE(seen[static_cast<std::size_t>(e.cblk)]) << "duplicate " << e.cblk;
-    seen[static_cast<std::size_t>(e.cblk)] = 1;
-    by_worker[e.worker].push_back(&e);
-  }
-  // A worker executes its elimination tasks serially, so its trace rows must
-  // not overlap in time.
-  for (auto& [worker, events] : by_worker) {
-    std::sort(events.begin(), events.end(),
-              [](const auto* x, const auto* y) { return x->start < y->start; });
-    for (std::size_t i = 1; i < events.size(); ++i) {
-      EXPECT_GE(events[i]->start, events[i - 1]->end)
-          << "worker " << worker << " events overlap";
-    }
-  }
+  expect_every_task_once(o);
 }
 
-// The same coverage and per-worker serialization invariants hold for the LU
-// graph drain, whose Upd tasks also fill the U panels. (The name predates
-// the single driver.)
-TEST(Trace, DagParallelTraceCoversEveryCblkOnceWithoutWorkerOverlap) {
-  const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
+// The LU graph's Upd tasks also fill the U panels.
+TEST(ExactlyOnce, ParallelLuRunsEveryTaskOnce) {
   SolverOptions o = demo_opts(Strategy::JustInTime);
-  o.collect_trace = true;
   o.threads = 4;
   o.factorization = Factorization::Lu;
-  Solver solver(o);
-  solver.factorize(a);
-  const auto& tr = solver.trace();
-
-  ASSERT_EQ(static_cast<index_t>(tr.size()), solver.stats().num_cblks);
-  std::vector<char> seen(static_cast<std::size_t>(solver.stats().num_cblks), 0);
-  std::map<std::size_t, std::vector<const core::TraceEvent*>> by_worker;
-  for (const auto& e : tr) {
-    EXPECT_GE(e.start, 0.0);
-    EXPECT_GE(e.end, e.start);
-    EXPECT_LT(e.worker, static_cast<std::size_t>(o.threads));
-    ASSERT_FALSE(seen[static_cast<std::size_t>(e.cblk)]) << "duplicate " << e.cblk;
-    seen[static_cast<std::size_t>(e.cblk)] = 1;
-    by_worker[e.worker].push_back(&e);
-  }
-  for (auto& [worker, events] : by_worker) {
-    std::sort(events.begin(), events.end(),
-              [](const auto* x, const auto* y) { return x->start < y->start; });
-    for (std::size_t i = 1; i < events.size(); ++i) {
-      EXPECT_GE(events[i]->start, events[i - 1]->end)
-          << "worker " << worker << " events overlap";
-    }
-  }
+  expect_every_task_once(o);
 }
 
-TEST(Trace, DisabledByDefaultAndLeftLookingWorks) {
+// Left-looking walks the same graph target by target, on the calling thread.
+TEST(ExactlyOnce, LeftLookingRunsEveryTaskOnce) {
   const CscMatrix a = sparse::laplacian_2d(10, 10);
-  Solver s1(demo_opts(Strategy::Dense));
-  s1.factorize(a);
-  EXPECT_TRUE(s1.trace().empty());
-
   SolverOptions o = demo_opts(Strategy::Dense);
-  o.collect_trace = true;
   o.scheduling = core::Scheduling::LeftLooking;
-  Solver s2(o);
-  s2.factorize(a);
-  EXPECT_EQ(static_cast<index_t>(s2.trace().size()), s2.stats().num_cblks);
-  // Left-looking is sequential: events must be ordered by supernode.
-  for (std::size_t i = 1; i < s2.trace().size(); ++i)
-    EXPECT_LT(s2.trace()[i - 1].cblk, s2.trace()[i].cblk);
+  Solver solver(o);
+  solver.factorize(a);
+  EXPECT_GT(solver.stats().dag_tasks, 0u);
+  EXPECT_EQ(solver.stats().dag_executed, solver.stats().dag_tasks);
+  EXPECT_EQ(solver.stats().scheduler_workers, 0);
+  std::vector<real_t> b(static_cast<std::size_t>(a.rows()), 1.0);
+  const std::vector<real_t> x = solver.solve(b);
+  EXPECT_LT(sparse::backward_error(a, x.data(), b.data()), 1e-12);
 }
 
 } // namespace

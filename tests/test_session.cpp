@@ -368,7 +368,7 @@ TEST(SessionTest, ConcurrentSolvesMatchSerialBitwise) {
     }
     EXPECT_EQ(stats[r].factor_epoch, 1u);
     EXPECT_GE(stats[r].batch_size, 1);
-    EXPECT_LE(stats[r].batch_size, opts.session_max_batch);
+    EXPECT_LE(stats[r].batch_size, core::kSessionMaxBatch);
   }
 }
 

@@ -114,9 +114,8 @@ TEST_P(ParallelSolveDeterminism, MatchesSequentialBitwise) {
   SolverOptions seq_opts =
       base_options(cfg.strategy, cfg.precision, cfg.factor_threads);
   seq_opts.factorization = cfg.facto;
-  seq_opts.solve_parallel = false;
+  seq_opts.solve_threads = 1;
   SolverOptions par_opts = seq_opts;
-  par_opts.solve_parallel = true;
   par_opts.solve_threads = cfg.solve_threads;
 
   Solver seq(seq_opts);
@@ -433,7 +432,7 @@ TEST(ParallelSolveThreshold, SmallSolvesDrainOnCallingThread) {
   Solver solver(opts);
   solver.factorize(a);
   SolverOptions seq_opts = opts;
-  seq_opts.solve_parallel = false;
+  seq_opts.solve_threads = 1;
   Solver seq(seq_opts);
   seq.factorize(a);
 
@@ -470,7 +469,7 @@ TEST(SessionParallelSolve, ConcurrentClientsBitIdenticalToSequential) {
   opts.solve_threads = 4;
 
   SolverOptions ref_opts = opts;
-  ref_opts.solve_parallel = false;
+  ref_opts.solve_threads = 1;
   ref_opts.threads = 1;
 
   Session session(opts);
