@@ -79,17 +79,7 @@ int main() {
     }
   }
 
-  // 6. Scheduling: right-looking (paper) vs the left-looking extension of
-  // §4.3 that keeps the Just-In-Time peak below the dense footprint.
-  for (const auto sched : {core::Scheduling::RightLooking, core::Scheduling::LeftLooking}) {
-    SolverOptions o = paper_options(Strategy::JustInTime, lr::CompressionKind::Rrqr, 1e-8);
-    o.scheduling = sched;
-    o.threads = 1;
-    run_config(sched == core::Scheduling::LeftLooking ? "JIT left-looking"
-                                                : "JIT right-looking", a, o);
-  }
-
-  // 7. Compression kernel family (incl. the randomized future-work kernel).
+  // 6. Compression kernel family (incl. the randomized future-work kernel).
   for (const auto kind : {lr::CompressionKind::Rrqr, lr::CompressionKind::Svd,
                           lr::CompressionKind::Randomized}) {
     SolverOptions o = paper_options(Strategy::JustInTime, kind, 1e-8);

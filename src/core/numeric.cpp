@@ -119,12 +119,52 @@ NumericFactor::NumericFactor(const sparse::CscMatrix& a,
   iperm_.resize(ord_.perm.size());
   for (std::size_t i = 0; i < ord_.perm.size(); ++i)
     iperm_[static_cast<std::size_t>(ord_.perm[i])] = static_cast<index_t>(i);
-  ap_ = a.permuted(ord_.perm);
-  if (!llt_) apt_ = ap_.transposed();
-  input_track_ = TrackedAlloc(
-      MemCategory::Workspace,
-      (static_cast<std::size_t>(ap_.nnz()) + static_cast<std::size_t>(apt_.nnz())) *
-          (sizeof(real_t) + sizeof(index_t)));
+  slice_input(a);
+}
+
+void NumericFactor::slice_input(const sparse::CscMatrix& a) {
+  // Entry (i, j) of the permuted matrix belongs to the L side of the
+  // supernode owning column j when i lies at or below its diagonal block;
+  // otherwise to the U side of the supernode owning row i, transposed (LU),
+  // or to nobody (LLᵗ: the mirror of an L entry). Slot 2k is supernode k's
+  // L side, 2k + 1 its U side. One pass sizes the slots, a second fills
+  // them, so no slice holds spare capacity.
+  const auto& colptr = a.colptr();
+  const auto& rowind = a.rowind();
+  const auto& values = a.values();
+  const auto each_entry = [&](const auto& f) {
+    for (index_t col = 0; col < a.cols(); ++col) {
+      const index_t j = iperm_[static_cast<std::size_t>(col)];
+      const auto kj = static_cast<std::size_t>(sf_.cblk_of(j));
+      for (index_t p = colptr[static_cast<std::size_t>(col)];
+           p < colptr[static_cast<std::size_t>(col) + 1]; ++p) {
+        const index_t i =
+            iperm_[static_cast<std::size_t>(rowind[static_cast<std::size_t>(p)])];
+        const real_t v = values[static_cast<std::size_t>(p)];
+        if (i >= sf_.cblk(static_cast<index_t>(kj)).fcol) {
+          f(2 * kj, sparse::Triplet{i, j, v});
+        } else if (!llt_) {
+          f(2 * static_cast<std::size_t>(sf_.cblk_of(i)) + 1,
+            sparse::Triplet{j, i, v});
+        }
+      }
+    }
+  };
+  input_.resize(static_cast<std::size_t>(sf_.num_cblks()));
+  const auto slot = [this](std::size_t s) -> std::vector<sparse::Triplet>& {
+    InputSlice& in = input_[s / 2];
+    return s % 2 == 0 ? in.l : in.u;
+  };
+  std::vector<std::size_t> count(2 * input_.size(), 0);
+  each_entry([&count](std::size_t s, const sparse::Triplet&) { ++count[s]; });
+  for (std::size_t s = 0; s < count.size(); ++s) slot(s).reserve(count[s]);
+  each_entry([&slot](std::size_t s, const sparse::Triplet& e) {
+    slot(s).push_back(e);
+  });
+  for (InputSlice& in : input_) {
+    in.track = TrackedAlloc(MemCategory::Workspace,
+                            (in.l.size() + in.u.size()) * sizeof(sparse::Triplet));
+  }
 }
 
 bool NumericFactor::compressible(index_t k, const symbolic::Blok& b) const {
@@ -271,8 +311,9 @@ void NumericFactor::maybe_fail_compression(index_t k) {
   }
 }
 
-void NumericFactor::gather_panel(index_t k, const sparse::CscMatrix& src,
-                                 std::vector<lr::Tile>& panel, bool fill_diag) {
+void NumericFactor::gather_panel(index_t k,
+                                 const std::vector<sparse::Triplet>& entries,
+                                 std::vector<lr::Tile>& panel, bool upper) {
   const symbolic::Cblk& c = sf_.cblk(k);
   const index_t w = c.width();
   CblkData& cd = data_[static_cast<std::size_t>(k)];
@@ -288,29 +329,21 @@ void NumericFactor::gather_panel(index_t k, const sparse::CscMatrix& src,
                           : la::DMatrix(b.height(), w));
   }
 
-  const auto& colptr = src.colptr();
-  const auto& rowind = src.rowind();
-  const auto& values = src.values();
-  for (index_t j = c.fcol; j < c.lcol; ++j) {
-    for (index_t p = colptr[static_cast<std::size_t>(j)];
-         p < colptr[static_cast<std::size_t>(j) + 1]; ++p) {
-      const index_t i = rowind[static_cast<std::size_t>(p)];
-      const real_t v = values[static_cast<std::size_t>(p)];
-      if (i < c.fcol) continue;  // upper part, owned by an earlier cblk
-      if (i < c.lcol) {
-        if (fill_diag) diag(i - c.fcol, j - c.fcol) = v;
-        continue;
-      }
-      const index_t idx = find_blok_row(c, i);
-      scratch[static_cast<std::size_t>(idx)](
-          i - c.bloks[static_cast<std::size_t>(idx)].frow, j - c.fcol) = v;
+  // Only the L side holds diagonal-block entries (slice_input).
+  for (const sparse::Triplet& e : entries) {
+    if (e.row < c.lcol) {
+      diag(e.row - c.fcol, e.col - c.fcol) = e.value;
+      continue;
     }
+    const index_t idx = find_blok_row(c, e.row);
+    scratch[static_cast<std::size_t>(idx)](
+        e.row - c.bloks[static_cast<std::size_t>(idx)].frow, e.col - c.fcol) =
+        e.value;
   }
 
   // The policy decides each tile's representation (Minimal-Memory compresses
   // here; Dense and Just-In-Time keep the gathered dense).
   panel.reserve(c.bloks.size());
-  const bool upper = !fill_diag;  // U-panel gathers come from the transpose
   for (std::size_t idx = 0; idx < c.bloks.size(); ++idx) {
     lr::Tile t =
         policy_->assemble(k, BlockSite{static_cast<index_t>(idx), upper},
@@ -331,8 +364,10 @@ void NumericFactor::assemble_cblk(index_t k) {
                 ? lr::Tile::from_dense(
                       reuse_.buffers->acquire(c.width(), c.width()), cd.arena)
                 : lr::Tile::make_dense(c.width(), c.width(), cd.arena);
-  gather_panel(k, ap_, cd.lpanel, /*fill_diag=*/true);
-  if (!llt_) gather_panel(k, apt_, cd.upanel, /*fill_diag=*/false);
+  InputSlice& in = input_[static_cast<std::size_t>(k)];
+  gather_panel(k, in.l, cd.lpanel, /*upper=*/false);
+  if (!llt_) gather_panel(k, in.u, cd.upanel, /*upper=*/true);
+  in = InputSlice();  // nothing reads these entries again
   if (opts_.fault.kind == FaultInjection::Kind::PoisonBlock &&
       opts_.fault.supernode == k && opts_.fault.try_fire()) {
     // Injected data corruption: the non-finite assembly guard below (or the
@@ -385,21 +420,6 @@ void NumericFactor::flush_all_accumulators(index_t cblk) {
     flush_accumulator(cblk, true, static_cast<index_t>(i));
 }
 
-void NumericFactor::assemble_all(ThreadPool* pool) {
-  // Each supernode's assembly writes only its own blocks and reads the
-  // permuted input, so the split over the pool changes no bits. A breach is
-  // stamped with the requesting supernode and propagates to
-  // Solver::factorize's resource ladder.
-  run_items(pool, sf_.num_cblks(), [this](index_t k) {
-    try {
-      assemble_cblk(k);
-    } catch (ResourceError& e) {
-      stamp_resource(e.report(), k);
-      throw;
-    }
-  });
-}
-
 void NumericFactor::run_items(ThreadPool* pool, index_t n,
                               const std::function<void(index_t)>& item) {
   if (pool == nullptr) {
@@ -444,21 +464,10 @@ void NumericFactor::factorize(ThreadPool* pool) {
   dag_stats_.edges = g.num_edges();
   dag_stats_.critical_path = g.critical_path();
 
-  if (opts_.scheduling == Scheduling::LeftLooking) {
-    factorize_left_looking(g);
-    return;
-  }
-
-  // Right-looking assembles everything before the drain, then drops the
-  // permuted input.
-  assemble_all(pool);
-  ap_ = sparse::CscMatrix();
-  apt_ = sparse::CscMatrix();
-  input_track_ = TrackedAlloc();
-
-  // Ready tasks run in critical-path order of their source supernode, so a
-  // supernode's updates run right after its elimination, ahead of
-  // shallower work.
+  // Each supernode is assembled by the first task that writes it
+  // (DagTask::assembles), so its storage is allocated only then. Ready tasks
+  // run in critical-path order of their source supernode, so a supernode's
+  // updates run right after its elimination, ahead of shallower work.
   pool_ = pool;
   const auto& prio = sf_.critical_priorities();
   const DepDrainStats rs = drain_deps(
@@ -477,43 +486,27 @@ void NumericFactor::factorize(ThreadPool* pool) {
   if (failed_.load()) throw_recorded();
 }
 
-void NumericFactor::factorize_left_looking(const TaskGraph& g) {
-  // Target by target: assemble the supernode only now — the memory gain of
-  // the left-looking schedule (paper §4.3) — then pull its update groups in
-  // ascending source order and eliminate it.
-  for (index_t t = 0; t < sf_.num_cblks(); ++t) {
-    try {
-      assemble_cblk(t);
-      const auto [b, e] = g.updates_into(t);
-      for (const std::uint32_t* p = b; p != e; ++p) run_update(g.task(*p));
-      run_elim(t);
-      dag_stats_.executed += static_cast<std::uint64_t>(e - b) + 1;
-    } catch (ResourceError& e) {
-      // Sequential schedule: stamp and propagate straight to the ladder.
-      stamp_resource(e.report(), t);
-      throw;
-    }
-  }
-}
-
 bool NumericFactor::run_task(const TaskGraph& g, std::uint32_t id) {
   if (failed_.load(std::memory_order_relaxed)) return false;
   const DagTask& t = g.task(id);
+  index_t at = t.t;  // the supernode a failure is stamped with
   try {
+    if (t.assembles) assemble_cblk(t.t);
+    at = t.k;
     if (t.kind == DagTaskKind::Elim) {
       run_elim(t.k);
     } else {
       run_update(t);
     }
   } catch (ResourceError& e) {
-    stamp_resource(e.report(), t.k);
+    stamp_resource(e.report(), at);
     record_resource_failure(std::move(e.report()));
     return false;
   } catch (const NumericalError& e) {
     record_failure(e.report());
     return false;
   } catch (const std::exception& e) {
-    record_failure(make_report(FailureKind::Unknown, t.k, -1, std::nan(""),
+    record_failure(make_report(FailureKind::Unknown, at, -1, std::nan(""),
                                e.what()));
     return false;
   }

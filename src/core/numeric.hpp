@@ -119,11 +119,12 @@ class NumericFactor {
 public:
   using Reuse = NumericReuse;
 
-  /// Permutes the initial matrix into the solver's ordering; factorize()
-  /// assembles it into the block structure. `governor` (may be null:
-  /// ungoverned) supplies the deadline watchdog the factorization polls and
-  /// receives injected clock skew; budget breaches arrive through the
-  /// MemoryTracker as ResourceError regardless.
+  /// Splits the initial matrix, in the solver's ordering, into one input
+  /// slice per supernode; factorize() assembles each into the block
+  /// structure. `governor` (may be null: ungoverned) supplies the deadline
+  /// watchdog the factorization polls and receives injected clock skew;
+  /// budget breaches arrive through the MemoryTracker as ResourceError
+  /// regardless.
   /// `reuse` carries the task graph factorize() drains, plus warm-start
   /// state for re-factorization.
   NumericFactor(const sparse::CscMatrix& a, const ordering::Ordering& ord,
@@ -133,13 +134,11 @@ public:
   NumericFactor(const NumericFactor&) = delete;
   NumericFactor& operator=(const NumericFactor&) = delete;
 
-  /// Runs the numeric factorization: right-looking assembles every
-  /// supernode (for Minimal-Memory this is where the initial compression of
-  /// Algorithm 1 l.1-4 happens), then drains the task graph. Both run over
-  /// `pool` when given, else on the calling thread in task-id order; both
-  /// produce the same bits. Left-looking assembles each target when it
-  /// reaches it and walks the same update groups on the calling thread.
-  /// Call once per NumericFactor.
+  /// Runs the numeric factorization: drains the task graph over `pool` when
+  /// given, else on the calling thread in task-id order; both produce the
+  /// same bits. The first task that writes a supernode assembles it (for
+  /// Minimal-Memory this is where the initial compression of Algorithm 1
+  /// l.1-4 happens) and frees its input slice. Call once per NumericFactor.
   void factorize(ThreadPool* pool);
 
   /// Triangular solves in the permuted index space on a block of right-hand
@@ -226,7 +225,7 @@ public:
     std::uint64_t ready_peak = 0;     ///< max released-but-not-started tasks
     std::uint64_t critical_path = 0;  ///< longest dependency chain (tasks)
     std::uint64_t fanout_panels = 0;  ///< Elim tasks that fanned out their bloks
-    /// Pool helper tasks submitted by the assembly and panel fan-outs
+    /// Pool helper tasks submitted by the panel fan-out
     /// (ThreadPool::parallel_for); each is a pool task beside the graph's.
     std::uint64_t pool_helpers = 0;
   };
@@ -260,23 +259,25 @@ public:
   }
 
 private:
-  /// Assemble every supernode, over `pool` when given.
-  void assemble_all(ThreadPool* pool);
+  /// Split the permuted input into input_ (constructor).
+  void slice_input(const sparse::CscMatrix& a);
+  /// Gather, compress (policy) and check supernode k, then free its input
+  /// slice.
   void assemble_cblk(index_t k);
   /// Run item(i) for i in [0, n): in order on the calling thread without a
   /// pool, else through parallel_for (which rethrows the first exception
   /// after the join), counting its helper tasks.
   void run_items(ThreadPool* pool, index_t n,
                  const std::function<void(index_t)>& item);
-  void gather_panel(index_t k, const sparse::CscMatrix& src,
-                    std::vector<lr::Tile>& panel, bool fill_diag);
+  void gather_panel(index_t k, const std::vector<sparse::Triplet>& entries,
+                    std::vector<lr::Tile>& panel, bool upper);
   /// Diagonal factorization + policy elimination hook + panel solves of
   /// cblk k.
   void factor_panel(index_t k);
-  void factorize_left_looking(const TaskGraph& g);
-  /// Drain body of one graph task; returns false on failure (stops the run).
+  /// Drain body of one graph task, assembling its target first when the
+  /// task is marked to; returns false on failure (stops the run).
   bool run_task(const TaskGraph& g, std::uint32_t id);
-  /// Elim(k): factor_panel plus the epoch hand-off and the trace event.
+  /// Elim(k): factor_panel plus the epoch hand-off.
   void run_elim(index_t k);
   /// Upd(k, t): every update of source k that lands in target t, one
   /// batched GEMM per column blok of k (DESIGN.md §12).
@@ -377,12 +378,16 @@ private:
   std::unique_ptr<UpdatePolicy> policy_;
   PolicyContext pctx_;
 
-  // Permuted input (and its transpose for the U side). Kept alive for the
-  // left-looking schedule, which assembles supernodes lazily; released after
-  // assembly in the right-looking schedule.
-  sparse::CscMatrix ap_;
-  sparse::CscMatrix apt_;
-  TrackedAlloc input_track_;
+  /// One supernode's share of the permuted input, charged to Workspace and
+  /// freed by its assembly: `l` holds the entries (i, j) of its columns j
+  /// from the diagonal block down, `u` (LU only) the entries right of the
+  /// diagonal block in its rows, transposed into the same (i, j) form.
+  struct InputSlice {
+    std::vector<sparse::Triplet> l;
+    std::vector<sparse::Triplet> u;
+    TrackedAlloc track;
+  };
+  std::vector<InputSlice> input_;
 
   std::vector<CblkData> data_;
   std::vector<std::mutex> locks_;              // per-cblk update locks

@@ -38,18 +38,6 @@ enum class TilePrecision {
                ///< dense tiles and diagonal (pivotal) blocks always stay fp64
 };
 
-/// Update scheduling. Right-looking is the paper's setup: the factorization
-/// task graph (DESIGN.md §12) drained over the pool, bit-identical at every
-/// thread count. Left-looking is the §4.3 extension: it walks the same
-/// update groups target by target, and a supernode's panels are allocated,
-/// assembled and updated only when it is eliminated, so the Just-In-Time
-/// strategy's memory peak drops below the dense footprint (sequential
-/// execution only).
-enum class Scheduling {
-  RightLooking,
-  LeftLooking,
-};
-
 /// Deterministic fault-injection hook: forces a specific breakdown so every
 /// failure-handling path (structured reports, cooperative cancellation, the
 /// recovery ladder) is exercisable in tests and under sanitizers. The
@@ -63,7 +51,12 @@ struct FaultInjection {
                       ///< diagonal block right before its factorization
     PoisonBlock,      ///< write a NaN into `supernode`'s assembled diagonal
                       ///< block (caught by the non-finite assembly guard)
-    CompressionFail,  ///< fail the `index`-th low-rank compression
+    CompressionFail,  ///< fail the `index`-th low-rank compression in
+                      ///< execution order: task-id order on one thread,
+                      ///< where Minimal-Memory's assembly compressions
+                      ///< (in the first task writing each supernode)
+                      ///< interleave with its eliminations'; on a pool the
+                      ///< count follows the schedule
     AllocFail,        ///< fail a tracked allocation with an injected
                       ///< ResourceError: at_bytes > 0 arms the MemoryTracker
                       ///< fail point (optionally filtered by alloc_category);
@@ -219,10 +212,6 @@ struct SolverOptions {
   /// can serve parallel solves while a refactorize() runs on the other
   /// pool. Read at Solver construction.
   int solve_threads = 0;
-  /// Right-looking (default, the paper's setup) or left-looking traversal.
-  /// Left-looking is sequential-only and mainly benefits JustInTime's
-  /// memory peak (§4.3).
-  Scheduling scheduling = Scheduling::RightLooking;
 
   /// Per-tile storage precision (default Fp64). MixedTiles stores the U/V
   /// factors of eligible low-rank tiles in fp32 at rest — roughly halving

@@ -501,10 +501,7 @@ Preconditioner Solver::preconditioner() const {
 void Solver::print_summary(std::ostream& os) const {
   os << "BLR solver summary\n"
      << "  strategy      : " << strategy_name(opts_.strategy) << " / "
-     << kind_name(opts_.kind) << ", tau = " << opts_.tolerance << "\n"
-     << "  scheduling    : "
-     << (opts_.scheduling == Scheduling::LeftLooking ? "left-looking"
-                                                     : "right-looking")
+     << kind_name(opts_.kind) << ", tau = " << opts_.tolerance
      << ", threads = " << opts_.threads << "\n"
      << "  precision     : " << precision_name(opts_.precision) << "\n"
      << "  backend       : " << la::backend_choice_name(opts_.backend);

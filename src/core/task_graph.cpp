@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <queue>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -176,12 +177,15 @@ TaskGraph TaskGraph::build(const symbolic::SymbolicFactor& sf) {
   std::stable_sort(order.begin(), order.end(), [&prio](index_t x, index_t y) {
     return prio[static_cast<std::size_t>(x)] > prio[static_cast<std::size_t>(y)];
   });
-  std::vector<std::uint32_t> elim_id(nc);
+  // The first writer of each target assembles it.
+  std::vector<char> written(nc, 0);
+  const auto first_write = [&written](index_t t) {
+    return std::exchange(written[static_cast<std::size_t>(t)], char{1}) == 0;
+  };
   DepBuilder b;
   for (const index_t k : order) {
     const std::uint32_t e = b.add_task();
-    elim_id[static_cast<std::size_t>(k)] = e;
-    g.tasks_.push_back({DagTaskKind::Elim, k, k, -1, -1});
+    g.tasks_.push_back({DagTaskKind::Elim, k, k, -1, -1, first_write(k)});
     b.write(e, addr(k));
     const auto& bloks = sf.cblk(k).bloks;
     const index_t nb = static_cast<index_t>(bloks.size());
@@ -189,27 +193,12 @@ TaskGraph TaskGraph::build(const symbolic::SymbolicFactor& sf) {
       const index_t t = bloks[static_cast<std::size_t>(b0)].fcblk;
       while (b1 < nb && bloks[static_cast<std::size_t>(b1)].fcblk == t) ++b1;
       const std::uint32_t u = b.add_task();
-      g.tasks_.push_back({DagTaskKind::Upd, k, t, b0, b1});
+      g.tasks_.push_back({DagTaskKind::Upd, k, t, b0, b1, first_write(t)});
       b.read(u, addr(k));
       b.write(u, addr(t));
     }
   }
   g.deps_ = b.infer();
-
-  // Upd ids by target in ascending source (counting sort over the sources;
-  // a source's Upd tasks directly follow its Elim).
-  auto& off = g.into_offset_;
-  off.assign(nc + 1, 0);
-  for (const DagTask& t : g.tasks_)
-    if (t.kind == DagTaskKind::Upd) ++off[static_cast<std::size_t>(t.t) + 1];
-  for (std::size_t t = 0; t < nc; ++t) off[t + 1] += off[t];
-  g.into_.resize(off[nc]);
-  std::vector<std::uint32_t> next(off.begin(), off.end() - 1);
-  for (std::size_t k = 0; k < nc; ++k) {
-    for (std::uint32_t id = elim_id[k] + 1;
-         id < g.num_tasks() && g.tasks_[id].kind == DagTaskKind::Upd; ++id)
-      g.into_[next[static_cast<std::size_t>(g.tasks_[id].t)]++] = id;
-  }
 
   // Critical path: longest chain in tasks, by one reverse sweep (edges all
   // point forward, so ids in reverse are a topological order).

@@ -21,12 +21,16 @@ enum class DagTaskKind : std::uint8_t {
 /// One node of the factorization graph. Elim has k == t. Upd covers the
 /// bloks [b0, b1) of source k, the ones facing target t; it applies every
 /// (bi, bj) update of k that lands in t, column blok by column blok.
+/// `assembles` marks the first task declared to write t: it assembles t
+/// before its own body, and t's write chain orders every other access to t
+/// after it.
 struct DagTask {
   DagTaskKind kind = DagTaskKind::Elim;
   index_t k = -1;
   index_t t = -1;
   index_t b0 = -1;
   index_t b1 = -1;
+  bool assembles = false;
 };
 
 /// Generic read/write-set dependency inference. Tasks are declared in the
@@ -139,7 +143,9 @@ private:
 /// for each target t of k, ascending. Upd(k, t) reads k and writes t,
 /// Elim(t) writes t, so the write chain of each target fixes the order its
 /// updates land in: draining the graph in task-id order is the sequential
-/// factorization, and any parallel drain produces the same bits. The graph
+/// factorization, and any parallel drain produces the same bits. The first
+/// writer of t (its first Upd, or Elim(t) for a leaf) assembles t, so a
+/// supernode's storage exists only from its first update on. The graph
 /// does not depend on the LLᵗ/LU flavor: both update the same (source,
 /// target) pairs, and only the pairs inside an Upd differ.
 class TaskGraph {
@@ -165,21 +171,12 @@ public:
     return {deps_.succ.data() + deps_.succ_offset[id],
             deps_.succ.data() + deps_.succ_offset[id + 1]};
   }
-  /// Ids of the Upd tasks into target t, by ascending source (the
-  /// left-looking walk's order).
-  [[nodiscard]] std::pair<const std::uint32_t*, const std::uint32_t*>
-  updates_into(index_t t) const {
-    const auto i = static_cast<std::size_t>(t);
-    return {into_.data() + into_offset_[i], into_.data() + into_offset_[i + 1]};
-  }
   /// Longest dependency chain, in tasks (the depth bound on parallelism).
   [[nodiscard]] std::uint64_t critical_path() const { return critical_path_; }
 
 private:
   std::vector<DagTask> tasks_;
   DepBuilder::Deps deps_;
-  std::vector<std::uint32_t> into_offset_;  ///< per-target CSR offsets
-  std::vector<std::uint32_t> into_;         ///< Upd ids grouped by target
   std::uint64_t critical_path_ = 0;
 };
 

@@ -72,26 +72,13 @@ TEST(Accumulation, SmallMaxRankFlushesOften) {
   EXPECT_LT(sparse::backward_error(a, x.data(), b.data()), o.tolerance * 500);
 }
 
-// Lap 14³ is the smallest Laplacian here whose accumulators hold pending
-// contributions when their target is eliminated.
-TEST(Accumulation, LeftLookingCombination) {
-  const CscMatrix a = sparse::laplacian_3d(14, 14, 14);
-  SolverOptions o = mm_opts();
-  o.scheduling = core::Scheduling::LeftLooking;
-  Solver s(o);
-  s.factorize(a);
-  std::vector<real_t> b(static_cast<std::size_t>(a.rows()), 1.0);
-  const auto x = s.solve(b);
-  EXPECT_LT(sparse::backward_error(a, x.data(), b.data()), 1e-4);
-}
-
 TEST(Accumulation, WorkspaceReturnsToZero) {
   const CscMatrix a = sparse::laplacian_3d(14, 14, 14);
   Solver s(mm_opts());
   s.factorize(a);
-  // All accumulators were flushed at elimination; their workspace bytes are
-  // gone once the factorization ends (only the permuted-input copy remains
-  // for nothing — right-looking releases it too).
+  // All accumulators were flushed at elimination and every input slice was
+  // freed by its supernode's assembly, so no workspace bytes remain once the
+  // factorization ends.
   EXPECT_EQ(MemoryTracker::instance().current(MemCategory::Workspace), 0u);
 }
 

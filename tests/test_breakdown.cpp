@@ -195,29 +195,21 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The structured report of a supernode-addressed breakdown must not depend
-// on the schedule: the sequential drain, a pool drain and the left-looking
-// walk meet the fault at the same supernode and pivot, so every field
-// matches exactly. (Compression-site faults count sites in execution order,
-// which differs between schedules; FaultModeTest covers them. The name
-// predates the single driver.)
+// on the schedule: the sequential drain and a pool drain meet the fault at
+// the same supernode and pivot, so every field matches exactly.
+// (Compression-site faults count sites in execution order, which differs
+// between schedules; FaultModeTest covers them. The name predates the
+// single driver.)
 TEST(DagBreakdown, SequentialFaultReportsMatchBarrier) {
   const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
-  struct Schedule {
-    int threads;
-    core::Scheduling scheduling;
-  };
-  constexpr Schedule kSchedules[] = {{1, core::Scheduling::RightLooking},
-                                     {4, core::Scheduling::RightLooking},
-                                     {1, core::Scheduling::LeftLooking}};
   for (const auto kind :
        {FaultInjection::Kind::TinyPivot, FaultInjection::Kind::PoisonBlock}) {
     std::vector<FailureReport> reports;
-    for (const Schedule& sch : kSchedules) {
+    for (const int threads : {1, 4}) {
       SolverOptions opts = small_opts();
       opts.strategy = Strategy::JustInTime;
       opts.factorization = Factorization::Lu;
-      opts.threads = sch.threads;
-      opts.scheduling = sch.scheduling;
+      opts.threads = threads;
       opts.fault.kind = kind;
       opts.fault.supernode = 2;
       Solver solver(opts);
@@ -229,7 +221,7 @@ TEST(DagBreakdown, SequentialFaultReportsMatchBarrier) {
       }
       EXPECT_FALSE(solver.factorized());
     }
-    ASSERT_EQ(reports.size(), 3u);
+    ASSERT_EQ(reports.size(), 2u);
     for (FailureReport& r : reports) {
       EXPECT_EQ(r.kind, reports[0].kind);
       EXPECT_EQ(r.supernode, 2);
@@ -239,6 +231,66 @@ TEST(DagBreakdown, SequentialFaultReportsMatchBarrier) {
       r.elapsed_seconds = reports[0].elapsed_seconds;
       EXPECT_EQ(r.to_string(), reports[0].to_string());
     }
+  }
+}
+
+// Each supernode is assembled by the first graph task that writes it, so
+// an assembly fault at an interior supernode (one its children update, so
+// an Upd task assembles it) fires inside a pooled drain, not before it. The
+// report names that supernode, the drain leaves nothing queued, and the
+// recovery ladder still finishes the factorization.
+TEST(DagBreakdown, AssemblyFaultsFireInsideTheDrain) {
+  const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
+  SolverOptions opts = small_opts();
+  opts.strategy = Strategy::JustInTime;
+  opts.factorization = Factorization::Lu;
+  opts.threads = 4;
+  index_t interior = -1;
+  {
+    Solver probe(opts);
+    probe.analyze(a);
+    interior = probe.symbolic().cblk(0).bloks.front().fcblk;
+  }
+  for (const auto kind :
+       {FaultInjection::Kind::PoisonBlock, FaultInjection::Kind::AllocFail}) {
+    const auto arm = [&](SolverOptions o) {
+      o.fault = FaultInjection{};  // a fresh trigger budget per solver
+      o.fault.kind = kind;
+      o.fault.supernode = interior;  // AllocFail: at_bytes == 0, assembly
+      return o;
+    };
+    Solver failing(arm(opts));
+    index_t named = -1;
+    try {
+      failing.factorize(a);
+      ADD_FAILURE() << "expected a structured failure";
+    } catch (const NumericalError& e) {
+      EXPECT_EQ(kind, FaultInjection::Kind::PoisonBlock);
+      EXPECT_EQ(e.report().kind, FailureKind::NonFiniteBlock);
+      named = e.report().supernode;
+    } catch (const ResourceError& e) {
+      EXPECT_EQ(kind, FaultInjection::Kind::AllocFail);
+      EXPECT_TRUE(e.report().injected);
+      named = e.report().supernode;
+    }
+    EXPECT_EQ(named, interior);
+    EXPECT_EQ(failing.pool_pending(), 0u);
+    EXPECT_GT(failing.stats().dag_executed, 0u);  // the drain had started
+    EXPECT_LT(failing.stats().dag_executed, failing.stats().dag_tasks);
+
+    SolverOptions ro = arm(opts);
+    ro.recovery.enabled = true;
+    Solver recovering(ro);
+    recovering.factorize(a);
+    ASSERT_TRUE(recovering.factorized());
+    const auto& attempts = recovering.stats().attempts;
+    ASSERT_GE(attempts.size(), 2u);
+    EXPECT_FALSE(attempts.front().succeeded);
+    EXPECT_TRUE(attempts.back().succeeded);
+    const auto b = random_rhs(a.rows(), 9);
+    std::vector<real_t> x(b.size());
+    recovering.solve(b.data(), x.data());
+    EXPECT_LT(sparse::backward_error(a, x.data(), b.data()), 1e-5);
   }
 }
 

@@ -1,6 +1,6 @@
 // Cross-cutting tests: multi right-hand-side solves across factorization
-// kinds and strategies, left-looking scheduling combined with every
-// strategy/kernel, and assorted coverage of the runtime knobs.
+// kinds and strategies, every graph task running exactly once, and
+// assorted coverage of the runtime knobs.
 
 #include <gtest/gtest.h>
 
@@ -94,62 +94,6 @@ TEST(MultiRhs, ShapeMismatchThrows) {
   EXPECT_THROW(solver.solve(b2.cview(), x2.view()), Error);
 }
 
-struct SchedCase {
-  Strategy strategy;
-  lr::CompressionKind kind;
-};
-
-class LeftLookingSweep : public ::testing::TestWithParam<SchedCase> {};
-
-TEST_P(LeftLookingSweep, MatchesRightLookingSolution) {
-  const auto p = GetParam();
-  const CscMatrix a = sparse::heterogeneous_poisson_3d(7, 7, 7, 2.0, 9);
-  Prng rng(14);
-  std::vector<real_t> b(static_cast<std::size_t>(a.rows()));
-  for (auto& v : b) v = rng.normal();
-
-  SolverOptions rl = demo_opts(p.strategy);
-  rl.kind = p.kind;
-  SolverOptions ll = rl;
-  ll.scheduling = core::Scheduling::LeftLooking;
-
-  Solver s1(rl), s2(ll);
-  s1.factorize(a);
-  s2.factorize(a);
-  std::vector<real_t> x1(b.size()), x2(b.size());
-  s1.solve(b.data(), x1.data());
-  s2.solve(b.data(), x2.data());
-  for (std::size_t i = 0; i < b.size(); ++i) ASSERT_NEAR(x1[i], x2[i], 1e-9);
-  EXPECT_EQ(s1.stats().factor_entries_final, s2.stats().factor_entries_final);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    StrategyKernelGrid, LeftLookingSweep,
-    ::testing::Values(SchedCase{Strategy::Dense, lr::CompressionKind::Rrqr},
-                      SchedCase{Strategy::JustInTime, lr::CompressionKind::Rrqr},
-                      SchedCase{Strategy::JustInTime, lr::CompressionKind::Svd},
-                      SchedCase{Strategy::JustInTime, lr::CompressionKind::Randomized},
-                      SchedCase{Strategy::MinimalMemory, lr::CompressionKind::Rrqr}),
-    [](const auto& info) {
-      std::string s = info.param.strategy == Strategy::Dense ? "Dense"
-                      : info.param.strategy == Strategy::JustInTime ? "JIT"
-                                                                    : "MinMem";
-      s += core::kind_name(info.param.kind);
-      return s;
-    });
-
-TEST(LeftLooking, MultiRhsAfterLeftLookingFactorization) {
-  const CscMatrix a = sparse::laplacian_3d(8, 8, 8);
-  SolverOptions o = demo_opts(Strategy::JustInTime);
-  o.scheduling = core::Scheduling::LeftLooking;
-  Solver solver(o);
-  solver.factorize(a);
-  const la::DMatrix b = random_rhs_block(a.rows(), 3, 15);
-  la::DMatrix x(a.rows(), 3);
-  solver.solve(b.cview(), x.view());
-  EXPECT_LT(block_backward_error(a, x, b), 1e-6);
-}
-
 TEST(Scheduling, TwoDimensionalProblemFullPipeline) {
   // 2D problems exercise much smaller separators; full pipeline sanity.
   const CscMatrix a = sparse::laplacian_2d(40, 40);
@@ -206,16 +150,15 @@ TEST(ExactlyOnce, ParallelLuRunsEveryTaskOnce) {
   expect_every_task_once(o);
 }
 
-// Left-looking walks the same graph target by target, on the calling thread.
-TEST(ExactlyOnce, LeftLookingRunsEveryTaskOnce) {
+// Without a pool the graph drains on the calling thread, in task-id order.
+TEST(ExactlyOnce, SequentialRunsEveryTaskOnce) {
   const CscMatrix a = sparse::laplacian_2d(10, 10);
-  SolverOptions o = demo_opts(Strategy::Dense);
-  o.scheduling = core::Scheduling::LeftLooking;
-  Solver solver(o);
+  Solver solver(demo_opts(Strategy::Dense));
   solver.factorize(a);
   EXPECT_GT(solver.stats().dag_tasks, 0u);
   EXPECT_EQ(solver.stats().dag_executed, solver.stats().dag_tasks);
   EXPECT_EQ(solver.stats().scheduler_workers, 0);
+  EXPECT_EQ(solver.stats().pool_helpers, 0u);
   std::vector<real_t> b(static_cast<std::size_t>(a.rows()), 1.0);
   const std::vector<real_t> x = solver.solve(b);
   EXPECT_LT(sparse::backward_error(a, x.data(), b.data()), 1e-12);

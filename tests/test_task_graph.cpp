@@ -10,6 +10,7 @@
 #include <cstring>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "blr.hpp"
@@ -188,19 +189,36 @@ TEST(TaskGraphStructure, CanonicalIdsAndCounts) {
   }
   EXPECT_EQ(g.indegree(0), 0);
 
-  // updates_into(t) lists exactly the Upd tasks into t, by ascending source.
-  std::uint32_t listed = 0;
+  // Exactly one task assembles each target t, and it precedes every other
+  // task reading or writing t in every order the drain can take: each of
+  // them is reachable from it along the inferred edges.
+  std::vector<std::uint32_t> assembler(static_cast<std::size_t>(sf.num_cblks()),
+                                       UINT32_MAX);
+  for (std::uint32_t id = 0; id < g.num_tasks(); ++id) {
+    if (!g.task(id).assembles) continue;
+    std::uint32_t& m = assembler[static_cast<std::size_t>(g.task(id).t)];
+    EXPECT_EQ(m, UINT32_MAX) << "target " << g.task(id).t << " assembled twice";
+    m = id;
+  }
   for (index_t t = 0; t < sf.num_cblks(); ++t) {
-    const auto [b, e] = g.updates_into(t);
-    for (const std::uint32_t* p = b; p != e; ++p, ++listed) {
-      EXPECT_EQ(g.task(*p).kind, DagTaskKind::Upd);
-      EXPECT_EQ(g.task(*p).t, t);
-      if (p != b) {
-        EXPECT_GT(g.task(*p).k, g.task(*(p - 1)).k);
-      }
+    const std::uint32_t m = assembler[static_cast<std::size_t>(t)];
+    ASSERT_NE(m, UINT32_MAX) << "target " << t << " never assembled";
+    std::vector<char> reach(g.num_tasks(), 0);
+    std::vector<std::uint32_t> stack{m};
+    while (!stack.empty()) {
+      const std::uint32_t id = stack.back();
+      stack.pop_back();
+      const auto [s, e] = g.successors(id);
+      for (const std::uint32_t* p = s; p != e; ++p)
+        if (!std::exchange(reach[*p], char{1})) stack.push_back(*p);
+    }
+    for (std::uint32_t id = 0; id < g.num_tasks(); ++id) {
+      const DagTask& task = g.task(id);
+      if (id == m || (task.k != t && task.t != t)) continue;
+      EXPECT_TRUE(reach[id]) << "task " << id << " touches target " << t
+                             << " without following its assembly " << m;
     }
   }
-  EXPECT_EQ(listed, count_pairs(sf));
 
   // The critical path is a chain: at least Elim → Upd → Elim on the
   // longest elimination-tree path, at most every task.
@@ -294,12 +312,16 @@ TEST(TaskGraphStructure, CooperativeCancellationMidDag) {
   }
 }
 
-// The epoch contract the numeric driver checks (Elim(k) needs k Assembled
-// and leaves it Factored; Upd(k, t) needs k Factored and t Assembled) holds
-// on the graph's own order, and a run that eliminates a target before one
-// of its update groups trips it.
+// The epoch contract the numeric driver checks (the marked task moves its
+// target from Unassembled to Assembled first; Elim(k) needs k Assembled and
+// leaves it Factored; Upd(k, t) needs k Factored and t Assembled) holds on
+// the graph's own order, and a run that eliminates a target before one of
+// its update groups trips it.
 void run_checked(const TaskGraph& g, EpochGate& gate, std::uint32_t id) {
   const DagTask& t = g.task(id);
+  if (t.assembles)
+    gate.advance(static_cast<std::uint64_t>(t.t), EpochGate::kUnassembled,
+                 EpochGate::kAssembled);
   if (t.kind == DagTaskKind::Elim) {
     gate.expect(static_cast<std::uint64_t>(t.k), EpochGate::kAssembled);
     gate.advance(static_cast<std::uint64_t>(t.k), EpochGate::kAssembled,
@@ -314,35 +336,30 @@ TEST(TaskGraphStructure, MisorderedRunTripsEpochCheck) {
   const CscMatrix a = sparse::laplacian_3d(5, 5, 5);
   const symbolic::SymbolicFactor sf = small_symbolic(a);
   const TaskGraph g = TaskGraph::build(sf);
-  const auto assembled = [&] {
-    EpochGate gate(static_cast<std::uint64_t>(sf.num_cblks()));
-    for (index_t k = 0; k < sf.num_cblks(); ++k)
-      gate.advance(static_cast<std::uint64_t>(k), EpochGate::kUnassembled,
-                   EpochGate::kAssembled);
-    return gate;
-  };
+  const auto nc = static_cast<std::uint64_t>(sf.num_cblks());
 
-  EpochGate ok = assembled();
+  EpochGate ok(nc);
   for (std::uint32_t id = 0; id < g.num_tasks(); ++id)
     EXPECT_NO_THROW(run_checked(g, ok, id));
 
   // Move the Elim of the root supernode (the last task declared for it)
   // ahead of the last update group into it.
   const index_t root = sf.num_cblks() - 1;
-  const auto [b, e] = g.updates_into(root);
-  ASSERT_NE(b, e);
-  const std::uint32_t last_upd = *(e - 1);
+  std::uint32_t last_upd = UINT32_MAX;
   std::uint32_t root_elim = 0;
-  while (g.task(root_elim).kind != DagTaskKind::Elim ||
-         g.task(root_elim).k != root)
-    ++root_elim;
+  for (std::uint32_t id = 0; id < g.num_tasks(); ++id) {
+    const DagTask& task = g.task(id);
+    if (task.kind == DagTaskKind::Upd && task.t == root) last_upd = id;
+    if (task.kind == DagTaskKind::Elim && task.k == root) root_elim = id;
+  }
+  ASSERT_NE(last_upd, UINT32_MAX);
   ASSERT_GT(root_elim, last_upd);
   std::vector<std::uint32_t> order;
   for (std::uint32_t id = 0; id < g.num_tasks(); ++id) {
     if (id == last_upd) order.push_back(root_elim);
     if (id != root_elim) order.push_back(id);
   }
-  EpochGate bad = assembled();
+  EpochGate bad(nc);
   bool tripped = false;
   for (const std::uint32_t id : order) {
     try {
@@ -498,7 +515,7 @@ TEST(DagDeterminism, AccumulatedUpdatesStayBitIdentical) {
 }
 
 // The graph stats surfaced through SolverStats are internally consistent
-// and filled by every factorization, whatever the thread count or walk.
+// and filled by every factorization, whatever the thread count.
 TEST(DagStats, CountersAreCoherent) {
   const CscMatrix a = sparse::laplacian_3d(7, 7, 7);
   Solver s(stress_opts(Strategy::JustInTime, Factorization::Llt, 4));
@@ -510,27 +527,24 @@ TEST(DagStats, CountersAreCoherent) {
   EXPECT_GE(st.dag_ready_peak, 1u);
   EXPECT_GE(st.dag_critical_path, 3u);
   EXPECT_LE(st.dag_critical_path, st.dag_tasks);
-  // One pool task per graph task, plus the helpers the assembly and panel
-  // fan-outs submitted (parallel_for runs its items on the pool as well).
-  EXPECT_GT(st.pool_helpers, 0u);  // the assembly is spread over the pool
+  // One pool task per graph task, plus the helpers the panel fan-out
+  // submitted (parallel_for runs its items on the pool as well).
+  if (st.fanout_panels > 0) {
+    EXPECT_GT(st.pool_helpers, 0u);
+  }
   EXPECT_EQ(st.scheduler_tasks, st.dag_tasks + st.pool_helpers);
 
-  SolverOptions lo = stress_opts(Strategy::JustInTime, Factorization::Llt, 1);
-  for (const auto sched :
-       {core::Scheduling::RightLooking, core::Scheduling::LeftLooking}) {
-    lo.scheduling = sched;
-    Solver seq(lo);
-    seq.factorize(a);
-    EXPECT_EQ(seq.stats().dag_tasks, st.dag_tasks);
-    EXPECT_EQ(seq.stats().dag_edges, st.dag_edges);
-    EXPECT_EQ(seq.stats().dag_critical_path, st.dag_critical_path);
-    EXPECT_EQ(seq.stats().dag_executed, st.dag_tasks);
-    EXPECT_EQ(seq.stats().fanout_panels, 0u);
-    EXPECT_EQ(seq.stats().pool_helpers, 0u);
-  }
+  Solver seq(stress_opts(Strategy::JustInTime, Factorization::Llt, 1));
+  seq.factorize(a);
+  EXPECT_EQ(seq.stats().dag_tasks, st.dag_tasks);
+  EXPECT_EQ(seq.stats().dag_edges, st.dag_edges);
+  EXPECT_EQ(seq.stats().dag_critical_path, st.dag_critical_path);
+  EXPECT_EQ(seq.stats().dag_executed, st.dag_tasks);
+  EXPECT_EQ(seq.stats().fanout_panels, 0u);
+  EXPECT_EQ(seq.stats().pool_helpers, 0u);
 }
 
-// ------------------------------------ fan-out: assembly and wide panels over the pool
+// ------------------------------------------- fan-out: wide panels over the pool
 
 struct FanOutCase {
   std::string name;
@@ -562,9 +576,9 @@ std::vector<FanOutCase> fan_out_cases() {
   return cases;
 }
 
-// Every panel item and every supernode's assembly touches only its own
-// tiles, so spreading them over the pool keeps the factors and the solution
-// bit-identical to the 1-thread run, and the fan-out happens only with a pool.
+// Every panel item touches only its own tiles, so spreading them over the
+// pool keeps the factors and the solution bit-identical to the 1-thread run,
+// and the fan-out happens only with a pool.
 TEST(FanOutDeterminism, MatchesOneThreadBitwise) {
   for (FanOutCase& c : fan_out_cases()) {
     const std::vector<real_t> b(static_cast<std::size_t>(c.a.rows()), 1.0);
