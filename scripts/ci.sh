@@ -53,12 +53,28 @@ run_ubsan() {
   ctest --test-dir build-ci-ubsan --output-on-failure -j "$JOBS"
 }
 
+# Fails listing every |-separated term of a ctest -R filter that matches no
+# test in <dir>: a renamed suite would otherwise drop out of the selection
+# without a sound.
+require_matches() { # <dir> <filter>
+  local dir="$1" term bad=0
+  local IFS='|'
+  for term in $2; do
+    if ! ctest --test-dir "$dir" -N -R "$term" | grep -q '^Total Tests: [1-9]'; then
+      echo "ci: -R term '$term' matches no test in $dir" >&2
+      bad=1
+    fi
+  done
+  return "$bad"
+}
+
 run_tsan() {
+  local filter='SchedulerSweep|WorkStealing|ParallelDeterminism|ExactlyOnce|AnalysisDeterminism|TreeModelMatchesRebuild'
   configure_and_build build-ci-tsan thread
+  require_matches build-ci-tsan "$filter"
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
         -L 'engine|fault|dag|resource|session|solve'
-  ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
-        -R 'SchedulerSweep|WorkStealing|ParallelDeterminism|Trace|AnalysisDeterminism|TreeModelMatchesRebuild'
+  ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" -R "$filter"
 }
 
 # Documentation lint: every SolverOptions field must carry a doc comment —

@@ -114,7 +114,8 @@ struct SolveRunInfo {
 /// eliminations and (source, target) update groups (DESIGN.md §12),
 /// parameterized by an UpdatePolicy (Dense baseline, Just-In-Time, Minimal
 /// Memory), for both LU (general, symmetric pattern) and LLᵗ
-/// (SPD). All numeric operations route through the KernelDispatch registry.
+/// (SPD). Every numeric kernel is a dispatch:: call (kernels_dispatch.hpp),
+/// which counts itself in its row of the kernel table.
 class NumericFactor {
 public:
   using Reuse = NumericReuse;

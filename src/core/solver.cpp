@@ -185,8 +185,8 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
   stats_.resource_rungs = 0;
 
   // Select the kernel backend for this run (process-global: every la:: gemm,
-  // trsm and syrk below dispatches through it, and the dispatch registry
-  // counts under its table slice). Resolution order: BLR_BACKEND env, then
+  // trsm and syrk below dispatches through it, and the kernel counters
+  // count in its rows). Resolution order: BLR_BACKEND env, then
   // opts_.backend, with Auto going through CPUID detection. Throws
   // blr::Error on an unrecognized env value — before any numeric work.
   la::set_backend(la::resolve_backend(opts_.backend));

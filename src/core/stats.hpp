@@ -9,9 +9,10 @@
 
 namespace blr::core {
 
-/// One row of the kernel-dispatch registry snapshot: how often a concrete
-/// (operation × operand representations) kernel ran in the last
-/// factorization, how many operand bytes it touched, and its wall time.
+/// One row of the kernel counter table (KernelDispatch::snapshot()): how
+/// often a concrete (operation × operand representations) kernel ran under
+/// one backend since the counters were last reset, how many operand bytes it
+/// touched, and its wall time.
 struct DispatchCount {
   std::string kernel;       ///< e.g. "gemm[lr,ge]", "getrf[ge]"
   std::string backend;      ///< la::Backend the calls ran under ("reference"/"native")
@@ -189,8 +190,11 @@ struct SolverStats {
   /// for a clean run; one per ladder rung when recovery kicked in).
   std::vector<FactorizeAttempt> attempts;
 
-  /// Per-kernel dispatch counters of the successful factorization attempt
-  /// (zero-call kernels omitted).
+  /// Per-kernel counters since the successful factorization attempt reset
+  /// them (zero-call kernels omitted). Not the factorization alone: every
+  /// solve() re-snapshots, so the `solve_*` rows accrue after it. And the
+  /// counters are process-wide: two Solvers factorizing or solving at once
+  /// count into each other's rows.
   std::vector<DispatchCount> dispatch;
 
   /// Numeric passes served by the current symbolic plan beyond the first:

@@ -47,8 +47,8 @@ void warm_outcome(WarmCounters* counters, bool grew) {
   (grew ? counters->grows : counters->hits).fetch_add(1, std::memory_order_relaxed);
 }
 
-/// compress routed warm or cold depending on `guess` (counted either way by
-/// the dispatch registry).
+/// compress warm or cold depending on `guess` (counted either way in the
+/// `compress[ge]` row).
 std::optional<lr::LrMatrix> compress_site(const PolicyContext& ctx,
                                           la::DConstView a, index_t cap,
                                           index_t guess) {

@@ -12,10 +12,11 @@
 namespace blr::lr {
 
 /// Storage precision of a low-rank tile's U/V factors. All arithmetic is
-/// carried out in real_t (double); Fp32 is an *at-rest* format only — the
-/// dispatch layer promotes fp32 factors to fp64 scratch before any kernel
-/// touches them and demotes the result back (DESIGN.md §10). Dense tiles
-/// and diagonal (pivotal) blocks are always Fp64.
+/// carried out in real_t (double); Fp32 is an *at-rest* format only — each
+/// dispatch:: kernel that meets an fp32 tile promotes its factors to fp64
+/// (in place or into scratch) before the math and demotes an in-out result
+/// back (DESIGN.md §10). Dense tiles and diagonal (pivotal) blocks are
+/// always Fp64.
 enum class Precision : std::uint8_t { Fp64 = 0, Fp32 };
 
 const char* precision_name(Precision p);
@@ -198,7 +199,8 @@ private:
 /// off-diagonal panel blocks, update contributions (A·Bᵗ products), and
 /// LUAR accumulators — so a kernel only ever sees "a tile in some
 /// representation", and adding a representation (e.g. a lower precision)
-/// means adding dispatch entries, not new storage structs. Storage is
+/// means adding kernel paths and counter rows, not new storage structs.
+/// Storage is
 /// registered with the MemoryTracker either through a per-supernode
 /// TileArena or standalone under a category.
 class Tile {

@@ -1,9 +1,9 @@
 // Kernel backend layer (DESIGN.md §14): CPUID detection and env overrides,
-// dispatch-table completeness across backends, exact bitwise agreement of
-// the la:: entry points under Reference vs Native, and memcmp bit-identity
-// of whole factorizations across strategies × compression kinds ×
-// precisions × thread counts — the contract that lets the engine A/B
-// backends without tolerances.
+// exact bitwise agreement of the la:: entry points under Reference vs
+// Native, and memcmp bit-identity of whole factorizations across strategies
+// × compression kinds × precisions × thread counts — the contract that lets
+// the engine A/B backends without tolerances. Also pins the kernel counter
+// table and the operand refusals of the dispatch:: kernels.
 
 #include <gtest/gtest.h>
 
@@ -137,40 +137,6 @@ TEST(BackendDetect, IsaClampForcesPortableFallback) {
   ::setenv("BLR_NATIVE_ISA", "neon", 1);
   la::redetect_backend();
   EXPECT_THROW(la::native_isa(), Error);
-}
-
-// ---- dispatch-table completeness across backends ---------------------
-
-TEST(BackendDispatchTable, EveryKeyResolvesIdenticallyUnderEveryBackend) {
-  const auto& reg = core::KernelDispatch::instance();
-  int registered = 0;
-  for (int op = 0; op < static_cast<int>(core::KernelOp::kCount); ++op)
-    for (int ra = 0; ra < static_cast<int>(core::Rep::kCount); ++ra)
-      for (int pa = 0; pa < static_cast<int>(core::Prec::kCount); ++pa)
-        for (int rb = 0; rb < static_cast<int>(core::Rep::kCount); ++rb)
-          for (int pb = 0; pb < static_cast<int>(core::Prec::kCount); ++pb) {
-            const bool ref = reg.has_kernel(
-                la::Backend::Reference, static_cast<core::KernelOp>(op),
-                static_cast<core::Rep>(ra), static_cast<core::Prec>(pa),
-                static_cast<core::Rep>(rb), static_cast<core::Prec>(pb));
-            const bool nat = reg.has_kernel(
-                la::Backend::Native, static_cast<core::KernelOp>(op),
-                static_cast<core::Rep>(ra), static_cast<core::Prec>(pa),
-                static_cast<core::Rep>(rb), static_cast<core::Prec>(pb));
-            EXPECT_EQ(ref, nat)
-                << core::kernel_op_name(static_cast<core::KernelOp>(op))
-                << " a=(" << ra << "," << pa << ") b=(" << rb << "," << pb
-                << ")";
-            registered += ref ? 1 : 0;
-          }
-  // The built-in kernel set must have landed under both backends.
-  EXPECT_GT(registered, 0);
-  EXPECT_TRUE(reg.has_kernel(la::Backend::Native, core::KernelOp::Gemm,
-                             core::Rep::Dense, core::Prec::Fp64,
-                             core::Rep::Dense, core::Prec::Fp64));
-  EXPECT_TRUE(reg.has_kernel(la::Backend::Reference, core::KernelOp::Compress,
-                             core::Rep::Dense, core::Prec::Fp64,
-                             core::Rep::None, core::Prec::Fp64));
 }
 
 // ---- exact bitwise agreement of the la:: entry points ----------------
@@ -1002,6 +968,135 @@ TEST(BackendEnvSolver, EnvOverridesSolverOptions) {
   EXPECT_EQ(s.stats().backend, "reference");
   for (const auto& d : s.stats().dispatch)
     EXPECT_EQ(d.backend, "reference") << d.kernel;
+}
+
+// ---- the kernel counter table pinned across kernel changes -------------
+
+struct KernelRowCount {
+  const char* kernel;
+  const char* backend;
+  std::uint64_t calls;
+  std::uint64_t bytes;
+};
+
+void expect_kernel_rows(const BackendCase& c, const CscMatrix& a,
+                        const std::vector<KernelRowCount>& want,
+                        const char* what) {
+  Solver s(backend_opts(c, la::BackendChoice::Native));
+  s.factorize(a);
+  std::vector<real_t> b(static_cast<std::size_t>(a.rows()), 1.0);
+  (void)s.solve(b);
+  const std::vector<core::DispatchCount>& got = s.stats().dispatch;
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].kernel, want[i].kernel) << what << ", row " << i;
+    EXPECT_EQ(got[i].backend, want[i].backend) << what << ", " << got[i].kernel;
+    EXPECT_EQ(got[i].calls, want[i].calls) << what << ", " << got[i].kernel;
+    EXPECT_EQ(got[i].bytes, want[i].bytes) << what << ", " << got[i].kernel;
+  }
+}
+
+// One factorize plus one solve on 1 thread yields exactly these counter
+// rows: name, order, backend, calls and bytes, the table print_summary,
+// bench_table2_costs and bench/e2e read. The constants were printed by the
+// registry-keyed dispatch layer the direct kernel calls replaced; a change
+// here needs a justification of the new rows, not a new constant.
+TEST(KernelTable, RowsMatchParent) {
+  BackendStateGuard state;
+  EnvVarGuard env("BLR_BACKEND");
+  ::unsetenv("BLR_BACKEND");
+
+  expect_kernel_rows(BackendCase{Strategy::JustInTime, lr::CompressionKind::Rrqr,
+                                 TilePrecision::Fp64, 1, Factorization::Llt},
+                     sparse::laplacian_3d(8, 8, 8),
+                     {{"potrf[ge]", "native", 26, 108240},
+                      {"trsm[ge]", "native", 25, 114560},
+                      {"trsm[lr]", "native", 2, 11872},
+                      {"gemm[ge,ge]", "native", 76, 510376},
+                      {"gemm[lr,ge]", "native", 2, 17472},
+                      {"gemm[ge,lr]", "native", 10, 29856},
+                      {"gemm[lr,lr]", "native", 2, 23744},
+                      {"lr2ge[lr]", "native", 14, 102312},
+                      {"compress[ge]", "native", 13, 46016},
+                      {"solve_trsm[ge]", "native", 52, 8192},
+                      {"solve_gemm[ge]", "native", 41, 300208},
+                      {"solve_gemm[lr]", "native", 4, 25536}},
+                     "lap 8^3 JIT LLt Fp64");
+
+  // MixedTiles stores low-rank factors in fp32: the *32 rows must show.
+  expect_kernel_rows(BackendCase{Strategy::MinimalMemory,
+                                 lr::CompressionKind::Rrqr,
+                                 TilePrecision::MixedTiles, 1, Factorization::Lu},
+                     sparse::convection_diffusion_3d(8, 8, 8, 0.5),
+                     {{"getrf[ge]", "native", 26, 108240},
+                      {"trsm[ge]", "native", 50, 229120},
+                      {"gemm[ge,ge]", "native", 102, 750184},
+                      {"lr2ge[ge]", "native", 16, 95288},
+                      {"lr2ge[lr]", "native", 26, 178440},
+                      {"compress[ge]", "native", 52, 184064},
+                      {"solve_trsm[ge]", "native", 52, 8192},
+                      {"solve_gemm[ge]", "native", 41, 300208},
+                      {"solve_gemm[lr32]", "native", 4, 13664},
+                      {"trsm[lr32]", "native", 4, 11872},
+                      {"gemm[lr32,ge]", "native", 12, 29632},
+                      {"gemm[ge,lr32]", "native", 12, 29632},
+                      {"gemm[lr32,lr32]", "native", 2, 11872},
+                      {"lr2lr[ge,c32]", "native", 12, 13840}},
+                     "conv-diff 8^3 MinMem LU MixedTiles");
+}
+
+// ---- operand refusals of the dispatch:: kernels -------------------------
+
+lr::Tile lowrank_tile(index_t m, index_t n, index_t r, Prng& rng,
+                      lr::Precision prec) {
+  la::DMatrix u(m, r), v(n, r);
+  la::random_normal(u.view(), rng);
+  la::random_normal(v.view(), rng);
+  lr::Tile t = lr::Tile::make_lowrank(m, n, lr::LrMatrix(std::move(u), std::move(v)),
+                                      MemCategory::Workspace);
+  if (prec == lr::Precision::Fp32) t.demote_lowrank();
+  return t;
+}
+
+lr::Tile dense_tile(index_t m, index_t n, Prng& rng) {
+  lr::Tile t = lr::Tile::make_dense(m, n, MemCategory::Workspace);
+  la::random_normal(t.dense().view(), rng);
+  return t;
+}
+
+TEST(DispatchGuards, ExtendAddIntoFactoredTileThrows) {
+  Prng rng(7);
+  lr::Tile c = dense_tile(12, 10, rng);
+  c.advance(lr::TileState::Factored);
+  const lr::Tile p = lowrank_tile(12, 10, 2, rng, lr::Precision::Fp64);
+  EXPECT_THROW(core::dispatch::extend_add(c, p, 0, 0, lr::CompressionKind::Rrqr,
+                                          1e-8, false),
+               Error);
+}
+
+TEST(DispatchGuards, ExtendAddRefusesFp32Contribution) {
+  Prng rng(11);
+  const lr::Tile p = lowrank_tile(12, 10, 2, rng, lr::Precision::Fp32);
+  ASSERT_EQ(p.precision(), lr::Precision::Fp32);
+  lr::Tile dense = dense_tile(12, 10, rng);
+  EXPECT_THROW(core::dispatch::extend_add(dense, p, 0, 0,
+                                          lr::CompressionKind::Rrqr, 1e-8,
+                                          false),
+               Error);
+  lr::Tile lowrank = lowrank_tile(12, 10, 3, rng, lr::Precision::Fp64);
+  EXPECT_THROW(core::dispatch::extend_add(lowrank, p, 0, 0,
+                                          lr::CompressionKind::Rrqr, 1e-8,
+                                          false),
+               Error);
+}
+
+TEST(DispatchGuards, ApplyContributionRefusesFp32Contribution) {
+  Prng rng(13);
+  const lr::Tile p = lowrank_tile(12, 10, 2, rng, lr::Precision::Fp32);
+  ASSERT_EQ(p.precision(), lr::Precision::Fp32);
+  la::DMatrix target(12, 10);
+  EXPECT_THROW(core::dispatch::apply_contribution(target.view(), p, false),
+               Error);
 }
 
 } // namespace

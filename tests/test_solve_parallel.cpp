@@ -11,8 +11,8 @@
 //    refactorize (plan_builds/plan_reuses counters);
 //  - the fp32 widen cache is built lazily on the first solve, hit by every
 //    later low-rank apply, and invalidated wholesale by refactorize();
-//  - solve kernels are routed through KernelDispatch (solve_trsm/solve_gemm
-//    rows in the kernel table);
+//  - the solve kernels count themselves in the kernel table (solve_trsm /
+//    solve_gemm rows);
 //  - a Session serving concurrent clients over the parallel solve returns
 //    bit-identical answers and reports the solve-phase detail per request.
 
