@@ -6,15 +6,16 @@
 //     refactorize() cost over a trajectory of value updates on a fixed
 //     stencil, per strategy;
 //  2. blocked solve throughput at nrhs in {1, 8, 32, 128} on the final
-//     factors.
+//     factors, plus the solve plan's slice tasks and parallelism bound.
 //
 // Results land in bench_refactorize.json, which the ci.sh perfsmoke stage
 // feeds into scripts/bench_trajectory.py next to bench_kernels.json.
 // `--quick` shrinks the problem and repetitions and enforces structural
 // floors only (plan reused and one forward + one backward solve task per
-// supernode, buffers recycled, warm hints replayed — the
-// mechanisms behind "steady-state is cheaper", not wall-clock, which would
-// flake on loaded CI machines), exiting nonzero on violation.
+// supernode plus the plan's slice tasks, buffers recycled, warm hints
+// replayed — the mechanisms behind "steady-state is cheaper", not
+// wall-clock, which would flake on loaded CI machines), exiting nonzero on
+// violation.
 
 #include <algorithm>
 #include <cstdio>
@@ -142,6 +143,8 @@ int run(bool quick) {
   // once the factors exist). The warmed pass after a refactorize also pins
   // the solve-plan replay floor.
   std::vector<SolveRow> solves;
+  std::uint32_t slice_tasks = 0;
+  double parallelism_bound = 0;
   for (const int threads : {1, 4}) {
     SolverOptions opts = base;
     opts.strategy = Strategy::JustInTime;
@@ -170,14 +173,20 @@ int run(bool quick) {
       solves.push_back(sr);
     }
     // Structural floors: the cached solve schedule served every pass, has
-    // one forward and one backward task per supernode, and the parallel
-    // configuration actually drained it over the solve pool.
+    // one forward and one backward task per supernode plus its Slice
+    // tasks, and the parallel configuration actually drained it over the
+    // solve pool.
     const core::SolvePhaseStats& sp = solver.stats().solve_phase;
+    const core::SolvePlan& splan = *solver.plan()->solve_plan();
     require(sp.plan_builds == 1 && sp.plan_reuses >= 1,
             "solve plan was rebuilt instead of reused across refactorize");
-    require(solver.plan()->solve_plan()->num_tasks() ==
-                2 * static_cast<std::uint32_t>(solver.symbolic().num_cblks()),
-            "solve plan is not one forward + one backward task per supernode");
+    require(splan.num_tasks() ==
+                2 * static_cast<std::uint32_t>(solver.symbolic().num_cblks()) +
+                    splan.num_slice_tasks(),
+            "solve plan is not one forward + one backward task per supernode "
+            "plus its slice tasks");
+    slice_tasks = splan.num_slice_tasks();
+    parallelism_bound = splan.parallelism_bound();
     if (threads > 1) {
       require(sp.parallel_solves > 0, "parallel solve path never engaged");
     }
@@ -237,7 +246,10 @@ int run(bool quick) {
                  static_cast<long long>(sr.nrhs), sr.threads, sr.seconds,
                  sr.rhs_per_s, i + 1 < solves.size() ? "," : "");
   }
-  std::fprintf(out, "  ]\n}\n");
+  std::fprintf(out,
+               "  ],\n  \"solve_plan\": {\"slice_tasks\": %u, "
+               "\"parallelism_bound\": %.3f}\n}\n",
+               slice_tasks, parallelism_bound);
   std::fclose(out);
   std::printf("wrote bench_refactorize.json\n");
 

@@ -11,18 +11,20 @@ Usage: scripts/bench_trajectory.py <report.json> [<report2.json> ...]
 
 Each report is identified by its keys — bench_kernels.json carries
 `packed_gemm`/`dense_update`/`panel_trsm`/`grid_gemm`/`backends`,
-bench_refactorize.json carries `refactorize`/`solve_throughput` — and all
-reports given on one invocation fold into a single trajectory entry.
+bench_refactorize.json carries `refactorize`/`solve_throughput`/
+`solve_plan` — and all reports given on one invocation fold into a single
+trajectory entry.
 
 The trajectory entry keeps only the headline numbers (packed-gemm speedups
 per size, the dense update's and the panel TRSM's ratios to the packed gemm,
 the grid GEMM's micro-tile and copied target entries, per-backend GF/s,
 steady-state refactorize speedup per strategy, blocked-solve throughput per
-width) plus the commit and timestamp, so the
-file stays small no matter how many runs accumulate. The newest `MAX_RUNS`
-entries are retained. Earlier entries are carried over verbatim, whatever
-keys they hold (entries from before the batched dispatch path was removed
-still carry `batched_*` speedups); no key is required of them.
+width, the solve plan's slice tasks and parallelism bound) plus the commit
+and timestamp, so the file stays small no matter how many runs accumulate.
+The newest `MAX_RUNS` entries are retained. Earlier entries are carried
+over verbatim, whatever keys they hold (entries from before the batched
+dispatch path was removed still carry `batched_*` speedups); no key is
+required of them.
 
 Each entry's `commit` is `git describe --always` of the checkout, with
 `-dirty` appended when a tracked file differs from that commit, as
@@ -114,6 +116,12 @@ def summarize(report: dict) -> dict:
             f"{row['nrhs']}@{row.get('threads', 1)}t": row["rhs_per_s"]
             for row in solves if "nrhs" in row
         }
+    plan = report.get("solve_plan")
+    if plan:
+        # bench_refactorize.json: the solve plan's Slice tasks and its
+        # entry-weighted parallelism bound (total / critical-path entries).
+        entry["solve_slice_tasks"] = plan["slice_tasks"]
+        entry["solve_parallelism_bound"] = plan["parallelism_bound"]
     return entry
 
 

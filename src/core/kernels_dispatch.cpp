@@ -297,8 +297,13 @@ void solve_gemm(const lr::Tile& blk, la::DConstView u, la::DConstView v,
                 la::DConstView xin, la::DView xout, bool backward) {
   // An fp32 tile runs the same fp64 math on its widen-cache copies; its row
   // only separates the counters per at-rest precision.
-  const Scope scope(is_fp32(blk) ? Row::SolveGemmLr32 : Row::SolveGemmLr,
-                    blk.storage_bytes() + view_bytes(xin) + view_bytes(xout));
+  const bool fp32 = is_fp32(blk);
+  const std::uint64_t factor_entries =
+      static_cast<std::uint64_t>(u.rows + v.rows) *
+      static_cast<std::uint64_t>(u.cols);
+  const Scope scope(fp32 ? Row::SolveGemmLr32 : Row::SolveGemmLr,
+                    factor_entries * (fp32 ? sizeof(la::single_t) : sizeof(real_t)) +
+                        view_bytes(xin) + view_bytes(xout));
   // Forward applies u·(vᵗ·xin), backward v·(uᵗ·xin): two rank-sized gemvs
   // per RHS column, tmp = svᵗ·xin, xout -= su·tmp. tmp is per-thread scratch
   // that grows to the largest rank × nrhs seen; beta = 0 never reads it.
@@ -317,14 +322,13 @@ void solve_gemm(const lr::Tile& blk, la::DConstView u, la::DConstView v,
 void solve_gemm(std::span<const SolveApply> applies, bool backward) {
   std::uint64_t bytes = 0;
   for (const SolveApply& ap : applies)
-    bytes += ap.blk->storage_bytes() + view_bytes(ap.in) + view_bytes(ap.out);
+    bytes += view_bytes(ap.a) + view_bytes(ap.in) + view_bytes(ap.out);
   const Scope scope(Row::SolveGemmGe, bytes);
   // Forward: out -= blk·in; backward: out -= blkᵗ·in. In order: applies of
   // one task may accumulate into the same rows.
   const la::Trans ta = backward ? la::Trans::Yes : la::Trans::No;
   for (const SolveApply& ap : applies)
-    la::gemm(ta, la::Trans::No, real_t(-1), ap.blk->dense().cview(), ap.in,
-             real_t(1), ap.out);
+    la::gemm(ta, la::Trans::No, real_t(-1), ap.a, ap.in, real_t(1), ap.out);
 }
 
 } // namespace dispatch

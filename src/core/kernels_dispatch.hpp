@@ -47,10 +47,11 @@ enum class KernelRow : int {
   kCount
 };
 
-/// One dense panel-tile apply of a solve task: out -= blk·in (forward) or
-/// out -= blkᵗ·in (backward).
+/// One dense panel-tile apply of a solve task: out -= a·in (forward) or
+/// out -= aᵗ·in (backward), `a` the rows of the tile the task applies (all
+/// of them, except in a forward Slice task).
 struct SolveApply {
-  const lr::Tile* blk = nullptr;
+  la::DConstView a;
   la::DConstView in;
   la::DView out;
 };
@@ -156,8 +157,10 @@ void solve_trsm(const lr::Tile& diag, const std::vector<index_t>& piv,
                 la::DView xk, bool llt, bool backward);
 
 /// Triangular-solve panel update of one RHS segment by a low-rank tile.
-/// `u`/`v` are its factors *already widened to fp64*; forward computes
-/// xout -= u·(vᵗ·xin), backward xout -= v·(uᵗ·xin).
+/// `u`/`v` are its factors *already widened to fp64*, `u` cut to the rows
+/// the call applies; forward computes xout -= u·(vᵗ·xin), backward
+/// xout -= v·(uᵗ·xin). Bytes count the factor rows read at `blk`'s at-rest
+/// precision.
 void solve_gemm(const lr::Tile& blk, la::DConstView u, la::DConstView v,
                 la::DConstView xin, la::DView xout, bool backward);
 

@@ -5,6 +5,7 @@
 #include <exception>
 #include <functional>
 #include <limits>
+#include <span>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -18,6 +19,13 @@ namespace {
 /// the narrowest width that never lost to a single copy on the lap 10³–36³
 /// measurements (DESIGN.md §16).
 constexpr index_t kSolveChunkCols = 16;
+
+/// Fewest solve-pool workers for which a pooled drain runs the Slice tasks
+/// (DESIGN.md §16). Whole pulls bound a solve at about 2.1× (lap 20³–36³),
+/// so two workers are already busy and the slices only add work: 1-RHS
+/// lap / conv-diff 36³ solves ran 0–6% slower with them at 2 workers and
+/// 5–19% faster at 3.
+constexpr int kSolveSliceMinThreads = 3;
 
 /// Estimated panel work (see NumericFactor::fans_out) from which Elim(k)
 /// spreads its per-blok compressions and TRSMs over the pool, in units of
@@ -654,10 +662,17 @@ void NumericFactor::run_update(const DagTask& u) {
       if (pr.staged) {
         finish_update(pr.loc, unstage(staged[next++].dense(), pr.loc.transpose));
       } else if (!pr.dense) {
+        // Only an LR2LR extend-add needs the orthonormal form, so a dense
+        // target skips the re-orthogonalization of a dense×low-rank
+        // product, which keeps its rank. A low-rank×low-rank product keeps
+        // the recompression of T: it lowers the contribution's rank, and
+        // with it the LR2GE flops and the workspace peak.
+        const bool ortho = policy_->need_ortho() &&
+                           (dense_target(pr.loc).data == nullptr ||
+                            (pr.a->is_lowrank() && pr.b->is_lowrank()));
         finish_update(pr.loc,
                       dispatch::product(*pr.a, *pr.b, opts_.kind,
-                                        opts_.tolerance,
-                                        policy_->need_ortho()));
+                                        opts_.tolerance, ortho));
       }
     }
   }
@@ -984,8 +999,9 @@ void NumericFactor::solve_lr_views(index_t k, index_t bi, bool upper,
   }
 }
 
-void NumericFactor::solve_apply(index_t k, index_t bi, la::DConstView in,
-                                la::DView out, std::vector<SolveApply>& run,
+void NumericFactor::solve_apply(index_t k, index_t bi, index_t i0,
+                                la::DConstView in, la::DView out,
+                                std::vector<SolveApply>& run,
                                 bool backward) const {
   // The backward sweep of an LU factor applies the U panel.
   const bool upper = backward && !llt_;
@@ -993,29 +1009,42 @@ void NumericFactor::solve_apply(index_t k, index_t bi, la::DConstView in,
   const lr::Tile& blk =
       (upper ? cd.upanel : cd.lpanel)[static_cast<std::size_t>(bi)];
   if (blk.rank() == 0) return;
+  const index_t h = backward ? in.rows : out.rows;
   if (!blk.is_lowrank()) {
-    run.push_back({&blk, in, out});
+    run.push_back({blk.dense().cview().sub(i0, 0, h, blk.cols()), in, out});
     return;
   }
   flush_dense(run, backward);
   la::DConstView u, v;
   solve_lr_views(k, bi, upper, blk, u, v);
-  dispatch::solve_gemm(blk, u, v, in, out, backward);
+  dispatch::solve_gemm(blk, u.sub(i0, 0, h, u.cols), v, in, out, backward);
 }
 
-void NumericFactor::solve_fwd(index_t t, la::DView x) const {
-  // L·Y = (locally pivoted) B, pull form: seg(t) receives the updates of
-  // every facing block in ascending source order, then its diagonal solve.
+void NumericFactor::solve_pull(index_t t, std::uint32_t f0, std::uint32_t f1,
+                               index_t r0, index_t r1, la::DView x) const {
   thread_local std::vector<SolveApply> run;
   run.clear();
-  for (const FacingBlok& f : splan_->facing(t)) {
-    const symbolic::Cblk& s = sf_.cblk(f.source);
-    const symbolic::Blok& b = s.bloks[static_cast<std::size_t>(f.bi)];
-    solve_apply(f.source, f.bi, x.sub(s.fcol, 0, s.width(), x.cols),
-                x.sub(b.frow, 0, b.height(), x.cols), run, /*backward=*/false);
+  const std::span<const FacingBlok> fac = splan_->facing(t);
+  for (std::uint32_t i = f0; i < f1; ++i) {
+    const symbolic::Cblk& s = sf_.cblk(fac[i].source);
+    const symbolic::Blok& b = s.bloks[static_cast<std::size_t>(fac[i].bi)];
+    const index_t lo = std::max(b.frow, r0);
+    const index_t hi = std::min(b.lrow, r1);
+    if (lo >= hi) continue;
+    solve_apply(fac[i].source, fac[i].bi, lo - b.frow,
+                x.sub(s.fcol, 0, s.width(), x.cols),
+                x.sub(lo, 0, hi - lo, x.cols), run, /*backward=*/false);
   }
   flush_dense(run, /*backward=*/false);
+}
+
+void NumericFactor::solve_fwd(index_t t, bool pull, la::DView x) const {
+  // L·Y = (locally pivoted) B, pull form: seg(t) receives the updates of
+  // every facing block in ascending source order, then its diagonal solve.
   const symbolic::Cblk& c = sf_.cblk(t);
+  if (pull)
+    solve_pull(t, 0, static_cast<std::uint32_t>(splan_->facing(t).size()),
+               c.fcol, c.lcol, x);
   const CblkData& cd = data_[static_cast<std::size_t>(t)];
   dispatch::solve_trsm(cd.diag, cd.ipiv, x.sub(c.fcol, 0, c.width(), x.cols),
                        llt_, /*backward=*/false);
@@ -1030,7 +1059,7 @@ void NumericFactor::solve_bwd(index_t k, la::DView x) const {
   la::DView xk = x.sub(c.fcol, 0, c.width(), x.cols);
   for (std::size_t bi = 0; bi < c.bloks.size(); ++bi) {
     const symbolic::Blok& b = c.bloks[bi];
-    solve_apply(k, static_cast<index_t>(bi),
+    solve_apply(k, static_cast<index_t>(bi), 0,
                 x.sub(b.frow, 0, b.height(), x.cols), xk, run,
                 /*backward=*/true);
   }
@@ -1066,6 +1095,13 @@ void NumericFactor::solve_permuted(la::DView x, SolveRunInfo* info) const {
       pool == nullptr ? 1
                       : static_cast<std::uint32_t>(std::clamp<index_t>(
                             ncols / kSolveChunkCols, 1, pool->size()));
+  // Only a single-chunk drain on a pool of at least kSolveSliceMinThreads
+  // workers runs the Slice tasks: the sequential drain skips them, and
+  // column chunks or a 2-worker pool already keep every worker busy, so
+  // there they would add work (each row slice recomputes the vᵗ·x of a
+  // low-rank block) and no parallelism. Then every Fwd pulls whole.
+  const bool slices = pool != nullptr && chunks == 1 &&
+                      pool->size() >= kSolveSliceMinThreads;
   std::mutex err_mu;
   std::exception_ptr err;
   const DepDrainStats ds = splan_->execute(
@@ -1075,10 +1111,16 @@ void NumericFactor::solve_permuted(la::DView x, SolveRunInfo* info) const {
       const index_t c1 = ncols * (chunk + 1) / chunks;
       const la::DView xc = x.sub(0, c0, x.rows, c1 - c0);
       const SolveTask& t = splan_->task(id);
-      if (t.kind == SolveTaskKind::Fwd) {
-        solve_fwd(t.k, xc);
-      } else {
-        solve_bwd(t.k, xc);
+      switch (t.kind) {
+        case SolveTaskKind::Fwd:
+          solve_fwd(t.k, !t.sliced || !slices, xc);
+          break;
+        case SolveTaskKind::Slice:
+          if (slices) solve_pull(t.k, t.f0, t.f1, t.r0, t.r1, xc);
+          break;
+        case SolveTaskKind::Bwd:
+          solve_bwd(t.k, xc);
+          break;
       }
       return true;
     } catch (...) {

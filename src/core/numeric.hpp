@@ -318,16 +318,24 @@ private:
   void maybe_fail_compression(index_t k);
 
   // ---- solve phase (DESIGN.md §16) -----------------------------------
-  /// The two task bodies of the solve on RHS block x: Fwd(t) pulls every
-  /// panel block facing t, then solves t's diagonal; Bwd(k) applies k's own
-  /// panel blocks, then solves k's diagonal.
-  void solve_fwd(index_t t, la::DView x) const;
+  /// The task bodies of the solve on RHS block x: Fwd(t) pulls every panel
+  /// block facing t (unless `pull` is false: its Slice tasks did), then
+  /// solves t's diagonal; a Slice task pulls its facing range into its rows
+  /// of seg(t); Bwd(k) applies k's own panel blocks, then solves k's
+  /// diagonal.
+  void solve_fwd(index_t t, bool pull, la::DView x) const;
   void solve_bwd(index_t k, la::DView x) const;
-  /// Apply one panel tile of a task: dense tiles queue onto `run` (flushed
-  /// as one dispatch), low-rank tiles flush `run` and dispatch at once, so
+  /// Rows [r0, r1) of seg(t) receive the updates of facing(t)[f0, f1), in
+  /// place and in ascending source order.
+  void solve_pull(index_t t, std::uint32_t f0, std::uint32_t f1, index_t r0,
+                  index_t r1, la::DView x) const;
+  /// Apply the rows [i0, i0 + h) of one panel tile, h the rows of `out`
+  /// (forward) or `in` (backward): dense tiles queue onto `run` (flushed as
+  /// one dispatch), low-rank tiles flush `run` and dispatch at once, so
   /// every RHS element sees its updates in block order.
-  void solve_apply(index_t k, index_t bi, la::DConstView in, la::DView out,
-                   std::vector<SolveApply>& run, bool backward) const;
+  void solve_apply(index_t k, index_t bi, index_t i0, la::DConstView in,
+                   la::DView out, std::vector<SolveApply>& run,
+                   bool backward) const;
   /// Resolve a panel tile's low-rank factors as fp64 views; fp32 tiles
   /// resolve through the widen cache (counting a hit).
   void solve_lr_views(index_t k, index_t bi, bool upper, const lr::Tile& blk,

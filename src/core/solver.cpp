@@ -422,6 +422,8 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
   } else {
     ++stats_.solve_phase.plan_reuses;
   }
+  stats_.solve_phase.slice_tasks = sp->num_slice_tasks();
+  stats_.solve_phase.parallelism_bound = sp->parallelism_bound();
   num_->set_solve_context(std::move(sp), solve_engine_);
   stats_.solve_phase.widen_tiles = 0;
   stats_.solve_phase.widen_bytes = 0;
@@ -582,7 +584,8 @@ void Solver::print_summary(std::ostream& os) const {
        << " column-chunked), " << sp.sequential_solves
        << " sequential), " << sp.tasks_executed
        << " tasks, plan " << sp.plan_builds << " built / " << sp.plan_reuses
-       << " reused, trsm " << sp.trsm_seconds << " s, gemm "
+       << " reused (" << sp.slice_tasks << " slice tasks, parallelism bound "
+       << sp.parallelism_bound << "x), trsm " << sp.trsm_seconds << " s, gemm "
        << sp.gemm_seconds << " s";
     if (sp.widen_tiles > 0) {
       os << ", widen cache " << sp.widen_tiles << " tiles ("

@@ -79,6 +79,11 @@ struct SolvePhaseStats {
   std::uint64_t solves = 0;            ///< NumericFactor solves issued
   std::uint64_t plan_builds = 0;       ///< SolvePlan graphs actually built
   std::uint64_t plan_reuses = 0;       ///< factorizations served by the cache
+  std::uint64_t slice_tasks = 0;       ///< Slice tasks in the current plan
+  /// The current plan's total / critical-path factor entries: the most any
+  /// thread count can speed up a single-chunk pooled solve (SolvePlan::
+  /// parallelism_bound).
+  double parallelism_bound = 0;
   std::uint64_t tasks_executed = 0;    ///< solve-plan task bodies run
   std::uint64_t parallel_solves = 0;   ///< solves drained as a DAG on the pool
   std::uint64_t split_solves = 0;      ///< parallel solves drained as several column chunks

@@ -61,8 +61,9 @@ public:
                                           const PolicyContext& ctx,
                                           lr::TileArena& arena) const;
 
-  /// Whether A·Bᵗ products must carry an orthonormal U. Default: no
-  /// (LR2GE targets tolerate any basis).
+  /// Whether A·Bᵗ products onto low-rank targets must carry an orthonormal
+  /// U. Default: no. Products onto dense targets never do (LR2GE tolerates
+  /// any basis).
   [[nodiscard]] virtual bool need_ortho() const { return false; }
 
   /// Elimination-time hook on each panel tile, after the diagonal

@@ -655,7 +655,10 @@ std::uint64_t factor_fingerprint(const Solver& s) {
 // geometry may change how the work is cut, never the bits: these factor
 // fingerprints were computed with the per-blok TRSM and the one-GEMM-per-
 // column-blok update they replaced. A change here needs a justification of
-// the new bits, not a new constant.
+// the new bits, not a new constant. The MinMem pin moved once: a
+// dense×low-rank product onto a dense target is no longer re-orthogonalized
+// (its LR2GE apply takes any basis), so those contributions carry the
+// product's own basis and round differently.
 TEST(KernelBits, FactorsMatchParent) {
   for (const int threads : {1, 4}) {
     {
@@ -682,7 +685,7 @@ TEST(KernelBits, FactorsMatchParent) {
       Solver s(o);
       s.factorize(sparse::convection_diffusion_3d(16, 16, 16, 0.5));
       ASSERT_GT(s.stats().num_lowrank_blocks, 0);
-      EXPECT_EQ(factor_fingerprint(s), 0x009d81d7a46686d4ull)
+      EXPECT_EQ(factor_fingerprint(s), 0xc895ab8eed4f4c2dull)
           << "conv-diff 16^3 MinMem LU, threads " << threads;
     }
   }
@@ -1000,7 +1003,10 @@ void expect_kernel_rows(const BackendCase& c, const CscMatrix& a,
 // rows: name, order, backend, calls and bytes, the table print_summary,
 // bench_table2_costs and bench/e2e read. The constants were printed by the
 // registry-keyed dispatch layer the direct kernel calls replaced; a change
-// here needs a justification of the new rows, not a new constant.
+// here needs a justification of the new rows, not a new constant. The
+// MinMem lr2ge[lr] bytes moved once: a dense×low-rank product onto a dense
+// target keeps its full rank instead of being re-orthogonalized down to
+// the target's row count when that is smaller.
 TEST(KernelTable, RowsMatchParent) {
   BackendStateGuard state;
   EnvVarGuard env("BLR_BACKEND");
@@ -1032,7 +1038,7 @@ TEST(KernelTable, RowsMatchParent) {
                       {"trsm[ge]", "native", 50, 229120},
                       {"gemm[ge,ge]", "native", 102, 750184},
                       {"lr2ge[ge]", "native", 16, 95288},
-                      {"lr2ge[lr]", "native", 26, 178440},
+                      {"lr2ge[lr]", "native", 26, 184992},
                       {"compress[ge]", "native", 52, 184064},
                       {"solve_trsm[ge]", "native", 52, 8192},
                       {"solve_gemm[ge]", "native", 41, 300208},

@@ -9,6 +9,9 @@
 //    push-form two-sweep written directly against the stored factors;
 //  - the SolvePlan is built once per symbolic plan and replayed by every
 //    refactorize (plan_builds/plan_reuses counters);
+//  - a pooled drain that runs the Slice tasks of the heavy forward pulls
+//    gives the bits of the sequential drain and of the reference, and the
+//    plan's entry weights add up to the entries the sweeps read;
 //  - the fp32 widen cache is built lazily on the first solve, hit by every
 //    later low-rank apply, and invalidated wholesale by refactorize();
 //  - the solve kernels count themselves in the kernel table (solve_trsm /
@@ -27,6 +30,7 @@
 #include <vector>
 
 #include "blr.hpp"
+#include "core/kernels_dispatch.hpp"
 #include "core/solve_plan.hpp"
 #include "linalg/blas.hpp"
 
@@ -180,10 +184,12 @@ TEST(SolvePlanCache, BuiltOnceReusedAcrossRefactorize) {
   const auto p2 = solver.plan()->solve_plan();
   EXPECT_EQ(p1.get(), p2.get());
 
-  // Structure: one forward and one backward task per supernode.
+  // Structure: one forward and one backward task per supernode, plus the
+  // Slice tasks of the heavy forward pulls.
   const core::SymbolicPlan& plan = *solver.plan();
   EXPECT_EQ(p1->num_tasks(),
-            2 * static_cast<std::uint64_t>(plan.sf.num_cblks()));
+            2 * static_cast<std::uint64_t>(plan.sf.num_cblks()) +
+                p1->num_slice_tasks());
   EXPECT_GT(p1->critical_path(), 0u);
 
   solver.refactorize(a2);
@@ -416,6 +422,158 @@ TEST(SolveReference, PerBlockSweepBitwise) {
                 solve_threads > 1);
     }
   }
+}
+
+// ---- (e1) sliced forward pulls ----------------------------------------------
+
+// Options for the sliced-pull tests: the default split, compression from
+// 16×8 blocks, so that the heavy pulls of lap / conv-diff 20³ are cut into
+// Slice tasks and low-rank blocks face the sliced supernodes.
+SolverOptions slice_options(Strategy strategy, Factorization facto,
+                            TilePrecision precision, int solve_threads) {
+  SolverOptions o;
+  o.strategy = strategy;
+  o.factorization = facto;
+  o.precision = precision;
+  o.threads = 1;
+  o.solve_threads = solve_threads;
+  o.compress_min_width = 16;
+  o.compress_min_height = 8;
+  if (strategy == Strategy::MinimalMemory) o.tolerance = 1e-4;
+  return o;
+}
+
+struct SliceCase {
+  const char* name;
+  Strategy strategy;
+  Factorization facto;
+  TilePrecision precision;
+};
+
+class SolveSlices : public ::testing::TestWithParam<SliceCase> {};
+
+// Process-wide solve_gemm[ge] calls so far: each Slice task with dense
+// blocks makes one, on top of the one per task of a whole pull.
+std::uint64_t dense_solve_gemm_calls() {
+  std::uint64_t calls = 0;
+  for (const core::DispatchCount& d : core::KernelDispatch::instance().snapshot())
+    if (d.kernel == "solve_gemm[ge]") calls += d.calls;
+  return calls;
+}
+
+// A pooled drain runs the Slice tasks in place of the whole pulls: every
+// row still receives its updates in ascending source order, so the bits
+// are those of the sequential drain (which skips the slices) and of the
+// independent push-form reference.
+TEST_P(SolveSlices, PooledMatchesSequentialAndReferenceBitwise) {
+  const SliceCase cs = GetParam();
+  const CscMatrix a = cs.facto == Factorization::Lu
+                          ? sparse::convection_diffusion_3d(20, 20, 20, 0.5)
+                          : sparse::laplacian_3d(20, 20, 20);
+  const index_t n = a.rows();
+  Solver seq(slice_options(cs.strategy, cs.facto, cs.precision, 1));
+  seq.factorize(a);
+  ASSERT_EQ(seq.is_llt(), cs.facto != Factorization::Lu);
+
+  // The plan slices, and the slices apply low-rank (and, for MixedTiles,
+  // fp32-at-rest) blocks.
+  const core::SolvePlan& plan = *seq.plan()->solve_plan();
+  ASSERT_GT(plan.num_slice_tasks(), 0u);
+  EXPECT_EQ(seq.stats().solve_phase.slice_tasks, plan.num_slice_tasks());
+  bool lowrank = false, fp32 = false;
+  for (std::uint32_t id = 0; id < plan.num_tasks(); ++id) {
+    const core::SolveTask& t = plan.task(id);
+    if (t.kind != core::SolveTaskKind::Fwd || !t.sliced) continue;
+    for (const core::FacingBlok& f : plan.facing(t.k)) {
+      const lr::Tile& blk = seq.numeric()
+                                .cblk_data(f.source)
+                                .lpanel[static_cast<std::size_t>(f.bi)];
+      lowrank = lowrank || blk.is_lowrank();
+      fp32 = fp32 || blk.precision() == lr::Precision::Fp32;
+    }
+  }
+  ASSERT_TRUE(lowrank) << "no low-rank block faces a sliced supernode";
+  if (cs.precision == TilePrecision::MixedTiles) {
+    ASSERT_TRUE(fp32) << "no fp32 block faces a sliced supernode";
+  }
+
+  for (const int solve_threads : {2, 4}) {
+    Solver par(slice_options(cs.strategy, cs.facto, cs.precision, solve_threads));
+    par.factorize(a);
+    for (const index_t nrhs : {1, 3, 50}) {
+      SCOPED_TRACE(std::string(cs.name) + ", solve_threads " +
+                   std::to_string(solve_threads) + ", nrhs " +
+                   std::to_string(nrhs));
+      const auto b = seeded_block(n, nrhs, 600 + static_cast<std::uint64_t>(nrhs));
+      std::vector<real_t> xs(b.size()), xp(b.size());
+      const std::uint64_t c0 = dense_solve_gemm_calls();
+      seq.solve(la::DConstView(b.data(), n, nrhs, n),
+                la::DView(xs.data(), n, nrhs, n));
+      const std::uint64_t c1 = dense_solve_gemm_calls();
+      par.solve(la::DConstView(b.data(), n, nrhs, n),
+                la::DView(xp.data(), n, nrhs, n));
+      const std::uint64_t c2 = dense_solve_gemm_calls();
+      ASSERT_EQ(0, std::memcmp(xp.data(), xs.data(), xp.size() * sizeof(real_t)));
+      // Only a single-chunk drain on at least 3 workers runs the slices;
+      // otherwise each 16-column chunk pulls whole, as the sequential drain.
+      const std::uint64_t chunks = static_cast<std::uint64_t>(
+          std::clamp<index_t>(nrhs / 16, 1, solve_threads));
+      if (solve_threads >= 3 && chunks == 1) {
+        EXPECT_GT(c2 - c1, c1 - c0);
+      } else {
+        EXPECT_EQ(c2 - c1, (c1 - c0) * chunks);
+      }
+      const std::vector<real_t> want = reference_solve(par, b, nrhs);
+      ASSERT_EQ(0, std::memcmp(xp.data(), want.data(), xp.size() * sizeof(real_t)));
+    }
+    EXPECT_EQ(par.stats().solve_phase.parallel_solves, 3u);
+  }
+  EXPECT_EQ(seq.stats().solve_phase.parallel_solves, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, SolveSlices,
+    ::testing::Values(
+        SliceCase{"JIT LLt Fp64", Strategy::JustInTime, Factorization::Llt,
+                  TilePrecision::Fp64},
+        SliceCase{"JIT LLt MixedTiles", Strategy::JustInTime,
+                  Factorization::Llt, TilePrecision::MixedTiles},
+        SliceCase{"MinMem LU Fp64", Strategy::MinimalMemory, Factorization::Lu,
+                  TilePrecision::Fp64},
+        SliceCase{"MinMem LU MixedTiles", Strategy::MinimalMemory,
+                  Factorization::Lu, TilePrecision::MixedTiles}),
+    [](const ::testing::TestParamInfo<SliceCase>& info) {
+      std::string s = info.param.strategy == Strategy::JustInTime ? "Jit" : "MinMem";
+      s += info.param.facto == Factorization::Lu ? "Lu" : "Llt";
+      s += info.param.precision == TilePrecision::MixedTiles ? "Mixed" : "Fp64";
+      return s;
+    });
+
+// The plan's entry weights add up to the factor entries the two sweeps
+// read: each panel block once per sweep, each diagonal block once (half per
+// sweep). Slicing lifts the parallelism bound well above the 2.08 of one
+// task per supernode per sweep.
+TEST(SolveSlices, EntryWeightsAndParallelismBound) {
+  const CscMatrix a = sparse::laplacian_3d(20, 20, 20);
+  SolverOptions opts;
+  opts.strategy = Strategy::Dense;  // stored entries == symbolic entries
+  Solver solver(opts);
+  solver.factorize(a);
+  ASSERT_TRUE(solver.is_llt());
+  double read = 0;
+  for (index_t k = 0; k < solver.symbolic().num_cblks(); ++k) {
+    const core::CblkData& cd = solver.numeric().cblk_data(k);
+    read += static_cast<double>(cd.diag.storage_entries());
+    for (const lr::Tile& t : cd.lpanel)
+      read += 2.0 * static_cast<double>(t.storage_entries());
+  }
+  const core::SolvePlan& plan = *solver.plan()->solve_plan();
+  EXPECT_EQ(plan.total_entries(), read);
+  EXPECT_GT(plan.num_slice_tasks(), 0u);
+  EXPECT_LT(plan.critical_entries(), plan.total_entries());
+  EXPECT_GT(plan.parallelism_bound(), 2.5);
+  EXPECT_EQ(solver.stats().solve_phase.parallelism_bound,
+            plan.parallelism_bound());
 }
 
 // ---- (e2) small solves drain on the calling thread -------------------------
