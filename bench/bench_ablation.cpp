@@ -79,9 +79,8 @@ int main() {
     }
   }
 
-  // 6. Compression kernel family (incl. the randomized future-work kernel).
-  for (const auto kind : {lr::CompressionKind::Rrqr, lr::CompressionKind::Svd,
-                          lr::CompressionKind::Randomized}) {
+  // 6. Compression kernel family.
+  for (const auto kind : {lr::CompressionKind::Rrqr, lr::CompressionKind::Svd}) {
     SolverOptions o = paper_options(Strategy::JustInTime, kind, 1e-8);
     const std::string label = std::string("JIT kernel ") + core::kind_name(kind);
     run_config(label.c_str(), a, o);

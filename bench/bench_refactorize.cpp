@@ -72,7 +72,10 @@ struct SolveRow {
 };
 
 int run(bool quick) {
-  const index_t g = quick ? 10 : 20;
+  // Full mode is lap 32³ so that the 4-thread solves run sliced forward
+  // pulls: at split 64/32 its solve plan has 74 Slice tasks, where 20³ and
+  // 24³ have none and 28³ has 4.
+  const index_t g = quick ? 10 : 32;
   const int steps = quick ? 4 : 8;
   const sparse::CscMatrix a0 = sparse::laplacian_3d(g, g, g);
   const index_t n = a0.rows();

@@ -5,8 +5,9 @@
 // pattern, new values — then solves against a handful of right-hand sides.
 // Re-running analyze() every step would waste the dominant symbolic cost;
 // a Session keeps one symbolic plan alive, re-factorizes numerically with
-// warm-started compression (learned ranks, recycled buffers), and serves
-// solve() calls from any thread while the next step's factorization runs.
+// warm state (learned ranks skip proven-dense blocks, buffers recycle), and
+// serves solve() calls from any thread while the next step's factorization
+// runs.
 
 #include <cstdio>
 #include <thread>
@@ -99,13 +100,12 @@ int main() {
   std::printf(
       "\nsteady-state step %.2f ms vs first step incl. analyze %.2f ms "
       "(%.2fx)\n"
-      "warm compressions: %llu hits, %llu grows, %llu dense skips; "
-      "buffer pool: %llu hits\n",
+      "warm start: %llu dense skips, %llu sketched SVD compressions "
+      "(0 under RRQR, which compresses cold); buffer pool: %llu hits\n",
       steady_s * 1e3, (first_s + analyze_s) * 1e3,
       (first_s + analyze_s) / steady_s,
-      static_cast<unsigned long long>(st.warm.hits),
-      static_cast<unsigned long long>(st.warm.grows),
       static_cast<unsigned long long>(st.warm.dense_skips),
+      static_cast<unsigned long long>(st.warm.attempts),
       static_cast<unsigned long long>(st.buffer_hits));
   return 0;
 }

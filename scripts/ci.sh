@@ -83,8 +83,8 @@ run_tsan() {
 # SolverOptions declares (dotted rows such as `recovery.enabled` match on
 # their leading field), so the table cannot silently drift from the header.
 # Likewise every row of the README strategy table must name an enumerator of
-# enum class Strategy. Fails listing the undocumented fields and the stale
-# rows.
+# enum class Strategy, and the `kind` row only enumerators of enum class
+# CompressionKind. Fails listing the undocumented fields and the stale rows.
 run_docs() {
   awk '
     /^struct SolverOptions/ { in_struct = 1; next }
@@ -137,32 +137,57 @@ run_docs() {
   ' src/core/options.hpp README.md
   echo "ci[docs]: every README options row names a SolverOptions field"
 
-  awk '
-    FNR == NR {                               # pass 1: Strategy enumerators
-      if ($0 ~ /^enum class Strategy/) { in_enum = 1; next }
-      if (!in_enum) next
-      if ($0 ~ /^};/) { in_enum = 0; next }
+  check_enum_rows Strategy src/core/options.hpp '^[|] strategy [|] ' \
+                  '^[|] `' 1 1 strategy
+  echo "ci[docs]: every README strategy row names a Strategy enumerator"
+  check_enum_rows CompressionKind src/lowrank/compression.hpp \
+                  '^[|] option [|] default [|] meaning [|]' '^[|] `kind` [|]' 2 3 kind
+  echo "ci[docs]: the README kind row names only CompressionKind enumerators"
+}
+
+# Fails when a README table row names a value that is not an enumerator of
+# <enum> (declared in <header>): the table starts after the line matching
+# <table> and ends at the first non-table line; in each row matching <row>,
+# every backticked word of cells <first>..<last> must be an enumerator.
+check_enum_rows() { # <enum> <header> <table> <row> <first> <last> <what>
+  awk -v enum="$1" -v table="$3" -v row="$4" -v first="$5" -v last="$6" \
+      -v what="$7" '
+    FNR == NR {                               # pass 1: the enumerators
       line = $0
       sub(/\/\/.*/, "", line)                 # drop comments
-      gsub(/[ \t,]/, "", line)
-      sub(/=.*/, "", line)
-      if (line != "") enumerator[line] = 1
+      if (line ~ ("^enum class " enum "([ \t{]|$)")) {
+        in_enum = 1
+        if (line !~ /\{/) next
+        sub(/^[^{]*\{/, "", line)
+      }
+      if (!in_enum) next
+      if (line ~ /\}/) { in_enum = 0; sub(/\}.*$/, "", line) }
+      n = split(line, w, /,/)
+      for (i = 1; i <= n; ++i) {
+        sub(/=.*/, "", w[i])
+        gsub(/[ \t]/, "", w[i])
+        if (w[i] != "") enumerator[w[i]] = 1
+      }
       next
     }
-    /^\| strategy \| / { in_table = 1; next }
+    $0 ~ table { in_table = 1; next }
     in_table && !/^\|/ { in_table = 0 }
-    in_table && /^\| `/ {                     # pass 2: README table rows
-      name = $0
-      sub(/^\| `/, "", name)
-      sub(/`.*/, "", name)
-      if (!(name in enumerator)) {
-        printf "ci[docs]: README strategy row names no Strategy enumerator: %s\n", name
-        bad = 1
+    in_table && $0 ~ row {                    # pass 2: README table rows
+      split($0, cell, /\|/)                   # cell[1] is before the first |
+      for (c = first + 1; c <= last + 1; ++c) {
+        rest = cell[c]
+        while (match(rest, /`[^`]*`/)) {
+          name = substr(rest, RSTART + 1, RLENGTH - 2)
+          rest = substr(rest, RSTART + RLENGTH)
+          if (!(name in enumerator)) {
+            printf "ci[docs]: README %s row names no %s enumerator: %s\n", what, enum, name
+            bad = 1
+          }
+        }
       }
     }
     END { exit bad }
-  ' src/core/options.hpp README.md
-  echo "ci[docs]: every README strategy row names a Strategy enumerator"
+  ' "$2" README.md
 }
 
 # Performance smoke: Release builds of bench_kernels and bench_refactorize

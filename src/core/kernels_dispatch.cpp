@@ -246,13 +246,15 @@ void extend_add(lr::Tile& c, const lr::Tile& p, index_t roff, index_t coff,
 }
 
 std::optional<lr::LrMatrix> compress(lr::CompressionKind kind, la::DConstView a,
-                                     real_t tol, index_t max_rank,
-                                     index_t rank_guess, bool* grew) {
+                                     real_t tol, index_t max_rank) {
   const Scope scope(Row::CompressGe, view_bytes(a));
-  if (rank_guess < 0) return lr::compress(kind, a, tol, max_rank);
-  auto wr = lr::compress_warm(kind, a, tol, max_rank, rank_guess);
-  if (grew != nullptr) *grew = wr.grew;
-  return std::move(wr.lr);
+  return lr::compress(kind, a, tol, max_rank);
+}
+
+lr::WarmCompressResult compress_svd_warm(la::DConstView a, real_t tol,
+                                         index_t max_rank, index_t rank_hint) {
+  const Scope scope(Row::CompressGe, view_bytes(a));
+  return lr::compress_svd_warm(a, tol, max_rank, rank_hint);
 }
 
 // ---- triangular-solve kernels (DESIGN.md §16) ----------------------------

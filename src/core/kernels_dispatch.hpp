@@ -140,15 +140,14 @@ void extend_add(lr::Tile& c, const lr::Tile& p, index_t roff, index_t coff,
                 lr::CompressionKind kind, real_t tol, bool transpose);
 
 /// Rank-revealing compression of a dense view; nullopt when the tolerance
-/// is unreachable within max_rank. `rank_guess >= 0` warm-starts the kernel
-/// with the rank this block reached in the previous numeric pass (plus
-/// slack), with the verify-and-grow semantics of lr::compress_warm; `*grew`
-/// (optional) then reports whether the guess failed verification and the
-/// full-cap path ran. `rank_guess = -1` is a cold compression.
+/// is unreachable within max_rank.
 std::optional<lr::LrMatrix> compress(lr::CompressionKind kind, la::DConstView a,
-                                     real_t tol, index_t max_rank,
-                                     index_t rank_guess = -1,
-                                     bool* grew = nullptr);
+                                     real_t tol, index_t max_rank);
+
+/// lr::compress_svd_warm (SVD seeded with the rank this block reached in the
+/// previous numeric pass), counted in the same `compress[ge]` row.
+lr::WarmCompressResult compress_svd_warm(la::DConstView a, real_t tol,
+                                         index_t max_rank, index_t rank_hint);
 
 /// Triangular-solve diagonal apply on the RHS segment `xk` (DESIGN.md §16):
 /// forward (`backward == false`) applies the local pivots (LU) then the

@@ -121,7 +121,6 @@ NumericFactor::NumericFactor(const sparse::CscMatrix& a,
   pctx_.compression_site = [this](index_t k) { maybe_fail_compression(k); };
   // Warm-start wiring (re-factorization only; empty on cold runs).
   pctx_.warm = reuse_.ranks;
-  pctx_.warm_slack = opts_.warm_rank_slack;
   pctx_.warm_dense_skip = opts_.warm_dense_skip;
   pctx_.warm_counters = &warm_counters_;
   iperm_.resize(ord_.perm.size());

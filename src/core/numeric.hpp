@@ -66,7 +66,8 @@ struct UpdateLoc {
 /// State a numeric pass replays over the same SymbolicPlan (DESIGN.md §15).
 /// `dag` is the factorization task graph (required; the Solver builds it
 /// once per plan). The other two are optional and cost-only: ranks
-/// warm-start compressions (verified, grow-on-mismatch), buffers recycle
+/// warm-start SVD compressions (verified, grow-on-mismatch) and let
+/// proven-dense blocks skip compression, buffers recycle
 /// retired factor storage. Pointed-to state must outlive the NumericFactor.
 struct NumericReuse {
   const RankMemory* ranks = nullptr;   ///< learned per-block ranks
@@ -246,7 +247,7 @@ public:
   /// Record the final rank of every panel block into `out` (kDense for
   /// blocks that ended dense) and mark the record valid. Called by the
   /// Solver after a successful pass; the record seeds the next
-  /// re-factorization's warm-started compressions.
+  /// re-factorization's dense skips and SVD sketches.
   void harvest_ranks(RankMemory& out) const;
 
   /// Move every factor buffer (dense blocks, diagonals, low-rank U/V) into

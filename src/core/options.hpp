@@ -288,15 +288,6 @@ struct SolverOptions {
   /// (disabled by default).
   RecoveryPolicy recovery;
 
-  /// Headroom added to each rank guess refactorize() replays (DESIGN.md
-  /// §15), absorbing small rank growth between passes without triggering
-  /// the grow fallback. refactorize() always seeds each compression with
-  /// the rank the previous pass learned for the same block; the guesses are
-  /// verify-and-grow (the τ bound is still checked, and a too-small guess
-  /// falls back to the full-cap search), so the accuracy contract is that
-  /// of a cold factorize(). Cold factorize() calls never use guesses.
-  index_t warm_rank_slack = 8;
-
   /// Skip the compression attempt on blocks the previous pass proved dense
   /// (dense storage is exact, so skipping cannot change the answer). Read
   /// by refactorize().

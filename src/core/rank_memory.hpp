@@ -17,10 +17,11 @@ namespace blr::core {
 /// kDense — the block ended dense; kUnknown — no information (fresh
 /// structure, or the previous pass never produced this block).
 ///
-/// The record is only ever a *cost* hint: warm-started compressions verify
-/// the tolerance and grow on mismatch (lr::compress_warm), so a stale or
-/// wrong entry can slow a re-factorization down but cannot change its
-/// accuracy.
+/// The record is only ever a *cost* hint: SVD's warm-started compressions
+/// verify the tolerance and grow on mismatch (lr::compress_svd_warm), RRQR
+/// ignores the ranks, and a kDense entry only skips a compression (dense is
+/// exact), so a stale or wrong entry can slow a re-factorization down but
+/// cannot change its accuracy.
 struct RankMemory {
   static constexpr index_t kDense = -1;
   static constexpr index_t kUnknown = -2;
@@ -48,9 +49,9 @@ struct RankMemory {
 /// Warm-start event counters, aggregated across the worker threads of one
 /// numeric pass and snapshotted into SolverStats::warm on success.
 struct WarmCounters {
-  std::atomic<std::uint64_t> attempts{0};     ///< compressions seeded by a hint
-  std::atomic<std::uint64_t> hits{0};         ///< warm attempt accepted as-is
-  std::atomic<std::uint64_t> grows{0};        ///< verify failed, full-cap retry
+  std::atomic<std::uint64_t> attempts{0};     ///< SVD sketches seeded by a hint
+  std::atomic<std::uint64_t> hits{0};         ///< sketch accepted at the τ bound
+  std::atomic<std::uint64_t> grows{0};        ///< sketch failed, full SVD ran
   std::atomic<std::uint64_t> dense_skips{0};  ///< previously-dense blocks kept dense
 };
 

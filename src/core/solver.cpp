@@ -59,7 +59,6 @@ const char* kind_name(lr::CompressionKind k) {
   switch (k) {
     case lr::CompressionKind::Svd: return "SVD";
     case lr::CompressionKind::Rrqr: return "RRQR";
-    case lr::CompressionKind::Randomized: return "Randomized";
   }
   return "?";
 }

@@ -50,11 +50,13 @@ struct FactorizeAttempt {
 
 /// Warm-start counters of one numeric pass (DESIGN.md §15; all zero for
 /// cold factorizations). Snapshot of the per-run atomics in
-/// core::WarmCounters.
+/// core::WarmCounters. Only SVD consumes replayed ranks (as the width of a
+/// randomized sketch), so attempts, hits and grows read 0 on RRQR runs,
+/// whose compressions are the cold call; dense_skips counts either kind.
 struct WarmStartStats {
-  std::uint64_t attempts = 0;     ///< compressions seeded with a replayed rank
-  std::uint64_t hits = 0;         ///< warm guesses accepted at the τ bound
-  std::uint64_t grows = 0;        ///< guesses too small → full-cap fallback ran
+  std::uint64_t attempts = 0;     ///< SVD sketches seeded with a replayed rank
+  std::uint64_t hits = 0;         ///< sketches accepted at the τ bound
+  std::uint64_t grows = 0;        ///< sketch fell short → full SVD ran
   std::uint64_t dense_skips = 0;  ///< compressions skipped on proven-dense blocks
 };
 

@@ -31,32 +31,24 @@ bool warm_skip_dense(const PolicyContext& ctx, index_t hint) {
   return true;
 }
 
-/// Turn a replayed rank into the guess handed to compress_warm: the learned
-/// rank plus slack, clamped to the cap. Returns -1 (cold) when no usable
-/// record exists. Counts the attempt.
-index_t warm_guess(const PolicyContext& ctx, index_t hint, index_t cap) {
-  if (hint < 0) return -1;
-  if (ctx.warm_counters != nullptr)
-    ctx.warm_counters->attempts.fetch_add(1, std::memory_order_relaxed);
-  return std::min(cap, hint + ctx.warm_slack);
-}
-
-/// Record the warm outcome once the kernel reports whether it had to grow.
-void warm_outcome(WarmCounters* counters, bool grew) {
-  if (counters == nullptr) return;
-  (grew ? counters->grows : counters->hits).fetch_add(1, std::memory_order_relaxed);
-}
-
-/// compress warm or cold depending on `guess` (counted either way in the
-/// `compress[ge]` row).
+/// Compress one site, cold or warm: the one place that decides which kind
+/// consumes a replayed rank. SVD sketches at the hint (counted as an
+/// attempt, then a hit or a grow); RRQR always makes the cold call, because
+/// geqp3_trunc runs the same iterations up to its stopping rank whatever
+/// its cap, so a guess could only add a capped run and a rerun. Counted in
+/// the `compress[ge]` row either way.
 std::optional<lr::LrMatrix> compress_site(const PolicyContext& ctx,
                                           la::DConstView a, index_t cap,
-                                          index_t guess) {
-  if (guess < 0) return dispatch::compress(ctx.kind, a, ctx.tolerance, cap);
-  bool grew = false;
-  auto out = dispatch::compress(ctx.kind, a, ctx.tolerance, cap, guess, &grew);
-  warm_outcome(ctx.warm_counters, grew);
-  return out;
+                                          index_t hint) {
+  if (hint < 0 || ctx.kind != lr::CompressionKind::Svd)
+    return dispatch::compress(ctx.kind, a, ctx.tolerance, cap);
+  auto wr = dispatch::compress_svd_warm(a, ctx.tolerance, cap, hint);
+  if (ctx.warm_counters != nullptr) {
+    ctx.warm_counters->attempts.fetch_add(1, std::memory_order_relaxed);
+    (wr.grew ? ctx.warm_counters->grows : ctx.warm_counters->hits)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::move(wr.lr);
 }
 
 } // namespace
@@ -79,8 +71,7 @@ void UpdatePolicy::at_elimination(index_t k, BlockSite site, lr::Tile& t,
   if (warm_skip_dense(ctx, hint)) return;
   if (ctx.compression_site) ctx.compression_site(k);
   const index_t limit = lr::beneficial_rank_limit(t.rows(), t.cols());
-  const index_t guess = warm_guess(ctx, hint, limit);
-  auto lrm = compress_site(ctx, t.dense().cview(), limit, guess);
+  auto lrm = compress_site(ctx, t.dense().cview(), limit, hint);
   if (lrm) {
     t.set_lowrank(std::move(*lrm));
     t.advance(lr::TileState::Compressed);
@@ -132,8 +123,7 @@ public:
     if (ctx.compression_site) ctx.compression_site(k);
     const index_t limit =
         lr::beneficial_rank_limit(scratch.rows(), scratch.cols());
-    auto lrm = compress_site(ctx, scratch.cview(), limit,
-                             warm_guess(ctx, hint, limit));
+    auto lrm = compress_site(ctx, scratch.cview(), limit, hint);
     if (lrm) {
       lr::Tile t = lr::Tile::make_lowrank(scratch.rows(), scratch.cols(),
                                           std::move(*lrm), arena);

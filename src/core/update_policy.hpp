@@ -32,9 +32,9 @@ struct PolicyContext {
   std::function<void(index_t)> compression_site;
   /// Rank record replayed from the previous numeric pass over the same plan
   /// (nullptr: cold factorization, no warm starts). Hints are cost-only:
-  /// every seeded compression verifies the tolerance and grows on mismatch.
+  /// SVD sketches at them and verifies the tolerance (growing on mismatch),
+  /// RRQR compresses cold, and proven-dense blocks may skip compression.
   const RankMemory* warm = nullptr;
-  index_t warm_slack = 8;      ///< headroom added to each replayed rank guess
   bool warm_dense_skip = true; ///< keep previously-dense blocks dense outright
   WarmCounters* warm_counters = nullptr;  ///< event counters (may be null)
 };

@@ -1,5 +1,6 @@
 #include "lowrank/compression.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/prng.hpp"
@@ -82,12 +83,6 @@ std::optional<LrMatrix> compress_rrqr(la::DConstView a, real_t tol_rel, index_t 
     for (index_t k = 0; k < kend; ++k) out.v(orig, k) = w(k, j);
   }
   return out;
-}
-
-std::optional<LrMatrix> compress_randomized(la::DConstView a, real_t tol_rel,
-                                            index_t max_rank) {
-  return compress_randomized_from(a, tol_rel, max_rank,
-                                  std::min<index_t>(16, std::min(a.rows, a.cols)));
 }
 
 std::optional<LrMatrix> compress_randomized_from(la::DConstView a, real_t tol_rel,
@@ -174,49 +169,19 @@ std::optional<LrMatrix> compress(CompressionKind kind, la::DConstView a,
   switch (kind) {
     case CompressionKind::Svd: return compress_svd(a, tol_rel, max_rank);
     case CompressionKind::Rrqr: return compress_rrqr(a, tol_rel, max_rank);
-    case CompressionKind::Randomized:
-      return compress_randomized(a, tol_rel, max_rank);
   }
   return std::nullopt;
 }
 
-WarmCompressResult compress_warm(CompressionKind kind, la::DConstView a,
-                                 real_t tol_rel, index_t max_rank,
-                                 index_t rank_guess) {
-  const index_t guess = std::clamp<index_t>(rank_guess, 0, max_rank);
-  constexpr index_t oversample = 8;
-  switch (kind) {
-    case CompressionKind::Rrqr: {
-      // A capped RRQR is self-verifying: when geqp3 stops at the cap rather
-      // than the tolerance, compress_rrqr checks the trailing block against
-      // tol_abs and reports failure — so a too-small guess surfaces as
-      // nullopt here, never as a silently inaccurate factorization. A run
-      // that stops exactly at the cap is re-done at full cap even when its
-      // trailing block passed: the capped acceptance uses the exact trailing
-      // norm while an uncapped run consults downdated estimates at the same
-      // step, and the two can disagree near the tolerance — rerunning keeps
-      // warm results bit-identical to cold ones.
-      auto first = compress_rrqr(a, tol_rel, guess);
-      if (first && first->rank() < guess) return {std::move(first), false};
-      if (guess >= max_rank) return {std::move(first), false};
-      return {compress_rrqr(a, tol_rel, max_rank), true};
-    }
-    case CompressionKind::Svd: {
-      // One sketch sized by the guess, verified by its explicit residual;
-      // only when the values moved enough to outgrow it do we pay the full
-      // deterministic SVD again.
-      auto sketch = compress_randomized_from(a, tol_rel, max_rank,
-                                             std::min(guess + oversample, max_rank));
-      if (sketch) return {std::move(sketch), false};
-      return {compress_svd(a, tol_rel, max_rank), true};
-    }
-    case CompressionKind::Randomized:
-      // The adaptive range-finder already verifies and doubles; warming it
-      // just starts the sketch at the learned rank instead of 16.
-      return {compress_randomized_from(a, tol_rel, max_rank, guess + oversample),
-              false};
-  }
-  return {std::nullopt, false};
+WarmCompressResult compress_svd_warm(la::DConstView a, real_t tol_rel,
+                                     index_t max_rank, index_t rank_hint) {
+  // One sketch sized by the hint, verified by its explicit residual; only
+  // when the values moved enough to outgrow it do we pay the full
+  // deterministic SVD again.
+  auto sketch = compress_randomized_from(
+      a, tol_rel, max_rank, std::min(rank_hint + kWarmSketchSlack, max_rank));
+  if (sketch) return {std::move(sketch), false};
+  return {compress_svd(a, tol_rel, max_rank), true};
 }
 
 Tile compress_to_tile(CompressionKind kind, la::DConstView a, real_t tol_rel,

@@ -8,18 +8,7 @@ namespace blr::lr {
 
 /// Rank-revealing kernel family (§3.1 of the paper): SVD finds the smallest
 /// ranks but costs Θ(m²n + n³); RRQR stops at the numerical rank for Θ(mnr).
-/// Randomized is the kernel the paper's conclusion lists as future work: an
-/// adaptive Gaussian range-finder (Halko-Martinsson-Tropp) followed by a
-/// small SVD — Θ(mnr) with better cache behaviour than pivoted QR. Its
-/// extend-add recompression reuses the RRQR variant.
-enum class CompressionKind { Svd, Rrqr, Randomized };
-
-/// Compression tolerance semantics: the returned Â satisfies
-/// ‖A − Â‖_F <= tol_rel · ‖A‖_F.
-struct CompressionOptions {
-  CompressionKind kind = CompressionKind::Rrqr;
-  real_t tol_rel = 1e-8;
-};
+enum class CompressionKind { Svd, Rrqr };
 
 /// Largest rank at which the U·Vᵗ form stores fewer entries than the dense
 /// block: r · (m + n) < m · n.
@@ -34,38 +23,41 @@ inline index_t beneficial_rank_limit(index_t m, index_t n) {
 /// orthonormal columns.
 std::optional<LrMatrix> compress_svd(la::DConstView a, real_t tol_rel, index_t max_rank);
 std::optional<LrMatrix> compress_rrqr(la::DConstView a, real_t tol_rel, index_t max_rank);
-std::optional<LrMatrix> compress_randomized(la::DConstView a, real_t tol_rel,
-                                            index_t max_rank);
 
 std::optional<LrMatrix> compress(CompressionKind kind, la::DConstView a,
                                  real_t tol_rel, index_t max_rank);
 
-/// compress_randomized with an explicit initial sketch width (the cold entry
-/// point starts at min(16, min(m,n))). The adaptive loop doubles the sketch
-/// and re-verifies the residual until the tolerance holds, so a too-small
-/// start costs extra iterations but never accuracy.
+/// Adaptive randomized range-finder (Halko-Martinsson-Tropp) followed by a
+/// small SVD, starting from a Gaussian sketch `sketch0` columns wide: the
+/// sketch doubles and the residual is re-verified until the tolerance
+/// holds, so a too-small start costs extra iterations but never accuracy.
+/// Same contract as compress_svd. The sketch is seeded by the block shape,
+/// so equal inputs give equal bits.
 std::optional<LrMatrix> compress_randomized_from(la::DConstView a, real_t tol_rel,
                                                  index_t max_rank, index_t sketch0);
 
-/// Outcome of a warm-started compression (DESIGN.md §15): `lr` follows the
-/// same contract as compress(); `grew` records that the rank guess was too
-/// small and the kernel fell back to the full-cap path (the verify-and-grow
-/// event counted in SolverStats::warm).
+/// Sketch width headroom over a replayed rank in compress_svd_warm: absorbs
+/// small rank growth between passes (8) plus the range-finder's
+/// oversampling (8).
+inline constexpr index_t kWarmSketchSlack = 16;
+
+/// Outcome of a warm-started SVD compression (DESIGN.md §15): `lr` follows
+/// the same contract as compress_svd(); `grew` records that the sketch
+/// failed and the full SVD ran (the grow event counted in
+/// SolverStats::warm).
 struct WarmCompressResult {
   std::optional<LrMatrix> lr;
   bool grew = false;
 };
 
-/// Compress seeded with `rank_guess`, the rank this block reached in the
-/// previous numeric pass plus slack (clamped to max_rank by the caller).
-/// Accuracy contract: every warm path *verifies* ‖A − Â‖_F <= tol_rel·‖A‖_F
-/// before accepting — RRQR via its trailing-block check, SVD/Randomized via
-/// the explicit sketch residual — and on failure retries at the full cap
-/// exactly as a cold call would. A warm guess can therefore change cost,
-/// never the error bound.
-WarmCompressResult compress_warm(CompressionKind kind, la::DConstView a,
-                                 real_t tol_rel, index_t max_rank,
-                                 index_t rank_guess);
+/// SVD compression seeded with `rank_hint` (>= 0), the rank this block
+/// reached in the previous numeric pass: one randomized sketch of width
+/// min(rank_hint + kWarmSketchSlack, max_rank), accepted only once its
+/// explicit residual meets the tolerance; otherwise the full compress_svd
+/// runs. A stale hint can therefore change cost and bits, never the error
+/// bound.
+WarmCompressResult compress_svd_warm(la::DConstView a, real_t tol_rel,
+                                     index_t max_rank, index_t rank_hint);
 
 /// Compress with the storage-beneficial rank limit; returns a low-rank Tile
 /// on success, a dense copy otherwise.

@@ -180,7 +180,7 @@ TEST(RandomizedCompression, ToleranceContractAndOrthonormalU) {
   Prng rng(51);
   for (const real_t tol : {1e-4, 1e-8, 1e-12}) {
     const la::DMatrix a = la::random_decaying<real_t>(70, 60, 0.5, rng);
-    const auto lr = compress_randomized(a.cview(), tol, 60);
+    const auto lr = compress_randomized_from(a.cview(), tol, 60, 16);
     ASSERT_TRUE(lr.has_value()) << tol;
     EXPECT_LE(relative_error(a, *lr), tol * 1.01) << tol;
     EXPECT_LT(orthogonality_defect(lr->u.cview()),
@@ -191,7 +191,7 @@ TEST(RandomizedCompression, ToleranceContractAndOrthonormalU) {
 TEST(RandomizedCompression, ExactRankRecoveredWithinOversampling) {
   Prng rng(52);
   const la::DMatrix a = la::random_rank_k<real_t>(64, 48, 6, rng);
-  const auto lr = compress_randomized(a.cview(), 1e-10, 48);
+  const auto lr = compress_randomized_from(a.cview(), 1e-10, 48, 16);
   ASSERT_TRUE(lr.has_value());
   EXPECT_EQ(lr->rank(), 6);
   EXPECT_LE(relative_error(a, *lr), 1e-9);
@@ -199,24 +199,46 @@ TEST(RandomizedCompression, ExactRankRecoveredWithinOversampling) {
 
 TEST(RandomizedCompression, ZeroMatrixAndFullRankFailure) {
   const la::DMatrix z(20, 20);
-  const auto lrz = compress_randomized(z.cview(), 1e-8, 20);
+  const auto lrz = compress_randomized_from(z.cview(), 1e-8, 20, 16);
   ASSERT_TRUE(lrz.has_value());
   EXPECT_EQ(lrz->rank(), 0);
 
   Prng rng(53);
   la::DMatrix f(40, 40);
   la::random_normal(f.view(), rng);
-  EXPECT_FALSE(compress_randomized(f.cview(), 1e-12, 6).has_value());
+  EXPECT_FALSE(compress_randomized_from(f.cview(), 1e-12, 6, 16).has_value());
 }
 
 TEST(RandomizedCompression, DeterministicAcrossCalls) {
   Prng rng(54);
   const la::DMatrix a = la::random_decaying<real_t>(50, 50, 0.6, rng);
-  const auto l1 = compress_randomized(a.cview(), 1e-8, 50);
-  const auto l2 = compress_randomized(a.cview(), 1e-8, 50);
+  const auto l1 = compress_randomized_from(a.cview(), 1e-8, 50, 16);
+  const auto l2 = compress_randomized_from(a.cview(), 1e-8, 50, 16);
   ASSERT_TRUE(l1 && l2);
   EXPECT_EQ(l1->rank(), l2->rank());
   EXPECT_EQ(la::diff_fro(l1->u.cview(), l2->u.cview()), 0.0);
+}
+
+// SVD's warm path: a hint near the true rank is accepted from the sketch;
+// a stale small hint on an incompressible block grows into the full SVD
+// and returns exactly what a cold compress_svd returns.
+TEST(SvdWarmCompression, HitAtHintAndGrowOnIncompressibleBlock) {
+  Prng rng(55);
+  const la::DMatrix a = la::random_rank_k<real_t>(64, 48, 6, rng);
+  const WarmCompressResult hit = compress_svd_warm(a.cview(), 1e-10, 27, 6);
+  EXPECT_FALSE(hit.grew);
+  ASSERT_TRUE(hit.lr.has_value());
+  EXPECT_EQ(hit.lr->rank(), 6);
+  EXPECT_LE(relative_error(a, *hit.lr), 1e-9);
+
+  la::DMatrix f(40, 40);
+  la::random_normal(f.view(), rng);
+  const index_t cap = beneficial_rank_limit(40, 40);
+  const WarmCompressResult grow = compress_svd_warm(f.cview(), 1e-8, cap, 2);
+  EXPECT_TRUE(grow.grew);
+  const auto cold = compress_svd(f.cview(), 1e-8, cap);
+  EXPECT_EQ(grow.lr.has_value(), cold.has_value());
+  EXPECT_FALSE(grow.lr.has_value());
 }
 
 } // namespace

@@ -201,34 +201,6 @@ TEST(SolverIntegration, MultiRhsSolveMatchesSingleRhs) {
   }
 }
 
-TEST(SolverIntegration, RandomizedKernelSolvesToTolerance) {
-  const CscMatrix a = sparse::laplacian_3d(12, 12, 12);
-  SolverOptions opts;
-  opts.strategy = Strategy::JustInTime;
-  opts.kind = lr::CompressionKind::Randomized;
-  opts.tolerance = 1e-8;
-  opts.compress_min_width = 16;
-  opts.compress_min_height = 8;
-  opts.split.split_threshold = 64;
-  opts.split.split_size = 32;
-  const real_t err = direct_backward_error(a, opts);
-  EXPECT_LT(err, 1e-8 * 500);
-}
-
-TEST(SolverIntegration, RandomizedKernelMinimalMemory) {
-  const CscMatrix a = sparse::heterogeneous_poisson_3d(10, 10, 10, 3.0, 3);
-  SolverOptions opts;
-  opts.strategy = Strategy::MinimalMemory;
-  opts.kind = lr::CompressionKind::Randomized;
-  opts.tolerance = 1e-6;
-  opts.compress_min_width = 16;
-  opts.compress_min_height = 8;
-  opts.split.split_threshold = 64;
-  opts.split.split_size = 32;
-  const real_t err = direct_backward_error(a, opts);
-  EXPECT_LT(err, 1e-6 * 500);
-}
-
 TEST(SolverIntegration, PaperTestSetAllStrategiesSmall) {
   // End-to-end sweep over the six surrogate matrices at a tiny scale.
   for (const auto& tm : sparse::paper_test_set(8)) {
