@@ -307,7 +307,7 @@ int run_custom_driver(bool quick) {
   std::printf("  trsm[ge]    %llu calls  %7.2f GF/s  %.2fx packed n=256\n",
               static_cast<unsigned long long>(trsm.calls), trsm.gflops,
               trsm.ratio);
-  const la::NativeTile tile = la::native_tile<double>();
+  const la::NativeTile tile = la::native_tile();
   const la::GridGemmCounts& grid = pk.grid;
   const std::uint64_t copied = grid.entries - grid.in_place - grid.per_row;
   std::printf("  grid GEMM   %lldx%lld fp64 tile, %llu target entries: %llu in place, "

@@ -143,6 +143,43 @@ run_docs() {
   check_enum_rows CompressionKind src/lowrank/compression.hpp \
                   '^[|] option [|] default [|] meaning [|]' '^[|] `kind` [|]' 2 3 kind
   echo "ci[docs]: the README kind row names only CompressionKind enumerators"
+
+  check_linalg_real_only
+  echo "ci[docs]: src/linalg computes in real_t only, one ISA table entry per kernel"
+}
+
+# The dense kernels compute in real_t only (DESIGN.md §10): fp32 is a
+# storage format, converted by la::convert. Fails on any line of src/linalg
+# (comments stripped) that names another scalar type — except the fp32
+# storage aliases of matrix.hpp —, on a scalar-templated routine outside
+# the container and generator headers (matrix.hpp, random.hpp), on a
+# multi-type instantiation macro, and on a type-suffixed member of the
+# per-tier IsaKernels table (one pointer per kernel).
+check_linalg_real_only() {
+  awk '
+    { line = $0; sub(/\/\/.*/, "", line); file = FILENAME; sub(/^.*\//, "", file) }
+    file == "matrix.hpp" && line ~ /^using (single_t|S[A-Za-z]*) = / { next }
+    line ~ /(^|[^A-Za-z0-9_])(float|single_t|_Float16|__fp16|half)([^A-Za-z0-9_]|$)|long double/ {
+      printf "ci[docs]: %s:%d: src/linalg names a non-real_t scalar: %s\n", FILENAME, FNR, $0
+      bad = 1
+    }
+    file != "matrix.hpp" && file != "random.hpp" &&
+        line ~ /template[ \t]*<[ \t]*(typename|class)[ \t]+T[ \t]*>/ {
+      printf "ci[docs]: %s:%d: scalar-templated routine in src/linalg: %s\n", FILENAME, FNR, $0
+      bad = 1
+    }
+    line ~ /BLR_INSTANTIATE_/ {
+      printf "ci[docs]: %s:%d: per-type instantiation macro: %s\n", FILENAME, FNR, $0
+      bad = 1
+    }
+    line ~ /^struct IsaKernels/ { in_table = 1; next }
+    in_table && line ~ /^};/ { in_table = 0 }
+    in_table && line ~ /[A-Za-z0-9]_(f|d|s|f32|f64)([^A-Za-z0-9_]|$)/ {
+      printf "ci[docs]: %s:%d: type-suffixed IsaKernels entry: %s\n", FILENAME, FNR, $0
+      bad = 1
+    }
+    END { exit bad }
+  ' src/linalg/*.hpp src/linalg/*.cpp src/linalg/*.inc
 }
 
 # Fails when a README table row names a value that is not an enumerator of

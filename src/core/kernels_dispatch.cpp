@@ -203,11 +203,11 @@ lr::Tile product(const lr::Tile& a, const lr::Tile& b, lr::CompressionKind kind,
 
 void gemm_update(std::span<const la::DConstView> rows,
                  std::span<const la::DConstView> cols,
-                 std::span<const la::GemmTarget<real_t>> targets) {
+                 std::span<const la::GemmTarget> targets) {
   std::uint64_t bytes = 0;
   for (const la::DConstView& r : rows) bytes += view_bytes(r);
   for (const la::DConstView& c : cols) bytes += view_bytes(c);
-  for (const la::GemmTarget<real_t>& t : targets) bytes += view_bytes(t.c);
+  for (const la::GemmTarget& t : targets) bytes += view_bytes(t.c);
   const Scope scope(Row::GemmGeGe, bytes);
   // C -= row_p·col_qᵗ (or its transpose) per target, the column bloks
   // packed once.

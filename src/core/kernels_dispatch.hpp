@@ -127,7 +127,7 @@ lr::Tile product(const lr::Tile& a, const lr::Tile& b, lr::CompressionKind kind,
 /// bloks once. Counted under gemm[ge,ge].
 void gemm_update(std::span<const la::DConstView> rows,
                  std::span<const la::DConstView> cols,
-                 std::span<const la::GemmTarget<real_t>> targets);
+                 std::span<const la::GemmTarget> targets);
 
 /// LR2GE onto a positioned dense view: target -= P (or Pᵗ). Throws if P is
 /// stored in fp32 (contributions are fp64 products).

@@ -94,18 +94,15 @@ NumericFactor::NumericFactor(const sparse::CscMatrix& a,
       data_(static_cast<std::size_t>(sf.num_cblks())),
       locks_(static_cast<std::size_t>(sf.num_cblks())),
       epochs_(static_cast<std::uint64_t>(sf.num_cblks())), gov_(governor) {
-  if (opts_.check_finite) {
-    // Guard the assembly input: a single NaN/Inf would otherwise propagate
-    // silently through the factorization into a garbage answer.
-    const auto& vals = a.values();
-    for (std::size_t i = 0; i < vals.size(); ++i) {
-      if (!std::isfinite(static_cast<double>(vals[i]))) {
-        std::ostringstream os;
-        os << "input matrix value at nnz slot " << i << " is "
-           << vals[i];
-        fail(make_report(FailureKind::NonFiniteInput, -1, -1, std::nan(""),
-                         os.str()));
-      }
+  // Guard the assembly input: a single NaN/Inf would otherwise propagate
+  // silently through the factorization into a garbage answer.
+  const auto& vals = a.values();
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    if (!std::isfinite(static_cast<double>(vals[i]))) {
+      std::ostringstream os;
+      os << "input matrix value at nnz slot " << i << " is " << vals[i];
+      fail(make_report(FailureKind::NonFiniteInput, -1, -1, std::nan(""),
+                       os.str()));
     }
   }
   if (!llt_ && opts_.pivot_threshold > 0) {
@@ -355,7 +352,7 @@ void NumericFactor::gather_panel(index_t k,
     lr::Tile t =
         policy_->assemble(k, BlockSite{static_cast<index_t>(idx), upper},
                           std::move(scratch[idx]),
-                          compressible(k, c.bloks[idx]), pctx_, cd.arena);
+                          compressible(k, c.bloks[idx]), pctx_);
     t.advance(lr::TileState::Assembled);
     if (t.is_lowrank()) t.advance(lr::TileState::Compressed);
     panel.push_back(std::move(t));
@@ -369,24 +366,23 @@ void NumericFactor::assemble_cblk(index_t k) {
   CblkData& cd = data_[static_cast<std::size_t>(k)];
   cd.diag = reuse_.buffers != nullptr
                 ? lr::Tile::from_dense(
-                      reuse_.buffers->acquire(c.width(), c.width()), cd.arena)
-                : lr::Tile::make_dense(c.width(), c.width(), cd.arena);
+                      reuse_.buffers->acquire(c.width(), c.width()))
+                : lr::Tile::make_dense(c.width(), c.width());
   InputSlice& in = input_[static_cast<std::size_t>(k)];
   gather_panel(k, in.l, cd.lpanel, /*upper=*/false);
   if (!llt_) gather_panel(k, in.u, cd.upanel, /*upper=*/true);
   in = InputSlice();  // nothing reads these entries again
   if (opts_.fault.kind == FaultInjection::Kind::PoisonBlock &&
       opts_.fault.supernode == k && opts_.fault.try_fire()) {
-    // Injected data corruption: the non-finite assembly guard below (or the
-    // factored-panel guard, when check_finite is off at assembly) must turn
-    // this into a structured failure instead of a garbage answer.
+    // Injected data corruption: the non-finite assembly guard below must
+    // turn this into a structured failure instead of a garbage answer.
     cd.diag.dense()(0, 0) = std::numeric_limits<real_t>::quiet_NaN();
   }
-  if (opts_.check_finite) check_cblk_finite(k, FailureKind::NonFiniteBlock);
+  check_cblk_finite(k, FailureKind::NonFiniteBlock);
   cd.diag.advance(lr::TileState::Assembled);
   epochs_.advance(static_cast<std::uint64_t>(k), EpochGate::kUnassembled,
                   EpochGate::kAssembled);
-  // One rank-0 accumulator in the Workspace arena per blok assembled
+  // One rank-0 Workspace accumulator per blok assembled
   // low-rank (only Minimal-Memory assembles low-rank, and only such a blok
   // can still be low-rank when an update reaches it); appended contributions
   // grow it until a flush folds it into the panel tile.
@@ -396,7 +392,7 @@ void NumericFactor::assemble_cblk(index_t k) {
       if (!panel[i].is_lowrank()) continue;
       if (accs.empty()) accs.resize(panel.size());
       accs[i] = lr::Tile::make_lowrank(panel[i].rows(), panel[i].cols(),
-                                       lr::LrMatrix(), cd.acc_arena);
+                                       lr::LrMatrix(), MemCategory::Workspace);
     }
   };
   add_accumulators(cd.lpanel, cd.lacc);
@@ -412,7 +408,7 @@ void NumericFactor::flush_accumulator(index_t cblk, bool upper, index_t blok_idx
   const index_t rows = acc.rows();
   const index_t cols = acc.cols();
   lr::Tile p = std::move(acc);  // Workspace accounting moves with it
-  acc = lr::Tile::make_lowrank(rows, cols, lr::LrMatrix(), cd.acc_arena);
+  acc = lr::Tile::make_lowrank(rows, cols, lr::LrMatrix(), MemCategory::Workspace);
 
   lr::Tile& tb = (upper ? cd.upanel : cd.lpanel)[static_cast<std::size_t>(blok_idx)];
   // The accumulator is already padded to the block's shape.
@@ -577,7 +573,7 @@ void NumericFactor::run_update(const DagTask& u) {
   // column-by-column order.
   std::vector<la::DConstView> rows;
   std::vector<la::DConstView> cols;
-  std::vector<la::GemmTarget<real_t>> targets;
+  std::vector<la::GemmTarget> targets;
   std::vector<index_t> row_of(static_cast<std::size_t>(nb), -1);
   std::vector<index_t> col_of(static_cast<std::size_t>(nb), -1);
   const auto pair_flops = [](const Pair& pr) {
@@ -810,7 +806,7 @@ void NumericFactor::factor_panel(index_t k) {
     // Guard the factored panel: overflow/NaN escaping the diagonal
     // factorization or the triangular solves is caught here instead of
     // surfacing as an inexplicably wrong solution.
-    if (opts_.check_finite) check_cblk_finite(k, FailureKind::NonFinitePanel);
+    check_cblk_finite(k, FailureKind::NonFinitePanel);
     cd.diag.advance(lr::TileState::Factored);
     cd.eliminated = true;
   }

@@ -28,11 +28,9 @@ struct SolveApply;
 
 /// Numeric storage for one column block: every block — diagonal, L panel,
 /// (for LU) transposed-U panel, LUAR accumulators — is a lr::Tile charged to
-/// one of the supernode's arenas. The arenas are declared before the tiles
-/// so tiles discharge first on destruction.
+/// the MemoryTracker under its category (Factors; Workspace for the
+/// accumulators).
 struct CblkData {
-  lr::TileArena arena{MemCategory::Factors};          ///< factor tiles
-  lr::TileArena acc_arena{MemCategory::Workspace};    ///< LUAR accumulators
   lr::Tile diag;                        ///< dense diagonal tile
   std::vector<lr::Tile> lpanel;
   std::vector<lr::Tile> upanel;         ///< empty for LLᵗ

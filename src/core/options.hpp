@@ -252,19 +252,6 @@ struct SolverOptions {
   /// (a tiny pivot then throws NumericalError).
   real_t pivot_threshold = 0.0;
 
-  /// Verify in analyze() that the nonzero pattern is symmetric (the
-  /// solver's structural requirement, paper §1). One O(nnz) pass; disable
-  /// only when the producer guarantees symmetry.
-  bool check_pattern = true;
-
-  /// Guard assembly inputs, assembled blocks and factored panels against
-  /// NaN/Inf: a non-finite value raises NumericalError with a structured
-  /// FailureReport instead of silently propagating to a garbage answer.
-  /// One O(nnz) input pass plus one O(factor entries) panel pass — noise
-  /// next to the factorization flops. Disable only in fully-trusted
-  /// pipelines chasing the last percent.
-  bool check_finite = true;
-
   /// Hard budget (bytes) on the live tracked memory of the factorization —
   /// factors, workspace, everything the MemoryTracker sees. 0 (default)
   /// means ungoverned. A tracked allocation that would push the live total

@@ -46,7 +46,7 @@ SolvePlan SolvePlan::build(const symbolic::SymbolicFactor& sf) {
   };
 
   DepBuilder b;
-  b.reserve(2 * nc, 2 * nc + 2 * p.facing_.size());
+  b.reserve(2 * nc, 3 * nc + 2 * p.facing_.size());
   p.tasks_.reserve(2 * nc);
   std::vector<double> weight;  // entries each task reads
   weight.reserve(2 * nc);
@@ -55,23 +55,31 @@ SolvePlan SolvePlan::build(const symbolic::SymbolicFactor& sf) {
     weight.push_back(w);
     return b.add_task();
   };
-  // RHS row-segment address space: one address per supernode, covering the
-  // segment x[fcol, lcol), then one per row slice of each sliced pull. A
-  // task reads each distinct segment once; equal segments are adjacent in
-  // both lists (facing lists ascend by source, bloks by row and hence by
-  // target).
-  const auto seg = [](index_t k) { return static_cast<std::uint64_t>(k); };
-  std::uint64_t next_addr = nc;
-  const auto read_once = [&](std::uint32_t id, index_t s, index_t& last) {
-    if (s != last) b.read(id, seg(s));
-    last = s;
+  // RHS row-segment address space. Two addresses per supernode k name the
+  // segment x[fcol, lcol) as each sweep leaves it: fwd(k), written only by
+  // Fwd(k) and read by the forward pulls of the supernodes k faces and by
+  // Bwd(k); bwd(k), written only by Bwd(k) and read by the backward tasks
+  // of the supernodes facing k. Then one address per row slice of each
+  // sliced pull. Every inferred edge is a read after write. The write of
+  // Bwd(s) onto the memory a forward pull of t read (s faces t) needs no
+  // edge of its own: Fwd(t) (after its Slice tasks) → Bwd(t) → Bwd(s)
+  // already orders it. A task reads each distinct segment once; equal
+  // segments are adjacent in both lists (facing lists ascend by source,
+  // bloks by row and hence by target).
+  const auto fwd = [](index_t k) { return static_cast<std::uint64_t>(k); };
+  const auto bwd = [nc](index_t k) { return nc + static_cast<std::uint64_t>(k); };
+  std::uint64_t next_addr = 2 * nc;
+  const auto read_once = [&](std::uint32_t id, std::uint64_t addr,
+                             std::uint64_t& last) {
+    if (addr != last) b.read(id, addr);
+    last = addr;
   };
 
   // Canonical order = the sequential execution order: the forward tasks
   // ascending, each sliced pull's Slice tasks right before its Fwd, then
   // the backward tasks descending. Task ids are its sequence numbers, so
-  // every inferred edge points forward. Each segment has exactly one writer
-  // per sweep, and each row slice one chain of writers in ascending source
+  // every inferred edge points forward. Each segment address has exactly
+  // one writer, and each row slice one chain of writers in ascending source
   // order, so the only chains are the true data dependencies of the
   // elimination tree and the update order of each row.
   std::vector<std::uint32_t> cuts;  // facing-range boundaries of one pull
@@ -120,7 +128,7 @@ SolvePlan SolvePlan::build(const symbolic::SymbolicFactor& sf) {
                                         .f0 = cuts[g],
                                         .f1 = cuts[g + 1]},
                                        w);
-          for (const index_t src : sources) b.read(id, seg(src));
+          for (const index_t src : sources) b.read(id, fwd(src));
           b.write(id, slice_addr + static_cast<std::uint64_t>(r));
           ++p.slice_tasks_;
         }
@@ -133,19 +141,20 @@ SolvePlan SolvePlan::build(const symbolic::SymbolicFactor& sf) {
       for (index_t r = 0; r < nslices; ++r)
         b.read(id, slice_addr + static_cast<std::uint64_t>(r));
     } else {
-      index_t last = -1;
-      for (const FacingBlok& f : fac) read_once(id, f.source, last);
+      std::uint64_t last = UINT64_MAX;
+      for (const FacingBlok& f : fac) read_once(id, fwd(f.source), last);
     }
-    b.write(id, seg(t));
+    b.write(id, fwd(t));
   }
   for (index_t k = ncblk; k-- > 0;) {
     const symbolic::Cblk& c = sf.cblk(k);
     const std::uint32_t id =
         add({.kind = SolveTaskKind::Bwd, .k = k},
             static_cast<double>(c.height()) * c.width() + half_diag(k));
-    index_t last = -1;
-    for (const symbolic::Blok& bl : c.bloks) read_once(id, bl.fcblk, last);
-    b.write(id, seg(k));
+    std::uint64_t last = UINT64_MAX;
+    for (const symbolic::Blok& bl : c.bloks) read_once(id, bwd(bl.fcblk), last);
+    b.read(id, fwd(k));
+    b.write(id, bwd(k));
   }
 
   p.deps_ = b.infer();

@@ -58,10 +58,11 @@ struct FacingBlok {
 /// The reusable triangular-solve schedule derived from one frozen symbolic
 /// structure (DESIGN.md §16): a forward and a backward task per supernode,
 /// with read/write sets over the RHS row segments (one address per
-/// supernode), dependencies inferred by the DepBuilder canonical-order
-/// machinery. `Fwd(t)` is pull-form: it applies the blocks of facing(t) in
-/// ascending source order — the order in which a push-form sweep lands them
-/// — so each segment has a single forward writer and any topological
+/// supernode and sweep, so every inferred edge is a read after write),
+/// dependencies inferred by the DepBuilder canonical-order machinery.
+/// `Fwd(t)` is pull-form: it applies the blocks of facing(t) in ascending
+/// source order — the order in which a push-form sweep lands them — so
+/// each segment has a single forward writer and any topological
 /// execution produces the bits of the sequential order. A pull of more than
 /// kSolveSliceEntries is also cut into Slice tasks, row slice × facing
 /// range, each with its own address per row slice: the ranges of one row

@@ -28,11 +28,9 @@ std::uint64_t SymbolicPlan::hash_pattern(const sparse::CscMatrix& a) {
 std::shared_ptr<const SymbolicPlan> SymbolicPlan::build(
     const sparse::CscMatrix& a, const SolverOptions& opts, ThreadPool* pool) {
   BLR_CHECK(a.rows() == a.cols(), "solver requires a square matrix");
-  if (opts.check_pattern) {
-    BLR_CHECK(a.pattern_symmetric(),
-              "the solver requires a symmetric nonzero pattern (symmetrize the "
-              "matrix, e.g. by assembling A + Aᵗ's pattern, before factorizing)");
-  }
+  BLR_CHECK(a.pattern_symmetric(),
+            "the solver requires a symmetric nonzero pattern (symmetrize the "
+            "matrix, e.g. by assembling A + Aᵗ's pattern, before factorizing)");
   // One timer, read at each phase boundary.
   Timer timer;
   double mark = 0;

@@ -47,8 +47,7 @@ struct SymbolicPlan {
   /// result. With a `pool` (called from outside it), nested dissection
   /// spreads over it and the pool is idle again on return; the plan is a
   /// pure function of the pattern and `opts` either way (DESIGN.md §17).
-  /// Throws blr::Error for non-square or (with opts.check_pattern)
-  /// pattern-asymmetric input.
+  /// Throws blr::Error for non-square or pattern-asymmetric input.
   static std::shared_ptr<const SymbolicPlan> build(const sparse::CscMatrix& a,
                                                    const SolverOptions& opts,
                                                    ThreadPool* pool = nullptr);

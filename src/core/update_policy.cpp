@@ -54,13 +54,12 @@ std::optional<lr::LrMatrix> compress_site(const PolicyContext& ctx,
 } // namespace
 
 lr::Tile UpdatePolicy::assemble(index_t k, BlockSite site, la::DMatrix scratch,
-                                bool compressible, const PolicyContext& ctx,
-                                lr::TileArena& arena) const {
+                                bool compressible, const PolicyContext& ctx) const {
   (void)k;
   (void)site;
   (void)compressible;
   (void)ctx;
-  return lr::Tile::from_dense(std::move(scratch), arena);
+  return lr::Tile::from_dense(std::move(scratch));
 }
 
 void UpdatePolicy::at_elimination(index_t k, BlockSite site, lr::Tile& t,
@@ -114,23 +113,22 @@ public:
   [[nodiscard]] const char* name() const override { return "MinimalMemory"; }
 
   [[nodiscard]] lr::Tile assemble(index_t k, BlockSite site, la::DMatrix scratch,
-                                  bool compressible, const PolicyContext& ctx,
-                                  lr::TileArena& arena) const override {
-    if (!compressible) return lr::Tile::from_dense(std::move(scratch), arena);
+                                  bool compressible,
+                                  const PolicyContext& ctx) const override {
+    if (!compressible) return lr::Tile::from_dense(std::move(scratch));
     const index_t hint = warm_hint_for(ctx, k, site);
-    if (warm_skip_dense(ctx, hint))
-      return lr::Tile::from_dense(std::move(scratch), arena);
+    if (warm_skip_dense(ctx, hint)) return lr::Tile::from_dense(std::move(scratch));
     if (ctx.compression_site) ctx.compression_site(k);
     const index_t limit =
         lr::beneficial_rank_limit(scratch.rows(), scratch.cols());
     auto lrm = compress_site(ctx, scratch.cview(), limit, hint);
     if (lrm) {
       lr::Tile t = lr::Tile::make_lowrank(scratch.rows(), scratch.cols(),
-                                          std::move(*lrm), arena);
+                                          std::move(*lrm));
       maybe_demote(t, ctx);
       return t;
     }
-    return lr::Tile::from_dense(std::move(scratch), arena);
+    return lr::Tile::from_dense(std::move(scratch));
   }
 
   [[nodiscard]] bool need_ortho() const override { return true; }

@@ -58,8 +58,7 @@ public:
   [[nodiscard]] virtual lr::Tile assemble(index_t k, BlockSite site,
                                           la::DMatrix scratch,
                                           bool compressible,
-                                          const PolicyContext& ctx,
-                                          lr::TileArena& arena) const;
+                                          const PolicyContext& ctx) const;
 
   /// Whether A·Bᵗ products onto low-rank targets must carry an orthonormal
   /// U. Default: no. Products onto dense targets never do (LR2GE tolerates

@@ -14,16 +14,16 @@ namespace {
 
 using detail::kKC;
 using detail::kMC;
-using detail::MicroTile;
+using detail::kMR;
+using detail::kNR;
 using detail::panel_rows;
 using detail::round_up;
 
 /// Scale C by beta (handles beta == 0 without reading C).
-template <typename T>
-void scale_matrix(T beta, MatView<T> c) {
-  if (beta == T(1)) return;
-  if (beta == T(0)) {
-    fill(c, T(0));
+void scale_matrix(real_t beta, DView c) {
+  if (beta == real_t(1)) return;
+  if (beta == real_t(0)) {
+    fill(c, real_t(0));
     return;
   }
   for (index_t j = 0; j < c.cols; ++j) scal(c.rows, beta, c.col(j));
@@ -41,14 +41,13 @@ void scale_matrix(T beta, MatView<T> c) {
 
 // C += alpha * A * B, cache-blocked over k (blocking only reorders the
 // store/load boundary, not the per-element sum order).
-template <typename T>
-void gemm_nn(T alpha, ConstView<T> a, ConstView<T> b, MatView<T> c) {
+void gemm_nn(real_t alpha, DConstView a, DConstView b, DView c) {
   for (index_t k0 = 0; k0 < a.cols; k0 += kKC) {
     const index_t kend = std::min(k0 + kKC, a.cols);
     for (index_t j = 0; j < c.cols; ++j) {
-      T* cj = c.col(j);
+      real_t* cj = c.col(j);
       for (index_t k = k0; k < kend; ++k) {
-        const T bkj = alpha * b(k, j);
+        const real_t bkj = alpha * b(k, j);
         axpy(c.rows, bkj, a.col(k), cj);
       }
     }
@@ -56,13 +55,12 @@ void gemm_nn(T alpha, ConstView<T> a, ConstView<T> b, MatView<T> c) {
 }
 
 // C += alpha * Aᵗ * B (A, B columns contiguous).
-template <typename T>
-void gemm_tn(T alpha, ConstView<T> a, ConstView<T> b, MatView<T> c) {
+void gemm_tn(real_t alpha, DConstView a, DConstView b, DView c) {
   for (index_t j = 0; j < c.cols; ++j) {
-    const T* bj = b.col(j);
+    const real_t* bj = b.col(j);
     for (index_t i = 0; i < c.rows; ++i) {
-      const T* ai = a.col(i);  // column i of A = row i of Aᵗ
-      T s = c(i, j);
+      const real_t* ai = a.col(i);  // column i of A = row i of Aᵗ
+      real_t s = c(i, j);
       for (index_t k = 0; k < a.rows; ++k) s += ai[k] * (alpha * bj[k]);
       c(i, j) = s;
     }
@@ -70,24 +68,22 @@ void gemm_tn(T alpha, ConstView<T> a, ConstView<T> b, MatView<T> c) {
 }
 
 // C += alpha * A * Bᵗ.
-template <typename T>
-void gemm_nt(T alpha, ConstView<T> a, ConstView<T> b, MatView<T> c) {
+void gemm_nt(real_t alpha, DConstView a, DConstView b, DView c) {
   for (index_t j = 0; j < c.cols; ++j) {
-    T* cj = c.col(j);
+    real_t* cj = c.col(j);
     for (index_t k = 0; k < a.cols; ++k) {
-      const T bjk = alpha * b(j, k);
+      const real_t bjk = alpha * b(j, k);
       axpy(c.rows, bjk, a.col(k), cj);
     }
   }
 }
 
 // C += alpha * Aᵗ * Bᵗ.
-template <typename T>
-void gemm_tt(T alpha, ConstView<T> a, ConstView<T> b, MatView<T> c) {
+void gemm_tt(real_t alpha, DConstView a, DConstView b, DView c) {
   for (index_t j = 0; j < c.cols; ++j) {
     for (index_t i = 0; i < c.rows; ++i) {
-      const T* ai = a.col(i);  // column i of A = row i of Aᵗ
-      T s = c(i, j);
+      const real_t* ai = a.col(i);  // column i of A = row i of Aᵗ
+      real_t s = c(i, j);
       for (index_t k = 0; k < a.rows; ++k) s += ai[k] * (alpha * b(j, k));
       c(i, j) = s;
     }
@@ -95,9 +91,8 @@ void gemm_tt(T alpha, ConstView<T> a, ConstView<T> b, MatView<T> c) {
 }
 
 /// Accumulate-form nest dispatch: C += alpha * op(A) * op(B).
-template <typename T>
-void gemm_nests(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
-                ConstView<T> b, MatView<T> c) {
+void gemm_nests(Trans trans_a, Trans trans_b, real_t alpha, DConstView a,
+                DConstView b, DView c) {
   if (trans_a == Trans::No && trans_b == Trans::No) gemm_nn(alpha, a, b, c);
   else if (trans_a == Trans::Yes && trans_b == Trans::No) gemm_tn(alpha, a, b, c);
   else if (trans_a == Trans::No && trans_b == Trans::Yes) gemm_nt(alpha, a, b, c);
@@ -123,21 +118,20 @@ void gemm_nests(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
 /// in steady state. Every call re-packs: the engine may rewrite a tile
 /// through the same pointer between two calls, so a packed image is never
 /// reused.
-template <typename T>
 struct PackBuffer {
-  T* data = nullptr;
+  real_t* data = nullptr;
   std::size_t cap = 0;
 
   ~PackBuffer() {
     if (data != nullptr) ::operator delete[](data, std::align_val_t{64});
   }
 
-  T* ensure(std::size_t n) {
+  real_t* ensure(std::size_t n) {
     if (n > cap) {
       const std::size_t grown = std::max(n, cap * 2);
       if (data != nullptr) ::operator delete[](data, std::align_val_t{64});
-      data = static_cast<T*>(
-          ::operator new[](grown * sizeof(T), std::align_val_t{64}));
+      data = static_cast<real_t*>(
+          ::operator new[](grown * sizeof(real_t), std::align_val_t{64}));
       cap = grown;
     }
     return data;
@@ -146,9 +140,8 @@ struct PackBuffer {
 
 /// Consecutive rows of one column-major block: `rows` rows from `data`,
 /// columns `ld` apart.
-template <typename T>
 struct RowRun {
-  const T* data;
+  const real_t* data;
   index_t ld;
   index_t rows;
 };
@@ -159,12 +152,11 @@ struct RowSegment {
   index_t r0, r1;
 };
 
-template <typename T>
 struct ThreadPackBuffers {
-  PackBuffer<T> a;
-  PackBuffer<T> b;
-  PackBuffer<T> c;  ///< a trsm_stacked group's rows, gathered
-  std::vector<RowRun<T>> runs;  ///< the stacked rows being packed
+  PackBuffer a;
+  PackBuffer b;
+  PackBuffer c;  ///< a trsm_stacked group's rows, gathered
+  std::vector<RowRun> runs;  ///< the stacked rows being packed
   std::vector<index_t> col0;   ///< gemm_batch: first packed column of each B_q
   std::vector<index_t> reach;  ///< gemm_batch: columns each A_p's targets reach
   std::vector<std::size_t> by_row;  ///< gemm_batch: targets ordered by p ...
@@ -173,39 +165,36 @@ struct ThreadPackBuffers {
   // gemm_batch: where a group's entries live (detail::GridC).
   std::vector<index_t> col_blk, col_off, run;
   std::vector<std::intptr_t> addr, step;
-  std::vector<GemmTarget<T>> plain, swapped;  ///< gemm_batch: the two grids
+  std::vector<GemmTarget> plain, swapped;  ///< gemm_batch: the two grids
 };
 
-template <typename T>
-ThreadPackBuffers<T>& pack_buffers() {
-  thread_local ThreadPackBuffers<T> bufs;
+ThreadPackBuffers& pack_buffers() {
+  thread_local ThreadPackBuffers bufs;
   return bufs;
 }
 
 /// Pack one mc×kc block of op(A) into row panels, mr rows each while at
-/// least mr remain, then MicroTile MR-row tails (detail::panel_rows):
+/// least mr remain, then kMR-row tails (detail::panel_rows):
 /// element (r, k) of a panel of h rows starting at packed offset o lives at
 /// o + k*h + r. Rows past mc are zero-padded so the microkernel never
 /// branches on the row edge.
-template <typename T>
-void pack_block_a(ConstView<T> a, Trans trans, index_t i0, index_t mc,
-                  index_t k0, index_t kc, index_t mr, T* dst) {
-  constexpr index_t MRT = MicroTile<T>::MR;
+void pack_block_a(DConstView a, Trans trans, index_t i0, index_t mc,
+                  index_t k0, index_t kc, index_t mr, real_t* dst) {
   for (index_t p = 0; p < mc;) {
-    const index_t h = mc - p >= mr ? mr : MRT;
+    const index_t h = mc - p >= mr ? mr : kMR;
     const index_t rows = std::min(h, mc - p);
     if (trans == Trans::No) {
       for (index_t k = 0; k < kc; ++k) {
-        const T* col = a.col(k0 + k) + i0 + p;
+        const real_t* col = a.col(k0 + k) + i0 + p;
         index_t r = 0;
         for (; r < rows; ++r) dst[k * h + r] = col[r];
-        for (; r < h; ++r) dst[k * h + r] = T(0);
+        for (; r < h; ++r) dst[k * h + r] = real_t(0);
       }
     } else {
       // op(A)(i, k) = A(k, i): source column i0+p+r is contiguous over k.
-      if (rows < h) std::fill(dst, dst + kc * h, T(0));
+      if (rows < h) std::fill(dst, dst + kc * h, real_t(0));
       for (index_t r = 0; r < rows; ++r) {
-        const T* col = a.col(i0 + p + r) + k0;
+        const real_t* col = a.col(i0 + p + r) + k0;
         for (index_t k = 0; k < kc; ++k) dst[k * h + r] = col[k];
       }
     }
@@ -216,46 +205,43 @@ void pack_block_a(ConstView<T> a, Trans trans, index_t i0, index_t mc,
 
 /// Pack one kc×n slab of alpha*op(B) into NR-column panels: element (k, c)
 /// of panel q lives at q*kc*NR + k*NR + c, columns past n zero-padded.
-template <typename T, index_t NR>
-void pack_slab_b(ConstView<T> b, Trans trans, T alpha, index_t k0, index_t kc,
-                 index_t n, T* dst) {
-  for (index_t q = 0; q < n; q += NR) {
-    const index_t nr = std::min(NR, n - q);
+void pack_slab_b(DConstView b, Trans trans, real_t alpha, index_t k0,
+                 index_t kc, index_t n, real_t* dst) {
+  for (index_t q = 0; q < n; q += kNR) {
+    const index_t nr = std::min(kNR, n - q);
     if (trans == Trans::No) {
-      if (nr < NR) std::fill(dst, dst + kc * NR, T(0));
+      if (nr < kNR) std::fill(dst, dst + kc * kNR, real_t(0));
       for (index_t c = 0; c < nr; ++c) {
-        const T* col = b.col(q + c) + k0;
-        for (index_t k = 0; k < kc; ++k) dst[k * NR + c] = alpha * col[k];
+        const real_t* col = b.col(q + c) + k0;
+        for (index_t k = 0; k < kc; ++k) dst[k * kNR + c] = alpha * col[k];
       }
     } else {
       // op(B)(k, j) = B(j, k): source column k0+k is contiguous over j.
       for (index_t k = 0; k < kc; ++k) {
-        const T* col = b.col(k0 + k) + q;
+        const real_t* col = b.col(k0 + k) + q;
         index_t c = 0;
-        for (; c < nr; ++c) dst[k * NR + c] = alpha * col[c];
-        for (; c < NR; ++c) dst[k * NR + c] = T(0);
+        for (; c < nr; ++c) dst[k * kNR + c] = alpha * col[c];
+        for (; c < kNR; ++c) dst[k * kNR + c] = real_t(0);
       }
     }
-    dst += kc * NR;
+    dst += kc * kNR;
   }
 }
 
 /// Pack all of op(A) (m×kk), blocked kKC×kMC in the microkernel walk's loop
-/// order, in panels of mr rows (the tier's) with MicroTile MR-row tails.
-template <typename T>
-const T* pack_a(PackBuffer<T>& buf, ConstView<T> a, Trans trans, index_t m,
-                index_t kk, index_t mr) {
-  constexpr index_t MRT = MicroTile<T>::MR;
+/// order, in panels of mr rows (the tier's) with kMR-row tails.
+const real_t* pack_a(PackBuffer& buf, DConstView a, Trans trans, index_t m,
+                     index_t kk, index_t mr) {
   std::size_t rows_rounded = 0;
   for (index_t ic = 0; ic < m; ic += kMC)
-    rows_rounded += panel_rows(std::min(kMC, m - ic), mr, MRT);
-  T* dst = buf.ensure(rows_rounded * static_cast<std::size_t>(kk));
+    rows_rounded += panel_rows(std::min(kMC, m - ic), mr, kMR);
+  real_t* dst = buf.ensure(rows_rounded * static_cast<std::size_t>(kk));
   for (index_t pc = 0; pc < kk; pc += kKC) {
     const index_t kc = std::min(kKC, kk - pc);
     for (index_t ic = 0; ic < m; ic += kMC) {
       const index_t mc = std::min(kMC, m - ic);
-      pack_block_a<T>(a, trans, ic, mc, pc, kc, mr, dst);
-      dst += static_cast<std::size_t>(panel_rows(mc, mr, MRT)) * kc;
+      pack_block_a(a, trans, ic, mc, pc, kc, mr, dst);
+      dst += static_cast<std::size_t>(panel_rows(mc, mr, kMR)) * kc;
     }
   }
   return buf.data;
@@ -263,15 +249,13 @@ const T* pack_a(PackBuffer<T>& buf, ConstView<T> a, Trans trans, index_t m,
 
 /// Pack all of alpha*op(B) (kk×n), k-blocked in the microkernel walk's loop
 /// order.
-template <typename T>
-const T* pack_b(PackBuffer<T>& buf, ConstView<T> b, Trans trans, T alpha,
-                index_t kk, index_t n) {
-  constexpr index_t NR = MicroTile<T>::NR;
-  T* dst = buf.ensure(static_cast<std::size_t>(round_up(n, NR)) * kk);
+const real_t* pack_b(PackBuffer& buf, DConstView b, Trans trans, real_t alpha,
+                     index_t kk, index_t n) {
+  real_t* dst = buf.ensure(static_cast<std::size_t>(round_up(n, kNR)) * kk);
   for (index_t pc = 0; pc < kk; pc += kKC) {
     const index_t kc = std::min(kKC, kk - pc);
-    pack_slab_b<T, NR>(b, trans, alpha, pc, kc, n, dst);
-    dst += static_cast<std::size_t>(kc) * round_up(n, NR);
+    pack_slab_b(b, trans, alpha, pc, kc, n, dst);
+    dst += static_cast<std::size_t>(kc) * round_up(n, kNR);
   }
   return buf.data;
 }
@@ -285,12 +269,12 @@ const T* pack_b(PackBuffer<T>& buf, ConstView<T> b, Trans trans, T alpha,
 /// layout of the stack (both divide kMC, so the kMC blocks add no padding
 /// of their own); with w = tail = NR and alpha folded in, pack_b's layout
 /// of its transpose (Trans::Yes).
-template <typename T>
-const T* pack_runs(PackBuffer<T>& buf, const std::vector<RowRun<T>>& runs,
-                   T alpha, index_t n, index_t kk, index_t w, index_t tail) {
-  static_assert(kMC % detail::kWideMR == 0 && kMC % MicroTile<T>::MR == 0);
+const real_t* pack_runs(PackBuffer& buf, const std::vector<RowRun>& runs,
+                        real_t alpha, index_t n, index_t kk, index_t w,
+                        index_t tail) {
+  static_assert(kMC % detail::kWideMR == 0 && kMC % kMR == 0);
   const std::size_t n_rounded = static_cast<std::size_t>(panel_rows(n, w, tail));
-  T* dst = buf.ensure(n_rounded * static_cast<std::size_t>(kk));
+  real_t* dst = buf.ensure(n_rounded * static_cast<std::size_t>(kk));
   for (index_t pc = 0; pc < kk; pc += kKC) {
     const index_t kc = std::min(kKC, kk - pc);
     std::size_t run = 0;  // the run holding the panel's first row ...
@@ -298,11 +282,11 @@ const T* pack_runs(PackBuffer<T>& buf, const std::vector<RowRun<T>>& runs,
     for (index_t q = 0; q < n;) {
       const index_t h = n - q >= w ? w : tail;
       const index_t rows = std::min(h, n - q);
-      if (rows < h) std::fill(dst, dst + kc * h, T(0));
+      if (rows < h) std::fill(dst, dst + kc * h, real_t(0));
       for (index_t r = 0; r < rows;) {
-        const RowRun<T>& rr = runs[run];
+        const RowRun& rr = runs[run];
         const index_t take = std::min(rr.rows - off, rows - r);
-        const T* src = rr.data + off + static_cast<std::size_t>(pc) * rr.ld;
+        const real_t* src = rr.data + off + static_cast<std::size_t>(pc) * rr.ld;
         if (take < 8) {
           // A short piece: the long loop runs along k.
           for (index_t i = 0; i < take; ++i) {
@@ -311,8 +295,8 @@ const T* pack_runs(PackBuffer<T>& buf, const std::vector<RowRun<T>>& runs,
           }
         } else {
           for (index_t k = 0; k < kc; ++k) {
-            const T* col = src + static_cast<std::size_t>(k) * rr.ld;
-            T* d = dst + k * h + r;
+            const real_t* col = src + static_cast<std::size_t>(k) * rr.ld;
+            real_t* d = dst + k * h + r;
             for (index_t i = 0; i < take; ++i) d[i] = alpha * col[i];
           }
         }
@@ -332,7 +316,6 @@ const T* pack_runs(PackBuffer<T>& buf, const std::vector<RowRun<T>>& runs,
 
 /// Packing pays for itself once there is enough arithmetic per packed
 /// element; tiny products (thin ranks, small tiles) stay on the loop nests.
-template <typename T>
 bool use_packed(index_t m, index_t n, index_t kk) {
   return kk >= 4 && static_cast<double>(m) * static_cast<double>(n) *
                             static_cast<double>(kk) >=
@@ -346,53 +329,45 @@ bool use_packed(index_t m, index_t n, index_t kk) {
 // through the current backend's function table (one row per Backend value).
 // Adding a backend = appending a row; the callers never change.
 
-template <typename T>
 struct BackendVtable {
   /// C += alpha * op(A) * op(B) (beta already applied).
-  void (*gemm)(Trans, Trans, T, ConstView<T>, ConstView<T>, MatView<T>);
+  void (*gemm)(Trans, Trans, real_t, DConstView, DConstView, DView);
   /// The gemm_batch products (depth > 0).
-  void (*gemm_batch)(T, std::span<const ConstView<T>>,
-                     std::span<const ConstView<T>>,
-                     std::span<const GemmTarget<T>>);
+  void (*gemm_batch)(real_t, std::span<const DConstView>,
+                     std::span<const DConstView>,
+                     std::span<const GemmTarget>);
   /// Substitution only (alpha already applied to B).
-  void (*trsm)(Side, Uplo, Trans, Diag, ConstView<T>, MatView<T>);
+  void (*trsm)(Side, Uplo, Trans, Diag, DConstView, DView);
   /// C(triangle) += alpha * A·Aᵗ or Aᵗ·A (beta already applied).
-  void (*syrk)(Uplo, Trans, T, ConstView<T>, MatView<T>);
+  void (*syrk)(Uplo, Trans, real_t, DConstView, DView);
 };
 
-template <typename T>
 void isa_trsm(const detail::IsaKernels& k, Side side, Uplo uplo, Trans trans,
-              Diag diag, ConstView<T> a, MatView<T> b) {
-  k.template trsm<T>()(side == Side::Right ? 1 : 0,
-                       uplo == Uplo::Upper ? 1 : 0,
-                       trans == Trans::Yes ? 1 : 0,
-                       diag == Diag::Unit ? 1 : 0, a.data, a.ld, b.data, b.ld,
-                       b.rows, b.cols);
+              Diag diag, DConstView a, DView b) {
+  k.trsm(side == Side::Right ? 1 : 0, uplo == Uplo::Upper ? 1 : 0,
+         trans == Trans::Yes ? 1 : 0, diag == Diag::Unit ? 1 : 0, a.data, a.ld,
+         b.data, b.ld, b.rows, b.cols);
 }
 
-template <typename T>
-void isa_syrk(const detail::IsaKernels& k, Uplo uplo, Trans trans, T alpha,
-              ConstView<T> a, MatView<T> c) {
-  k.template syrk<T>()(uplo == Uplo::Upper ? 1 : 0,
-                       trans == Trans::Yes ? 1 : 0, alpha, a.data, a.ld,
-                       a.rows, a.cols, c.data, c.ld, c.rows);
+void isa_syrk(const detail::IsaKernels& k, Uplo uplo, Trans trans, real_t alpha,
+              DConstView a, DView c) {
+  k.syrk(uplo == Uplo::Upper ? 1 : 0, trans == Trans::Yes ? 1 : 0, alpha,
+         a.data, a.ld, a.rows, a.cols, c.data, c.ld, c.rows);
 }
 
 // Reference backend: gemm is literally gemm_unpacked (the public loop-nest
 // entry, so tier-1 tests exercise it on every run); trsm/syrk are the
 // portable substitution/update bodies — the always-compiled baseline tier.
 
-template <typename T>
-void ref_gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
-              ConstView<T> b, MatView<T> c) {
-  gemm_unpacked(trans_a, trans_b, alpha, a, b, T(1), c);
+void ref_gemm(Trans trans_a, Trans trans_b, real_t alpha, DConstView a,
+              DConstView b, DView c) {
+  gemm_unpacked(trans_a, trans_b, alpha, a, b, real_t(1), c);
 }
 
-template <typename T>
-void ref_gemm_batch(T alpha, std::span<const ConstView<T>> a,
-                    std::span<const ConstView<T>> b,
-                    std::span<const GemmTarget<T>> targets) {
-  for (const GemmTarget<T>& t : targets) {
+void ref_gemm_batch(real_t alpha, std::span<const DConstView> a,
+                    std::span<const DConstView> b,
+                    std::span<const GemmTarget> targets) {
+  for (const GemmTarget& t : targets) {
     const auto p = static_cast<std::size_t>(t.p);
     const auto q = static_cast<std::size_t>(t.q);
     if (t.transposed) gemm_nests(Trans::No, Trans::Yes, alpha, b[q], a[p], t.c);
@@ -400,14 +375,12 @@ void ref_gemm_batch(T alpha, std::span<const ConstView<T>> a,
   }
 }
 
-template <typename T>
-void ref_trsm(Side side, Uplo uplo, Trans trans, Diag diag, ConstView<T> a,
-              MatView<T> b) {
+void ref_trsm(Side side, Uplo uplo, Trans trans, Diag diag, DConstView a,
+              DView b) {
   isa_trsm(detail::isa_portable(), side, uplo, trans, diag, a, b);
 }
 
-template <typename T>
-void ref_syrk(Uplo uplo, Trans trans, T alpha, ConstView<T> a, MatView<T> c) {
+void ref_syrk(Uplo uplo, Trans trans, real_t alpha, DConstView a, DView c) {
   isa_syrk(detail::isa_portable(), uplo, trans, alpha, a, c);
 }
 
@@ -418,44 +391,42 @@ void ref_syrk(Uplo uplo, Trans trans, T alpha, ConstView<T> a, MatView<T> c) {
 /// dot chains over eight columns of A. Each chain is gemm_tn's (ascending k,
 /// alpha folded into the B term), so the bits match the loop nests; the
 /// interleaving only hides the latency of the single chain.
-template <typename T>
-void gemm_t_thin(Trans trans_b, T alpha, ConstView<T> a, ConstView<T> b,
-                 MatView<T> c) {
+void gemm_t_thin(Trans trans_b, real_t alpha, DConstView a, DConstView b,
+                 DView c) {
   constexpr index_t kChains = 8;
   const index_t kk = a.rows;
   for (index_t j = 0; j < c.cols; ++j) {
     // Column j of op(B), with stride bs between consecutive k.
-    const T* bj = trans_b == Trans::No ? b.col(j) : b.data + j;
+    const real_t* bj = trans_b == Trans::No ? b.col(j) : b.data + j;
     const index_t bs = trans_b == Trans::No ? 1 : b.ld;
-    T* cj = c.col(j);
+    real_t* cj = c.col(j);
     index_t i = 0;
     for (; i + kChains <= c.rows; i += kChains) {
-      T s[kChains];
-      const T* ai[kChains];
+      real_t s[kChains];
+      const real_t* ai[kChains];
       for (index_t r = 0; r < kChains; ++r) {
         s[r] = cj[i + r];
         ai[r] = a.col(i + r);
       }
       for (index_t k = 0; k < kk; ++k) {
-        const T bk = alpha * bj[k * bs];
+        const real_t bk = alpha * bj[k * bs];
         for (index_t r = 0; r < kChains; ++r) s[r] += ai[r][k] * bk;
       }
       for (index_t r = 0; r < kChains; ++r) cj[i + r] = s[r];
     }
     for (; i < c.rows; ++i) {
-      const T* ac = a.col(i);
-      T s = cj[i];
+      const real_t* ac = a.col(i);
+      real_t s = cj[i];
       for (index_t k = 0; k < kk; ++k) s += ac[k] * (alpha * bj[k * bs]);
       cj[i] = s;
     }
   }
 }
 
-template <typename T>
-void native_gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
-                 ConstView<T> b, MatView<T> c) {
+void native_gemm(Trans trans_a, Trans trans_b, real_t alpha, DConstView a,
+                 DConstView b, DView c) {
   const index_t kk = (trans_a == Trans::No) ? a.cols : a.rows;
-  if (c.cols < MicroTile<T>::NR) {
+  if (c.cols < kNR) {
     // Thinner than a micro-tile (a single-RHS solve): packing would fill
     // mostly zero padding, so run direct kernels in the canonical order.
     if (trans_a == Trans::No) {
@@ -465,15 +436,15 @@ void native_gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
     }
     return;
   }
-  if (!use_packed<T>(c.rows, c.cols, kk)) {
+  if (!use_packed(c.rows, c.cols, kk)) {
     gemm_nests(trans_a, trans_b, alpha, a, b, c);
     return;
   }
   const detail::IsaKernels& isa = detail::native_kernels();
-  auto& bufs = pack_buffers<T>();
-  const T* ap = pack_a<T>(bufs.a, a, trans_a, c.rows, kk, isa.template mr<T>());
-  const T* bp = pack_b<T>(bufs.b, b, trans_b, alpha, kk, c.cols);
-  isa.template gemm_packed<T>()(c.rows, c.cols, kk, ap, bp, c.data, c.ld);
+  auto& bufs = pack_buffers();
+  const real_t* ap = pack_a(bufs.a, a, trans_a, c.rows, kk, isa.mr);
+  const real_t* bp = pack_b(bufs.b, b, trans_b, alpha, kk, c.cols);
+  isa.gemm_packed(c.rows, c.cols, kk, ap, bp, c.data, c.ld);
 }
 
 /// Collect in `segs` the next group of stacked rows, resuming at row `off`
@@ -507,16 +478,13 @@ index_t next_group(std::size_t np, const Height& height, const Skip& skip,
 
 /// The packed grid walk of native_gemm_batch over plain targets; adds the
 /// walk's entry counts (detail::GridC::counts) to counts.
-template <typename T>
-void native_grid(T alpha, std::span<const ConstView<T>> a,
-                 std::span<const ConstView<T>> b,
-                 std::span<const GemmTarget<T>> targets, std::uint64_t* counts) {
+void native_grid(real_t alpha, std::span<const DConstView> a,
+                 std::span<const DConstView> b,
+                 std::span<const GemmTarget> targets, std::uint64_t* counts) {
   const index_t kk = b[0].cols;
-  constexpr index_t MRT = MicroTile<T>::MR;
-  constexpr index_t NR = MicroTile<T>::NR;
   const detail::IsaKernels& isa = detail::native_kernels();
-  const index_t mr = isa.template mr<T>();
-  ThreadPackBuffers<T>& bufs = pack_buffers<T>();
+  const index_t mr = isa.mr;
+  ThreadPackBuffers& bufs = pack_buffers();
   const std::size_t np = a.size();
   const std::size_t nq = b.size();
 
@@ -528,7 +496,7 @@ void native_grid(T alpha, std::span<const ConstView<T>> a,
   bufs.first.assign(np + 1, 0);
   bufs.reach.assign(np, 0);
   index_t n = 0;  // columns any target reaches: the ones packed
-  for (const GemmTarget<T>& t : targets) {
+  for (const GemmTarget& t : targets) {
     const auto p = static_cast<std::size_t>(t.p);
     const auto q = static_cast<std::size_t>(t.q);
     ++bufs.first[p + 1];
@@ -553,7 +521,7 @@ void native_grid(T alpha, std::span<const ConstView<T>> a,
     }
     if (b[q].rows > 0) bufs.runs.push_back({b[q].data, b[q].ld, b[q].rows});
   }
-  const T* bp = pack_runs<T>(bufs.b, bufs.runs, alpha, n, kk, NR, NR);
+  const real_t* bp = pack_runs(bufs.b, bufs.runs, alpha, n, kk, kNR, kNR);
 
   // Row groups: consecutive rows of the row blocks in order (see
   // next_group). A group computes the columns its rows' targets reach; it
@@ -578,7 +546,7 @@ void native_grid(T alpha, std::span<const ConstView<T>> a,
     // Where each row's entries live in each reached column block's target
     // (detail::GridC): its address and column step, 0 where the row has no
     // target there (and for the padded rows), which is never stored.
-    const auto mp = static_cast<std::size_t>(panel_rows(m, mr, MRT));
+    const auto mp = static_cast<std::size_t>(panel_rows(m, mr, kMR));
     const auto nq_reached =
         static_cast<std::size_t>(bufs.col_blk[static_cast<std::size_t>(reach - 1)]) + 1;
     bufs.addr.assign(nq_reached * mp, 0);
@@ -590,9 +558,9 @@ void native_grid(T alpha, std::span<const ConstView<T>> a,
       const index_t h = sg.r1 - sg.r0;
       bufs.runs.push_back({a[sg.p].data + sg.r0, a[sg.p].ld, h});
       for (std::size_t i = bufs.first[sg.p]; i < bufs.first[sg.p + 1]; ++i) {
-        const GemmTarget<T>& t = targets[bufs.by_row[i]];
+        const GemmTarget& t = targets[bufs.by_row[i]];
         assert(!t.transposed);
-        const auto cs = static_cast<std::intptr_t>(t.c.ld * index_t(sizeof(T)));
+        const auto cs = static_cast<std::intptr_t>(t.c.ld * index_t(sizeof(real_t)));
         const std::size_t x = static_cast<std::size_t>(t.q) * mp + g0;
         for (index_t r = 0; r < h; ++r) {
           const auto xr = x + static_cast<std::size_t>(r);
@@ -603,7 +571,7 @@ void native_grid(T alpha, std::span<const ConstView<T>> a,
       g0 += static_cast<std::size_t>(h);
     }
     // The runs: rows from x on whose entries are consecutive in memory (one
-    // ld, addresses sizeof(T) apart), or that have no target (negated).
+    // ld, addresses sizeof(real_t) apart), or that have no target (negated).
     for (std::size_t x0 = 0; x0 < nq_reached * mp; x0 += mp) {
       for (std::size_t x = x0 + mp; x-- > x0;) {
         const index_t below = x + 1 < x0 + mp ? bufs.run[x + 1] : 0;
@@ -611,15 +579,16 @@ void native_grid(T alpha, std::span<const ConstView<T>> a,
           bufs.run[x] = below < 0 ? below - 1 : -1;
         } else {
           const bool joins = below > 0 && bufs.step[x + 1] == bufs.step[x] &&
-                             bufs.addr[x + 1] == bufs.addr[x] + std::intptr_t(sizeof(T));
+                             bufs.addr[x + 1] ==
+                                 bufs.addr[x] + std::intptr_t(sizeof(real_t));
           bufs.run[x] = joins ? below + 1 : 1;
         }
       }
     }
-    const T* ap = pack_runs<T>(bufs.a, bufs.runs, T(1), m, kk, mr, MRT);
+    const real_t* ap = pack_runs(bufs.a, bufs.runs, real_t(1), m, kk, mr, kMR);
     // Accumulating onto the targets' own values keeps each element's order
     // that of the single call; the k-slabs run in order, as in one walk.
-    const detail::GridC<T> grid{m,
+    const detail::GridC grid{m,
                                 static_cast<index_t>(mp),
                                 reach,
                                 n,
@@ -629,20 +598,19 @@ void native_grid(T alpha, std::span<const ConstView<T>> a,
                                 bufs.step.data(),
                                 bufs.run.data(),
                                 counts};
-    isa.template gemm_grid<T>()(kk, ap, bp, grid);
+    isa.gemm_grid(kk, ap, bp, grid);
   }
 }
 
 /// GridGemmCounts of the Native grid GEMM: entries, in place, per row.
 std::atomic<std::uint64_t> g_grid_counts[3];
 
-template <typename T>
-void native_gemm_batch(T alpha, std::span<const ConstView<T>> a,
-                       std::span<const ConstView<T>> b,
-                       std::span<const GemmTarget<T>> targets) {
+void native_gemm_batch(real_t alpha, std::span<const DConstView> a,
+                       std::span<const DConstView> b,
+                       std::span<const GemmTarget> targets) {
   const index_t kk = b[0].cols;
   std::uint64_t entries = 0;
-  for (const GemmTarget<T>& t : targets)
+  for (const GemmTarget& t : targets)
     entries += static_cast<std::uint64_t>(t.c.rows * t.c.cols);
   std::uint64_t counts[2] = {0, 0};
   if (kk < 4) {  // too shallow to pay for packing (see use_packed)
@@ -654,17 +622,17 @@ void native_gemm_batch(T alpha, std::span<const ConstView<T>> a,
     // A_p): the single call's own operand order, and C's columns run along
     // the packed columns. The two grids share no target entry, so running
     // one after the other keeps every bit.
-    ThreadPackBuffers<T>& bufs = pack_buffers<T>();
+    ThreadPackBuffers& bufs = pack_buffers();
     bufs.plain.clear();
     bufs.swapped.clear();
-    for (const GemmTarget<T>& t : targets) {
+    for (const GemmTarget& t : targets) {
       if (t.transposed) bufs.swapped.push_back({t.q, t.p, t.c, false});
       else bufs.plain.push_back(t);
     }
     if (!bufs.plain.empty())
-      native_grid<T>(alpha, a, b, std::span<const GemmTarget<T>>(bufs.plain), counts);
+      native_grid(alpha, a, b, std::span<const GemmTarget>(bufs.plain), counts);
     if (!bufs.swapped.empty())
-      native_grid<T>(alpha, b, a, std::span<const GemmTarget<T>>(bufs.swapped), counts);
+      native_grid(alpha, b, a, std::span<const GemmTarget>(bufs.swapped), counts);
     entries *= static_cast<std::uint64_t>((kk + kKC - 1) / kKC);  // per k-slab
   }
   g_grid_counts[0].fetch_add(entries, std::memory_order_relaxed);
@@ -672,33 +640,27 @@ void native_gemm_batch(T alpha, std::span<const ConstView<T>> a,
   g_grid_counts[2].fetch_add(counts[1], std::memory_order_relaxed);
 }
 
-template <typename T>
-void native_trsm(Side side, Uplo uplo, Trans trans, Diag diag, ConstView<T> a,
-                 MatView<T> b) {
+void native_trsm(Side side, Uplo uplo, Trans trans, Diag diag, DConstView a,
+                 DView b) {
   isa_trsm(detail::native_kernels(), side, uplo, trans, diag, a, b);
 }
 
-template <typename T>
-void native_syrk(Uplo uplo, Trans trans, T alpha, ConstView<T> a,
-                 MatView<T> c) {
+void native_syrk(Uplo uplo, Trans trans, real_t alpha, DConstView a, DView c) {
   isa_syrk(detail::native_kernels(), uplo, trans, alpha, a, c);
 }
 
-template <typename T>
-const BackendVtable<T>& backend_vtable(Backend be) {
-  static const BackendVtable<T> table[static_cast<int>(Backend::kCount)] = {
-      {&ref_gemm<T>, &ref_gemm_batch<T>, &ref_trsm<T>, &ref_syrk<T>},  // Reference
-      {&native_gemm<T>, &native_gemm_batch<T>, &native_trsm<T>,
-       &native_syrk<T>},                                               // Native
+const BackendVtable& backend_vtable(Backend be) {
+  static const BackendVtable table[static_cast<int>(Backend::kCount)] = {
+      {&ref_gemm, &ref_gemm_batch, &ref_trsm, &ref_syrk},              // Reference
+      {&native_gemm, &native_gemm_batch, &native_trsm, &native_syrk},  // Native
   };
   return table[static_cast<int>(be)];
 }
 
 } // namespace
 
-template <typename T>
-void gemm_unpacked(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
-                   ConstView<T> b, T beta, MatView<T> c) {
+void gemm_unpacked(Trans trans_a, Trans trans_b, real_t alpha, DConstView a,
+                   DConstView b, real_t beta, DView c) {
   const index_t opa_rows = (trans_a == Trans::No) ? a.rows : a.cols;
   const index_t opa_cols = (trans_a == Trans::No) ? a.cols : a.rows;
   const index_t opb_rows = (trans_b == Trans::No) ? b.rows : b.cols;
@@ -709,13 +671,12 @@ void gemm_unpacked(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
   (void)opb_rows;
 
   scale_matrix(beta, c);
-  if (alpha == T(0) || opa_cols == 0 || c.empty()) return;
+  if (alpha == real_t(0) || opa_cols == 0 || c.empty()) return;
   gemm_nests(trans_a, trans_b, alpha, a, b, c);
 }
 
-template <typename T>
-void gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a, ConstView<T> b,
-          T beta, MatView<T> c) {
+void gemm(Trans trans_a, Trans trans_b, real_t alpha, DConstView a,
+          DConstView b, real_t beta, DView c) {
   const index_t opa_rows = (trans_a == Trans::No) ? a.rows : a.cols;
   const index_t opa_cols = (trans_a == Trans::No) ? a.cols : a.rows;
   const index_t opb_rows = (trans_b == Trans::No) ? b.rows : b.cols;
@@ -726,17 +687,16 @@ void gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a, ConstView<T> b,
   (void)opb_rows;
 
   scale_matrix(beta, c);
-  if (alpha == T(0) || opa_cols == 0 || c.empty()) return;
-  backend_vtable<T>(current_backend()).gemm(trans_a, trans_b, alpha, a, b, c);
+  if (alpha == real_t(0) || opa_cols == 0 || c.empty()) return;
+  backend_vtable(current_backend()).gemm(trans_a, trans_b, alpha, a, b, c);
 }
 
-template <typename T>
-void gemm_batch(T alpha, std::span<const ConstView<T>> a,
-                std::span<const ConstView<T>> b,
-                std::span<const GemmTarget<T>> targets) {
-  for (const GemmTarget<T>& t : targets) {
-    const ConstView<T>& ap = a[static_cast<std::size_t>(t.p)];
-    const ConstView<T>& bq = b[static_cast<std::size_t>(t.q)];
+void gemm_batch(real_t alpha, std::span<const DConstView> a,
+                std::span<const DConstView> b,
+                std::span<const GemmTarget> targets) {
+  for (const GemmTarget& t : targets) {
+    const DConstView& ap = a[static_cast<std::size_t>(t.p)];
+    const DConstView& bq = b[static_cast<std::size_t>(t.q)];
     assert(ap.cols == bq.cols);
     assert(t.transposed ? (t.c.rows == bq.rows && t.c.cols == ap.rows)
                         : (t.c.rows == ap.rows && t.c.cols == bq.rows));
@@ -744,7 +704,7 @@ void gemm_batch(T alpha, std::span<const ConstView<T>> a,
     (void)bq;
   }
   if (targets.empty() || b.empty() || b[0].cols == 0) return;
-  backend_vtable<T>(current_backend()).gemm_batch(alpha, a, b, targets);
+  backend_vtable(current_backend()).gemm_batch(alpha, a, b, targets);
 }
 
 GridGemmCounts grid_gemm_counts() {
@@ -753,14 +713,12 @@ GridGemmCounts grid_gemm_counts() {
           g_grid_counts[2].load(std::memory_order_relaxed)};
 }
 
-template <typename T>
 NativeTile native_tile() {
-  return {detail::native_kernels().template mr<T>(), MicroTile<T>::NR};
+  return {detail::native_kernels().mr, kNR};
 }
 
-template <typename T>
-void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, ConstView<T> a,
-          MatView<T> b) {
+void trsm(Side side, Uplo uplo, Trans trans, Diag diag, real_t alpha, DConstView a,
+          DView b) {
   const index_t m = b.rows;
   const index_t n = b.cols;
   if (side == Side::Left) assert(a.rows == m && a.cols == m);
@@ -770,7 +728,7 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, ConstView<T> a,
 
   scale_matrix(alpha, b);
   if (b.empty()) return;
-  backend_vtable<T>(current_backend()).trsm(side, uplo, trans, diag, a, b);
+  backend_vtable(current_backend()).trsm(side, uplo, trans, diag, a, b);
 }
 
 namespace {
@@ -783,9 +741,8 @@ constexpr index_t kTrsmStrip = 32;
 /// strip J of columns, substitution against A(J, J), then
 /// X(:, right of J) -= X(:, J)·op(A)(J, right of J). Column j receives its
 /// terms in ascending k, the order of the unblocked substitution.
-template <typename T>
-void trsm_right_blocked(const BackendVtable<T>& vt, Uplo uplo, Trans trans,
-                        Diag diag, ConstView<T> a, MatView<T> x) {
+void trsm_right_blocked(const BackendVtable& vt, Uplo uplo, Trans trans,
+                        Diag diag, DConstView a, DView x) {
   const index_t w = a.rows;
   for (index_t j0 = 0; j0 < w; j0 += kTrsmStrip) {
     const index_t nb = std::min(kTrsmStrip, w - j0);
@@ -794,10 +751,10 @@ void trsm_right_blocked(const BackendVtable<T>& vt, Uplo uplo, Trans trans,
             x.sub(0, j0, x.rows, nb));
     if (j1 == w) break;
     if (uplo == Uplo::Lower) {  // op(A) = Aᵗ: the strip below A(J, J)
-      vt.gemm(Trans::No, Trans::Yes, T(-1), x.sub(0, j0, x.rows, nb),
+      vt.gemm(Trans::No, Trans::Yes, real_t(-1), x.sub(0, j0, x.rows, nb),
               a.sub(j1, j0, w - j1, nb), x.sub(0, j1, x.rows, w - j1));
     } else {  // op(A) = A: the strip right of A(J, J)
-      vt.gemm(Trans::No, Trans::No, T(-1), x.sub(0, j0, x.rows, nb),
+      vt.gemm(Trans::No, Trans::No, real_t(-1), x.sub(0, j0, x.rows, nb),
               a.sub(j0, j1, nb, w - j1), x.sub(0, j1, x.rows, w - j1));
     }
   }
@@ -805,13 +762,12 @@ void trsm_right_blocked(const BackendVtable<T>& vt, Uplo uplo, Trans trans,
 
 } // namespace
 
-template <typename T>
-void trsm_stacked(Uplo uplo, Trans trans, Diag diag, ConstView<T> a,
-                  std::span<const MatView<T>> b) {
-  const BackendVtable<T>& vt = backend_vtable<T>(current_backend());
+void trsm_stacked(Uplo uplo, Trans trans, Diag diag, DConstView a,
+                  std::span<const DView> b) {
+  const BackendVtable& vt = backend_vtable(current_backend());
   const index_t w = a.rows;
   assert((uplo == Uplo::Lower) == (trans == Trans::Yes));
-  for (const MatView<T>& bp : b) {
+  for (const DView& bp : b) {
     assert(a.cols == w && bp.cols == w);
     (void)bp;
   }
@@ -820,7 +776,7 @@ void trsm_stacked(Uplo uplo, Trans trans, Diag diag, ConstView<T> a,
   // of one segment is solved in place; a wider group is gathered into
   // per-thread scratch of at most kStackRows × w, solved, and scattered
   // back.
-  ThreadPackBuffers<T>& bufs = pack_buffers<T>();
+  ThreadPackBuffers& bufs = pack_buffers();
   std::vector<RowSegment>& segs = bufs.segs;
   const auto height = [&](std::size_t p) { return b[p].rows; };
   const auto never = [](auto...) { return false; };
@@ -835,16 +791,16 @@ void trsm_stacked(Uplo uplo, Trans trans, Diag diag, ConstView<T> a,
                          b[sg.p].sub(sg.r0, 0, sg.r1 - sg.r0, w));
       continue;
     }
-    const MatView<T> g(bufs.c.ensure(static_cast<std::size_t>(m) *
+    const DView g(bufs.c.ensure(static_cast<std::size_t>(m) *
                                      static_cast<std::size_t>(w)),
                        m, w, m);
     const auto move = [&](bool gather) {
       index_t g0 = 0;
       for (const RowSegment& sg : segs) {
         const index_t h = sg.r1 - sg.r0;
-        const MatView<T> src = b[sg.p].sub(sg.r0, 0, h, w);
-        if (gather) copy<T>(src, g.sub(g0, 0, h, w));
-        else copy<T>(g.sub(g0, 0, h, w), src);
+        const DView src = b[sg.p].sub(sg.r0, 0, h, w);
+        if (gather) copy<real_t>(src, g.sub(g0, 0, h, w));
+        else copy<real_t>(g.sub(g0, 0, h, w), src);
         g0 += h;
       }
     };
@@ -854,8 +810,7 @@ void trsm_stacked(Uplo uplo, Trans trans, Diag diag, ConstView<T> a,
   }
 }
 
-template <typename T>
-void syrk(Uplo uplo, Trans trans, T alpha, ConstView<T> a, T beta, MatView<T> c) {
+void syrk(Uplo uplo, Trans trans, real_t alpha, DConstView a, real_t beta, DView c) {
   const index_t n = c.rows;
   assert(c.cols == n);
   assert(((trans == Trans::No) ? a.rows : a.cols) == n);
@@ -864,55 +819,11 @@ void syrk(Uplo uplo, Trans trans, T alpha, ConstView<T> a, T beta, MatView<T> c)
   for (index_t j = 0; j < n; ++j) {
     const index_t i0 = (uplo == Uplo::Lower) ? j : 0;
     const index_t i1 = (uplo == Uplo::Lower) ? n : j + 1;
-    if (beta == T(0)) std::fill(c.col(j) + i0, c.col(j) + i1, T(0));
-    else if (beta != T(1)) scal(i1 - i0, beta, c.col(j) + i0);
+    if (beta == real_t(0)) std::fill(c.col(j) + i0, c.col(j) + i1, real_t(0));
+    else if (beta != real_t(1)) scal(i1 - i0, beta, c.col(j) + i0);
   }
-  if (alpha == T(0) || n == 0) return;
-  backend_vtable<T>(current_backend()).syrk(uplo, trans, alpha, a, c);
+  if (alpha == real_t(0) || n == 0) return;
+  backend_vtable(current_backend()).syrk(uplo, trans, alpha, a, c);
 }
-
-template <typename T>
-void gemv(Trans trans, T alpha, ConstView<T> a, const T* x, T beta, T* y) {
-  const index_t ny = (trans == Trans::No) ? a.rows : a.cols;
-  if (beta == T(0)) std::fill_n(y, ny, T(0));
-  else if (beta != T(1)) scal(ny, beta, y);
-  if (alpha == T(0)) return;
-
-  if (trans == Trans::No) {
-    for (index_t j = 0; j < a.cols; ++j) {
-      const T xj = alpha * x[j];
-      if (xj != T(0)) axpy(a.rows, xj, a.col(j), y);
-    }
-  } else {
-    for (index_t j = 0; j < a.cols; ++j) y[j] += alpha * dot(a.rows, a.col(j), x);
-  }
-}
-
-template <typename T>
-void trsv(Uplo uplo, Trans trans, Diag diag, ConstView<T> a, T* b) {
-  MatView<T> bv(b, a.rows, 1, a.rows);
-  trsm(Side::Left, uplo, trans, diag, T(1), a, bv);
-}
-
-// Explicit instantiations.
-#define BLR_INSTANTIATE_BLAS(T)                                                        \
-  template void gemm<T>(Trans, Trans, T, ConstView<T>, ConstView<T>, T, MatView<T>);   \
-  template void gemm_unpacked<T>(Trans, Trans, T, ConstView<T>, ConstView<T>, T,       \
-                                 MatView<T>);                                          \
-  template void gemm_batch<T>(T, std::span<const ConstView<T>>,                         \
-                              std::span<const ConstView<T>>,                           \
-                              std::span<const GemmTarget<T>>);                         \
-  template NativeTile native_tile<T>();                                                \
-  template void trsm<T>(Side, Uplo, Trans, Diag, T, ConstView<T>, MatView<T>);         \
-  template void trsm_stacked<T>(Uplo, Trans, Diag, ConstView<T>,                       \
-                                std::span<const MatView<T>>);                          \
-  template void syrk<T>(Uplo, Trans, T, ConstView<T>, T, MatView<T>);                  \
-  template void gemv<T>(Trans, T, ConstView<T>, const T*, T, T*);                      \
-  template void trsv<T>(Uplo, Trans, Diag, ConstView<T>, T*);
-
-BLR_INSTANTIATE_BLAS(float)
-BLR_INSTANTIATE_BLAS(double)
-
-#undef BLR_INSTANTIATE_BLAS
 
 } // namespace blr::la

@@ -21,9 +21,8 @@ enum class Diag { NonUnit, Unit };
 /// packed, register-blocked microkernel of the CPUID-selected ISA tier (all
 /// four transpose cases) and tiny ones through the same loop nests. Every
 /// backend produces bit-identical results.
-template <typename T>
-void gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a, ConstView<T> b,
-          T beta, MatView<T> c);
+void gemm(Trans trans_a, Trans trans_b, real_t alpha, DConstView a,
+          DConstView b, real_t beta, DView c);
 
 /// Rows of one stacked group of gemm_batch and trsm_stacked: row blocks are
 /// stacked, and tall ones split, into groups of at most this many rows, so
@@ -31,11 +30,10 @@ void gemm(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a, ConstView<T> b,
 inline constexpr index_t kStackRows = 256;
 
 /// One destination of gemm_batch: row block p against column block q.
-template <typename T>
 struct GemmTarget {
   index_t p = 0;
   index_t q = 0;
-  MatView<T> c;
+  DView c;
   bool transposed = false;  ///< c is the transposed product
 };
 
@@ -55,10 +53,9 @@ struct GemmTarget {
 /// target entry at its own address, in place. A group computes the columns
 /// its targets reach; products without a target are discarded, and a
 /// micro-tile without any target is skipped.
-template <typename T>
-void gemm_batch(T alpha, std::span<const ConstView<T>> a,
-                std::span<const ConstView<T>> b,
-                std::span<const GemmTarget<T>> targets);
+void gemm_batch(real_t alpha, std::span<const DConstView> a,
+                std::span<const DConstView> b,
+                std::span<const GemmTarget> targets);
 
 /// Target entries the Native backend's gemm_batch has updated in this
 /// process, counted once per kKC-deep k-slab: all of them, those loaded and
@@ -74,30 +71,26 @@ struct GridGemmCounts {
 };
 GridGemmCounts grid_gemm_counts();
 
-/// The Native backend's micro-tile for element type T on the active ISA
-/// tier: mr rows (of its full row panels; shorter tails have 8 rows for
-/// fp64, 16 for fp32) by nr columns.
+/// The Native backend's micro-tile on the active ISA tier: mr rows (of its
+/// full row panels; shorter tails have 8 rows) by nr columns.
 struct NativeTile {
   index_t mr = 0;
   index_t nr = 0;
 };
-template <typename T>
 NativeTile native_tile();
 
 /// The plain gemm loop nests — the Reference backend's implementation
 /// (la::gemm with backend Reference lands here), also used directly as the
 /// perfsmoke baseline the packed path is measured against.
-template <typename T>
-void gemm_unpacked(Trans trans_a, Trans trans_b, T alpha, ConstView<T> a,
-                   ConstView<T> b, T beta, MatView<T> c);
+void gemm_unpacked(Trans trans_a, Trans trans_b, real_t alpha, DConstView a,
+                   DConstView b, real_t beta, DView c);
 
 /// Triangular solve with multiple right-hand sides:
 ///   Side::Left : op(A) * X = alpha * B,  X overwrites B
 ///   Side::Right: X * op(A) = alpha * B,  X overwrites B
 /// A is triangular per (uplo, diag); only the referenced triangle is read.
-template <typename T>
-void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, ConstView<T> a,
-          MatView<T> b);
+void trsm(Side side, Uplo uplo, Trans trans, Diag diag, real_t alpha,
+          DConstView a, DView b);
 
 /// trsm(Side::Right, uplo, trans, diag, 1, a, b_p) for every block b_p of a
 /// vertical stack, bit-identical to those calls under every backend, for
@@ -106,53 +99,39 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, ConstView<T> a,
 /// (gathered into per-thread scratch, tall blocks split); each group is
 /// solved blocked: a strip of columns by substitution, the columns right of
 /// it updated by one GEMM.
-template <typename T>
-void trsm_stacked(Uplo uplo, Trans trans, Diag diag, ConstView<T> a,
-                  std::span<const MatView<T>> b);
+void trsm_stacked(Uplo uplo, Trans trans, Diag diag, DConstView a,
+                  std::span<const DView> b);
 
 /// Symmetric rank-k update on one triangle:
 ///   C = beta * C + alpha * A * Aᵗ (trans == No)
 ///   C = beta * C + alpha * Aᵗ * A (trans == Yes)
 /// Only the (uplo) triangle of C is referenced and updated.
-template <typename T>
-void syrk(Uplo uplo, Trans trans, T alpha, ConstView<T> a, T beta, MatView<T> c);
-
-/// Matrix-vector multiply: y = alpha * op(A) * x + beta * y.
-template <typename T>
-void gemv(Trans trans, T alpha, ConstView<T> a, const T* x, T beta, T* y);
-
-/// Triangular matrix-vector solve: op(A) x = b, x overwrites b.
-template <typename T>
-void trsv(Uplo uplo, Trans trans, Diag diag, ConstView<T> a, T* b);
+void syrk(Uplo uplo, Trans trans, real_t alpha, DConstView a, real_t beta,
+          DView c);
 
 // ---- Level-1 style helpers over raw ranges -------------------------------
 
-template <typename T>
-T dot(index_t n, const T* x, const T* y) {
-  T s = T(0);
+inline real_t dot(index_t n, const real_t* x, const real_t* y) {
+  real_t s = 0;
   for (index_t i = 0; i < n; ++i) s += x[i] * y[i];
   return s;
 }
 
-template <typename T>
-void axpy(index_t n, T alpha, const T* x, T* y) {
+inline void axpy(index_t n, real_t alpha, const real_t* x, real_t* y) {
   for (index_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
-template <typename T>
-void scal(index_t n, T alpha, T* x) {
+inline void scal(index_t n, real_t alpha, real_t* x) {
   for (index_t i = 0; i < n; ++i) x[i] *= alpha;
 }
 
-template <typename T>
-T nrm2_sq(index_t n, const T* x) {
-  T s = T(0);
+inline real_t nrm2_sq(index_t n, const real_t* x) {
+  real_t s = 0;
   for (index_t i = 0; i < n; ++i) s += x[i] * x[i];
   return s;
 }
 
-template <typename T>
-T nrm2(index_t n, const T* x) {
+inline real_t nrm2(index_t n, const real_t* x) {
   return std::sqrt(nrm2_sq(n, x));
 }
 

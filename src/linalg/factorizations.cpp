@@ -4,8 +4,7 @@
 
 namespace blr::la {
 
-template <typename T>
-index_t getrf(MatView<T> a, std::vector<index_t>& ipiv) {
+index_t getrf(DView a, std::vector<index_t>& ipiv) {
   const index_t m = a.rows;
   const index_t n = a.cols;
   const index_t k = std::min(m, n);
@@ -15,16 +14,16 @@ index_t getrf(MatView<T> a, std::vector<index_t>& ipiv) {
   for (index_t j = 0; j < k; ++j) {
     // Pivot search in column j, rows j..m.
     index_t piv = j;
-    T pmax = std::abs(a(j, j));
+    real_t pmax = std::abs(a(j, j));
     for (index_t i = j + 1; i < m; ++i) {
-      const T v = std::abs(a(i, j));
+      const real_t v = std::abs(a(i, j));
       if (v > pmax) {
         pmax = v;
         piv = i;
       }
     }
     ipiv[static_cast<std::size_t>(j)] = piv;
-    if (pmax == T(0)) {
+    if (pmax == real_t(0)) {
       if (info == 0) info = j + 1;
       continue;  // LAPACK semantics: record and proceed
     }
@@ -32,18 +31,17 @@ index_t getrf(MatView<T> a, std::vector<index_t>& ipiv) {
       for (index_t c = 0; c < n; ++c) std::swap(a(j, c), a(piv, c));
     }
     // Scale multipliers and rank-1 update of the trailing submatrix.
-    const T inv_pivot = T(1) / a(j, j);
+    const real_t inv_pivot = real_t(1) / a(j, j);
     scal(m - j - 1, inv_pivot, a.col(j) + j + 1);
     for (index_t c = j + 1; c < n; ++c) {
-      const T ajc = a(j, c);
-      if (ajc != T(0)) axpy(m - j - 1, -ajc, a.col(j) + j + 1, a.col(c) + j + 1);
+      const real_t ajc = a(j, c);
+      if (ajc != real_t(0)) axpy(m - j - 1, -ajc, a.col(j) + j + 1, a.col(c) + j + 1);
     }
   }
   return info;
 }
 
-template <typename T>
-void getrf_static(MatView<T> a, std::vector<index_t>& ipiv, T threshold,
+void getrf_static(DView a, std::vector<index_t>& ipiv, real_t threshold,
                   index_t& replaced) {
   const index_t m = a.rows;
   const index_t n = a.cols;
@@ -52,9 +50,9 @@ void getrf_static(MatView<T> a, std::vector<index_t>& ipiv, T threshold,
 
   for (index_t j = 0; j < k; ++j) {
     index_t piv = j;
-    T pmax = std::abs(a(j, j));
+    real_t pmax = std::abs(a(j, j));
     for (index_t i = j + 1; i < m; ++i) {
-      const T v = std::abs(a(i, j));
+      const real_t v = std::abs(a(i, j));
       if (v > pmax) {
         pmax = v;
         piv = i;
@@ -67,20 +65,19 @@ void getrf_static(MatView<T> a, std::vector<index_t>& ipiv, T threshold,
     if (pmax < threshold) {
       // Static pivoting: perturb instead of failing; iterative refinement
       // absorbs the O(threshold) backward-error contribution.
-      a(j, j) = (a(j, j) < T(0)) ? -threshold : threshold;
+      a(j, j) = (a(j, j) < real_t(0)) ? -threshold : threshold;
       ++replaced;
     }
-    const T inv_pivot = T(1) / a(j, j);
+    const real_t inv_pivot = real_t(1) / a(j, j);
     scal(m - j - 1, inv_pivot, a.col(j) + j + 1);
     for (index_t c = j + 1; c < n; ++c) {
-      const T ajc = a(j, c);
-      if (ajc != T(0)) axpy(m - j - 1, -ajc, a.col(j) + j + 1, a.col(c) + j + 1);
+      const real_t ajc = a(j, c);
+      if (ajc != real_t(0)) axpy(m - j - 1, -ajc, a.col(j) + j + 1, a.col(c) + j + 1);
     }
   }
 }
 
-template <typename T>
-void laswp(MatView<T> b, const std::vector<index_t>& ipiv) {
+void laswp(DView b, const std::vector<index_t>& ipiv) {
   for (std::size_t j = 0; j < ipiv.size(); ++j) {
     const auto i = static_cast<index_t>(j);
     const index_t p = ipiv[j];
@@ -90,58 +87,40 @@ void laswp(MatView<T> b, const std::vector<index_t>& ipiv) {
   }
 }
 
-template <typename T>
-index_t potrf(MatView<T> a) {
+index_t potrf(DView a) {
   const index_t n = a.rows;
   assert(a.cols == n);
   for (index_t j = 0; j < n; ++j) {
-    T s = a(j, j);
+    real_t s = a(j, j);
     for (index_t p = 0; p < j; ++p) s -= a(j, p) * a(j, p);
-    if (s <= T(0) || !std::isfinite(static_cast<double>(s))) return j + 1;
-    const T ljj = std::sqrt(s);
+    if (s <= real_t(0) || !std::isfinite(s)) return j + 1;
+    const real_t ljj = std::sqrt(s);
     a(j, j) = ljj;
     // Column update: a(j+1:n, j) = (a(j+1:n, j) - L(j+1:n, 0:j) * L(j, 0:j)ᵗ) / ljj
     for (index_t p = 0; p < j; ++p) {
-      const T ljp = a(j, p);
-      if (ljp != T(0)) axpy(n - j - 1, -ljp, a.col(p) + j + 1, a.col(j) + j + 1);
+      const real_t ljp = a(j, p);
+      if (ljp != real_t(0)) axpy(n - j - 1, -ljp, a.col(p) + j + 1, a.col(j) + j + 1);
     }
-    scal(n - j - 1, T(1) / ljj, a.col(j) + j + 1);
+    scal(n - j - 1, real_t(1) / ljj, a.col(j) + j + 1);
   }
   return 0;
 }
 
-template <typename T>
-void getrs(ConstView<T> lu, const std::vector<index_t>& ipiv, MatView<T> b) {
+void getrs(DConstView lu, const std::vector<index_t>& ipiv, DView b) {
   laswp(b, ipiv);
-  trsm(Side::Left, Uplo::Lower, Trans::No, Diag::Unit, T(1), lu, b);
-  trsm(Side::Left, Uplo::Upper, Trans::No, Diag::NonUnit, T(1), lu, b);
+  trsm(Side::Left, Uplo::Lower, Trans::No, Diag::Unit, real_t(1), lu, b);
+  trsm(Side::Left, Uplo::Upper, Trans::No, Diag::NonUnit, real_t(1), lu, b);
 }
 
-template <typename T>
-void potrs(ConstView<T> l, MatView<T> b) {
-  trsm(Side::Left, Uplo::Lower, Trans::No, Diag::NonUnit, T(1), l, b);
-  trsm(Side::Left, Uplo::Lower, Trans::Yes, Diag::NonUnit, T(1), l, b);
+void potrs(DConstView l, DView b) {
+  trsm(Side::Left, Uplo::Lower, Trans::No, Diag::NonUnit, real_t(1), l, b);
+  trsm(Side::Left, Uplo::Lower, Trans::Yes, Diag::NonUnit, real_t(1), l, b);
 }
 
-template <typename T>
-void lu_inverse(ConstView<T> lu, const std::vector<index_t>& ipiv, MatView<T> inv) {
+void lu_inverse(DConstView lu, const std::vector<index_t>& ipiv, DView inv) {
   assert(inv.rows == lu.rows && inv.cols == lu.cols);
   set_identity(inv);
   getrs(lu, ipiv, inv);
 }
-
-#define BLR_INSTANTIATE_FACT(T)                                                  \
-  template index_t getrf<T>(MatView<T>, std::vector<index_t>&);                  \
-  template void getrf_static<T>(MatView<T>, std::vector<index_t>&, T, index_t&); \
-  template void laswp<T>(MatView<T>, const std::vector<index_t>&);               \
-  template index_t potrf<T>(MatView<T>);                                         \
-  template void getrs<T>(ConstView<T>, const std::vector<index_t>&, MatView<T>); \
-  template void potrs<T>(ConstView<T>, MatView<T>);                              \
-  template void lu_inverse<T>(ConstView<T>, const std::vector<index_t>&, MatView<T>);
-
-BLR_INSTANTIATE_FACT(float)
-BLR_INSTANTIATE_FACT(double)
-
-#undef BLR_INSTANTIATE_FACT
 
 } // namespace blr::la

@@ -11,37 +11,30 @@ namespace blr::la {
 /// unit-lower L below the diagonal, U on and above). @p ipiv receives the
 /// row swapped with row i at step i.
 /// Returns 0 on success, or 1 + the index of the first zero pivot.
-template <typename T>
-index_t getrf(MatView<T> a, std::vector<index_t>& ipiv);
+index_t getrf(DView a, std::vector<index_t>& ipiv);
 
 /// Apply the row interchanges recorded by getrf to @p b (forward order).
-template <typename T>
-void laswp(MatView<T> b, const std::vector<index_t>& ipiv);
+void laswp(DView b, const std::vector<index_t>& ipiv);
 
 /// LU with partial pivoting and *static pivoting*: pivots whose magnitude
 /// falls below @p threshold are replaced by ±threshold (the PaStiX approach
 /// for factoring without inter-supernode pivoting). The number of replaced
 /// pivots is accumulated into @p replaced. Always succeeds.
-template <typename T>
-void getrf_static(MatView<T> a, std::vector<index_t>& ipiv, T threshold,
+void getrf_static(DView a, std::vector<index_t>& ipiv, real_t threshold,
                   index_t& replaced);
 
 /// Cholesky factorization in place on the lower triangle: A = L·Lᵗ.
 /// The strict upper triangle is not referenced.
 /// Returns 0 on success, or 1 + the index of the first non-positive pivot.
-template <typename T>
-index_t potrf(MatView<T> a);
+index_t potrf(DView a);
 
 /// Solve A X = B given the getrf output (factors + pivots); B is overwritten.
-template <typename T>
-void getrs(ConstView<T> lu, const std::vector<index_t>& ipiv, MatView<T> b);
+void getrs(DConstView lu, const std::vector<index_t>& ipiv, DView b);
 
 /// Solve A X = B given the potrf output; B is overwritten.
-template <typename T>
-void potrs(ConstView<T> l, MatView<T> b);
+void potrs(DConstView l, DView b);
 
 /// Invert a factored (getrf) square matrix into @p inv. Convenience for tests.
-template <typename T>
-void lu_inverse(ConstView<T> lu, const std::vector<index_t>& ipiv, MatView<T> inv);
+void lu_inverse(DConstView lu, const std::vector<index_t>& ipiv, DView inv);
 
 } // namespace blr::la

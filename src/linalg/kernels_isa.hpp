@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <type_traits>
 
 #include "common/types.hpp"
 #include "linalg/backend.hpp"
@@ -19,22 +18,14 @@ namespace blr::la::detail {
 constexpr index_t kKC = 256;  ///< k-block: packed B panel rows (== the loop nests' k-blocking)
 constexpr index_t kMC = 128;  ///< m-block: rows of the resident packed A block
 
-template <typename T>
-struct MicroTile;  // MR×NR register block per element type
-template <>
-struct MicroTile<double> {
-  static constexpr index_t MR = 8;  // one AVX-512 lane (two AVX2 lanes)
-  static constexpr index_t NR = 4;
-};
-template <>
-struct MicroTile<float> {
-  static constexpr index_t MR = 16;
-  static constexpr index_t NR = 4;
-};
+/// MR×NR register block of the fp64 micro-tile (the kernels' one scalar
+/// type is real_t).
+constexpr index_t kMR = 8;  // one AVX-512 lane (two AVX2 lanes)
+constexpr index_t kNR = 4;
 
-/// Full-panel height of the AVX-512 tier's fp64 micro-tile: 32×4 holds 128
-/// accumulators in 16 of the 32 zmm registers. Every other tier and type
-/// packs MicroTile<T>::MR rows per panel.
+/// Full-panel height of the AVX-512 tier's micro-tile: 32×4 holds 128
+/// accumulators in 16 of the 32 zmm registers. Every other tier packs kMR
+/// rows per panel.
 constexpr index_t kWideMR = 32;
 
 constexpr index_t round_up(index_t x, index_t step) {
@@ -61,7 +52,6 @@ constexpr index_t panel_rows(index_t m, index_t mr, index_t tail) {
 /// b_cols ≥ n columns. The walk adds to counts[0] the entries it loaded and
 /// stored in place as whole columns, to counts[1] those it loaded and
 /// stored through per-row addresses.
-template <typename T>
 struct GridC {
   index_t m = 0;
   index_t mp = 0;
@@ -93,70 +83,33 @@ struct IsaKernels {
   const char* name = nullptr;
   NativeIsa isa = NativeIsa::Portable;
 
-  /// Full-panel rows of this tier's packed A (the tails have MicroTile MR).
-  index_t mr_d = MicroTile<double>::MR;
-  index_t mr_f = MicroTile<float>::MR;
+  /// Full-panel rows of this tier's packed A (the tails have kMR).
+  index_t mr = kMR;
 
   /// C += packedA · packedB over images laid out by pack_a/pack_b in
   /// blas.cpp (kKC×kMC blocked, panel_rows-shaped row panels, NR-column
   /// zero-padded panels, alpha folded into packedB).
-  void (*gemm_packed_d)(index_t m, index_t n, index_t kk, const double* ap,
-                        const double* bp, double* c, index_t ldc) = nullptr;
-  void (*gemm_packed_f)(index_t m, index_t n, index_t kk, const float* ap,
-                        const float* bp, float* c, index_t ldc) = nullptr;
+  void (*gemm_packed)(index_t m, index_t n, index_t kk, const real_t* ap,
+                      const real_t* bp, real_t* c, index_t ldc) = nullptr;
 
   /// The same walk over a grid GEMM row group: packed A of grid.m rows,
   /// packed B of grid.n columns, both over all kk, and each entry loaded
   /// from and stored to its target in place (GridC).
-  void (*gemm_grid_d)(index_t kk, const double* ap, const double* bp,
-                      const GridC<double>& grid) = nullptr;
-  void (*gemm_grid_f)(index_t kk, const float* ap, const float* bp,
-                      const GridC<float>& grid) = nullptr;
+  void (*gemm_grid)(index_t kk, const real_t* ap, const real_t* bp,
+                    const GridC& grid) = nullptr;
 
   /// Triangular substitution, alpha already applied to B by the caller.
   /// Flags are 0/1 ints: side_right, upper, trans, unit. A is m×m (left) or
   /// n×n (right); B is m×n.
-  void (*trsm_d)(int side_right, int upper, int trans, int unit,
-                 const double* a, index_t lda, double* b, index_t ldb,
-                 index_t m, index_t n) = nullptr;
-  void (*trsm_f)(int side_right, int upper, int trans, int unit,
-                 const float* a, index_t lda, float* b, index_t ldb, index_t m,
-                 index_t n) = nullptr;
+  void (*trsm)(int side_right, int upper, int trans, int unit, const real_t* a,
+               index_t lda, real_t* b, index_t ldb, index_t m,
+               index_t n) = nullptr;
 
   /// C(triangle) += alpha * A·Aᵗ (trans == 0) or alpha * Aᵗ·A (trans == 1);
   /// the caller has already scaled the triangle by beta. C is n×n.
-  void (*syrk_d)(int upper, int trans, double alpha, const double* a,
-                 index_t lda, index_t a_rows, index_t a_cols, double* c,
-                 index_t ldc, index_t n) = nullptr;
-  void (*syrk_f)(int upper, int trans, float alpha, const float* a,
-                 index_t lda, index_t a_rows, index_t a_cols, float* c,
-                 index_t ldc, index_t n) = nullptr;
-
-  template <typename T>
-  [[nodiscard]] auto gemm_packed() const {
-    if constexpr (std::is_same_v<T, double>) return gemm_packed_d;
-    else return gemm_packed_f;
-  }
-  template <typename T>
-  [[nodiscard]] auto gemm_grid() const {
-    if constexpr (std::is_same_v<T, double>) return gemm_grid_d;
-    else return gemm_grid_f;
-  }
-  template <typename T>
-  [[nodiscard]] index_t mr() const {
-    if constexpr (std::is_same_v<T, double>) return mr_d;
-    else return mr_f;
-  }
-  template <typename T>
-  [[nodiscard]] auto trsm() const {
-    if constexpr (std::is_same_v<T, double>) return trsm_d;
-    else return trsm_f;
-  }
-  template <typename T>
-  [[nodiscard]] auto syrk() const {
-    if constexpr (std::is_same_v<T, double>) return syrk_d;
-    else return syrk_f;
-  }
+  void (*syrk)(int upper, int trans, real_t alpha, const real_t* a,
+               index_t lda, index_t a_rows, index_t a_cols, real_t* c,
+               index_t ldc, index_t n) = nullptr;
 };
 
 /// The always-compiled baseline tier (no arch flags — runs anywhere the

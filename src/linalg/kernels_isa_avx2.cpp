@@ -11,5 +11,5 @@
 #define BLR_ISA_ACCESSOR isa_avx2
 #define BLR_ISA_NAME "avx2"
 #define BLR_ISA_ENUM NativeIsa::Avx2
-#define BLR_ISA_MR_D blr::la::detail::MicroTile<double>::MR
+#define BLR_ISA_MR blr::la::detail::kMR
 #include "linalg/kernels_isa_body.inc"

@@ -14,5 +14,5 @@
 #define BLR_ISA_ACCESSOR isa_avx512
 #define BLR_ISA_NAME "avx512"
 #define BLR_ISA_ENUM NativeIsa::Avx512
-#define BLR_ISA_MR_D blr::la::detail::kWideMR
+#define BLR_ISA_MR blr::la::detail::kWideMR
 #include "linalg/kernels_isa_body.inc"

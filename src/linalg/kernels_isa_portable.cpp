@@ -11,5 +11,5 @@
 #define BLR_ISA_ACCESSOR isa_portable
 #define BLR_ISA_NAME "portable"
 #define BLR_ISA_ENUM NativeIsa::Portable
-#define BLR_ISA_MR_D blr::la::detail::MicroTile<double>::MR
+#define BLR_ISA_MR blr::la::detail::kMR
 #include "linalg/kernels_isa_body.inc"

@@ -6,61 +6,46 @@
 
 namespace blr::la {
 
-template <typename T>
-T norm_fro(ConstView<T> a) {
+real_t norm_fro(DConstView a) {
   // Scaled accumulation to avoid overflow on large well-conditioned blocks
   // is unnecessary at the magnitudes this solver handles; plain sum suffices.
-  T s = T(0);
+  real_t s = real_t(0);
   for (index_t j = 0; j < a.cols; ++j) s += nrm2_sq(a.rows, a.col(j));
   return std::sqrt(s);
 }
 
-template <typename T>
-T norm_max(ConstView<T> a) {
-  T m = T(0);
+real_t norm_max(DConstView a) {
+  real_t m = real_t(0);
   for (index_t j = 0; j < a.cols; ++j) {
-    const T* cj = a.col(j);
+    const real_t* cj = a.col(j);
     for (index_t i = 0; i < a.rows; ++i) m = std::max(m, std::abs(cj[i]));
   }
   return m;
 }
 
-template <typename T>
-T norm_one(ConstView<T> a) {
-  T m = T(0);
+real_t norm_one(DConstView a) {
+  real_t m = real_t(0);
   for (index_t j = 0; j < a.cols; ++j) {
-    T s = T(0);
-    const T* cj = a.col(j);
+    real_t s = real_t(0);
+    const real_t* cj = a.col(j);
     for (index_t i = 0; i < a.rows; ++i) s += std::abs(cj[i]);
     m = std::max(m, s);
   }
   return m;
 }
 
-template <typename T>
-T diff_fro(ConstView<T> a, ConstView<T> b) {
+real_t diff_fro(DConstView a, DConstView b) {
   assert(a.rows == b.rows && a.cols == b.cols);
-  T s = T(0);
+  real_t s = real_t(0);
   for (index_t j = 0; j < a.cols; ++j) {
-    const T* aj = a.col(j);
-    const T* bj = b.col(j);
+    const real_t* aj = a.col(j);
+    const real_t* bj = b.col(j);
     for (index_t i = 0; i < a.rows; ++i) {
-      const T d = aj[i] - bj[i];
+      const real_t d = aj[i] - bj[i];
       s += d * d;
     }
   }
   return std::sqrt(s);
 }
-
-#define BLR_INSTANTIATE_NORMS(T)            \
-  template T norm_fro<T>(ConstView<T>);     \
-  template T norm_max<T>(ConstView<T>);     \
-  template T norm_one<T>(ConstView<T>);     \
-  template T diff_fro<T>(ConstView<T>, ConstView<T>);
-
-BLR_INSTANTIATE_NORMS(float)
-BLR_INSTANTIATE_NORMS(double)
-
-#undef BLR_INSTANTIATE_NORMS
 
 } // namespace blr::la

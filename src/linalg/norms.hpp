@@ -5,19 +5,15 @@
 namespace blr::la {
 
 /// Frobenius norm of a (possibly strided) view.
-template <typename T>
-T norm_fro(ConstView<T> a);
+real_t norm_fro(DConstView a);
 
 /// Largest absolute entry.
-template <typename T>
-T norm_max(ConstView<T> a);
+real_t norm_max(DConstView a);
 
 /// 1-norm (max absolute column sum).
-template <typename T>
-T norm_one(ConstView<T> a);
+real_t norm_one(DConstView a);
 
 /// Frobenius norm of (A - B); shapes must match.
-template <typename T>
-T diff_fro(ConstView<T> a, ConstView<T> b);
+real_t diff_fro(DConstView a, DConstView b);
 
 } // namespace blr::la

@@ -6,17 +6,16 @@
 
 namespace blr::la {
 
-template <typename T>
-T larfg(T alpha, index_t n, T* x, T& tau) {
-  const T xnorm = nrm2(n, x);
-  if (xnorm == T(0)) {
-    tau = T(0);
+real_t larfg(real_t alpha, index_t n, real_t* x, real_t& tau) {
+  const real_t xnorm = nrm2(n, x);
+  if (xnorm == real_t(0)) {
+    tau = real_t(0);
     return alpha;
   }
-  T beta = std::sqrt(alpha * alpha + xnorm * xnorm);
-  if (alpha > T(0)) beta = -beta;
+  real_t beta = std::sqrt(alpha * alpha + xnorm * xnorm);
+  if (alpha > real_t(0)) beta = -beta;
   tau = (beta - alpha) / beta;
-  scal(n, T(1) / (alpha - beta), x);
+  scal(n, real_t(1) / (alpha - beta), x);
   return beta;
 }
 
@@ -27,32 +26,31 @@ namespace {
 /// hides the latency of a single chain; each column keeps dot's order
 /// (s from 0, ascending i, then w = c[0] + s), so the bits are those of the
 /// column-at-a-time loop that handles the remainder.
-template <typename T>
-void apply_reflector(index_t m, const T* v, T tau, MatView<T> c) {
-  if (tau == T(0)) return;
+void apply_reflector(index_t m, const real_t* v, real_t tau, DView c) {
+  if (tau == real_t(0)) return;
   constexpr index_t kChains = 8;
   index_t j = 0;
   for (; j + kChains <= c.cols; j += kChains) {
-    T* cj[kChains];
-    T s[kChains];
+    real_t* cj[kChains];
+    real_t s[kChains];
     for (index_t r = 0; r < kChains; ++r) {
       cj[r] = c.col(j + r);
-      s[r] = T(0);
+      s[r] = real_t(0);
     }
     for (index_t i = 0; i + 1 < m; ++i) {
-      const T vi = v[i];
+      const real_t vi = v[i];
       for (index_t r = 0; r < kChains; ++r) s[r] += vi * cj[r][i + 1];
     }
     for (index_t r = 0; r < kChains; ++r) {
-      T w = cj[r][0] + s[r];
+      real_t w = cj[r][0] + s[r];
       w *= tau;
       cj[r][0] -= w;
       axpy(m - 1, -w, v, cj[r] + 1);
     }
   }
   for (; j < c.cols; ++j) {
-    T* cj = c.col(j);
-    T w = cj[0] + dot(m - 1, v, cj + 1);
+    real_t* cj = c.col(j);
+    real_t w = cj[0] + dot(m - 1, v, cj + 1);
     w *= tau;
     cj[0] -= w;
     axpy(m - 1, -w, v, cj + 1);
@@ -61,15 +59,14 @@ void apply_reflector(index_t m, const T* v, T tau, MatView<T> c) {
 
 } // namespace
 
-template <typename T>
-void geqrf(MatView<T> a, std::vector<T>& tau) {
+void geqrf(DView a, std::vector<real_t>& tau) {
   const index_t m = a.rows;
   const index_t n = a.cols;
   const index_t k = std::min(m, n);
-  tau.assign(static_cast<std::size_t>(k), T(0));
+  tau.assign(static_cast<std::size_t>(k), real_t(0));
 
   for (index_t j = 0; j < k; ++j) {
-    T* col = a.col(j) + j;
+    real_t* col = a.col(j) + j;
     a(j, j) = larfg(col[0], m - j - 1, col + 1, tau[static_cast<std::size_t>(j)]);
     if (j + 1 < n) {
       apply_reflector(m - j, col + 1, tau[static_cast<std::size_t>(j)],
@@ -78,31 +75,29 @@ void geqrf(MatView<T> a, std::vector<T>& tau) {
   }
 }
 
-template <typename T>
-void orgqr(MatView<T> a, const std::vector<T>& tau) {
+void orgqr(DView a, const std::vector<real_t>& tau) {
   const index_t m = a.rows;
   const index_t k = a.cols;
   assert(static_cast<index_t>(tau.size()) >= k);
 
   // Backward accumulation: Q = H_0 ... H_{k-1} * I_{m x k}.
   for (index_t j = k - 1; j >= 0; --j) {
-    const T tj = tau[static_cast<std::size_t>(j)];
+    const real_t tj = tau[static_cast<std::size_t>(j)];
     // Apply H_j to columns j+1..k (rows j..m), then build column j.
     if (j + 1 < k) {
       apply_reflector(m - j, a.col(j) + j + 1, tj, a.sub(j, j + 1, m - j, k - j - 1));
     }
     // Column j of Q = H_j e_j = e_j - tau * v.
-    T* cj = a.col(j);
-    for (index_t i = 0; i < j; ++i) cj[i] = T(0);
+    real_t* cj = a.col(j);
+    for (index_t i = 0; i < j; ++i) cj[i] = real_t(0);
     const index_t tail = m - j - 1;
     // v = (1, a(j+1:m, j)); H_j e_j = e_j - tau v (since vᵗ e_j = 1).
     scal(tail, -tj, cj + j + 1);
-    cj[j] = T(1) - tj;
+    cj[j] = real_t(1) - tj;
   }
 }
 
-template <typename T>
-void ormqr_left(Trans trans, ConstView<T> a, const std::vector<T>& tau, MatView<T> c) {
+void ormqr_left(Trans trans, DConstView a, const std::vector<real_t>& tau, DView c) {
   const index_t m = a.rows;
   const index_t k = static_cast<index_t>(tau.size());
   assert(c.rows == m);
@@ -122,31 +117,30 @@ void ormqr_left(Trans trans, ConstView<T> a, const std::vector<T>& tau, MatView<
   }
 }
 
-template <typename T>
-index_t geqp3_trunc(MatView<T> a, std::vector<index_t>& jpvt, std::vector<T>& tau,
-                    T tol, index_t max_rank) {
+index_t geqp3_trunc(DView a, std::vector<index_t>& jpvt, std::vector<real_t>& tau,
+                    real_t tol, index_t max_rank) {
   const index_t m = a.rows;
   const index_t n = a.cols;
   const index_t kmax = std::min({m, n, std::max<index_t>(max_rank, 0)});
   jpvt.resize(static_cast<std::size_t>(n));
   std::iota(jpvt.begin(), jpvt.end(), index_t{0});
-  tau.assign(static_cast<std::size_t>(std::min(m, n)), T(0));
+  tau.assign(static_cast<std::size_t>(std::min(m, n)), real_t(0));
 
   // Partial column norms with the classic downdate + recompute safeguard.
-  std::vector<T> cnorm(static_cast<std::size_t>(n));
-  std::vector<T> cnorm_ref(static_cast<std::size_t>(n));
+  std::vector<real_t> cnorm(static_cast<std::size_t>(n));
+  std::vector<real_t> cnorm_ref(static_cast<std::size_t>(n));
   for (index_t j = 0; j < n; ++j) {
     cnorm[static_cast<std::size_t>(j)] = nrm2(m, a.col(j));
     cnorm_ref[static_cast<std::size_t>(j)] = cnorm[static_cast<std::size_t>(j)];
   }
-  const T tol3z = std::sqrt(std::numeric_limits<T>::epsilon());
+  const real_t tol3z = std::sqrt(std::numeric_limits<real_t>::epsilon());
 
   index_t rank = 0;
   for (index_t kk = 0; kk < kmax; ++kk) {
     // Early exit: Frobenius norm of the trailing submatrix <= tol.
-    T trailing_sq = T(0);
+    real_t trailing_sq = real_t(0);
     for (index_t j = kk; j < n; ++j) {
-      const T c = cnorm[static_cast<std::size_t>(j)];
+      const real_t c = cnorm[static_cast<std::size_t>(j)];
       trailing_sq += c * c;
     }
     if (std::sqrt(trailing_sq) <= tol) break;
@@ -163,7 +157,7 @@ index_t geqp3_trunc(MatView<T> a, std::vector<index_t>& jpvt, std::vector<T>& ta
       std::swap(cnorm_ref[static_cast<std::size_t>(kk)], cnorm_ref[static_cast<std::size_t>(piv)]);
     }
 
-    T* col = a.col(kk) + kk;
+    real_t* col = a.col(kk) + kk;
     a(kk, kk) = larfg(col[0], m - kk - 1, col + 1, tau[static_cast<std::size_t>(kk)]);
     if (kk + 1 < n) {
       apply_reflector(m - kk, col + 1, tau[static_cast<std::size_t>(kk)],
@@ -174,14 +168,14 @@ index_t geqp3_trunc(MatView<T> a, std::vector<index_t>& jpvt, std::vector<T>& ta
     // Downdate partial norms of trailing columns.
     for (index_t j = kk + 1; j < n; ++j) {
       auto& cn = cnorm[static_cast<std::size_t>(j)];
-      if (cn == T(0)) continue;
-      T temp = std::abs(a(kk, j)) / cn;
-      temp = std::max(T(0), (T(1) + temp) * (T(1) - temp));
-      const T ratio = cn / cnorm_ref[static_cast<std::size_t>(j)];
-      const T temp2 = temp * ratio * ratio;
+      if (cn == real_t(0)) continue;
+      real_t temp = std::abs(a(kk, j)) / cn;
+      temp = std::max(real_t(0), (real_t(1) + temp) * (real_t(1) - temp));
+      const real_t ratio = cn / cnorm_ref[static_cast<std::size_t>(j)];
+      const real_t temp2 = temp * ratio * ratio;
       if (temp2 <= tol3z) {
         // Cancellation risk: recompute from scratch over the remaining rows.
-        cn = (kk + 1 < m) ? nrm2(m - kk - 1, a.col(j) + kk + 1) : T(0);
+        cn = (kk + 1 < m) ? nrm2(m - kk - 1, a.col(j) + kk + 1) : real_t(0);
         cnorm_ref[static_cast<std::size_t>(j)] = cn;
       } else {
         cn *= std::sqrt(temp);
@@ -190,18 +184,5 @@ index_t geqp3_trunc(MatView<T> a, std::vector<index_t>& jpvt, std::vector<T>& ta
   }
   return rank;
 }
-
-#define BLR_INSTANTIATE_QR(T)                                                            \
-  template T larfg<T>(T, index_t, T*, T&);                                               \
-  template void geqrf<T>(MatView<T>, std::vector<T>&);                                   \
-  template void orgqr<T>(MatView<T>, const std::vector<T>&);                             \
-  template void ormqr_left<T>(Trans, ConstView<T>, const std::vector<T>&, MatView<T>);   \
-  template index_t geqp3_trunc<T>(MatView<T>, std::vector<index_t>&, std::vector<T>&, T, \
-                                  index_t);
-
-BLR_INSTANTIATE_QR(float)
-BLR_INSTANTIATE_QR(double)
-
-#undef BLR_INSTANTIATE_QR
 
 } // namespace blr::la

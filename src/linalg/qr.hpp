@@ -10,18 +10,15 @@ namespace blr::la {
 /// Householder QR in place (LAPACK geqrf layout): R in the upper triangle,
 /// the Householder vectors below the diagonal (implicit unit leading 1),
 /// scalar factors in @p tau.
-template <typename T>
-void geqrf(MatView<T> a, std::vector<T>& tau);
+void geqrf(DView a, std::vector<real_t>& tau);
 
 /// Overwrite the factored matrix (m x k columns of Householder vectors) with
 /// the thin orthonormal factor Q (m x k).
-template <typename T>
-void orgqr(MatView<T> a, const std::vector<T>& tau);
+void orgqr(DView a, const std::vector<real_t>& tau);
 
 /// Apply Q (or Qᵗ) from a geqrf factorization to C from the left:
 /// C := op(Q) * C, where Q is held as @p k Householder reflectors in @p a.
-template <typename T>
-void ormqr_left(Trans trans, ConstView<T> a, const std::vector<T>& tau, MatView<T> c);
+void ormqr_left(Trans trans, DConstView a, const std::vector<real_t>& tau, DView c);
 
 /// Truncated column-pivoted Householder QR (the RRQR compression kernel,
 /// LAPACK xGEQP3-style with the early exit of §3.1.2 of the paper).
@@ -33,14 +30,12 @@ void ormqr_left(Trans trans, ConstView<T> a, const std::vector<T>& tau, MatView<
 /// (full-length permutation over all columns).
 ///
 /// Returns the numerical rank r (0 <= r <= min(max_rank, min(m,n))).
-template <typename T>
-index_t geqp3_trunc(MatView<T> a, std::vector<index_t>& jpvt, std::vector<T>& tau,
-                    T tol, index_t max_rank);
+index_t geqp3_trunc(DView a, std::vector<index_t>& jpvt, std::vector<real_t>& tau,
+                    real_t tol, index_t max_rank);
 
 /// Generate and apply a single Householder reflector: given the vector
 /// (alpha, x), produces beta, tau and overwrites x with the reflector tail
 /// such that H·(alpha, x)ᵗ = (beta, 0)ᵗ. Exposed for testing.
-template <typename T>
-T larfg(T alpha, index_t n, T* x, T& tau);
+real_t larfg(real_t alpha, index_t n, real_t* x, real_t& tau);
 
 } // namespace blr::la

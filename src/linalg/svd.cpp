@@ -14,43 +14,43 @@ namespace {
 /// One-sided Jacobi on B (m x n, m >= n): orthogonalizes the columns of B by
 /// plane rotations, accumulating them into V. On exit B = U·diag(sigma) with
 /// orthogonal columns and A = B·Vᵗ.
-template <typename T>
-void jacobi_orthogonalize(MatView<T> b, MatView<T> v) {
+void jacobi_orthogonalize(DView b, DView v) {
   const index_t m = b.rows;
   const index_t n = b.cols;
-  const T eps = std::numeric_limits<T>::epsilon();
+  const real_t eps = std::numeric_limits<real_t>::epsilon();
   const int max_sweeps = 42;
 
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     bool rotated = false;
     for (index_t p = 0; p < n - 1; ++p) {
       for (index_t q = p + 1; q < n; ++q) {
-        T* bp = b.col(p);
-        T* bq = b.col(q);
-        const T app = nrm2_sq(m, bp);
-        const T aqq = nrm2_sq(m, bq);
-        const T apq = dot(m, bp, bq);
-        if (std::abs(apq) <= eps * std::sqrt(app * aqq) || apq == T(0)) continue;
+        real_t* bp = b.col(p);
+        real_t* bq = b.col(q);
+        const real_t app = nrm2_sq(m, bp);
+        const real_t aqq = nrm2_sq(m, bq);
+        const real_t apq = dot(m, bp, bq);
+        if (std::abs(apq) <= eps * std::sqrt(app * aqq) || apq == real_t(0)) continue;
         rotated = true;
 
-        const T zeta = (aqq - app) / (T(2) * apq);
-        const T t = (zeta >= T(0))
-                        ? T(1) / (zeta + std::sqrt(T(1) + zeta * zeta))
-                        : T(-1) / (-zeta + std::sqrt(T(1) + zeta * zeta));
-        const T cs = T(1) / std::sqrt(T(1) + t * t);
-        const T sn = cs * t;
+        const real_t zeta = (aqq - app) / (real_t(2) * apq);
+        const real_t t =
+            (zeta >= real_t(0))
+                ? real_t(1) / (zeta + std::sqrt(real_t(1) + zeta * zeta))
+                : real_t(-1) / (-zeta + std::sqrt(real_t(1) + zeta * zeta));
+        const real_t cs = real_t(1) / std::sqrt(real_t(1) + t * t);
+        const real_t sn = cs * t;
 
         for (index_t i = 0; i < m; ++i) {
-          const T bip = bp[i];
-          const T biq = bq[i];
+          const real_t bip = bp[i];
+          const real_t biq = bq[i];
           bp[i] = cs * bip - sn * biq;
           bq[i] = sn * bip + cs * biq;
         }
-        T* vp = v.col(p);
-        T* vq = v.col(q);
+        real_t* vp = v.col(p);
+        real_t* vq = v.col(q);
         for (index_t i = 0; i < v.rows; ++i) {
-          const T vip = vp[i];
-          const T viq = vq[i];
+          const real_t vip = vp[i];
+          const real_t viq = vq[i];
           vp[i] = cs * vip - sn * viq;
           vq[i] = sn * vip + cs * viq;
         }
@@ -61,15 +61,14 @@ void jacobi_orthogonalize(MatView<T> b, MatView<T> v) {
 }
 
 /// Extract U, sigma from the orthogonalized B and sort everything descending.
-template <typename T>
-void finalize_svd(Matrix<T>& b, Matrix<T>& v, std::vector<T>& sigma) {
+void finalize_svd(DMatrix& b, DMatrix& v, std::vector<real_t>& sigma) {
   const index_t m = b.rows();
   const index_t n = b.cols();
   sigma.resize(static_cast<std::size_t>(n));
   for (index_t j = 0; j < n; ++j) {
-    const T s = nrm2(m, b.view().col(j));
+    const real_t s = nrm2(m, b.view().col(j));
     sigma[static_cast<std::size_t>(j)] = s;
-    if (s > T(0)) scal(m, T(1) / s, b.view().col(j));
+    if (s > real_t(0)) scal(m, real_t(1) / s, b.view().col(j));
   }
   // Sort by descending singular value (stable permutation of columns).
   std::vector<index_t> order(static_cast<std::size_t>(n));
@@ -77,9 +76,9 @@ void finalize_svd(Matrix<T>& b, Matrix<T>& v, std::vector<T>& sigma) {
   std::stable_sort(order.begin(), order.end(), [&](index_t i, index_t j) {
     return sigma[static_cast<std::size_t>(i)] > sigma[static_cast<std::size_t>(j)];
   });
-  Matrix<T> bs(m, n);
-  Matrix<T> vs(v.rows(), n);
-  std::vector<T> ss(static_cast<std::size_t>(n));
+  DMatrix bs(m, n);
+  DMatrix vs(v.rows(), n);
+  std::vector<real_t> ss(static_cast<std::size_t>(n));
   for (index_t j = 0; j < n; ++j) {
     const index_t src = order[static_cast<std::size_t>(j)];
     std::copy_n(b.data() + src * m, m, bs.data() + j * m);
@@ -93,44 +92,33 @@ void finalize_svd(Matrix<T>& b, Matrix<T>& v, std::vector<T>& sigma) {
 
 } // namespace
 
-template <typename T>
-void svd(ConstView<T> a, Matrix<T>& u, std::vector<T>& sigma, Matrix<T>& v) {
+void svd(DConstView a, DMatrix& u, std::vector<real_t>& sigma, DMatrix& v) {
   const index_t m = a.rows;
   const index_t n = a.cols;
   if (m >= n) {
-    u = Matrix<T>(a);  // working copy, becomes U
+    u = DMatrix(a);  // working copy, becomes U
     v.reshape(n, n);
     set_identity(v.view());
     jacobi_orthogonalize(u.view(), v.view());
     finalize_svd(u, v, sigma);
   } else {
     // SVD of Aᵗ = U'·S·V'ᵗ gives A = V'·S·U'ᵗ.
-    Matrix<T> at(n, m);
+    DMatrix at(n, m);
     transpose(a, at.view());
-    Matrix<T> up;  // n x m
-    Matrix<T> vp;  // m x m
-    svd<T>(at.view(), up, sigma, vp);
+    DMatrix up;  // n x m
+    DMatrix vp;  // m x m
+    svd(at.view(), up, sigma, vp);
     u = std::move(vp);
     v = std::move(up);
   }
 }
 
-template <typename T>
-std::vector<T> singular_values(ConstView<T> a) {
-  Matrix<T> u;
-  Matrix<T> v;
-  std::vector<T> sigma;
+std::vector<real_t> singular_values(DConstView a) {
+  DMatrix u;
+  DMatrix v;
+  std::vector<real_t> sigma;
   svd(a, u, sigma, v);
   return sigma;
 }
-
-#define BLR_INSTANTIATE_SVD(T)                                                  \
-  template void svd<T>(ConstView<T>, Matrix<T>&, std::vector<T>&, Matrix<T>&);  \
-  template std::vector<T> singular_values<T>(ConstView<T>);
-
-BLR_INSTANTIATE_SVD(float)
-BLR_INSTANTIATE_SVD(double)
-
-#undef BLR_INSTANTIATE_SVD
 
 } // namespace blr::la

@@ -13,11 +13,9 @@ namespace blr::la {
 ///   u     : m x k, orthonormal columns
 ///   sigma : k singular values, non-increasing
 ///   v     : n x k, orthonormal columns
-template <typename T>
-void svd(ConstView<T> a, Matrix<T>& u, std::vector<T>& sigma, Matrix<T>& v);
+void svd(DConstView a, DMatrix& u, std::vector<real_t>& sigma, DMatrix& v);
 
 /// Singular values only (same algorithm, skips U/V assembly where possible).
-template <typename T>
-std::vector<T> singular_values(ConstView<T> a);
+std::vector<real_t> singular_values(DConstView a);
 
 } // namespace blr::la

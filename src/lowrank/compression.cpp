@@ -63,7 +63,7 @@ std::optional<LrMatrix> compress_rrqr(la::DConstView a, real_t tol_rel, index_t 
 
   if (rank == cap && cap < kmax) {
     // Stopped by the rank cap, not the tolerance: check the trailing block.
-    const real_t trailing = la::norm_fro<real_t>(w.sub(rank, rank, m - rank, n - rank));
+    const real_t trailing = la::norm_fro(w.sub(rank, rank, m - rank, n - rank));
     if (trailing > tol_abs) return std::nullopt;
   }
 

@@ -289,8 +289,7 @@ bool lr2lr_rrqr(Tile& c, la::DConstView pu, la::DConstView pv, index_t roff,
   std::vector<real_t> tauw;
   const index_t rnew = la::geqp3_trunc(big_w.view(), jpvt, tauw, tol_abs, cap);
   if (rnew == cap && cap < std::min(krow, nc)) {
-    const real_t trailing =
-        la::norm_fro<real_t>(big_w.sub(rnew, rnew, krow - rnew, nc - rnew));
+    const real_t trailing = la::norm_fro(big_w.sub(rnew, rnew, krow - rnew, nc - rnew));
     if (trailing > tol_abs) return false;
   }
 

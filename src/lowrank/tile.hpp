@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <utility>
 
@@ -137,61 +136,6 @@ enum class TileState : std::uint8_t {
 
 const char* tile_state_name(TileState s);
 
-/// Per-supernode allocation pool: every tile of one column block charges its
-/// storage here, and the arena forwards the byte deltas to the process-wide
-/// MemoryTracker under a single category. This gives (a) one switch point
-/// for the category of a whole supernode (factors vs workspace) and (b) a
-/// per-supernode live-byte figure for diagnostics, while keeping the
-/// tracker's per-category peaks intact.
-class TileArena {
-public:
-  TileArena() = default;
-  explicit TileArena(MemCategory cat) : cat_(cat) {}
-  TileArena(const TileArena&) = delete;
-  TileArena& operator=(const TileArena&) = delete;
-  ~TileArena() {
-    // Tiles normally discharge themselves first (declare the arena before
-    // its tiles); release any remainder so the tracker never leaks.
-    const std::size_t rem = bytes_.load(std::memory_order_relaxed);
-    if (rem > 0) MemoryTracker::instance().release(cat_, rem);
-  }
-
-  void charge(std::size_t b) {
-    if (b == 0) return;
-    // Tracker first: under a memory budget allocate() can throw, and the
-    // arena must not count bytes the tracker refused (a stale bytes_ would
-    // underflow the tracker when the tiles discharge).
-    MemoryTracker::instance().allocate(cat_, b);
-    const std::size_t now = bytes_.fetch_add(b, std::memory_order_relaxed) + b;
-    std::size_t expected = peak_.load(std::memory_order_relaxed);
-    while (now > expected &&
-           !peak_.compare_exchange_weak(expected, now,
-                                        std::memory_order_relaxed)) {
-    }
-  }
-  void discharge(std::size_t b) {
-    if (b == 0) return;
-    bytes_.fetch_sub(b, std::memory_order_relaxed);
-    MemoryTracker::instance().release(cat_, b);
-  }
-
-  /// Live bytes currently charged by this supernode's tiles.
-  [[nodiscard]] std::size_t bytes() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-  /// High-water mark of bytes() over this arena's lifetime (CAS-max, so
-  /// concurrent charges from parallel update tasks cannot lose a peak).
-  [[nodiscard]] std::size_t peak() const {
-    return peak_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] MemCategory category() const { return cat_; }
-
-private:
-  MemCategory cat_ = MemCategory::Factors;
-  std::atomic<std::size_t> bytes_{0};
-  std::atomic<std::size_t> peak_{0};
-};
-
 /// The single numeric storage unit of the factorization: a tagged
 /// dense/low-rank variant with an explicit lifecycle state machine.
 ///
@@ -200,9 +144,9 @@ private:
 /// LUAR accumulators — so a kernel only ever sees "a tile in some
 /// representation", and adding a representation (e.g. a lower precision)
 /// means adding kernel paths and counter rows, not new storage structs.
-/// Storage is
-/// registered with the MemoryTracker either through a per-supernode
-/// TileArena or standalone under a category.
+/// Each tile registers its storage bytes with the MemoryTracker under its
+/// own category (Factors for panel tiles, Workspace for accumulators and
+/// scratch).
 class Tile {
 public:
   Tile() = default;
@@ -213,17 +157,6 @@ public:
     t.rows_ = m;
     t.cols_ = n;
     t.cat_ = cat;
-    t.dense_ = la::DMatrix(m, n);
-    t.lowrank_ = false;
-    t.retrack();
-    return t;
-  }
-  static Tile make_dense(index_t m, index_t n, TileArena& arena) {
-    Tile t;
-    t.rows_ = m;
-    t.cols_ = n;
-    t.arena_ = &arena;
-    t.cat_ = arena.category();
     t.dense_ = la::DMatrix(m, n);
     t.lowrank_ = false;
     t.retrack();
@@ -241,17 +174,6 @@ public:
     t.retrack();
     return t;
   }
-  static Tile from_dense(la::DMatrix d, TileArena& arena) {
-    Tile t;
-    t.rows_ = d.rows();
-    t.cols_ = d.cols();
-    t.arena_ = &arena;
-    t.cat_ = arena.category();
-    t.dense_ = std::move(d);
-    t.lowrank_ = false;
-    t.retrack();
-    return t;
-  }
 
   static Tile make_lowrank(index_t m, index_t n, LrMatrix lr,
                            MemCategory cat = MemCategory::Factors) {
@@ -259,17 +181,6 @@ public:
     t.rows_ = m;
     t.cols_ = n;
     t.cat_ = cat;
-    t.lr_ = std::move(lr);
-    t.lowrank_ = true;
-    t.retrack();
-    return t;
-  }
-  static Tile make_lowrank(index_t m, index_t n, LrMatrix lr, TileArena& arena) {
-    Tile t;
-    t.rows_ = m;
-    t.cols_ = n;
-    t.arena_ = &arena;
-    t.cat_ = arena.category();
     t.lr_ = std::move(lr);
     t.lowrank_ = true;
     t.retrack();
@@ -416,14 +327,12 @@ private:
     rows_ = o.rows_;
     cols_ = o.cols_;
     cat_ = o.cat_;
-    arena_ = o.arena_;
     tracked_ = o.tracked_;
     lowrank_ = o.lowrank_;
     state_ = o.state_;
     dense_ = std::move(o.dense_);
     lr_ = std::move(o.lr_);
     o.tracked_ = 0;
-    o.arena_ = nullptr;
     o.rows_ = o.cols_ = 0;
     o.lowrank_ = false;
     o.state_ = TileState::Unassembled;
@@ -431,8 +340,7 @@ private:
 
   void untrack() {
     if (tracked_ == 0) return;
-    if (arena_ != nullptr) arena_->discharge(tracked_);
-    else MemoryTracker::instance().release(cat_, tracked_);
+    MemoryTracker::instance().release(cat_, tracked_);
     tracked_ = 0;
   }
 
@@ -440,21 +348,15 @@ private:
   void retrack() {
     const std::size_t want = storage_bytes();
     if (want == tracked_) return;
-    if (arena_ != nullptr) {
-      if (want > tracked_) arena_->charge(want - tracked_);
-      else arena_->discharge(tracked_ - want);
-    } else {
-      auto& t = MemoryTracker::instance();
-      if (want > tracked_) t.allocate(cat_, want - tracked_);
-      else t.release(cat_, tracked_ - want);
-    }
+    auto& t = MemoryTracker::instance();
+    if (want > tracked_) t.allocate(cat_, want - tracked_);
+    else t.release(cat_, tracked_ - want);
     tracked_ = want;
   }
 
   index_t rows_ = 0;
   index_t cols_ = 0;
   MemCategory cat_ = MemCategory::Factors;
-  TileArena* arena_ = nullptr;
   std::size_t tracked_ = 0;
   bool lowrank_ = false;
   TileState state_ = TileState::Unassembled;

@@ -156,8 +156,7 @@ void expect_same_bits(const la::Matrix<T>& x, const la::Matrix<T>& y,
 // packed engine for every transpose combination, including sizes that
 // cross the packing block boundaries (kMC = 128 rows, kKC = 256 depth) and
 // ragged edge tiles — the canonical-accumulation-order contract.
-template <typename T>
-void gemm_bit_identity_for_type() {
+void gemm_bit_identity() {
   BackendStateGuard state;
   Prng rng(97);
   const struct {
@@ -169,22 +168,22 @@ void gemm_bit_identity_for_type() {
   for (const auto& sz : sizes) {
     for (const la::Trans ta : {la::Trans::No, la::Trans::Yes}) {
       for (const la::Trans tb : {la::Trans::No, la::Trans::Yes}) {
-        la::Matrix<T> a(ta == la::Trans::No ? sz.m : sz.k,
+        la::DMatrix a(ta == la::Trans::No ? sz.m : sz.k,
                         ta == la::Trans::No ? sz.k : sz.m);
-        la::Matrix<T> b(tb == la::Trans::No ? sz.k : sz.n,
+        la::DMatrix b(tb == la::Trans::No ? sz.k : sz.n,
                         tb == la::Trans::No ? sz.n : sz.k);
-        la::Matrix<T> c0(sz.m, sz.n);
+        la::DMatrix c0(sz.m, sz.n);
         random_normal(a.view(), rng);
         random_normal(b.view(), rng);
         random_normal(c0.view(), rng);
 
-        la::Matrix<T> cr = c0;
+        la::DMatrix cr = c0;
         la::set_backend(la::Backend::Reference);
-        la::gemm(ta, tb, T(-1), a.cview(), b.cview(), T(1), cr.view());
+        la::gemm(ta, tb, real_t(-1), a.cview(), b.cview(), real_t(1), cr.view());
 
-        la::Matrix<T> cn = c0;
+        la::DMatrix cn = c0;
         la::set_backend(la::Backend::Native);
-        la::gemm(ta, tb, T(-1), a.cview(), b.cview(), T(1), cn.view());
+        la::gemm(ta, tb, real_t(-1), a.cview(), b.cview(), real_t(1), cn.view());
 
         expect_same_bits(cr, cn,
                          "gemm m=" + std::to_string(sz.m) +
@@ -197,15 +196,13 @@ void gemm_bit_identity_for_type() {
   }
 }
 
-TEST(BackendBitwiseKernels, GemmDouble) { gemm_bit_identity_for_type<double>(); }
-TEST(BackendBitwiseKernels, GemmFloat) { gemm_bit_identity_for_type<float>(); }
+TEST(BackendBitwiseKernels, GemmDouble) { gemm_bit_identity(); }
 
 // Products narrower than a micro-tile (n < NR, e.g. a single-RHS solve)
 // skip the packed engine for direct kernels in the same canonical order:
 // still bit-identical to the Reference nests, on either side of the packing
 // threshold (m·k·n ≥ 16,384) and with row counts off the 8-chain stride.
-template <typename T>
-void thin_gemm_bit_identity_for_type() {
+void thin_gemm_bit_identity() {
   BackendStateGuard state;
   Prng rng(131);
   const struct {
@@ -215,22 +212,22 @@ void thin_gemm_bit_identity_for_type() {
     for (const index_t n : {1, 2, 3}) {
       for (const la::Trans ta : {la::Trans::No, la::Trans::Yes}) {
         for (const la::Trans tb : {la::Trans::No, la::Trans::Yes}) {
-          la::Matrix<T> a(ta == la::Trans::No ? sz.m : sz.k,
+          la::DMatrix a(ta == la::Trans::No ? sz.m : sz.k,
                           ta == la::Trans::No ? sz.k : sz.m);
-          la::Matrix<T> b(tb == la::Trans::No ? sz.k : n,
+          la::DMatrix b(tb == la::Trans::No ? sz.k : n,
                           tb == la::Trans::No ? n : sz.k);
-          la::Matrix<T> c0(sz.m, n);
+          la::DMatrix c0(sz.m, n);
           random_normal(a.view(), rng);
           random_normal(b.view(), rng);
           random_normal(c0.view(), rng);
 
-          la::Matrix<T> cr = c0;
+          la::DMatrix cr = c0;
           la::set_backend(la::Backend::Reference);
-          la::gemm(ta, tb, T(-0.75), a.cview(), b.cview(), T(1), cr.view());
+          la::gemm(ta, tb, real_t(-0.75), a.cview(), b.cview(), real_t(1), cr.view());
 
-          la::Matrix<T> cn = c0;
+          la::DMatrix cn = c0;
           la::set_backend(la::Backend::Native);
-          la::gemm(ta, tb, T(-0.75), a.cview(), b.cview(), T(1), cn.view());
+          la::gemm(ta, tb, real_t(-0.75), a.cview(), b.cview(), real_t(1), cn.view());
 
           expect_same_bits(cr, cn,
                            "thin gemm m=" + std::to_string(sz.m) +
@@ -244,8 +241,7 @@ void thin_gemm_bit_identity_for_type() {
   }
 }
 
-TEST(BackendBitwiseKernels, ThinGemmDouble) { thin_gemm_bit_identity_for_type<double>(); }
-TEST(BackendBitwiseKernels, ThinGemmFloat) { thin_gemm_bit_identity_for_type<float>(); }
+TEST(BackendBitwiseKernels, ThinGemmDouble) { thin_gemm_bit_identity(); }
 
 // gemm_batch must leave every target bit-identical to the single gemm call
 // on it, under both backends: row blocks of ragged heights that group past
@@ -253,8 +249,7 @@ TEST(BackendBitwiseKernels, ThinGemmFloat) { thin_gemm_bit_identity_for_type<flo
 // targets, several column blocks with targets missing (groups reaching
 // fewer columns than the one before), both target orientations, a depth
 // past kKC, strided operands, and alpha = ±1.
-template <typename T>
-void gemm_batch_bit_identity_for_type() {
+void gemm_batch_bit_identity() {
   BackendStateGuard state;
   Prng rng(211);
   const index_t heights[] = {1, 3, 8, 17, 40, 300, 5, 2, 64, 250, 9};
@@ -271,12 +266,12 @@ void gemm_batch_bit_identity_for_type() {
   };
   const auto flipped = [](std::size_t p, std::size_t q) { return (p * q) % 2 == 1; };
   for (const index_t kk : {index_t(3), index_t(20), index_t(300)}) {
-    for (const T alpha : {T(-1), T(1)}) {
-      la::Matrix<T> a(total + 7, kk);  // blocks are strided row ranges
-      la::Matrix<T> b(total_b + 2, kk);
+    for (const real_t alpha : {real_t(-1), real_t(1)}) {
+      la::DMatrix a(total + 7, kk);  // blocks are strided row ranges
+      la::DMatrix b(total_b + 2, kk);
       random_normal(a.view(), rng);
       random_normal(b.view(), rng);
-      std::vector<la::Matrix<T>> c0;
+      std::vector<la::DMatrix> c0;
       for (std::size_t p = 0; p < np; ++p) {
         for (std::size_t q = 0; q < nq; ++q) {
           if (!has(p, q)) continue;
@@ -288,9 +283,9 @@ void gemm_batch_bit_identity_for_type() {
       }
       const auto run = [&](la::Backend be, bool batched) {
         la::set_backend(be);
-        std::vector<la::Matrix<T>> c = c0;
-        std::vector<la::ConstView<T>> as, bs;
-        std::vector<la::GemmTarget<T>> ts;
+        std::vector<la::DMatrix> c = c0;
+        std::vector<la::DConstView> as, bs;
+        std::vector<la::GemmTarget> ts;
         index_t r = 0;
         for (const index_t h : heights) {
           as.push_back(a.cview().sub(r + 7, 0, h, kk));
@@ -313,22 +308,22 @@ void gemm_batch_bit_identity_for_type() {
           }
         }
         if (batched) {
-          la::gemm_batch<T>(alpha, as, bs, ts);
+          la::gemm_batch(alpha, as, bs, ts);
         } else {
-          for (const la::GemmTarget<T>& t : ts) {
+          for (const la::GemmTarget& t : ts) {
             const auto& ap = as[static_cast<std::size_t>(t.p)];
             const auto& bq = bs[static_cast<std::size_t>(t.q)];
             if (t.transposed)
-              la::gemm(la::Trans::No, la::Trans::Yes, alpha, bq, ap, T(1), t.c);
+              la::gemm(la::Trans::No, la::Trans::Yes, alpha, bq, ap, real_t(1), t.c);
             else
-              la::gemm(la::Trans::No, la::Trans::Yes, alpha, ap, bq, T(1), t.c);
+              la::gemm(la::Trans::No, la::Trans::Yes, alpha, ap, bq, real_t(1), t.c);
           }
         }
         return c;
       };
-      const std::vector<la::Matrix<T>> ref = run(la::Backend::Reference, false);
-      const std::vector<la::Matrix<T>> refb = run(la::Backend::Reference, true);
-      const std::vector<la::Matrix<T>> nat = run(la::Backend::Native, true);
+      const std::vector<la::DMatrix> ref = run(la::Backend::Reference, false);
+      const std::vector<la::DMatrix> refb = run(la::Backend::Reference, true);
+      const std::vector<la::DMatrix> nat = run(la::Backend::Native, true);
       const std::string what = "gemm_batch kk=" + std::to_string(kk) +
                                " alpha=" + std::to_string(static_cast<int>(alpha));
       for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -352,12 +347,11 @@ std::vector<la::NativeIsa> runnable_tiers() {
 /// One grid of gemm_batch, run as the single gemm calls under Reference and
 /// as one grid under Native: every target (and the matrices holding them,
 /// cells without a target included) must come out with the same bits.
-template <typename T>
 struct GridCase {
   std::vector<index_t> heights;  ///< row blocks
   std::vector<index_t> widths;   ///< column blocks
   index_t kk = 0;
-  T alpha = T(-1);
+  real_t alpha = real_t(-1);
   /// For row block p, column block q: no target (0), a plain target (1) or
   /// a transposed one (2).
   std::function<int(std::size_t, std::size_t)> kind;
@@ -367,20 +361,19 @@ struct GridCase {
   bool shared = false;
 };
 
-template <typename T>
-void check_grid_case(const GridCase<T>& gc, Prng& rng, const std::string& what) {
+void check_grid_case(const GridCase& gc, Prng& rng, const std::string& what) {
   const std::size_t np = gc.heights.size();
   const std::size_t nq = gc.widths.size();
   std::vector<index_t> r0(np + 1, 0), c0(nq + 1, 0);
   for (std::size_t p = 0; p < np; ++p) r0[p + 1] = r0[p] + gc.heights[p];
   for (std::size_t q = 0; q < nq; ++q) c0[q + 1] = c0[q] + gc.widths[q];
-  la::Matrix<T> a(r0[np] + 3, gc.kk);
-  la::Matrix<T> b(c0[nq] + 1, gc.kk);
+  la::DMatrix a(r0[np] + 3, gc.kk);
+  la::DMatrix b(c0[nq] + 1, gc.kk);
   random_normal(a.view(), rng);
   random_normal(b.view(), rng);
   // The matrices holding the targets: one shared matrix for the plain
   // targets plus one for the transposed ones, or one per target.
-  std::vector<la::Matrix<T>> mats;
+  std::vector<la::DMatrix> mats;
   if (gc.shared) {
     mats.emplace_back(r0[np] + 2, c0[nq] + 1);
     mats.emplace_back(c0[nq] + 3, r0[np] + 1);
@@ -395,18 +388,18 @@ void check_grid_case(const GridCase<T>& gc, Prng& rng, const std::string& what) 
       }
     }
   }
-  for (la::Matrix<T>& m : mats) random_normal(m.view(), rng);
-  const std::vector<la::Matrix<T>> initial = mats;
+  for (la::DMatrix& m : mats) random_normal(m.view(), rng);
+  const std::vector<la::DMatrix> initial = mats;
 
   const auto run = [&](la::Backend be, bool batched) {
     la::set_backend(be);
-    std::vector<la::Matrix<T>> c = initial;
-    std::vector<la::ConstView<T>> as, bs;
+    std::vector<la::DMatrix> c = initial;
+    std::vector<la::DConstView> as, bs;
     for (std::size_t p = 0; p < np; ++p)
       as.push_back(a.cview().sub(r0[p] + 3, 0, gc.heights[p], gc.kk));
     for (std::size_t q = 0; q < nq; ++q)
       bs.push_back(b.cview().sub(c0[q] + 1, 0, gc.widths[q], gc.kk));
-    std::vector<la::GemmTarget<T>> ts;
+    std::vector<la::GemmTarget> ts;
     std::size_t x = 0;
     for (std::size_t p = 0; p < np; ++p) {
       for (std::size_t q = 0; q < nq; ++q) {
@@ -415,7 +408,7 @@ void check_grid_case(const GridCase<T>& gc, Prng& rng, const std::string& what) 
         const bool tr = k == 2;
         const index_t h = tr ? gc.widths[q] : gc.heights[p];
         const index_t w = tr ? gc.heights[p] : gc.widths[q];
-        la::MatView<T> v =
+        la::DView v =
             gc.shared ? (tr ? c[1].view().sub(c0[q] + 2, r0[p], h, w)
                             : c[0].view().sub(r0[p] + 1, c0[q], h, w))
                       : c[x++].view().sub(0, 1, h, w);
@@ -426,10 +419,10 @@ void check_grid_case(const GridCase<T>& gc, Prng& rng, const std::string& what) 
       // Every target entry is loaded and stored at its own address, once
       // per k-slab: none passes through a gathered copy.
       const la::GridGemmCounts before = la::grid_gemm_counts();
-      la::gemm_batch<T>(gc.alpha, as, bs, ts);
+      la::gemm_batch(gc.alpha, as, bs, ts);
       const la::GridGemmCounts after = la::grid_gemm_counts();
       std::uint64_t entries = 0;
-      for (const la::GemmTarget<T>& t : ts)
+      for (const la::GemmTarget& t : ts)
         entries += static_cast<std::uint64_t>(t.c.rows * t.c.cols);
       if (gc.kk >= 4) entries *= static_cast<std::uint64_t>((gc.kk + 255) / 256);
       EXPECT_EQ(after.entries - before.entries, entries) << what;
@@ -437,19 +430,19 @@ void check_grid_case(const GridCase<T>& gc, Prng& rng, const std::string& what) 
                 entries)
           << what;
     } else {
-      for (const la::GemmTarget<T>& t : ts) {
+      for (const la::GemmTarget& t : ts) {
         const auto& ap = as[static_cast<std::size_t>(t.p)];
         const auto& bq = bs[static_cast<std::size_t>(t.q)];
         if (t.transposed)
-          la::gemm(la::Trans::No, la::Trans::Yes, gc.alpha, bq, ap, T(1), t.c);
+          la::gemm(la::Trans::No, la::Trans::Yes, gc.alpha, bq, ap, real_t(1), t.c);
         else
-          la::gemm(la::Trans::No, la::Trans::Yes, gc.alpha, ap, bq, T(1), t.c);
+          la::gemm(la::Trans::No, la::Trans::Yes, gc.alpha, ap, bq, real_t(1), t.c);
       }
     }
     return c;
   };
-  const std::vector<la::Matrix<T>> ref = run(la::Backend::Reference, false);
-  const std::vector<la::Matrix<T>> nat = run(la::Backend::Native, true);
+  const std::vector<la::DMatrix> ref = run(la::Backend::Reference, false);
+  const std::vector<la::DMatrix> nat = run(la::Backend::Native, true);
   for (std::size_t i = 0; i < ref.size(); ++i)
     expect_same_bits(ref[i], nat[i], what + ", matrix " + std::to_string(i));
   if (gc.shared) {
@@ -459,7 +452,7 @@ void check_grid_case(const GridCase<T>& gc, Prng& rng, const std::string& what) 
         if (gc.kind(p, q) != 0) continue;
         for (index_t j = c0[q]; j < c0[q + 1]; ++j)
           for (index_t i = r0[p] + 1; i < r0[p + 1] + 1; ++i)
-            EXPECT_EQ(std::memcmp(&nat[0](i, j), &initial[0](i, j), sizeof(T)), 0)
+            EXPECT_EQ(std::memcmp(&nat[0](i, j), &initial[0](i, j), sizeof(real_t)), 0)
                 << what << ": cell without a target written at (" << i << ", " << j
                 << ")";
       }
@@ -474,8 +467,7 @@ void check_grid_case(const GridCase<T>& gc, Prng& rng, const std::string& what) 
 /// plain and transposed targets, an LLᵗ-shaped lower block triangle in one
 /// shared matrix (the cells above it checked untouched), and depths past
 /// kKC = 256.
-template <typename T>
-void gemm_batch_grid_cases_for_type() {
+void gemm_batch_grid_cases() {
   BackendStateGuard state;
   EnvVarGuard guard("BLR_NATIVE_ISA");
   Prng rng(307);
@@ -495,11 +487,11 @@ void gemm_batch_grid_cases_for_type() {
           r += cut.back();
         }
         for (const bool split : {false, true}) {
-          GridCase<T> gc;
+          GridCase gc;
           gc.heights = split ? cut : std::vector<index_t>{m};
           gc.widths = {3, 6, 2};
           gc.kk = kk;
-          gc.alpha = m % 2 == 0 ? T(1) : m == 33 ? T(0.75) : T(-1);
+          gc.alpha = m % 2 == 0 ? real_t(1) : m == 33 ? real_t(0.75) : real_t(-1);
           gc.kind = [](std::size_t p, std::size_t q) {
             return (p + q) % 4 == 3 ? 0 : (p + 2 * q) % 3 == 2 ? 2 : 1;
           };
@@ -509,7 +501,7 @@ void gemm_batch_grid_cases_for_type() {
         }
       }
       // LLᵗ: targets only on and below the block diagonal, in one matrix.
-      GridCase<T> llt;
+      GridCase llt;
       llt.heights = {4, 9, 1, 12, 6, 30, 40};
       llt.widths = {4, 9, 1, 12};
       llt.kk = kk;
@@ -517,7 +509,7 @@ void gemm_batch_grid_cases_for_type() {
       llt.shared = true;
       check_grid_case(llt, rng, tier + " llt kk=" + std::to_string(kk));
       // The LU update's transposed (U) targets beside plain ones, shared.
-      GridCase<T> lu = llt;
+      GridCase lu = llt;
       lu.kind = [](std::size_t p, std::size_t q) { return p >= q ? 1 : 2; };
       check_grid_case(lu, rng, tier + " lu kk=" + std::to_string(kk));
     }
@@ -525,12 +517,8 @@ void gemm_batch_grid_cases_for_type() {
 }
 
 TEST(BackendBitwiseKernels, GemmBatchDouble) {
-  gemm_batch_bit_identity_for_type<double>();
-  gemm_batch_grid_cases_for_type<double>();
-}
-TEST(BackendBitwiseKernels, GemmBatchFloat) {
-  gemm_batch_bit_identity_for_type<float>();
-  gemm_batch_grid_cases_for_type<float>();
+  gemm_batch_bit_identity();
+  gemm_batch_grid_cases();
 }
 
 // trsm_stacked must leave every block bit-identical to the per-block
@@ -538,8 +526,7 @@ TEST(BackendBitwiseKernels, GemmBatchFloat) {
 // LU L, LU U): block heights that stack into shared groups and one that
 // splits across groups, widths around the substitution strip, exact zeros
 // in the triangle and -0.0 in the right-hand side.
-template <typename T>
-void stacked_trsm_bit_identity_for_type() {
+void stacked_trsm_bit_identity() {
   BackendStateGuard state;
   Prng rng(307);
   const index_t heights[] = {1, 3, 7, 300, 1, 3, 7};
@@ -558,49 +545,50 @@ void stacked_trsm_bit_identity_for_type() {
     // reads its own) with negative off-diagonal entries, exact zeros
     // sprinkled over it and filling the first row and column off the
     // diagonal.
-    la::Matrix<T> a(w + 2, w + 1);
+    la::DMatrix a(w + 2, w + 1);
     random_normal(a.view(), rng);
     for (index_t j = 0; j < w; ++j) {
       for (index_t i = 0; i < w; ++i) {
-        T& v = a(i + 2, j + 1);
-        v = (i == j) ? T(2) + std::abs(v) : -std::abs(v) / static_cast<T>(w);
-        if ((i * 7 + j * 3) % 5 == 0 && i != j) v = T(0);
-        if ((i == 0 || j == 0) && i != j) v = T(0);
+        real_t& v = a(i + 2, j + 1);
+        v = (i == j) ? real_t(2) + std::abs(v) : -std::abs(v) / static_cast<real_t>(w);
+        if ((i * 7 + j * 3) % 5 == 0 && i != j) v = real_t(0);
+        if ((i == 0 || j == 0) && i != j) v = real_t(0);
       }
     }
     // B with zeros of both signs; every fifth row is -0.0 but for a
     // negative first entry, so its solution is zero past the first column,
     // and a skipped zero term (a·0 added to -0.0) would leave a -0.0 where
     // the full sum gives +0.0.
-    la::Matrix<T> b0(total + 4, w + 3);
+    la::DMatrix b0(total + 4, w + 3);
     random_normal(b0.view(), rng);
     for (index_t j = 0; j < b0.cols(); ++j) {
       for (index_t i = 0; i < b0.rows(); ++i) {
-        if (i % 5 == 0) b0(i, j) = j == 2 ? -T(1) - std::abs(b0(i, j)) : T(-0.0);
-        else if ((i + j) % 6 == 0) b0(i, j) = T(-0.0);
-        else if ((i + 2 * j) % 11 == 0) b0(i, j) = T(0);
+        if (i % 5 == 0)
+          b0(i, j) = j == 2 ? -real_t(1) - std::abs(b0(i, j)) : real_t(-0.0);
+        else if ((i + j) % 6 == 0) b0(i, j) = real_t(-0.0);
+        else if ((i + 2 * j) % 11 == 0) b0(i, j) = real_t(0);
       }
     }
-    const la::ConstView<T> av = a.cview().sub(2, 1, w, w);
+    const la::DConstView av = a.cview().sub(2, 1, w, w);
     for (const auto& v : variants) {
       const auto run = [&](la::Backend be, bool stacked) {
         la::set_backend(be);
-        la::Matrix<T> b = b0;
-        std::vector<la::MatView<T>> bs;
+        la::DMatrix b = b0;
+        std::vector<la::DView> bs;
         index_t r = 0;
         for (const index_t h : heights) {
           bs.push_back(b.view().sub(r + 4, 2, h, w));
           r += h;
         }
         if (stacked) {
-          la::trsm_stacked<T>(v.uplo, v.trans, v.diag, av, bs);
+          la::trsm_stacked(v.uplo, v.trans, v.diag, av, bs);
         } else {
-          for (const la::MatView<T>& bp : bs)
-            la::trsm(la::Side::Right, v.uplo, v.trans, v.diag, T(1), av, bp);
+          for (const la::DView& bp : bs)
+            la::trsm(la::Side::Right, v.uplo, v.trans, v.diag, real_t(1), av, bp);
         }
         return b;
       };
-      const la::Matrix<T> ref = run(la::Backend::Reference, false);
+      const la::DMatrix ref = run(la::Backend::Reference, false);
       const std::string what =
           std::string("trsm_stacked ") + v.name + " w=" + std::to_string(w);
       expect_same_bits(ref, run(la::Backend::Native, false), what + " native per block");
@@ -610,8 +598,7 @@ void stacked_trsm_bit_identity_for_type() {
   }
 }
 
-TEST(BackendBitwiseKernels, StackedTrsmDouble) { stacked_trsm_bit_identity_for_type<double>(); }
-TEST(BackendBitwiseKernels, StackedTrsmFloat) { stacked_trsm_bit_identity_for_type<float>(); }
+TEST(BackendBitwiseKernels, StackedTrsmDouble) { stacked_trsm_bit_identity(); }
 
 // ---- whole-factor bits pinned across kernel changes ----------------------
 
@@ -691,32 +678,31 @@ TEST(KernelBits, FactorsMatchParent) {
   }
 }
 
-template <typename T>
-void trsm_syrk_bit_identity_for_type() {
+void trsm_syrk_bit_identity() {
   BackendStateGuard state;
   Prng rng(131);
   const index_t n = 96, m = 80;
 
   // Well-conditioned triangular factor: dominant diagonal.
-  la::Matrix<T> tri(n, n);
+  la::DMatrix tri(n, n);
   random_normal(tri.view(), rng);
-  for (index_t i = 0; i < n; ++i) tri(i, i) += T(2 * n);
+  for (index_t i = 0; i < n; ++i) tri(i, i) += real_t(2 * n);
 
   for (const la::Side side : {la::Side::Left, la::Side::Right}) {
     for (const la::Uplo uplo : {la::Uplo::Lower, la::Uplo::Upper}) {
       for (const la::Trans trans : {la::Trans::No, la::Trans::Yes}) {
         for (const la::Diag diag : {la::Diag::NonUnit, la::Diag::Unit}) {
-          la::Matrix<T> rhs(side == la::Side::Left ? n : m,
+          la::DMatrix rhs(side == la::Side::Left ? n : m,
                             side == la::Side::Left ? m : n);
           random_normal(rhs.view(), rng);
 
-          la::Matrix<T> br = rhs;
+          la::DMatrix br = rhs;
           la::set_backend(la::Backend::Reference);
-          la::trsm(side, uplo, trans, diag, T(1), tri.cview(), br.view());
+          la::trsm(side, uplo, trans, diag, real_t(1), tri.cview(), br.view());
 
-          la::Matrix<T> bn = rhs;
+          la::DMatrix bn = rhs;
           la::set_backend(la::Backend::Native);
-          la::trsm(side, uplo, trans, diag, T(1), tri.cview(), bn.view());
+          la::trsm(side, uplo, trans, diag, real_t(1), tri.cview(), bn.view());
 
           expect_same_bits(br, bn, "trsm");
         }
@@ -724,21 +710,21 @@ void trsm_syrk_bit_identity_for_type() {
     }
   }
 
-  la::Matrix<T> a(n, m);
+  la::DMatrix a(n, m);
   random_normal(a.view(), rng);
   for (const la::Uplo uplo : {la::Uplo::Lower, la::Uplo::Upper}) {
     for (const la::Trans trans : {la::Trans::No, la::Trans::Yes}) {
       const index_t cn = trans == la::Trans::No ? n : m;
-      la::Matrix<T> c0(cn, cn);
+      la::DMatrix c0(cn, cn);
       random_normal(c0.view(), rng);
 
-      la::Matrix<T> cr = c0;
+      la::DMatrix cr = c0;
       la::set_backend(la::Backend::Reference);
-      la::syrk(uplo, trans, T(-1), a.cview(), T(1), cr.view());
+      la::syrk(uplo, trans, real_t(-1), a.cview(), real_t(1), cr.view());
 
-      la::Matrix<T> cs = c0;
+      la::DMatrix cs = c0;
       la::set_backend(la::Backend::Native);
-      la::syrk(uplo, trans, T(-1), a.cview(), T(1), cs.view());
+      la::syrk(uplo, trans, real_t(-1), a.cview(), real_t(1), cs.view());
 
       expect_same_bits(cr, cs, "syrk");
     }
@@ -746,10 +732,7 @@ void trsm_syrk_bit_identity_for_type() {
 }
 
 TEST(BackendBitwiseKernels, TrsmSyrkDouble) {
-  trsm_syrk_bit_identity_for_type<double>();
-}
-TEST(BackendBitwiseKernels, TrsmSyrkFloat) {
-  trsm_syrk_bit_identity_for_type<float>();
+  trsm_syrk_bit_identity();
 }
 
 // ---- factor bit-comparison helpers -----------------------------------

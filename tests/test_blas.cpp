@@ -278,28 +278,6 @@ TEST(Syrk, UpperTransMatchesGemm) {
     for (index_t i = 0; i <= j; ++i) EXPECT_NEAR(out(i, j), ref(i, j), 1e-11);
 }
 
-TEST(Gemv, BothTransposes) {
-  Prng rng(31);
-  DMatrix a(6, 4);
-  random_normal(a.view(), rng);
-  std::vector<real_t> x{1, -2, 3, 0.5};
-  std::vector<real_t> y(6, 1.0);
-  gemv(Trans::No, real_t(2), a.cview(), x.data(), real_t(-1), y.data());
-  for (index_t i = 0; i < 6; ++i) {
-    real_t s = -1.0;
-    for (index_t j = 0; j < 4; ++j) s += 2 * a(i, j) * x[static_cast<std::size_t>(j)];
-    EXPECT_NEAR(y[static_cast<std::size_t>(i)], s, 1e-12);
-  }
-  std::vector<real_t> z(4, 0.0);
-  std::vector<real_t> w{1, 1, 1, 1, 1, 1};
-  gemv(Trans::Yes, real_t(1), a.cview(), w.data(), real_t(0), z.data());
-  for (index_t j = 0; j < 4; ++j) {
-    real_t s = 0;
-    for (index_t i = 0; i < 6; ++i) s += a(i, j);
-    EXPECT_NEAR(z[static_cast<std::size_t>(j)], s, 1e-12);
-  }
-}
-
 TEST(Level1, DotAxpyNrm2) {
   std::vector<real_t> x{3, 4};
   EXPECT_DOUBLE_EQ(nrm2(2, x.data()), 5.0);

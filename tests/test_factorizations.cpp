@@ -26,7 +26,7 @@ TEST_P(GetrfSizes, SolveResidualIsSmall) {
   DMatrix b(n, 3);
   random_normal(b.view(), rng);
   DMatrix x = b;
-  getrs<real_t>(a.cview(), ipiv, x.view());
+  getrs(a.cview(), ipiv, x.view());
 
   DMatrix r = b;
   gemm(Trans::No, Trans::No, real_t(-1), a0.cview(), x.cview(), real_t(1), r.view());
@@ -54,7 +54,7 @@ TEST(Getrf, PivotingHandlesZeroLeadingEntry) {
   DMatrix b(3, 1);
   gemm(Trans::No, Trans::No, real_t(1), a0.cview(), x.cview(), real_t(0), b.view());
   DMatrix sol = b;
-  getrs<real_t>(a.cview(), ipiv, sol.view());
+  getrs(a.cview(), ipiv, sol.view());
   EXPECT_LT(diff_fro(sol.cview(), x.cview()), 1e-12);
 }
 
@@ -95,7 +95,7 @@ TEST(LuInverse, InverseTimesMatrixIsIdentity) {
   std::vector<index_t> ipiv;
   ASSERT_EQ(getrf(a.view(), ipiv), 0);
   DMatrix inv(n, n);
-  lu_inverse<real_t>(a.cview(), ipiv, inv.view());
+  lu_inverse(a.cview(), ipiv, inv.view());
   DMatrix prod(n, n);
   gemm(Trans::No, Trans::No, real_t(1), a0.cview(), inv.cview(), real_t(0), prod.view());
   DMatrix eye(n, n);
@@ -131,7 +131,7 @@ TEST(Potrf, SolveResidual) {
   DMatrix b(n, 2);
   random_normal(b.view(), rng);
   DMatrix x = b;
-  potrs<real_t>(a.cview(), x.view());
+  potrs(a.cview(), x.view());
   DMatrix r = b;
   gemm(Trans::No, Trans::No, real_t(-1), a0.cview(), x.cview(), real_t(1), r.view());
   EXPECT_LT(norm_fro(r.cview()), 1e-10 * norm_fro(b.cview()));

@@ -1,6 +1,7 @@
-// Typed tests: the dense linear-algebra layer is templated on the scalar;
-// run the core contracts in both float and double to keep the float
-// instantiations honest (mixed-precision work builds on them).
+// Core contracts of the dense linear-algebra layer, which computes in
+// real_t only: GEMM transposes, LU and Cholesky solves, QR orthonormality,
+// RRQR rank detection, SVD and the triangular solve, each checked against a
+// residual or a reconstruction.
 
 #include <gtest/gtest.h>
 
@@ -16,131 +17,110 @@ namespace {
 using namespace blr;
 using namespace blr::la;
 
-template <typename T>
-struct Tol;
-template <>
-struct Tol<float> {
-  static constexpr float rel = 5e-5f;
-};
-template <>
-struct Tol<double> {
-  static constexpr double rel = 1e-11;
-};
+constexpr real_t kRel = 1e-11;
 
-template <typename T>
-class TypedLinalg : public ::testing::Test {};
-
-using Scalars = ::testing::Types<float, double>;
-TYPED_TEST_SUITE(TypedLinalg, Scalars);
-
-TYPED_TEST(TypedLinalg, GemmAllTransposeCombos) {
-  using T = TypeParam;
+TEST(TypedLinalg, GemmAllTransposeCombos) {
   Prng rng(1);
   const index_t m = 13, n = 9, k = 11;
-  Matrix<T> a(m, k), b(k, n), at(k, m), bt(n, k);
+  DMatrix a(m, k), b(k, n), at(k, m), bt(n, k);
   for (index_t j = 0; j < k; ++j)
-    for (index_t i = 0; i < m; ++i) a(i, j) = static_cast<T>(rng.normal());
+    for (index_t i = 0; i < m; ++i) a(i, j) = rng.normal();
   for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < k; ++i) b(i, j) = static_cast<T>(rng.normal());
-  transpose<T>(a.cview(), at.view());
-  transpose<T>(b.cview(), bt.view());
+    for (index_t i = 0; i < k; ++i) b(i, j) = rng.normal();
+  transpose<real_t>(a.cview(), at.view());
+  transpose<real_t>(b.cview(), bt.view());
 
-  Matrix<T> ref(m, n);
-  gemm(Trans::No, Trans::No, T(1), a.cview(), b.cview(), T(0), ref.view());
+  DMatrix ref(m, n);
+  gemm(Trans::No, Trans::No, real_t(1), a.cview(), b.cview(), real_t(0), ref.view());
 
-  Matrix<T> c(m, n);
-  gemm(Trans::Yes, Trans::No, T(1), at.cview(), b.cview(), T(0), c.view());
-  EXPECT_LT(diff_fro(c.cview(), ref.cview()), Tol<T>::rel * (1 + norm_fro(ref.cview())));
-  gemm(Trans::No, Trans::Yes, T(1), a.cview(), bt.cview(), T(0), c.view());
-  EXPECT_LT(diff_fro(c.cview(), ref.cview()), Tol<T>::rel * (1 + norm_fro(ref.cview())));
-  gemm(Trans::Yes, Trans::Yes, T(1), at.cview(), bt.cview(), T(0), c.view());
-  EXPECT_LT(diff_fro(c.cview(), ref.cview()), Tol<T>::rel * (1 + norm_fro(ref.cview())));
+  DMatrix c(m, n);
+  gemm(Trans::Yes, Trans::No, real_t(1), at.cview(), b.cview(), real_t(0), c.view());
+  EXPECT_LT(diff_fro(c.cview(), ref.cview()), kRel * (1 + norm_fro(ref.cview())));
+  gemm(Trans::No, Trans::Yes, real_t(1), a.cview(), bt.cview(), real_t(0), c.view());
+  EXPECT_LT(diff_fro(c.cview(), ref.cview()), kRel * (1 + norm_fro(ref.cview())));
+  gemm(Trans::Yes, Trans::Yes, real_t(1), at.cview(), bt.cview(), real_t(0), c.view());
+  EXPECT_LT(diff_fro(c.cview(), ref.cview()), kRel * (1 + norm_fro(ref.cview())));
 }
 
-TYPED_TEST(TypedLinalg, LuSolveResidual) {
-  using T = TypeParam;
+TEST(TypedLinalg, LuSolveResidual) {
   Prng rng(2);
   const index_t n = 24;
-  Matrix<T> a = random_diagdom<T>(n, rng);
-  const Matrix<T> a0 = a;
+  DMatrix a = random_diagdom<real_t>(n, rng);
+  const DMatrix a0 = a;
   std::vector<index_t> ipiv;
   ASSERT_EQ(getrf(a.view(), ipiv), 0);
-  Matrix<T> b(n, 2);
+  DMatrix b(n, 2);
   random_normal(b.view(), rng);
-  Matrix<T> x = b;
-  getrs<T>(a.cview(), ipiv, x.view());
-  Matrix<T> r = b;
-  gemm(Trans::No, Trans::No, T(-1), a0.cview(), x.cview(), T(1), r.view());
-  EXPECT_LT(norm_fro(r.cview()), Tol<T>::rel * 100 * norm_fro(b.cview()));
+  DMatrix x = b;
+  getrs(a.cview(), ipiv, x.view());
+  DMatrix r = b;
+  gemm(Trans::No, Trans::No, real_t(-1), a0.cview(), x.cview(), real_t(1), r.view());
+  EXPECT_LT(norm_fro(r.cview()), kRel * 100 * norm_fro(b.cview()));
 }
 
-TYPED_TEST(TypedLinalg, CholeskyReconstruction) {
-  using T = TypeParam;
+TEST(TypedLinalg, CholeskyReconstruction) {
   Prng rng(3);
   const index_t n = 18;
-  Matrix<T> a = random_spd<T>(n, rng);
-  const Matrix<T> a0 = a;
+  DMatrix a = random_spd<real_t>(n, rng);
+  const DMatrix a0 = a;
   ASSERT_EQ(potrf(a.view()), 0);
-  Matrix<T> l(n, n);
+  DMatrix l(n, n);
   for (index_t j = 0; j < n; ++j)
     for (index_t i = j; i < n; ++i) l(i, j) = a(i, j);
-  Matrix<T> llt(n, n);
-  gemm(Trans::No, Trans::Yes, T(1), l.cview(), l.cview(), T(0), llt.view());
-  EXPECT_LT(diff_fro(llt.cview(), a0.cview()), Tol<T>::rel * 100 * norm_fro(a0.cview()));
+  DMatrix llt(n, n);
+  gemm(Trans::No, Trans::Yes, real_t(1), l.cview(), l.cview(), real_t(0), llt.view());
+  EXPECT_LT(diff_fro(llt.cview(), a0.cview()), kRel * 100 * norm_fro(a0.cview()));
 }
 
-TYPED_TEST(TypedLinalg, QrOrthonormality) {
-  using T = TypeParam;
+TEST(TypedLinalg, QrOrthonormality) {
   Prng rng(4);
-  Matrix<T> a(20, 8);
+  DMatrix a(20, 8);
   random_normal(a.view(), rng);
-  std::vector<T> tau;
+  std::vector<real_t> tau;
   geqrf(a.view(), tau);
   orgqr(a.view(), tau);
-  Matrix<T> g(8, 8);
-  gemm(Trans::Yes, Trans::No, T(1), a.cview(), a.cview(), T(0), g.view());
-  for (index_t i = 0; i < 8; ++i) g(i, i) -= T(1);
-  EXPECT_LT(norm_fro(g.cview()), Tol<T>::rel * 100);
+  DMatrix g(8, 8);
+  gemm(Trans::Yes, Trans::No, real_t(1), a.cview(), a.cview(), real_t(0), g.view());
+  for (index_t i = 0; i < 8; ++i) g(i, i) -= real_t(1);
+  EXPECT_LT(norm_fro(g.cview()), kRel * 100);
 }
 
-TYPED_TEST(TypedLinalg, RrqrFindsRank) {
-  using T = TypeParam;
+TEST(TypedLinalg, RrqrFindsRank) {
   Prng rng(5);
-  Matrix<T> a = random_rank_k<T>(30, 24, 5, rng);
+  DMatrix a = random_rank_k<real_t>(30, 24, 5, rng);
   std::vector<index_t> jpvt;
-  std::vector<T> tau;
-  const T tol = static_cast<T>(Tol<T>::rel) * norm_fro(a.cview());
+  std::vector<real_t> tau;
+  const real_t tol = kRel * norm_fro(a.cview());
   const index_t r = geqp3_trunc(a.view(), jpvt, tau, tol, index_t(24));
   EXPECT_EQ(r, 5);
 }
 
-TYPED_TEST(TypedLinalg, SvdSingularValuesOfOrthogonalScaled) {
-  using T = TypeParam;
+TEST(TypedLinalg, SvdSingularValuesOfOrthogonalScaled) {
   // A = 3·I has all singular values 3.
-  Matrix<T> a(6, 6);
-  for (index_t i = 0; i < 6; ++i) a(i, i) = T(3);
+  DMatrix a(6, 6);
+  for (index_t i = 0; i < 6; ++i) a(i, i) = real_t(3);
   const auto s = singular_values(a.cview());
-  for (const T v : s) EXPECT_NEAR(static_cast<double>(v), 3.0, 1e-5);
+  for (const real_t v : s) EXPECT_NEAR(v, 3.0, 1e-5);
 }
 
-TYPED_TEST(TypedLinalg, TrsmRoundTrip) {
-  using T = TypeParam;
+TEST(TypedLinalg, TrsmRoundTrip) {
   Prng rng(6);
   const index_t n = 12;
-  Matrix<T> a(n, n);
+  DMatrix a(n, n);
   random_normal(a.view(), rng);
-  for (index_t i = 0; i < n; ++i) a(i, i) = T(6) + std::abs(a(i, i));
-  Matrix<T> b(n, 4);
+  for (index_t i = 0; i < n; ++i) a(i, i) = real_t(6) + std::abs(a(i, i));
+  DMatrix b(n, 4);
   random_normal(b.view(), rng);
-  Matrix<T> x = b;
-  trsm(Side::Left, Uplo::Lower, Trans::No, Diag::NonUnit, T(1), a.cview(), x.view());
+  DMatrix x = b;
+  trsm(Side::Left, Uplo::Lower, Trans::No, Diag::NonUnit, real_t(1), a.cview(), x.view());
   // Multiply back with the lower triangle.
-  Matrix<T> lower(n, n);
+  DMatrix lower(n, n);
   for (index_t j = 0; j < n; ++j)
     for (index_t i = j; i < n; ++i) lower(i, j) = a(i, j);
-  Matrix<T> recon(n, 4);
-  gemm(Trans::No, Trans::No, T(1), lower.cview(), x.cview(), T(0), recon.view());
-  EXPECT_LT(diff_fro(recon.cview(), b.cview()), Tol<T>::rel * 100 * norm_fro(b.cview()));
+  DMatrix recon(n, 4);
+  gemm(Trans::No, Trans::No, real_t(1), lower.cview(), x.cview(), real_t(0),
+       recon.view());
+  EXPECT_LT(diff_fro(recon.cview(), b.cview()), kRel * 100 * norm_fro(b.cview()));
 }
 
 } // namespace

@@ -51,7 +51,7 @@ TEST(Numeric, DenseLltMatchesDensePotrfSolve) {
   ASSERT_EQ(la::potrf(d.view()), 0);
   la::DMatrix xd(a.rows(), 1);
   for (index_t i = 0; i < a.rows(); ++i) xd(i, 0) = b[static_cast<std::size_t>(i)];
-  la::potrs<real_t>(d.cview(), xd.view());
+  la::potrs(d.cview(), xd.view());
   for (index_t i = 0; i < a.rows(); ++i)
     EXPECT_NEAR(x[static_cast<std::size_t>(i)], xd(i, 0), 1e-9);
 }
@@ -71,7 +71,7 @@ TEST(Numeric, DenseLuMatchesDenseGetrfSolve) {
   ASSERT_EQ(la::getrf(d.view(), ipiv), 0);
   la::DMatrix xd(a.rows(), 1);
   for (index_t i = 0; i < a.rows(); ++i) xd(i, 0) = b[static_cast<std::size_t>(i)];
-  la::getrs<real_t>(d.cview(), ipiv, xd.view());
+  la::getrs(d.cview(), ipiv, xd.view());
   for (index_t i = 0; i < a.rows(); ++i)
     EXPECT_NEAR(x[static_cast<std::size_t>(i)], xd(i, 0), 1e-9);
 }

@@ -76,25 +76,24 @@ TEST(Ormqr, AppliesQAndQt) {
   DMatrix c(m, 4);
   random_normal(c.view(), rng);
   DMatrix w = c;
-  ormqr_left<real_t>(Trans::No, fact.cview(), tau, w.view());
+  ormqr_left(Trans::No, fact.cview(), tau, w.view());
   // Compare against explicit Q product restricted to full-size Q: build via
   // applying to identity is already orgqr; here check round trip instead.
-  ormqr_left<real_t>(Trans::Yes, fact.cview(), tau, w.view());
+  ormqr_left(Trans::Yes, fact.cview(), tau, w.view());
   EXPECT_LT(diff_fro(w.cview(), c.cview()), 1e-12 * (1 + norm_fro(c.cview())));
 }
 
 /// Qᵗ·C applied one column at a time: the reflector application before its
 /// columns ran eight dot chains at once.
-template <typename T>
-void ormqr_t_per_column(ConstView<T> a, const std::vector<T>& tau, MatView<T> c) {
+void ormqr_t_per_column(DConstView a, const std::vector<real_t>& tau, DView c) {
   const index_t m = a.rows;
   for (index_t j = 0; j < static_cast<index_t>(tau.size()); ++j) {
-    const T tj = tau[static_cast<std::size_t>(j)];
-    if (tj == T(0)) continue;
-    const T* v = a.col(j) + j + 1;
+    const real_t tj = tau[static_cast<std::size_t>(j)];
+    if (tj == real_t(0)) continue;
+    const real_t* v = a.col(j) + j + 1;
     for (index_t col = 0; col < c.cols; ++col) {
-      T* cj = c.col(col) + j;
-      T w = cj[0] + dot(m - j - 1, v, cj + 1);
+      real_t* cj = c.col(col) + j;
+      real_t w = cj[0] + dot(m - j - 1, v, cj + 1);
       w *= tj;
       cj[0] -= w;
       axpy(m - j - 1, -w, v, cj + 1);
@@ -106,34 +105,32 @@ void ormqr_t_per_column(ConstView<T> a, const std::vector<T>& tau, MatView<T> c)
 // every column must keep the bits of the column-at-a-time loop: reflector
 // tails shorter than a chain block (m - 1 < 8), column counts that are not
 // a multiple of 8, and a reflector with tau = 0.
-template <typename T>
-void reflector_bits_for_type() {
+void reflector_bits() {
   Prng rng(19);
   for (const index_t m : {index_t(1), index_t(5), index_t(9), index_t(40)}) {
     for (const index_t ncols :
          {index_t(1), index_t(7), index_t(8), index_t(13), index_t(24)}) {
       const index_t k = std::min<index_t>(m, 4);
-      Matrix<T> a(m, k);
+      DMatrix a(m, k);
       random_normal(a.view(), rng);
-      std::vector<T> tau;
+      std::vector<real_t> tau;
       geqrf(a.view(), tau);
-      if (k > 1) tau[1] = T(0);  // a reflector that is the identity
-      Matrix<T> c0(m, ncols);
+      if (k > 1) tau[1] = real_t(0);  // a reflector that is the identity
+      DMatrix c0(m, ncols);
       random_normal(c0.view(), rng);
-      Matrix<T> ref = c0;
-      ormqr_t_per_column<T>(a.cview(), tau, ref.view());
-      Matrix<T> got = c0;
-      ormqr_left<T>(Trans::Yes, a.cview(), tau, got.view());
+      DMatrix ref = c0;
+      ormqr_t_per_column(a.cview(), tau, ref.view());
+      DMatrix got = c0;
+      ormqr_left(Trans::Yes, a.cview(), tau, got.view());
       EXPECT_EQ(std::memcmp(ref.data(), got.data(),
-                            sizeof(T) * static_cast<std::size_t>(ref.size())),
+                            sizeof(real_t) * static_cast<std::size_t>(ref.size())),
                 0)
           << "m=" << m << " cols=" << ncols;
     }
   }
 }
 
-TEST(Ormqr, ReflectorChainsKeepColumnBitsDouble) { reflector_bits_for_type<double>(); }
-TEST(Ormqr, ReflectorChainsKeepColumnBitsFloat) { reflector_bits_for_type<float>(); }
+TEST(Ormqr, ReflectorChainsKeepColumnBitsDouble) { reflector_bits(); }
 
 TEST(Larfg, AnnihilatesTail) {
   std::vector<real_t> x{3, 4};  // (alpha=3, tail={4})

@@ -85,9 +85,6 @@ TEST(RandomGraph, AsymmetricPatternRejectedUpFront) {
                                       {3, 3, 4.0}, {0, 2, 1.0}});  // no (2,0)
   Solver solver{SolverOptions{}};
   EXPECT_THROW(solver.analyze(a), Error);
-  // With check_pattern = false the behaviour is the caller's responsibility
-  // (tiny matrices may even work when they fold into one supernode), so
-  // only the guarded path is asserted.
 }
 
 TEST(RandomGraph, DenseRowHubVertex) {

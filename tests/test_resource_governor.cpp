@@ -62,13 +62,12 @@ std::size_t measured_peak(const CscMatrix& a, const SolverOptions& opts) {
 }
 
 // ---------------------------------------------------------------------------
-// MemoryTracker / TileArena peak tracking under contention (TSan target)
+// MemoryTracker peak tracking under contention (TSan target)
 // ---------------------------------------------------------------------------
 
 TEST(TrackerConcurrency, PeaksAreRaceFreeAndExact) {
   auto& t = MemoryTracker::instance();
   t.reset();
-  lr::TileArena arena(MemCategory::Workspace);
 
   constexpr int kThreads = 8;
   constexpr int kIters = 2000;
@@ -79,8 +78,6 @@ TEST(TrackerConcurrency, PeaksAreRaceFreeAndExact) {
     workers.emplace_back([&] {
       for (int i = 0; i < kIters; ++i) {
         t.allocate(MemCategory::Factors, kBlock);
-        arena.charge(kBlock);
-        arena.discharge(kBlock);
         t.release(MemCategory::Factors, kBlock);
       }
     });
@@ -90,13 +87,10 @@ TEST(TrackerConcurrency, PeaksAreRaceFreeAndExact) {
   // Everything released: live counters drain to zero.
   EXPECT_EQ(t.current(MemCategory::Factors), 0u);
   EXPECT_EQ(t.current_total(), 0u);
-  EXPECT_EQ(arena.bytes(), 0u);
   // CAS-max peaks: at least one holder's block, at most all concurrent
   // holders, and never below the final live value.
   EXPECT_GE(t.peak(MemCategory::Factors), kBlock);
   EXPECT_LE(t.peak(MemCategory::Factors), kThreads * kBlock);
-  EXPECT_GE(arena.peak(), kBlock);
-  EXPECT_LE(arena.peak(), kThreads * kBlock);
   t.reset();
 }
 

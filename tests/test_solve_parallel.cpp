@@ -25,6 +25,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -574,6 +575,58 @@ TEST(SolveSlices, EntryWeightsAndParallelismBound) {
   EXPECT_GT(plan.parallelism_bound(), 2.5);
   EXPECT_EQ(solver.stats().solve_phase.parallelism_bound,
             plan.parallelism_bound());
+}
+
+// The plan's edges are the reads after writes: a Slice task's read of a
+// source segment adds no edge to Bwd(source), and a Fwd task's pull none to
+// the Bwd of its sources. The chain Slice → Fwd(t) → Bwd(t) → Bwd(source)
+// still orders every source's backward write after the reads of its
+// segment.
+TEST(SolveSlices, NoSliceTaskHasBwdSuccessor) {
+  const CscMatrix a = sparse::laplacian_3d(20, 20, 20);
+  Solver solver{SolverOptions{}};
+  solver.analyze(a);
+  const core::SolvePlan& plan = *solver.plan()->solve_plan();
+  ASSERT_GT(plan.num_slice_tasks(), 0u);
+  const core::DepBuilder::Deps& d = plan.deps();
+  const auto succ = [&d](std::uint32_t id) {
+    return std::span<const std::uint32_t>(d.succ.data() + d.succ_offset[id],
+                                          d.succ_offset[id + 1] - d.succ_offset[id]);
+  };
+  std::vector<std::uint32_t> bwd(static_cast<std::size_t>(solver.symbolic().num_cblks()));
+  for (std::uint32_t id = 0; id < plan.num_tasks(); ++id)
+    if (plan.task(id).kind == core::SolveTaskKind::Bwd)
+      bwd[static_cast<std::size_t>(plan.task(id).k)] = id;
+  for (std::uint32_t id = 0; id < plan.num_tasks(); ++id) {
+    const core::SolveTask& t = plan.task(id);
+    if (t.kind == core::SolveTaskKind::Bwd) continue;
+    for (const std::uint32_t q : succ(id)) {
+      const core::SolveTask& s = plan.task(q);
+      if (t.kind == core::SolveTaskKind::Slice) {
+        EXPECT_NE(s.kind, core::SolveTaskKind::Bwd) << "Slice " << id << " -> Bwd " << q;
+      } else if (s.kind == core::SolveTaskKind::Bwd) {
+        EXPECT_EQ(s.k, t.k) << "Fwd(" << t.k << ") -> Bwd(" << s.k << ")";
+      }
+    }
+    if (t.kind != core::SolveTaskKind::Slice) continue;
+    // Every source of the slice's facing range has its Bwd downstream.
+    std::vector<char> seen(plan.num_tasks(), 0);
+    std::vector<std::uint32_t> stack{id};
+    while (!stack.empty()) {
+      const std::uint32_t x = stack.back();
+      stack.pop_back();
+      for (const std::uint32_t q : succ(x)) {
+        if (seen[q] == 0) {
+          seen[q] = 1;
+          stack.push_back(q);
+        }
+      }
+    }
+    const auto fac = plan.facing(t.k);
+    for (std::uint32_t f = t.f0; f < t.f1; ++f)
+      EXPECT_EQ(seen[bwd[static_cast<std::size_t>(fac[f].source)]], 1)
+          << "Slice " << id << " does not precede Bwd(" << fac[f].source << ")";
+  }
 }
 
 // ---- (e2) small solves drain on the calling thread -------------------------

@@ -1,5 +1,5 @@
 // Tests of the tile storage layer: the dense/low-rank tagged representation,
-// the forward-only lifecycle state machine, arena-based memory accounting,
+// the forward-only lifecycle state machine, per-category memory accounting,
 // and the LR2LR recompression property — after randomized extend-add chains
 // the U factor must stay orthonormal to machine precision and the state
 // machine must never move backwards.
@@ -57,24 +57,21 @@ TEST(TileArena, ChargesAndDischargesThroughTracker) {
   auto& tracker = MemoryTracker::instance();
   tracker.reset();
   {
-    TileArena arena(MemCategory::Factors);
-    Tile a = Tile::make_dense(10, 10, arena);
-    Tile b = Tile::make_dense(5, 4, arena);
-    EXPECT_EQ(arena.bytes(), (100 + 20) * sizeof(real_t));
+    Tile a = Tile::make_dense(10, 10, MemCategory::Factors);
+    Tile b = Tile::make_dense(5, 4, MemCategory::Factors);
     EXPECT_EQ(tracker.current(MemCategory::Factors), (100 + 20) * sizeof(real_t));
 
-    // Representation switch re-tracks the delta through the arena.
+    // Representation switch re-tracks the delta under the tile's category.
     Prng rng(2);
     const la::DMatrix m = la::random_rank_k<real_t>(10, 10, 2, rng);
     auto lr = compress_rrqr(m.cview(), 1e-10, 4);
     ASSERT_TRUE(lr);
     a.set_lowrank(std::move(*lr));
-    EXPECT_EQ(arena.bytes(), (40 + 20) * sizeof(real_t));
     EXPECT_EQ(tracker.current(MemCategory::Factors), (40 + 20) * sizeof(real_t));
 
     // Moving a tile out of scope discharges exactly once.
     { const Tile moved = std::move(b); }
-    EXPECT_EQ(arena.bytes(), 40 * sizeof(real_t));
+    EXPECT_EQ(tracker.current(MemCategory::Factors), 40 * sizeof(real_t));
   }
   EXPECT_EQ(tracker.current(MemCategory::Factors), 0u);
 }
@@ -82,10 +79,8 @@ TEST(TileArena, ChargesAndDischargesThroughTracker) {
 TEST(TileArena, SeparateCategoriesStaySeparate) {
   auto& tracker = MemoryTracker::instance();
   tracker.reset();
-  TileArena factors(MemCategory::Factors);
-  TileArena workspace(MemCategory::Workspace);
-  const Tile f = Tile::make_dense(8, 8, factors);
-  const Tile w = Tile::make_dense(6, 6, workspace);
+  const Tile f = Tile::make_dense(8, 8, MemCategory::Factors);
+  const Tile w = Tile::make_dense(6, 6, MemCategory::Workspace);
   EXPECT_EQ(tracker.current(MemCategory::Factors), 64 * sizeof(real_t));
   EXPECT_EQ(tracker.current(MemCategory::Workspace), 36 * sizeof(real_t));
 }
