@@ -106,9 +106,9 @@ inline void json_run(std::FILE* out, const char* label, index_t dofs,
   for (std::size_t i = 0; i < r.dispatch.size(); ++i) {
     const auto& d = r.dispatch[i];
     std::fprintf(out,
-                 "%s{\"kernel\": \"%s\", \"backend\": \"%s\", "
+                 "%s{\"kernel\": \"%s\", "
                  "\"calls\": %llu, \"bytes\": %llu, \"seconds\": %.6f}",
-                 i == 0 ? "" : ", ", d.kernel.c_str(), d.backend.c_str(),
+                 i == 0 ? "" : ", ", d.kernel.c_str(),
                  static_cast<unsigned long long>(d.calls),
                  static_cast<unsigned long long>(d.bytes), d.seconds);
   }

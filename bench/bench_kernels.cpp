@@ -3,9 +3,8 @@
 // Also serves as the measured counterpart of the complexity Table 1.
 //
 // On top of the google-benchmark sections, a custom driver measures the
-// packed gemm microkernel against the unpacked loop nests, la::gemm under
-// each kernel backend (Reference vs Native at its detected ISA tier,
-// DESIGN.md §14).
+// packed gemm microkernel of the detected ISA tier (DESIGN.md §14) against
+// the unpacked loop nests.
 // It also measures the factorization's dense panel kernels in situ (lap
 // 20³, Dense, one thread), the grid GEMM of the updates and the stacked
 // panel TRSM, against the packed gemm of the same run.
@@ -20,7 +19,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "blr.hpp"
@@ -34,7 +32,7 @@ using namespace blr;
 
 la::DMatrix decaying_block(index_t m, index_t n, std::uint64_t seed) {
   Prng rng(seed);
-  return la::random_decaying<real_t>(m, n, 0.5, rng);
+  return la::random_decaying(m, n, 0.5, rng);
 }
 
 void BM_CompressRRQR(benchmark::State& state) {
@@ -75,8 +73,8 @@ BENCHMARK(BM_CompressSvdWarm)->Arg(64)->Arg(128)->Arg(256)->MinTime(0.05);
 void BM_LrProduct(benchmark::State& state) {
   const index_t m = state.range(0);
   Prng rng(7);
-  const la::DMatrix da = la::random_rank_k<real_t>(m, m, 16, rng);
-  const la::DMatrix db = la::random_rank_k<real_t>(m, m, 16, rng);
+  const la::DMatrix da = la::random_rank_k(m, m, 16, rng);
+  const la::DMatrix db = la::random_rank_k(m, m, 16, rng);
   const lr::Tile a = lr::compress_to_tile(lr::CompressionKind::Rrqr, da.cview(), 1e-8);
   const lr::Tile b = lr::compress_to_tile(lr::CompressionKind::Rrqr, db.cview(), 1e-8);
   for (auto _ : state) {
@@ -107,8 +105,8 @@ void BM_Lr2LrExtendAdd(benchmark::State& state) {
   const auto kind = state.range(1) == 0 ? lr::CompressionKind::Rrqr
                                         : lr::CompressionKind::Svd;
   Prng rng(11);
-  const la::DMatrix dc = la::random_rank_k<real_t>(m, m, 24, rng);
-  const la::DMatrix dp = la::random_rank_k<real_t>(m / 4, m / 4, 8, rng);
+  const la::DMatrix dc = la::random_rank_k(m, m, 24, rng);
+  const la::DMatrix dp = la::random_rank_k(m / 4, m / 4, 8, rng);
   const lr::Tile pb = lr::compress_to_tile(kind, dp.cview(), 1e-8);
   const lr::Tile cb = lr::compress_to_tile(kind, dc.cview(), 1e-8);
   const lr::Tile p =
@@ -128,7 +126,7 @@ BENCHMARK(BM_Lr2LrExtendAdd)
     ->Args({256, 1})
     ->MinTime(0.05);
 
-// ---- custom driver: packed gemm, backend A/B ------------------------
+// ---- custom driver: packed gemm, dense panel kernels ----------------
 
 /// Best-of-`trials` wall time of `fn()` run `reps` times per trial.
 template <typename Fn>
@@ -170,44 +168,6 @@ PackedRow measure_packed(index_t n, int trials, int reps) {
   row.unpacked_gflops = flops / row.unpacked_s / 1e9;
   row.speedup = row.unpacked_s / row.packed_s;
   return row;
-}
-
-struct BackendRow {
-  const char* backend = nullptr;
-  std::string isa;  ///< Native ISA tier; empty for Reference
-  index_t n = 0;
-  double seconds = 0, gflops = 0;
-};
-
-/// gemm GF/s under each kernel backend (DESIGN.md §14) — the A/B the
-/// runtime-dispatch layer exists for. Restores the entry backend.
-std::vector<BackendRow> measure_backends(int trials) {
-  const la::Backend entry = la::current_backend();
-  std::vector<BackendRow> rows;
-  for (const index_t n : {index_t(64), index_t(128), index_t(256)}) {
-    const int reps = n <= 64 ? 200 : n <= 128 ? 50 : 10;
-    Prng rng(7);
-    la::DMatrix a(n, n), b(n, n), c(n, n);
-    la::random_normal(a.view(), rng);
-    la::random_normal(b.view(), rng);
-    la::random_normal(c.view(), rng);
-    for (const la::Backend be : {la::Backend::Reference, la::Backend::Native}) {
-      la::set_backend(be);
-      BackendRow row;
-      row.backend = la::backend_name(be);
-      row.isa = be == la::Backend::Native ? la::native_isa_name(la::native_isa())
-                                          : "";
-      row.n = n;
-      row.seconds = best_seconds(trials, reps, [&] {
-        la::gemm(la::Trans::No, la::Trans::Yes, real_t(-1), a.cview(),
-                 b.cview(), real_t(1), c.view());
-      });
-      row.gflops = 2.0 * static_cast<double>(n) * n * n / row.seconds / 1e9;
-      rows.push_back(row);
-    }
-  }
-  la::set_backend(entry);
-  return rows;
 }
 
 /// One of the factorization's dense panel kernels measured in situ: lap
@@ -279,7 +239,9 @@ int run_custom_driver(bool quick) {
   const int trials = quick ? 3 : 5;
   int failures = 0;
 
-  std::printf("== packed gemm vs unpacked loop nests (alpha=-1, beta=1) ==\n");
+  const char* isa = la::native_isa_name(la::native_isa());
+  std::printf("== packed gemm (%s tier) vs unpacked loop nests (alpha=-1, beta=1) ==\n",
+              isa);
   std::vector<PackedRow> packed;
   for (const index_t n : {index_t(64), index_t(128), index_t(256)}) {
     const int reps = n <= 64 ? 200 : n <= 128 ? 50 : 10;
@@ -328,17 +290,9 @@ int run_custom_driver(bool quick) {
     ++failures;
   }
 
-  std::printf("== backend A/B: la::gemm GF/s per kernel backend ==\n");
-  const std::vector<BackendRow> backends = measure_backends(trials);
-  for (const BackendRow& r : backends) {
-    const std::string isa = r.isa.empty() ? "" : "(" + r.isa + ")";
-    std::printf("  n=k=%-4lld %-10s %-9s %7.2f GF/s\n",
-                static_cast<long long>(r.n), r.backend, isa.c_str(), r.gflops);
-  }
-
   std::FILE* out = std::fopen("bench_kernels.json", "w");
   if (out) {
-    std::fprintf(out, "{\n  \"packed_gemm\": [\n");
+    std::fprintf(out, "{\n  \"isa\": \"%s\",\n  \"packed_gemm\": [\n", isa);
     for (std::size_t i = 0; i < packed.size(); ++i) {
       const PackedRow& p = packed[i];
       std::fprintf(out,
@@ -363,22 +317,12 @@ int run_custom_driver(bool quick) {
     std::fprintf(out,
                  "  \"grid_gemm\": {\"tile_mr\": %lld, \"tile_nr\": %lld, "
                  "\"target_entries\": %llu, \"in_place_entries\": %llu, "
-                 "\"per_row_entries\": %llu, \"copied_target_entries\": %llu},\n",
+                 "\"per_row_entries\": %llu, \"copied_target_entries\": %llu}\n}\n",
                  static_cast<long long>(tile.mr), static_cast<long long>(tile.nr),
                  static_cast<unsigned long long>(grid.entries),
                  static_cast<unsigned long long>(grid.in_place),
                  static_cast<unsigned long long>(grid.per_row),
                  static_cast<unsigned long long>(copied));
-    std::fprintf(out, "  \"backends\": [\n");
-    for (std::size_t i = 0; i < backends.size(); ++i) {
-      const BackendRow& r = backends[i];
-      std::fprintf(out,
-                   "    {\"backend\": \"%s\", \"isa\": \"%s\", \"n\": %lld, "
-                   "\"gflops\": %.3f}%s\n",
-                   r.backend, r.isa.c_str(), static_cast<long long>(r.n),
-                   r.gflops, i + 1 < backends.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
     std::fclose(out);
     std::printf("wrote bench_kernels.json\n");
   }

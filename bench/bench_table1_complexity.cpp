@@ -60,8 +60,8 @@ int main() {
     la::DMatrix ad(m, m), bd(m, m), target(m, m);
     la::random_normal(ad.view(), rng);
     la::random_normal(bd.view(), rng);
-    const la::DMatrix alr_d = la::random_rank_k<real_t>(m, m, kRank, rng);
-    const la::DMatrix blr_d = la::random_rank_k<real_t>(m, m, kRank, rng);
+    const la::DMatrix alr_d = la::random_rank_k(m, m, kRank, rng);
+    const la::DMatrix blr_d = la::random_rank_k(m, m, kRank, rng);
     const lr::Tile alr =
         lr::compress_to_tile(lr::CompressionKind::Rrqr, alr_d.cview(), 1e-8);
     const lr::Tile blr =
@@ -88,7 +88,7 @@ int main() {
         },
         reps));
 
-    const la::DMatrix small = la::random_rank_k<real_t>(m / 4, m / 4, 8, rng);
+    const la::DMatrix small = la::random_rank_k(m / 4, m / 4, 8, rng);
     const lr::Tile pb = lr::compress_to_tile(lr::CompressionKind::Rrqr, small.cview(), 1e-8);
     const lr::Tile pc =
         lr::Tile::make_lowrank(m / 4, m / 4, lr::LrMatrix(pb.lr()));

@@ -10,21 +10,24 @@ Usage: scripts/bench_trajectory.py <report.json> [<report2.json> ...]
            [-o <trajectory.json>]
 
 Each report is identified by its keys — bench_kernels.json carries
-`packed_gemm`/`dense_update`/`panel_trsm`/`grid_gemm`/`backends`,
+`isa`/`packed_gemm`/`dense_update`/`panel_trsm`/`grid_gemm`,
 bench_refactorize.json carries `refactorize`/`solve_throughput`/
 `solve_plan` — and all reports given on one invocation fold into a single
 trajectory entry.
 
-The trajectory entry keeps only the headline numbers (packed-gemm speedups
-per size, the dense update's and the panel TRSM's ratios to the packed gemm,
-the grid GEMM's micro-tile and copied target entries, per-backend GF/s,
-steady-state refactorize speedup per strategy, blocked-solve throughput per
-width, the solve plan's slice tasks and parallelism bound) plus the commit
-and timestamp, so the file stays small no matter how many runs accumulate.
-The newest `MAX_RUNS` entries are retained. Earlier entries are carried
-over verbatim, whatever keys they hold (entries from before the batched
-dispatch path was removed still carry `batched_*` speedups); no key is
-required of them.
+The trajectory entry keeps only the headline numbers (the ISA tier the
+kernels ran on, packed-gemm speedups per size, the dense update's and the
+panel TRSM's ratios to the packed gemm, the grid GEMM's micro-tile and
+copied target entries, steady-state refactorize speedup per strategy,
+blocked-solve throughput per width, the solve plan's slice tasks and
+parallelism bound) plus the commit and timestamp, so the file stays small
+no matter how many runs accumulate. The newest `MAX_RUNS` entries are
+retained. Earlier entries are carried over verbatim, whatever keys they
+hold; no key is required of them. Entries from before the batched dispatch
+path was removed still carry `batched_*` speedups, and entries from before
+the runtime Reference/Native backend switch was removed carry
+`backend_gflops` (gemm GF/s per backend at n=k=256) and `backend_isa` (the
+tier, now `isa`).
 
 Each entry's `commit` is `git describe --always` of the checkout, with
 `-dirty` appended when a tracked file differs from that commit, as
@@ -68,18 +71,9 @@ def summarize(report: dict) -> dict:
         entry["packed_gemm_speedup"] = {
             str(row["n"]): row["speedup"] for row in packed if "n" in row
         }
-    backends = report.get("backends", [])
-    if backends:
-        # Headline per-backend GF/s at the largest measured size, plus the
-        # Native ISA tier the run dispatched to.
-        biggest = max(row["n"] for row in backends if "n" in row)
-        entry["backend_gflops"] = {
-            row["backend"]: row["gflops"]
-            for row in backends if row.get("n") == biggest
-        }
-        isas = {row["isa"] for row in backends if row.get("isa")}
-        if isas:
-            entry["backend_isa"] = sorted(isas)[0]
+    if "isa" in report:
+        # The ISA tier the kernels dispatched to.
+        entry["isa"] = report["isa"]
     update = report.get("dense_update")
     if update:
         # The factorization's dense update GF/s relative to the packed gemm

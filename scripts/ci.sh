@@ -5,7 +5,7 @@
 #
 #   scripts/ci.sh              # run every stage
 #   scripts/ci.sh debug        # one stage: docs | debug | asan | ubsan | tsan |
-#                              #   perfsmoke | backends | tidy
+#                              #   perfsmoke | isa | tidy
 #
 # Build trees go to build-ci-<stage>. The Debug stage exports
 # compile_commands.json and links it at the repo root for tooling.
@@ -146,27 +146,51 @@ run_docs() {
 
   check_linalg_real_only
   echo "ci[docs]: src/linalg computes in real_t only, one ISA table entry per kernel"
+
+  check_no_backend_switch
+  echo "ci[docs]: no runtime kernel-backend switch outside bench/e2e"
+}
+
+# The la:: kernels have one engine, its ISA tier picked by CPUID and clamped
+# by BLR_NATIVE_ISA (DESIGN.md §14); there is no runtime backend switch to
+# select or document. Fails listing each line of src/, tests/, bench/ or
+# examples/ that names one. bench/e2e is exempt: it still reports
+# SolverStats::backend, a constant.
+check_no_backend_switch() {
+  if grep -rnE 'BLR_BACKEND|BackendChoice|set_backend|current_backend|BackendVtable|la::Backend\b' \
+       src tests bench examples --exclude-dir=e2e; then
+    echo "ci[docs]: the lines above name a runtime kernel-backend switch" >&2
+    return 1
+  fi
 }
 
 # The dense kernels compute in real_t only (DESIGN.md §10): fp32 is a
 # storage format, converted by la::convert. Fails on any line of src/linalg
 # (comments stripped) that names another scalar type — except the fp32
 # storage aliases of matrix.hpp —, on a scalar-templated routine outside
-# the container and generator headers (matrix.hpp, random.hpp), on a
-# multi-type instantiation macro, and on a type-suffixed member of the
-# per-tier IsaKernels table (one pointer per kernel).
+# the container header (matrix.hpp) and random.hpp's random_normal (which
+# also fills fp32 tiles), on a multi-type instantiation macro, and on a
+# type-suffixed member of the per-tier IsaKernels table (one pointer per
+# kernel).
 check_linalg_real_only() {
   awk '
     { line = $0; sub(/\/\/.*/, "", line); file = FILENAME; sub(/^.*\//, "", file) }
+    pending != "" {                           # the line after a scalar template
+      if (!(pending_file == "random.hpp" && line ~ /[ \t]random_normal[ \t]*\(/)) {
+        printf "ci[docs]: %s: scalar-templated routine in src/linalg: %s\n", pending, $0
+        bad = 1
+      }
+      pending = ""
+    }
     file == "matrix.hpp" && line ~ /^using (single_t|S[A-Za-z]*) = / { next }
     line ~ /(^|[^A-Za-z0-9_])(float|single_t|_Float16|__fp16|half)([^A-Za-z0-9_]|$)|long double/ {
       printf "ci[docs]: %s:%d: src/linalg names a non-real_t scalar: %s\n", FILENAME, FNR, $0
       bad = 1
     }
-    file != "matrix.hpp" && file != "random.hpp" &&
+    file != "matrix.hpp" &&
         line ~ /template[ \t]*<[ \t]*(typename|class)[ \t]+T[ \t]*>/ {
-      printf "ci[docs]: %s:%d: scalar-templated routine in src/linalg: %s\n", FILENAME, FNR, $0
-      bad = 1
+      pending = FILENAME ":" FNR
+      pending_file = file
     }
     line ~ /BLR_INSTANTIATE_/ {
       printf "ci[docs]: %s:%d: per-type instantiation macro: %s\n", FILENAME, FNR, $0
@@ -248,20 +272,22 @@ run_perfsmoke() {
   echo "ci[perfsmoke]: packed gemm and refactorize reuse within bounds"
 }
 
-# Backend A/B: the full tier-1 suite twice against ONE Debug build — once
-# forced onto the Reference loop nests, once onto the Native packed engine —
-# via the BLR_BACKEND environment override, proving the runtime-dispatch
-# contract (same binary, no recompilation; DESIGN.md §14). Reuses the debug
-# build tree when it exists. On non-x86 hosts Native still runs (the
-# portable packed tier is always compiled in), so no skip is needed; the
-# SIMD tiers just aren't built there.
-run_backends() {
+# ISA tiers: the full tier-1 suite against the ONE Debug build, clamped to
+# the portable tier by BLR_NATIVE_ISA, and to the AVX2 tier when the CPU
+# also has AVX-512 (so the clamp actually moves it off its best tier). The
+# unclamped run, on the best tier, is the debug stage. Same binary, no
+# recompilation (DESIGN.md §14). Reuses the debug build tree when it
+# exists.
+run_isa() {
   configure_and_build build-ci-debug ""
-  BLR_BACKEND=reference ctest --test-dir build-ci-debug \
-        --output-on-failure -j "$JOBS"
-  BLR_BACKEND=native ctest --test-dir build-ci-debug \
-        --output-on-failure -j "$JOBS"
-  echo "ci[backends]: full suite green under BLR_BACKEND=reference and =native"
+  local tiers=(portable)
+  grep -qw avx512f /proc/cpuinfo 2>/dev/null && tiers+=(avx2)
+  local tier
+  for tier in "${tiers[@]}"; do
+    BLR_NATIVE_ISA="$tier" ctest --test-dir build-ci-debug \
+          --output-on-failure -j "$JOBS"
+  done
+  echo "ci[isa]: full suite green under BLR_NATIVE_ISA=${tiers[*]}"
 }
 
 # clang-tidy over the headers introduced by the tile-centric engine. Fails
@@ -277,7 +303,7 @@ run_tidy() {
       -- -std=c++20 -x c++ -Isrc
 }
 
-STAGES=(docs debug asan ubsan tsan perfsmoke backends tidy)
+STAGES=(docs debug asan ubsan tsan perfsmoke isa tidy)
 if [[ $# -gt 0 ]]; then STAGES=("$@"); fi
 for stage in "${STAGES[@]}"; do
   echo "==== ci stage: $stage ===="

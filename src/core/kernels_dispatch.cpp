@@ -35,8 +35,7 @@ bool is_fp32(const lr::Tile& t) { return t.precision() == lr::Precision::Fp32; }
 class KernelDispatch::Scope {
 public:
   Scope(KernelRow row, std::uint64_t bytes)
-      : c_(instance().counters_[static_cast<int>(la::current_backend())]
-                               [static_cast<int>(row)]) {
+      : c_(instance().counters_[static_cast<int>(row)]) {
     c_.calls.fetch_add(1, std::memory_order_relaxed);
     c_.bytes.fetch_add(bytes, std::memory_order_relaxed);
   }
@@ -61,30 +60,25 @@ KernelDispatch& KernelDispatch::instance() {
 std::vector<DispatchCount> KernelDispatch::snapshot() const {
   std::vector<DispatchCount> out;
   for (int row = 0; row < kRows; ++row) {
-    for (int be = 0; be < kBackends; ++be) {
-      const Counter& c = counters_[be][row];
-      const std::uint64_t calls = c.calls.load(std::memory_order_relaxed);
-      if (calls == 0) continue;
-      DispatchCount d;
-      d.kernel = kRowNames[row];
-      d.backend = la::backend_name(static_cast<la::Backend>(be));
-      d.calls = calls;
-      d.bytes = c.bytes.load(std::memory_order_relaxed);
-      d.seconds =
-          static_cast<double>(c.nanos.load(std::memory_order_relaxed)) * 1e-9;
-      out.push_back(std::move(d));
-    }
+    const Counter& c = counters_[row];
+    const std::uint64_t calls = c.calls.load(std::memory_order_relaxed);
+    if (calls == 0) continue;
+    DispatchCount d;
+    d.kernel = kRowNames[row];
+    d.calls = calls;
+    d.bytes = c.bytes.load(std::memory_order_relaxed);
+    d.seconds =
+        static_cast<double>(c.nanos.load(std::memory_order_relaxed)) * 1e-9;
+    out.push_back(std::move(d));
   }
   return out;
 }
 
 void KernelDispatch::reset_counters() {
-  for (auto& backend : counters_) {
-    for (Counter& c : backend) {
-      c.calls.store(0, std::memory_order_relaxed);
-      c.bytes.store(0, std::memory_order_relaxed);
-      c.nanos.store(0, std::memory_order_relaxed);
-    }
+  for (Counter& c : counters_) {
+    c.calls.store(0, std::memory_order_relaxed);
+    c.bytes.store(0, std::memory_order_relaxed);
+    c.nanos.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/stats.hpp"
-#include "linalg/backend.hpp"
 #include "linalg/blas.hpp"
 #include "lowrank/kernels.hpp"
 
@@ -57,18 +56,16 @@ struct SolveApply {
 };
 
 /// The process-wide kernel counters: calls, operand bytes touched and wall
-/// time per (backend, row). Every dispatch:: function below counts itself in
-/// one row under la::current_backend(), read per call, so the same driver
-/// reports separate rows under Reference and Native. These counters are the
-/// library's only kernel clock: SolverStats::dispatch exports them, and the
-/// benches group their rows by kernel-name prefix (Table 2's classes,
-/// bench/e2e's layers).
+/// time per row. Every dispatch:: function below counts itself in one row.
+/// These counters are the library's only kernel clock: SolverStats::dispatch
+/// exports them, and the benches group their rows by kernel-name prefix
+/// (Table 2's classes, bench/e2e's layers).
 class KernelDispatch {
 public:
   static KernelDispatch& instance();
 
-  /// Per-kernel counters since the last reset, zero-call rows omitted, row
-  /// by row in KernelRow order and backend by backend within a row.
+  /// Per-kernel counters since the last reset, zero-call rows omitted, in
+  /// KernelRow order.
   [[nodiscard]] std::vector<DispatchCount> snapshot() const;
   void reset_counters();
 
@@ -90,9 +87,8 @@ private:
     std::atomic<std::uint64_t> nanos{0};
   };
 
-  static constexpr int kBackends = static_cast<int>(la::Backend::kCount);
   static constexpr int kRows = static_cast<int>(KernelRow::kCount);
-  Counter counters_[kBackends][kRows];
+  Counter counters_[kRows];
 };
 
 /// Driver-facing kernels: each runs its kernel body inside one counter

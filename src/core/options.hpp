@@ -7,7 +7,6 @@
 
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
-#include "linalg/backend.hpp"
 #include "lowrank/compression.hpp"
 #include "ordering/ordering.hpp"
 #include "symbolic/amalgamation.hpp"
@@ -220,16 +219,6 @@ struct SolverOptions {
   /// both compressing strategies (JustInTime, MinimalMemory); ignored by
   /// Dense.
   TilePrecision precision = TilePrecision::Fp64;
-
-  /// Kernel backend for the la:: BLAS layer (default Auto; DESIGN.md §14).
-  /// Auto resolves through CPUID to the Native backend's best compiled-in
-  /// ISA tier; Reference forces the portable loop nests (the correctness
-  /// anchor); Native forces the packed engine. All backends produce
-  /// bit-identical factors, so this is a pure performance/debugging dial.
-  /// The BLR_BACKEND environment variable (auto|reference|native) overrides
-  /// this field without recompiling or changing code. Read by factorize(),
-  /// which selects the process-global backend for the whole run.
-  la::BackendChoice backend = la::BackendChoice::Auto;
 
   /// Nested-dissection ordering knobs (defaults follow the paper's setup);
   /// read by analyze() before any strategy runs.

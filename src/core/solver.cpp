@@ -183,16 +183,10 @@ void Solver::factorize_impl(const sparse::CscMatrix& a, bool warm) {
   stats_.deadline_margin = 0;
   stats_.resource_rungs = 0;
 
-  // Select the kernel backend for this run (process-global: every la:: gemm,
-  // trsm and syrk below dispatches through it, and the kernel counters
-  // count in its rows). Resolution order: BLR_BACKEND env, then
-  // opts_.backend, with Auto going through CPUID detection. Throws
-  // blr::Error on an unrecognized env value — before any numeric work.
-  la::set_backend(la::resolve_backend(opts_.backend));
-  stats_.backend = la::backend_name(la::current_backend());
-  stats_.backend_isa = la::current_backend() == la::Backend::Native
-                           ? la::native_isa_name(la::native_isa())
-                           : "";
+  // The ISA tier every la:: kernel below runs on (CPUID, clamped by
+  // BLR_NATIVE_ISA). Throws blr::Error on an unrecognized BLR_NATIVE_ISA
+  // value — before any numeric work.
+  stats_.backend_isa = la::native_isa_name(la::native_isa());
 
   // The governor spans the whole call — every recovery attempt shares one
   // budget and one deadline clock. Disarmed on every exit path so a failed
@@ -505,12 +499,10 @@ void Solver::print_summary(std::ostream& os) const {
      << kind_name(opts_.kind) << ", tau = " << opts_.tolerance
      << ", threads = " << opts_.threads << "\n"
      << "  precision     : " << precision_name(opts_.precision) << "\n"
-     << "  backend       : " << la::backend_choice_name(opts_.backend);
-  if (!stats_.backend.empty()) {
-    os << " -> " << stats_.backend;
-    if (!stats_.backend_isa.empty()) os << " (" << stats_.backend_isa << ")";
-  }
-  os << "\n";
+     << "  kernels       : "
+     << (stats_.backend_isa.empty() ? "(tier picked at factorize)"
+                                    : stats_.backend_isa)
+     << "\n";
   if (!analyzed()) {
     os << "  (not analyzed yet)\n";
     return;
@@ -619,10 +611,9 @@ void Solver::print_summary(std::ostream& os) const {
   kernel_line("  panel solve   : ", "trsm[ge]", "TRSMs", stats_.panel_solve_flops);
   kernel_line("  dense update  : ", "gemm[ge,ge]", "GEMMs", stats_.dense_update_flops);
   if (!stats_.dispatch.empty()) {
-    os << "  kernels       :\n";
+    os << "  kernel rows   :\n";
     for (const DispatchCount& d : stats_.dispatch) {
-      os << "    " << d.kernel << "@" << d.backend << ": " << d.calls
-         << " calls, "
+      os << "    " << d.kernel << ": " << d.calls << " calls, "
          << static_cast<double>(d.bytes) / 1e6 << " MB, " << d.seconds
          << " s\n";
     }

@@ -10,12 +10,11 @@
 namespace blr::core {
 
 /// One row of the kernel counter table (KernelDispatch::snapshot()): how
-/// often a concrete (operation × operand representations) kernel ran under
-/// one backend since the counters were last reset, how many operand bytes it
-/// touched, and its wall time.
+/// often a concrete (operation × operand representations) kernel ran since
+/// the counters were last reset, how many operand bytes it touched, and its
+/// wall time.
 struct DispatchCount {
   std::string kernel;       ///< e.g. "gemm[lr,ge]", "getrf[ge]"
-  std::string backend;      ///< la::Backend the calls ran under ("reference"/"native")
   std::uint64_t calls = 0;
   std::uint64_t bytes = 0;  ///< operand + destination storage touched
   double seconds = 0;
@@ -134,10 +133,12 @@ struct SolverStats {
   /// Peak bytes over all tracked categories.
   std::size_t total_peak_bytes = 0;
 
-  /// Kernel backend the factorization ran under ("reference"/"native") and,
-  /// for Native, the CPUID-selected ISA tier ("portable"/"avx2"/"avx512";
-  /// empty otherwise). DESIGN.md §14.
-  std::string backend;
+  /// Always "native": the la:: kernels have one engine. Kept because the
+  /// bench/e2e JSON reports it; the next change to that benchmark can drop
+  /// it.
+  std::string backend = "native";
+  /// The CPUID-selected ISA tier the factorization's kernels ran on
+  /// ("portable"/"avx2"/"avx512", clamped by BLR_NATIVE_ISA). DESIGN.md §14.
   std::string backend_isa;
 
   index_t num_lowrank_blocks = 0;

@@ -12,10 +12,9 @@ namespace blr::la {
 
 namespace {
 
-// Process-global selections. -1 = not yet resolved/detected; both resolve
-// lazily on first use and can be reset by redetect_backend() (tests flip the
-// environment and re-detect).
-std::atomic<int> g_backend{-1};
+// The process-global tier. -1 = not yet detected; detected lazily on first
+// use and reset by redetect_native_isa() (tests flip the environment and
+// re-detect).
 std::atomic<int> g_native_isa{-1};
 
 std::string env_lower(const char* name) {
@@ -64,24 +63,6 @@ NativeIsa detect_native_isa() {
 
 } // namespace
 
-const char* backend_name(Backend b) {
-  switch (b) {
-    case Backend::Reference: return "reference";
-    case Backend::Native: return "native";
-    case Backend::kCount: break;
-  }
-  return "?";
-}
-
-const char* backend_choice_name(BackendChoice c) {
-  switch (c) {
-    case BackendChoice::Auto: return "auto";
-    case BackendChoice::Reference: return "reference";
-    case BackendChoice::Native: return "native";
-  }
-  return "?";
-}
-
 const char* native_isa_name(NativeIsa isa) {
   switch (isa) {
     case NativeIsa::Portable: return "portable";
@@ -126,48 +107,8 @@ NativeIsa native_isa() {
   return static_cast<NativeIsa>(v);
 }
 
-Backend detect_best_backend() {
-  // The Native backend always has a runnable tier (Portable is always
-  // compiled in), so detection only decides WHICH tier — done in
-  // native_isa() — never whether Native is available.
-  (void)native_isa();
-  return Backend::Native;
-}
-
-Backend resolve_backend(BackendChoice choice) {
-  const std::string env = env_lower("BLR_BACKEND");
-  if (!env.empty()) {
-    if (env == "auto") choice = BackendChoice::Auto;
-    else if (env == "reference") choice = BackendChoice::Reference;
-    else if (env == "native") choice = BackendChoice::Native;
-    else
-      throw Error("BLR_BACKEND: unrecognized value '" + env +
-                  "' (expected auto|reference|native)");
-  }
-  switch (choice) {
-    case BackendChoice::Reference: return Backend::Reference;
-    case BackendChoice::Native: return Backend::Native;
-    case BackendChoice::Auto: break;
-  }
-  return detect_best_backend();
-}
-
-Backend current_backend() {
-  const int v = g_backend.load(std::memory_order_acquire);
-  if (v >= 0) return static_cast<Backend>(v);
-  // Concurrent first calls race benignly: both resolve the same value.
-  const Backend b = resolve_backend(BackendChoice::Auto);
-  g_backend.store(static_cast<int>(b), std::memory_order_release);
-  return b;
-}
-
-void set_backend(Backend b) {
-  g_backend.store(static_cast<int>(b), std::memory_order_release);
-}
-
-void redetect_backend() {
+void redetect_native_isa() {
   g_native_isa.store(-1, std::memory_order_release);
-  g_backend.store(-1, std::memory_order_release);
 }
 
 namespace detail {

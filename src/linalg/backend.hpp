@@ -2,69 +2,33 @@
 
 namespace blr::la {
 
-// ---- Kernel backend layer (DESIGN.md §14) --------------------------------
+// ---- Kernel tiers (DESIGN.md §14) ----------------------------------------
 //
-// The gemm/trsm/syrk-shaped entry points in la:: route through a per-backend
-// function-pointer table selected at runtime. Two backends exist today:
+// The gemm/trsm/syrk-shaped entry points in la:: run one engine: the
+// BLIS-style packed, register-blocked kernels. Their microkernel is compiled
+// once per ISA tier (portable / AVX2 / AVX-512) in dedicated translation
+// units with per-file arch flags, and the best tier the CPU actually
+// supports is picked by CPUID at runtime — one portable binary carries all
+// tiers (no -march=native whole-binary gamble, no illegal-instruction risk
+// on deployment).
 //
-//   Reference — the portable loop nests (gemm_unpacked and the scalar
-//               substitution/update loops). Simplest possible arithmetic,
-//               compiled with baseline flags; the correctness anchor every
-//               other backend is memcmp'd against.
-//   Native    — the BLIS-style packed, register-blocked engine. Its
-//               microkernel is compiled once per ISA tier (portable /
-//               AVX2 / AVX-512) in dedicated translation units with
-//               per-file arch flags, and the best tier the CPU actually
-//               supports is picked by CPUID at runtime — one portable
-//               binary carries all tiers (no -march=native whole-binary
-//               gamble, no illegal-instruction risk on deployment).
-//
-// Determinism contract: every backend (and every Native ISA tier) produces
-// bit-identical results for the same call. The loop nests, the packed
-// microkernel and the SIMD translation units share one canonical
-// per-element accumulation order, and the ISA TUs are built with
+// Determinism contract: every tier produces bit-identical results for the
+// same call, and so do the plain loop nests of gemm_unpacked. The loop
+// nests, the packed microkernel and the SIMD translation units share one
+// canonical per-element accumulation order, and the ISA TUs are built with
 // -ffp-contract=off so vector lanes round exactly like the scalar code.
-// This is what lets the engine A/B backends with memcmp, not tolerances.
+// This is what lets the tests compare tiers with memcmp, not tolerances.
 
-/// A concrete kernel backend. Future vendor/device backends extend this
-/// enum and register their kernel table alongside the built-in two.
-enum class Backend : int { Reference = 0, Native = 1, kCount };
-
-/// User-facing backend request (SolverOptions::backend, BLR_BACKEND env).
-enum class BackendChoice : int { Auto = 0, Reference, Native };
-
-/// ISA tier of the Native backend's packed microkernel.
+/// ISA tier of the packed microkernel.
 enum class NativeIsa : int { Portable = 0, Avx2, Avx512, kCount };
 
-const char* backend_name(Backend b);
-const char* backend_choice_name(BackendChoice c);
 const char* native_isa_name(NativeIsa isa);
 
-/// The backend the la:: entry points currently dispatch to. Process-global
-/// (kernels run on pool threads); defaults to resolve_backend(Auto) on
-/// first use.
-Backend current_backend();
-
-/// Select the backend for subsequent la:: calls. Process-global: concurrent
-/// factorizations share one selection, so set it once per run (the Solver
-/// does this at the top of factorize()).
-void set_backend(Backend b);
-
-/// CPUID-based pick: the Native backend with the best compiled-in ISA tier
-/// this CPU supports (falling back to the portable packed tier, which every
-/// build carries — Native is always available).
-Backend detect_best_backend();
-
-/// Resolve a user request to a concrete backend. Order of precedence:
-/// the BLR_BACKEND environment variable ("auto" | "reference" | "native",
-/// case-insensitive) when set, then `choice`; Auto resolves through
-/// detect_best_backend(). Throws blr::Error on an unrecognized env value.
-Backend resolve_backend(BackendChoice choice);
-
-/// The ISA tier the Native backend dispatches to on this machine: the best
-/// tier that is compiled in, supported by CPUID, and not clamped away by
-/// the BLR_NATIVE_ISA environment variable ("auto" | "portable" | "avx2" |
-/// "avx512"). Cached after the first call; see redetect_backend().
+/// The ISA tier the la:: kernels dispatch to on this machine: the best tier
+/// that is compiled in, supported by CPUID, and not clamped away by the
+/// BLR_NATIVE_ISA environment variable ("auto" | "portable" | "avx2" |
+/// "avx512"). Cached after the first call; see redetect_native_isa().
+/// Throws blr::Error on an unrecognized BLR_NATIVE_ISA value.
 NativeIsa native_isa();
 
 /// True when the tier's translation unit was compiled into this binary
@@ -76,8 +40,8 @@ bool native_isa_compiled(NativeIsa isa);
 /// BLR_NATIVE_ISA clamp allows it.
 bool native_isa_supported(NativeIsa isa);
 
-/// Drop the cached detection results and re-read CPUID and the environment
-/// (tests use this to exercise the fallback paths via setenv).
-void redetect_backend();
+/// Drop the cached tier and re-read CPUID and the environment (tests use
+/// this to run every tier via setenv("BLR_NATIVE_ISA", ...)).
+void redetect_native_isa();
 
 } // namespace blr::la

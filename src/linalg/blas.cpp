@@ -5,7 +5,6 @@
 #include <new>
 #include <vector>
 
-#include "linalg/backend.hpp"
 #include "linalg/kernels_isa.hpp"
 
 namespace blr::la {
@@ -29,7 +28,7 @@ void scale_matrix(real_t beta, DView c) {
   for (index_t j = 0; j < c.cols; ++j) scal(c.rows, beta, c.col(j));
 }
 
-// ---- Loop-nest gemm (the Reference backend, and the small-case path) -----
+// ---- Loop-nest gemm (gemm_unpacked, and the small-case path) -------------
 //
 // All four nests follow ONE canonical per-element accumulation order —
 // ascending k, the alpha factor folded into the B term, partial sums
@@ -37,7 +36,7 @@ void scale_matrix(real_t beta, DView c) {
 // microkernel reproduces over its zero-padded panels. No term may be
 // skipped on a zero operand: C(i,j) += a*0 can flip the sign bit of a -0.0,
 // so a skipping nest would not be bit-identical to the non-skipping packed
-// path. This shared order is the backend memcmp contract (backend.hpp).
+// path. This shared order is the tiers' memcmp contract (backend.hpp).
 
 // C += alpha * A * B, cache-blocked over k (blocking only reorders the
 // store/load boundary, not the per-element sum order).
@@ -322,51 +321,19 @@ bool use_packed(index_t m, index_t n, index_t kk) {
                         16384.0;
 }
 
-// ---- Backend vtable ------------------------------------------------------
+// ---- The packed engine ---------------------------------------------------
 //
 // The public gemm/trsm/syrk entry points validate, apply beta/alpha scaling
-// and early-out, then dispatch the remaining accumulate/substitute work
-// through the current backend's function table (one row per Backend value).
-// Adding a backend = appending a row; the callers never change.
+// and early-out, then hand the remaining accumulate/substitute work to the
+// native_* routines below: the packed engine on the CPUID-selected ISA tier
+// (backend.hpp). Tiny products stay on the shared loop nests above, hence
+// bit-identical to gemm_unpacked.
 
-struct BackendVtable {
-  /// C += alpha * op(A) * op(B) (beta already applied).
-  void (*gemm)(Trans, Trans, real_t, DConstView, DConstView, DView);
-  /// The gemm_batch products (depth > 0).
-  void (*gemm_batch)(real_t, std::span<const DConstView>,
-                     std::span<const DConstView>,
-                     std::span<const GemmTarget>);
-  /// Substitution only (alpha already applied to B).
-  void (*trsm)(Side, Uplo, Trans, Diag, DConstView, DView);
-  /// C(triangle) += alpha * A·Aᵗ or Aᵗ·A (beta already applied).
-  void (*syrk)(Uplo, Trans, real_t, DConstView, DView);
-};
-
-void isa_trsm(const detail::IsaKernels& k, Side side, Uplo uplo, Trans trans,
-              Diag diag, DConstView a, DView b) {
-  k.trsm(side == Side::Right ? 1 : 0, uplo == Uplo::Upper ? 1 : 0,
-         trans == Trans::Yes ? 1 : 0, diag == Diag::Unit ? 1 : 0, a.data, a.ld,
-         b.data, b.ld, b.rows, b.cols);
-}
-
-void isa_syrk(const detail::IsaKernels& k, Uplo uplo, Trans trans, real_t alpha,
-              DConstView a, DView c) {
-  k.syrk(uplo == Uplo::Upper ? 1 : 0, trans == Trans::Yes ? 1 : 0, alpha,
-         a.data, a.ld, a.rows, a.cols, c.data, c.ld, c.rows);
-}
-
-// Reference backend: gemm is literally gemm_unpacked (the public loop-nest
-// entry, so tier-1 tests exercise it on every run); trsm/syrk are the
-// portable substitution/update bodies — the always-compiled baseline tier.
-
-void ref_gemm(Trans trans_a, Trans trans_b, real_t alpha, DConstView a,
-              DConstView b, DView c) {
-  gemm_unpacked(trans_a, trans_b, alpha, a, b, real_t(1), c);
-}
-
-void ref_gemm_batch(real_t alpha, std::span<const DConstView> a,
-                    std::span<const DConstView> b,
-                    std::span<const GemmTarget> targets) {
+/// The gemm_batch products as one loop-nest call per target, updating each
+/// target in place: the grid of a depth too shallow to pack.
+void gemm_batch_nests(real_t alpha, std::span<const DConstView> a,
+                      std::span<const DConstView> b,
+                      std::span<const GemmTarget> targets) {
   for (const GemmTarget& t : targets) {
     const auto p = static_cast<std::size_t>(t.p);
     const auto q = static_cast<std::size_t>(t.q);
@@ -374,18 +341,6 @@ void ref_gemm_batch(real_t alpha, std::span<const DConstView> a,
     else gemm_nests(Trans::No, Trans::Yes, alpha, a[p], b[q], t.c);
   }
 }
-
-void ref_trsm(Side side, Uplo uplo, Trans trans, Diag diag, DConstView a,
-              DView b) {
-  isa_trsm(detail::isa_portable(), side, uplo, trans, diag, a, b);
-}
-
-void ref_syrk(Uplo uplo, Trans trans, real_t alpha, DConstView a, DView c) {
-  isa_syrk(detail::isa_portable(), uplo, trans, alpha, a, c);
-}
-
-// Native backend: the packed engine on the CPUID-selected ISA tier; tiny
-// products stay on the (shared, hence bit-identical) loop nests.
 
 /// C += alpha·Aᵗ·op(B) for C narrower than a micro-tile: eight interleaved
 /// dot chains over eight columns of A. Each chain is gemm_tn's (ascending k,
@@ -423,6 +378,7 @@ void gemm_t_thin(Trans trans_b, real_t alpha, DConstView a, DConstView b,
   }
 }
 
+/// C += alpha * op(A) * op(B) (beta already applied).
 void native_gemm(Trans trans_a, Trans trans_b, real_t alpha, DConstView a,
                  DConstView b, DView c) {
   const index_t kk = (trans_a == Trans::No) ? a.cols : a.rows;
@@ -602,9 +558,10 @@ void native_grid(real_t alpha, std::span<const DConstView> a,
   }
 }
 
-/// GridGemmCounts of the Native grid GEMM: entries, in place, per row.
+/// GridGemmCounts of the grid GEMM: entries, in place, per row.
 std::atomic<std::uint64_t> g_grid_counts[3];
 
+/// The gemm_batch products (depth > 0).
 void native_gemm_batch(real_t alpha, std::span<const DConstView> a,
                        std::span<const DConstView> b,
                        std::span<const GemmTarget> targets) {
@@ -614,7 +571,7 @@ void native_gemm_batch(real_t alpha, std::span<const DConstView> a,
     entries += static_cast<std::uint64_t>(t.c.rows * t.c.cols);
   std::uint64_t counts[2] = {0, 0};
   if (kk < 4) {  // too shallow to pay for packing (see use_packed)
-    ref_gemm_batch(alpha, a, b, targets);  // the nests update in place
+    gemm_batch_nests(alpha, a, b, targets);
     counts[0] = entries;
   } else {
     // A transposed target, C += alpha·B_q·A_pᵗ, is a plain target of the
@@ -640,21 +597,20 @@ void native_gemm_batch(real_t alpha, std::span<const DConstView> a,
   g_grid_counts[2].fetch_add(counts[1], std::memory_order_relaxed);
 }
 
+/// Substitution only (alpha already applied to B).
 void native_trsm(Side side, Uplo uplo, Trans trans, Diag diag, DConstView a,
                  DView b) {
-  isa_trsm(detail::native_kernels(), side, uplo, trans, diag, a, b);
+  detail::native_kernels().trsm(
+      side == Side::Right ? 1 : 0, uplo == Uplo::Upper ? 1 : 0,
+      trans == Trans::Yes ? 1 : 0, diag == Diag::Unit ? 1 : 0, a.data, a.ld,
+      b.data, b.ld, b.rows, b.cols);
 }
 
+/// C(triangle) += alpha * A·Aᵗ or Aᵗ·A (beta already applied).
 void native_syrk(Uplo uplo, Trans trans, real_t alpha, DConstView a, DView c) {
-  isa_syrk(detail::native_kernels(), uplo, trans, alpha, a, c);
-}
-
-const BackendVtable& backend_vtable(Backend be) {
-  static const BackendVtable table[static_cast<int>(Backend::kCount)] = {
-      {&ref_gemm, &ref_gemm_batch, &ref_trsm, &ref_syrk},              // Reference
-      {&native_gemm, &native_gemm_batch, &native_trsm, &native_syrk},  // Native
-  };
-  return table[static_cast<int>(be)];
+  detail::native_kernels().syrk(uplo == Uplo::Upper ? 1 : 0,
+                                trans == Trans::Yes ? 1 : 0, alpha, a.data,
+                                a.ld, a.rows, a.cols, c.data, c.ld, c.rows);
 }
 
 } // namespace
@@ -688,7 +644,7 @@ void gemm(Trans trans_a, Trans trans_b, real_t alpha, DConstView a,
 
   scale_matrix(beta, c);
   if (alpha == real_t(0) || opa_cols == 0 || c.empty()) return;
-  backend_vtable(current_backend()).gemm(trans_a, trans_b, alpha, a, b, c);
+  native_gemm(trans_a, trans_b, alpha, a, b, c);
 }
 
 void gemm_batch(real_t alpha, std::span<const DConstView> a,
@@ -704,7 +660,7 @@ void gemm_batch(real_t alpha, std::span<const DConstView> a,
     (void)bq;
   }
   if (targets.empty() || b.empty() || b[0].cols == 0) return;
-  backend_vtable(current_backend()).gemm_batch(alpha, a, b, targets);
+  native_gemm_batch(alpha, a, b, targets);
 }
 
 GridGemmCounts grid_gemm_counts() {
@@ -728,7 +684,7 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, real_t alpha, DConstView
 
   scale_matrix(alpha, b);
   if (b.empty()) return;
-  backend_vtable(current_backend()).trsm(side, uplo, trans, diag, a, b);
+  native_trsm(side, uplo, trans, diag, a, b);
 }
 
 namespace {
@@ -741,21 +697,21 @@ constexpr index_t kTrsmStrip = 32;
 /// strip J of columns, substitution against A(J, J), then
 /// X(:, right of J) -= X(:, J)·op(A)(J, right of J). Column j receives its
 /// terms in ascending k, the order of the unblocked substitution.
-void trsm_right_blocked(const BackendVtable& vt, Uplo uplo, Trans trans,
-                        Diag diag, DConstView a, DView x) {
+void trsm_right_blocked(Uplo uplo, Trans trans, Diag diag, DConstView a,
+                        DView x) {
   const index_t w = a.rows;
   for (index_t j0 = 0; j0 < w; j0 += kTrsmStrip) {
     const index_t nb = std::min(kTrsmStrip, w - j0);
     const index_t j1 = j0 + nb;
-    vt.trsm(Side::Right, uplo, trans, diag, a.sub(j0, j0, nb, nb),
-            x.sub(0, j0, x.rows, nb));
+    native_trsm(Side::Right, uplo, trans, diag, a.sub(j0, j0, nb, nb),
+                x.sub(0, j0, x.rows, nb));
     if (j1 == w) break;
     if (uplo == Uplo::Lower) {  // op(A) = Aᵗ: the strip below A(J, J)
-      vt.gemm(Trans::No, Trans::Yes, real_t(-1), x.sub(0, j0, x.rows, nb),
-              a.sub(j1, j0, w - j1, nb), x.sub(0, j1, x.rows, w - j1));
+      native_gemm(Trans::No, Trans::Yes, real_t(-1), x.sub(0, j0, x.rows, nb),
+                  a.sub(j1, j0, w - j1, nb), x.sub(0, j1, x.rows, w - j1));
     } else {  // op(A) = A: the strip right of A(J, J)
-      vt.gemm(Trans::No, Trans::No, real_t(-1), x.sub(0, j0, x.rows, nb),
-              a.sub(j0, j1, nb, w - j1), x.sub(0, j1, x.rows, w - j1));
+      native_gemm(Trans::No, Trans::No, real_t(-1), x.sub(0, j0, x.rows, nb),
+                  a.sub(j0, j1, nb, w - j1), x.sub(0, j1, x.rows, w - j1));
     }
   }
 }
@@ -764,7 +720,6 @@ void trsm_right_blocked(const BackendVtable& vt, Uplo uplo, Trans trans,
 
 void trsm_stacked(Uplo uplo, Trans trans, Diag diag, DConstView a,
                   std::span<const DView> b) {
-  const BackendVtable& vt = backend_vtable(current_backend());
   const index_t w = a.rows;
   assert((uplo == Uplo::Lower) == (trans == Trans::Yes));
   for (const DView& bp : b) {
@@ -787,7 +742,7 @@ void trsm_stacked(Uplo uplo, Trans trans, Diag diag, DConstView a,
     if (m == 0) break;
     if (segs.size() == 1) {
       const RowSegment& sg = segs.front();
-      trsm_right_blocked(vt, uplo, trans, diag, a,
+      trsm_right_blocked(uplo, trans, diag, a,
                          b[sg.p].sub(sg.r0, 0, sg.r1 - sg.r0, w));
       continue;
     }
@@ -805,7 +760,7 @@ void trsm_stacked(Uplo uplo, Trans trans, Diag diag, DConstView a,
       }
     };
     move(true);
-    trsm_right_blocked(vt, uplo, trans, diag, a, g);
+    trsm_right_blocked(uplo, trans, diag, a, g);
     move(false);
   }
 }
@@ -823,7 +778,7 @@ void syrk(Uplo uplo, Trans trans, real_t alpha, DConstView a, real_t beta, DView
     else if (beta != real_t(1)) scal(i1 - i0, beta, c.col(j) + i0);
   }
   if (alpha == real_t(0) || n == 0) return;
-  backend_vtable(current_backend()).syrk(uplo, trans, alpha, a, c);
+  native_syrk(uplo, trans, alpha, a, c);
 }
 
 } // namespace blr::la

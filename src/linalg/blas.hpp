@@ -15,12 +15,11 @@ enum class Uplo { Lower, Upper };
 enum class Diag { NonUnit, Unit };
 
 /// General matrix-matrix multiply: C = alpha * op(A) * op(B) + beta * C.
-/// Sequential. op(X) is X or Xᵗ according to the flags. Dispatches through
-/// the selected kernel backend (backend.hpp): Reference runs the loop
-/// nests; Native routes problems past a small size threshold through the
-/// packed, register-blocked microkernel of the CPUID-selected ISA tier (all
-/// four transpose cases) and tiny ones through the same loop nests. Every
-/// backend produces bit-identical results.
+/// Sequential. op(X) is X or Xᵗ according to the flags. Problems past a
+/// small size threshold run the packed, register-blocked microkernel of the
+/// CPUID-selected ISA tier (backend.hpp; all four transpose cases), tiny
+/// ones the loop nests of gemm_unpacked. Every tier, and gemm_unpacked,
+/// produces bit-identical results.
 void gemm(Trans trans_a, Trans trans_b, real_t alpha, DConstView a,
           DConstView b, real_t beta, DView c);
 
@@ -44,9 +43,9 @@ struct GemmTarget {
 /// Each product keeps the per-element accumulation order of the matching
 /// single call, gemm(No, Yes, alpha, A_p, B_q, 1, C) resp. gemm(No, Yes,
 /// alpha, B_q, A_p, 1, C), so the results are bit-identical to issuing those
-/// calls one by one, under every backend.
+/// calls one by one, on every ISA tier.
 ///
-/// Native runs the transposed targets as a second grid with the roles of
+/// It runs the transposed targets as a second grid with the roles of
 /// A_p and B_q swapped, so every target is plain. Each grid packs its column
 /// blocks once as one stacked operand and its row blocks once per group of
 /// at most kStackRows rows; the microkernel walk loads and stores every
@@ -57,7 +56,7 @@ void gemm_batch(real_t alpha, std::span<const DConstView> a,
                 std::span<const DConstView> b,
                 std::span<const GemmTarget> targets);
 
-/// Target entries the Native backend's gemm_batch has updated in this
+/// Target entries gemm_batch has updated in this
 /// process, counted once per kKC-deep k-slab: all of them, those loaded and
 /// stored in place as whole micro-tile columns (or by the loop nests of a
 /// shallow grid), and those loaded and stored through per-row addresses.
@@ -71,7 +70,7 @@ struct GridGemmCounts {
 };
 GridGemmCounts grid_gemm_counts();
 
-/// The Native backend's micro-tile on the active ISA tier: mr rows (of its
+/// The packed engine's micro-tile on the active ISA tier: mr rows (of its
 /// full row panels; shorter tails have 8 rows) by nr columns.
 struct NativeTile {
   index_t mr = 0;
@@ -79,8 +78,8 @@ struct NativeTile {
 };
 NativeTile native_tile();
 
-/// The plain gemm loop nests — the Reference backend's implementation
-/// (la::gemm with backend Reference lands here), also used directly as the
+/// The plain gemm loop nests: the reference arithmetic every ISA tier of
+/// la::gemm is bit-identical to (the tests memcmp against it), and the
 /// perfsmoke baseline the packed path is measured against.
 void gemm_unpacked(Trans trans_a, Trans trans_b, real_t alpha, DConstView a,
                    DConstView b, real_t beta, DView c);
@@ -93,7 +92,7 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, real_t alpha,
           DConstView a, DView b);
 
 /// trsm(Side::Right, uplo, trans, diag, 1, a, b_p) for every block b_p of a
-/// vertical stack, bit-identical to those calls under every backend, for
+/// vertical stack, bit-identical to those calls on every ISA tier, for
 /// the forward variants only: (Lower, Yes) and (Upper, No), the panel
 /// solves. The blocks are stacked into groups of at most kStackRows rows
 /// (gathered into per-thread scratch, tall blocks split); each group is

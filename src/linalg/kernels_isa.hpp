@@ -67,14 +67,14 @@ struct GridC {
 
 // ---- Per-ISA kernel tables -----------------------------------------------
 //
-// One table per ISA tier of the Native backend. Each tier is one dedicated
+// One table per ISA tier of the packed engine. Each tier is one dedicated
 // translation unit compiling the same kernel bodies (kernels_isa_body.inc)
 // with that tier's arch flags; the bodies live in an anonymous namespace so
 // every tier gets its own internal-linkage copy — the linker can never
 // substitute one tier's code for another's. All tiers are built with
 // -ffp-contract=off and share one canonical per-element accumulation order
-// with the Reference loop nests, so results are bit-identical across tiers
-// and backends (the memcmp contract in backend.hpp).
+// with the loop nests of gemm_unpacked, so results are bit-identical across
+// tiers (the memcmp contract in backend.hpp).
 //
 // The signatures are raw-pointer C style on purpose: the ISA TUs must not
 // instantiate any inline function from shared headers (same comdat hazard).
@@ -113,8 +113,8 @@ struct IsaKernels {
 };
 
 /// The always-compiled baseline tier (no arch flags — runs anywhere the
-/// binary does). Also serves as the Reference backend's trsm/syrk body: it
-/// is literally the pre-backend portable code, moved.
+/// binary does). Its trsm/syrk are the reference substitution and update
+/// loops the other tiers are memcmp'd against (BLR_NATIVE_ISA=portable).
 const IsaKernels& isa_portable();
 #if defined(BLR_HAVE_ISA_AVX2)
 const IsaKernels& isa_avx2();

@@ -1,4 +1,4 @@
-// Native-backend AVX2 tier. This TU (and only this TU) is compiled with
+// AVX2 kernel tier. This TU (and only this TU) is compiled with
 // -mavx2 -ffp-contract=off (see src/linalg/CMakeLists.txt); it is selected
 // at runtime by CPUID and must never be entered on a CPU without AVX2.
 

@@ -1,4 +1,4 @@
-// Native-backend AVX-512 tier. This TU (and only this TU) is compiled with
+// AVX-512 kernel tier. This TU (and only this TU) is compiled with
 // -mavx512f -mavx512dq -mavx512vl -mavx512bw -ffp-contract=off (see
 // src/linalg/CMakeLists.txt); it is selected at runtime by CPUID and must
 // never be entered on a CPU without AVX-512F.

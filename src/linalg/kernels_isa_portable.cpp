@@ -1,6 +1,6 @@
-// Native-backend baseline tier: the kernel bodies compiled with the
+// Baseline kernel tier: the kernel bodies compiled with the
 // project's default flags only, so this tier runs on any CPU the binary
-// does. Always built — the Native backend can fall back to it everywhere.
+// does. Always built — tier detection can fall back to it everywhere.
 
 #include <algorithm>
 #include <cstddef>

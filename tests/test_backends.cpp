@@ -1,9 +1,16 @@
-// Kernel backend layer (DESIGN.md §14): CPUID detection and env overrides,
-// exact bitwise agreement of the la:: entry points under Reference vs
-// Native, and memcmp bit-identity of whole factorizations across strategies
-// × compression kinds × precisions × thread counts — the contract that lets
-// the engine A/B backends without tolerances. Also pins the kernel counter
-// table and the operand refusals of the dispatch:: kernels.
+// Kernel tiers (DESIGN.md §14): CPUID detection and the BLR_NATIVE_ISA
+// clamp, exact bitwise agreement of the la:: entry points on every ISA tier
+// with the reference arithmetic (the gemm_unpacked loop nests, and the
+// portable tier's substitution and update loops), and memcmp bit-identity
+// of whole factorizations across tiers × strategies × compression kinds ×
+// precisions × thread counts — the contract that lets tiers be compared
+// without tolerances. Also pins the kernel counter table and the operand
+// refusals of the dispatch:: kernels.
+//
+// The test IDs predate the removal of the runtime Reference/Native backend
+// switch and are kept: "Reference" in them now means the reference
+// arithmetic above, "Native" the packed engine on the other tiers, and
+// "Backend" the kernel tiers.
 
 #include <gtest/gtest.h>
 
@@ -29,17 +36,6 @@ namespace {
 using namespace blr;
 using sparse::CscMatrix;
 
-// Backend selection and ISA detection are process-global; every test that
-// touches them restores the prior state so test order never matters.
-class BackendStateGuard {
-public:
-  BackendStateGuard() : saved_(la::current_backend()) {}
-  ~BackendStateGuard() { la::set_backend(saved_); }
-
-private:
-  la::Backend saved_;
-};
-
 // Saves one environment variable and restores it (set or unset) on exit,
 // then drops the cached detection so later tests re-read the real state.
 class EnvVarGuard {
@@ -54,7 +50,7 @@ public:
       ::setenv(name_, saved_.c_str(), 1);
     else
       ::unsetenv(name_);
-    la::redetect_backend();
+    la::redetect_native_isa();
   }
 
 private:
@@ -63,24 +59,46 @@ private:
   bool had_ = false;
 };
 
-// ---- detection, names, env overrides ---------------------------------
+/// Holds BLR_NATIVE_ISA for one test and selects ISA tiers through it. It
+/// lists every tier this binary and CPU can run, the portable tier first,
+/// whatever clamp the caller's environment sets, and restores that clamp on
+/// exit.
+class TierSweep {
+public:
+  TierSweep() : env_("BLR_NATIVE_ISA") {
+    ::unsetenv("BLR_NATIVE_ISA");
+    la::redetect_native_isa();
+    for (const la::NativeIsa isa :
+         {la::NativeIsa::Portable, la::NativeIsa::Avx2, la::NativeIsa::Avx512}) {
+      if (la::native_isa_supported(isa)) tiers_.push_back(isa);
+    }
+  }
+
+  const std::vector<la::NativeIsa>& tiers() const { return tiers_; }
+
+  /// Route the la:: kernels to `isa` until the next select().
+  static void select(la::NativeIsa isa) {
+    ::setenv("BLR_NATIVE_ISA", la::native_isa_name(isa), 1);
+    la::redetect_native_isa();
+    ASSERT_EQ(la::native_isa(), isa);
+  }
+
+private:
+  EnvVarGuard env_;
+  std::vector<la::NativeIsa> tiers_;
+};
+
+// ---- detection, names, the ISA clamp ------------------------------------
 
 TEST(BackendDetect, NamesAreStable) {
-  EXPECT_STREQ(la::backend_name(la::Backend::Reference), "reference");
-  EXPECT_STREQ(la::backend_name(la::Backend::Native), "native");
-  EXPECT_STREQ(la::backend_choice_name(la::BackendChoice::Auto), "auto");
-  EXPECT_STREQ(la::backend_choice_name(la::BackendChoice::Reference),
-               "reference");
-  EXPECT_STREQ(la::backend_choice_name(la::BackendChoice::Native), "native");
   EXPECT_STREQ(la::native_isa_name(la::NativeIsa::Portable), "portable");
   EXPECT_STREQ(la::native_isa_name(la::NativeIsa::Avx2), "avx2");
   EXPECT_STREQ(la::native_isa_name(la::NativeIsa::Avx512), "avx512");
 }
 
 TEST(BackendDetect, AutoSelectsNative) {
-  // The portable packed tier is always compiled in, so Native is always
-  // runnable and Auto must prefer it.
-  EXPECT_EQ(la::detect_best_backend(), la::Backend::Native);
+  // The portable packed tier is always compiled in, so a tier is always
+  // runnable.
   EXPECT_TRUE(la::native_isa_compiled(la::NativeIsa::Portable));
   EXPECT_TRUE(la::native_isa_supported(la::native_isa()));
 #if defined(__x86_64__) || defined(__i386__)
@@ -95,47 +113,19 @@ TEST(BackendDetect, AutoSelectsNative) {
 #endif
 }
 
-TEST(BackendDetect, EnvOverridesChoice) {
-  BackendStateGuard state;
-  EnvVarGuard guard("BLR_BACKEND");
-
-  ::setenv("BLR_BACKEND", "reference", 1);
-  EXPECT_EQ(la::resolve_backend(la::BackendChoice::Native),
-            la::Backend::Reference);
-
-  ::setenv("BLR_BACKEND", "NATIVE", 1);  // case-insensitive
-  EXPECT_EQ(la::resolve_backend(la::BackendChoice::Reference),
-            la::Backend::Native);
-
-  ::setenv("BLR_BACKEND", "auto", 1);
-  EXPECT_EQ(la::resolve_backend(la::BackendChoice::Reference),
-            la::detect_best_backend());
-
-  ::setenv("BLR_BACKEND", "sse9", 1);
-  EXPECT_THROW(la::resolve_backend(la::BackendChoice::Auto), Error);
-
-  ::unsetenv("BLR_BACKEND");
-  EXPECT_EQ(la::resolve_backend(la::BackendChoice::Reference),
-            la::Backend::Reference);
-  EXPECT_EQ(la::resolve_backend(la::BackendChoice::Native),
-            la::Backend::Native);
-}
-
 TEST(BackendDetect, IsaClampForcesPortableFallback) {
-  BackendStateGuard state;
   EnvVarGuard guard("BLR_NATIVE_ISA");
 
   // Force-disable the SIMD tiers: detection must land on the portable
   // packed tier, and the clamped tiers must report unsupported.
   ::setenv("BLR_NATIVE_ISA", "portable", 1);
-  la::redetect_backend();
+  la::redetect_native_isa();
   EXPECT_EQ(la::native_isa(), la::NativeIsa::Portable);
   EXPECT_FALSE(la::native_isa_supported(la::NativeIsa::Avx2));
   EXPECT_FALSE(la::native_isa_supported(la::NativeIsa::Avx512));
-  EXPECT_EQ(la::detect_best_backend(), la::Backend::Native);
 
   ::setenv("BLR_NATIVE_ISA", "neon", 1);
-  la::redetect_backend();
+  la::redetect_native_isa();
   EXPECT_THROW(la::native_isa(), Error);
 }
 
@@ -152,12 +142,12 @@ void expect_same_bits(const la::Matrix<T>& x, const la::Matrix<T>& y,
       << what;
 }
 
-// gemm must agree bit-for-bit between the Reference nests and the Native
-// packed engine for every transpose combination, including sizes that
-// cross the packing block boundaries (kMC = 128 rows, kKC = 256 depth) and
-// ragged edge tiles — the canonical-accumulation-order contract.
+// gemm must agree bit-for-bit with the gemm_unpacked loop nests on every
+// ISA tier for every transpose combination, including sizes that cross the
+// packing block boundaries (kMC = 128 rows, kKC = 256 depth) and ragged
+// edge tiles — the canonical-accumulation-order contract.
 void gemm_bit_identity() {
-  BackendStateGuard state;
+  TierSweep sweep;
   Prng rng(97);
   const struct {
     index_t m, n, k;
@@ -178,19 +168,21 @@ void gemm_bit_identity() {
         random_normal(c0.view(), rng);
 
         la::DMatrix cr = c0;
-        la::set_backend(la::Backend::Reference);
-        la::gemm(ta, tb, real_t(-1), a.cview(), b.cview(), real_t(1), cr.view());
+        la::gemm_unpacked(ta, tb, real_t(-1), a.cview(), b.cview(), real_t(1), cr.view());
 
-        la::DMatrix cn = c0;
-        la::set_backend(la::Backend::Native);
-        la::gemm(ta, tb, real_t(-1), a.cview(), b.cview(), real_t(1), cn.view());
+        for (const la::NativeIsa isa : sweep.tiers()) {
+          TierSweep::select(isa);
+          la::DMatrix cn = c0;
+          la::gemm(ta, tb, real_t(-1), a.cview(), b.cview(), real_t(1), cn.view());
 
-        expect_same_bits(cr, cn,
-                         "gemm m=" + std::to_string(sz.m) +
-                             " n=" + std::to_string(sz.n) +
-                             " k=" + std::to_string(sz.k) + " ta=" +
-                             (ta == la::Trans::Yes ? "T" : "N") + " tb=" +
-                             (tb == la::Trans::Yes ? "T" : "N"));
+          expect_same_bits(cr, cn,
+                           std::string(la::native_isa_name(isa)) +
+                               " gemm m=" + std::to_string(sz.m) +
+                               " n=" + std::to_string(sz.n) +
+                               " k=" + std::to_string(sz.k) + " ta=" +
+                               (ta == la::Trans::Yes ? "T" : "N") + " tb=" +
+                               (tb == la::Trans::Yes ? "T" : "N"));
+        }
       }
     }
   }
@@ -200,10 +192,10 @@ TEST(BackendBitwiseKernels, GemmDouble) { gemm_bit_identity(); }
 
 // Products narrower than a micro-tile (n < NR, e.g. a single-RHS solve)
 // skip the packed engine for direct kernels in the same canonical order:
-// still bit-identical to the Reference nests, on either side of the packing
-// threshold (m·k·n ≥ 16,384) and with row counts off the 8-chain stride.
+// still bit-identical to the gemm_unpacked nests, on either side of the
+// packing threshold (m·k·n ≥ 16,384) and with row counts off the 8-chain
+// stride.
 void thin_gemm_bit_identity() {
-  BackendStateGuard state;
   Prng rng(131);
   const struct {
     index_t m, k;
@@ -222,11 +214,10 @@ void thin_gemm_bit_identity() {
           random_normal(c0.view(), rng);
 
           la::DMatrix cr = c0;
-          la::set_backend(la::Backend::Reference);
-          la::gemm(ta, tb, real_t(-0.75), a.cview(), b.cview(), real_t(1), cr.view());
+          la::gemm_unpacked(ta, tb, real_t(-0.75), a.cview(), b.cview(), real_t(1),
+                            cr.view());
 
           la::DMatrix cn = c0;
-          la::set_backend(la::Backend::Native);
           la::gemm(ta, tb, real_t(-0.75), a.cview(), b.cview(), real_t(1), cn.view());
 
           expect_same_bits(cr, cn,
@@ -243,14 +234,38 @@ void thin_gemm_bit_identity() {
 
 TEST(BackendBitwiseKernels, ThinGemmDouble) { thin_gemm_bit_identity(); }
 
+/// How gemm_batch_bit_identity and check_grid_case compute their targets:
+/// one gemm_unpacked call per target (the reference), one la::gemm call per
+/// target, or one la::gemm_batch grid.
+enum class GridRun { Unpacked, Single, Batched };
+
+/// Runs `ts` (views into the caller's matrices) the given way.
+void run_targets(GridRun how, real_t alpha, std::span<const la::DConstView> as,
+                 std::span<const la::DConstView> bs,
+                 std::span<const la::GemmTarget> ts) {
+  if (how == GridRun::Batched) {
+    la::gemm_batch(alpha, as, bs, ts);
+    return;
+  }
+  const auto gemm = how == GridRun::Unpacked ? &la::gemm_unpacked : &la::gemm;
+  for (const la::GemmTarget& t : ts) {
+    const auto& ap = as[static_cast<std::size_t>(t.p)];
+    const auto& bq = bs[static_cast<std::size_t>(t.q)];
+    if (t.transposed)
+      gemm(la::Trans::No, la::Trans::Yes, alpha, bq, ap, real_t(1), t.c);
+    else
+      gemm(la::Trans::No, la::Trans::Yes, alpha, ap, bq, real_t(1), t.c);
+  }
+}
+
 // gemm_batch must leave every target bit-identical to the single gemm call
-// on it, under both backends: row blocks of ragged heights that group past
-// the packed threshold, a block too tall for one group, a row block without
-// targets, several column blocks with targets missing (groups reaching
-// fewer columns than the one before), both target orientations, a depth
-// past kKC, strided operands, and alpha = ±1.
+// on it and to the gemm_unpacked loop nests, on every ISA tier: row blocks
+// of ragged heights that group past the packed threshold, a block too tall
+// for one group, a row block without targets, several column blocks with
+// targets missing (groups reaching fewer columns than the one before), both
+// target orientations, a depth past kKC, strided operands, and alpha = ±1.
 void gemm_batch_bit_identity() {
-  BackendStateGuard state;
+  TierSweep sweep;
   Prng rng(211);
   const index_t heights[] = {1, 3, 8, 17, 40, 300, 5, 2, 64, 250, 9};
   const index_t widths[] = {4, 13, 1, 7, 30};
@@ -281,8 +296,7 @@ void gemm_batch_bit_identity() {
           random_normal(c0.back().view(), rng);
         }
       }
-      const auto run = [&](la::Backend be, bool batched) {
-        la::set_backend(be);
+      const auto run = [&](GridRun how) {
         std::vector<la::DMatrix> c = c0;
         std::vector<la::DConstView> as, bs;
         std::vector<la::GemmTarget> ts;
@@ -307,46 +321,29 @@ void gemm_batch_bit_identity() {
                           f});
           }
         }
-        if (batched) {
-          la::gemm_batch(alpha, as, bs, ts);
-        } else {
-          for (const la::GemmTarget& t : ts) {
-            const auto& ap = as[static_cast<std::size_t>(t.p)];
-            const auto& bq = bs[static_cast<std::size_t>(t.q)];
-            if (t.transposed)
-              la::gemm(la::Trans::No, la::Trans::Yes, alpha, bq, ap, real_t(1), t.c);
-            else
-              la::gemm(la::Trans::No, la::Trans::Yes, alpha, ap, bq, real_t(1), t.c);
-          }
-        }
+        run_targets(how, alpha, as, bs, ts);
         return c;
       };
-      const std::vector<la::DMatrix> ref = run(la::Backend::Reference, false);
-      const std::vector<la::DMatrix> refb = run(la::Backend::Reference, true);
-      const std::vector<la::DMatrix> nat = run(la::Backend::Native, true);
-      const std::string what = "gemm_batch kk=" + std::to_string(kk) +
-                               " alpha=" + std::to_string(static_cast<int>(alpha));
-      for (std::size_t i = 0; i < ref.size(); ++i) {
-        expect_same_bits(ref[i], refb[i], what + " reference, target " + std::to_string(i));
-        expect_same_bits(ref[i], nat[i], what + " native, target " + std::to_string(i));
+      const std::vector<la::DMatrix> ref = run(GridRun::Unpacked);
+      for (const la::NativeIsa isa : sweep.tiers()) {
+        TierSweep::select(isa);
+        const std::vector<la::DMatrix> single = run(GridRun::Single);
+        const std::vector<la::DMatrix> batched = run(GridRun::Batched);
+        const std::string what = std::string(la::native_isa_name(isa)) +
+                                 " gemm_batch kk=" + std::to_string(kk) +
+                                 " alpha=" + std::to_string(static_cast<int>(alpha));
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          expect_same_bits(ref[i], single[i], what + " single, target " + std::to_string(i));
+          expect_same_bits(ref[i], batched[i], what + " batched, target " + std::to_string(i));
+        }
       }
     }
   }
 }
 
-/// Every ISA tier of the Native backend this binary and CPU can run.
-std::vector<la::NativeIsa> runnable_tiers() {
-  std::vector<la::NativeIsa> tiers;
-  for (const la::NativeIsa isa :
-       {la::NativeIsa::Portable, la::NativeIsa::Avx2, la::NativeIsa::Avx512}) {
-    if (la::native_isa_supported(isa)) tiers.push_back(isa);
-  }
-  return tiers;
-}
-
-/// One grid of gemm_batch, run as the single gemm calls under Reference and
-/// as one grid under Native: every target (and the matrices holding them,
-/// cells without a target included) must come out with the same bits.
+/// One grid of gemm_batch, run as single gemm_unpacked calls and as one
+/// grid: every target (and the matrices holding them, cells without a
+/// target included) must come out with the same bits.
 struct GridCase {
   std::vector<index_t> heights;  ///< row blocks
   std::vector<index_t> widths;   ///< column blocks
@@ -391,8 +388,7 @@ void check_grid_case(const GridCase& gc, Prng& rng, const std::string& what) {
   for (la::DMatrix& m : mats) random_normal(m.view(), rng);
   const std::vector<la::DMatrix> initial = mats;
 
-  const auto run = [&](la::Backend be, bool batched) {
-    la::set_backend(be);
+  const auto run = [&](GridRun how) {
     std::vector<la::DMatrix> c = initial;
     std::vector<la::DConstView> as, bs;
     for (std::size_t p = 0; p < np; ++p)
@@ -415,11 +411,11 @@ void check_grid_case(const GridCase& gc, Prng& rng, const std::string& what) {
         ts.push_back({static_cast<index_t>(p), static_cast<index_t>(q), v, tr});
       }
     }
-    if (batched) {
+    if (how == GridRun::Batched) {
       // Every target entry is loaded and stored at its own address, once
       // per k-slab: none passes through a gathered copy.
       const la::GridGemmCounts before = la::grid_gemm_counts();
-      la::gemm_batch(gc.alpha, as, bs, ts);
+      run_targets(how, gc.alpha, as, bs, ts);
       const la::GridGemmCounts after = la::grid_gemm_counts();
       std::uint64_t entries = 0;
       for (const la::GemmTarget& t : ts)
@@ -430,19 +426,12 @@ void check_grid_case(const GridCase& gc, Prng& rng, const std::string& what) {
                 entries)
           << what;
     } else {
-      for (const la::GemmTarget& t : ts) {
-        const auto& ap = as[static_cast<std::size_t>(t.p)];
-        const auto& bq = bs[static_cast<std::size_t>(t.q)];
-        if (t.transposed)
-          la::gemm(la::Trans::No, la::Trans::Yes, gc.alpha, bq, ap, real_t(1), t.c);
-        else
-          la::gemm(la::Trans::No, la::Trans::Yes, gc.alpha, ap, bq, real_t(1), t.c);
-      }
+      run_targets(how, gc.alpha, as, bs, ts);
     }
     return c;
   };
-  const std::vector<la::DMatrix> ref = run(la::Backend::Reference, false);
-  const std::vector<la::DMatrix> nat = run(la::Backend::Native, true);
+  const std::vector<la::DMatrix> ref = run(GridRun::Unpacked);
+  const std::vector<la::DMatrix> nat = run(GridRun::Batched);
   for (std::size_t i = 0; i < ref.size(); ++i)
     expect_same_bits(ref[i], nat[i], what + ", matrix " + std::to_string(i));
   if (gc.shared) {
@@ -468,13 +457,10 @@ void check_grid_case(const GridCase& gc, Prng& rng, const std::string& what) {
 /// shared matrix (the cells above it checked untouched), and depths past
 /// kKC = 256.
 void gemm_batch_grid_cases() {
-  BackendStateGuard state;
-  EnvVarGuard guard("BLR_NATIVE_ISA");
+  TierSweep sweep;
   Prng rng(307);
-  for (const la::NativeIsa isa : runnable_tiers()) {
-    ::setenv("BLR_NATIVE_ISA", la::native_isa_name(isa), 1);
-    la::redetect_backend();
-    ASSERT_EQ(la::native_isa(), isa);
+  for (const la::NativeIsa isa : sweep.tiers()) {
+    TierSweep::select(isa);
     const std::string tier = la::native_isa_name(isa);
     for (const index_t kk : {index_t(6), index_t(300)}) {
       for (const index_t m : {index_t(1), index_t(7), index_t(8), index_t(31),
@@ -522,12 +508,12 @@ TEST(BackendBitwiseKernels, GemmBatchDouble) {
 }
 
 // trsm_stacked must leave every block bit-identical to the per-block
-// la::trsm, under both backends, for the three dense panel variants (LLᵗ L,
-// LU L, LU U): block heights that stack into shared groups and one that
-// splits across groups, widths around the substitution strip, exact zeros
-// in the triangle and -0.0 in the right-hand side.
+// la::trsm on the portable tier, on every ISA tier, for the three dense
+// panel variants (LLᵗ L, LU L, LU U): block heights that stack into shared
+// groups and one that splits across groups, widths around the substitution
+// strip, exact zeros in the triangle and -0.0 in the right-hand side.
 void stacked_trsm_bit_identity() {
-  BackendStateGuard state;
+  TierSweep sweep;
   Prng rng(307);
   const index_t heights[] = {1, 3, 7, 300, 1, 3, 7};
   index_t total = 0;
@@ -571,8 +557,7 @@ void stacked_trsm_bit_identity() {
     }
     const la::DConstView av = a.cview().sub(2, 1, w, w);
     for (const auto& v : variants) {
-      const auto run = [&](la::Backend be, bool stacked) {
-        la::set_backend(be);
+      const auto run = [&](bool stacked) {
         la::DMatrix b = b0;
         std::vector<la::DView> bs;
         index_t r = 0;
@@ -588,12 +573,15 @@ void stacked_trsm_bit_identity() {
         }
         return b;
       };
-      const la::DMatrix ref = run(la::Backend::Reference, false);
-      const std::string what =
-          std::string("trsm_stacked ") + v.name + " w=" + std::to_string(w);
-      expect_same_bits(ref, run(la::Backend::Native, false), what + " native per block");
-      expect_same_bits(ref, run(la::Backend::Reference, true), what + " reference");
-      expect_same_bits(ref, run(la::Backend::Native, true), what + " native");
+      TierSweep::select(la::NativeIsa::Portable);
+      const la::DMatrix ref = run(false);
+      for (const la::NativeIsa isa : sweep.tiers()) {
+        TierSweep::select(isa);
+        const std::string what = std::string(la::native_isa_name(isa)) +
+                                 " trsm_stacked " + v.name + " w=" + std::to_string(w);
+        expect_same_bits(ref, run(false), what + " per block");
+        expect_same_bits(ref, run(true), what + " stacked");
+      }
     }
   }
 }
@@ -678,8 +666,11 @@ TEST(KernelBits, FactorsMatchParent) {
   }
 }
 
+// trsm and syrk on every ISA tier must agree bit-for-bit with the portable
+// tier's substitution and update loops, for every side, triangle,
+// transpose and diagonal.
 void trsm_syrk_bit_identity() {
-  BackendStateGuard state;
+  TierSweep sweep;
   Prng rng(131);
   const index_t n = 96, m = 80;
 
@@ -697,14 +688,15 @@ void trsm_syrk_bit_identity() {
           random_normal(rhs.view(), rng);
 
           la::DMatrix br = rhs;
-          la::set_backend(la::Backend::Reference);
+          TierSweep::select(la::NativeIsa::Portable);
           la::trsm(side, uplo, trans, diag, real_t(1), tri.cview(), br.view());
 
-          la::DMatrix bn = rhs;
-          la::set_backend(la::Backend::Native);
-          la::trsm(side, uplo, trans, diag, real_t(1), tri.cview(), bn.view());
-
-          expect_same_bits(br, bn, "trsm");
+          for (const la::NativeIsa isa : sweep.tiers()) {
+            TierSweep::select(isa);
+            la::DMatrix bn = rhs;
+            la::trsm(side, uplo, trans, diag, real_t(1), tri.cview(), bn.view());
+            expect_same_bits(br, bn, std::string(la::native_isa_name(isa)) + " trsm");
+          }
         }
       }
     }
@@ -719,14 +711,15 @@ void trsm_syrk_bit_identity() {
       random_normal(c0.view(), rng);
 
       la::DMatrix cr = c0;
-      la::set_backend(la::Backend::Reference);
+      TierSweep::select(la::NativeIsa::Portable);
       la::syrk(uplo, trans, real_t(-1), a.cview(), real_t(1), cr.view());
 
-      la::DMatrix cs = c0;
-      la::set_backend(la::Backend::Native);
-      la::syrk(uplo, trans, real_t(-1), a.cview(), real_t(1), cs.view());
-
-      expect_same_bits(cr, cs, "syrk");
+      for (const la::NativeIsa isa : sweep.tiers()) {
+        TierSweep::select(isa);
+        la::DMatrix cs = c0;
+        la::syrk(uplo, trans, real_t(-1), a.cview(), real_t(1), cs.view());
+        expect_same_bits(cr, cs, std::string(la::native_isa_name(isa)) + " syrk");
+      }
     }
   }
 }
@@ -785,7 +778,7 @@ void expect_factors_bit_identical(const core::NumericFactor& x,
   }
 }
 
-// ---- whole-factorization bit-identity Reference vs Native ------------
+// ---- whole-factorization bit-identity across ISA tiers -----------------
 
 struct BackendCase {
   Strategy strategy;
@@ -798,12 +791,11 @@ struct BackendCase {
   Factorization facto : 16 = Factorization::Auto;
 };
 
-SolverOptions backend_opts(const BackendCase& c, la::BackendChoice backend) {
+SolverOptions case_opts(const BackendCase& c) {
   SolverOptions o;
   o.strategy = c.strategy;
   o.kind = c.kind;
   o.precision = c.precision;
-  o.backend = backend;
   o.threads = c.threads;
   o.factorization = c.facto;
   // Small thresholds so the tiny test grids still produce low-rank blocks.
@@ -814,57 +806,68 @@ SolverOptions backend_opts(const BackendCase& c, la::BackendChoice backend) {
   return o;
 }
 
+/// What two factorizations of one matrix must share bit for bit besides
+/// their factors: the factorization's kernel counter rows (name, order,
+/// calls, bytes), taken before any solve adds its rows, and the solution of
+/// one solve with b = 1.
+struct RunRecord {
+  std::vector<core::DispatchCount> rows;
+  std::vector<real_t> x;
+};
+
+RunRecord record_run(const Solver& s, const CscMatrix& a) {
+  RunRecord r;
+  r.rows = s.stats().dispatch;
+  r.x = s.solve(std::vector<real_t>(static_cast<std::size_t>(a.rows()), 1.0));
+  return r;
+}
+
+void expect_runs_bit_identical(const Solver& ref, const RunRecord& rr,
+                               const Solver& run, const RunRecord& rn,
+                               const std::string& what) {
+  expect_factors_bit_identical(ref.numeric(), run.numeric());
+
+  ASSERT_FALSE(rr.rows.empty()) << what;
+  ASSERT_EQ(rr.rows.size(), rn.rows.size()) << what;
+  for (std::size_t i = 0; i < rr.rows.size(); ++i) {
+    EXPECT_EQ(rr.rows[i].kernel, rn.rows[i].kernel) << what;
+    EXPECT_EQ(rr.rows[i].calls, rn.rows[i].calls) << what << ", " << rr.rows[i].kernel;
+    EXPECT_EQ(rr.rows[i].bytes, rn.rows[i].bytes) << what << ", " << rr.rows[i].kernel;
+  }
+
+  // Solves on bit-identical factors are bit-identical too.
+  ASSERT_EQ(rr.x.size(), rn.x.size()) << what;
+  EXPECT_EQ(std::memcmp(rr.x.data(), rn.x.data(), sizeof(real_t) * rr.x.size()), 0)
+      << what;
+}
+
 class BackendBitIdentity : public ::testing::TestWithParam<BackendCase> {};
 
+// The portable tier's arithmetic is the reference: every other runnable
+// tier must factorize to the same bits at any thread count, not just to
+// rounding.
 TEST_P(BackendBitIdentity, ReferenceVsNative) {
-  // This test pins the backend per solver; a BLR_BACKEND override from the
-  // CI A/B stage would defeat that, so drop it for the test's duration.
-  BackendStateGuard state;
-  EnvVarGuard env("BLR_BACKEND");
-  ::unsetenv("BLR_BACKEND");
-
+  TierSweep sweep;
   const BackendCase c = GetParam();
   const CscMatrix a = c.facto == Factorization::Llt
                            ? sparse::laplacian_3d(7, 7, 7)
                            : sparse::convection_diffusion_3d(7, 7, 7, 0.5);
 
-  Solver ref(backend_opts(c, la::BackendChoice::Reference));
+  TierSweep::select(la::NativeIsa::Portable);
+  Solver ref(case_opts(c));
   ref.factorize(a);
-  EXPECT_EQ(ref.stats().backend, "reference");
-  EXPECT_TRUE(ref.stats().backend_isa.empty());
+  EXPECT_EQ(ref.stats().backend, "native");
+  EXPECT_EQ(ref.stats().backend_isa, "portable");
+  const RunRecord rr = record_run(ref, a);
 
-  Solver nat(backend_opts(c, la::BackendChoice::Native));
-  nat.factorize(a);
-  EXPECT_EQ(nat.stats().backend, "native");
-  EXPECT_EQ(nat.stats().backend_isa, la::native_isa_name(la::native_isa()));
-
-  // Same canonical accumulation order at any thread count: the factors
-  // must agree bit for bit across backends, not just to rounding.
-  expect_factors_bit_identical(ref.numeric(), nat.numeric());
-
-  // Each run's kernel counters are attributed to the backend it ran under.
-  ASSERT_FALSE(ref.stats().dispatch.empty());
-  ASSERT_FALSE(nat.stats().dispatch.empty());
-  for (const auto& d : ref.stats().dispatch)
-    EXPECT_EQ(d.backend, "reference") << d.kernel;
-  for (const auto& d : nat.stats().dispatch)
-    EXPECT_EQ(d.backend, "native") << d.kernel;
-
-  // And the logical kernel-call table matches row for row.
-  ASSERT_EQ(ref.stats().dispatch.size(), nat.stats().dispatch.size());
-  for (std::size_t i = 0; i < ref.stats().dispatch.size(); ++i) {
-    EXPECT_EQ(ref.stats().dispatch[i].kernel, nat.stats().dispatch[i].kernel);
-    EXPECT_EQ(ref.stats().dispatch[i].calls, nat.stats().dispatch[i].calls)
-        << ref.stats().dispatch[i].kernel;
+  for (const la::NativeIsa isa : sweep.tiers()) {
+    if (isa == la::NativeIsa::Portable) continue;
+    TierSweep::select(isa);
+    Solver run(case_opts(c));
+    run.factorize(a);
+    EXPECT_EQ(run.stats().backend_isa, la::native_isa_name(isa));
+    expect_runs_bit_identical(ref, rr, run, record_run(run, a), la::native_isa_name(isa));
   }
-
-  // Solves on bit-identical factors are bit-identical too.
-  std::vector<real_t> b(static_cast<std::size_t>(a.rows()), 1.0);
-  const auto xref = ref.solve(b);
-  const auto xnat = nat.solve(b);
-  EXPECT_EQ(std::memcmp(xref.data(), xnat.data(),
-                        sizeof(real_t) * xref.size()),
-            0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -913,54 +916,37 @@ INSTANTIATE_TEST_SUITE_P(
       return s;
     });
 
-// The portable Native tier must also match Reference bit for bit — the
-// deployment fallback when CPUID rules out every SIMD tier.
+// The deployment fallback: clamped to the portable tier by BLR_NATIVE_ISA,
+// a factorization reports that tier and matches the bits of the tier CPUID
+// picks when nothing clamps it.
 TEST(BackendBitIdentity, PortableTierMatchesReference) {
-  BackendStateGuard state;
-  EnvVarGuard env("BLR_BACKEND");
-  ::unsetenv("BLR_BACKEND");
   EnvVarGuard guard("BLR_NATIVE_ISA");
+  const BackendCase c{Strategy::JustInTime, lr::CompressionKind::Rrqr,
+                      TilePrecision::Fp64, 1};
+  const CscMatrix a = sparse::convection_diffusion_3d(7, 7, 7, 0.5);
+
+  ::unsetenv("BLR_NATIVE_ISA");
+  la::redetect_native_isa();
+  Solver best(case_opts(c));
+  best.factorize(a);
+  EXPECT_EQ(best.stats().backend_isa, la::native_isa_name(la::native_isa()));
+  const RunRecord rb = record_run(best, a);
+
   ::setenv("BLR_NATIVE_ISA", "portable", 1);
-  la::redetect_backend();
+  la::redetect_native_isa();
   ASSERT_EQ(la::native_isa(), la::NativeIsa::Portable);
+  Solver portable(case_opts(c));
+  portable.factorize(a);
+  EXPECT_EQ(portable.stats().backend_isa, "portable");
 
-  const BackendCase c{Strategy::JustInTime, lr::CompressionKind::Rrqr,
-                      TilePrecision::Fp64, 1};
-  const CscMatrix a = sparse::convection_diffusion_3d(7, 7, 7, 0.5);
-
-  Solver ref(backend_opts(c, la::BackendChoice::Reference));
-  ref.factorize(a);
-
-  Solver nat(backend_opts(c, la::BackendChoice::Native));
-  nat.factorize(a);
-  EXPECT_EQ(nat.stats().backend_isa, "portable");
-
-  expect_factors_bit_identical(ref.numeric(), nat.numeric());
-}
-
-// BLR_BACKEND overrides SolverOptions::backend for a whole factorization —
-// the same binary A/Bs backends from the environment, no recompilation.
-TEST(BackendEnvSolver, EnvOverridesSolverOptions) {
-  BackendStateGuard state;
-  EnvVarGuard guard("BLR_BACKEND");
-  ::setenv("BLR_BACKEND", "reference", 1);
-
-  const BackendCase c{Strategy::JustInTime, lr::CompressionKind::Rrqr,
-                      TilePrecision::Fp64, 1};
-  const CscMatrix a = sparse::convection_diffusion_3d(7, 7, 7, 0.5);
-
-  Solver s(backend_opts(c, la::BackendChoice::Native));
-  s.factorize(a);
-  EXPECT_EQ(s.stats().backend, "reference");
-  for (const auto& d : s.stats().dispatch)
-    EXPECT_EQ(d.backend, "reference") << d.kernel;
+  expect_runs_bit_identical(best, rb, portable, record_run(portable, a),
+                            "portable vs CPUID tier");
 }
 
 // ---- the kernel counter table pinned across kernel changes -------------
 
 struct KernelRowCount {
   const char* kernel;
-  const char* backend;
   std::uint64_t calls;
   std::uint64_t bytes;
 };
@@ -968,7 +954,7 @@ struct KernelRowCount {
 void expect_kernel_rows(const BackendCase& c, const CscMatrix& a,
                         const std::vector<KernelRowCount>& want,
                         const char* what) {
-  Solver s(backend_opts(c, la::BackendChoice::Native));
+  Solver s(case_opts(c));
   s.factorize(a);
   std::vector<real_t> b(static_cast<std::size_t>(a.rows()), 1.0);
   (void)s.solve(b);
@@ -976,14 +962,13 @@ void expect_kernel_rows(const BackendCase& c, const CscMatrix& a,
   ASSERT_EQ(got.size(), want.size()) << what;
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].kernel, want[i].kernel) << what << ", row " << i;
-    EXPECT_EQ(got[i].backend, want[i].backend) << what << ", " << got[i].kernel;
     EXPECT_EQ(got[i].calls, want[i].calls) << what << ", " << got[i].kernel;
     EXPECT_EQ(got[i].bytes, want[i].bytes) << what << ", " << got[i].kernel;
   }
 }
 
 // One factorize plus one solve on 1 thread yields exactly these counter
-// rows: name, order, backend, calls and bytes, the table print_summary,
+// rows: name, order, calls and bytes, the table print_summary,
 // bench_table2_costs and bench/e2e read. The constants were printed by the
 // registry-keyed dispatch layer the direct kernel calls replaced; a change
 // here needs a justification of the new rows, not a new constant. The
@@ -991,25 +976,21 @@ void expect_kernel_rows(const BackendCase& c, const CscMatrix& a,
 // target keeps its full rank instead of being re-orthogonalized down to
 // the target's row count when that is smaller.
 TEST(KernelTable, RowsMatchParent) {
-  BackendStateGuard state;
-  EnvVarGuard env("BLR_BACKEND");
-  ::unsetenv("BLR_BACKEND");
-
   expect_kernel_rows(BackendCase{Strategy::JustInTime, lr::CompressionKind::Rrqr,
                                  TilePrecision::Fp64, 1, Factorization::Llt},
                      sparse::laplacian_3d(8, 8, 8),
-                     {{"potrf[ge]", "native", 26, 108240},
-                      {"trsm[ge]", "native", 25, 114560},
-                      {"trsm[lr]", "native", 2, 11872},
-                      {"gemm[ge,ge]", "native", 76, 510376},
-                      {"gemm[lr,ge]", "native", 2, 17472},
-                      {"gemm[ge,lr]", "native", 10, 29856},
-                      {"gemm[lr,lr]", "native", 2, 23744},
-                      {"lr2ge[lr]", "native", 14, 102312},
-                      {"compress[ge]", "native", 13, 46016},
-                      {"solve_trsm[ge]", "native", 52, 8192},
-                      {"solve_gemm[ge]", "native", 41, 300208},
-                      {"solve_gemm[lr]", "native", 4, 25536}},
+                     {{"potrf[ge]", 26, 108240},
+                      {"trsm[ge]", 25, 114560},
+                      {"trsm[lr]", 2, 11872},
+                      {"gemm[ge,ge]", 76, 510376},
+                      {"gemm[lr,ge]", 2, 17472},
+                      {"gemm[ge,lr]", 10, 29856},
+                      {"gemm[lr,lr]", 2, 23744},
+                      {"lr2ge[lr]", 14, 102312},
+                      {"compress[ge]", 13, 46016},
+                      {"solve_trsm[ge]", 52, 8192},
+                      {"solve_gemm[ge]", 41, 300208},
+                      {"solve_gemm[lr]", 4, 25536}},
                      "lap 8^3 JIT LLt Fp64");
 
   // MixedTiles stores low-rank factors in fp32: the *32 rows must show.
@@ -1017,20 +998,20 @@ TEST(KernelTable, RowsMatchParent) {
                                  lr::CompressionKind::Rrqr,
                                  TilePrecision::MixedTiles, 1, Factorization::Lu},
                      sparse::convection_diffusion_3d(8, 8, 8, 0.5),
-                     {{"getrf[ge]", "native", 26, 108240},
-                      {"trsm[ge]", "native", 50, 229120},
-                      {"gemm[ge,ge]", "native", 102, 750184},
-                      {"lr2ge[ge]", "native", 16, 95288},
-                      {"lr2ge[lr]", "native", 26, 184992},
-                      {"compress[ge]", "native", 52, 184064},
-                      {"solve_trsm[ge]", "native", 52, 8192},
-                      {"solve_gemm[ge]", "native", 41, 300208},
-                      {"solve_gemm[lr32]", "native", 4, 13664},
-                      {"trsm[lr32]", "native", 4, 11872},
-                      {"gemm[lr32,ge]", "native", 12, 29632},
-                      {"gemm[ge,lr32]", "native", 12, 29632},
-                      {"gemm[lr32,lr32]", "native", 2, 11872},
-                      {"lr2lr[ge,c32]", "native", 12, 13840}},
+                     {{"getrf[ge]", 26, 108240},
+                      {"trsm[ge]", 50, 229120},
+                      {"gemm[ge,ge]", 102, 750184},
+                      {"lr2ge[ge]", 16, 95288},
+                      {"lr2ge[lr]", 26, 184992},
+                      {"compress[ge]", 52, 184064},
+                      {"solve_trsm[ge]", 52, 8192},
+                      {"solve_gemm[ge]", 41, 300208},
+                      {"solve_gemm[lr32]", 4, 13664},
+                      {"trsm[lr32]", 4, 11872},
+                      {"gemm[lr32,ge]", 12, 29632},
+                      {"gemm[ge,lr32]", 12, 29632},
+                      {"gemm[lr32,lr32]", 2, 11872},
+                      {"lr2lr[ge,c32]", 12, 13840}},
                      "conv-diff 8^3 MinMem LU MixedTiles");
 }
 

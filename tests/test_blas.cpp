@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "common/prng.hpp"
-#include "linalg/backend.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/norms.hpp"
 #include "linalg/random.hpp"
@@ -135,12 +134,8 @@ TEST(Gemm, PackedPathStridedViews) {
 
 // Packing never serves a stale image: after A and B are rewritten in place
 // (same address, same shape) the next packed gemm must see the new contents.
-// Only the Native backend packs, so the test pins it regardless of any
-// BLR_BACKEND override, and compares bitwise against the loop nests (the
-// backend memcmp contract).
+// Compared bitwise against the loop nests (the tiers' memcmp contract).
 TEST(Gemm, RepackAfterInPlaceMutation) {
-  const la::Backend saved = la::current_backend();
-  la::set_backend(la::Backend::Native);
   Prng rng(41);
   const index_t m = 48, n = 40, k = 64;  // above the packed-path threshold
   DMatrix a(m, k), b(k, n), c(m, n), expected(m, n);
@@ -157,7 +152,6 @@ TEST(Gemm, RepackAfterInPlaceMutation) {
        c.view());
   gemm_unpacked(Trans::No, Trans::No, real_t(1), a.cview(), b.cview(),
                 real_t(0), expected.view());
-  la::set_backend(saved);
   EXPECT_EQ(0, std::memcmp(c.data(), expected.data(), c.bytes()));
 }
 

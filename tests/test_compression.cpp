@@ -44,7 +44,7 @@ class ToleranceContract : public ::testing::TestWithParam<CompressionCase> {};
 TEST_P(ToleranceContract, ErrorBelowToleranceAndUOrthonormal) {
   const auto p = GetParam();
   Prng rng(static_cast<std::uint64_t>(p.m * 131 + p.n));
-  const la::DMatrix a = la::random_decaying<real_t>(p.m, p.n, p.decay, rng);
+  const la::DMatrix a = la::random_decaying(p.m, p.n, p.decay, rng);
 
   const auto lr = compress(p.kind, a.cview(), p.tol, std::min(p.m, p.n));
   ASSERT_TRUE(lr.has_value());
@@ -80,7 +80,7 @@ TEST(Compression, SvdRankNeverExceedsRrqrRank) {
   // The paper: SVD finds the smallest ranks for a given tolerance.
   Prng rng(8);
   for (int trial = 0; trial < 5; ++trial) {
-    const la::DMatrix a = la::random_decaying<real_t>(60, 60, 0.6, rng);
+    const la::DMatrix a = la::random_decaying(60, 60, 0.6, rng);
     const auto s = compress_svd(a.cview(), 1e-8, 60);
     const auto r = compress_rrqr(a.cview(), 1e-8, 60);
     ASSERT_TRUE(s && r);
@@ -101,7 +101,7 @@ TEST(Compression, ZeroMatrixHasRankZero) {
 
 TEST(Compression, ExactRankRecovered) {
   Prng rng(3);
-  const la::DMatrix a = la::random_rank_k<real_t>(50, 40, 7, rng);
+  const la::DMatrix a = la::random_rank_k(50, 40, 7, rng);
   for (const auto kind : {CompressionKind::Rrqr, CompressionKind::Svd}) {
     const auto lr = compress(kind, a.cview(), 1e-10, 40);
     ASSERT_TRUE(lr.has_value());
@@ -132,7 +132,7 @@ TEST(Compression, BeneficialRankLimit) {
 
 TEST(Compression, CompressToTileChoosesRepresentation) {
   Prng rng(5);
-  const la::DMatrix lowrank_in = la::random_rank_k<real_t>(60, 60, 4, rng);
+  const la::DMatrix lowrank_in = la::random_rank_k(60, 60, 4, rng);
   const Tile t1 = compress_to_tile(CompressionKind::Rrqr, lowrank_in.cview(), 1e-8);
   EXPECT_TRUE(t1.is_lowrank());
   EXPECT_EQ(t1.rank(), 4);
@@ -148,7 +148,7 @@ TEST(Compression, CompressToTileChoosesRepresentation) {
 
 TEST(Tile, DensifyPreservesValue) {
   Prng rng(6);
-  const la::DMatrix a = la::random_rank_k<real_t>(25, 35, 3, rng);
+  const la::DMatrix a = la::random_rank_k(25, 35, 3, rng);
   Tile t = compress_to_tile(CompressionKind::Svd, a.cview(), 1e-10);
   ASSERT_TRUE(t.is_lowrank());
   la::DMatrix before(25, 35);
@@ -166,7 +166,7 @@ TEST(Tile, StorageEntriesAndTracking) {
     EXPECT_EQ(d.storage_entries(), 100u);
     EXPECT_EQ(tracker.current(MemCategory::Factors), 100 * sizeof(real_t));
     Prng rng(2);
-    const la::DMatrix a = la::random_rank_k<real_t>(10, 10, 2, rng);
+    const la::DMatrix a = la::random_rank_k(10, 10, 2, rng);
     auto lr = compress_rrqr(a.cview(), 1e-10, 4);
     ASSERT_TRUE(lr);
     d.set_lowrank(std::move(*lr));
@@ -179,7 +179,7 @@ TEST(Tile, StorageEntriesAndTracking) {
 TEST(RandomizedCompression, ToleranceContractAndOrthonormalU) {
   Prng rng(51);
   for (const real_t tol : {1e-4, 1e-8, 1e-12}) {
-    const la::DMatrix a = la::random_decaying<real_t>(70, 60, 0.5, rng);
+    const la::DMatrix a = la::random_decaying(70, 60, 0.5, rng);
     const auto lr = compress_randomized_from(a.cview(), tol, 60, 16);
     ASSERT_TRUE(lr.has_value()) << tol;
     EXPECT_LE(relative_error(a, *lr), tol * 1.01) << tol;
@@ -190,7 +190,7 @@ TEST(RandomizedCompression, ToleranceContractAndOrthonormalU) {
 
 TEST(RandomizedCompression, ExactRankRecoveredWithinOversampling) {
   Prng rng(52);
-  const la::DMatrix a = la::random_rank_k<real_t>(64, 48, 6, rng);
+  const la::DMatrix a = la::random_rank_k(64, 48, 6, rng);
   const auto lr = compress_randomized_from(a.cview(), 1e-10, 48, 16);
   ASSERT_TRUE(lr.has_value());
   EXPECT_EQ(lr->rank(), 6);
@@ -211,7 +211,7 @@ TEST(RandomizedCompression, ZeroMatrixAndFullRankFailure) {
 
 TEST(RandomizedCompression, DeterministicAcrossCalls) {
   Prng rng(54);
-  const la::DMatrix a = la::random_decaying<real_t>(50, 50, 0.6, rng);
+  const la::DMatrix a = la::random_decaying(50, 50, 0.6, rng);
   const auto l1 = compress_randomized_from(a.cview(), 1e-8, 50, 16);
   const auto l2 = compress_randomized_from(a.cview(), 1e-8, 50, 16);
   ASSERT_TRUE(l1 && l2);
@@ -224,7 +224,7 @@ TEST(RandomizedCompression, DeterministicAcrossCalls) {
 // and returns exactly what a cold compress_svd returns.
 TEST(SvdWarmCompression, HitAtHintAndGrowOnIncompressibleBlock) {
   Prng rng(55);
-  const la::DMatrix a = la::random_rank_k<real_t>(64, 48, 6, rng);
+  const la::DMatrix a = la::random_rank_k(64, 48, 6, rng);
   const WarmCompressResult hit = compress_svd_warm(a.cview(), 1e-10, 27, 6);
   EXPECT_FALSE(hit.grew);
   ASSERT_TRUE(hit.lr.has_value());

@@ -18,7 +18,7 @@ class GetrfSizes : public ::testing::TestWithParam<index_t> {};
 TEST_P(GetrfSizes, SolveResidualIsSmall) {
   const index_t n = GetParam();
   Prng rng(static_cast<std::uint64_t>(n));
-  DMatrix a = random_diagdom<real_t>(n, rng);
+  DMatrix a = random_diagdom(n, rng);
   const DMatrix a0 = a;
   std::vector<index_t> ipiv;
   ASSERT_EQ(getrf(a.view(), ipiv), 0);
@@ -90,7 +90,7 @@ TEST(Getrf, RectangularPanelFactorization) {
 TEST(LuInverse, InverseTimesMatrixIsIdentity) {
   Prng rng(21);
   const index_t n = 20;
-  DMatrix a = random_diagdom<real_t>(n, rng);
+  DMatrix a = random_diagdom(n, rng);
   const DMatrix a0 = a;
   std::vector<index_t> ipiv;
   ASSERT_EQ(getrf(a.view(), ipiv), 0);
@@ -108,7 +108,7 @@ class PotrfSizes : public ::testing::TestWithParam<index_t> {};
 TEST_P(PotrfSizes, CholeskyReconstructs) {
   const index_t n = GetParam();
   Prng rng(static_cast<std::uint64_t>(100 + n));
-  DMatrix a = random_spd<real_t>(n, rng);
+  DMatrix a = random_spd(n, rng);
   const DMatrix a0 = a;
   ASSERT_EQ(potrf(a.view()), 0);
   // L·Lᵗ == A (only lower triangle of the factor is valid).
@@ -125,7 +125,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, PotrfSizes, ::testing::Values(1, 2, 4, 9, 16, 41
 TEST(Potrf, SolveResidual) {
   Prng rng(77);
   const index_t n = 30;
-  DMatrix a = random_spd<real_t>(n, rng);
+  DMatrix a = random_spd(n, rng);
   const DMatrix a0 = a;
   ASSERT_EQ(potrf(a.view()), 0);
   DMatrix b(n, 2);
@@ -148,7 +148,7 @@ TEST(Potrf, RejectsIndefiniteMatrix) {
 
 TEST(Potrf, DoesNotReadUpperTriangle) {
   Prng rng(13);
-  DMatrix a = random_spd<real_t>(6, rng);
+  DMatrix a = random_spd(6, rng);
   DMatrix b = a;
   // Poison b's strict upper triangle; factorization must be unaffected.
   for (index_t j = 1; j < 6; ++j)

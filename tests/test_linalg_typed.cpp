@@ -45,7 +45,7 @@ TEST(TypedLinalg, GemmAllTransposeCombos) {
 TEST(TypedLinalg, LuSolveResidual) {
   Prng rng(2);
   const index_t n = 24;
-  DMatrix a = random_diagdom<real_t>(n, rng);
+  DMatrix a = random_diagdom(n, rng);
   const DMatrix a0 = a;
   std::vector<index_t> ipiv;
   ASSERT_EQ(getrf(a.view(), ipiv), 0);
@@ -61,7 +61,7 @@ TEST(TypedLinalg, LuSolveResidual) {
 TEST(TypedLinalg, CholeskyReconstruction) {
   Prng rng(3);
   const index_t n = 18;
-  DMatrix a = random_spd<real_t>(n, rng);
+  DMatrix a = random_spd(n, rng);
   const DMatrix a0 = a;
   ASSERT_EQ(potrf(a.view()), 0);
   DMatrix l(n, n);
@@ -87,7 +87,7 @@ TEST(TypedLinalg, QrOrthonormality) {
 
 TEST(TypedLinalg, RrqrFindsRank) {
   Prng rng(5);
-  DMatrix a = random_rank_k<real_t>(30, 24, 5, rng);
+  DMatrix a = random_rank_k(30, 24, 5, rng);
   std::vector<index_t> jpvt;
   std::vector<real_t> tau;
   const real_t tol = kRel * norm_fro(a.cview());

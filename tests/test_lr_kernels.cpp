@@ -43,8 +43,8 @@ TEST_P(AbtProduct, MatchesDenseReference) {
   const auto p = GetParam();
   Prng rng(21);
   const index_t m = 30, n = 26, w = 18;
-  const la::DMatrix av = la::random_rank_k<real_t>(m, w, 5, rng);
-  const la::DMatrix bv = la::random_rank_k<real_t>(n, w, 4, rng);
+  const la::DMatrix av = la::random_rank_k(m, w, 5, rng);
+  const la::DMatrix bv = la::random_rank_k(n, w, 4, rng);
   const Tile a = make_tile(av, p.a_lowrank, CompressionKind::Rrqr);
   const Tile b = make_tile(bv, p.b_lowrank, CompressionKind::Rrqr);
 
@@ -78,8 +78,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(AbtProduct, OrthoResultHasOrthonormalU) {
   Prng rng(33);
   const index_t m = 40, n = 35, w = 20;
-  const la::DMatrix av = la::random_rank_k<real_t>(m, w, 6, rng);
-  const la::DMatrix bv = la::random_rank_k<real_t>(n, w, 5, rng);
+  const la::DMatrix av = la::random_rank_k(m, w, 6, rng);
+  const la::DMatrix bv = la::random_rank_k(n, w, 5, rng);
   for (const bool a_lr : {true, false}) {
     for (const bool b_lr : {true, false}) {
       if (!a_lr && !b_lr) continue;
@@ -100,8 +100,8 @@ TEST(AbtProduct, LrLrRecompressionReducesRank) {
   // Two rank-8 factors whose product has rank <= 3 by construction.
   Prng rng(5);
   const index_t m = 50, n = 45, w = 30;
-  la::DMatrix core = la::random_rank_k<real_t>(w, w, 3, rng);
-  const la::DMatrix av = la::random_rank_k<real_t>(m, w, 8, rng);
+  la::DMatrix core = la::random_rank_k(w, w, 3, rng);
+  const la::DMatrix av = la::random_rank_k(m, w, 8, rng);
   // bv = (rank-3 core)ᵗ·"anything" keeps the product rank at most 3.
   la::DMatrix bv(n, w);
   la::DMatrix tmp(n, w);
@@ -118,7 +118,7 @@ TEST(AbtProduct, LrLrRecompressionReducesRank) {
 
 TEST(ApplyToDense, SubtractsPlainAndTransposed) {
   Prng rng(9);
-  const la::DMatrix pv = la::random_rank_k<real_t>(8, 6, 2, rng);
+  const la::DMatrix pv = la::random_rank_k(8, 6, 2, rng);
   la::DMatrix copy = pv;
   const Tile p = Tile::from_dense(std::move(copy), MemCategory::Workspace);
 
@@ -149,10 +149,10 @@ TEST_P(ExtendAdd, MatchesDenseReference) {
   const index_t M = 48, N = 40;
   const index_t pm = 14, pn = 11;  // contribution dims (pre-transpose)
 
-  const la::DMatrix cv = la::random_rank_k<real_t>(M, N, 5, rng);
+  const la::DMatrix cv = la::random_rank_k(M, N, 5, rng);
   Tile c = make_tile(cv, true, cfg.kind);
 
-  const la::DMatrix pv = la::random_rank_k<real_t>(pm, pn, 3, rng);
+  const la::DMatrix pv = la::random_rank_k(pm, pn, 3, rng);
   const Tile p = make_tile(pv, cfg.p_lowrank, cfg.kind);
 
   // Reference: dense C minus the (possibly transposed) padded contribution.
@@ -198,7 +198,7 @@ TEST(ExtendAdd, RankZeroTargetAdoptsContribution) {
   Tile c = compress_to_tile(CompressionKind::Rrqr, zero.cview(), 1e-8);
   ASSERT_EQ(c.rank(), 0);
 
-  const la::DMatrix pv = la::random_rank_k<real_t>(10, 10, 2, rng);
+  const la::DMatrix pv = la::random_rank_k(10, 10, 2, rng);
   const Tile p = make_tile(pv, true, CompressionKind::Rrqr);
   lr2lr_add(c, p, 5, 7, CompressionKind::Rrqr, 1e-10);
   ASSERT_TRUE(c.is_lowrank());
@@ -213,7 +213,7 @@ TEST(ExtendAdd, RankZeroTargetAdoptsContribution) {
 TEST(ExtendAdd, DensifiesWhenRankExceedsBenefit) {
   Prng rng(4);
   const index_t M = 20, N = 20;  // beneficial limit ~9
-  const la::DMatrix cv = la::random_rank_k<real_t>(M, N, 6, rng);
+  const la::DMatrix cv = la::random_rank_k(M, N, 6, rng);
   Tile c = make_tile(cv, true, CompressionKind::Rrqr);
 
   // Full-rank contribution covering the whole block.
@@ -231,11 +231,11 @@ TEST(ExtendAdd, DensifiesWhenRankExceedsBenefit) {
 
 TEST(ExtendAdd, DenseTargetGetsPlainSubtraction) {
   Prng rng(6);
-  const la::DMatrix cv = la::random_rank_k<real_t>(25, 25, 25, rng);
+  const la::DMatrix cv = la::random_rank_k(25, 25, 25, rng);
   la::DMatrix copy = cv;
   Tile c = Tile::from_dense(std::move(copy));
 
-  const la::DMatrix pv = la::random_rank_k<real_t>(8, 8, 2, rng);
+  const la::DMatrix pv = la::random_rank_k(8, 8, 2, rng);
   const Tile p = make_tile(pv, true, CompressionKind::Svd);
   lr2lr_add(c, p, 3, 4, CompressionKind::Svd, 1e-10);
   ASSERT_FALSE(c.is_lowrank());
@@ -248,13 +248,13 @@ TEST(ExtendAdd, FactoredTargetIsRejected) {
   // The tile lifecycle forbids extend-adds into an already-factored tile:
   // the driver must have applied every incoming update first.
   Prng rng(11);
-  const la::DMatrix cv = la::random_rank_k<real_t>(20, 20, 3, rng);
+  const la::DMatrix cv = la::random_rank_k(20, 20, 3, rng);
   Tile c = make_tile(cv, true, CompressionKind::Rrqr);
   c.advance(TileState::Assembled);
   c.advance(TileState::Compressed);
   c.advance(TileState::Factored);
 
-  const la::DMatrix pv = la::random_rank_k<real_t>(6, 6, 2, rng);
+  const la::DMatrix pv = la::random_rank_k(6, 6, 2, rng);
   const Tile p = make_tile(pv, true, CompressionKind::Rrqr);
   EXPECT_THROW(lr2lr_add(c, p, 0, 0, CompressionKind::Rrqr, 1e-10), Error);
 }
@@ -274,7 +274,7 @@ TEST(ExtendAdd, RepeatedUpdatesKeepToleranceProperty) {
       const index_t pn = 6 + static_cast<index_t>(rng.below(10));
       const index_t ro = static_cast<index_t>(rng.below(static_cast<std::uint64_t>(M - pm)));
       const index_t co = static_cast<index_t>(rng.below(static_cast<std::uint64_t>(N - pn)));
-      const la::DMatrix pv = la::random_rank_k<real_t>(pm, pn, 2, rng);
+      const la::DMatrix pv = la::random_rank_k(pm, pn, 2, rng);
       for (index_t j = 0; j < pn; ++j)
         for (index_t i = 0; i < pm; ++i) ref(ro + i, co + j) -= pv(i, j);
       const Tile p = make_tile(pv, true, kind);

@@ -157,7 +157,7 @@ class RrqrRankRecovery : public ::testing::TestWithParam<RrqrCase> {};
 TEST_P(RrqrRankRecovery, FindsExactRank) {
   const auto [m, n, rank] = GetParam();
   Prng rng(static_cast<std::uint64_t>(m + 31 * n + 1001 * rank));
-  DMatrix a = random_rank_k<real_t>(m, n, rank, rng);
+  DMatrix a = random_rank_k(m, n, rank, rng);
   const real_t tol = 1e-10 * norm_fro(a.cview());
 
   std::vector<index_t> jpvt;
@@ -190,7 +190,7 @@ TEST(Rrqr, RespectsMaxRankCap) {
 
 TEST(Rrqr, PivotVectorIsPermutation) {
   Prng rng(14);
-  DMatrix a = random_rank_k<real_t>(25, 18, 6, rng);
+  DMatrix a = random_rank_k(25, 18, 6, rng);
   std::vector<index_t> jpvt;
   std::vector<real_t> tau;
   geqp3_trunc(a.view(), jpvt, tau, real_t(1e-9), index_t(18));
@@ -207,7 +207,7 @@ TEST(Rrqr, TruncationErrorBelowTolerance) {
   // Property: stopping at tol guarantees ‖A·P − Q_r·R_r‖_F <= tol.
   Prng rng(99);
   for (const real_t decay : {0.9, 0.5, 0.2}) {
-    DMatrix a = random_decaying<real_t>(40, 32, decay, rng);
+    DMatrix a = random_decaying(40, 32, decay, rng);
     const real_t anorm = norm_fro(a.cview());
     const real_t tol = 1e-6 * anorm;
     DMatrix w = a;

@@ -32,7 +32,7 @@ TEST(GetrfStatic, ReplacesTinyPivotsAndCompletes) {
 
 TEST(GetrfStatic, NoReplacementOnWellConditionedMatrix) {
   Prng rng(5);
-  la::DMatrix a = la::random_diagdom<real_t>(20, rng);
+  la::DMatrix a = la::random_diagdom(20, rng);
   const la::DMatrix a0 = a;
   std::vector<index_t> ipiv;
   index_t replaced = 0;

@@ -78,7 +78,7 @@ TEST(Svd, KnownSingularValuesOfDiagonal) {
 
 TEST(Svd, RankDeficientMatrixHasZeroTail) {
   Prng rng(12);
-  DMatrix a = random_rank_k<real_t>(20, 20, 4, rng);
+  DMatrix a = random_rank_k(20, 20, 4, rng);
   const auto s = singular_values(a.cview());
   for (std::size_t i = 4; i < s.size(); ++i) EXPECT_LT(s[i], 1e-10 * s[0]);
   EXPECT_GT(s[3], 1e-10 * s[0]);

@@ -63,7 +63,7 @@ TEST(TileArena, ChargesAndDischargesThroughTracker) {
 
     // Representation switch re-tracks the delta under the tile's category.
     Prng rng(2);
-    const la::DMatrix m = la::random_rank_k<real_t>(10, 10, 2, rng);
+    const la::DMatrix m = la::random_rank_k(10, 10, 2, rng);
     auto lr = compress_rrqr(m.cview(), 1e-10, 4);
     ASSERT_TRUE(lr);
     a.set_lowrank(std::move(*lr));
@@ -112,7 +112,7 @@ TEST_P(Lr2LrChain, UStaysOrthonormalAndStateNeverRegresses) {
   const index_t M = 64, N = 56;
   const real_t tol = 1e-8;
 
-  la::DMatrix ref = la::random_rank_k<real_t>(M, N, 4, rng);
+  la::DMatrix ref = la::random_rank_k(M, N, 4, rng);
   Tile c = compress_to_tile(kind, ref.cview(), tol);
   ASSERT_TRUE(c.is_lowrank());
   c.advance(TileState::Assembled);
@@ -132,7 +132,7 @@ TEST_P(Lr2LrChain, UStaysOrthonormalAndStateNeverRegresses) {
     const index_t co =
         static_cast<index_t>(rng.below(static_cast<std::uint64_t>(N - en)));
 
-    const la::DMatrix pv = la::random_rank_k<real_t>(pm, pn, 2, rng);
+    const la::DMatrix pv = la::random_rank_k(pm, pn, 2, rng);
     Tile p;
     if (lowrank_p) {
       p = compress_to_tile(kind, pv.cview(), 1e-12, MemCategory::Workspace);
@@ -165,7 +165,7 @@ TEST_P(Lr2LrChain, UStaysOrthonormalAndStateNeverRegresses) {
 
   // A factored tile must reject further extend-adds (state machine).
   c.advance(TileState::Factored);
-  const la::DMatrix last = la::random_rank_k<real_t>(8, 8, 2, rng);
+  const la::DMatrix last = la::random_rank_k(8, 8, 2, rng);
   const Tile p = compress_to_tile(kind, last.cview(), 1e-12,
                                   MemCategory::Workspace);
   EXPECT_THROW(lr2lr_add(c, p, 0, 0, kind, tol), Error);
