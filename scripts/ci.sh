@@ -24,7 +24,9 @@ JOBS="$(nproc)"
 # threads and race refactorize against them; the solve label drains the
 # parallel solve DAG and races direct solves on the engine lock) and the
 # scheduler/determinism tests written for it, the analysis tests among them
-# (nested dissection forks its halves over the factorization pool).
+# (nested dissection forks its halves over the factorization pool), and the
+# factor-bit pins of KernelBits, whose 4-thread runs drive the update's
+# dense and low-rank grids from concurrent tasks.
 configure_and_build() { # <dir> <sanitize> [extra cmake args...]
   local dir="$1" sanitize="$2"
   shift 2
@@ -69,7 +71,7 @@ require_matches() { # <dir> <filter>
 }
 
 run_tsan() {
-  local filter='SchedulerSweep|WorkStealing|ParallelDeterminism|ExactlyOnce|AnalysisDeterminism|TreeModelMatchesRebuild'
+  local filter='SchedulerSweep|WorkStealing|ParallelDeterminism|ExactlyOnce|AnalysisDeterminism|TreeModelMatchesRebuild|KernelBits'
   configure_and_build build-ci-tsan thread
   require_matches build-ci-tsan "$filter"
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \

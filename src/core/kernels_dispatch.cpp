@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <iterator>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "linalg/blas.hpp"
@@ -57,21 +58,39 @@ KernelDispatch& KernelDispatch::instance() {
   return d;
 }
 
+std::optional<DispatchCount> KernelDispatch::count(int row) const {
+  const Counter& c = counters_[row];
+  const std::uint64_t calls = c.calls.load(std::memory_order_relaxed);
+  if (calls == 0) return std::nullopt;
+  DispatchCount d;
+  d.kernel = kRowNames[row];
+  d.calls = calls;
+  d.bytes = c.bytes.load(std::memory_order_relaxed);
+  d.seconds = static_cast<double>(c.nanos.load(std::memory_order_relaxed)) * 1e-9;
+  return d;
+}
+
 std::vector<DispatchCount> KernelDispatch::snapshot() const {
   std::vector<DispatchCount> out;
   for (int row = 0; row < kRows; ++row) {
-    const Counter& c = counters_[row];
-    const std::uint64_t calls = c.calls.load(std::memory_order_relaxed);
-    if (calls == 0) continue;
-    DispatchCount d;
-    d.kernel = kRowNames[row];
-    d.calls = calls;
-    d.bytes = c.bytes.load(std::memory_order_relaxed);
-    d.seconds =
-        static_cast<double>(c.nanos.load(std::memory_order_relaxed)) * 1e-9;
-    out.push_back(std::move(d));
+    if (std::optional<DispatchCount> d = count(row)) out.push_back(std::move(*d));
   }
   return out;
+}
+
+void KernelDispatch::refresh_solve_rows(std::vector<DispatchCount>& rows) const {
+  std::vector<DispatchCount> out;
+  auto it = rows.begin();  // rows is in KernelRow order
+  for (int row = 0; row < kRows; ++row) {
+    const bool taken = it != rows.end() && it->kernel == kRowNames[row];
+    if (std::string_view(kRowNames[row]).starts_with("solve_")) {
+      if (std::optional<DispatchCount> d = count(row)) out.push_back(std::move(*d));
+    } else if (taken) {
+      out.push_back(std::move(*it));
+    }
+    if (taken) ++it;
+  }
+  rows = std::move(out);
 }
 
 void KernelDispatch::reset_counters() {
@@ -164,19 +183,29 @@ void panel_solve(const lr::Tile& diag, const std::vector<index_t>& piv,
   la::trsm_stacked(la::Uplo::Lower, la::Trans::Yes, la::Diag::Unit, d, rows);
 }
 
-lr::Tile product(const lr::Tile& a, const lr::Tile& b, lr::CompressionKind kind,
-                 real_t tol, bool need_ortho) {
-  BLR_CHECK(a.is_lowrank() || b.is_lowrank(),
-            "dense x dense products go through gemm_update");
-  // Row by each operand's class: 0 dense, 1 low-rank, 2 low-rank in fp32.
+namespace {
+
+/// An update operand's class: 0 dense, 1 low-rank, 2 low-rank in fp32.
+int operand_class(const lr::Tile& t) {
+  return !t.is_lowrank() ? 0 : is_fp32(t) ? 2 : 1;
+}
+
+/// The counter row of a product A·Bᵗ by its operands' classes.
+Row product_row(int a, int b) {
   static constexpr Row kProductRows[3][3] = {
       {Row::GemmGeGe, Row::GemmGeLr, Row::GemmGeLr32},
       {Row::GemmLrGe, Row::GemmLrLr, Row::GemmLrLr32},
       {Row::GemmLr32Ge, Row::GemmLr32Lr, Row::GemmLr32Lr32}};
-  const auto cls = [](const lr::Tile& t) {
-    return !t.is_lowrank() ? 0 : is_fp32(t) ? 2 : 1;
-  };
-  const Scope scope(kProductRows[cls(a)][cls(b)],
+  return kProductRows[a][b];
+}
+
+} // namespace
+
+lr::Tile product(const lr::Tile& a, const lr::Tile& b, lr::CompressionKind kind,
+                 real_t tol, bool need_ortho) {
+  BLR_CHECK(a.is_lowrank() || b.is_lowrank(),
+            "dense x dense products go through gemm_update");
+  const Scope scope(product_row(operand_class(a), operand_class(b)),
                     a.storage_bytes() + b.storage_bytes());
   // Operands may be read concurrently by other update tasks, so fp32 ones
   // widen into Workspace-tracked copies, never in place.
@@ -193,6 +222,108 @@ lr::Tile product(const lr::Tile& a, const lr::Tile& b, lr::CompressionKind kind,
   }
   return lr::ab_t_product(*pa, *pb, kind, tol, need_ortho,
                           MemCategory::Workspace);
+}
+
+namespace {
+
+/// lowrank_update on one chunk of pairs, whose W (Z) factors are one
+/// Workspace buffer.
+void lowrank_chunk(const lr::Tile& xs, const lr::LrMatrix& xf, bool row_side,
+                   std::span<const LrGridPair> pairs) {
+  const index_t r = xf.rank();
+  // The pairs' W (Z) factors, stacked: pair p's rows start at w0[p].
+  std::vector<index_t> w0(pairs.size() + 1, 0);
+  for (std::size_t p = 0; p < pairs.size(); ++p)
+    w0[p + 1] = w0[p] + pairs[p].other.wide->rows();
+  lr::Tile wbuf = lr::Tile::make_dense(w0.back(), r, MemCategory::Workspace);
+  la::DMatrix& w = wbuf.dense();
+  const auto wp = [&](std::size_t p) {
+    return w.sub(w0[p], 0, w0[p + 1] - w0[p], r);
+  };
+
+  // W = B·V (Z = A·V) of the dense partners as one grid against Vᵗ, which
+  // runs each product in the order of the single gemm(No, No) call.
+  std::vector<la::DConstView> dense;
+  std::vector<la::GemmTarget> targets;
+  std::uint64_t bytes = xs.storage_bytes();
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const lr::Tile& o = *pairs[p].other.wide;
+    if (o.is_lowrank()) continue;
+    targets.push_back({static_cast<index_t>(dense.size()), 0, wp(p), false});
+    dense.push_back(o.dense().cview());
+    bytes += o.storage_bytes();
+  }
+  if (!targets.empty()) {
+    const int cx = operand_class(xs);
+    const Scope scope(row_side ? product_row(cx, 0) : product_row(0, cx), bytes);
+    // Vᵗ is per-thread scratch, like the engine's packed operands.
+    thread_local la::DMatrix vt;
+    vt.reshape(r, xf.v.rows());
+    la::transpose<real_t>(xf.v.cview(), vt.view());
+    const la::DConstView vtv = vt.cview();
+    la::gemm_batch(real_t(1), dense, std::span(&vtv, 1), targets);
+  }
+
+  // A low-rank partner Y: T = V_Aᵗ·V_B, then W = U_Y·Tᵗ (Z = U_Y·T).
+  la::DMatrix t;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const LrGridPair& pr = pairs[p];
+    const lr::Tile& o = *pr.other.wide;
+    if (!o.is_lowrank()) continue;
+    const lr::LrMatrix& of = o.lr();
+    BLR_CHECK(row_side ? r <= of.rank() : r < of.rank(),
+              "a low-rank pair runs on the side of its lower rank");
+    const lr::Tile& a = row_side ? xs : *pr.other.stored;
+    const lr::Tile& b = row_side ? *pr.other.stored : xs;
+    const Scope scope(product_row(operand_class(a), operand_class(b)),
+                      a.storage_bytes() + b.storage_bytes());
+    const lr::LrMatrix& af = row_side ? xf : of;
+    const lr::LrMatrix& bf = row_side ? of : xf;
+    t.reshape(af.rank(), bf.rank());
+    la::gemm(la::Trans::Yes, la::Trans::No, real_t(1), af.v.cview(),
+             bf.v.cview(), real_t(0), t.view());
+    la::gemm(la::Trans::No, row_side ? la::Trans::Yes : la::Trans::No,
+             real_t(1), of.u.cview(), t.cview(), real_t(0), wp(p));
+  }
+
+  // C -= U·Wᵗ (C -= Z·Uᵗ), or the transpose, per pair: one grid of depth r.
+  bytes = view_bytes(xf.u.cview()) + view_bytes(w.cview());
+  std::vector<la::DConstView> ws(pairs.size());
+  targets.clear();
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    ws[p] = wp(p);
+    const auto q = static_cast<index_t>(p);
+    targets.push_back({row_side ? 0 : q, row_side ? q : 0, pairs[p].c,
+                       pairs[p].transposed});
+    bytes += view_bytes(pairs[p].c);
+  }
+  const Scope scope(Row::Lr2GeLr, bytes);
+  const la::DConstView u = xf.u.cview();
+  if (row_side) {
+    la::gemm_batch(real_t(-1), std::span(&u, 1), ws, targets);
+  } else {
+    la::gemm_batch(real_t(-1), ws, std::span(&u, 1), targets);
+  }
+}
+
+} // namespace
+
+void lowrank_update(UpdateOperand x, bool row_side,
+                    std::span<const LrGridPair> pairs) {
+  const lr::LrMatrix& xf = x.wide->lr();
+  BLR_CHECK(x.wide->is_lowrank() && !is_fp32(*x.wide),
+            "a low-rank grid runs on an fp64 low-rank blok");
+  if (xf.rank() == 0) return;
+  // Chunks of at most kStackRows rows of W (Z), or one partner, so the
+  // buffer stays near one product's size whatever the number of partners.
+  for (std::size_t p0 = 0, p1 = 0; p0 < pairs.size(); p0 = p1) {
+    index_t rows = pairs[p0].other.wide->rows();
+    for (p1 = p0 + 1; p1 < pairs.size() &&
+                      rows + pairs[p1].other.wide->rows() <= la::kStackRows;
+         ++p1)
+      rows += pairs[p1].other.wide->rows();
+    lowrank_chunk(*x.stored, xf, row_side, pairs.subspan(p0, p1 - p0));
+  }
 }
 
 void gemm_update(std::span<const la::DConstView> rows,

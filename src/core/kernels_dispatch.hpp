@@ -23,12 +23,14 @@ enum class KernelRow : int {
   TrsmGe,        ///< panel solve of a stacked group of dense rows
   TrsmLr,        ///< panel solve of one low-rank tile
   GemmGeGe,      ///< dense update: one grid, in place
-  GemmLrGe,      ///< contribution product P = A·Bᵗ with a low-rank operand
+  GemmLrGe,      ///< contribution product P = A·Bᵗ with a low-rank operand,
+                 ///< or the W (Z) factors of a low-rank grid
   GemmGeLr,
   GemmLrLr,
   Lr2LrGe,       ///< extend-add into a low-rank tile (§3.3.2)
   Lr2LrLr,
-  Lr2GeGe,       ///< extend-add into dense storage
+  Lr2GeGe,       ///< extend-add into dense storage (Lr2GeLr: also the
+                 ///< apply grid of a low-rank grid)
   Lr2GeLr,
   CompressGe,    ///< rank-revealing compression of a dense tile
   SolveTrsmGe,   ///< triangular-solve diagonal apply (§16)
@@ -67,6 +69,9 @@ public:
   /// Per-kernel counters since the last reset, zero-call rows omitted, in
   /// KernelRow order.
   [[nodiscard]] std::vector<DispatchCount> snapshot() const;
+  /// Replace the solve_* rows of `rows`, an earlier snapshot, with the
+  /// current ones, in KernelRow order; its other rows stay as taken.
+  void refresh_solve_rows(std::vector<DispatchCount>& rows) const;
   void reset_counters();
 
   KernelDispatch(const KernelDispatch&) = delete;
@@ -89,6 +94,9 @@ private:
 
   static constexpr int kRows = static_cast<int>(KernelRow::kCount);
   Counter counters_[kRows];
+
+  /// The current counts of one row; nullopt while it has no calls.
+  [[nodiscard]] std::optional<DispatchCount> count(int row) const;
 };
 
 /// Driver-facing kernels: each runs its kernel body inside one counter
@@ -117,6 +125,39 @@ void panel_solve(const lr::Tile& diag, const std::vector<index_t>& piv,
 /// least one low-rank operand.
 lr::Tile product(const lr::Tile& a, const lr::Tile& b, lr::CompressionKind kind,
                  real_t tol, bool need_ortho);
+
+/// A panel blok as an update operand: the tile as stored, which picks the
+/// counter row and the bytes, and the fp64 tile the arithmetic reads (the
+/// tile itself, or the widened copy of an fp32 low-rank tile).
+struct UpdateOperand {
+  const lr::Tile* stored = nullptr;
+  const lr::Tile* wide = nullptr;
+};
+
+/// One pair of a low-rank grid: the pair's other operand and the dense
+/// target its contribution is subtracted from (transposed: the target
+/// receives the contribution's transpose).
+struct LrGridPair {
+  UpdateOperand other;
+  la::DView c;
+  bool transposed = false;
+};
+
+/// The contributions of one low-rank blok X = U·Vᵗ onto dense targets
+/// (DESIGN.md §12), bit-identical per pair to product(need_ortho = false)
+/// followed by apply_contribution. Row side (X is every pair's row operand
+/// A, C -= X·Bᵗ): W = B·V, then C -= U·Wᵗ. Column side (X is the column
+/// operand B, C -= A·Xᵗ): Z = A·V, then C -= Z·Uᵗ. The W (Z) of the dense
+/// partners are one la::gemm_batch, counted in gemm[lr,ge] (gemm[ge,lr]);
+/// a low-rank partner Y takes ab_t_product's operand order, T = V_Aᵗ·V_B,
+/// then W = U_Y·Tᵗ (Z = U_Y·T), one gemm[lr,lr] call per pair, and must
+/// have rank ≥ X's on the row side, > X's on the column side. The
+/// contributions are then subtracted as one la::gemm_batch of depth
+/// rank(X), counted in lr2ge[lr]. The pairs run in chunks of at most
+/// la::kStackRows rows of W (Z), or one partner, each chunk's factors one
+/// Workspace buffer while it runs: one W grid and one apply grid per chunk.
+void lowrank_update(UpdateOperand x, bool row_side,
+                    std::span<const LrGridPair> pairs);
 
 /// Dense update (DESIGN.md §12): every target gets C -= rows[p]·cols[q]ᵗ
 /// (or its transpose) as one la::gemm_batch grid, which packs the column

@@ -542,9 +542,10 @@ void NumericFactor::run_update(const DagTask& u) {
     const lr::Tile* b;  ///< column blok
     UpdateLoc loc;
     bool dense;         ///< dense × dense
-    bool grid;          ///< part of the task's grid GEMM: dense, dense target
+    bool grid;          ///< part of a grid: the dense one, or a low-rank one
     bool staged;        ///< its product is staged for a low-rank target
     la::DView dst;      ///< its dense target (grid pairs)
+    bool column_side;   ///< low-rank grid: column side of j, else row side of i
   };
   std::vector<Pair> pairs;
   for (index_t j = u.b0; j < (llt_ ? u.b1 : nb); ++j) {
@@ -559,7 +560,7 @@ void NumericFactor::run_update(const DagTask& u) {
       const lr::Tile& a = cd.lpanel[static_cast<std::size_t>(i)];
       if (a.rank() == 0) continue;  // zero contribution
       pairs.push_back({i, j, &a, &b, locate_update(u.k, i, j),
-                       !a.is_lowrank() && !b.is_lowrank(), false, false, {}});
+                       !a.is_lowrank() && !b.is_lowrank(), false, false, {}, false});
     }
   }
   // The write chains keep t's lock uncontended; it is taken once per task.
@@ -582,11 +583,25 @@ void NumericFactor::run_update(const DagTask& u) {
            static_cast<std::uint64_t>(pr.a->cols());
   };
   std::uint64_t flops = 0;
-  for (Pair& pr : pairs) {
-    if (!pr.dense) continue;
+  std::vector<std::size_t> lowrank;  // the low-rank grid pairs
+  for (std::size_t x = 0; x < pairs.size(); ++x) {
+    Pair& pr = pairs[x];
     pr.dst = dense_target(pr.loc);
     pr.grid = pr.dst.data != nullptr;
     if (!pr.grid) continue;
+    if (!pr.dense) {
+      // A low-rank×low-rank product onto a dense target keeps the
+      // recompression of T where the strategy orthonormalizes products
+      // (see below); every other product with a low-rank operand joins the
+      // grid of its low-rank operand, the one of lower rank for two.
+      const bool lr_a = pr.a->is_lowrank();
+      const bool lr_b = pr.b->is_lowrank();
+      pr.grid = !(policy_->need_ortho() && lr_a && lr_b);
+      if (!pr.grid) continue;
+      pr.column_side = !(lr_a && (!lr_b || pr.a->rank() <= pr.b->rank()));
+      lowrank.push_back(x);
+      continue;
+    }
     row_of[static_cast<std::size_t>(pr.i)] = 0;  // used; numbered below
     col_of[static_cast<std::size_t>(pr.j)] = 0;
   }
@@ -604,7 +619,7 @@ void NumericFactor::run_update(const DagTask& u) {
         (llt_ ? cd.lpanel : cd.upanel)[static_cast<std::size_t>(j)].dense().cview());
   }
   for (const Pair& pr : pairs) {
-    if (!pr.grid) continue;
+    if (!pr.grid || !pr.dense) continue;
     targets.push_back({row_of[static_cast<std::size_t>(pr.i)],
                        col_of[static_cast<std::size_t>(pr.j)], pr.dst,
                        pr.loc.transpose});
@@ -615,9 +630,46 @@ void NumericFactor::run_update(const DagTask& u) {
     update_flops_.fetch_add(flops, std::memory_order_relaxed);
   }
 
+  // The pairs with a low-rank operand and a dense target, grouped by that
+  // operand: one dispatch::lowrank_update per low-rank blok and side, which
+  // runs two grid GEMMs (DESIGN.md §12). They leave the other pairs' target
+  // entries alone, so they too may run ahead. fp32 operands are widened
+  // once per task.
+  std::vector<lr::Tile> wide;  // by blok, the U panel's after the L panel's
+  const auto operand = [&](bool column, index_t x) {
+    const bool upper = column && !llt_;
+    const lr::Tile& t = (upper ? cd.upanel : cd.lpanel)[static_cast<std::size_t>(x)];
+    if (t.precision() != lr::Precision::Fp32) return dispatch::UpdateOperand{&t, &t};
+    if (wide.empty()) wide.resize(static_cast<std::size_t>(2 * nb));
+    lr::Tile& w = wide[static_cast<std::size_t>(upper ? nb + x : x)];
+    if (!w.is_lowrank()) w = lr::promote_copy(t, MemCategory::Workspace);
+    return dispatch::UpdateOperand{&t, &w};
+  };
+  const auto grid_of = [&](std::size_t x) {
+    const Pair& pr = pairs[x];
+    return std::pair(pr.column_side, pr.column_side ? pr.j : pr.i);
+  };
+  std::stable_sort(lowrank.begin(), lowrank.end(),
+                   [&](std::size_t x, std::size_t y) { return grid_of(x) < grid_of(y); });
+  std::vector<dispatch::LrGridPair> grid;
+  for (std::size_t g0 = 0, g1 = 0; g0 < lowrank.size(); g0 = g1) {
+    if (failed_.load(std::memory_order_relaxed)) return;
+    poll_deadline(u.k);
+    const auto [column_side, blok] = grid_of(lowrank[g0]);
+    grid.clear();
+    for (g1 = g0; g1 < lowrank.size() && grid_of(lowrank[g1]) == grid_of(lowrank[g0]);
+         ++g1) {
+      const Pair& pr = pairs[lowrank[g1]];
+      grid.push_back({column_side ? operand(false, pr.i) : operand(true, pr.j),
+                      pr.dst, pr.loc.transpose});
+    }
+    dispatch::lowrank_update(operand(column_side, blok), !column_side, grid);
+  }
+  wide.clear();
+
   // Then, column blok by column blok, the pairs onto low-rank targets and
-  // the pairs with a low-rank operand, in row order, each product formed
-  // right before it is applied. A dense pair's product is staged in a
+  // the recompressed low-rank×low-rank pairs, in row order, each product
+  // formed right before it is applied. A dense pair's product is staged in a
   // Workspace tile, unless an earlier extend-add of this task turned its
   // target dense; the column's dense pairs run as one GEMM.
   std::vector<lr::Tile> staged;
@@ -656,7 +708,7 @@ void NumericFactor::run_update(const DagTask& u) {
       const Pair& pr = pairs[x];
       if (pr.staged) {
         finish_update(pr.loc, unstage(staged[next++].dense(), pr.loc.transpose));
-      } else if (!pr.dense) {
+      } else if (!pr.dense && !pr.grid) {
         // Only an LR2LR extend-add needs the orthonormal form, so a dense
         // target skips the re-orthogonalization of a dense×low-rank
         // product, which keeps its rank. A low-rank×low-rank product keeps

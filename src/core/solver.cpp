@@ -437,11 +437,11 @@ void Solver::note_solve(const SolveRunInfo& ri, double seconds) const {
   sp.widen_hits += ri.widen_hits;
   sp.widen_tiles = num_->widen_cache_tiles();
   sp.widen_bytes = num_->widen_cache_bytes();
-  // Re-snapshot the dispatch table so the solve kernels' rows appear in
-  // stats() without waiting for the next factorize (the table accumulates
-  // since the successful attempt's reset, so the factorization rows are
-  // unchanged — solves only grow the solve_* rows).
-  st.dispatch = KernelDispatch::instance().snapshot();
+  // Refresh the solve kernels' rows so they appear in stats() without
+  // waiting for the next factorize. The factorization rows stay as this
+  // Solver's factorize took them: the process-wide counters may since have
+  // been reset and refilled by another Solver's factorization.
+  KernelDispatch::instance().refresh_solve_rows(st.dispatch);
   sp.trsm_seconds = 0;
   sp.gemm_seconds = 0;
   for (const DispatchCount& d : st.dispatch) {

@@ -626,6 +626,21 @@ std::uint64_t factor_fingerprint(const Solver& s) {
   return h;
 }
 
+/// The factorization ran products with a low-rank row operand, with a
+/// low-rank column operand and with two low-rank operands: the
+/// gemm[lr,ge], gemm[ge,lr] and gemm[lr,lr] rows (with `lr` spelled
+/// "lr" + suffix) all have calls.
+void expect_lowrank_operand_rows(const Solver& s, const std::string& suffix) {
+  const std::string lr = "lr" + suffix;
+  for (const std::string& name : {"gemm[" + lr + ",ge]", "gemm[ge," + lr + "]",
+                                  "gemm[" + lr + "," + lr + "]"}) {
+    std::uint64_t calls = 0;
+    for (const core::DispatchCount& d : s.stats().dispatch)
+      if (d.kernel == name) calls = d.calls;
+    EXPECT_GT(calls, 0u) << name;
+  }
+}
+
 // The dense panel kernels (stacked TRSM, grid GEMM) and the micro-tile
 // geometry may change how the work is cut, never the bits: these factor
 // fingerprints were computed with the per-blok TRSM and the one-GEMM-per-
@@ -633,7 +648,10 @@ std::uint64_t factor_fingerprint(const Solver& s) {
 // the new bits, not a new constant. The MinMem pin moved once: a
 // dense×low-rank product onto a dense target is no longer re-orthogonalized
 // (its LR2GE apply takes any basis), so those contributions carry the
-// product's own basis and round differently.
+// product's own basis and round differently. The conv-diff JIT LU and
+// MinMem MixedTiles pins were computed with the per-pair product and LR2GE
+// of every update with a low-rank operand, before the low-rank grids
+// replaced them on dense targets.
 TEST(KernelBits, FactorsMatchParent) {
   for (const int threads : {1, 4}) {
     {
@@ -662,6 +680,38 @@ TEST(KernelBits, FactorsMatchParent) {
       ASSERT_GT(s.stats().num_lowrank_blocks, 0);
       EXPECT_EQ(factor_fingerprint(s), 0xc895ab8eed4f4c2dull)
           << "conv-diff 16^3 MinMem LU, threads " << threads;
+    }
+    {
+      // LU under JIT: low-rank operands against diagonal and transposed
+      // U-panel targets, and low-rank x low-rank pairs with r_a <= r_b as
+      // well as r_a > r_b.
+      SolverOptions o;
+      o.strategy = Strategy::JustInTime;
+      o.factorization = Factorization::Lu;
+      o.compress_min_width = 8;
+      o.compress_min_height = 4;
+      o.threads = threads;
+      Solver s(o);
+      s.factorize(sparse::convection_diffusion_3d(16, 16, 16, 0.5));
+      expect_lowrank_operand_rows(s, "");
+      EXPECT_EQ(factor_fingerprint(s), 0x8bfccba60bc1e9d4ull)
+          << "conv-diff 16^3 JIT LU, threads " << threads;
+    }
+    {
+      // fp32 low-rank operands.
+      SolverOptions o;
+      o.strategy = Strategy::MinimalMemory;
+      o.factorization = Factorization::Lu;
+      o.precision = TilePrecision::MixedTiles;
+      o.tolerance = 1e-4;
+      o.compress_min_width = 16;
+      o.compress_min_height = 8;
+      o.threads = threads;
+      Solver s(o);
+      s.factorize(sparse::convection_diffusion_3d(16, 16, 16, 0.5));
+      expect_lowrank_operand_rows(s, "32");
+      EXPECT_EQ(factor_fingerprint(s), 0x5e72c9d21da017f6ull)
+          << "conv-diff 16^3 MinMem LU MixedTiles, threads " << threads;
     }
   }
 }
@@ -974,7 +1024,13 @@ void expect_kernel_rows(const BackendCase& c, const CscMatrix& a,
 // here needs a justification of the new rows, not a new constant. The
 // MinMem lr2ge[lr] bytes moved once: a dense×low-rank product onto a dense
 // target keeps its full rank instead of being re-orthogonalized down to
-// the target's row count when that is smaller.
+// the target's row count when that is smaller. The products with a
+// low-rank operand onto dense targets then moved into the low-rank grids
+// (DESIGN.md §12): gemm[lr,ge] and gemm[ge,lr] count one call per low-rank
+// blok, side and chunk, whose bytes are the blok once plus its dense
+// partners, gemm[lr,lr] still one call per pair, and lr2ge[lr] one call per
+// grid, whose bytes are U, the stacked W (Z) factors and the targets, where
+// each pair's LR2GE counted a copy of U, its own factor and its target.
 TEST(KernelTable, RowsMatchParent) {
   expect_kernel_rows(BackendCase{Strategy::JustInTime, lr::CompressionKind::Rrqr,
                                  TilePrecision::Fp64, 1, Factorization::Llt},
@@ -984,9 +1040,9 @@ TEST(KernelTable, RowsMatchParent) {
                       {"trsm[lr]", 2, 11872},
                       {"gemm[ge,ge]", 76, 510376},
                       {"gemm[lr,ge]", 2, 17472},
-                      {"gemm[ge,lr]", 10, 29856},
+                      {"gemm[ge,lr]", 1, 8688},
                       {"gemm[lr,lr]", 2, 23744},
-                      {"lr2ge[lr]", 14, 102312},
+                      {"lr2ge[lr]", 5, 33192},
                       {"compress[ge]", 13, 46016},
                       {"solve_trsm[ge]", 52, 8192},
                       {"solve_gemm[ge]", 41, 300208},
@@ -1002,14 +1058,14 @@ TEST(KernelTable, RowsMatchParent) {
                       {"trsm[ge]", 50, 229120},
                       {"gemm[ge,ge]", 102, 750184},
                       {"lr2ge[ge]", 16, 95288},
-                      {"lr2ge[lr]", 26, 184992},
+                      {"lr2ge[lr]", 8, 46752},
                       {"compress[ge]", 52, 184064},
                       {"solve_trsm[ge]", 52, 8192},
                       {"solve_gemm[ge]", 41, 300208},
                       {"solve_gemm[lr32]", 4, 13664},
                       {"trsm[lr32]", 4, 11872},
-                      {"gemm[lr32,ge]", 12, 29632},
-                      {"gemm[ge,lr32]", 12, 29632},
+                      {"gemm[lr32,ge]", 3, 19048},
+                      {"gemm[ge,lr32]", 3, 19048},
                       {"gemm[lr32,lr32]", 2, 11872},
                       {"lr2lr[ge,c32]", 12, 13840}},
                      "conv-diff 8^3 MinMem LU MixedTiles");
@@ -1032,6 +1088,88 @@ lr::Tile dense_tile(index_t m, index_t n, Prng& rng) {
   lr::Tile t = lr::Tile::make_dense(m, n, MemCategory::Workspace);
   la::random_normal(t.dense().view(), rng);
   return t;
+}
+
+// ---- the low-rank grids of the update ----------------------------------
+
+// dispatch::lowrank_update (DESIGN.md §12) must leave every target with the
+// bits of dispatch::product without re-orthogonalization followed by
+// dispatch::apply_contribution, pair by pair, on every ISA tier: for ranks
+// 0, 1, below and above the micro-tile width, depths below and above kKC,
+// plain and transposed targets, dense and low-rank partners, more partner
+// rows than one chunk (la::kStackRows), and fp32 low-rank operands (widened
+// once, as the numeric driver does).
+TEST(DispatchBits, LowRankGridMatchesPerPair) {
+  TierSweep sweep;
+  Prng rng(173);
+  const index_t nr = la::native_tile().nr;
+  for (const index_t k : {24, 300}) {
+    for (const index_t r : {index_t(0), index_t(1), nr - 1, nr + 5}) {
+      for (const lr::Precision prec : {lr::Precision::Fp64, lr::Precision::Fp32}) {
+        for (const bool row_side : {true, false}) {
+          const std::string what =
+              "k=" + std::to_string(k) + " r=" + std::to_string(r) +
+              (prec == lr::Precision::Fp32 ? " fp32" : " fp64") +
+              (row_side ? " row side" : " column side");
+          // X and its partners: dense ones (one taller than a packed m-block,
+          // all together more rows than one chunk of W) and low-rank ones of
+          // the ranks the side takes (row side: at least X's, column side:
+          // above it).
+          const lr::Tile x = lowrank_tile(45, k, r, rng, prec);
+          std::vector<lr::Tile> others;
+          for (const index_t h : {5, 37, 130, 90}) others.push_back(dense_tile(h, k, rng));
+          for (const index_t extra : {0, 3}) {
+            const index_t rank = r + extra + (row_side ? 0 : 1);
+            others.push_back(lowrank_tile(20 + 11 * extra, k, rank, rng, prec));
+          }
+          const auto widen = [](const lr::Tile& t) {
+            return t.precision() == lr::Precision::Fp32 ? lr::promote_copy(t)
+                                                        : lr::Tile();
+          };
+          const lr::Tile xw = widen(x);
+          std::vector<lr::Tile> wide;
+          for (const lr::Tile& o : others) wide.push_back(o.is_lowrank() ? widen(o) : lr::Tile());
+          const auto operand = [](const lr::Tile& t, const lr::Tile& w) {
+            return core::dispatch::UpdateOperand{&t, w.is_lowrank() ? &w : &t};
+          };
+
+          // Every other target transposed, each product X·Bᵗ (row side) or
+          // A·Xᵗ (column side).
+          std::vector<la::DMatrix> c0;
+          for (std::size_t p = 0; p < others.size(); ++p) {
+            const index_t m = row_side ? x.rows() : others[p].rows();
+            const index_t n = row_side ? others[p].rows() : x.rows();
+            la::DMatrix c = p % 2 == 1 ? la::DMatrix(n, m) : la::DMatrix(m, n);
+            la::random_normal(c.view(), rng);
+            c0.push_back(std::move(c));
+          }
+          TierSweep::select(la::NativeIsa::Portable);
+          std::vector<la::DMatrix> ref = c0;
+          for (std::size_t p = 0; p < others.size(); ++p) {
+            const lr::Tile prod =
+                row_side ? core::dispatch::product(x, others[p], lr::CompressionKind::Rrqr,
+                                                   1e-8, false)
+                         : core::dispatch::product(others[p], x, lr::CompressionKind::Rrqr,
+                                                   1e-8, false);
+            core::dispatch::apply_contribution(ref[p].view(), prod, p % 2 == 1);
+          }
+          for (const la::NativeIsa isa : sweep.tiers()) {
+            TierSweep::select(isa);
+            std::vector<la::DMatrix> got = c0;
+            std::vector<core::dispatch::LrGridPair> pairs;
+            for (std::size_t p = 0; p < others.size(); ++p)
+              pairs.push_back({operand(others[p], wide[p]), got[p].view(), p % 2 == 1});
+            core::dispatch::lowrank_update(operand(x, xw), row_side, pairs);
+            for (std::size_t p = 0; p < others.size(); ++p) {
+              expect_same_bits(ref[p], got[p],
+                               std::string(la::native_isa_name(isa)) + " " + what +
+                                   ", pair " + std::to_string(p));
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(DispatchGuards, ExtendAddIntoFactoredTileThrows) {

@@ -430,10 +430,16 @@ TEST(Deadline, RealExpiryFailsSoftly) {
 // The resource degradation ladder
 // ---------------------------------------------------------------------------
 
-/// Just-In-Time at τ = 1e-4 on lap 10³: the small input on which Minimal
-/// Memory still peaks below it (by 0.6%: JIT assembles each supernode only
-/// at its first update, so only the dense panels awaiting their Elim set it
-/// apart; at τ = 1e-8 the two peaks tie).
+/// The ladder's input: lap 14³, a small input on which Minimal Memory
+/// peaks below Just-In-Time at τ = 1e-4 (by 0.25%). On inputs this small
+/// the two factor peaks tie and the workspace live at the peak decides:
+/// there, Minimal Memory's largest contribution is a recompressed
+/// low-rank×low-rank product, JIT's the W factors of one low-rank grid
+/// (DESIGN.md §12). On lap 10³ the grid leaves JIT 0.2% below Minimal
+/// Memory; it was 0.6% above with per-pair products.
+CscMatrix ladder_matrix() { return sparse::laplacian_3d(14, 14, 14); }
+
+/// Just-In-Time at τ = 1e-4, the ladder's starting point.
 SolverOptions ladder_jit_opts() {
   SolverOptions jit = small_opts();
   jit.strategy = Strategy::JustInTime;
@@ -445,7 +451,7 @@ TEST(ResourceLadder, SwitchToMinMemRescuesTightBudget) {
   // Calibrate a budget that Minimal-Memory fits but Just-In-Time (whose peak
   // includes the not-yet-compressed panels) does not, then let a one-rung
   // ladder walk JIT down to MinMem deterministically.
-  const CscMatrix a = sparse::laplacian_3d(10, 10, 10);
+  const CscMatrix a = ladder_matrix();
   const SolverOptions jit = ladder_jit_opts();
   SolverOptions mm = jit;
   mm.strategy = Strategy::MinimalMemory;
@@ -480,7 +486,7 @@ TEST(ResourceLadder, SwitchToMinMemRescuesTightBudget) {
 }
 
 TEST(ResourceLadder, DefaultLadderDegradesToSuccess) {
-  const CscMatrix a = sparse::laplacian_3d(10, 10, 10);
+  const CscMatrix a = ladder_matrix();
   const SolverOptions jit = ladder_jit_opts();
   SolverOptions mm = jit;
   mm.strategy = Strategy::MinimalMemory;

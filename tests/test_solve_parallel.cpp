@@ -276,6 +276,59 @@ TEST(SolveDispatch, SolveKernelsCountedInKernelTable) {
   EXPECT_GT(solver.stats().solve_phase.tasks_executed, 0u);
 }
 
+// A solve refreshes only the solve_* rows of its Solver's table: the
+// factorization rows stay the ones its own factorize took, even after
+// another Solver's factorization reset and refilled the process-wide
+// counters. The rows stay in the order of the full table.
+TEST(SolveDispatch, SolveKeepsOwnFactorizationRows) {
+  const CscMatrix a = sparse::laplacian_3d(12, 12, 12);
+  Solver sa(base_options(Strategy::MinimalMemory, TilePrecision::MixedTiles, 1));
+  sa.factorize(a);
+  const std::vector<core::DispatchCount> before = sa.stats().dispatch;
+  Solver sb(base_options(Strategy::JustInTime, TilePrecision::Fp64, 1));
+  sb.factorize(sparse::laplacian_3d(10, 10, 10));
+  const auto b = seeded_block(a.rows(), 1, 9);
+  std::vector<real_t> x(b.size());
+  sa.solve(b.data(), x.data());
+
+  const auto is_solve = [](const core::DispatchCount& d) {
+    return d.kernel.rfind("solve_", 0) == 0;
+  };
+  std::vector<const core::DispatchCount*> kept;
+  std::uint64_t solve_calls = 0;
+  for (const core::DispatchCount& d : sa.stats().dispatch) {
+    if (is_solve(d)) solve_calls += d.calls;
+    else kept.push_back(&d);
+  }
+  EXPECT_GT(solve_calls, 0u);
+  std::size_t n = 0;
+  for (const core::DispatchCount& d : before) {
+    if (is_solve(d)) continue;
+    ASSERT_LT(n, kept.size());
+    EXPECT_EQ(kept[n]->kernel, d.kernel);
+    EXPECT_EQ(kept[n]->calls, d.calls) << d.kernel;
+    EXPECT_EQ(kept[n]->bytes, d.bytes) << d.kernel;
+    EXPECT_EQ(kept[n]->seconds, d.seconds) << d.kernel;
+    ++n;
+  }
+  EXPECT_EQ(n, kept.size());
+  // The solve rows sit where the full table lists them: among A's rows,
+  // the solve_* rows come after compress[ge] and before the *32 rows.
+  const std::vector<core::DispatchCount>& rows = sa.stats().dispatch;
+  std::size_t compress = rows.size(), first_solve = rows.size(), first32 = rows.size();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].kernel == "compress[ge]") compress = i;
+    if (is_solve(rows[i]) && first_solve == rows.size()) first_solve = i;
+    if (rows[i].kernel.find("32") != std::string::npos && !is_solve(rows[i]) &&
+        first32 == rows.size())
+      first32 = i;
+  }
+  ASSERT_LT(compress, rows.size());
+  ASSERT_LT(first32, rows.size());
+  EXPECT_LT(compress, first_solve);
+  EXPECT_LT(first_solve, first32);
+}
+
 // ---- (e) independent reference: per-block push-form two-sweep -------------
 
 // Low-rank factor as an fp64 matrix (fp32-at-rest factors widened here).
